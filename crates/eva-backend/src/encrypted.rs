@@ -13,10 +13,11 @@ use eva_ckks::{
     Ciphertext, CkksContext, CkksEncoder, CkksError, CkksParameters, Decryptor, Evaluator,
     GaloisKeys, KeyGenerator, RelinearizationKey, SymmetricEncryptor,
 };
-use eva_core::passes::group_rotation_fanouts;
+use eva_core::analysis::Schedule;
 use eva_core::{CompiledProgram, EvaError, NodeId, NodeKind, Opcode, Program, ValueType};
 
 use crate::keys::ProgramKeyDerivation;
+use crate::reference::{apply_op, replicate, rotate_left};
 
 /// A value flowing through the encrypted executor: either a ciphertext or a
 /// plaintext vector (the executor keeps plaintext data unencoded and encodes
@@ -212,14 +213,11 @@ impl EvaluationContext {
     ) -> Result<HashMap<NodeId, NodeValue>, EvaError> {
         let program = &compiled.program;
         let size = program.vec_size();
-        let live = program.live_mask();
         let mut bindings = HashMap::new();
-        for (id, node) in program.nodes().iter().enumerate() {
-            if !live[id] {
-                continue;
-            }
+        for id in Schedule::new(program)?.inputs {
+            let node = program.node(id);
             let NodeKind::Input { name } = &node.kind else {
-                continue;
+                unreachable!("schedule inputs are input nodes");
             };
             let value = match node.ty {
                 ValueType::Cipher => {
@@ -233,18 +231,12 @@ impl EvaluationContext {
                     let raw = plains.remove(name).ok_or_else(|| {
                         EvaError::Execution(format!("missing plaintext input {name:?}"))
                     })?;
-                    if raw.is_empty() || raw.len() > size {
-                        return Err(EvaError::Execution(format!(
-                            "input {name:?} has length {}, expected between 1 and {size}",
-                            raw.len()
-                        )));
-                    }
+                    let replicated = replicate(&raw, size, name)?;
                     if raw.iter().any(|v| !v.is_finite()) {
                         return Err(EvaError::Execution(format!(
                             "input {name:?} contains non-finite values"
                         )));
                     }
-                    let replicated: Vec<f64> = (0..size).map(|i| raw[i % raw.len()]).collect();
                     NodeValue::Plain(replicated)
                 }
             };
@@ -363,7 +355,7 @@ impl EvaluationContext {
                     NodeValue::Cipher(_) => unreachable!(),
                 })
                 .collect();
-            return Ok(NodeValue::Plain(plain_apply(*op, &plain_args, size)));
+            return Ok(NodeValue::Plain(apply_op(*op, &plain_args, size)));
         }
 
         let ev = &self.evaluator;
@@ -480,7 +472,7 @@ impl EvaluationContext {
         match source {
             NodeValue::Plain(v) => Ok(members
                 .iter()
-                .map(|&(_, step)| NodeValue::Plain(plain_rotate(v, step, program.vec_size())))
+                .map(|&(_, step)| NodeValue::Plain(rotate_left(v, step, program.vec_size())))
                 .collect()),
             NodeValue::Cipher(ct) => {
                 let steps: Vec<i64> = members.iter().map(|&(_, s)| s).collect();
@@ -507,189 +499,104 @@ impl EvaluationContext {
         }
     }
 
-    /// Serial execution of the whole program: computes every node in
-    /// topological order and returns the values of the output nodes.
-    ///
-    /// Rotation fan-outs (two or more live rotations of one source, per
-    /// [`group_rotation_fanouts`]) execute hoisted: when the first member is
-    /// reached in topological order, the whole group is computed at once and
-    /// the remaining members' values are pre-stored.
+    /// Serial execution of the whole program: walks the program's
+    /// [`Schedule`] step by step and returns the values of the output nodes.
     ///
     /// # Errors
     ///
-    /// Propagates errors from [`EncryptedContext::execute_node`].
+    /// See [`execute_serial_audited`](Self::execute_serial_audited).
     pub fn execute_serial(
         &self,
         compiled: &CompiledProgram,
         bindings: HashMap<NodeId, NodeValue>,
     ) -> Result<HashMap<NodeId, NodeValue>, EvaError> {
-        self.execute_serial_inner(compiled, bindings, None)
+        self.execute_serial_audited(compiled, bindings)
+            .map(|(values, _)| values)
     }
 
-    /// [`execute_serial`](Self::execute_serial) with an allocation-counting
-    /// [`MemoryAudit`]: the same execution, additionally measuring the real
-    /// peak number of simultaneously-live values/ciphertexts and their bytes.
+    /// The serial executor. For each step of the program's [`Schedule`] it
+    /// computes the values the step materializes — one node through
+    /// [`execute_node`](Self::execute_node), or a whole rotation fan-out
+    /// hoisted through
+    /// [`execute_rotation_group`](Self::execute_rotation_group) — stores
+    /// them, and drops the values the step releases (the memory-reuse rule
+    /// of paper Section 6.1).
     ///
-    /// The audit is the ground truth that `eva-core`'s static
-    /// `predict_peak_memory` forecast must upper-bound (the `report --cost`
-    /// pipeline asserts `predicted ≥ audited` on every workload).
+    /// Alongside the outputs it returns a [`MemoryAudit`]: the peak number
+    /// of values and ciphertexts the loop really held at once and their real
+    /// `memory_bytes()`. `eva-core`'s `predict_peak_memory` walks the same
+    /// steps with static sizes, so the audit is what checks those sizes —
+    /// and this loop's stores and drops — against the running scheme.
     ///
     /// # Errors
     ///
-    /// Propagates errors from [`EncryptedContext::execute_node`].
+    /// Returns [`EvaError`] if the program is cyclic or a live input is
+    /// unbound, and propagates errors from
+    /// [`execute_node`](Self::execute_node).
     pub fn execute_serial_audited(
         &self,
         compiled: &CompiledProgram,
         bindings: HashMap<NodeId, NodeValue>,
     ) -> Result<(HashMap<NodeId, NodeValue>, MemoryAudit), EvaError> {
-        let mut audit = MemoryAudit::default();
-        let outputs = self.execute_serial_inner(compiled, bindings, Some(&mut audit))?;
-        Ok((outputs, audit))
-    }
-
-    fn execute_serial_inner(
-        &self,
-        compiled: &CompiledProgram,
-        mut bindings: HashMap<NodeId, NodeValue>,
-        mut audit: Option<&mut MemoryAudit>,
-    ) -> Result<HashMap<NodeId, NodeValue>, EvaError> {
         let program = &compiled.program;
-        let uses = program.uses();
         // Compiled programs arrive dead-free (compile() runs a final
         // dead-code elimination and the verifier rejects any survivors), but
-        // the executor keeps its own live mask as defense in depth: a raw or
+        // the schedule skips dead nodes anyway as defense in depth: a raw or
         // tampered program could still carry dead branches, which are not
         // covered by the prime budget or exact-scale annotations.
-        let live = program.live_mask();
-        let mut remaining_uses: Vec<usize> = uses
-            .iter()
-            .map(|u| u.iter().filter(|&&c| live[c]).count())
-            .collect();
-        // Output nodes must survive until decryption.
-        for output in program.outputs() {
-            remaining_uses[output.node] += 1;
-        }
+        let schedule = Schedule::new(program)?;
         let mut values: Vec<Option<NodeValue>> = vec![None; program.len()];
-        for (id, value) in bindings.drain() {
+        let mut held = Held::default();
+        for (id, value) in bindings {
+            held.add(&value);
             values[id] = Some(value);
         }
-        // Rotation fan-outs execute hoisted: map each member node to its
-        // group so the first member reached triggers the whole group.
-        let fanouts = group_rotation_fanouts(program);
-        let mut member_group: HashMap<NodeId, usize> = HashMap::new();
-        for (g, fanout) in fanouts.iter().enumerate() {
-            for &(id, _) in &fanout.members {
-                member_group.insert(id, g);
-            }
+        if let Some(id) = schedule.inputs.iter().find(|&&id| values[id].is_none()) {
+            return Err(EvaError::Execution(format!(
+                "input node {id} was not bound before execution"
+            )));
         }
-        // Live-set accounting for the audit, mirroring the static forecast:
-        // the binding set is the baseline, every materialized value adds,
-        // every release subtracts, and the peak is sampled while a result
-        // coexists with its not-yet-released parents.
-        let mut current_values = 0usize;
-        let mut current_ciphers = 0usize;
-        let mut current_bytes = 0usize;
-        if audit.is_some() {
-            for value in values.iter().flatten() {
-                current_values += 1;
-                current_ciphers += usize::from(matches!(value, NodeValue::Cipher(_)));
-                current_bytes += value.memory_bytes();
-            }
-            if let Some(a) = audit.as_deref_mut() {
-                a.record(current_values, current_ciphers, current_bytes);
-            }
-        }
-        for id in program.topological_order() {
-            if !live[id] {
-                continue;
-            }
-            let node = program.node(id);
-            match &node.kind {
-                NodeKind::Input { .. } => {
-                    if values[id].is_none() {
-                        return Err(EvaError::Execution(format!(
-                            "input node {id} was not bound before execution"
-                        )));
-                    }
+        for step in &schedule.steps {
+            let produced = match (&program.node(step.node).kind, schedule.group_of[step.node]) {
+                _ if step.materializes.is_empty() => Vec::new(),
+                (NodeKind::Constant { value }, _) => {
+                    vec![NodeValue::Plain(value.to_vector(program.vec_size()))]
                 }
-                NodeKind::Constant { value } => {
-                    let plain = NodeValue::Plain(value.to_vector(program.vec_size()));
-                    if let Some(a) = audit.as_deref_mut() {
-                        current_values += 1;
-                        current_bytes += plain.memory_bytes();
-                        a.record(current_values, current_ciphers, current_bytes);
-                    }
-                    values[id] = Some(plain);
+                (_, Some(g)) => {
+                    let fanout = &schedule.fanouts[g as usize];
+                    let source = values[fanout.source]
+                        .as_ref()
+                        .expect("fan-out source computed first");
+                    self.execute_rotation_group(program, &fanout.members, source)?
                 }
-                NodeKind::Instruction { args, .. } => {
-                    if values[id].is_none() {
-                        if let Some(&g) = member_group.get(&id) {
-                            // First member of a fan-out reached: execute the
-                            // whole group hoisted and pre-store every
-                            // member's value.
-                            let fanout = &fanouts[g];
-                            let source = values[fanout.source]
-                                .as_ref()
-                                .expect("fan-out source computed first");
-                            let results =
-                                self.execute_rotation_group(program, &fanout.members, source)?;
-                            for (&(mid, _), result) in fanout.members.iter().zip(results) {
-                                if let Some(a) = audit.as_deref_mut() {
-                                    current_values += 1;
-                                    current_ciphers +=
-                                        usize::from(matches!(result, NodeValue::Cipher(_)));
-                                    current_bytes += result.memory_bytes();
-                                    a.record(current_values, current_ciphers, current_bytes);
-                                }
-                                values[mid] = Some(result);
-                            }
-                        } else {
-                            let arg_refs: Vec<&NodeValue> = args
-                                .iter()
-                                .map(|&a| values[a].as_ref().expect("parents computed first"))
-                                .collect();
-                            let result = self.execute_node(program, id, &arg_refs)?;
-                            if let Some(a) = audit.as_deref_mut() {
-                                // The result coexists with all parents for an
-                                // instant.
-                                current_values += 1;
-                                current_ciphers +=
-                                    usize::from(matches!(result, NodeValue::Cipher(_)));
-                                current_bytes += result.memory_bytes();
-                                a.record(current_values, current_ciphers, current_bytes);
-                            }
-                            values[id] = Some(result);
-                        }
-                    }
-                    // Release parent values that have no further consumers
-                    // (the executor's memory-reuse rule from Section 6.1).
-                    // Decrement once per distinct parent, matching `Program::uses`.
-                    let mut distinct = args.clone();
-                    distinct.sort_unstable();
-                    distinct.dedup();
-                    for a in distinct {
-                        remaining_uses[a] = remaining_uses[a].saturating_sub(1);
-                        if remaining_uses[a] == 0 {
-                            if let Some(released) = values[a].take() {
-                                if audit.is_some() {
-                                    current_values -= 1;
-                                    current_ciphers -=
-                                        usize::from(matches!(released, NodeValue::Cipher(_)));
-                                    current_bytes -= released.memory_bytes();
-                                }
-                            }
-                        }
-                    }
+                (_, None) => {
+                    let args: Vec<&NodeValue> = program
+                        .args(step.node)
+                        .iter()
+                        .map(|&a| values[a].as_ref().expect("parents computed first"))
+                        .collect();
+                    vec![self.execute_node(program, step.node, &args)?]
                 }
+            };
+            // A result coexists with its not-yet-released parents for an
+            // instant: the peak is sampled before the releases.
+            for (&id, value) in step.materializes.iter().zip(produced) {
+                held.add(&value);
+                values[id] = Some(value);
+            }
+            for &id in &step.releases {
+                let released = values[id]
+                    .take()
+                    .expect("an earlier step materialized every released value");
+                held.remove(&released);
             }
         }
-        let mut result = HashMap::new();
-        for output in program.outputs() {
-            if let Some(value) = values[output.node].clone() {
-                result.insert(output.node, value);
-            }
-        }
-        Ok(result)
+        let outputs = program
+            .outputs()
+            .iter()
+            .filter_map(|output| Some((output.node, values[output.node].clone()?)))
+            .collect();
+        Ok((outputs, held.peak))
     }
 }
 
@@ -705,11 +612,31 @@ pub struct MemoryAudit {
     pub peak_bytes: usize,
 }
 
-impl MemoryAudit {
-    fn record(&mut self, values: usize, ciphers: usize, bytes: usize) {
-        self.peak_live_values = self.peak_live_values.max(values);
-        self.peak_live_ciphertexts = self.peak_live_ciphertexts.max(ciphers);
-        self.peak_bytes = self.peak_bytes.max(bytes);
+/// The running counts behind a [`MemoryAudit`]: what the serial executor
+/// holds right now, and the peak it has held.
+#[derive(Default)]
+struct Held {
+    values: usize,
+    ciphertexts: usize,
+    bytes: usize,
+    peak: MemoryAudit,
+}
+
+impl Held {
+    fn add(&mut self, value: &NodeValue) {
+        self.values += 1;
+        self.ciphertexts += usize::from(matches!(value, NodeValue::Cipher(_)));
+        self.bytes += value.memory_bytes();
+        let peak = &mut self.peak;
+        peak.peak_live_values = peak.peak_live_values.max(self.values);
+        peak.peak_live_ciphertexts = peak.peak_live_ciphertexts.max(self.ciphertexts);
+        peak.peak_bytes = peak.peak_bytes.max(self.bytes);
+    }
+
+    fn remove(&mut self, value: &NodeValue) {
+        self.values -= 1;
+        self.ciphertexts -= usize::from(matches!(value, NodeValue::Cipher(_)));
+        self.bytes -= value.memory_bytes();
     }
 }
 
@@ -789,27 +716,18 @@ impl EncryptedContext {
         let program = &compiled.program;
         let size = program.vec_size();
         let top_level = self.eval.context.max_level();
-        // Dead inputs are skipped: the executors never read them, so they
-        // need neither a bound value nor an encode+encrypt.
-        let live = program.live_mask();
         let mut bindings = HashMap::new();
-        for (id, node) in program.nodes().iter().enumerate() {
-            if !live[id] {
-                continue;
-            }
+        // Only live inputs: the executors never read dead ones, so they
+        // need neither a bound value nor an encode+encrypt.
+        for id in Schedule::new(program)?.inputs {
+            let node = program.node(id);
             let NodeKind::Input { name } = &node.kind else {
-                continue;
+                unreachable!("schedule inputs are input nodes");
             };
             let raw = inputs
                 .get(name)
                 .ok_or_else(|| EvaError::Execution(format!("missing input value for {name:?}")))?;
-            if raw.is_empty() || raw.len() > size {
-                return Err(EvaError::Execution(format!(
-                    "input {name:?} has length {}, expected between 1 and {size}",
-                    raw.len()
-                )));
-            }
-            let replicated: Vec<f64> = (0..size).map(|i| raw[i % raw.len()]).collect();
+            let replicated = replicate(raw, size, name)?;
             let value = match node.ty {
                 ValueType::Cipher => {
                     // Encode/encrypt stamp the node's exact log2 scale.
@@ -853,19 +771,6 @@ impl EncryptedContext {
         bindings: HashMap<NodeId, NodeValue>,
     ) -> Result<HashMap<NodeId, NodeValue>, EvaError> {
         self.eval.execute_serial(compiled, bindings)
-    }
-
-    /// Audited serial execution (delegates to the evaluation half).
-    ///
-    /// # Errors
-    ///
-    /// See [`EvaluationContext::execute_serial_audited`].
-    pub fn execute_serial_audited(
-        &self,
-        compiled: &CompiledProgram,
-        bindings: HashMap<NodeId, NodeValue>,
-    ) -> Result<(HashMap<NodeId, NodeValue>, MemoryAudit), EvaError> {
-        self.eval.execute_serial_audited(compiled, bindings)
     }
 
     /// The secret key's leak-audit probe (see
@@ -923,24 +828,6 @@ fn split_cipher_plain<'a>(
             "binary cipher instruction with no encrypted operand".into(),
         )),
     }
-}
-
-fn plain_apply(op: Opcode, args: &[&Vec<f64>], size: usize) -> Vec<f64> {
-    match op {
-        Opcode::Negate => args[0].iter().map(|v| -v).collect(),
-        Opcode::Add => args[0].iter().zip(args[1]).map(|(a, b)| a + b).collect(),
-        Opcode::Sub => args[0].iter().zip(args[1]).map(|(a, b)| a - b).collect(),
-        Opcode::Multiply => args[0].iter().zip(args[1]).map(|(a, b)| a * b).collect(),
-        Opcode::RotateLeft(steps) => plain_rotate(args[0], steps as i64, size),
-        Opcode::RotateRight(steps) => plain_rotate(args[0], -(steps as i64), size),
-        Opcode::Relinearize | Opcode::ModSwitch | Opcode::Rescale(_) => args[0].clone(),
-    }
-}
-
-fn plain_rotate(v: &[f64], steps: i64, size: usize) -> Vec<f64> {
-    (0..size)
-        .map(|i| v[(i as i64 + steps).rem_euclid(size as i64) as usize])
-        .collect()
 }
 
 /// Convenience entry point: set up keys, encrypt, execute serially and
@@ -1076,7 +963,10 @@ mod tests {
         .collect();
         let mut context = EncryptedContext::setup(&compiled, Some(11)).unwrap();
         let bindings = context.encrypt_inputs(&compiled, &inputs).unwrap();
-        let (values, audit) = context.execute_serial_audited(&compiled, bindings).unwrap();
+        let (values, audit) = context
+            .evaluation()
+            .execute_serial_audited(&compiled, bindings)
+            .unwrap();
         let actual = context.decrypt_outputs(&compiled, &values).unwrap();
         let expected = run_reference(&compiled.program, &inputs).unwrap();
         assert!(close(&actual["out"], &expected["out"], 1e-3));

@@ -8,10 +8,14 @@
 //!   numeric fidelity of encrypted execution.
 //! * [`encrypted`] — key generation, input encryption, serial execution
 //!   against the `eva-ckks` RNS-CKKS scheme, and output decryption, with the
-//!   phases split out so they can be timed separately (paper Table 7).
+//!   phases split out so they can be timed separately (paper Table 7). The
+//!   serial executor is a walk over the program's execution schedule
+//!   (`eva_core::analysis::Schedule`: what each step materializes and
+//!   releases) that also audits its own peak memory.
 //! * [`parallel`] — the asynchronous DAG executor of Section 6.1: a
-//!   dependence-counting scheduler over a pool of worker threads that also
-//!   retires (frees) ciphertexts as soon as their last consumer has run.
+//!   dependence-counting scheduler over a pool of worker threads, seeded
+//!   from the same schedule's per-node tables, that also retires (frees)
+//!   ciphertexts as soon as their last consumer has run.
 //! * [`keys`] — program-driven key derivation: generate exactly the Galois
 //!   keys a compiled program's ROTATE nodes need.
 //!
@@ -52,5 +56,5 @@ pub use encrypted::{
     EvaluationContext, MemoryAudit, NodeValue,
 };
 pub use keys::ProgramKeyDerivation;
-pub use parallel::{execute_parallel, execute_parallel_with_options, ExecutionStats};
+pub use parallel::execute_parallel;
 pub use reference::run_reference;

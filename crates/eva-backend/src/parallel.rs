@@ -14,42 +14,23 @@ use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use crossbeam::queue::SegQueue;
 use parking_lot::{Condvar, Mutex, RwLock};
 
-use eva_core::passes::{group_rotation_fanouts, RotationFanout};
+use eva_core::analysis::Schedule;
 use eva_core::{CompiledProgram, EvaError, NodeId, NodeKind};
 
 use crate::encrypted::{EvaluationContext, NodeValue};
 
-/// Statistics collected by one parallel execution.
-#[derive(Debug, Clone, Default)]
-pub struct ExecutionStats {
-    /// Number of instruction nodes executed.
-    pub nodes_executed: usize,
-    /// Peak bytes of live node values observed during execution (an
-    /// approximation of the executor's working set; used by the memory-reuse
-    /// ablation).
-    pub peak_live_bytes: usize,
-    /// Total bytes that were freed early thanks to retire-based memory reuse.
-    pub bytes_retired: usize,
-}
-
 struct Shared<'a> {
     context: &'a EvaluationContext,
     program: &'a eva_core::Program,
+    /// The lowered program: live consumers to notify, and the rotation
+    /// fan-out groups executed hoisted by whichever worker claims one first.
+    schedule: &'a Schedule,
     values: Vec<RwLock<Option<NodeValue>>>,
     pending_parents: Vec<AtomicUsize>,
     remaining_uses: Vec<AtomicUsize>,
     ready: SegQueue<NodeId>,
     remaining_nodes: AtomicUsize,
-    live_bytes: AtomicUsize,
-    peak_live_bytes: AtomicUsize,
-    bytes_retired: AtomicUsize,
     error: Mutex<Option<EvaError>>,
-    reuse_memory: bool,
-    /// Rotation fan-out groups (two or more live rotations of one source),
-    /// executed hoisted by whichever worker claims the group first.
-    fanouts: Vec<RotationFanout>,
-    /// Member node → index into [`Shared::fanouts`].
-    member_group: HashMap<NodeId, usize>,
     /// One claim flag per fan-out group: every member lands in the ready
     /// queue when the shared source completes, the first worker to pop any
     /// member CAS-claims the group and executes it whole, and later pops of
@@ -64,16 +45,6 @@ struct Shared<'a> {
 }
 
 impl<'a> Shared<'a> {
-    fn record_allocation(&self, bytes: usize) {
-        let live = self.live_bytes.fetch_add(bytes, Ordering::Relaxed) + bytes;
-        self.peak_live_bytes.fetch_max(live, Ordering::Relaxed);
-    }
-
-    fn record_release(&self, bytes: usize) {
-        self.live_bytes.fetch_sub(bytes, Ordering::Relaxed);
-        self.bytes_retired.fetch_add(bytes, Ordering::Relaxed);
-    }
-
     fn fail(&self, err: EvaError) {
         let mut slot = self.error.lock();
         if slot.is_none() {
@@ -89,136 +60,87 @@ impl<'a> Shared<'a> {
     fn failed(&self) -> bool {
         self.error.lock().is_some()
     }
+
+    /// Bookkeeping after `id`'s value has been stored: retire the parents
+    /// whose last consumer this was, hand the value to its consumers, and
+    /// count the node done.
+    fn complete(&self, id: NodeId, parents: &[NodeId]) {
+        for &a in parents {
+            if self.remaining_uses[a].fetch_sub(1, Ordering::SeqCst) == 1 {
+                *self.values[a].write() = None;
+            }
+        }
+        for &child in &self.schedule.consumers[id] {
+            if self.pending_parents[child].fetch_sub(1, Ordering::SeqCst) == 1 {
+                self.ready.push(child);
+                // Taking the wake lock orders this notification after any worker
+                // that found the queue empty but has not yet gone to sleep.
+                let _guard = self.wake_lock.lock();
+                self.wake.notify_one();
+            }
+        }
+        if self.remaining_nodes.fetch_sub(1, Ordering::SeqCst) == 1 {
+            // Last node: rouse every sleeping worker so they can exit.
+            let _guard = self.wake_lock.lock();
+            self.wake.notify_all();
+        }
+    }
 }
 
-/// Executes a compiled program using `num_threads` worker threads, with
-/// retire-based memory reuse enabled.
+/// Executes a compiled program using `num_threads` worker threads, retiring
+/// each value as soon as its last consumer has run.
 ///
 /// # Errors
 ///
-/// Propagates node-execution errors from the CKKS backend.
+/// Returns [`EvaError`] if the program is cyclic or a live input is unbound,
+/// and propagates node-execution errors from the CKKS backend.
 pub fn execute_parallel(
-    context: &EvaluationContext,
-    compiled: &CompiledProgram,
-    bindings: HashMap<NodeId, NodeValue>,
-    num_threads: usize,
-) -> Result<HashMap<NodeId, NodeValue>, EvaError> {
-    execute_parallel_with_options(context, compiled, bindings, num_threads, true)
-        .map(|(values, _)| values)
-}
-
-/// Like [`execute_parallel`] but with explicit control over memory reuse and
-/// with execution statistics returned alongside the outputs.
-///
-/// # Errors
-///
-/// Propagates node-execution errors from the CKKS backend.
-pub fn execute_parallel_with_options(
     context: &EvaluationContext,
     compiled: &CompiledProgram,
     mut bindings: HashMap<NodeId, NodeValue>,
     num_threads: usize,
-    reuse_memory: bool,
-) -> Result<(HashMap<NodeId, NodeValue>, ExecutionStats), EvaError> {
+) -> Result<HashMap<NodeId, NodeValue>, EvaError> {
     let program = &compiled.program;
-    let n = program.len();
-    let num_threads = num_threads.max(1);
     // Only nodes that reach an output participate: dead branches are not
     // covered by the compiler's prime budget or exact-scale annotations.
-    let live = program.live_mask();
-    let uses: Vec<Vec<NodeId>> = program
-        .uses()
-        .iter()
-        .map(|us| us.iter().copied().filter(|&c| live[c]).collect())
-        .collect();
-    let live_count = live.iter().filter(|&&l| l).count();
-
-    let mut values: Vec<RwLock<Option<NodeValue>>> = Vec::with_capacity(n);
-    for _ in 0..n {
-        values.push(RwLock::new(None));
-    }
-    let mut pending = Vec::with_capacity(n);
-    let mut remaining_uses = Vec::with_capacity(n);
-    for id in 0..n {
-        let distinct_parents = {
-            let mut args: Vec<NodeId> = program.args(id).to_vec();
-            args.sort_unstable();
-            args.dedup();
-            args.len()
-        };
-        pending.push(AtomicUsize::new(distinct_parents));
-        let mut use_count = uses[id].len();
-        if program.outputs().iter().any(|o| o.node == id) {
-            use_count += 1; // outputs must survive until decryption
-        }
-        remaining_uses.push(AtomicUsize::new(use_count));
-    }
-
-    let fanouts = group_rotation_fanouts(program);
-    let mut member_group = HashMap::new();
-    for (g, fanout) in fanouts.iter().enumerate() {
-        for &(id, _) in &fanout.members {
-            member_group.insert(id, g);
-        }
-    }
-    let group_claimed = (0..fanouts.len()).map(|_| AtomicBool::new(false)).collect();
-
+    let schedule = Schedule::new(program)?;
+    let counters = |counts: &[usize]| counts.iter().map(|&c| AtomicUsize::new(c)).collect();
     let shared = Shared {
         context,
         program,
-        values,
-        pending_parents: pending,
-        remaining_uses,
+        schedule: &schedule,
+        values: (0..program.len()).map(|_| RwLock::new(None)).collect(),
+        pending_parents: counters(&schedule.parent_counts),
+        remaining_uses: counters(&schedule.use_counts),
         ready: SegQueue::new(),
-        remaining_nodes: AtomicUsize::new(live_count),
-        live_bytes: AtomicUsize::new(0),
-        peak_live_bytes: AtomicUsize::new(0),
-        bytes_retired: AtomicUsize::new(0),
+        remaining_nodes: AtomicUsize::new(schedule.steps.len()),
         error: Mutex::new(None),
-        reuse_memory,
-        fanouts,
-        member_group,
-        group_claimed,
+        group_claimed: (0..schedule.fanouts.len())
+            .map(|_| AtomicBool::new(false))
+            .collect(),
         wake_lock: Mutex::new(()),
         wake: Condvar::new(),
     };
 
-    // Seed initial values: bound inputs and materialized constants become ready
-    // immediately; their consumers' dependence counters are decremented below.
-    for (id, node) in program.nodes().iter().enumerate() {
-        if !live[id] {
-            continue;
-        }
-        match &node.kind {
-            NodeKind::Input { name } => {
-                let value = bindings.remove(&id).ok_or_else(|| {
-                    EvaError::Execution(format!("input node {id} ({name:?}) was not bound"))
-                })?;
-                shared.record_allocation(value.memory_bytes());
-                *shared.values[id].write() = Some(value);
-            }
-            NodeKind::Constant { value } => {
-                let materialized = NodeValue::Plain(value.to_vector(program.vec_size()));
-                shared.record_allocation(materialized.memory_bytes());
-                *shared.values[id].write() = Some(materialized);
-            }
-            NodeKind::Instruction { .. } => {}
-        }
-    }
-    // Inputs and constants are already available: retire them from the node
-    // count and notify their consumers. Every instruction has at least one
-    // parent, so all ready instructions are discovered through notification.
-    for (id, node) in program.nodes().iter().enumerate() {
-        if live[id] && !matches!(node.kind, NodeKind::Instruction { .. }) {
-            shared.remaining_nodes.fetch_sub(1, Ordering::SeqCst);
-            notify_children(&shared, id, &uses);
-        }
+    // Bound inputs and materialized constants complete immediately (no
+    // worker runs yet, so this only fills the ready queue). Every
+    // instruction has at least one parent, so all ready instructions are
+    // discovered through these completions and the workers' own.
+    for id in schedule.steps.iter().map(|step| step.node) {
+        let value = match &program.node(id).kind {
+            NodeKind::Input { name } => bindings.remove(&id).ok_or_else(|| {
+                EvaError::Execution(format!("input node {id} ({name:?}) was not bound"))
+            })?,
+            NodeKind::Constant { value } => NodeValue::Plain(value.to_vector(program.vec_size())),
+            NodeKind::Instruction { .. } => continue,
+        };
+        *shared.values[id].write() = Some(value);
+        shared.complete(id, &[]);
     }
 
-    let executed = AtomicUsize::new(0);
     crossbeam::thread::scope(|scope| {
-        for _ in 0..num_threads {
-            scope.spawn(|_| worker(&shared, &uses, &executed));
+        for _ in 0..num_threads.max(1) {
+            scope.spawn(|_| worker(&shared));
         }
     })
     .map_err(|_| EvaError::Execution("a worker thread panicked".into()))?;
@@ -235,24 +157,7 @@ pub fn execute_parallel_with_options(
             .ok_or_else(|| EvaError::Execution(format!("output {:?} not computed", output.name)))?;
         outputs.insert(output.node, value);
     }
-    let stats = ExecutionStats {
-        nodes_executed: executed.load(Ordering::Relaxed),
-        peak_live_bytes: shared.peak_live_bytes.load(Ordering::Relaxed),
-        bytes_retired: shared.bytes_retired.load(Ordering::Relaxed),
-    };
-    Ok((outputs, stats))
-}
-
-fn notify_children(shared: &Shared<'_>, id: NodeId, uses: &[Vec<NodeId>]) {
-    for &child in &uses[id] {
-        if shared.pending_parents[child].fetch_sub(1, Ordering::SeqCst) == 1 {
-            shared.ready.push(child);
-            // Taking the wake lock orders this notification after any worker
-            // that found the queue empty but has not yet gone to sleep.
-            let _guard = shared.wake_lock.lock();
-            shared.wake.notify_one();
-        }
-    }
+    Ok(outputs)
 }
 
 /// Pops the next ready node, blocking on the condvar (no timeout polling)
@@ -288,8 +193,8 @@ fn next_ready(shared: &Shared<'_>) -> Option<NodeId> {
 /// member's bookkeeping (value store, parent retire, child notification,
 /// node-count decrement) on behalf of the workers that popped — or will
 /// pop — the other members.
-fn execute_group(shared: &Shared<'_>, g: usize, uses: &[Vec<NodeId>], executed: &AtomicUsize) {
-    let fanout = &shared.fanouts[g];
+fn execute_group(shared: &Shared<'_>, g: usize) {
+    let fanout = &shared.schedule.fanouts[g];
     let result = {
         let guard = shared.values[fanout.source].read();
         let source = guard
@@ -301,32 +206,18 @@ fn execute_group(shared: &Shared<'_>, g: usize, uses: &[Vec<NodeId>], executed: 
     };
     match result {
         Ok(results) => {
-            for (&(mid, _), value) in fanout.members.iter().zip(results) {
-                shared.record_allocation(value.memory_bytes());
-                *shared.values[mid].write() = Some(value);
-                executed.fetch_add(1, Ordering::Relaxed);
+            for (&(member, _), value) in fanout.members.iter().zip(results) {
+                *shared.values[member].write() = Some(value);
                 // Each member retires its (shared) parent once, exactly as
                 // the unhoisted path would.
-                if shared.remaining_uses[fanout.source].fetch_sub(1, Ordering::SeqCst) == 1
-                    && shared.reuse_memory
-                {
-                    let mut slot = shared.values[fanout.source].write();
-                    if let Some(old) = slot.take() {
-                        shared.record_release(old.memory_bytes());
-                    }
-                }
-                notify_children(shared, mid, uses);
-                if shared.remaining_nodes.fetch_sub(1, Ordering::SeqCst) == 1 {
-                    let _guard = shared.wake_lock.lock();
-                    shared.wake.notify_all();
-                }
+                shared.complete(member, &[fanout.source]);
             }
         }
         Err(err) => shared.fail(err),
     }
 }
 
-fn worker(shared: &Shared<'_>, uses: &[Vec<NodeId>], executed: &AtomicUsize) {
+fn worker(shared: &Shared<'_>) {
     loop {
         let Some(id) = next_ready(shared) else {
             return;
@@ -335,17 +226,17 @@ fn worker(shared: &Shared<'_>, uses: &[Vec<NodeId>], executed: &AtomicUsize) {
         // Fan-out members are executed as a whole group by whichever worker
         // claims the group first; everyone else drops the node on the floor
         // (the owner does all of its bookkeeping).
-        if let Some(&g) = shared.member_group.get(&id) {
-            if !shared.group_claimed[g].swap(true, Ordering::SeqCst) {
-                execute_group(shared, g, uses, executed);
+        if let Some(g) = shared.schedule.group_of[id] {
+            if !shared.group_claimed[g as usize].swap(true, Ordering::SeqCst) {
+                execute_group(shared, g as usize);
             }
             continue;
         }
 
         // Gather argument values (shared read locks).
         let program = shared.program;
-        let args: Vec<NodeId> = program.args(id).to_vec();
-        let guards: Vec<_> = args.iter().map(|&a| shared.values[a].read()).collect();
+        let mut parents: Vec<NodeId> = program.args(id).to_vec();
+        let guards: Vec<_> = parents.iter().map(|&a| shared.values[a].read()).collect();
         let arg_refs: Vec<&NodeValue> = guards
             .iter()
             .map(|g| {
@@ -358,29 +249,11 @@ fn worker(shared: &Shared<'_>, uses: &[Vec<NodeId>], executed: &AtomicUsize) {
 
         match result {
             Ok(value) => {
-                shared.record_allocation(value.memory_bytes());
                 *shared.values[id].write() = Some(value);
-                executed.fetch_add(1, Ordering::Relaxed);
-                // Retire parents whose last consumer this was.
-                let mut distinct = args.clone();
-                distinct.sort_unstable();
-                distinct.dedup();
-                for a in distinct {
-                    if shared.remaining_uses[a].fetch_sub(1, Ordering::SeqCst) == 1
-                        && shared.reuse_memory
-                    {
-                        let mut slot = shared.values[a].write();
-                        if let Some(old) = slot.take() {
-                            shared.record_release(old.memory_bytes());
-                        }
-                    }
-                }
-                notify_children(shared, id, uses);
-                if shared.remaining_nodes.fetch_sub(1, Ordering::SeqCst) == 1 {
-                    // Last node: rouse every sleeping worker so they can exit.
-                    let _guard = shared.wake_lock.lock();
-                    shared.wake.notify_all();
-                }
+                // One retire per distinct parent, matching the use counts.
+                parents.sort_unstable();
+                parents.dedup();
+                shared.complete(id, &parents);
             }
             Err(err) => {
                 shared.fail(err);
@@ -438,8 +311,7 @@ mod tests {
 
         let mut ctx = EncryptedContext::setup(&compiled, Some(7)).unwrap();
         let bindings = ctx.encrypt_inputs(&compiled, &inputs).unwrap();
-        let (values, stats) =
-            execute_parallel_with_options(ctx.evaluation(), &compiled, bindings, 2, true).unwrap();
+        let values = execute_parallel(ctx.evaluation(), &compiled, bindings, 2).unwrap();
         let parallel = ctx.decrypt_outputs(&compiled, &values).unwrap();
 
         for ((a, b), c) in parallel["out"]
@@ -450,43 +322,6 @@ mod tests {
             assert!((a - b).abs() < 1e-3, "parallel vs serial: {a} vs {b}");
             assert!((a - c).abs() < 1e-2, "parallel vs reference: {a} vs {c}");
         }
-        assert!(stats.nodes_executed > 0);
-        assert!(stats.peak_live_bytes > 0);
-    }
-
-    #[test]
-    fn memory_reuse_reduces_peak_live_bytes() {
-        let program = {
-            // A long dependent chain: with memory reuse the executor should
-            // only ever hold a couple of ciphertexts.
-            let mut p = Program::new("chain", 8);
-            let x = p.input_cipher("x", 30);
-            let mut acc = x;
-            for i in 0..6 {
-                acc = p.instruction(Op::RotateLeft(1 + (i % 3)), &[acc]);
-            }
-            p.output("out", acc, 30);
-            p
-        };
-        // Compile unoptimized: this test exercises the executor's
-        // memory-reuse machinery, and the optimizer would compose-merge the
-        // single-use rotation chain down to one node.
-        let compiled = compile(&program, &CompilerOptions::unoptimized()).unwrap();
-        let inputs: HashMap<String, Vec<f64>> =
-            [("x".to_string(), vec![1.0; 8])].into_iter().collect();
-
-        let mut ctx = EncryptedContext::setup(&compiled, Some(3)).unwrap();
-        let bindings = ctx.encrypt_inputs(&compiled, &inputs).unwrap();
-        let (_, with_reuse) =
-            execute_parallel_with_options(ctx.evaluation(), &compiled, bindings, 1, true).unwrap();
-
-        let bindings = ctx.encrypt_inputs(&compiled, &inputs).unwrap();
-        let (_, without_reuse) =
-            execute_parallel_with_options(ctx.evaluation(), &compiled, bindings, 1, false).unwrap();
-
-        assert!(with_reuse.peak_live_bytes < without_reuse.peak_live_bytes);
-        assert!(with_reuse.bytes_retired > 0);
-        assert_eq!(without_reuse.bytes_retired, 0);
     }
 
     #[test]

@@ -62,7 +62,7 @@ pub fn run_reference(
     Ok(outputs)
 }
 
-fn replicate(raw: &[f64], size: usize, name: &str) -> Result<Vec<f64>, EvaError> {
+pub(crate) fn replicate(raw: &[f64], size: usize, name: &str) -> Result<Vec<f64>, EvaError> {
     if raw.is_empty() || raw.len() > size {
         return Err(EvaError::Execution(format!(
             "input {name:?} has length {}, expected between 1 and {size}",
@@ -72,7 +72,7 @@ fn replicate(raw: &[f64], size: usize, name: &str) -> Result<Vec<f64>, EvaError>
     Ok((0..size).map(|i| raw[i % raw.len()]).collect())
 }
 
-fn apply_op(op: Opcode, args: &[&Vec<f64>], size: usize) -> Vec<f64> {
+pub(crate) fn apply_op(op: Opcode, args: &[&Vec<f64>], size: usize) -> Vec<f64> {
     match op {
         Opcode::Negate => args[0].iter().map(|v| -v).collect(),
         Opcode::Add => elementwise(args[0], args[1], |a, b| a + b),
@@ -88,7 +88,7 @@ fn elementwise(a: &[f64], b: &[f64], f: impl Fn(f64, f64) -> f64) -> Vec<f64> {
     a.iter().zip(b).map(|(&x, &y)| f(x, y)).collect()
 }
 
-fn rotate_left(v: &[f64], steps: i64, size: usize) -> Vec<f64> {
+pub(crate) fn rotate_left(v: &[f64], steps: i64, size: usize) -> Vec<f64> {
     (0..size)
         .map(|i| {
             let src = (i as i64 + steps).rem_euclid(size as i64) as usize;

@@ -7,7 +7,6 @@
 //! cargo run --release -p eva-bench --bin report -- --primitives     # BENCH_primitives.json
 //! cargo run --release -p eva-bench --bin report -- --analysis       # verifier + noise budgets
 //! cargo run --release -p eva-bench --bin report -- --cost           # BENCH_cost.json
-//! cargo run --release -p eva-bench --bin report -- --throughput     # BENCH_throughput.json
 //! cargo run --release -p eva-bench --bin report -- --dot sobel.dot  # annotated graphviz dump
 //! ```
 //!
@@ -39,10 +38,6 @@ struct Options {
     /// fault-tolerant service baseline (session setup cold/warm/after a
     /// restart, evaluation success rate under injected faults), writing `path`.
     service: Option<String>,
-    /// `Some(path)` when `--throughput [path]` was passed: measure session
-    /// and evaluation throughput of the blocking baseline transport vs the
-    /// event-driven reactor, writing `path`.
-    throughput: Option<String>,
     /// `--analysis`: time the static verifier and dump per-output worst-case
     /// noise budgets for the example circuits (Sobel, LeNet).
     analysis: bool,
@@ -67,7 +62,6 @@ fn parse_args() -> Options {
         primitives: None,
         wire: None,
         service: None,
-        throughput: None,
         analysis: false,
         cost: None,
         dot: None,
@@ -114,13 +108,6 @@ fn parse_args() -> Options {
                     _ => "BENCH_service.json".to_string(),
                 };
                 options.service = Some(path);
-            }
-            "--throughput" => {
-                let path = match iter.peek() {
-                    Some(p) if !p.starts_with("--") => iter.next().unwrap().clone(),
-                    _ => "BENCH_throughput.json".to_string(),
-                };
-                options.throughput = Some(path);
             }
             "--analysis" => options.analysis = true,
             "--cost" => {
@@ -214,34 +201,6 @@ fn main() {
             resilience.resumed_retries
         );
         let json = service_json(&resilience, &[]);
-        if let Err(err) = std::fs::write(path, &json) {
-            eprintln!("failed to write {path}: {err}");
-        }
-    }
-
-    if let Some(path) = &options.throughput {
-        println!("== Service throughput: blocking baseline vs reactor (writing {path}) ==");
-        let transports = measure_throughput(false);
-        for t in &transports {
-            println!(
-                "{:<10} cold {:>8.2} sessions/s  warm {:>8.2} sessions/s  ({} handshakes each)",
-                t.transport, t.cold_sessions_per_sec, t.warm_sessions_per_sec, t.handshake_samples
-            );
-            for (n, rate) in &t.evals_per_sec {
-                println!(
-                    "{:<10}   N={n:<3} {rate:>10.2} evaluations/s ({} rounds/session)",
-                    "", t.rounds_per_session
-                );
-            }
-        }
-        let reactor = evals_rate_at(&transports, "reactor", 8).expect("reactor rate at N=8");
-        let blocking = evals_rate_at(&transports, "blocking", 8).expect("blocking rate at N=8");
-        let ratio = reactor / blocking;
-        println!(
-            "throughput-smoke: reactor vs blocking evaluations/s at N=8: {ratio:.2}x ({})",
-            if ratio >= 1.0 { "PASS" } else { "FAIL" }
-        );
-        let json = throughput_json(&transports);
         if let Err(err) = std::fs::write(path, &json) {
             eprintln!("failed to write {path}: {err}");
         }

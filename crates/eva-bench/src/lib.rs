@@ -837,247 +837,6 @@ pub fn service_json(resilience: &ServiceResilience, preserved: &[String]) -> Str
     s
 }
 
-/// Sessions-per-second and evaluations-per-second of one service transport,
-/// measured by `report --throughput`.
-#[derive(Debug, Clone)]
-pub struct TransportThroughput {
-    /// `"blocking"` (thread per session) or `"reactor"` (event-driven core).
-    pub transport: String,
-    /// Sequential cold handshakes (full evaluation-key upload) per second.
-    pub cold_sessions_per_sec: f64,
-    /// Sequential warm handshakes (cached-key resumption) per second.
-    pub warm_sessions_per_sec: f64,
-    /// Handshakes timed per mode.
-    pub handshake_samples: usize,
-    /// `(concurrent_sessions, evaluations_per_sec)` at each measured width.
-    pub evals_per_sec: Vec<(usize, f64)>,
-    /// Evaluation rounds each concurrent session runs.
-    pub rounds_per_session: usize,
-}
-
-/// Measures session and evaluation throughput of **both** service
-/// transports over the same compiled program: the legacy thread-per-session
-/// blocking server (`serve_forever_blocking`) and the event-driven reactor
-/// (`serve_forever`), each serving cold and warm handshakes plus concurrent
-/// warm sessions at widths 1, 8 and 64. Evaluations run single-threaded so
-/// the comparison isolates transport and scheduling overhead rather than
-/// executor parallelism.
-///
-/// `quick` shrinks sample counts for CI smoke runs.
-///
-/// # Panics
-///
-/// Panics if compilation or any localhost session fails.
-pub fn measure_throughput(quick: bool) -> Vec<TransportThroughput> {
-    use eva_core::{compile, CompilerOptions, Opcode, Program};
-
-    let mut p = Program::new("x2_plus_x", 8);
-    let x = p.input_cipher("x", 30);
-    let x2 = p.instruction(Opcode::Multiply, &[x, x]);
-    let sum = p.instruction(Opcode::Add, &[x2, x]);
-    p.output("out", sum, 30);
-    let compiled = compile(&p, &CompilerOptions::default()).expect("compile");
-
-    vec![
-        measure_transport(&compiled, "blocking", true, quick),
-        measure_transport(&compiled, "reactor", false, quick),
-    ]
-}
-
-fn measure_transport(
-    compiled: &CompiledProgram,
-    name: &str,
-    blocking: bool,
-    quick: bool,
-) -> TransportThroughput {
-    use eva_service::{EvaClient, EvaServer, ServerConfig};
-    use std::net::{TcpListener, TcpStream};
-    use std::sync::{Arc, Barrier};
-
-    let handshakes = if quick { 3 } else { 6 };
-    let rounds = if quick { 2 } else { 4 };
-    let widths = [1usize, 8, 64];
-
-    let listener = TcpListener::bind("127.0.0.1:0").expect("bind localhost");
-    let addr = listener.local_addr().expect("local addr");
-    // Twice the widest measured width: a session slot is released slightly
-    // after the client's goodbye returns, so back-to-back phases briefly
-    // overlap — at the default limit of exactly 64 that overlap turns one
-    // of the 64 concurrent handshakes into a busy rejection.
-    let server = EvaServer::new(compiled.clone())
-        .expect("server")
-        .with_threads(1)
-        .with_config(ServerConfig {
-            max_sessions: 128,
-            ..ServerConfig::default()
-        });
-    let control = server.clone();
-    let serve = std::thread::spawn(move || {
-        if blocking {
-            server.serve_forever_blocking(&listener)
-        } else {
-            server.serve_forever(&listener)
-        }
-    });
-    let inputs: HashMap<String, Vec<f64>> = [("x".to_string(), vec![0.5; 8])].into_iter().collect();
-
-    // Cold handshakes: key generation + full evaluation-key upload each time.
-    let start = Instant::now();
-    let mut ticket = None;
-    for i in 0..handshakes {
-        let client = EvaClient::connect(addr, Some(1_000 + i as u64)).expect("cold handshake");
-        ticket = client.resumption_ticket();
-        client.finish().expect("cold goodbye");
-    }
-    let cold = start.elapsed();
-    let ticket = ticket.expect("seeded sessions mint tickets");
-
-    // The evaluation-key upload carries no acknowledgement, so the last cold
-    // session's cache insert races a reconnect. One evaluated session
-    // settles it: by the time outputs come back the server has processed
-    // (and cached) the keys, so the warm phase below times pure resumption.
-    {
-        let stream = TcpStream::connect(addr).expect("sync connect");
-        let mut client = EvaClient::handshake_resuming(stream, ticket).expect("sync handshake");
-        client.evaluate(&inputs).expect("sync evaluation");
-        client.finish().expect("sync goodbye");
-    }
-
-    // Warm handshakes: resume the last cold session's server-cached keys.
-    let start = Instant::now();
-    for _ in 0..handshakes {
-        let stream = TcpStream::connect(addr).expect("reconnect");
-        let client = EvaClient::handshake_resuming(stream, ticket).expect("warm handshake");
-        assert!(client.resumed(), "server dropped the cached keys");
-        client.finish().expect("warm goodbye");
-    }
-    let warm = start.elapsed();
-
-    // Concurrent evaluation throughput: N warm sessions released together,
-    // each running `rounds` evaluations. Handshakes happen before the
-    // barrier, so the clock covers only the evaluation traffic.
-    let mut evals_per_sec = Vec::new();
-    for &n in &widths {
-        let barrier = Arc::new(Barrier::new(n + 1));
-        let mut handles = Vec::new();
-        for _ in 0..n {
-            let barrier = Arc::clone(&barrier);
-            let inputs = inputs.clone();
-            handles.push(std::thread::spawn(move || {
-                let stream = TcpStream::connect(addr).expect("connect");
-                stream.set_nodelay(true).ok();
-                let mut client =
-                    EvaClient::handshake_resuming(stream, ticket).expect("warm handshake");
-                barrier.wait();
-                for _ in 0..rounds {
-                    let outputs = client.evaluate(&inputs).expect("evaluation");
-                    assert!(
-                        (outputs["out"][0] - 0.75).abs() < 1e-3,
-                        "service result drifted"
-                    );
-                }
-                client.finish().expect("goodbye");
-            }));
-        }
-        barrier.wait();
-        let start = Instant::now();
-        for handle in handles {
-            handle.join().expect("session thread");
-        }
-        let elapsed = start.elapsed();
-        evals_per_sec.push((n, (n * rounds) as f64 / elapsed.as_secs_f64()));
-    }
-
-    control.shutdown();
-    serve.join().expect("serve thread").expect("serve_forever");
-
-    TransportThroughput {
-        transport: name.to_string(),
-        cold_sessions_per_sec: handshakes as f64 / cold.as_secs_f64(),
-        warm_sessions_per_sec: handshakes as f64 / warm.as_secs_f64(),
-        handshake_samples: handshakes,
-        evals_per_sec,
-        rounds_per_session: rounds,
-    }
-}
-
-/// The evaluations-per-second rate one transport achieved at a concurrency
-/// width (`None` if that width was not measured).
-pub fn evals_rate_at(transports: &[TransportThroughput], transport: &str, n: usize) -> Option<f64> {
-    transports
-        .iter()
-        .find(|t| t.transport == transport)
-        .and_then(|t| {
-            t.evals_per_sec
-                .iter()
-                .find(|(width, _)| *width == n)
-                .map(|(_, rate)| *rate)
-        })
-}
-
-/// Renders the throughput baseline as the `BENCH_throughput.json` document
-/// (hand-rolled JSON like [`service_json`]).
-pub fn throughput_json(transports: &[TransportThroughput]) -> String {
-    let mut s = String::from("{\n  \"schema\": \"eva-bench-throughput-v1\",\n");
-    s.push_str(
-        "  \"note\": \"Regenerate with: cargo run --release -p eva-bench --bin report -- \
-         --throughput BENCH_throughput.json. Localhost TCP throughput of the two service \
-         transports over the same compiled x^2+x program with single-threaded evaluations: \
-         blocking is the legacy thread-per-session baseline (serve_forever_blocking), reactor \
-         is the event-driven core (one epoll IO thread multiplexing every session into a \
-         shared cost-aware evaluation scheduler). sessions_per_sec time sequential handshakes \
-         (cold = full evaluation-key upload, warm = cached-key resumption); \
-         evaluations_per_sec run N concurrent warm sessions released together.\",\n",
-    );
-    for t in transports {
-        s.push_str(&format!("  \"{}\": {{\n", t.transport));
-        s.push_str(&format!(
-            "    \"cold_sessions_per_sec\": {:.3},\n",
-            t.cold_sessions_per_sec
-        ));
-        s.push_str(&format!(
-            "    \"warm_sessions_per_sec\": {:.3},\n",
-            t.warm_sessions_per_sec
-        ));
-        s.push_str(&format!(
-            "    \"handshake_samples\": {},\n",
-            t.handshake_samples
-        ));
-        s.push_str(&format!(
-            "    \"rounds_per_session\": {},\n",
-            t.rounds_per_session
-        ));
-        s.push_str("    \"evaluations_per_sec\": {\n");
-        for (i, (n, rate)) in t.evals_per_sec.iter().enumerate() {
-            let comma = if i + 1 == t.evals_per_sec.len() {
-                ""
-            } else {
-                ","
-            };
-            s.push_str(&format!("      \"n{n}\": {rate:.3}{comma}\n"));
-        }
-        s.push_str("    }\n  },\n");
-    }
-    let reactor = evals_rate_at(transports, "reactor", 8);
-    let blocking = evals_rate_at(transports, "blocking", 8);
-    match (reactor, blocking) {
-        (Some(r), Some(b)) if b > 0.0 => {
-            s.push_str(&format!(
-                "  \"reactor_vs_blocking_evals_at_8\": {:.3}\n",
-                r / b
-            ));
-        }
-        _ => {
-            // Drop the trailing comma of the last transport section.
-            let trimmed = s.trim_end_matches(['\n', ',']).len();
-            s.truncate(trimmed);
-            s.push('\n');
-        }
-    }
-    s.push_str("}\n");
-    s
-}
-
 /// Renders the wire baseline as the `BENCH_wire.json` document (hand-rolled
 /// JSON like [`primitives_json`]; `preserved` carries verbatim sections from
 /// a previous baseline).
@@ -1376,6 +1135,7 @@ pub fn measure_cost(quick: bool) -> Vec<CostMeasurement> {
         let bindings = context.encrypt_inputs(&opt, &inputs).expect("encryption");
         let start = Instant::now();
         let (values, audit) = context
+            .evaluation()
             .execute_serial_audited(&opt, bindings)
             .expect("execution");
         let measured_execute_us = start.elapsed().as_secs_f64() * 1e6;

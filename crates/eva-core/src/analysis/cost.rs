@@ -24,16 +24,15 @@
 //! Only **live** cipher nodes are costed: executors skip dead branches, and
 //! after this PR `compile()` removes them outright.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 
-use crate::analysis::scale::{analyze_levels, chain_lengths};
+use crate::analysis::scale::remaining_levels;
 use crate::compiler::CompiledProgram;
 use crate::error::EvaError;
-use crate::passes::group_rotation_fanouts;
 use crate::program::NodeKind;
 use crate::types::Opcode;
 
-use super::dataflow::Dataflow;
+use super::schedule::Schedule;
 
 /// Latency weights in microseconds at the reference level, calibrated from
 /// BENCH_primitives.json (`N = 8192`, level 3).
@@ -143,38 +142,22 @@ pub fn estimate_cost(
     model: &CostModel,
 ) -> Result<CostReport, EvaError> {
     let program = &compiled.program;
-    let df = Dataflow::try_new(program)?;
-    let max_level = compiled.parameters.data_primes.len();
-    let levels: Vec<usize> = chain_lengths(&analyze_levels(program)?)
-        .iter()
-        .map(|&consumed| max_level.saturating_sub(consumed))
-        .collect();
+    let schedule = Schedule::new(program)?;
+    let levels = remaining_levels(program, compiled.parameters.data_primes.len())?;
 
     let ref_ks_ntts = key_switch_ntts(model.reference_level) as f64;
     let ref_rs_ntts = rescale_ntts(model.reference_level) as f64;
     let ref_ha_ntts = hoisted_apply_ntts(model.reference_level) as f64;
     let ref_level = model.reference_level as f64;
 
-    // The executors run rotation fan-outs hoisted: the group's first member
-    // pays a full key switch (it funds the shared decomposition), every
-    // other member only the per-key apply.
-    let fanouts = group_rotation_fanouts(program);
-    let followers: BTreeSet<usize> = fanouts
-        .iter()
-        .flat_map(|f| f.members.iter().skip(1).map(|&(id, _)| id))
-        .collect();
-
     let mut report = CostReport {
         nodes: program.len(),
         distinct_rotation_steps: compiled.rotation_steps.len(),
-        hoisted_groups: fanouts.len(),
+        hoisted_groups: schedule.fanouts.len(),
         ..CostReport::default()
     };
 
-    for &id in df.order() {
-        if !df.live()[id] {
-            continue;
-        }
+    for id in schedule.steps.iter().map(|step| step.node) {
         let node = program.node(id);
         if !node.ty.is_cipher() {
             continue;
@@ -210,7 +193,10 @@ pub fn estimate_cost(
             Opcode::RotateLeft(s) | Opcode::RotateRight(s) if *s != 0 => {
                 report.rotations += 1;
                 *report.key_switches_per_level.entry(level).or_insert(0) += 1;
-                if followers.contains(&id) {
+                // The executors run rotation fan-outs hoisted: the group's
+                // first member pays a full key switch (it funds the shared
+                // decomposition), every other member only the per-key apply.
+                if schedule.is_fanout_follower(id) {
                     report.hoisted_rotations += 1;
                     let ntts = hoisted_apply_ntts(level);
                     report.ntts += ntts;

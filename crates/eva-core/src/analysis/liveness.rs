@@ -2,38 +2,36 @@
 //! maximum number of simultaneously-live ciphertexts — and bytes — the
 //! serial executor will hold.
 //!
-//! The executor releases a value as soon as its last live consumer has run
-//! (the memory-reuse rule of paper Section 6.1). This analysis replays that
-//! exact discipline symbolically over the [`Dataflow`] def-use chains:
+//! The forecast is the [`Schedule`] walk the serial executor itself performs
+//! (paper Section 6.1: a value is released once its last live consumer has
+//! run), with static sizes in place of values: the live inputs are the
+//! baseline, each step adds what it materializes — the peak is sampled
+//! there, while a result still coexists with its parents — and subtracts
+//! what it releases.
 //!
-//! * bindings start with every **live input** (dead inputs are never bound);
-//! * constants materialize as plaintext vectors when first visited;
-//! * an instruction's result coexists with all of its parents for one
-//!   instant — the peak is sampled there, *before* the parents are
-//!   released — then each distinct parent's remaining-use count drops;
-//! * output values survive to the end (decryption reads them).
-//!
-//! Byte sizes replay the backend's accounting exactly: a ciphertext at
-//! level `ℓ` with `p` polynomials holds `p · ℓ · degree` 8-byte residues
+//! Sizes follow the backend's accounting: a ciphertext at level `ℓ` with
+//! `p` polynomials holds `p · ℓ · degree` 8-byte residues
 //! (`Ciphertext::memory_bytes`), a plaintext vector `vec_size` 8-byte
 //! floats. Levels come from the same chain analysis the verifier uses and
-//! polynomial counts from [`analyze_num_polys`], so the prediction is an
-//! upper bound that the allocation-counting executor audit
-//! (`eva-backend`'s `execute_serial_audited`) can meet but not exceed.
+//! polynomial counts from [`analyze_num_polys`].
+//!
+//! Because forecast and executor share the step list, their agreement on
+//! *which* values are live *when* holds by construction. What the backend's
+//! allocation-counting audit (`EvaluationContext::execute_serial_audited`)
+//! still checks independently is everything else: that the static sizes
+//! equal the `memory_bytes()` of the ciphertexts the evaluator really
+//! produces (level and polynomial-count analyses against the scheme), and
+//! that the executor's loop really stores and drops what the steps list.
 //!
 //! The service layer uses [`predict_peak_memory`] for admission control:
 //! a program whose predicted footprint exceeds the configured budget is
 //! refused at load time with a named `peak-memory` finding.
 
-use std::collections::HashMap;
-
-use crate::analysis::scale::{analyze_levels, analyze_num_polys, chain_lengths};
+use crate::analysis::scale::{analyze_num_polys, remaining_levels};
 use crate::compiler::CompiledProgram;
 use crate::error::EvaError;
-use crate::passes::group_rotation_fanouts;
-use crate::program::NodeKind;
 
-use super::dataflow::Dataflow;
+use super::schedule::Schedule;
 
 /// The predicted peak memory state of one serial execution.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -57,127 +55,53 @@ pub struct MemoryForecast {
 /// fails (impossible for programs `compile()` has verified).
 pub fn predict_peak_memory(compiled: &CompiledProgram) -> Result<MemoryForecast, EvaError> {
     let program = &compiled.program;
-    let df = Dataflow::try_new(program)?;
-    let live = df.live();
+    let schedule = Schedule::new(program)?;
     let degree = compiled.parameters.degree;
-    let max_level = compiled.parameters.data_primes.len();
-    let levels: Vec<usize> = chain_lengths(&analyze_levels(program)?)
-        .iter()
-        .map(|&consumed| max_level.saturating_sub(consumed))
-        .collect();
+    let levels = remaining_levels(program, compiled.parameters.data_primes.len())?;
     let polys = analyze_num_polys(program);
     let plain_bytes = program.vec_size() * std::mem::size_of::<f64>();
 
-    // Bytes each node's value occupies while live, mirroring
+    // (ciphertexts, bytes) a node's value occupies while live, mirroring
     // `NodeValue::memory_bytes` on the backend.
-    let bytes_of = |id: usize| -> usize {
+    let size_of = |id: usize| -> (usize, usize) {
         if program.node(id).ty.is_cipher() {
-            polys[id] * levels[id] * degree * std::mem::size_of::<u64>()
+            let residues = polys[id] * levels[id] * degree;
+            (1, residues * std::mem::size_of::<u64>())
         } else {
-            plain_bytes
+            (0, plain_bytes)
         }
     };
 
-    // Remaining live consumers per node, plus one per output reference —
-    // the executor's release discipline verbatim.
-    let mut remaining_uses: Vec<usize> = df
-        .uses()
+    let mut values = schedule.inputs.len();
+    let (mut ciphers, mut bytes) = schedule
+        .inputs
         .iter()
-        .map(|u| u.iter().filter(|&&c| live[c]).count())
-        .collect();
-    for output in program.outputs() {
-        remaining_uses[output.node] += 1;
-    }
-
-    // Rotation fan-outs execute hoisted: the serial executor materializes
-    // every member of a group when it reaches the group's first member in
-    // topological order, so the forecast must charge them all at once there.
-    let fanouts = group_rotation_fanouts(program);
-    let mut member_group: HashMap<usize, usize> = HashMap::new();
-    for (g, fanout) in fanouts.iter().enumerate() {
-        for &(id, _) in &fanout.members {
-            member_group.insert(id, g);
+        .map(|&id| size_of(id))
+        .fold((0, 0), |(c, b), (dc, db)| (c + dc, b + db));
+    let mut forecast = MemoryForecast {
+        peak_live_values: values,
+        peak_live_ciphertexts: ciphers,
+        peak_bytes: bytes,
+        at_node: None,
+    };
+    for step in &schedule.steps {
+        for &id in &step.materializes {
+            let (c, b) = size_of(id);
+            values += 1;
+            ciphers += c;
+            bytes += b;
         }
-    }
-
-    let mut is_live_value = vec![false; program.len()];
-    let mut forecast = MemoryForecast::default();
-    let mut current_bytes = 0usize;
-    let mut current_values = 0usize;
-    let mut current_ciphers = 0usize;
-
-    // Initial bindings: every live input (encrypt_inputs skips dead ones).
-    for (id, node) in program.nodes().iter().enumerate() {
-        if live[id] && matches!(node.kind, NodeKind::Input { .. }) {
-            is_live_value[id] = true;
-            current_values += 1;
-            current_ciphers += usize::from(node.ty.is_cipher());
-            current_bytes += bytes_of(id);
+        if bytes > forecast.peak_bytes {
+            forecast.peak_bytes = bytes;
+            forecast.at_node = Some(step.node);
         }
-    }
-    forecast.peak_live_values = current_values;
-    forecast.peak_live_ciphertexts = current_ciphers;
-    forecast.peak_bytes = current_bytes;
-
-    for &id in df.order() {
-        if !live[id] {
-            continue;
-        }
-        let node = program.node(id);
-        match &node.kind {
-            NodeKind::Input { .. } => {}
-            NodeKind::Constant { .. } => {
-                is_live_value[id] = true;
-                current_values += 1;
-                current_bytes += bytes_of(id);
-                if current_bytes > forecast.peak_bytes {
-                    forecast.peak_bytes = current_bytes;
-                    forecast.at_node = Some(id);
-                }
-                forecast.peak_live_values = forecast.peak_live_values.max(current_values);
-            }
-            NodeKind::Instruction { args, .. } => {
-                // The result exists alongside every parent for one instant.
-                // A fan-out member reached first materializes its *whole*
-                // group (the hoisted executor pre-stores every member);
-                // members reached later were already charged.
-                let materialized: Vec<usize> = match member_group.get(&id) {
-                    Some(&g) if !is_live_value[id] => fanouts[g]
-                        .members
-                        .iter()
-                        .map(|&(m, _)| m)
-                        .filter(|&m| !is_live_value[m])
-                        .collect(),
-                    Some(_) => Vec::new(),
-                    None => vec![id],
-                };
-                for m in materialized {
-                    current_values += 1;
-                    current_ciphers += usize::from(program.node(m).ty.is_cipher());
-                    current_bytes += bytes_of(m);
-                    is_live_value[m] = true;
-                }
-                if current_bytes > forecast.peak_bytes {
-                    forecast.peak_bytes = current_bytes;
-                    forecast.at_node = Some(id);
-                }
-                forecast.peak_live_values = forecast.peak_live_values.max(current_values);
-                forecast.peak_live_ciphertexts =
-                    forecast.peak_live_ciphertexts.max(current_ciphers);
-                // Release parents whose last live consumer just ran.
-                let mut distinct = args.clone();
-                distinct.sort_unstable();
-                distinct.dedup();
-                for a in distinct {
-                    remaining_uses[a] = remaining_uses[a].saturating_sub(1);
-                    if remaining_uses[a] == 0 && is_live_value[a] {
-                        is_live_value[a] = false;
-                        current_values -= 1;
-                        current_ciphers -= usize::from(program.node(a).ty.is_cipher());
-                        current_bytes -= bytes_of(a);
-                    }
-                }
-            }
+        forecast.peak_live_values = forecast.peak_live_values.max(values);
+        forecast.peak_live_ciphertexts = forecast.peak_live_ciphertexts.max(ciphers);
+        for &id in &step.releases {
+            let (c, b) = size_of(id);
+            values -= 1;
+            ciphers -= c;
+            bytes -= b;
         }
     }
     Ok(forecast)

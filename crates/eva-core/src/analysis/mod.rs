@@ -13,6 +13,7 @@ pub mod noise;
 pub mod parameters;
 pub mod rotations;
 pub mod scale;
+pub mod schedule;
 pub mod validation;
 pub mod verifier;
 
@@ -26,7 +27,8 @@ pub use parameters::{select_parameters, ParameterSpec};
 pub use rotations::{canonical_left_step, select_rotation_steps};
 pub use scale::{
     analyze_exact_scales, analyze_levels, analyze_num_polys, analyze_scales, match_scale_delta,
-    prime_log2s, ChainEntry,
+    prime_log2s, remaining_levels, ChainEntry,
 };
+pub use schedule::{Schedule, Step};
 pub use validation::{validate_exact_scales, validate_transformed};
 pub use verifier::{verify_compiled, verify_program, Check, Diagnostic, Severity, VerifierReport};

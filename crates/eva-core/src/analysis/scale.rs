@@ -378,6 +378,20 @@ pub fn chain_lengths(chains: &[Vec<ChainEntry>]) -> Vec<usize> {
     chains.iter().map(|c| c.len()).collect()
 }
 
+/// The number of data primes still alive at each node's value — what the
+/// backend calls the ciphertext's level: `max_level` minus the length of the
+/// node's rescale chain.
+///
+/// # Errors
+///
+/// Propagates [`analyze_levels`] failures (non-conforming chains).
+pub fn remaining_levels(program: &Program, max_level: usize) -> Result<Vec<usize>, EvaError> {
+    Ok(analyze_levels(program)?
+        .iter()
+        .map(|chain| max_level.saturating_sub(chain.len()))
+        .collect())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -4,7 +4,7 @@
 use std::collections::HashSet;
 
 use crate::analysis::noise::{check_noise, estimate_noise, NoiseModel};
-use crate::analysis::scale::{analyze_levels, chain_lengths};
+use crate::analysis::scale::remaining_levels;
 use crate::analysis::verifier::{verify_compiled, verify_program, Check};
 use crate::analysis::{
     select_parameters, select_rotation_steps, validate_transformed, ParameterSpec,
@@ -201,13 +201,8 @@ impl CompiledProgram {
         let program = &self.program;
         let noise = estimate_noise(self, &NoiseModel::default());
         let max_level = self.parameters.data_primes.len();
-        let levels: Vec<usize> = match analyze_levels(program) {
-            Ok(chains) => chain_lengths(&chains)
-                .iter()
-                .map(|&consumed| max_level.saturating_sub(consumed))
-                .collect(),
-            Err(_) => vec![max_level; program.len()],
-        };
+        let levels =
+            remaining_levels(program, max_level).unwrap_or_else(|_| vec![max_level; program.len()]);
         program.to_dot_with(|id| {
             let node = program.node(id);
             if !node.ty.is_cipher() {

@@ -16,11 +16,12 @@
 //!
 //! This module contributes two things to the pipeline:
 //!
-//! 1. [`group_rotation_fanouts`] — the pure analysis both executors and the
-//!    static cost model share: live, cipher-typed, non-identity rotations
-//!    grouped by source node, keeping groups of two or more. Nothing about
-//!    the program graph or its wire format changes; the grouping is
-//!    recomputed wherever it is needed.
+//! 1. [`group_rotation_fanouts`] — a pure analysis: live, cipher-typed,
+//!    non-identity rotations grouped by source node, keeping groups of two
+//!    or more. Nothing about the program graph or its wire format changes.
+//!    The execution schedule (`analysis::schedule`) records the groups for
+//!    both executors, the memory forecast and the cost model; the chaining
+//!    gate below prices them at compile time.
 //! 2. [`chain_rotations_if_profitable`] — a hoisting-aware gate around
 //!    [`chain_rotations`]. Differential chaining
 //!    re-parents fan-out members onto each other, which shrinks the
@@ -61,10 +62,9 @@ fn rotation_step(op: Opcode) -> Option<i64> {
 /// returning every group with at least two members in ascending source
 /// order (members in ascending node order).
 ///
-/// This is a pure analysis: executors call it to pick hoisted execution
-/// plans and the cost model calls it to price them, but the program graph
-/// itself is never rewritten. Zero-step rotations are clones in the
-/// evaluator and perform no key switch, so they never join a group.
+/// This is a pure analysis: the program graph itself is never rewritten.
+/// Zero-step rotations are clones in the evaluator and perform no key
+/// switch, so they never join a group.
 pub fn group_rotation_fanouts(program: &Program) -> Vec<RotationFanout> {
     let live = program.live_mask();
     let mut groups: BTreeMap<NodeId, Vec<(NodeId, i64)>> = BTreeMap::new();

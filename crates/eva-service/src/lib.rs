@@ -82,7 +82,7 @@ pub use client::{EvaClient, SessionTicket};
 pub use error::ServiceError;
 pub use eva_wire::KeyFingerprint;
 pub use keystore::DiskKeyStore;
-pub use limits::{ClientConfig, DeadlineStream, ServerConfig};
+pub use limits::{ClientConfig, ServerConfig};
 pub use protocol::{
     bytes_with_tag, frame_index, FrameSummary, InputSpec, InputValue, Message, OutputSpec,
     OutputValue, ProgramManifest, ValuePayload, MAX_FRAME_BYTES, PROTOCOL_VERSION, TAG_BYE,

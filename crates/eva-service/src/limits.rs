@@ -3,23 +3,21 @@
 //! The session socket is unauthenticated, so every resource a peer can make
 //! the server spend — worker-thread time, buffered bytes, concurrent
 //! sessions — must be bounded *before* any trust is established. This module
-//! holds the knobs ([`ServerConfig`], [`ClientConfig`]) and the transport
-//! wrapper that enforces the time bound ([`DeadlineStream`]).
+//! holds the knobs ([`ServerConfig`], [`ClientConfig`]) and the per-session
+//! byte quotas; the reactor enforces the time bound as a per-connection
+//! timer.
 //!
 //! The read deadline is a **wall-clock budget per incoming message**, not a
 //! per-`read(2)` timeout: a slowloris peer that trickles one byte per
 //! almost-timeout would defeat a per-read timeout forever, but against a
 //! per-message budget the total stall is bounded no matter how the bytes are
-//! paced. The clock arms at the first read after the budget was last
-//! re-armed, and re-arms on every write (the server answered) **and on
-//! every completed frame** — [`DeadlineStream`] tracks the wire format's
-//! length-prefixed framing itself, so back-to-back messages (evaluation
-//! keys immediately followed by inputs) each get their own budget while a
-//! peer that never completes a frame in time is still cut off.
+//! paced. The timer arms when a session is admitted and re-arms on every
+//! write (the server answered) **and on every completed frame**, so
+//! back-to-back messages (evaluation keys immediately followed by inputs)
+//! each get their own budget while a peer that never completes a frame in
+//! time is still cut off.
 
-use std::io::{self, Read, Write};
-use std::net::TcpStream;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use crate::error::ServiceError;
 use crate::protocol::{TAG_EVAL_KEYS, TAG_INPUTS};
@@ -36,13 +34,14 @@ pub struct ServerConfig {
     /// long an idle session may sit between evaluation rounds. `None`
     /// disables the deadline (not recommended on untrusted networks).
     pub read_deadline: Option<Duration>,
-    /// Socket write timeout: a peer that stops draining its receive window
-    /// cannot pin a worker thread in `write(2)` forever.
+    /// Write timeout: how long a closing connection may take to drain its
+    /// last frames, so a peer that stops reading cannot hold its slot
+    /// forever.
     pub write_timeout: Option<Duration>,
     /// Maximum concurrently served sessions. Further connections are
     /// answered with a polite `busy:` protocol `Error` frame and closed —
-    /// backpressure a retrying client turns into backoff, instead of an
-    /// unbounded thread pile-up.
+    /// backpressure a retrying client turns into backoff, instead of
+    /// unbounded per-connection state.
     pub max_sessions: usize,
     /// Per-session byte quota for `EvalKeys` frames, checked against the
     /// **announced** frame length before any payload byte is buffered.
@@ -53,8 +52,7 @@ pub struct ServerConfig {
     /// Evaluation worker threads the reactor's shared scheduler runs
     /// (cross-session: every queued evaluation competes for this pool).
     /// `0` sizes the pool automatically from the machine's available
-    /// parallelism. Ignored by the legacy blocking transport, which
-    /// evaluates inline on its per-session threads.
+    /// parallelism.
     pub eval_workers: usize,
 }
 
@@ -95,125 +93,6 @@ impl Default for ClientConfig {
             read_timeout: Some(Duration::from_secs(30)),
             write_timeout: Some(Duration::from_secs(30)),
         }
-    }
-}
-
-/// Wraps a server-side [`TcpStream`] and enforces the per-message read
-/// deadline of [`ServerConfig::read_deadline`] (see the module docs for why
-/// this is a wall-clock budget rather than a per-read timeout). Reads past
-/// the budget fail with [`io::ErrorKind::TimedOut`] and a `deadline:`
-/// message, which the session layer forwards to the peer as a protocol
-/// `Error` frame before closing.
-#[derive(Debug)]
-pub struct DeadlineStream {
-    inner: TcpStream,
-    deadline: Option<Duration>,
-    /// Arms at the first read after a write or a completed frame; cleared by
-    /// writes and by [`DeadlineStream::advance_frames`] at frame boundaries.
-    message_start: Option<Instant>,
-    /// Read-side frame tracker: header bytes of the current frame seen so
-    /// far (a frame is 1 tag byte + 8 little-endian length bytes + payload).
-    header: [u8; 9],
-    header_filled: usize,
-    /// Payload bytes of the current frame still owed by the peer.
-    payload_remaining: u64,
-}
-
-impl DeadlineStream {
-    /// Wraps a stream with an optional per-message read budget.
-    pub fn new(inner: TcpStream, deadline: Option<Duration>) -> Self {
-        Self {
-            inner,
-            deadline,
-            message_start: None,
-            header: [0; 9],
-            header_filled: 0,
-            payload_remaining: 0,
-        }
-    }
-
-    /// The wrapped stream.
-    pub fn get_ref(&self) -> &TcpStream {
-        &self.inner
-    }
-
-    /// Feeds received bytes through the frame tracker; every completed frame
-    /// re-arms the read budget, so consecutive messages (a multi-megabyte
-    /// key upload followed immediately by inputs) are each measured against
-    /// their own deadline instead of sharing one.
-    fn advance_frames(&mut self, mut bytes: &[u8]) {
-        while !bytes.is_empty() {
-            if self.header_filled < self.header.len() {
-                let take = bytes.len().min(self.header.len() - self.header_filled);
-                self.header[self.header_filled..self.header_filled + take]
-                    .copy_from_slice(&bytes[..take]);
-                self.header_filled += take;
-                bytes = &bytes[take..];
-                if self.header_filled < self.header.len() {
-                    return; // still mid-header
-                }
-                self.payload_remaining =
-                    u64::from_le_bytes(self.header[1..9].try_into().expect("8 length bytes"));
-            }
-            let take = (bytes.len() as u64).min(self.payload_remaining) as usize;
-            self.payload_remaining -= take as u64;
-            bytes = &bytes[take..];
-            if self.payload_remaining > 0 {
-                return; // still mid-payload
-            }
-            // Frame complete: the next message gets a fresh budget.
-            self.header_filled = 0;
-            self.message_start = None;
-        }
-    }
-}
-
-impl Read for DeadlineStream {
-    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
-        let Some(deadline) = self.deadline else {
-            return self.inner.read(buf);
-        };
-        let start = *self.message_start.get_or_insert_with(Instant::now);
-        let timeout = |deadline: Duration| {
-            io::Error::new(
-                io::ErrorKind::TimedOut,
-                format!("deadline: no complete message within {deadline:?}"),
-            )
-        };
-        let remaining = deadline.saturating_sub(start.elapsed());
-        if remaining.is_zero() {
-            return Err(timeout(deadline));
-        }
-        // The socket timeout covers this read; the budget shrinks with every
-        // byte received, so pacing tricks cannot extend the total stall.
-        self.inner.set_read_timeout(Some(remaining))?;
-        match self.inner.read(buf) {
-            Err(err)
-                if matches!(
-                    err.kind(),
-                    io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
-                ) =>
-            {
-                Err(timeout(deadline))
-            }
-            Ok(n) => {
-                self.advance_frames(&buf[..n]);
-                Ok(n)
-            }
-            other => other,
-        }
-    }
-}
-
-impl Write for DeadlineStream {
-    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
-        // The server answered: re-arm the budget for the peer's next message.
-        self.message_start = None;
-        self.inner.write(buf)
-    }
-
-    fn flush(&mut self) -> io::Result<()> {
-        self.inner.flush()
     }
 }
 
@@ -276,111 +155,5 @@ mod tests {
         assert!(err.to_string().contains("evaluation-key"), "{err}");
         // Other tags are never counted.
         quotas.admit(crate::protocol::TAG_BYE, u64::MAX).unwrap();
-    }
-
-    #[test]
-    fn deadline_stream_disconnects_a_stalled_peer() {
-        use std::net::TcpListener;
-
-        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let addr = listener.local_addr().unwrap();
-        // The peer connects and sends two bytes, then stalls forever.
-        let peer = std::thread::spawn(move || {
-            let mut stream = TcpStream::connect(addr).unwrap();
-            stream.write_all(&[1, 2]).unwrap();
-            stream
-        });
-        let (stream, _) = listener.accept().unwrap();
-        let mut stream = DeadlineStream::new(stream, Some(Duration::from_millis(200)));
-        let started = Instant::now();
-        let mut buf = [0u8; 8];
-        let n = stream.read(&mut buf).unwrap();
-        assert!(n >= 1);
-        // Drain whatever arrived, then the stall must trip the deadline —
-        // and the budget spans *all* reads of the message, so the second
-        // read fails within the original 200 ms, not another 200 ms.
-        let mut total = n;
-        let err = loop {
-            match stream.read(&mut buf) {
-                Ok(n) => total += n,
-                Err(err) => break err,
-            }
-        };
-        assert_eq!(total, 2);
-        assert_eq!(err.kind(), io::ErrorKind::TimedOut);
-        assert!(err.to_string().contains("deadline:"), "{err}");
-        assert!(
-            started.elapsed() < Duration::from_secs(5),
-            "deadline did not bound the stall"
-        );
-        drop(peer.join().unwrap());
-    }
-
-    #[test]
-    fn completed_frames_rearm_the_deadline() {
-        use std::net::TcpListener;
-
-        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let addr = listener.local_addr().unwrap();
-        // The peer sends three complete frames with inter-frame pauses that
-        // sum to more than the deadline — legal, because each frame arrives
-        // within its own budget — then stalls mid-frame, which is not.
-        let peer = std::thread::spawn(move || {
-            let mut stream = TcpStream::connect(addr).unwrap();
-            let mut frame = vec![9u8]; // tag
-            frame.extend_from_slice(&2u64.to_le_bytes());
-            frame.extend_from_slice(&[1, 2]);
-            for _ in 0..3 {
-                stream.write_all(&frame).unwrap();
-                std::thread::sleep(Duration::from_millis(150));
-            }
-            stream.write_all(&frame[..4]).unwrap(); // mid-header, then silence
-            stream
-        });
-        let (stream, _) = listener.accept().unwrap();
-        let mut stream = DeadlineStream::new(stream, Some(Duration::from_millis(250)));
-        let started = Instant::now();
-        let mut buf = [0u8; 11];
-        for _ in 0..3 {
-            stream.read_exact(&mut buf).unwrap();
-        }
-        assert!(
-            started.elapsed() >= Duration::from_millis(300),
-            "the three frames must span more than one deadline"
-        );
-        let err = stream.read_exact(&mut buf).unwrap_err();
-        assert_eq!(err.kind(), io::ErrorKind::TimedOut);
-        assert!(err.to_string().contains("deadline:"), "{err}");
-        drop(peer.join().unwrap());
-    }
-
-    #[test]
-    fn writes_rearm_the_deadline() {
-        use std::net::TcpListener;
-
-        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let addr = listener.local_addr().unwrap();
-        let peer = std::thread::spawn(move || {
-            let mut stream = TcpStream::connect(addr).unwrap();
-            stream.write_all(&[7]).unwrap();
-            // Wait for the reply, then send the next "message" after a pause
-            // longer than half the deadline: only a re-armed clock admits it.
-            let mut buf = [0u8; 1];
-            stream.read_exact(&mut buf).unwrap();
-            std::thread::sleep(Duration::from_millis(150));
-            stream.write_all(&[8]).unwrap();
-            stream
-        });
-        let (stream, _) = listener.accept().unwrap();
-        let mut stream = DeadlineStream::new(stream, Some(Duration::from_millis(250)));
-        let mut buf = [0u8; 1];
-        stream.read_exact(&mut buf).unwrap();
-        std::thread::sleep(Duration::from_millis(150));
-        stream.write_all(&[0]).unwrap();
-        // 300 ms have passed since the first read, but the write re-armed
-        // the budget, so the second message still arrives in time.
-        stream.read_exact(&mut buf).unwrap();
-        assert_eq!(buf[0], 8);
-        drop(peer.join().unwrap());
     }
 }

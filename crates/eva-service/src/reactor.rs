@@ -1,24 +1,22 @@
 //! The event-driven service core: one IO thread multiplexing every session.
 //!
-//! The blocking transport spends one OS thread per session, most of it
-//! parked in `read(2)`. The reactor replaces that with a single thread
-//! around an epoll [`Poller`] (the vendored `polling` crate): non-blocking
-//! sockets feed each connection's [`FrameAssembler`], completed frames
-//! drive its [`SessionMachine`], and `Inputs` rounds become jobs on the
-//! shared [`Scheduler`] — a bounded pool of evaluation workers that orders
-//! jobs by the cost model's prediction and admits concurrent evaluations
-//! under the peak-memory forecast. Worker completions come back over a wake
-//! pipe, so the reactor sleeps in `epoll_wait` whenever nothing is ready.
+//! A single thread around an epoll [`Poller`] (the vendored `polling`
+//! crate) serves every connection: non-blocking sockets feed each
+//! connection's [`FrameAssembler`], completed frames drive its
+//! [`SessionMachine`], and `Inputs` rounds become jobs on the shared
+//! [`Scheduler`] — a bounded pool of evaluation workers that orders jobs by
+//! the cost model's prediction and admits concurrent evaluations under the
+//! peak-memory forecast. Worker completions come back over a wake pipe, so
+//! the reactor sleeps in `epoll_wait` whenever nothing is ready.
 //!
-//! Protocol semantics are the blocking transport's, re-expressed as reactor
-//! state:
+//! The protocol's resource rules are reactor state:
 //!
-//! * the per-message read **deadline** becomes a reactor timer, armed from
+//! * the per-message read **deadline** is a reactor timer, armed from
 //!   the session's config snapshot at admission and re-armed on every write
 //!   and every completed frame (disarmed while an evaluation is in flight);
 //! * **quotas** are charged against announced frame headers inside the
 //!   assembler, before payload bytes are accepted;
-//! * the **error-frame-before-close** rule becomes a draining close state:
+//! * the **error-frame-before-close** rule is a draining close state:
 //!   the frame is queued, the peer's in-flight bytes are read and discarded
 //!   for a bounded window so the close is a FIN rather than an RST, then
 //!   the socket is dropped;
@@ -50,9 +48,8 @@ const TOKEN_WAKE: u64 = 1;
 const FIRST_CONN_TOKEN: u64 = 2;
 
 /// How long an errored connection keeps draining the peer's in-flight bytes
-/// before closing (the reactor's `drain_before_close`): long enough for the
-/// peer to read the error frame, short enough that a trickling peer cannot
-/// hold the slot.
+/// before closing: long enough for the peer to read the error frame, short
+/// enough that a trickling peer cannot hold the slot.
 const ERROR_DRAIN_WINDOW: Duration = Duration::from_millis(500);
 
 /// Hard cap on a closing connection's lifetime when the peer neither drains
@@ -87,15 +84,14 @@ struct Conn {
     pending: VecDeque<crate::session::Frame>,
     /// An error raised while reading (oversized frame, quota refusal, socket
     /// error) that the step sweep turns into an error close — *after* the
-    /// frames that completed before it, preserving the blocking transport's
-    /// one-frame-at-a-time ordering.
+    /// frames that completed before it, preserving one-frame-at-a-time
+    /// ordering.
     pending_error: Option<ServiceError>,
     /// Outgoing bytes not yet written (`out[out_pos..]` is unsent).
     out: Vec<u8>,
     out_pos: usize,
     /// The session's read-deadline budget, snapshotted at admission (live
-    /// config retunes apply to sessions started afterwards, exactly like
-    /// the blocking transport).
+    /// config retunes apply to sessions started afterwards).
     budget: Option<Duration>,
     /// When the current message's budget expires (None while disarmed).
     expires: Option<Instant>,
@@ -175,8 +171,8 @@ enum Mode {
     Forever,
 }
 
-/// The event loop. One instance serves one listener; the blocking
-/// [`EvaServer::serve_sessions`]/[`EvaServer::serve_forever`] facades each
+/// The event loop. One instance serves one listener;
+/// [`EvaServer::serve_sessions`] and [`EvaServer::serve_forever`] each
 /// construct one per call.
 pub(crate) struct Reactor {
     server: EvaServer,
@@ -255,6 +251,13 @@ impl Reactor {
         let mut accepted = 0usize;
         let mut accepting = true;
         let result = loop {
+            // Observe shutdown before testing for termination: with no open
+            // connection nothing would ever wake a wait entered after the
+            // listener is deregistered.
+            if accepting && matches!(mode, Mode::Forever) && server.is_shutting_down() {
+                accepting = false;
+                let _ = poller.delete(listener.as_raw_fd());
+            }
             // Termination: every accepted session has fully closed.
             let done = match mode {
                 Mode::Sessions(n) => accepted == n && conns.is_empty(),
@@ -262,10 +265,6 @@ impl Reactor {
             };
             if done {
                 break Ok(());
-            }
-            if accepting && matches!(mode, Mode::Forever) && server.is_shutting_down() {
-                accepting = false;
-                let _ = poller.delete(listener.as_raw_fd());
             }
 
             let now = Instant::now();
@@ -651,8 +650,7 @@ impl Reactor {
                     conn.out_pos += n;
                     if conn.closing.is_none() {
                         // The server answered: fresh budget for the next
-                        // message, exactly like the blocking DeadlineStream
-                        // re-arming on write.
+                        // message.
                         conn.arm_deadline(now);
                     }
                 }

@@ -322,4 +322,14 @@ mod tests {
             "jitter draws should vary across retries"
         );
     }
+
+    #[test]
+    fn a_crashed_session_worker_is_worth_retrying() {
+        // The frame a contained panic answers with must read as transient,
+        // so a retrying client reconnects instead of giving up.
+        assert!(
+            ServiceError::Remote("internal error: the session worker crashed".into())
+                .is_transient()
+        );
+    }
 }

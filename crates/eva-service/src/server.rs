@@ -17,13 +17,12 @@
 
 use std::collections::HashMap;
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
-use eva_backend::{execute_parallel, parameters_from_spec, EvaluationContext};
+use eva_backend::{parameters_from_spec, EvaluationContext};
 use eva_ckks::{CkksContext, GaloisKeys, RelinearizationKey};
 use eva_core::analysis::noise::{check_noise, NoiseModel};
 use eva_core::analysis::verifier::{verify_compiled, VerifierReport};
@@ -33,11 +32,8 @@ use eva_wire::{fingerprint_eval_key_payload, KeyFingerprint, ProgramDiagnostics,
 
 use crate::error::ServiceError;
 use crate::keystore::DiskKeyStore;
-use crate::limits::{DeadlineStream, ServerConfig, SessionQuotas};
-use crate::protocol::{
-    decode_payload, expect_message, message_name, partition_inputs, read_frame_checked,
-    write_message, Message, OutputValue, ProgramManifest, PROTOCOL_VERSION, TAG_EVAL_KEYS,
-};
+use crate::limits::ServerConfig;
+use crate::protocol::{decode_payload, message_name, Message, ProgramManifest, TAG_EVAL_KEYS};
 use crate::sched::SchedGauges;
 
 /// Converts a verifier report into the wire payload a refused load carries:
@@ -208,7 +204,7 @@ struct ServerInner {
     idle: Condvar,
     shutting_down: AtomicBool,
     /// Where the serving listener is bound, so [`EvaServer::begin_shutdown`]
-    /// can wake a blocking `accept` with a throwaway connection.
+    /// can wake the reactor's poller with a throwaway connection.
     listener_addr: Mutex<Option<SocketAddr>>,
     /// `CostReport::predicted_us` for the loaded program (the scheduler's
     /// shortest-job-first key), computed once at load.
@@ -533,7 +529,7 @@ impl EvaServer {
     }
 
     /// Flags the server as shutting down and wakes a [`EvaServer::serve_forever`]
-    /// loop blocked in `accept` (with a throwaway self-connection), without
+    /// loop parked in its poller (with a throwaway self-connection), without
     /// waiting for in-flight sessions. Pair with [`EvaServer::wait_idle`],
     /// or call [`EvaServer::shutdown`] for both.
     pub fn begin_shutdown(&self) {
@@ -544,7 +540,7 @@ impl EvaServer {
             .lock()
             .expect("listener addr lock poisoned");
         if let Some(addr) = addr {
-            // Failure just means accept wasn't blocking (or already woke).
+            // Failure just means the listener is gone (or already woke).
             let _ = TcpStream::connect_timeout(&addr, Duration::from_millis(250));
         }
     }
@@ -601,31 +597,12 @@ impl EvaServer {
 
     /// The wire message a connection rejected at the concurrency limit gets
     /// (the bare `busy:`-prefixed text the client's transient-error
-    /// classifier keys on), shared by both transports.
+    /// classifier keys on).
     pub(crate) fn busy_message(&self) -> String {
         format!(
             "busy: server is at its {}-session limit; retry with backoff",
             self.config().max_sessions.max(1)
         )
-    }
-
-    /// Politely rejects a connection at the concurrency limit: a `busy:`
-    /// protocol `Error` frame (so a retrying client backs off instead of
-    /// guessing), then close. Returns the error for the session's result
-    /// slot.
-    fn reject_busy(&self, mut stream: TcpStream) -> ServiceError {
-        self.inner
-            .stats
-            .busy_rejected
-            .fetch_add(1, Ordering::Relaxed);
-        let message = self.busy_message();
-        stream.set_write_timeout(self.config().write_timeout).ok();
-        let _ = write_message(&mut stream, &Message::Error(message.clone()));
-        // The rejected client has a Hello in flight we never read; see
-        // `drain_before_close` for why closing on top of it would race the
-        // Error frame away.
-        drain_before_close(&stream);
-        ServiceError::Protocol(message)
     }
 
     pub(crate) fn next_session_id(&self) -> u64 {
@@ -770,60 +747,6 @@ impl EvaServer {
         crate::reactor::Reactor::new(self.clone())?.serve_sessions(listener, sessions)
     }
 
-    /// [`serve_sessions`](Self::serve_sessions) on the legacy blocking
-    /// transport: one OS thread per session, evaluations inline on the
-    /// session thread. Kept as the baseline the reactor is benchmarked
-    /// against (`eva-bench report --throughput`).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ServiceError::Io`] if accepting a connection fails.
-    pub fn serve_sessions_blocking(
-        &self,
-        listener: &TcpListener,
-        sessions: usize,
-    ) -> Result<Vec<Result<SessionReport, ServiceError>>, ServiceError> {
-        *self
-            .inner
-            .listener_addr
-            .lock()
-            .expect("listener addr lock poisoned") = listener.local_addr().ok();
-        // Each accepted connection fills one result slot: either a scoped
-        // session thread to join, or an immediate busy rejection.
-        enum Slot<'scope> {
-            Running(std::thread::ScopedJoinHandle<'scope, Result<SessionReport, ServiceError>>),
-            Rejected(ServiceError),
-        }
-        let mut results = Vec::with_capacity(sessions);
-        std::thread::scope(|scope| -> Result<(), ServiceError> {
-            let mut slots = Vec::with_capacity(sessions);
-            for _ in 0..sessions {
-                let (stream, _addr) = listener.accept()?;
-                match self.try_begin_session() {
-                    Some(guard) => {
-                        let server = self.clone();
-                        let id = self.next_session_id();
-                        slots.push(Slot::Running(scope.spawn(move || {
-                            let _guard = guard;
-                            server.run_session_tcp(stream, id)
-                        })));
-                    }
-                    None => slots.push(Slot::Rejected(self.reject_busy(stream))),
-                }
-            }
-            for slot in slots {
-                results.push(match slot {
-                    Slot::Running(handle) => handle.join().unwrap_or_else(|_| {
-                        Err(ServiceError::Protocol("session thread panicked".into()))
-                    }),
-                    Slot::Rejected(err) => Err(err),
-                });
-            }
-            Ok(())
-        })?;
-        Ok(results)
-    }
-
     /// Serves connections until [`EvaServer::begin_shutdown`] (or
     /// [`EvaServer::shutdown`]) is called, multiplexing every session on the
     /// event-driven reactor with evaluations on a bounded worker pool,
@@ -839,243 +762,11 @@ impl EvaServer {
         crate::reactor::Reactor::new(self.clone())?.serve_forever(listener)
     }
 
-    /// [`serve_forever`](Self::serve_forever) on the legacy blocking
-    /// transport: one OS thread per session, evaluations inline. Kept as the
-    /// baseline the reactor is benchmarked against.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ServiceError::Io`] when the listener fails.
-    pub fn serve_forever_blocking(&self, listener: &TcpListener) -> Result<(), ServiceError> {
-        *self
-            .inner
-            .listener_addr
-            .lock()
-            .expect("listener addr lock poisoned") = listener.local_addr().ok();
-        loop {
-            let (stream, addr) = listener.accept()?;
-            if self.is_shutting_down() {
-                // The connection may be begin_shutdown's own wake-up, or a
-                // late real client; either way, stop accepting.
-                drop(stream);
-                break;
-            }
-            match self.try_begin_session() {
-                Some(guard) => {
-                    let server = self.clone();
-                    let id = self.next_session_id();
-                    std::thread::spawn(move || {
-                        let _guard = guard;
-                        if let Err(err) = server.run_session_tcp(stream, id) {
-                            eprintln!("eva-service: session {id} from {addr} failed: {err}");
-                        }
-                    });
-                }
-                None => {
-                    self.reject_busy(stream);
-                }
-            }
-        }
-        self.wait_idle();
-        Ok(())
-    }
-
-    /// One accepted TCP session: socket options, the read-deadline wrapper,
-    /// then the panic-guarded session body.
-    fn run_session_tcp(&self, stream: TcpStream, id: u64) -> Result<SessionReport, ServiceError> {
-        stream.set_nodelay(true).ok();
-        let config = self.config();
-        stream.set_write_timeout(config.write_timeout).ok();
-        let mut stream = DeadlineStream::new(stream, config.read_deadline);
-        let result = self.run_guarded(&mut stream, id);
-        if result.is_err() {
-            // The error-frame-before-close rule needs one more step on TCP:
-            // closing a socket with unread peer data in the receive buffer
-            // makes the kernel send RST, which can destroy the just-sent
-            // Error frame before the peer reads it. Drain what's in flight
-            // (time-bounded — this must not reopen the slowloris hole) so
-            // the close is a FIN and the Error frame survives.
-            drain_before_close(stream.get_ref());
-        }
-        result
-    }
-
-    /// Runs one session with panic containment: a panicking session worker
-    /// is caught (never silently unwinding a detached thread), logged with
-    /// its session id, counted in [`ServerStats::session_panics`], and
-    /// answered with a best-effort `internal error` frame. Outcome counters
-    /// are updated here for every path.
-    fn run_guarded<S: std::io::Read + std::io::Write>(
-        &self,
-        stream: &mut S,
-        id: u64,
-    ) -> Result<SessionReport, ServiceError> {
-        let stats = &self.inner.stats;
-        stats.started.fetch_add(1, Ordering::Relaxed);
-        // AssertUnwindSafe: on panic both the stream (closed right after the
-        // error frame) and the server state are discarded or re-validated —
-        // the key cache and counters are behind locks/atomics and every
-        // cached entry was validated before insertion.
-        match catch_unwind(AssertUnwindSafe(|| self.handle_session(stream))) {
-            Ok(Ok(report)) => {
-                stats.completed.fetch_add(1, Ordering::Relaxed);
-                if report.resumed {
-                    stats.resumed.fetch_add(1, Ordering::Relaxed);
-                }
-                stats
-                    .evaluations
-                    .fetch_add(report.evaluations as u64, Ordering::Relaxed);
-                Ok(report)
-            }
-            Ok(Err(err)) => {
-                stats.failed.fetch_add(1, Ordering::Relaxed);
-                Err(err)
-            }
-            Err(payload) => {
-                stats.panicked.fetch_add(1, Ordering::Relaxed);
-                let message = panic_message(payload.as_ref());
-                eprintln!("eva-service: session {id} panicked: {message}");
-                // Error-frame-before-close, even for a crash: the client
-                // learns the request died instead of staring at a dead
-                // socket. `internal error` marks it transient for retries.
-                let _ = write_message(
-                    stream,
-                    &Message::Error("internal error: the session worker crashed".into()),
-                );
-                Err(ServiceError::Execution(format!(
-                    "session {id} panicked: {message}"
-                )))
-            }
-        }
-    }
-
-    /// Runs one full session over any bidirectional byte stream (exposed so
-    /// tests and benchmarks can use in-memory or instrumented transports).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ServiceError`] on protocol violations, invalid key material
-    /// or execution failures; a best-effort `Error` message is sent to the
-    /// client first (the error-frame-before-close rule — oversized frames,
-    /// tripped deadlines and exhausted quotas all reach the peer as a named
-    /// `Error`, never as a bare hang-up).
-    pub fn handle_session<S: std::io::Read + std::io::Write>(
-        &self,
-        stream: &mut S,
-    ) -> Result<SessionReport, ServiceError> {
-        match self.session_inner(stream) {
-            Ok(report) => Ok(report),
-            Err(err) => {
-                // Tell the client what went wrong before giving up on the
-                // session; the socket may already be gone, so ignore failures.
-                let _ = write_message(stream, &Message::Error(err.to_string()));
-                Err(err)
-            }
-        }
-    }
-
-    fn session_inner<S: std::io::Read + std::io::Write>(
-        &self,
-        stream: &mut S,
-    ) -> Result<SessionReport, ServiceError> {
-        let inner = &*self.inner;
-        let mut quotas = SessionQuotas::new(&self.config());
-        // 1. Hello / version check; the Hello may name an evaluation-key
-        //    fingerprint to resume.
-        let resume = match expect_message(stream)? {
-            Message::Hello { protocol, resume } if protocol == PROTOCOL_VERSION => resume,
-            Message::Hello { protocol, .. } => {
-                return Err(ServiceError::Protocol(format!(
-                    "client speaks protocol {protocol}, server speaks {PROTOCOL_VERSION}"
-                )))
-            }
-            other => {
-                return Err(ServiceError::Protocol(format!(
-                    "expected Hello, got {}",
-                    message_name(&other)
-                )))
-            }
-        };
-        // 2. Key lookup (memory LRU, then the disk store), then publish the
-        //    manifest together with the resumption verdict.
-        let cached = resume.and_then(|fingerprint| {
-            self.lookup_keys(&fingerprint)
-                .map(|keys| (fingerprint, keys))
-        });
-        write_message(
-            stream,
-            &Message::Manifest {
-                manifest: Box::new(inner.manifest.clone()),
-                keys_cached: cached.is_some(),
-            },
-        )?;
-        // 3. Evaluation keys: from the cache on resumption (already validated
-        //    when first uploaded), otherwise uploaded now, validated,
-        //    fingerprinted and cached for future sessions.
-        let mut report = SessionReport::default();
-        let keys = match cached {
-            Some((fingerprint, keys)) => {
-                report.resumed = true;
-                report.key_fingerprint = Some(fingerprint);
-                keys
-            }
-            None => {
-                // Read the raw frame so the fingerprint can be computed over
-                // the payload *as received* — the bytes are already in hand,
-                // so no multi-megabyte re-serialization of the keys happens
-                // (decoders only accept canonical encodings, so hashing the
-                // payload equals hashing the decoded keys).
-                let (tag, payload) = read_frame_checked(stream, |tag, len| quotas.admit(tag, len))?
-                    .ok_or(ServiceError::Disconnected)?;
-                if tag != TAG_EVAL_KEYS {
-                    let message = decode_payload(tag, &payload)?;
-                    return Err(ServiceError::Protocol(format!(
-                        "expected EvalKeys, got {}",
-                        message_name(&message)
-                    )));
-                }
-                let fingerprint = fingerprint_eval_key_payload(&payload);
-                let keys = self.accept_key_upload(&payload, fingerprint)?;
-                report.key_fingerprint = Some(fingerprint);
-                keys
-            }
-        };
-        let eval = EvaluationContext::from_shared(inner.context.clone(), keys.relin, keys.galois);
-        // 4. Evaluation rounds until the client says Bye (or cleanly hangs up).
-        loop {
-            let message = match read_frame_checked(stream, |tag, len| quotas.admit(tag, len))? {
-                Some((tag, payload)) => Some(decode_payload(tag, &payload)?),
-                None => None,
-            };
-            match message {
-                Some(Message::Inputs(inputs)) => {
-                    let (ciphers, plains) = partition_inputs(inputs, &inner.context)?;
-                    let bindings = eval.bind_inputs(&inner.compiled, ciphers, plains)?;
-                    let values = execute_parallel(&eval, &inner.compiled, bindings, self.threads)?;
-                    let outputs = EvaluationContext::named_outputs(&inner.compiled, &values)?
-                        .into_iter()
-                        .map(|(name, value)| (name, OutputValue::from(value)))
-                        .collect();
-                    write_message(stream, &Message::Outputs(outputs))?;
-                    report.evaluations += 1;
-                }
-                Some(Message::Bye) | None => return Ok(report),
-                Some(other) => {
-                    return Err(ServiceError::Protocol(format!(
-                        "expected Inputs or Bye, got {}",
-                        message_name(&other)
-                    )))
-                }
-            }
-        }
-    }
-
     /// Accepts one uploaded evaluation-key payload: decodes it, validates
     /// the keys against the server context and manifest, caches them under
-    /// `fingerprint` (computed by the transport over the payload **as
-    /// received** — streaming for the reactor, one-shot for the blocking
-    /// path; both digests are byte-identical) and persists them through the
-    /// disk layer if one is configured. Shared by both transports.
+    /// `fingerprint` (streamed by the frame assembler over the payload **as
+    /// received**; byte-identical to the one-shot digest of the payload)
+    /// and persists them through the disk layer if one is configured.
     pub(crate) fn accept_key_upload(
         &self,
         payload: &[u8],
@@ -1221,30 +912,6 @@ impl EvaServer {
     }
 }
 
-/// Reads and discards whatever the peer still has in flight, bounded in
-/// time, before an errored session's socket is closed.
-///
-/// Closing a TCP socket with unread data in its receive buffer makes the
-/// kernel answer with RST instead of FIN — and an RST discards data the
-/// peer has not read yet, including the `Error` frame we just queued. The
-/// protocol promises an `Error` frame *before* any abnormal close, so the
-/// close must be a FIN: consume the stragglers first. The hard time bound
-/// keeps a trickling peer from turning this courtesy into a slowloris hold.
-fn drain_before_close(stream: &TcpStream) {
-    let deadline = Instant::now() + Duration::from_millis(500);
-    let mut sink = [0u8; 4096];
-    loop {
-        let remaining = deadline.saturating_duration_since(Instant::now());
-        if remaining.is_zero() || stream.set_read_timeout(Some(remaining)).is_err() {
-            return;
-        }
-        match std::io::Read::read(&mut (&*stream), &mut sink) {
-            Ok(0) | Err(_) => return,
-            Ok(_) => {}
-        }
-    }
-}
-
 /// Best-effort rendering of a caught panic payload (panics carry `&str` or
 /// `String` in practice; anything else is opaque).
 pub(crate) fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
@@ -1313,69 +980,6 @@ mod tests {
         cache.insert(fp(1), dummy_keys(), 1);
         assert_eq!(cache.len(), 0);
         assert!(cache.get(&fp(1)).is_none());
-    }
-
-    /// A transport whose reads panic — the worst a hostile-input bug can do
-    /// to a session worker — while recording whatever the server writes.
-    struct PanickingStream {
-        written: Vec<u8>,
-    }
-
-    impl std::io::Read for PanickingStream {
-        fn read(&mut self, _buf: &mut [u8]) -> std::io::Result<usize> {
-            panic!("injected panic for the containment test");
-        }
-    }
-
-    impl std::io::Write for PanickingStream {
-        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
-            self.written.extend_from_slice(buf);
-            Ok(buf.len())
-        }
-
-        fn flush(&mut self) -> std::io::Result<()> {
-            Ok(())
-        }
-    }
-
-    #[test]
-    fn session_panics_are_caught_counted_and_answered() {
-        use eva_core::{compile, CompilerOptions, Opcode, Program};
-
-        let mut p = Program::new("square", 8);
-        let x = p.input_cipher("x", 30);
-        let sq = p.instruction(Opcode::Multiply, &[x, x]);
-        p.output("out", sq, 30);
-        let compiled = compile(&p, &CompilerOptions::default()).unwrap();
-        let server = EvaServer::new(compiled).unwrap();
-
-        let mut stream = PanickingStream {
-            written: Vec::new(),
-        };
-        let err = server.run_guarded(&mut stream, 42).unwrap_err();
-        let rendered = err.to_string();
-        assert!(
-            rendered.contains("session 42 panicked"),
-            "panic must surface with its session id: {rendered}"
-        );
-        assert!(
-            rendered.contains("injected panic"),
-            "panic message must be preserved: {rendered}"
-        );
-        let stats = server.stats();
-        assert_eq!(stats.sessions_started, 1);
-        assert_eq!(stats.session_panics, 1);
-        assert_eq!(stats.sessions_failed, 0, "panics are counted separately");
-        // Error-frame-before-close holds even for a crash.
-        assert!(crate::record::contains_bytes(
-            &stream.written,
-            b"internal error"
-        ));
-        // The error is marked transient so a retrying client reconnects.
-        assert!(
-            ServiceError::Remote("internal error: the session worker crashed".into())
-                .is_transient()
-        );
     }
 
     #[test]

@@ -1,16 +1,13 @@
-//! The frame-driven session core shared by the reactor and the blocking
-//! transport: a chunked [`FrameAssembler`] that turns arbitrary byte slices
-//! into protocol frames, and a [`SessionMachine`] that advances one session
-//! per completed frame instead of per blocking read.
+//! The frame-driven session core the reactor runs per connection: a chunked
+//! [`FrameAssembler`] that turns arbitrary byte slices into protocol frames,
+//! and a [`SessionMachine`] that advances one session per completed frame.
 //!
-//! The state machine is the blocking `handle_session` loop unrolled into
-//! explicit protocol steps — Hello → Manifest, EvalKeys (unless resumed),
-//! then Inputs/Outputs rounds until Bye — with identical message ordering,
-//! validation and error strings, so the PR 7 `limits`/`persistence`/`chaos`
-//! suites hold against either transport. The one structural difference: an
-//! `Inputs` frame does not evaluate inline but yields an [`EvalJob`] for the
-//! shared scheduler, and the session resumes when the job's completion comes
-//! back.
+//! The state machine is the protocol of `docs/PROTOCOL.md` as explicit
+//! steps — Hello → Manifest, EvalKeys (unless resumed), then Inputs/Outputs
+//! rounds until Bye — with the message ordering, validation and error
+//! strings the `limits`/`persistence`/`chaos` suites pin. An `Inputs` frame
+//! does not evaluate inline: it yields an [`EvalJob`] for the shared
+//! scheduler, and the session resumes when the job's completion comes back.
 
 use std::collections::VecDeque;
 use std::sync::Arc;
@@ -178,7 +175,7 @@ pub(crate) enum Step {
     Reply(Vec<(u8, Vec<u8>)>),
     /// Submit this job to the evaluation scheduler and **pause reading**
     /// until its completion comes back (one in-flight evaluation per
-    /// session, exactly like the blocking loop).
+    /// session).
     Evaluate(EvalJob),
     /// The session ended cleanly (Bye, or EOF between rounds).
     Close(SessionReport),
@@ -205,7 +202,7 @@ pub(crate) struct SessionMachine {
 
 impl SessionMachine {
     /// A fresh machine awaiting the client's Hello. Quotas snapshot the
-    /// server config at session start, exactly like the blocking path.
+    /// server config at session start.
     pub(crate) fn new(server: EvaServer) -> Self {
         let quotas = SessionQuotas::new(&server.config());
         Self {

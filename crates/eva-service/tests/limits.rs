@@ -261,3 +261,22 @@ fn graceful_shutdown_drains_in_flight_sessions() {
     )
     .is_err());
 }
+
+/// Regression: a shutdown requested before the serve loop first looks at
+/// the flag — with no connection ever opened — must still end the loop.
+/// (The loop used to deregister the listener and then park with nothing
+/// left to wake it.)
+#[test]
+fn shutdown_requested_before_serving_returns_promptly() {
+    let server = square_server();
+    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    server.begin_shutdown();
+    let (done_tx, done_rx) = std::sync::mpsc::channel();
+    std::thread::spawn(move || {
+        let _ = done_tx.send(server.serve_forever(&listener));
+    });
+    done_rx
+        .recv_timeout(Duration::from_secs(2))
+        .expect("serve_forever hung on a shutdown flag set before it started")
+        .expect("serve_forever");
+}

@@ -1,0 +1,175 @@
+//! Integration tests for the shared execution schedule
+//! (`eva_core::analysis::Schedule`): the memory forecast and the serial
+//! executor's audit agree, the parallel executor is bit-identical to the
+//! serial one at every thread count, and the cost model and forecast print
+//! exactly what they printed before they were rewritten as schedule walks.
+
+use std::collections::HashMap;
+
+use eva::backend::{execute_parallel, EncryptedContext, MemoryAudit, NodeValue};
+use eva::ir::{
+    compile, estimate_cost, predict_peak_memory, CompiledProgram, CompilerOptions, CostModel,
+    MemoryForecast, Opcode, Program,
+};
+
+type Inputs = HashMap<String, Vec<f64>>;
+
+/// A 3-way rotation fan-out whose source also feeds an ADD, a
+/// duplicate-argument node, a dead branch and two outputs sharing a node
+/// (the program `schedule.rs`'s unit tests pin step by step), compiled.
+fn mixed() -> (CompiledProgram, Inputs) {
+    let mut p = Program::new("mixed", 16);
+    let x = p.input_cipher("x", 30);
+    let sq = p.instruction(Opcode::Multiply, &[x, x]);
+    let r1 = p.instruction(Opcode::RotateLeft(1), &[sq]);
+    let r2 = p.instruction(Opcode::RotateLeft(2), &[sq]);
+    let r3 = p.instruction(Opcode::RotateRight(3), &[sq]);
+    let a = p.instruction(Opcode::Add, &[sq, r1]);
+    let b = p.instruction(Opcode::Add, &[r2, r3]);
+    let c = p.instruction(Opcode::Add, &[a, b]);
+    let dead = p.instruction(Opcode::RotateLeft(5), &[sq]);
+    let _dead = p.instruction(Opcode::Negate, &[dead]);
+    p.output("first", c, 30);
+    p.output("second", c, 30);
+    let compiled = compile(&p, &CompilerOptions::default()).unwrap();
+    let x: Vec<f64> = (0..16).map(|i| (i as f64) / 16.0 - 0.5).collect();
+    (compiled, HashMap::from([("x".to_string(), x)]))
+}
+
+fn sobel_16() -> (CompiledProgram, Inputs) {
+    let compiled = compile(
+        &eva::apps::image::sobel_program(16),
+        &CompilerOptions::default(),
+    )
+    .unwrap();
+    let image: Vec<f64> = (0..256).map(|i| ((i % 17) as f64) / 17.0).collect();
+    (compiled, HashMap::from([("image".to_string(), image)]))
+}
+
+fn audited(compiled: &CompiledProgram, inputs: &Inputs) -> (MemoryForecast, MemoryAudit) {
+    let forecast = predict_peak_memory(compiled).unwrap();
+    let mut ctx = EncryptedContext::setup(compiled, Some(42)).unwrap();
+    let bindings = ctx.encrypt_inputs(compiled, inputs).unwrap();
+    let (_, audit) = ctx
+        .evaluation()
+        .execute_serial_audited(compiled, bindings)
+        .unwrap();
+    (forecast, audit)
+}
+
+#[test]
+fn forecast_equals_the_audit_on_sobel_and_bounds_it_on_the_mixed_program() {
+    let (compiled, inputs) = sobel_16();
+    let (forecast, audit) = audited(&compiled, &inputs);
+    assert_eq!(forecast.peak_live_ciphertexts, audit.peak_live_ciphertexts);
+    assert_eq!(forecast.peak_bytes, audit.peak_bytes);
+
+    let (compiled, inputs) = mixed();
+    let (forecast, audit) = audited(&compiled, &inputs);
+    assert!(
+        forecast.peak_live_values >= audit.peak_live_values
+            && forecast.peak_live_ciphertexts >= audit.peak_live_ciphertexts
+            && forecast.peak_bytes >= audit.peak_bytes,
+        "forecast {forecast:?} must upper-bound audit {audit:?}"
+    );
+}
+
+fn assert_bit_identical(a: &HashMap<usize, NodeValue>, b: &HashMap<usize, NodeValue>, label: &str) {
+    assert_eq!(a.len(), b.len(), "{label}: output count");
+    for (node, va) in a {
+        match (va, &b[node]) {
+            (NodeValue::Cipher(x), NodeValue::Cipher(y)) => {
+                assert_eq!(x.polys(), y.polys(), "{label}: output {node} diverged");
+                assert_eq!(x.scale_log2().to_bits(), y.scale_log2().to_bits());
+                assert_eq!(x.level(), y.level());
+            }
+            _ => panic!("{label}: output {node} is not a ciphertext on both sides"),
+        }
+    }
+}
+
+#[test]
+fn parallel_is_bit_identical_to_serial_at_one_two_and_four_threads() {
+    for (name, (compiled, inputs)) in [("mixed", mixed()), ("sobel", sobel_16())] {
+        let report = estimate_cost(&compiled, &CostModel::default()).unwrap();
+        assert!(report.hoisted_groups >= 1, "{name} has no rotation fan-out");
+        let mut ctx = EncryptedContext::setup(&compiled, Some(7)).unwrap();
+        let bindings = ctx.encrypt_inputs(&compiled, &inputs).unwrap();
+        let serial = ctx.execute_serial(&compiled, bindings.clone()).unwrap();
+        assert!(!serial.is_empty());
+        for threads in [1, 2, 4] {
+            let parallel =
+                execute_parallel(ctx.evaluation(), &compiled, bindings.clone(), threads).unwrap();
+            assert_bit_identical(&parallel, &serial, &format!("{name} x{threads}"));
+        }
+    }
+}
+
+/// What `estimate_cost` and `predict_peak_memory` printed at the commit
+/// before both became schedule walks.
+struct Golden {
+    nodes: usize,
+    key_switches: usize,
+    hoisted_groups: usize,
+    hoisted_rotations: usize,
+    ntts: usize,
+    predicted_us_bits: u64,
+    forecast: MemoryForecast,
+}
+
+fn assert_golden(program: &Program, golden: &Golden) {
+    let compiled = compile(program, &CompilerOptions::default()).unwrap();
+    let report = estimate_cost(&compiled, &CostModel::default()).unwrap();
+    assert_eq!(report.nodes, golden.nodes);
+    assert_eq!(report.key_switches, golden.key_switches);
+    assert_eq!(report.hoisted_groups, golden.hoisted_groups);
+    assert_eq!(report.hoisted_rotations, golden.hoisted_rotations);
+    assert_eq!(report.ntts, golden.ntts);
+    assert_eq!(
+        report.predicted_us.to_bits(),
+        golden.predicted_us_bits,
+        "predicted {} µs",
+        report.predicted_us
+    );
+    assert_eq!(predict_peak_memory(&compiled).unwrap(), golden.forecast);
+}
+
+#[test]
+fn cost_report_and_forecast_match_the_pre_schedule_goldens() {
+    assert_golden(
+        &eva::apps::image::sobel_program(64),
+        &Golden {
+            nodes: 75,
+            key_switches: 12,
+            hoisted_groups: 1,
+            hoisted_rotations: 7,
+            ntts: 308,
+            predicted_us_bits: 0x40ea_f277_8af8_af8c, // 55187.73571428572
+            forecast: MemoryForecast {
+                peak_live_values: 25,
+                peak_live_ciphertexts: 16,
+                peak_bytes: 17_072_128,
+                at_node: Some(30),
+            },
+        },
+    );
+    let network = eva::tensor::networks::lenet5_small(42);
+    let lowered = eva::tensor::lower_network(&network, eva::tensor::LoweringMode::Eva);
+    assert_golden(
+        &lowered.program,
+        &Golden {
+            nodes: 1141,
+            key_switches: 293,
+            hoisted_groups: 4,
+            hoisted_rotations: 17,
+            ntts: 17702,
+            predicted_us_bits: 0x4146_f8c6_88af_8acc, // 3010957.067857122
+            forecast: MemoryForecast {
+                peak_live_values: 199,
+                peak_live_ciphertexts: 45,
+                peak_bytes: 165_265_408,
+                at_node: Some(299),
+            },
+        },
+    );
+}
