@@ -6,6 +6,17 @@
 //! are supplied the values are packed sparsely, which is equivalent to
 //! encoding the vector replicated `N/2 / slots` times — exactly the input
 //! replication the EVA language specifies for undersized vectors (Section 3).
+//!
+//! A vector whose slots all hold one value `c` — every scalar constant of an
+//! EVA program, once broadcast — needs none of that. Its interpolant is the
+//! constant polynomial `round(c·2^scale)`, and the NTT of a constant
+//! polynomial is that constant's residue at every evaluation point, so
+//! [`CkksEncoder::encode`] writes the rows directly: no FFT, no wide
+//! coefficient vector, no NTT. Nothing is approximated: on equal inputs every
+//! butterfly difference of the inverse FFT is an exact zero and every sum an
+//! exact doubling, so the general route arrives at this same polynomial bit
+//! for bit, only `N log N` operations later. Sparse packing changes nothing
+//! because a replicated constant is the same constant.
 
 use eva_math::fft::Complex;
 use eva_poly::{PolyForm, RnsPoly};
@@ -46,7 +57,8 @@ impl CkksEncoder {
     /// `values.len()` must be a power of two not exceeding the slot count; a
     /// shorter vector is packed sparsely (replicated in slot space). The
     /// plaintext is stamped with exactly `scale_log2`; the linear factor used
-    /// in the rounding arithmetic is `2^scale_log2`.
+    /// in the rounding arithmetic is `2^scale_log2`. A vector of identical
+    /// values skips the transforms (see the module docs).
     ///
     /// # Panics
     ///
@@ -65,17 +77,30 @@ impl CkksEncoder {
             "level {level} out of range"
         );
         let scale = scale_log2.exp2();
+        let n = self.context.degree();
+        let basis = self.context.key_basis();
+        if values.iter().all(|v| v.to_bits() == values[0].to_bits()) {
+            let constant = round_to_i128(values[0] * scale);
+            let mut poly = RnsPoly::zero(n, level, PolyForm::Ntt);
+            for (row, modulus) in poly.rows_mut().zip(basis.moduli()) {
+                row.fill(constant.rem_euclid(i128::from(modulus.value())) as u64);
+            }
+            return Plaintext {
+                poly,
+                scale_log2,
+                level,
+            };
+        }
         let mut work: Vec<Complex> = values.iter().map(|&v| Complex::from_real(v)).collect();
         self.context.fft().embed_inverse(&mut work);
         let gap = nh / slots;
-        let n = self.context.degree();
         let mut coeffs = vec![0i128; n];
         for (i, v) in work.iter().enumerate() {
             coeffs[i * gap] = round_to_i128(v.re * scale);
             coeffs[nh + i * gap] = round_to_i128(v.im * scale);
         }
-        let mut poly = self.context.key_basis().poly_from_i128(&coeffs, level);
-        poly.to_ntt(self.context.key_basis());
+        let mut poly = basis.poly_from_i128(&coeffs, level);
+        poly.to_ntt(basis);
         Plaintext {
             poly,
             scale_log2,

@@ -13,6 +13,20 @@
 //! polynomials before a multiplication), returning [`CkksError`] instead of
 //! panicking — these are the runtime exceptions the EVA compiler's validation
 //! pass is designed to rule out ahead of time.
+//!
+//! # Transform counts
+//!
+//! A key switch at level `l` executes `l² + 3l + 2` NTTs: `l` inverse
+//! transforms of the target, `l²` forward transforms of the lifted digits
+//! and `l + 1` (one inverse, `l` forward) in each of the two mod-downs. The
+//! textbook count has `l` more — digit `j` lifted to its own prime `q_j` —
+//! but reducing a residue of `q_j` modulo `q_j` changes nothing, so that
+//! row's forward NTT is the target's NTT row the decomposition started
+//! from, and [`Evaluator::decompose_for_key_switch`] copies it. The copy is
+//! bit-exact because stored rows are canonical and the NTT is a bijection on
+//! canonical rows. The constants of the two flooring divisions
+//! (`P⁻¹`, `P mod q_i` here; `q_last⁻¹` in RESCALE) come from
+//! [`eva_poly::RnsBasis::drop_constants`], computed once per context.
 
 use eva_poly::{PolyForm, RnsPoly};
 
@@ -27,7 +41,7 @@ use crate::keys::{GaloisKeys, KeySwitchKey, RelinearizationKey, RotationKey};
 /// Produced by [`Evaluator::decompose_for_key_switch`]: for each data prime
 /// `q_j` of the target's chain it holds the digit `target mod q_j` lifted to
 /// every modulus of the extended basis (data primes + special prime) in NTT
-/// form. Decomposing costs `l(l+2)` NTTs and is independent of the key being
+/// form. Decomposing costs `l(l+1)` NTTs and is independent of the key being
 /// applied, so a rotation fan-out decomposes its source **once** and applies
 /// each Galois key to the shared digits — hoisted key-switching. The
 /// automorphism commutes with the decomposition (it is applied to the
@@ -512,7 +526,9 @@ impl Evaluator {
     /// primes): digit `j` is the target's residue `j` lifted to every
     /// modulus of the extended basis (data primes + special prime), forward
     /// transformed. This is the key-independent half of key switching —
-    /// `l(l+2)` NTTs — reusable across every key applied to the same target.
+    /// `l` inverse plus `l²` forward NTTs, digit `j`'s own-prime row being a
+    /// copy of the target's (see the module docs) — reusable across every
+    /// key applied to the same target.
     pub fn decompose_for_key_switch(
         &self,
         target: &RnsPoly,
@@ -531,9 +547,16 @@ impl Evaluator {
                 let digit = target_coeff.residue(j);
                 let mut lifted = RnsPoly::zero(n, ext, PolyForm::Ntt);
                 for pos in 0..ext {
+                    let row = lifted.residue_mut(pos);
+                    if pos == j {
+                        // Reducing digit `j` modulo its own prime changes
+                        // nothing, so its forward NTT is the row the inverse
+                        // transform above started from.
+                        row.copy_from_slice(target.residue(j));
+                        continue;
+                    }
                     let m_idx = if pos == level { special } else { pos };
                     let modulus = &basis.moduli()[m_idx];
-                    let row = lifted.residue_mut(pos);
                     for (dst, &c) in row.iter_mut().zip(digit) {
                         *dst = modulus.reduce(c);
                     }
@@ -783,20 +806,13 @@ impl Evaluator {
         // Centered round of the special residue into every data prime in one
         // pass over the coefficients (the `> P/2` test is shared; each prime
         // gets its own reduction into its delta row) ...
-        let consts: Vec<_> = (0..level)
-            .map(|i| {
-                let q_i = &basis.moduli()[i];
-                let inv_p = q_i
-                    .inv(q_i.reduce(p_value))
-                    .expect("special prime is invertible modulo data primes");
-                (q_i, q_i.shoup(inv_p), q_i.reduce(p_value))
-            })
-            .collect();
+        let moduli = &basis.moduli()[..level];
+        let consts = &basis.drop_constants(special)[..level];
         for (ci, &c) in special_coeff.iter().enumerate() {
             let wrap = c > half_p;
-            for (m, (q_i, _, p_mod_qi)) in consts.iter().enumerate() {
+            for (m, (q_i, p)) in moduli.iter().zip(consts).enumerate() {
                 let r = q_i.reduce(c);
-                delta[m * n + ci] = if wrap { q_i.sub(r, *p_mod_qi) } else { r };
+                delta[m * n + ci] = if wrap { q_i.sub(r, p.residue) } else { r };
             }
         }
 
@@ -805,7 +821,8 @@ impl Evaluator {
         // `acc + 4q − delta < 6q`, then × P⁻¹ via the any-input Shoup
         // product, reduced once to canonical form.
         let mut data = Vec::with_capacity(level * n);
-        for (m, (q_i, pre, _)) in consts.iter().enumerate() {
+        for (m, (q_i, p)) in moduli.iter().zip(consts).enumerate() {
+            let pre = &p.inverse;
             let four_q = q_i.value() << 2;
             let drow = &mut delta[m * n..(m + 1) * n];
             basis.ntt_tables()[m].forward_lazy(drow);

@@ -21,6 +21,15 @@
 //!   measured `1297 / 168 ≈ 7.7`;
 //! * dyadic work (multiply, add) is linear in `ℓ`.
 //!
+//! These formulas are scaling laws fitted to measured ratios, not literal
+//! transform counts. `eva-ckks` executes `ℓ² + 3ℓ + 2` NTTs per key switch
+//! (`ℓ` inverse and `ℓ²` forward in the decomposition — each digit's
+//! own-prime row is copied, not transformed — plus `ℓ + 1` in each of the two
+//! mod-downs) and `2ℓ` per rescale (one inverse and `ℓ − 1` forward per
+//! polynomial): 20 and 6 at `ℓ = 3` against the model's 28 and 8. The
+//! difference is absorbed by the per-NTT weight the reference timings imply;
+//! [`CostReport::ntts`] and `predicted_us` report the model's figures.
+//!
 //! Only **live** cipher nodes are costed: executors skip dead branches, and
 //! after this PR `compile()` removes them outright.
 

@@ -1,6 +1,6 @@
 //! The RNS prime basis: an ordered chain of NTT-friendly primes.
 
-use eva_math::modulus::Modulus;
+use eva_math::modulus::{Modulus, ShoupPrecomputed};
 use eva_math::ntt::NttTables;
 
 use crate::poly::{PolyForm, RnsPoly};
@@ -16,6 +16,17 @@ pub struct RnsBasis {
     degree: usize,
     moduli: Vec<Modulus>,
     ntt: Vec<NttTables>,
+    /// `drop_constants[j][i]`, `i < j`: see [`RnsBasis::drop_constants`].
+    drop_constants: Vec<Vec<DropConstants>>,
+}
+
+/// What dividing by a chain prime `q_j` needs modulo an earlier prime `q_i`.
+#[derive(Debug, Clone, Copy)]
+pub struct DropConstants {
+    /// `q_j⁻¹ mod q_i`, Shoup-precomputed.
+    pub inverse: ShoupPrecomputed,
+    /// `q_j mod q_i`.
+    pub residue: u64,
 }
 
 /// Errors arising while constructing an [`RnsBasis`].
@@ -74,10 +85,28 @@ impl RnsBasis {
             moduli.push(modulus);
             ntt.push(tables);
         }
+        let drop_constants = (0..moduli.len())
+            .map(|j| {
+                moduli[..j]
+                    .iter()
+                    .map(|q_i| {
+                        let residue = q_i.reduce(moduli[j].value());
+                        let inverse = q_i
+                            .inv(residue)
+                            .expect("chain primes are distinct, so each is invertible mod another");
+                        DropConstants {
+                            inverse: q_i.shoup(inverse),
+                            residue,
+                        }
+                    })
+                    .collect()
+            })
+            .collect();
         Ok(Self {
             degree,
             moduli,
             ntt,
+            drop_constants,
         })
     }
 
@@ -109,6 +138,16 @@ impl RnsBasis {
     #[inline]
     pub fn ntt_tables(&self) -> &[NttTables] {
         &self.ntt
+    }
+
+    /// The constants for flooring chain prime `dropped` off a polynomial:
+    /// entry `i < dropped` holds `q_dropped⁻¹` and `q_dropped` modulo `q_i`.
+    /// RESCALE drops the last prime of a ciphertext's chain and the key-switch
+    /// mod-down drops the special prime, so both read this one table instead
+    /// of recomputing a modular inverse per prime per call.
+    #[inline]
+    pub fn drop_constants(&self, dropped: usize) -> &[DropConstants] {
+        &self.drop_constants[dropped]
     }
 
     /// Total bit length of the product of the first `level` primes.
@@ -156,7 +195,14 @@ impl RnsBasis {
         for (modulus, row) in self.moduli[..level].iter().zip(poly.rows_mut()) {
             let q = modulus.value() as i128;
             for (dst, &c) in row.iter_mut().zip(coeffs) {
-                *dst = c.rem_euclid(q) as u64;
+                // A magnitude that fits one word takes the Barrett reduction
+                // and a sign fix; only wider coefficients (scales beyond
+                // 2^64) pay for the software 128-bit remainder.
+                *dst = match u64::try_from(c.unsigned_abs()) {
+                    Ok(magnitude) if c < 0 => modulus.neg(modulus.reduce(magnitude)),
+                    Ok(magnitude) => modulus.reduce(magnitude),
+                    Err(_) => c.rem_euclid(q) as u64,
+                };
             }
         }
         poly
@@ -205,6 +251,41 @@ mod tests {
         let b = basis(32, &[30, 40, 50]);
         assert!((b.product_bits(1) - 30.0).abs() < 0.1);
         assert!((b.product_bits(3) - 120.0).abs() < 0.2);
+    }
+
+    #[test]
+    fn wide_lift_matches_euclidean_remainder_around_the_word_boundary() {
+        let b = basis(16, &[30, 40, 50, 60]);
+        let mut coeffs = Vec::new();
+        for boundary in [0i128, 1 << 62, 1 << 63, 1 << 64, 1 << 100] {
+            for offset in -2i128..=2 {
+                coeffs.extend([boundary + offset, -(boundary + offset)]);
+            }
+        }
+        coeffs.extend(b.moduli().iter().map(|m| -i128::from(m.value())));
+        for chunk in coeffs.chunks(16) {
+            let mut padded = chunk.to_vec();
+            padded.resize(16, 0);
+            let poly = b.poly_from_i128(&padded, 4);
+            for (row, modulus) in poly.rows().zip(b.moduli()) {
+                for (&r, &c) in row.iter().zip(&padded) {
+                    assert_eq!(r, c.rem_euclid(i128::from(modulus.value())) as u64, "{c}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn drop_constants_invert_every_later_prime() {
+        let b = basis(16, &[30, 31, 40, 50]);
+        for j in 0..b.len() {
+            assert_eq!(b.drop_constants(j).len(), j);
+            for (q_i, c) in b.moduli().iter().zip(b.drop_constants(j)) {
+                assert_eq!(c.residue, b.moduli()[j].value() % q_i.value());
+                assert_eq!(q_i.mul(c.inverse.operand, c.residue), 1);
+                assert_eq!(c.inverse, q_i.shoup(c.inverse.operand));
+            }
+        }
     }
 
     #[test]

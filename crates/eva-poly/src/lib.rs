@@ -44,6 +44,6 @@ pub mod basis;
 pub mod crt;
 pub mod poly;
 
-pub use basis::RnsBasis;
+pub use basis::{DropConstants, RnsBasis};
 pub use crt::{CrtComposer, UBig};
 pub use poly::{PolyForm, RnsPoly};

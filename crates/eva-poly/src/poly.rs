@@ -314,18 +314,13 @@ impl RnsPoly {
         let half_q_last = q_last.value() / 2;
 
         let mut delta = vec![0u64; degree];
-        for i in 0..last_idx {
+        for (i, consts) in basis.drop_constants(last_idx).iter().enumerate() {
             let q_i = &basis.moduli()[i];
-            let inv_q_last = q_i
-                .inv(q_i.reduce(q_last.value()))
-                .expect("chain primes are distinct, so q_last is invertible");
-            let inv_pre = q_i.shoup(inv_q_last);
-            let q_last_mod_qi = q_i.reduce(q_last.value());
             // delta = centered representative of the last residue, reduced mod q_i.
             for (d, &c) in delta.iter_mut().zip(&last_coeff) {
                 *d = if c > half_q_last {
                     // negative representative: c - q_last
-                    q_i.sub(q_i.reduce(c), q_last_mod_qi)
+                    q_i.sub(q_i.reduce(c), consts.residue)
                 } else {
                     q_i.reduce(c)
                 };
@@ -335,7 +330,7 @@ impl RnsPoly {
             }
             let row = &mut self.data[i * degree..(i + 1) * degree];
             for (a, &d) in row.iter_mut().zip(&delta) {
-                *a = q_i.mul_shoup(q_i.sub(*a, d), &inv_pre);
+                *a = q_i.mul_shoup(q_i.sub(*a, d), &consts.inverse);
             }
         }
         self.level = last_idx;
