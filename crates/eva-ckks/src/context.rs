@@ -40,12 +40,23 @@ impl CkksContext {
     ///
     /// # Errors
     ///
-    /// Returns [`ParameterError::PrimeGeneration`] if the underlying basis
-    /// cannot be constructed (which indicates an internal inconsistency, since
-    /// the parameters were already validated).
+    /// Returns [`ParameterError::ChainTooLong`] if a key switch's unreduced
+    /// 128-bit digit × key sum could overflow, and
+    /// [`ParameterError::PrimeGeneration`] if the underlying basis cannot be
+    /// constructed (which indicates an internal inconsistency, since the
+    /// parameters were already validated).
     pub fn new(params: CkksParameters) -> Result<Self, ParameterError> {
         let mut chain: Vec<u64> = params.data_primes().to_vec();
         chain.push(params.special_prime());
+        // `Evaluator::apply_key_switch` sums one product of two canonical
+        // residues per digit before reducing: exact iff `l · q_max² < 2^128`
+        // (about 128 sixty-bit primes — far past any chain the security
+        // table admits, but nothing else rules it out for insecure ones).
+        let q_max = u128::from(*chain.iter().max().expect("chain holds the special prime"));
+        let levels = params.level_count();
+        if (levels as u128).checked_mul(q_max * q_max).is_none() {
+            return Err(ParameterError::ChainTooLong { levels });
+        }
         let key_basis = RnsBasis::new(params.degree(), &chain)
             .map_err(|e| ParameterError::PrimeGeneration(e.to_string()))?;
         let fft = SpecialFft::new(params.degree());
@@ -146,6 +157,17 @@ mod tests {
         assert_eq!(ctx.key_basis().len(), 4);
         assert_eq!(ctx.composer(1).len(), 1);
         assert_eq!(ctx.composer(3).len(), 3);
+    }
+
+    #[test]
+    fn chains_whose_key_switch_sum_could_overflow_are_refused() {
+        // 60-bit primes: q² ≈ 2^120, so a few hundred digits overflow 128
+        // bits; the chain is refused before any table or key is built.
+        let long = CkksParameters::new_insecure(8, &[60; 300], 60).unwrap();
+        assert_eq!(
+            CkksContext::new(long).unwrap_err(),
+            ParameterError::ChainTooLong { levels: 300 }
+        );
     }
 
     #[test]

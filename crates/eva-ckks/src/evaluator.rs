@@ -27,6 +27,20 @@
 //! canonical rows. The constants of the two flooring divisions
 //! (`P⁻¹`, `P mod q_i` here; `q_last⁻¹` in RESCALE) come from
 //! [`eva_poly::RnsBasis::drop_constants`], computed once per context.
+//!
+//! # One key-switch kernel, and why its sum is exact
+//!
+//! Between the decomposition and the two mod-downs sits the only digit × key
+//! loop in the crate, [`Evaluator::apply_key_switch`], shared by
+//! RELINEARIZE, ROTATE and hoisted fan-outs. It needs nothing precomputed
+//! per key: it adds the `l` products `d_j · k_j` **unreduced** in a `u128`
+//! and Barrett-reduces the sum once. With canonical operands a product is
+//! below `q²`, so the sum is the true integer iff `l · q_max² < 2^128`:
+//! [`CkksContext::new`] refuses longer chains (about 128 sixty-bit primes),
+//! digits and generated key rows are canonical by construction, and the
+//! service validates uploaded ones. An exact sum reduced once is congruent
+//! to reducing every term, and both mod-downs canonicalize, so outputs are
+//! bit-identical to a reduce-per-term kernel.
 
 use eva_poly::{PolyForm, RnsPoly};
 
@@ -34,7 +48,7 @@ use crate::ciphertext::Ciphertext;
 use crate::context::CkksContext;
 use crate::encoder::Plaintext;
 use crate::error::CkksError;
-use crate::keys::{GaloisKeys, KeySwitchKey, RelinearizationKey, RotationKey};
+use crate::keys::{GaloisKeys, KeySwitchKey, RelinearizationKey};
 
 /// Reusable RNS decomposition of a key-switch target.
 ///
@@ -44,9 +58,9 @@ use crate::keys::{GaloisKeys, KeySwitchKey, RelinearizationKey, RotationKey};
 /// form. Decomposing costs `l(l+1)` NTTs and is independent of the key being
 /// applied, so a rotation fan-out decomposes its source **once** and applies
 /// each Galois key to the shared digits — hoisted key-switching. The
-/// automorphism commutes with the decomposition (it is applied to the
-/// decomposed digits as a pure NTT-domain permutation), which is what makes
-/// the sharing sound.
+/// automorphism commutes with the decomposition (it is a pure NTT-domain
+/// permutation, applied after the key as the mod-down reads the
+/// accumulators), which is what makes the sharing sound.
 #[derive(Debug, Clone)]
 pub struct KeySwitchDecomposition {
     level: usize,
@@ -68,7 +82,7 @@ impl KeySwitchDecomposition {
 }
 
 /// Reusable key-switch work buffers (see
-/// [`Evaluator::key_switch_scratch`]): lazy accumulator pair plus the
+/// [`Evaluator::key_switch_scratch`]): the extended accumulator pair plus the
 /// special-row and delta rows of the mod-down. A hoisted rotation fan-out
 /// allocates one of these and threads it through every member, so the
 /// ~0.5 MB of intermediates is mapped and faulted once per fan-out rather
@@ -78,39 +92,6 @@ struct KeySwitchScratch {
     acc1: Vec<u64>,
     special: Vec<u64>,
     delta: Vec<u64>,
-}
-
-/// Extended key-switch accumulators in **lazy** `[0, 2q)` form.
-///
-/// Produced by [`Evaluator::apply_key_switch_lazy`], which keeps every limb
-/// lazily reduced across the fused digit-accumulation loop instead of
-/// canonicalizing per multiply-accumulate step.
-/// [`Evaluator::finish_key_switch`] canonicalizes once and mods away the
-/// special prime. Row `pos < level` of either accumulator is modulus `q_pos`;
-/// row `level` is the special prime.
-#[derive(Debug, Clone)]
-pub struct LazyKeySwitchAcc {
-    level: usize,
-    degree: usize,
-    acc0: Vec<u64>,
-    acc1: Vec<u64>,
-}
-
-impl LazyKeySwitchAcc {
-    /// Number of data primes (the accumulators carry `level() + 1` rows).
-    pub fn level(&self) -> usize {
-        self.level
-    }
-
-    /// Lazy rows of the first accumulator (`d0` after finishing).
-    pub fn rows0(&self) -> impl Iterator<Item = &[u64]> {
-        self.acc0.chunks_exact(self.degree)
-    }
-
-    /// Lazy rows of the second accumulator (`d1` after finishing).
-    pub fn rows1(&self) -> impl Iterator<Item = &[u64]> {
-        self.acc1.chunks_exact(self.degree)
-    }
 }
 
 /// Stateless homomorphic evaluator bound to one [`CkksContext`].
@@ -324,12 +305,12 @@ impl Evaluator {
                 expected: 3,
             });
         }
-        let basis = self.context.key_basis();
-        // The switch-key outputs are owned, so the ciphertext components are
-        // accumulated into them directly — no cloned temporaries.
-        let (mut d0, mut d1) = self.switch_key(&ct.polys()[2], &key.key, ct.level());
-        d0.add_assign(&ct.polys()[0], basis);
-        d1.add_assign(&ct.polys()[1], basis);
+        // Switch `c2` from `s²` to `s`: `c0` is folded into the mod-down,
+        // `c1` accumulated into the owned output — no cloned temporaries.
+        let decomp = self.decompose_for_key_switch(&ct.polys()[2], ct.level());
+        let mut scratch = self.key_switch_scratch(ct.level());
+        let (d0, mut d1) = self.finish_key_switch(&decomp, &key.key, &ct.polys()[0], &mut scratch);
+        d1.add_assign(&ct.polys()[1], self.context.key_basis());
         Ok(Ciphertext::from_parts(
             vec![d0, d1],
             ct.scale_log2(),
@@ -411,18 +392,8 @@ impl Evaluator {
         steps: i64,
         keys: &GaloisKeys,
     ) -> Result<Ciphertext, CkksError> {
-        if ct.size() != 2 {
-            return Err(CkksError::InvalidCiphertextSize {
-                found: ct.size(),
-                expected: 2,
-            });
-        }
-        if steps == 0 {
-            return Ok(ct.clone());
-        }
-        let decomp = self.decompose_for_key_switch(&ct.polys()[1], ct.level());
-        let mut scratch = self.key_switch_scratch(ct.level());
-        self.rotate_decomposed(ct, &decomp, steps, keys, &mut scratch)
+        let mut fan_out_of_one = self.rotate_hoisted(ct, &[steps], keys)?;
+        Ok(fan_out_of_one.pop().expect("one step, one rotation"))
     }
 
     /// Rotates one ciphertext by every step in `steps` with **hoisted**
@@ -432,9 +403,9 @@ impl Evaluator {
     /// full key-switches.
     ///
     /// Results are **bit-identical** to calling [`Evaluator::rotate`] once
-    /// per step (both routes run the same decompose → permute → apply →
-    /// mod-down primitives). Step 0 entries yield a no-op clone and require
-    /// no Galois key.
+    /// per step (which is this with a fan-out of one: no member's result
+    /// depends on what else shares the decomposition or the scratch). Step 0
+    /// entries yield a no-op clone and require no Galois key.
     ///
     /// # Errors
     ///
@@ -460,57 +431,22 @@ impl Evaluator {
                 out.push(ct.clone());
                 continue;
             }
+            let key = keys.key_for_step(step)?;
             let decomp = decomp
                 .get_or_insert_with(|| self.decompose_for_key_switch(&ct.polys()[1], ct.level()));
-            out.push(self.rotate_decomposed(ct, decomp, step, keys, &mut scratch)?);
+            let (c0_rot, d1) = self.finish_key_switch(decomp, key, &ct.polys()[0], &mut scratch);
+            out.push(Ciphertext::from_parts(
+                vec![c0_rot, d1],
+                ct.scale_log2(),
+                ct.level(),
+            ));
         }
         Ok(out)
     }
 
-    /// One rotation given an already-decomposed `c1`: permute `c0` and the
-    /// shared digits by the automorphism (NTT-domain gathers), apply the
-    /// Galois key lazily and mod away the special prime. Accumulator and
-    /// mod-down buffers come from `scratch`, so a hoisted fan-out touches
-    /// each large intermediate's pages once instead of once per member.
-    fn rotate_decomposed(
-        &self,
-        ct: &Ciphertext,
-        decomp: &KeySwitchDecomposition,
-        steps: i64,
-        keys: &GaloisKeys,
-        scratch: &mut KeySwitchScratch,
-    ) -> Result<Ciphertext, CkksError> {
-        let (galois_elt, _) = keys.key_for_step(steps)?;
-        let rot =
-            keys.rotation_key_for(galois_elt, self.context.galois(), self.context.key_basis());
-
-        self.apply_rotation_into(decomp, rot, &mut scratch.acc0, &mut scratch.acc1);
-        let c0_rot = self.mod_down_into(
-            &scratch.acc0,
-            decomp.level,
-            Some(&rot.table),
-            Some(&ct.polys()[0]),
-            &mut scratch.special,
-            &mut scratch.delta,
-        );
-        let d1 = self.mod_down_into(
-            &scratch.acc1,
-            decomp.level,
-            Some(&rot.table),
-            None,
-            &mut scratch.special,
-            &mut scratch.delta,
-        );
-        Ok(Ciphertext::from_parts(
-            vec![c0_rot, d1],
-            ct.scale_log2(),
-            ct.level(),
-        ))
-    }
-
     /// Allocates the reusable buffers one key switch at `level` needs: the
-    /// two lazy extended accumulators plus the special-row and delta rows of
-    /// the mod-down. Reused across every member of a hoisted fan-out.
+    /// two extended accumulators plus the special-row and delta rows of the
+    /// mod-down. Reused across every member of a hoisted fan-out.
     fn key_switch_scratch(&self, level: usize) -> KeySwitchScratch {
         let n = self.context.degree();
         let ext = level + 1;
@@ -568,214 +504,114 @@ impl Evaluator {
         KeySwitchDecomposition { level, digits }
     }
 
-    /// The key-dependent half of key switching: multiply-accumulates every
-    /// decomposed digit against the key's digit pair, keeping both extended
-    /// accumulators in lazy `[0, 2q)` form across the whole fused loop (one
-    /// canonicalization happens later, in
-    /// [`Evaluator::finish_key_switch`]). When `ntt_permutation` is given
-    /// (a table from `GaloisTool::ntt_permutation`), the automorphism is
-    /// applied to the digits on the fly — fused into the gather of the
-    /// multiply-accumulate, costing zero extra passes.
-    pub fn apply_key_switch_lazy(
+    /// The key-dependent half of key switching, and the only digit × key
+    /// loop there is: for every element of the extended basis, sums
+    /// `d_j · k_j` over the digits unreduced in 128 bits (exact — see the
+    /// module docs) and Barrett-reduces once, leaving each limb of `acc0` /
+    /// `acc1` (both `(level + 1) · degree` long, fully overwritten) in
+    /// `[0, 2q)`.
+    ///
+    /// The key's rows are read as stored. For a Galois key that is
+    /// `σ⁻¹`-permuted, so the result is the **pre-automorphism** pair
+    /// `b = Σ dⱼ·σ⁻¹(kⱼ)`, and `σ(b)` — what the switch needs — is `b` read
+    /// through [`KeySwitchKey::ntt_permutation`], as the mod-down does.
+    ///
+    /// # Panics
+    ///
+    /// Panics if an accumulator has the wrong length or the key does not
+    /// span the context's key basis.
+    pub fn apply_key_switch(
         &self,
         decomp: &KeySwitchDecomposition,
         key: &KeySwitchKey,
-        ntt_permutation: Option<&[u32]>,
-    ) -> LazyKeySwitchAcc {
-        let n = self.context.degree();
-        let ext = decomp.level + 1;
-        let mut acc0 = vec![0u64; ext * n];
-        let mut acc1 = vec![0u64; ext * n];
-        self.apply_key_switch_into(decomp, key, ntt_permutation, &mut acc0, &mut acc1);
-        LazyKeySwitchAcc {
-            level: decomp.level,
-            degree: n,
-            acc0,
-            acc1,
-        }
-    }
-
-    /// [`Evaluator::apply_key_switch_lazy`] writing into caller-owned
-    /// accumulator buffers (each `(level + 1) * degree` long). Every element
-    /// is overwritten — the first digit writes instead of accumulating — so
-    /// the buffers need no clearing between reuses.
-    fn apply_key_switch_into(
-        &self,
-        decomp: &KeySwitchDecomposition,
-        key: &KeySwitchKey,
-        ntt_permutation: Option<&[u32]>,
         acc0: &mut [u64],
         acc1: &mut [u64],
     ) {
+        // Elements summed per pass (64 KiB of stack accumulators). The loop
+        // is bound by streaming 3·level input rows; 16 KiB runs per row keep
+        // the hardware prefetchers on a stream long enough to pay off.
+        const CHUNK: usize = 2048;
         let basis = self.context.key_basis();
         let n = self.context.degree();
         let special = self.context.special_index();
         let level = decomp.level;
-        let ext = level + 1;
-        debug_assert_eq!(acc0.len(), ext * n);
-        debug_assert_eq!(acc1.len(), ext * n);
-        let shoup = key.shoup_quotients(basis);
-        // The ring degree is a power of two, so masking a gather index keeps
-        // it provably in range (the permutation's entries already are) and
-        // lets the compiler drop the bounds check in the hot loop.
-        let idx_mask = n - 1;
+        assert_eq!(acc0.len(), (level + 1) * n, "accumulator length mismatch");
+        assert_eq!(acc1.len(), (level + 1) * n, "accumulator length mismatch");
 
-        for (digit_idx, (digit, ((k0, k1), (s0, s1)))) in decomp
-            .digits
-            .iter()
-            .zip(key.digits.iter().zip(shoup))
-            .enumerate()
-        {
-            for pos in 0..ext {
-                let m_idx = if pos == level { special } else { pos };
-                let modulus = &basis.moduli()[m_idx];
-                let q = modulus.value();
-                let two_q = q << 1;
-                let digit_row = digit.residue(pos);
-                let k0_row = &k0.residue(m_idx)[..n];
-                let k1_row = &k1.residue(m_idx)[..n];
-                let s0_row = &s0[m_idx * n..(m_idx + 1) * n];
-                let s1_row = &s1[m_idx * n..(m_idx + 1) * n];
-                let a0 = &mut acc0[pos * n..(pos + 1) * n];
-                let a1 = &mut acc1[pos * n..(pos + 1) * n];
-                // Lazy accumulate with Shoup-precomputed key operands: the
-                // product lands in [0, 2q) for any digit representative, the
-                // running sum in [0, 4q); one mask-selected subtraction of 2q
-                // restores the [0, 2q) invariant without canonicalizing. The
-                // first digit writes its products directly instead of
-                // accumulating into the zeroed rows.
-                let prod = |t: u64, k: u64, kq: u64| -> u64 {
-                    let hi = ((t as u128 * kq as u128) >> 64) as u64;
-                    t.wrapping_mul(k).wrapping_sub(hi.wrapping_mul(q))
-                };
-                let lazy_add = |a: u64, p: u64| -> u64 {
-                    let s = a + p;
-                    s - (two_q & ((s >= two_q) as u64).wrapping_neg())
-                };
-                match (ntt_permutation, digit_idx == 0) {
-                    (Some(table), true) => {
-                        for i in 0..n {
-                            let t = digit_row[table[i] as usize & idx_mask];
-                            a0[i] = prod(t, k0_row[i], s0_row[i]);
-                            a1[i] = prod(t, k1_row[i], s1_row[i]);
-                        }
+        for (pos, (row0, row1)) in acc0.chunks_mut(n).zip(acc1.chunks_mut(n)).enumerate() {
+            let m_idx = if pos == level { special } else { pos };
+            let modulus = &basis.moduli()[m_idx];
+            for (c, (a0, a1)) in row0
+                .chunks_mut(CHUNK)
+                .zip(row1.chunks_mut(CHUNK))
+                .enumerate()
+            {
+                let span = c * CHUNK..c * CHUNK + a0.len();
+                let mut sum0 = [0u128; CHUNK];
+                let mut sum1 = [0u128; CHUNK];
+                for (digit, (k0, k1)) in decomp.digits.iter().zip(&key.digits) {
+                    let d = &digit.residue(pos)[span.clone()];
+                    let k0 = &k0.residue(m_idx)[span.clone()];
+                    let k1 = &k1.residue(m_idx)[span.clone()];
+                    for (((s0, s1), &d), (&k0, &k1)) in
+                        sum0.iter_mut().zip(&mut sum1).zip(d).zip(k0.iter().zip(k1))
+                    {
+                        // Canonical operands are what makes `level` products
+                        // fit (`CkksContext::new` checks `l · q² < 2^128`).
+                        debug_assert!(d.max(k0).max(k1) < modulus.value());
+                        *s0 += d as u128 * k0 as u128;
+                        *s1 += d as u128 * k1 as u128;
                     }
-                    (Some(table), false) => {
-                        for i in 0..n {
-                            let t = digit_row[table[i] as usize & idx_mask];
-                            a0[i] = lazy_add(a0[i], prod(t, k0_row[i], s0_row[i]));
-                            a1[i] = lazy_add(a1[i], prod(t, k1_row[i], s1_row[i]));
-                        }
-                    }
-                    (None, true) => {
-                        for i in 0..n {
-                            let t = digit_row[i];
-                            a0[i] = prod(t, k0_row[i], s0_row[i]);
-                            a1[i] = prod(t, k1_row[i], s1_row[i]);
-                        }
-                    }
-                    (None, false) => {
-                        for i in 0..n {
-                            let t = digit_row[i];
-                            a0[i] = lazy_add(a0[i], prod(t, k0_row[i], s0_row[i]));
-                            a1[i] = lazy_add(a1[i], prod(t, k1_row[i], s1_row[i]));
-                        }
-                    }
+                }
+                for ((a0, a1), (&s0, &s1)) in a0.iter_mut().zip(a1).zip(sum0.iter().zip(&sum1)) {
+                    *a0 = modulus.reduce_u128_lazy(s0);
+                    *a1 = modulus.reduce_u128_lazy(s1);
                 }
             }
         }
     }
 
-    /// Floors the special prime away from lazy key-switch accumulators,
-    /// yielding the canonical `(d0, d1)` key-switch output pair over the
-    /// data primes.
-    ///
-    /// The lazy `[0, 2q)` rows never see a separate canonicalization pass:
+    /// Applies `key` to the decomposed target and floors the special prime
+    /// away from both accumulators, yielding the canonical `(d0, d1)` pair
+    /// over the data primes with `fold0` added into `d0` in the same pass —
+    /// everything read through the key's gather table when it has one (a
+    /// rotation: the automorphism happens here).
+    fn finish_key_switch(
+        &self,
+        decomp: &KeySwitchDecomposition,
+        key: &KeySwitchKey,
+        fold0: &RnsPoly,
+        scratch: &mut KeySwitchScratch,
+    ) -> (RnsPoly, RnsPoly) {
+        let KeySwitchScratch {
+            acc0,
+            acc1,
+            special,
+            delta,
+        } = scratch;
+        self.apply_key_switch(decomp, key, acc0, acc1);
+        let table = key.ntt_permutation();
+        let d0 = self.mod_down_into(acc0, decomp.level, table, Some(fold0), special, delta);
+        let d1 = self.mod_down_into(acc1, decomp.level, table, None, special, delta);
+        (d0, d1)
+    }
+
+    /// Floors the special prime off one `[0, 2q)` accumulator of
+    /// [`Evaluator::apply_key_switch`], with `special_coeff` (`degree` long)
+    /// and `delta` (`level × degree`, one row per data prime) as caller-owned
+    /// work rows. The lazy rows never see a separate canonicalization pass:
     /// the special row feeds the inverse NTT directly (Harvey butterflies
     /// accept lazy input) and the data rows are canonicalized inside the
     /// flooring multiply itself, whose Shoup product tolerates any `u64`
     /// representative.
-    pub fn finish_key_switch(&self, lazy: LazyKeySwitchAcc) -> (RnsPoly, RnsPoly) {
-        let n = self.context.degree();
-        let mut special = vec![0u64; n];
-        let mut delta = vec![0u64; lazy.level * n];
-        let d0 = self.mod_down_into(&lazy.acc0, lazy.level, None, None, &mut special, &mut delta);
-        let d1 = self.mod_down_into(&lazy.acc1, lazy.level, None, None, &mut special, &mut delta);
-        (d0, d1)
-    }
-
-    /// The rotation fast path's multiply-accumulate: every decomposed digit
-    /// against a [`RotationKey`]'s inverse-permuted interleaved stream. All
-    /// loads are sequential — digits, key operands and Shoup quotients
-    /// stream linearly — and the result is the **pre-automorphism**
-    /// accumulator pair `b = Σ dⱼ·σ⁻¹(kⱼ)`; the mod-down applies the
-    /// automorphism gather (`σ(b)` equals what
-    /// [`Evaluator::apply_key_switch_lazy`] with a fused permutation
-    /// computes, limb for limb). Lazy `[0, 2q)` form throughout, first
-    /// digit writes instead of accumulating.
-    fn apply_rotation_into(
-        &self,
-        decomp: &KeySwitchDecomposition,
-        rot: &RotationKey,
-        acc0: &mut [u64],
-        acc1: &mut [u64],
-    ) {
-        let basis = self.context.key_basis();
-        let n = self.context.degree();
-        let special = self.context.special_index();
-        let level = decomp.level;
-        let ext = level + 1;
-        debug_assert_eq!(acc0.len(), ext * n);
-        debug_assert_eq!(acc1.len(), ext * n);
-
-        for (digit_idx, (digit, kd)) in decomp.digits.iter().zip(&rot.digits).enumerate() {
-            for pos in 0..ext {
-                let m_idx = if pos == level { special } else { pos };
-                let modulus = &basis.moduli()[m_idx];
-                let q = modulus.value();
-                let two_q = q << 1;
-                let digit_row = &digit.residue(pos)[..n];
-                let krow = &kd[m_idx * 4 * n..(m_idx + 1) * 4 * n];
-                let a0 = &mut acc0[pos * n..(pos + 1) * n];
-                let a1 = &mut acc1[pos * n..(pos + 1) * n];
-                let prod = |t: u64, k: u64, kq: u64| -> u64 {
-                    let hi = ((t as u128 * kq as u128) >> 64) as u64;
-                    t.wrapping_mul(k).wrapping_sub(hi.wrapping_mul(q))
-                };
-                let lazy_add = |a: u64, p: u64| -> u64 {
-                    let s = a + p;
-                    s - (two_q & ((s >= two_q) as u64).wrapping_neg())
-                };
-                if digit_idx == 0 {
-                    for (i, quad) in krow.chunks_exact(4).enumerate() {
-                        let t = digit_row[i];
-                        a0[i] = prod(t, quad[0], quad[1]);
-                        a1[i] = prod(t, quad[2], quad[3]);
-                    }
-                } else {
-                    for (i, quad) in krow.chunks_exact(4).enumerate() {
-                        let t = digit_row[i];
-                        a0[i] = lazy_add(a0[i], prod(t, quad[0], quad[1]));
-                        a1[i] = lazy_add(a1[i], prod(t, quad[2], quad[3]));
-                    }
-                }
-            }
-        }
-    }
-
-    /// Floors the special prime off one lazy accumulator (see
-    /// [`Evaluator::finish_key_switch`]), with `special_coeff` (`degree`
-    /// long) and `delta` (`level × degree`, one row per data prime) as
-    /// caller-owned work rows.
     ///
     /// When `out_perm` is given, the accumulator is read **through** the
-    /// automorphism gather table — this is how the rotation fast path
-    /// applies `σ` to the pre-automorphism accumulators of
-    /// [`Evaluator::apply_rotation_into`], fused into reads the mod-down
-    /// makes anyway. When `fold` carries a ciphertext polynomial, it is
-    /// gathered through the same table and added into the output in the
-    /// same pass — the permuted `c0` of a rotation never exists as a
-    /// separate polynomial.
+    /// automorphism gather table — this is how a rotation applies `σ` to the
+    /// pre-automorphism accumulators, fused into reads the mod-down makes
+    /// anyway. When `fold` carries a ciphertext polynomial, it is gathered
+    /// through the same table and added into the output in the same pass —
+    /// the permuted `c0` of a rotation never exists as a separate
+    /// polynomial.
     fn mod_down_into(
         &self,
         flat: &[u64],
@@ -864,18 +700,6 @@ impl Evaluator {
             }
         }
         RnsPoly::from_flat(n, data, PolyForm::Ntt)
-    }
-
-    /// Key switching: given a polynomial `target` (NTT form, spanning `level`
-    /// data primes) that multiplies some source key `s_src` in a decryption
-    /// equation, produce `(d0, d1)` such that `d0 + d1·s ≈ target · s_src`.
-    ///
-    /// Composition of the three public primitives: decompose, lazy apply,
-    /// finish.
-    fn switch_key(&self, target: &RnsPoly, key: &KeySwitchKey, level: usize) -> (RnsPoly, RnsPoly) {
-        let decomp = self.decompose_for_key_switch(target, level);
-        let lazy = self.apply_key_switch_lazy(&decomp, key, None);
-        self.finish_key_switch(lazy)
     }
 }
 
@@ -1110,6 +934,36 @@ mod tests {
                 .map(|i| xs[(i as i64 + step).rem_euclid(f.slots as i64) as usize])
                 .collect();
             assert_close(&f.decryptor.decrypt_to_values(h, f.slots), &expected, 1e-3);
+        }
+    }
+
+    #[test]
+    fn key_switch_sum_is_exact_at_the_largest_operands() {
+        // Every digit and key residue `q − 1`, at the top level of a chain
+        // of the largest primes: each unreduced sum is `l · (q − 1)²`, the
+        // most the 128-bit accumulator is ever asked to hold, and
+        // `(q − 1)² ≡ 1`, so every limb must come out as `l`.
+        let params = CkksParameters::new_insecure(64, &[60; 12], 60).unwrap();
+        let ctx = CkksContext::new(params).unwrap();
+        let (n, l) = (ctx.degree(), ctx.max_level());
+        let mut worst = RnsPoly::zero(n, l + 1, PolyForm::Ntt);
+        for (row, q) in worst.rows_mut().zip(ctx.key_basis().moduli()) {
+            row.fill(q.value() - 1);
+        }
+        let decomp = KeySwitchDecomposition {
+            level: l,
+            digits: vec![worst.clone(); l],
+        };
+        let key = KeySwitchKey::from_digits(vec![(worst.clone(), worst); l]);
+
+        let mut acc0 = vec![0u64; (l + 1) * n];
+        let mut acc1 = vec![0u64; (l + 1) * n];
+        Evaluator::new(ctx.clone()).apply_key_switch(&decomp, &key, &mut acc0, &mut acc1);
+        for acc in [&acc0, &acc1] {
+            for (row, q) in acc.chunks_exact(n).zip(ctx.key_basis().moduli()) {
+                assert!(row.iter().all(|&limb| limb < 2 * q.value()));
+                assert!(row.iter().all(|&limb| q.reduce_once(limb) == l as u64));
+            }
         }
     }
 

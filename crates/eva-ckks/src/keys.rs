@@ -6,12 +6,17 @@
 //! in its `q_j` residue, so that accumulating `d_j ·` key over all digits and
 //! flooring away the special prime `P` yields an encryption of
 //! `target · s_src` under the target secret `s`.
+//!
+//! Evaluation keys are the largest object a deployment holds (the paper's
+//! rotation-key selection pass exists because "each rotation step count
+//! needs a distinct public key"), so each is held **once**, in the order the
+//! evaluator reads it — see [`KeySwitchKey`].
 
+use std::borrow::Cow;
 use std::collections::HashMap;
-use std::sync::OnceLock;
 
 use eva_math::galois::GaloisTool;
-use eva_poly::{PolyForm, RnsBasis, RnsPoly};
+use eva_poly::{PolyForm, RnsPoly};
 use rand::rngs::{ChaCha20Rng, StdRng};
 use rand::{RngCore, SeedableRng};
 
@@ -77,48 +82,95 @@ impl PublicKey {
 }
 
 /// A generic key-switching key: one `(k0_j, k1_j)` pair per data prime digit.
+///
+/// The digit rows are the only form of the key the process holds — no Shoup
+/// quotients, no second layout, nothing built on first use. A
+/// relinearization key is in canonical (wire) order. A Galois key is stored
+/// **`σ⁻¹`-permuted** beside the gather table of its automorphism `σ`:
+/// because `σ(d)·k = σ(d · σ⁻¹(k))`, the multiply-accumulate streams digits
+/// and key rows linearly and the automorphism moves into the mod-down, fused
+/// into reads it makes anyway. The permutation happens once, where the key
+/// is made ([`KeyGenerator::create_galois_keys`], [`GaloisKeys::from_parts`]);
+/// the wire format and the fingerprint see only
+/// [`KeySwitchKey::canonical_digits`].
 #[derive(Debug, Clone)]
 pub struct KeySwitchKey {
     pub(crate) digits: Vec<(RnsPoly, RnsPoly)>,
-    /// Per-digit Shoup quotients (`floor(k·2^64/q)` for every key element,
-    /// flat `rows × degree` matching the digit polynomials), built lazily on
-    /// the first key switch and reused by every later apply. A cache of
-    /// derived constants only — never serialized, never compared.
-    pub(crate) shoup: OnceLock<Vec<(Vec<u64>, Vec<u64>)>>,
+    /// `σ(x)[i] = x[table[i]]` for the automorphism the rows are stored
+    /// under the inverse of; `None` for rows in canonical order.
+    pub(crate) table: Option<Vec<u32>>,
 }
 
 impl KeySwitchKey {
-    /// Reassembles a key-switching key from its digit pairs (wire codec
-    /// constructor).
+    /// Assembles a key-switching key from its canonical-order digit pairs
+    /// (wire codec constructor).
     pub fn from_digits(digits: Vec<(RnsPoly, RnsPoly)>) -> Self {
         Self {
             digits,
-            shoup: OnceLock::new(),
+            table: None,
         }
     }
 
-    /// The `(k0_j, k1_j)` pair for every data prime digit `j`.
+    /// Brings canonical-order rows into evaluation order for the
+    /// automorphism with NTT gather table `table`: every row is scattered
+    /// through it, `k'[table[i]] = k[i]`, i.e. `k' = σ⁻¹(k)`.
+    fn permuted(mut self, table: Vec<u32>) -> Self {
+        assert!(self.table.is_none(), "rows are permuted exactly once");
+        let mut scratch = vec![0u64; table.len()];
+        for (k0, k1) in &mut self.digits {
+            for row in k0.rows_mut().chain(k1.rows_mut()) {
+                for (&t, &k) in table.iter().zip(row.iter()) {
+                    scratch[t as usize] = k;
+                }
+                row.copy_from_slice(&scratch);
+            }
+        }
+        self.table = Some(table);
+        self
+    }
+
+    /// The `(k0_j, k1_j)` pair for every data prime digit `j`, **as stored**
+    /// (see the type docs; [`KeySwitchKey::canonical_digits`] undoes the
+    /// permutation of a Galois key).
     pub fn digits(&self) -> &[(RnsPoly, RnsPoly)] {
         &self.digits
     }
 
-    /// The Shoup quotient tables for this key's digits over `basis`, built
-    /// on first use (one `u128` division per key element, amortized across
-    /// every subsequent key-switch apply).
-    pub(crate) fn shoup_quotients(&self, basis: &RnsBasis) -> &[(Vec<u64>, Vec<u64>)] {
-        self.shoup.get_or_init(|| {
-            let quotients = |poly: &RnsPoly| -> Vec<u64> {
-                let mut flat = Vec::with_capacity(poly.level() * poly.degree());
-                for (row, modulus) in poly.rows().zip(basis.moduli()) {
-                    flat.extend(row.iter().map(|&k| modulus.shoup(k).quotient));
-                }
-                flat
-            };
-            self.digits
-                .iter()
-                .map(|(k0, k1)| (quotients(k0), quotients(k1)))
-                .collect()
-        })
+    /// The gather table of the automorphism a Galois key's rows are stored
+    /// under the inverse of (`canonical[i] = stored[table[i]]`); `None` for
+    /// a key in canonical order.
+    pub fn ntt_permutation(&self) -> Option<&[u32]> {
+        self.table.as_deref()
+    }
+
+    /// The digit pairs in canonical order — what the wire format carries and
+    /// the fingerprint hashes — gathered back one digit at a time for a
+    /// Galois key (which panics unless its polynomials are in NTT form, as
+    /// the codec checks), borrowed as they are otherwise.
+    pub fn canonical_digits(&self) -> impl Iterator<Item = (Cow<'_, RnsPoly>, Cow<'_, RnsPoly>)> {
+        self.digits
+            .iter()
+            .map(|(k0, k1)| (self.canonical(k0), self.canonical(k1)))
+    }
+
+    fn canonical<'a>(&'a self, poly: &'a RnsPoly) -> Cow<'a, RnsPoly> {
+        match &self.table {
+            None => Cow::Borrowed(poly),
+            Some(table) => Cow::Owned(poly.permute_ntt(table)),
+        }
+    }
+
+    /// Bytes this key holds in memory: its digit rows plus, for a Galois
+    /// key, the gather table (`1 / 4l(l+1)` of the rows at `l` data primes:
+    /// 1.25 % at `l = 4`, 0.35 % at `l = 8`).
+    pub fn resident_bytes(&self) -> usize {
+        let rows: usize = self
+            .digits
+            .iter()
+            .map(|(k0, k1)| k0.level() * k0.degree() + k1.level() * k1.degree())
+            .sum();
+        rows * std::mem::size_of::<u64>()
+            + self.table.as_ref().map_or(0, |t| t.len()) * std::mem::size_of::<u32>()
     }
 }
 
@@ -140,6 +192,11 @@ impl RelinearizationKey {
     pub fn key_switch_key(&self) -> &KeySwitchKey {
         &self.key
     }
+
+    /// Bytes this key holds in memory.
+    pub fn resident_bytes(&self) -> usize {
+        self.key.resident_bytes()
+    }
 }
 
 /// Rotation (Galois) keys for a chosen set of rotation steps.
@@ -153,39 +210,35 @@ pub struct GaloisKeys {
     pub(crate) keys: HashMap<u64, KeySwitchKey>,
     /// Rotation step → Galois element, for convenient lookup.
     pub(crate) steps: HashMap<i64, u64>,
-    /// Galois element → rotation-ready key form, built lazily on the first
-    /// rotation and shared by every later one. Derived constants only —
-    /// never serialized, never compared.
-    pub(crate) tables: OnceLock<HashMap<u64, RotationKey>>,
-}
-
-/// Rotation-ready form of one Galois key.
-///
-/// Holds the NTT-domain automorphism gather table plus, per digit, the
-/// **inverse-permuted** key operands interleaved with their Shoup quotients
-/// (`[k0, q0, k1, q1]` per ring index, row-major over the key basis).
-/// Because `σ(d)·k = σ(d · σ⁻¹(k))`, storing `σ⁻¹(k)` lets the fan-out
-/// multiply-accumulate read every stream linearly; the automorphism gather
-/// moves into the mod-down, fused into passes it already makes.
-#[derive(Debug, Clone)]
-pub(crate) struct RotationKey {
-    /// `output[i] = input[table[i]]` gather table for the automorphism.
-    pub(crate) table: Vec<u32>,
-    /// One flat `rows × degree × 4` interleaved stream per digit.
-    pub(crate) digits: Vec<Vec<u64>>,
 }
 
 impl GaloisKeys {
-    /// Reassembles Galois keys from `(step, element)` pairs and
-    /// `(element, key)` pairs (wire codec constructor). The caller is
-    /// responsible for the referential integrity the codec validates (every
-    /// step's element has a key); a dangling element surfaces later as
-    /// [`CkksError::MissingGaloisKey`].
+    /// Assembles Galois keys from `(step, element)` pairs and
+    /// `(element, canonical-order key)` pairs (wire codec constructor),
+    /// bringing every key into evaluation order. The gather table depends
+    /// only on the ring degree and the element, so no context is needed.
+    /// The caller is responsible for the referential integrity the codec
+    /// validates (every step's element has a key); a dangling element
+    /// surfaces later as [`CkksError::MissingGaloisKey`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if a key's ring degree is not a power of two ≥ 4, its
+    /// polynomials disagree in degree, or its element is not an odd unit
+    /// modulo `2N` (the codec rejects all three before calling this), or if
+    /// a key is already in evaluation order (taken from another `GaloisKeys`
+    /// rather than built by [`KeySwitchKey::from_digits`]).
     pub fn from_parts(steps: Vec<(i64, u64)>, keys: Vec<(u64, KeySwitchKey)>) -> Self {
+        let keys = keys
+            .into_iter()
+            .map(|(elt, key)| {
+                let table = GaloisTool::new(key.digits[0].0.degree()).ntt_permutation(elt);
+                (elt, key.permuted(table))
+            })
+            .collect();
         Self {
             steps: steps.into_iter().collect(),
-            keys: keys.into_iter().collect(),
-            tables: OnceLock::new(),
+            keys,
         }
     }
 
@@ -215,63 +268,14 @@ impl GaloisKeys {
         self.steps.contains_key(&step)
     }
 
-    pub(crate) fn key_for_step(&self, step: i64) -> Result<(u64, &KeySwitchKey), CkksError> {
-        let elt = *self
-            .steps
-            .get(&step)
-            .ok_or(CkksError::MissingGaloisKey { step })?;
-        let key = self
-            .keys
-            .get(&elt)
-            .ok_or(CkksError::MissingGaloisKey { step })?;
-        Ok((elt, key))
+    pub(crate) fn key_for_step(&self, step: i64) -> Result<&KeySwitchKey, CkksError> {
+        let key = self.steps.get(&step).and_then(|elt| self.keys.get(elt));
+        key.ok_or(CkksError::MissingGaloisKey { step })
     }
 
-    /// The cached rotation-ready form of the key for `elt`, computing the
-    /// forms for every held Galois element on first use (one scatter and
-    /// one Shoup division per key element, amortized across every later
-    /// rotation).
-    pub(crate) fn rotation_key_for(
-        &self,
-        elt: u64,
-        galois: &GaloisTool,
-        basis: &RnsBasis,
-    ) -> &RotationKey {
-        let cache = self.tables.get_or_init(|| {
-            self.keys
-                .iter()
-                .map(|(&e, key)| {
-                    let table = galois.ntt_permutation(e);
-                    let n = table.len();
-                    let digits = key
-                        .digits
-                        .iter()
-                        .map(|(k0, k1)| {
-                            let mut flat = vec![0u64; k0.level() * n * 4];
-                            for (m, ((r0, r1), modulus)) in
-                                k0.rows().zip(k1.rows()).zip(basis.moduli()).enumerate()
-                            {
-                                let dst = &mut flat[m * n * 4..(m + 1) * n * 4];
-                                // Scatter through the table: the permuted key
-                                // satisfies `k'[table[i]] = k[i]`, i.e.
-                                // `k' = σ⁻¹(k)` for the gather convention
-                                // `σ(x)[i] = x[table[i]]`.
-                                for i in 0..n {
-                                    let d = 4 * table[i] as usize;
-                                    dst[d] = r0[i];
-                                    dst[d + 1] = modulus.shoup(r0[i]).quotient;
-                                    dst[d + 2] = r1[i];
-                                    dst[d + 3] = modulus.shoup(r1[i]).quotient;
-                                }
-                            }
-                            flat
-                        })
-                        .collect();
-                    (e, RotationKey { table, digits })
-                })
-                .collect()
-        });
-        &cache[&elt]
+    /// Bytes these keys hold in memory.
+    pub fn resident_bytes(&self) -> usize {
+        self.keys.values().map(KeySwitchKey::resident_bytes).sum()
     }
 }
 
@@ -400,7 +404,8 @@ impl KeyGenerator {
             let mut rotated = self.secret.coeff.apply_galois(elt, basis);
             rotated.to_ntt(basis);
             let key = self.create_key_switch_key(&rotated);
-            galois_keys.keys.insert(elt, key);
+            let table = self.context.galois().ntt_permutation(elt);
+            galois_keys.keys.insert(elt, key.permuted(table));
         }
         galois_keys
     }
@@ -557,9 +562,8 @@ mod tests {
         let mut keygen = KeyGenerator::from_seed(ctx, 9);
         let gk = keygen.create_galois_keys(&[-3, nh - 3]);
         assert_eq!(gk.step_count(), 2);
-        let (elt_neg, _) = gk.key_for_step(-3).unwrap();
-        let (elt_left, _) = gk.key_for_step(nh - 3).unwrap();
-        assert_eq!(elt_neg, elt_left);
+        assert_eq!(gk.steps[&-3], gk.steps[&(nh - 3)]);
+        assert!(gk.key_for_step(-3).is_ok() && gk.key_for_step(nh - 3).is_ok());
         assert_eq!(gk.keys.len(), 1, "one automorphism, one key");
     }
 

@@ -77,6 +77,12 @@ pub enum ParameterError {
     },
     /// At least one data prime is required.
     EmptyChain,
+    /// The chain has so many data primes that the unreduced 128-bit digit ×
+    /// key sum of a key switch could overflow (`levels · q_max² ≥ 2^128`).
+    ChainTooLong {
+        /// Number of data primes requested.
+        levels: usize,
+    },
     /// Prime generation failed.
     PrimeGeneration(String),
 }
@@ -96,6 +102,10 @@ impl std::fmt::Display for ParameterError {
                  budget of degree {degree} at 128-bit security"
             ),
             ParameterError::EmptyChain => write!(f, "at least one data prime is required"),
+            ParameterError::ChainTooLong { levels } => write!(
+                f,
+                "a chain of {levels} data primes could overflow the 128-bit key-switch sum"
+            ),
             ParameterError::PrimeGeneration(msg) => write!(f, "prime generation failed: {msg}"),
         }
     }

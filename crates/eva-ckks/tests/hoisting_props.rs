@@ -6,15 +6,19 @@
 //! 1. **Bit identity**: `Evaluator::rotate_hoisted` (decompose once, apply
 //!    every Galois key to the shared digits) produces ciphertexts that are
 //!    bit-identical to sequential `Evaluator::rotate` calls.
-//! 2. **Lazy-form invariant**: the split key-switch primitives keep every
-//!    accumulator limb strictly below `2q` across the fused apply loop, and
-//!    one canonicalization pass lands exactly on the value a fully canonical
-//!    (`add`/`mul` per step) accumulation computes.
+//! 2. **One exact kernel**: `Evaluator::apply_key_switch` — the unreduced
+//!    128-bit digit × key sum, reduced once — leaves every accumulator limb
+//!    strictly below `2q`, and one canonicalization lands exactly on the
+//!    value a fully canonical (`add`/`mul` per step) accumulation over the
+//!    key's *canonical* rows computes: directly for a relinearization key,
+//!    through the key's gather table for a (stored `σ⁻¹`-permuted) Galois
+//!    key.
 
 use eva_ckks::{
     Ciphertext, CkksContext, CkksEncoder, CkksParameters, Decryptor, Encryptor, Evaluator,
-    KeyGenerator, KeySwitchDecomposition, KeySwitchKey,
+    KeyGenerator, KeySwitchDecomposition,
 };
+use eva_poly::RnsPoly;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -64,12 +68,13 @@ fn row_modulus(context: &CkksContext, level: usize, pos: usize) -> eva_math::Mod
 }
 
 /// Strict reference accumulation: the same digit × key sums as
-/// `apply_key_switch_lazy`, but canonicalizing after every single
+/// `apply_key_switch` with the automorphism applied to the digits, over the
+/// key's canonical rows, canonicalizing after every single
 /// multiply-accumulate step.
 fn canonical_accumulate(
     context: &CkksContext,
     decomp: &KeySwitchDecomposition,
-    key: &KeySwitchKey,
+    key: &[(RnsPoly, RnsPoly)],
     table: Option<&[u32]>,
 ) -> (Vec<Vec<u64>>, Vec<Vec<u64>>) {
     let n = context.degree();
@@ -77,7 +82,7 @@ fn canonical_accumulate(
     let ext = level + 1;
     let mut acc0 = vec![vec![0u64; n]; ext];
     let mut acc1 = vec![vec![0u64; n]; ext];
-    for (digit, (k0, k1)) in decomp.digits().iter().zip(key.digits()) {
+    for (digit, (k0, k1)) in decomp.digits().iter().zip(key) {
         for pos in 0..ext {
             let m_idx = if pos == level {
                 context.special_index()
@@ -149,12 +154,12 @@ proptest! {
         }
     }
 
-    // Every accumulator limb stays in lazy [0, 2q) form across the fused
-    // apply loop, and a single canonicalization pass agrees exactly with a
-    // per-step canonical accumulation — with and without a fused
-    // automorphism permutation.
+    // The one kernel leaves every accumulator limb in [0, 2q) and a single
+    // canonicalization agrees exactly with a per-step canonical accumulation
+    // over the canonical key rows — for a relinearization key as is, for a
+    // Galois key through its gather table.
     #[test]
-    fn lazy_limbs_below_two_q_and_canonicalize_exactly(
+    fn key_switch_limbs_below_two_q_and_canonicalize_exactly(
         degree in prop::sample::select(vec![64usize, 128, 256]),
         levels in 2usize..=4,
         level_pick in any::<u64>(),
@@ -166,32 +171,44 @@ proptest! {
         // A non-zero step (zero performs no key switch at all).
         let step = 1 + raw_step.rem_euclid(slots - 1);
         let mut h = build(degree, levels, level, seed);
+        let rk = h.keygen.create_relinearization_key();
         let gk = h.keygen.create_galois_keys(&[step]);
         let elt = h.context.galois().galois_elt_from_step(step);
-        let (_, key) = gk
+        let (_, galois_key) = gk
             .element_keys()
             .into_iter()
             .find(|&(e, _)| e == elt)
             .expect("key for the requested step");
+        let sigma = h.context.galois().ntt_permutation(elt);
+        prop_assert_eq!(galois_key.ntt_permutation(), Some(sigma.as_slice()));
+        prop_assert_eq!(rk.key_switch_key().ntt_permutation(), None);
 
         let decomp = h
             .evaluator
             .decompose_for_key_switch(&h.ct.polys()[1], level);
-        let table = h.context.galois().ntt_permutation(elt);
-        for table in [None, Some(table.as_slice())] {
-            let lazy = h.evaluator.apply_key_switch_lazy(&decomp, key, table);
-            let (exp0, exp1) = canonical_accumulate(&h.context, &decomp, key, table);
-            for (acc, expected) in [
-                (lazy.rows0().collect::<Vec<_>>(), &exp0),
-                (lazy.rows1().collect::<Vec<_>>(), &exp1),
-            ] {
-                for (pos, row) in acc.iter().enumerate() {
+        let n = h.context.degree();
+        for key in [rk.key_switch_key(), galois_key] {
+            let table = key.ntt_permutation();
+            let mut acc0 = vec![u64::MAX; (level + 1) * n];
+            let mut acc1 = vec![u64::MAX; (level + 1) * n];
+            h.evaluator.apply_key_switch(&decomp, key, &mut acc0, &mut acc1);
+            let canonical: Vec<(RnsPoly, RnsPoly)> = key
+                .canonical_digits()
+                .map(|(k0, k1)| (k0.into_owned(), k1.into_owned()))
+                .collect();
+            let (exp0, exp1) = canonical_accumulate(&h.context, &decomp, &canonical, table);
+            for (acc, expected) in [(&acc0, &exp0), (&acc1, &exp1)] {
+                for (pos, row) in acc.chunks_exact(n).enumerate() {
                     let q = row_modulus(&h.context, level, pos);
                     let two_q = 2 * q.value();
-                    for (i, &limb) in row.iter().enumerate() {
-                        prop_assert!(limb < two_q,
-                            "row {}, limb {}: {} >= 2q = {}", pos, i, limb, two_q);
-                        prop_assert_eq!(q.reduce_once(limb), expected[pos][i]);
+                    for &limb in row {
+                        prop_assert!(limb < two_q, "row {}: {} >= 2q = {}", pos, limb, two_q);
+                    }
+                    // The kernel's output is pre-automorphism: σ reads it
+                    // through the table.
+                    for i in 0..n {
+                        let at = table.map_or(i, |t| t[i] as usize);
+                        prop_assert_eq!(q.reduce_once(row[at]), expected[pos][i]);
                     }
                 }
             }

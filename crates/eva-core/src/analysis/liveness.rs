@@ -23,13 +23,25 @@
 //! produces (level and polynomial-count analyses against the scheme), and
 //! that the executor's loop really stores and drops what the steps list.
 //!
+//! Beside the values stand the evaluation keys, resident for the whole
+//! execution: one key-switching key for relinearization if the program
+//! relinearizes, one per distinct Galois element of its rotation steps,
+//! each `l` digits × 2 polynomials × `(l + 1) · degree` residues over the
+//! `l` data primes plus the special prime ([`MemoryForecast::key_bytes`];
+//! the backend holds exactly these rows — `resident_bytes()` on its key
+//! types — plus one `degree`-entry gather table per Galois key).
+//!
 //! The service layer uses [`predict_peak_memory`] for admission control:
-//! a program whose predicted footprint exceeds the configured budget is
-//! refused at load time with a named `peak-memory` finding.
+//! a program whose predicted footprint — values plus keys — exceeds the
+//! configured budget is refused at load time with a named `peak-memory`
+//! finding.
+
+use std::collections::BTreeSet;
 
 use crate::analysis::scale::{analyze_num_polys, remaining_levels};
 use crate::compiler::CompiledProgram;
 use crate::error::EvaError;
+use crate::types::Opcode;
 
 use super::schedule::Schedule;
 
@@ -45,6 +57,9 @@ pub struct MemoryForecast {
     /// The node being computed when the byte peak occurs (`None` when the
     /// peak is the initial binding set of a program with no instructions).
     pub at_node: Option<usize>,
+    /// Bytes of evaluation-key rows one client's session holds resident
+    /// while the program runs (not part of `peak_bytes`).
+    pub key_bytes: usize,
 }
 
 /// Predicts the serial executor's peak memory for a compiled program.
@@ -83,6 +98,7 @@ pub fn predict_peak_memory(compiled: &CompiledProgram) -> Result<MemoryForecast,
         peak_live_ciphertexts: ciphers,
         peak_bytes: bytes,
         at_node: None,
+        key_bytes: key_bytes(compiled),
     };
     for step in &schedule.steps {
         for &id in &step.materializes {
@@ -105,6 +121,30 @@ pub fn predict_peak_memory(compiled: &CompiledProgram) -> Result<MemoryForecast,
         }
     }
     Ok(forecast)
+}
+
+/// `(needs_relin + distinct Galois elements) · l · 2 · (l + 1) · N · 8`.
+fn key_bytes(compiled: &CompiledProgram) -> usize {
+    let program = &compiled.program;
+    let degree = compiled.parameters.degree;
+    let l = compiled.parameters.data_primes.len();
+    let needs_relin =
+        (0..program.nodes().len()).any(|id| program.opcode(id) == Some(Opcode::Relinearize));
+    // The Galois element of a step is `5^step mod 2N` and 5 has order `N/2`
+    // there, so steps share an automorphism — hence a key — exactly when
+    // they are congruent modulo the slot count.
+    let slots = (degree / 2).max(1) as i64;
+    let elements: BTreeSet<i64> = compiled
+        .rotation_steps
+        .iter()
+        .map(|&step| step.rem_euclid(slots))
+        .collect();
+    (usize::from(needs_relin) + elements.len())
+        * l
+        * 2
+        * (l + 1)
+        * degree
+        * std::mem::size_of::<u64>()
 }
 
 #[cfg(test)]

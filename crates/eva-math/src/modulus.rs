@@ -251,7 +251,16 @@ impl Modulus {
     #[inline]
     pub fn mul_lazy(&self, a: u64, b: u64) -> u64 {
         debug_assert!(a < self.value && b < self.value);
-        let r = self.reduce_u128_raw(a as u128 * b as u128);
+        self.reduce_u128_lazy(a as u128 * b as u128)
+    }
+
+    /// Lazy Barrett reduction of an arbitrary 128-bit value: a representative
+    /// of `z mod q` in `[0, 2q)`, with one mask-selected subtraction of `2q`
+    /// instead of the canonical correction loop. This is what lets a sum of
+    /// unreduced products be reduced **once** (the key-switch accumulation).
+    #[inline]
+    pub fn reduce_u128_lazy(&self, z: u128) -> u64 {
+        let r = self.reduce_u128_raw(z);
         let two_q = self.value << 1;
         let r = r - (two_q & ((r >= two_q) as u64).wrapping_neg());
         debug_assert!(r < two_q);

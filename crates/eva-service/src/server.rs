@@ -73,6 +73,13 @@ pub(crate) struct SessionKeys {
 }
 
 impl SessionKeys {
+    /// Bytes the keys hold in memory — what a cache entry pins. The stored
+    /// key is the evaluated key, so this is the upload's size plus the
+    /// Galois gather tables (about 1 % on top).
+    fn resident_bytes(&self) -> usize {
+        self.relin.as_ref().map_or(0, |k| k.resident_bytes()) + self.galois.resident_bytes()
+    }
+
     /// Builds the per-session evaluation context around the server's shared
     /// CKKS context and these keys.
     pub(crate) fn into_evaluation_context(self, context: CkksContext) -> EvaluationContext {
@@ -83,8 +90,7 @@ impl SessionKeys {
 #[derive(Debug)]
 struct CacheEntry {
     stamp: u64,
-    /// Wire size of the cached keys (what the entry cost to upload, and a
-    /// faithful proxy for what it holds in memory).
+    /// [`SessionKeys::resident_bytes`] of the cached keys.
     bytes: usize,
     keys: SessionKeys,
 }
@@ -125,7 +131,8 @@ impl KeyCache {
         })
     }
 
-    fn insert(&mut self, fingerprint: KeyFingerprint, keys: SessionKeys, bytes: usize) {
+    fn insert(&mut self, fingerprint: KeyFingerprint, keys: SessionKeys) {
+        let bytes = keys.resident_bytes();
         if self.capacity == 0 || bytes > self.max_bytes {
             return;
         }
@@ -296,10 +303,10 @@ pub const DEFAULT_KEY_CACHE_CAPACITY: usize = 32;
 pub const DEFAULT_KEY_CACHE_BUDGET_BYTES: usize = 1 << 30;
 
 /// Default peak-memory admission budget per loaded program (4 GiB of
-/// simultaneously-live ciphertext/plaintext bytes, as predicted by
-/// `eva_core::predict_peak_memory`). Programs forecast to exceed the budget
-/// are refused at load time with a `peak-memory` finding; tune with
-/// [`EvaServer::new_with_memory_budget`].
+/// simultaneously-live ciphertext/plaintext bytes plus one session's
+/// evaluation keys, as predicted by `eva_core::predict_peak_memory`).
+/// Programs forecast to exceed the budget are refused at load time with a
+/// `peak-memory` finding; tune with [`EvaServer::new_with_memory_budget`].
 pub const DEFAULT_MEMORY_BUDGET_BYTES: u64 = 4 << 30;
 
 impl EvaServer {
@@ -342,7 +349,8 @@ impl EvaServer {
     /// [`new`](Self::new) with an explicit peak-memory admission budget.
     ///
     /// `eva_core::predict_peak_memory` forecasts the serial executor's peak
-    /// simultaneously-live bytes for the program; a forecast above
+    /// simultaneously-live bytes for the program and the bytes of evaluation
+    /// keys a session holds beside them; a sum above
     /// `budget_bytes` refuses the program at load time with a `peak-memory`
     /// finding in the [`ServiceError::InvalidProgram`] diagnostics payload.
     /// `None` disables the admission check.
@@ -392,8 +400,9 @@ impl EvaServer {
             .unwrap_or(0.0);
         if let Some(budget) = budget_bytes {
             // Admission control: refuse programs whose forecast peak memory
+            // — live values plus one session's resident evaluation keys —
             // exceeds the configured budget, before any FHE state exists.
-            if forecast.peak_bytes as u64 > budget {
+            if (forecast.peak_bytes + forecast.key_bytes) as u64 > budget {
                 return Err(ServiceError::InvalidProgram(ProgramDiagnostics {
                     program: compiled.name().to_string(),
                     diagnostics: vec![WireDiagnostic {
@@ -401,9 +410,9 @@ impl EvaServer {
                         node: forecast.at_node.map(|n| n as u64),
                         message: format!(
                             "predicted peak of {} simultaneously-live bytes \
-                             ({} ciphertexts) exceeds the admission budget of \
-                             {budget} bytes",
-                            forecast.peak_bytes, forecast.peak_live_ciphertexts
+                             ({} ciphertexts) plus {} bytes of evaluation keys \
+                             exceeds the admission budget of {budget} bytes",
+                            forecast.peak_bytes, forecast.peak_live_ciphertexts, forecast.key_bytes
                         ),
                     }],
                 }));
@@ -795,7 +804,7 @@ impl EvaServer {
             .key_cache
             .lock()
             .expect("key cache lock poisoned")
-            .insert(fingerprint, keys.clone(), payload.len());
+            .insert(fingerprint, keys.clone());
         // Persist through to the disk layer (if configured) so the
         // resumption outlives this process. Persistence failure is an
         // operational warning, never a session error.
@@ -850,7 +859,7 @@ impl EvaServer {
             .key_cache
             .lock()
             .expect("key cache lock poisoned")
-            .insert(*fingerprint, keys.clone(), payload.len());
+            .insert(*fingerprint, keys.clone());
         Some(keys)
     }
 
@@ -865,6 +874,7 @@ impl EvaServer {
         let degree = inner.context.degree();
         let key_level = inner.context.key_basis().len();
         let digit_count = inner.context.max_level();
+        let moduli = inner.context.key_basis().moduli();
         let check_ksk = |what: &str, key: &eva_ckks::KeySwitchKey| {
             if key.digits().len() != digit_count {
                 return Err(ServiceError::InvalidParameters(format!(
@@ -880,6 +890,15 @@ impl EvaServer {
                             poly.degree(),
                             poly.level()
                         )));
+                    }
+                    // The evaluator sums digit × key products unreduced; that
+                    // is exact only for canonical residues.
+                    for (row, q) in poly.rows().zip(moduli) {
+                        if row.iter().any(|&k| k >= q.value()) {
+                            return Err(ServiceError::InvalidParameters(format!(
+                                "{what} holds a residue outside [0, {q})"
+                            )));
+                        }
                     }
                 }
             }
@@ -928,11 +947,18 @@ pub(crate) fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 mod tests {
     use super::*;
 
-    fn dummy_keys() -> SessionKeys {
-        SessionKeys {
-            relin: None,
+    /// Keys occupying exactly `bytes` (a multiple of 16) resident bytes: a
+    /// relinearization key of one digit pair over a degree-1 ring.
+    fn dummy_keys(bytes: usize) -> SessionKeys {
+        use eva_poly::{PolyForm, RnsPoly};
+        let poly = || RnsPoly::zero(1, bytes / 16, PolyForm::Ntt);
+        let key = eva_ckks::KeySwitchKey::from_digits(vec![(poly(), poly())]);
+        let keys = SessionKeys {
+            relin: Some(Arc::new(RelinearizationKey::from_key_switch_key(key))),
             galois: Arc::new(GaloisKeys::default()),
-        }
+        };
+        assert_eq!(keys.resident_bytes(), bytes);
+        keys
     }
 
     fn fp(byte: u8) -> KeyFingerprint {
@@ -942,11 +968,11 @@ mod tests {
     #[test]
     fn key_cache_evicts_least_recently_used_by_count() {
         let mut cache = KeyCache::new(2, usize::MAX);
-        cache.insert(fp(1), dummy_keys(), 10);
-        cache.insert(fp(2), dummy_keys(), 10);
+        cache.insert(fp(1), dummy_keys(16));
+        cache.insert(fp(2), dummy_keys(16));
         // Touch 1 so 2 becomes the oldest.
         assert!(cache.get(&fp(1)).is_some());
-        cache.insert(fp(3), dummy_keys(), 10);
+        cache.insert(fp(3), dummy_keys(16));
         assert_eq!(cache.len(), 2);
         assert!(cache.get(&fp(1)).is_some());
         assert!(cache.get(&fp(2)).is_none(), "LRU entry should be evicted");
@@ -955,29 +981,65 @@ mod tests {
 
     #[test]
     fn key_cache_enforces_the_byte_budget() {
-        let mut cache = KeyCache::new(100, 100);
-        cache.insert(fp(1), dummy_keys(), 40);
-        cache.insert(fp(2), dummy_keys(), 40);
-        assert_eq!(cache.bytes, 80);
-        // 40 more bytes exceed the budget: the oldest entry goes.
-        cache.insert(fp(3), dummy_keys(), 40);
+        let mut cache = KeyCache::new(100, 80);
+        cache.insert(fp(1), dummy_keys(32));
+        cache.insert(fp(2), dummy_keys(32));
+        assert_eq!(cache.bytes, 64);
+        // 32 more bytes exceed the budget: the oldest entry goes.
+        cache.insert(fp(3), dummy_keys(32));
         assert_eq!(cache.len(), 2);
-        assert_eq!(cache.bytes, 80);
+        assert_eq!(cache.bytes, 64);
         assert!(cache.get(&fp(1)).is_none());
         // An entry larger than the whole budget is not cached at all.
-        cache.insert(fp(4), dummy_keys(), 1000);
+        cache.insert(fp(4), dummy_keys(1008));
         assert!(cache.get(&fp(4)).is_none());
-        assert_eq!(cache.bytes, 80);
+        assert_eq!(cache.bytes, 64);
         // Re-inserting an existing fingerprint replaces, not duplicates.
-        cache.insert(fp(2), dummy_keys(), 60);
+        cache.insert(fp(2), dummy_keys(48));
         assert_eq!(cache.len(), 2);
-        assert_eq!(cache.bytes, 100);
+        assert_eq!(cache.bytes, 80);
+    }
+
+    #[test]
+    fn an_upload_is_charged_what_it_holds_resident() {
+        use crate::protocol::encode_payload;
+        use eva_ckks::KeyGenerator;
+        use eva_core::{compile, CompilerOptions, Opcode, Program};
+
+        let mut p = Program::new("rotsq", 8);
+        let x = p.input_cipher("x", 30);
+        let sq = p.instruction(Opcode::Multiply, &[x, x]);
+        let r = p.instruction(Opcode::RotateLeft(1), &[sq]);
+        let l = p.instruction(Opcode::RotateRight(2), &[sq]);
+        let sum = p.instruction(Opcode::Add, &[r, l]);
+        p.output("out", sum, 30);
+        let server = EvaServer::new(compile(&p, &CompilerOptions::default()).unwrap()).unwrap();
+
+        let context = server.inner.context.clone();
+        let mut keygen = KeyGenerator::from_seed(context.clone(), 1);
+        let relin = keygen.create_relinearization_key();
+        let galois = keygen.create_galois_keys(&server.inner.manifest.rotation_steps);
+        let (_, payload) = encode_payload(&Message::EvalKeys {
+            relin: Some(Box::new(relin)),
+            galois: Box::new(galois),
+        });
+        let keys = server
+            .accept_key_upload(&payload, fingerprint_eval_key_payload(&payload))
+            .unwrap();
+
+        // One resident form: the cache charges the rows the upload carried
+        // plus a gather table per Galois key, and nothing else exists.
+        let charged = server.inner.key_cache.lock().unwrap().bytes;
+        assert_eq!(charged, keys.resident_bytes());
+        let tables = 2 * context.degree() * std::mem::size_of::<u32>();
+        let framing = payload.len() - (charged - tables);
+        assert!(framing < 1024, "{framing} bytes of wire framing");
     }
 
     #[test]
     fn zero_capacity_disables_caching() {
         let mut cache = KeyCache::new(0, usize::MAX);
-        cache.insert(fp(1), dummy_keys(), 1);
+        cache.insert(fp(1), dummy_keys(16));
         assert_eq!(cache.len(), 0);
         assert!(cache.get(&fp(1)).is_none());
     }
@@ -1020,12 +1082,12 @@ mod tests {
         // serving resumptions (with_key_cache_* calls enforce_bounds).
         let mut cache = KeyCache::new(4, usize::MAX);
         for i in 1..=4 {
-            cache.insert(fp(i), dummy_keys(), 10);
+            cache.insert(fp(i), dummy_keys(16));
         }
-        cache.max_bytes = 20;
+        cache.max_bytes = 32;
         cache.enforce_bounds();
         assert_eq!(cache.len(), 2);
-        assert_eq!(cache.bytes, 20);
+        assert_eq!(cache.bytes, 32);
         cache.capacity = 0;
         cache.enforce_bounds();
         assert_eq!(cache.len(), 0);

@@ -301,7 +301,8 @@ fn server_rejects_missing_relin_key_and_bad_protocol() {
     let listener = TcpListener::bind("127.0.0.1:0").unwrap();
     let addr = listener.local_addr().unwrap();
     let server = EvaServer::new(compiled).unwrap();
-    let server_thread = std::thread::spawn(move || server.serve_sessions(&listener, 2));
+    let serving = server.clone();
+    let server_thread = std::thread::spawn(move || serving.serve_sessions(&listener, 3));
 
     // Session 1: wrong protocol version (e.g. a PR-4 v1 client) is refused
     // with an Error message, not a framing failure.
@@ -349,8 +350,64 @@ fn server_rejects_missing_relin_key_and_bad_protocol() {
             other => panic!("expected Error, got {other:?}"),
         }
     }
+    // Session 3: well-formed keys with one Galois-key residue outside
+    // [0, q) are refused at validation — the evaluator's unreduced 128-bit
+    // key-switch sum is only exact for canonical residues — instead of
+    // reaching a worker.
+    {
+        use eva_ckks::{CkksContext, CkksParameters, GaloisKeys, KeyGenerator, KeySwitchKey};
+
+        let mut stream = TcpStream::connect(addr).unwrap();
+        eva_service::protocol::write_message(
+            &mut stream,
+            &Message::Hello {
+                protocol: PROTOCOL_VERSION,
+                resume: None,
+            },
+        )
+        .unwrap();
+        let manifest = match eva_service::protocol::expect_message(&mut stream).unwrap() {
+            Message::Manifest { manifest, .. } => *manifest,
+            other => panic!("expected Manifest, got {other:?}"),
+        };
+        let params = CkksParameters::from_primes(
+            manifest.degree,
+            &manifest.data_primes,
+            manifest.special_prime,
+            manifest.secure,
+        )
+        .unwrap();
+        let mut keygen = KeyGenerator::from_seed(CkksContext::new(params).unwrap(), 3);
+        let relin = keygen.create_relinearization_key();
+        let galois = keygen.create_galois_keys(&manifest.rotation_steps);
+        let hostile = galois
+            .element_keys()
+            .into_iter()
+            .map(|(elt, key)| {
+                let mut digits: Vec<_> = key
+                    .canonical_digits()
+                    .map(|(k0, k1)| (k0.into_owned(), k1.into_owned()))
+                    .collect();
+                digits[0].1.residue_mut(1)[7] = u64::MAX;
+                (elt, KeySwitchKey::from_digits(digits))
+            })
+            .collect();
+        eva_service::protocol::write_message(
+            &mut stream,
+            &Message::EvalKeys {
+                relin: Some(Box::new(relin)),
+                galois: Box::new(GaloisKeys::from_parts(galois.step_elements(), hostile)),
+            },
+        )
+        .unwrap();
+        match eva_service::protocol::expect_message(&mut stream).unwrap() {
+            Message::Error(msg) => assert!(msg.contains("residue"), "unexpected error: {msg}"),
+            other => panic!("expected Error, got {other:?}"),
+        }
+    }
     let reports = server_thread.join().unwrap().unwrap();
     assert!(reports.iter().all(|r| r.is_err()));
+    assert_eq!(server.stats().session_panics, 0);
 }
 
 #[test]

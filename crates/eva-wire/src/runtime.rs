@@ -226,9 +226,9 @@ impl WireObject for PublicKey {
 
 fn encode_key_switch_key(w: &mut Writer, key: &KeySwitchKey) {
     w.u32(key.digits().len() as u32);
-    for (k0, k1) in key.digits() {
-        encode_poly(w, k0);
-        encode_poly(w, k1);
+    for (k0, k1) in key.canonical_digits() {
+        encode_poly(w, &k0);
+        encode_poly(w, &k1);
     }
 }
 
@@ -315,9 +315,20 @@ impl WireObject for GaloisKeys {
                 ));
             }
             degree = Some(key_degree);
-            // Galois elements must be odd units modulo 2N; validating here
-            // keeps the automorphism kernel's precondition out of reach of
-            // hostile input.
+            // Galois elements must be odd units modulo 2N over a
+            // power-of-two ring; validating here keeps the preconditions of
+            // the automorphism table `GaloisKeys::from_parts` builds out of
+            // reach of hostile input.
+            if !key_degree.is_power_of_two() || key_degree < 4 {
+                return Err(WireError::Invalid(format!(
+                    "Galois key ring degree {key_degree} is not a power of two >= 4"
+                )));
+            }
+            if key.digits()[0].0.form() != PolyForm::Ntt {
+                return Err(WireError::Invalid(
+                    "Galois key polynomials are not in NTT form".into(),
+                ));
+            }
             if elt % 2 != 1 || elt >= 2 * key_degree as u64 {
                 return Err(WireError::Invalid(format!(
                     "Galois element {elt} is not an odd unit modulo 2N"

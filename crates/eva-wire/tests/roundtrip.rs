@@ -302,3 +302,52 @@ fn eval_key_fingerprints_are_stable_and_content_sensitive() {
     );
     assert_ne!(fp, fingerprint_eval_keys(Some(&relin), &other_galois));
 }
+
+/// The wire contract of the evaluation keys, pinned from the commit before
+/// keys were stored in evaluation order: seeded keys encode to the same
+/// `EVAL` / `EVAG` bytes and fingerprint, decoding and re-encoding is byte
+/// identical, and a decoded Galois key rotates exactly as the generated one.
+#[test]
+fn seeded_eval_keys_keep_their_wire_bytes_fingerprint_and_rotations() {
+    use eva_ckks::{CkksContext, CkksEncoder, CkksParameters, Encryptor, Evaluator, KeyGenerator};
+    use eva_wire::Sha256;
+
+    let hex = |digest: [u8; 32]| -> String { digest.iter().map(|b| format!("{b:02x}")).collect() };
+    let params = CkksParameters::new_insecure(64, &[40, 40, 40], 45).unwrap();
+    let ctx = CkksContext::new(params).unwrap();
+    let mut keygen = KeyGenerator::from_seed(ctx.clone(), 17);
+    let relin = keygen.create_relinearization_key();
+    // A negative step, and 29 ≡ −3 (mod 32 slots): two steps, one element.
+    let steps = [1i64, -3, 29, 5];
+    let galois = keygen.create_galois_keys(&steps);
+    assert_eq!(galois.element_keys().len(), 3);
+
+    let (relin_bytes, galois_bytes) = (relin.to_wire_bytes(), galois.to_wire_bytes());
+    assert_eq!(
+        hex(Sha256::digest(&relin_bytes)),
+        "34a4143bc27f46c98646932528b84a338625b3851af81062f66563b5f1996e7a"
+    );
+    assert_eq!(
+        hex(Sha256::digest(&galois_bytes)),
+        "af08f311e5cbe5bdc7390dd9c5f0926251228a58d2ed4e47e4824573cbf5bd9d"
+    );
+    assert_eq!(
+        fingerprint_eval_keys(Some(&relin), &galois).to_string(),
+        "30cb5d75cbc91241f4673eb7fc08557f16e7c86f511982134122d7f5fb61410f"
+    );
+
+    let decoded = GaloisKeys::from_wire_bytes(&galois_bytes).unwrap();
+    assert_eq!(decoded.to_wire_bytes(), galois_bytes);
+    assert_roundtrip(&relin);
+
+    let pk = keygen.create_public_key();
+    let values: Vec<f64> = (0..32).map(|i| i as f64 / 32.0).collect();
+    let ct = Encryptor::from_seed(ctx.clone(), pk, 18)
+        .encrypt(&CkksEncoder::new(ctx.clone()).encode(&values, 30.0, 3));
+    let evaluator = Evaluator::new(ctx);
+    let expected = evaluator.rotate_hoisted(&ct, &steps, &galois).unwrap();
+    for (want, &step) in expected.iter().zip(&steps) {
+        let got = evaluator.rotate(&ct, step, &decoded).unwrap();
+        assert_eq!(got.polys(), want.polys(), "step {step}");
+    }
+}

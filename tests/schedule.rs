@@ -150,6 +150,7 @@ fn cost_report_and_forecast_match_the_pre_schedule_goldens() {
                 peak_live_ciphertexts: 16,
                 peak_bytes: 17_072_128,
                 at_node: Some(30),
+                key_bytes: 47_185_920, // 1 relin + 8 Galois keys
             },
         },
     );
@@ -169,7 +170,43 @@ fn cost_report_and_forecast_match_the_pre_schedule_goldens() {
                 peak_live_ciphertexts: 45,
                 peak_bytes: 165_265_408,
                 at_node: Some(299),
+                key_bytes: 868_220_928, // 1 relin + 22 Galois keys
             },
         },
     );
+}
+
+/// The forecast's `key_bytes` is the formula
+/// `(needs_relin + distinct Galois elements) · l · 2 · (l+1) · N · 8`; the
+/// keys a session really holds are exactly those rows plus one `N`-entry
+/// `u32` gather table per Galois key — there is no second resident form.
+#[test]
+fn forecast_key_bytes_equal_the_resident_key_rows() {
+    use eva::backend::{needs_relinearization, parameters_from_spec};
+    use eva::ckks::{CkksContext, KeyGenerator};
+
+    let mut x2_plus_x = Program::new("x2_plus_x", 8);
+    let x = x2_plus_x.input_cipher("x", 30);
+    let sq = x2_plus_x.instruction(Opcode::Multiply, &[x, x]);
+    let sum = x2_plus_x.instruction(Opcode::Add, &[sq, x]);
+    x2_plus_x.output("out", sum, 30);
+    let x2_plus_x = compile(&x2_plus_x, &CompilerOptions::default()).unwrap();
+
+    for compiled in [sobel_16().0, x2_plus_x] {
+        let context =
+            CkksContext::new(parameters_from_spec(&compiled.parameters).unwrap()).unwrap();
+        let mut keygen = KeyGenerator::from_seed(context.clone(), 5);
+        let relin = needs_relinearization(&compiled).then(|| keygen.create_relinearization_key());
+        let galois = keygen.create_galois_keys(&compiled.rotation_steps);
+        let resident = relin.map_or(0, |k| k.resident_bytes()) + galois.resident_bytes();
+        let tables = galois.element_keys().len() * context.degree() * std::mem::size_of::<u32>();
+
+        let forecast = predict_peak_memory(&compiled).unwrap();
+        assert!(forecast.key_bytes > 0);
+        assert_eq!(forecast.key_bytes, resident - tables);
+        // A table is 4 bytes per ring index beside a Galois key's
+        // 16·l·(l+1): 1.25 % at l = 4, 0.35 % at l = 8.
+        let l = context.max_level();
+        assert_eq!(tables * 4 * l * (l + 1), galois.resident_bytes() - tables);
+    }
 }
