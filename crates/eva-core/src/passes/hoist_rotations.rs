@@ -7,12 +7,14 @@
 //! applies instead of `k` full key switches. In NTT counts at level `ℓ`
 //! (`ℓ` data primes plus the special prime):
 //!
-//! * decompose: `ℓ(ℓ + 2)` NTTs (`ℓ` inverse + `ℓ(ℓ + 1)` forward);
+//! * decompose: `ℓ(ℓ + 1)` NTTs (`ℓ` inverse + `ℓ²` forward — digit `j`'s
+//!   own-prime row is a copy of the target's, not a transform);
 //! * per-key apply + mod-down: `2(ℓ + 1)` NTTs;
-//! * a lone rotation therefore costs `ℓ(ℓ + 2) + 2(ℓ + 1) = ℓ² + 4ℓ + 2`.
+//! * a lone rotation therefore costs `ℓ(ℓ + 1) + 2(ℓ + 1) = ℓ² + 3ℓ + 2`,
+//!   the count `eva-ckks`'s evaluator documents and executes.
 //!
-//! At `ℓ = 3` an 8-way fan-out costs `15 + 8·8 = 79` NTTs hoisted versus
-//! `8·23 = 184` sequential — the ≥2× speedup this pass exists to preserve.
+//! At `ℓ = 3` an 8-way fan-out costs `12 + 8·8 = 76` NTTs hoisted versus
+//! `8·20 = 160` sequential — the ≥2× speedup this pass exists to preserve.
 //!
 //! This module contributes two things to the pipeline:
 //!
@@ -95,7 +97,7 @@ pub fn group_rotation_fanouts(program: &Program) -> Vec<RotationFanout> {
 
 /// NTTs one shared RNS decomposition performs at level `l`.
 pub fn decompose_ntts(l: usize) -> usize {
-    l * (l + 2)
+    l * (l + 1)
 }
 
 /// NTTs one per-key apply (lazy accumulate + mod-down) performs at level `l`.
@@ -237,30 +239,34 @@ mod tests {
 
     #[test]
     fn ntt_formulas_match_the_documented_counts() {
-        // ℓ = 3: decompose 15, apply 8, lone rotation 23, 8-way fan-out 79.
-        assert_eq!(decompose_ntts(3), 15);
+        // ℓ = 3: decompose 12, apply 8, lone rotation 20, 8-way fan-out 76.
+        assert_eq!(decompose_ntts(3), 12);
         assert_eq!(apply_ntts(3), 8);
-        assert_eq!(decompose_ntts(3) + apply_ntts(3), 23);
-        assert_eq!(decompose_ntts(3) + 8 * apply_ntts(3), 79);
+        assert_eq!(decompose_ntts(3) + apply_ntts(3), 20);
+        assert_eq!(decompose_ntts(3) + 8 * apply_ntts(3), 76);
+        // A lone rotation is the evaluator's `ℓ² + 3ℓ + 2` at every level.
+        for l in 1..=12 {
+            assert_eq!(decompose_ntts(l) + apply_ntts(l), l * l + 3 * l + 2);
+        }
     }
 
     #[test]
     fn estimate_prices_fanouts_below_sequential() {
         let (p, _) = fanout_program(&[1, 2, 16, 17, 18, 32, 33, 34]);
-        assert_eq!(hoisted_ntt_estimate(&p, 3), 79);
+        assert_eq!(hoisted_ntt_estimate(&p, 3), 76);
         let (lone, _) = fanout_program(&[7]);
-        assert_eq!(hoisted_ntt_estimate(&lone, 3), 23);
+        assert_eq!(hoisted_ntt_estimate(&lone, 3), 20);
     }
 
     #[test]
     fn gate_declines_chaining_that_destroys_a_fanout() {
         // The ladder chain_rotations happily collapses ({1,2,16,17,18,32,
-        // 33,34} → keys {1,14,18}) costs 79 hoisted NTTs as a fan-out but
-        // 169 once chained — the gate must refuse it.
+        // 33,34} → keys {1,14,18}) costs 76 hoisted NTTs as a fan-out but
+        // 148 once chained — the gate must refuse it.
         let (mut p, _) = fanout_program(&[1, 2, 16, 17, 18, 32, 33, 34]);
         let mut chained = p.clone();
         assert!(chain_rotations(&mut chained, 4) > 0, "chaining would fire");
-        assert!(hoisted_ntt_estimate(&chained, 3) > hoisted_ntt_estimate(&p, 3));
+        assert_eq!(hoisted_ntt_estimate(&chained, 3), 148);
         assert_eq!(chain_rotations_if_profitable(&mut p, 4), 0);
         assert_eq!(
             select_rotation_steps(&p),

@@ -6,7 +6,42 @@
 //! the standard rotate-multiply-accumulate SIMD kernels; strided layouts are
 //! tracked in a [`LayoutView`] (this is the data-layout bookkeeping CHET's
 //! layout selection performs — we use its CHW choice, as the paper does for
-//! the comparison). Fully-connected layers use mask-and-reduce dot products.
+//! the comparison).
+//!
+//! # The fully-connected kernel
+//!
+//! A fully-connected layer is **one shared reduction**, not a dot product
+//! per output. With `B = out_dim.next_power_of_two()` segments of
+//! `S = vec_size / B` slots, output `o` is folded into segment `o`:
+//!
+//! ```text
+//! u = Σ_{k<B} rot(x ⊙ W_k, k·S)        W_k[j] = w_{(⌊j/S⌋ − k) mod B}[j]
+//! ```
+//!
+//! * `W_k` is a compile-time plaintext: in segment `s` it carries the weight
+//!   row of output `(s − k) mod B` at the input's physical slots, and zero
+//!   where that index is `≥ out_dim`. Rotating the product left by `k`
+//!   segments moves segment `o + k` onto segment `o`, so slot `o·S + r` of
+//!   `u` is output `o`'s products summed over every input at in-segment
+//!   offset `r`. An all-zero `W_k` emits no node.
+//! * The sum over `k` is a binary tree on the bits of `k`,
+//!   `F(ys, s) = F(evens, 2s) + rot(F(odds, 2s), s)`: `B − 1` rotations by
+//!   the power-of-two steps `S, 2S, … vec_size/2`. (With vanished `W_k` the
+//!   tree rotates once per node that has an odd child: one fewer than the
+//!   non-zero `W_k`, plus one for every such node with no even child.)
+//! * The offsets `r` are then folded onto the segment head by rotate-and-add
+//!   steps `acc + rot(acc, 2^i)`, **once for the layer** and only for the
+//!   bits `i` set in `OR(phys mod S)` over the input layout's occupied
+//!   slots. Inputs that already sit on segment heads — a pooled 1×1 map or
+//!   an earlier fully-connected layer whose channel stride is a multiple of
+//!   `S` — need none.
+//! * One 0/1 mask and one bias plaintext at the slots `o·S` finish the layer,
+//!   whose output [`LayoutView`] has `channel_stride = S`; every later kernel
+//!   and the logit extraction go through the view, so they follow.
+//!
+//! In all `B − 1 + popcount(OR(phys mod S))` ciphertext rotations for a dense
+//! layer, against `out_dim · log2(vec_size)` for a rotate-and-add reduction
+//! per output — 15 + 15 instead of 26 · 10 on LeNet-5-small.
 //!
 //! Two lowering modes are provided:
 //!
@@ -412,6 +447,14 @@ fn lower_fc(
         fc.in_dim,
         "fully-connected input size mismatch"
     );
+    let segments = fc.out_dim.next_power_of_two();
+    assert!(
+        segments <= vec_size,
+        "fully-connected layer with {} outputs needs {segments} segments, the vector has {vec_size} slots",
+        fc.out_dim
+    );
+    let segment_len = vec_size / segments;
+
     // Logical flattening order must match the plaintext reference (CHW).
     let mut physical_of_logical = Vec::with_capacity(fc.in_dim);
     for c in 0..layout.channels {
@@ -422,49 +465,82 @@ fn lower_fc(
         }
     }
 
-    let mut result: Option<Expr> = None;
+    // W_k carries, in segment s, the weight row of output (s - k) mod B, so
+    // rotating `input * W_k` left by k segments lands output o's products in
+    // segment o. A diagonal nothing writes to stays `None` and emits nothing.
+    let mut diagonals: Vec<Option<Vec<f64>>> = vec![None; segments];
     for o in 0..fc.out_dim {
-        // Dot product: mask with the o-th weight row, then sum-reduce all slots.
-        let mut mask = vec![0.0; vec_size];
         for (t, &phys) in physical_of_logical.iter().enumerate() {
-            mask[phys] = fc.weights[o * fc.in_dim + t];
+            let weight = fc.weights[o * fc.in_dim + t];
+            if weight != 0.0 {
+                let k = (phys / segment_len + segments - o) % segments;
+                diagonals[k].get_or_insert_with(|| vec![0.0; vec_size])[phys] = weight;
+            }
         }
-        let weights = builder.constant_vector(mask, weight_scale);
-        let mut acc = input * &weights;
-        let mut shift = 1usize;
-        while shift < vec_size {
+    }
+    let terms = diagonals
+        .into_iter()
+        .map(|diagonal| {
+            diagonal.map(|weights| input * &builder.constant_vector(weights, weight_scale))
+        })
+        .collect();
+    let mut acc = rotate_sum(terms, segment_len)
+        .expect("fully-connected layer has at least one nonzero weight");
+
+    // Slot o*S + r now holds output o's products at in-segment offset r; fold
+    // the offsets the input really occupies onto r = 0.
+    let occupied_offsets = physical_of_logical
+        .iter()
+        .fold(0, |bits, &phys| bits | (phys % segment_len));
+    let mut shift = 1usize;
+    while shift < segment_len {
+        if occupied_offsets & shift != 0 {
             acc = &acc + &acc.rotate_left(shift as i32);
-            shift <<= 1;
         }
-        // Keep the sum (plus bias) only at slot `o`.
-        let mut unit = vec![0.0; vec_size];
-        unit[o] = 1.0;
-        let unit = builder.constant_vector(unit, weight_scale);
-        let mut picked = acc * unit;
-        if fc.bias[o] != 0.0 {
-            let mut bias_mask = vec![0.0; vec_size];
-            bias_mask[o] = fc.bias[o];
-            let bias = builder.constant_vector(bias_mask, weight_scale);
-            picked = picked + bias;
-        }
-        result = Some(match result {
-            None => picked,
-            Some(acc) => acc + picked,
-        });
+        shift <<= 1;
+    }
+
+    // Keep the sums (plus biases) only at the segment heads.
+    let mut heads = vec![0.0; vec_size];
+    let mut bias = vec![0.0; vec_size];
+    for o in 0..fc.out_dim {
+        heads[o * segment_len] = 1.0;
+        bias[o * segment_len] = fc.bias[o];
+    }
+    let mut result = acc * builder.constant_vector(heads, weight_scale);
+    if fc.bias.iter().any(|&b| b != 0.0) {
+        result = result + builder.constant_vector(bias, weight_scale);
     }
 
     let new_layout = LayoutView {
         channels: fc.out_dim,
         height: 1,
         width: 1,
-        channel_stride: 1,
+        channel_stride: segment_len,
         row_stride: 1,
         col_stride: 1,
     };
-    (
-        result.expect("fully-connected layer has outputs"),
-        new_layout,
-    )
+    (result, new_layout)
+}
+
+/// `Σ_k rot(terms[k], k * step)` as a binary tree over the bits of `k`:
+/// `F(ys, s) = F(evens, 2s) + rot(F(odds, 2s), s)`. `terms.len()` is a power
+/// of two; absent terms cost nothing.
+fn rotate_sum(terms: Vec<Option<Expr>>, step: usize) -> Option<Expr> {
+    if terms.len() == 1 {
+        return terms.into_iter().next().flatten();
+    }
+    let mut halves = [Vec::new(), Vec::new()];
+    for (k, term) in terms.into_iter().enumerate() {
+        halves[k % 2].push(term);
+    }
+    let [evens, odds] = halves;
+    let even = rotate_sum(evens, 2 * step);
+    let odd = rotate_sum(odds, 2 * step).map(|sum| sum.rotate_left(step as i32));
+    match (even, odd) {
+        (Some(even), Some(odd)) => Some(even + odd),
+        (even, odd) => even.or(odd),
+    }
 }
 
 #[cfg(test)]
@@ -473,6 +549,7 @@ mod tests {
     use crate::networks::{lenet5_small, Layer, Network};
     use crate::tensor::{ConvWeights, FcWeights, Tensor};
     use eva_backend::run_reference;
+    use eva_core::Opcode;
     use rand::{Rng, SeedableRng};
     use std::collections::HashMap;
 
@@ -556,6 +633,146 @@ mod tests {
             ],
         };
         check_reference_equivalence(&network, &random_input((1, 8, 8), 6), 1e-9);
+    }
+
+    fn random_fc(seed: u64, in_dim: usize, out_dim: usize) -> FcWeights {
+        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+        crate::networks::random_fc(&mut rng, in_dim, out_dim)
+    }
+
+    fn rotation_steps(network: &Network) -> Vec<i32> {
+        let program = lower_network(network, LoweringMode::Eva).program;
+        (0..program.len())
+            .filter_map(|id| match program.opcode(id) {
+                Some(Opcode::RotateLeft(step)) => Some(step),
+                Some(Opcode::RotateRight(step)) => Some(-step),
+                _ => None,
+            })
+            .collect()
+    }
+
+    /// A network ending in a fully-connected layer: the lowered program
+    /// equals plaintext inference, and the rotations that last layer emits
+    /// are powers of two: `tree` of them in the shared tree (one fewer than
+    /// the non-zero `W_k`) plus one per bit of `OR(phys mod S)`.
+    fn check_fc(network: &Network, seed: u64, tree: usize, offset_bits: usize) {
+        check_reference_equivalence(network, &random_input(network.input_shape, seed), 1e-9);
+        let mut prefix = network.clone();
+        assert!(matches!(
+            prefix.layers.pop(),
+            Some(Layer::FullyConnected(_))
+        ));
+        let steps = rotation_steps(network);
+        let fc_steps = &steps[rotation_steps(&prefix).len()..];
+        assert!(
+            fc_steps
+                .iter()
+                .all(|&s| s > 0 && (s as u32).is_power_of_two()),
+            "{fc_steps:?}"
+        );
+        assert_eq!(fc_steps.len(), tree + offset_bits, "{fc_steps:?}");
+    }
+
+    fn fc_only(input_shape: (usize, usize, usize), fc: FcWeights) -> Network {
+        Network {
+            name: "fc_only".into(),
+            input_shape,
+            layers: vec![Layer::FullyConnected(fc)],
+        }
+    }
+
+    #[test]
+    fn single_output_fc_is_one_full_reduction() {
+        // B = 1, S = vec_size = 16 and every slot is occupied: no tree, all
+        // four in-segment steps — the rotate-and-add reduction of a dot product.
+        check_fc(&fc_only((1, 4, 4), random_fc(21, 16, 1)), 22, 0, 4);
+    }
+
+    #[test]
+    fn fc_output_counts_that_are_not_powers_of_two() {
+        // 3 outputs: vec_size 8, B = 4, S = 2, inputs at slots 0..8 so bit 0
+        // of the offsets is occupied. 10 outputs: vec_size 16 = B, S = 1.
+        check_fc(&fc_only((8, 1, 1), random_fc(23, 8, 3)), 24, 4 - 1, 1);
+        check_fc(&fc_only((8, 1, 1), random_fc(25, 8, 10)), 26, 16 - 1, 0);
+    }
+
+    #[test]
+    fn wide_fc_after_pooling_needs_no_in_segment_steps() {
+        // LeNet's fc1 shape: 8 pooled inputs at stride 4 feed 16 outputs, so
+        // vec_size 64, B = 16, S = 4 and every input sits on a segment head.
+        let network = Network {
+            name: "pool_fc".into(),
+            input_shape: (8, 2, 2),
+            layers: vec![
+                Layer::AvgPool { window: 2 },
+                Layer::FullyConnected(random_fc(27, 8, 16)),
+            ],
+        };
+        check_fc(&network, 28, 16 - 1, 0);
+    }
+
+    #[test]
+    fn fc_straight_after_a_conv_folds_the_occupied_offsets() {
+        // 2x3x3 conv outputs at c*16 + i*4 + j, vec_size 64, B = 4, S = 16:
+        // the offsets {0,1,2,4,5,6,8,9,10} occupy all four bits.
+        let mut rng = rand::rngs::StdRng::seed_from_u64(29);
+        let conv = ConvWeights {
+            out_channels: 2,
+            in_channels: 1,
+            kernel: 2,
+            weights: (0..8).map(|_| rng.gen_range(-1.0..1.0)).collect(),
+            bias: vec![0.3, -0.2],
+        };
+        let network = Network {
+            name: "conv_fc".into(),
+            input_shape: (1, 4, 4),
+            layers: vec![
+                Layer::Conv(conv),
+                Layer::FullyConnected(random_fc(30, 18, 3)),
+            ],
+        };
+        check_fc(&network, 31, 4 - 1, 4);
+    }
+
+    #[test]
+    fn all_zero_diagonals_emit_nothing() {
+        // 4 inputs, 4 outputs, S = 1: weight (o, t) lies on diagonal
+        // k = (t - o) mod 4. A zero row and a zero column thin every diagonal
+        // but empty none; zeroing k = 3 as well leaves W_0, W_1, W_2.
+        let mut fc = random_fc(32, 4, 4);
+        for o in 0..4 {
+            for t in 0..4 {
+                if o == 2 || t == 1 || (t + 4 - o) % 4 == 3 {
+                    fc.weights[o * 4 + t] = 0.0;
+                }
+            }
+        }
+        check_fc(&fc_only((4, 1, 1), fc), 33, 3 - 1, 0);
+
+        // The tree only rotates by powers of two, so a diagonal whose even
+        // sibling is absent (here W_3 once W_1 is gone) costs one step more:
+        // rot(rot(W_3 term, 2S), S). The compiler merges such chains.
+        let mut fc = random_fc(34, 4, 4);
+        for o in 0..4 {
+            fc.weights[o * 4 + (o + 1) % 4] = 0.0;
+        }
+        check_fc(&fc_only((4, 1, 1), fc), 35, 3, 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "needs 4 segments, the vector has 2 slots")]
+    fn fc_wider_than_the_vector_is_refused() {
+        let mut builder = ProgramBuilder::with_default_scale("too_wide", 2, 10);
+        let input = builder.input_cipher("x", 25);
+        let layout = LayoutView {
+            channels: 2,
+            height: 1,
+            width: 1,
+            channel_stride: 1,
+            row_stride: 1,
+            col_stride: 1,
+        };
+        lower_fc(&mut builder, &input, layout, &random_fc(36, 2, 3), 2, 15);
     }
 
     #[test]

@@ -197,7 +197,7 @@ fn random_conv(
     }
 }
 
-fn random_fc(rng: &mut StdRng, in_dim: usize, out_dim: usize) -> FcWeights {
+pub(crate) fn random_fc(rng: &mut StdRng, in_dim: usize, out_dim: usize) -> FcWeights {
     FcWeights {
         out_dim,
         in_dim,

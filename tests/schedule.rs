@@ -132,6 +132,8 @@ fn assert_golden(program: &Program, golden: &Golden) {
         report.predicted_us
     );
     assert_eq!(predict_peak_memory(&compiled).unwrap(), golden.forecast);
+    // The chaining gate declines on both programs.
+    assert_eq!(compiled.stats.rotations_chained, 0);
 }
 
 #[test]
@@ -154,26 +156,79 @@ fn cost_report_and_forecast_match_the_pre_schedule_goldens() {
             },
         },
     );
+    // Unlike Sobel's, this literal is not a pre-schedule capture: it was
+    // re-captured from PR 18, which changed the *program* (`lower_fc` became
+    // one shared reduction per layer; before it: 1141 nodes, 293 key
+    // switches, 17702 NTTs, 22 Galois keys). The analyses are unchanged.
     let network = eva::tensor::networks::lenet5_small(42);
     let lowered = eva::tensor::lower_network(&network, eva::tensor::LoweringMode::Eva);
     assert_golden(
         &lowered.program,
         &Golden {
-            nodes: 1141,
-            key_switches: 293,
+            nodes: 526,
+            key_switches: 63,
             hoisted_groups: 4,
             hoisted_rotations: 17,
-            ntts: 17702,
-            predicted_us_bits: 0x4146_f8c6_88af_8acc, // 3010957.067857122
+            ntts: 4592,
+            predicted_us_bits: 0x4128_3c78_7c57_c572, // 794172.2428571417
             forecast: MemoryForecast {
-                peak_live_values: 199,
+                peak_live_values: 143,
                 peak_live_ciphertexts: 45,
-                peak_bytes: 165_265_408,
-                at_node: Some(299),
-                key_bytes: 868_220_928, // 1 relin + 22 Galois keys
+                peak_bytes: 165_003_264,
+                at_node: Some(267),
+                key_bytes: 792_723_456, // 1 relin + 20 Galois keys
             },
         },
     );
+}
+
+fn rotation_steps(program: &Program) -> Vec<i32> {
+    (0..program.len())
+        .filter_map(|id| match program.opcode(id) {
+            Some(Opcode::RotateLeft(step)) => Some(step),
+            Some(Opcode::RotateRight(step)) => Some(-step),
+            _ => None,
+        })
+        .collect()
+}
+
+/// Where LeNet-5-small's key switches are since each fully-connected layer
+/// became one shared reduction: two 15-rotation trees by powers of two
+/// instead of 26 private ten-step chains, on the parameters (and so the
+/// per-key bytes) the per-output kernel compiled to.
+#[test]
+fn lenet_census_one_reduction_tree_per_fully_connected_layer() {
+    use eva::tensor::networks::{lenet5_small, Layer};
+    use eva::tensor::{lower_network, LoweringMode};
+
+    let network = lenet5_small(42);
+    let lowered = lower_network(&network, LoweringMode::Eva);
+    let compiled = lowered.compile().unwrap();
+    let report = estimate_cost(&compiled, &CostModel::default()).unwrap();
+    assert!(report.key_switches <= 65, "{}", report.key_switches);
+    assert!(report.distinct_rotation_steps <= 22);
+
+    // Lowering is sequential and activations emit no rotation, so the
+    // rotations past the convolutional prefix's are the two FC layers'.
+    let mut prefix = network.clone();
+    let first_fc = prefix
+        .layers
+        .iter()
+        .position(|layer| matches!(layer, Layer::FullyConnected(_)))
+        .unwrap();
+    prefix.layers.truncate(first_fc);
+    let before_fc = rotation_steps(&lower_network(&prefix, LoweringMode::Eva).program).len();
+    let steps = rotation_steps(&lowered.program);
+    let fc_steps = &steps[before_fc..];
+    assert_eq!(fc_steps.len(), 15 + 15);
+    assert!(fc_steps
+        .iter()
+        .all(|&s| s > 0 && (s as u32).is_power_of_two()));
+
+    let spec = &compiled.parameters;
+    assert_eq!(spec.degree, 32768);
+    assert_eq!(spec.data_prime_bits, [40, 40, 60, 60, 60, 60, 60, 60]);
+    assert_eq!(spec.special_prime_bits, 60);
 }
 
 /// The forecast's `key_bytes` is the formula
