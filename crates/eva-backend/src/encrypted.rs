@@ -11,13 +11,14 @@ use std::sync::Arc;
 
 use eva_ckks::{
     Ciphertext, CkksContext, CkksEncoder, CkksError, CkksParameters, Decryptor, Evaluator,
-    GaloisKeys, KeyGenerator, RelinearizationKey, SymmetricEncryptor,
+    GaloisKeys, KeyGenerator, KeySwitchDecomposition, KeySwitchScratch, RelinearizationKey,
+    SymmetricEncryptor,
 };
 use eva_core::analysis::Schedule;
 use eva_core::{CompiledProgram, EvaError, NodeId, NodeKind, Opcode, Program, ValueType};
 
 use crate::keys::ProgramKeyDerivation;
-use crate::reference::{apply_op, replicate, rotate_left};
+use crate::reference::{apply_op, replicate};
 
 /// A value flowing through the encrypted executor: either a ciphertext or a
 /// plaintext vector (the executor keeps plaintext data unencoded and encodes
@@ -322,10 +323,9 @@ impl EvaluationContext {
         Ok(outputs)
     }
 
-    /// Executes one instruction given its already-computed argument values.
-    ///
-    /// This is the shared per-node kernel used by both the serial and the
-    /// parallel executor.
+    /// Executes one instruction given its already-computed argument values,
+    /// with work buffers of its own for a key switch (the executors keep
+    /// theirs across nodes).
     ///
     /// # Errors
     ///
@@ -338,6 +338,17 @@ impl EvaluationContext {
         program: &Program,
         id: NodeId,
         args: &[&NodeValue],
+    ) -> Result<NodeValue, EvaError> {
+        self.execute_node_with(program, id, args, &mut KeySwitchScratch::default())
+    }
+
+    /// The shared per-node kernel of the serial and the parallel executor.
+    pub(crate) fn execute_node_with(
+        &self,
+        program: &Program,
+        id: NodeId,
+        args: &[&NodeValue],
+        scratch: &mut KeySwitchScratch,
     ) -> Result<NodeValue, EvaError> {
         let size = program.vec_size();
         let node = program.node(id);
@@ -410,22 +421,14 @@ impl EvaluationContext {
                     }
                 }
             }
-            Opcode::RotateLeft(steps) => {
-                let ct = expect_cipher(args[0])?;
-                ev.rotate(ct, *steps as i64, &self.galois_keys)
-                    .map_err(to_eva_error)?
+            // A lone key switch is a switch site of one member.
+            _ if switches_key(*op) => {
+                let mut site = self.execute_switch_site(program, [id], args[0], scratch)?;
+                return Ok(site.pop().expect("one member, one value"));
             }
-            Opcode::RotateRight(steps) => {
-                let ct = expect_cipher(args[0])?;
-                ev.rotate(ct, -(*steps as i64), &self.galois_keys)
-                    .map_err(to_eva_error)?
-            }
-            Opcode::Relinearize => {
-                let ct = expect_cipher(args[0])?;
-                let key = self.relin_key.as_ref().ok_or_else(|| {
-                    EvaError::Execution("program relinearizes but no relinearization key".into())
-                })?;
-                ev.relinearize(ct, key).map_err(to_eva_error)?
+            // What is left of these is the rotation by zero: a clone.
+            Opcode::RotateLeft(_) | Opcode::RotateRight(_) | Opcode::Relinearize => {
+                expect_cipher(args[0])?.clone()
             }
             Opcode::ModSwitch => {
                 let ct = expect_cipher(args[0])?;
@@ -436,67 +439,71 @@ impl EvaluationContext {
                 ev.rescale_to_next(ct).map_err(to_eva_error)?
             }
         };
-        // The compiler's exact-scale phase promises its per-node annotations
-        // are bit-identical to the scales the evaluator produces; check that
-        // on every node in debug builds (CI runs a debug-assertions job so
-        // this executes on the encrypted network paths).
-        debug_assert_eq!(
-            result.scale_log2().to_bits(),
-            node.scale_log2.to_bits(),
-            "node {id} ({op}): executor scale 2^{} deviates from the compiler's \
-             exact annotation 2^{}",
-            result.scale_log2(),
-            node.scale_log2,
-        );
-        Ok(NodeValue::Cipher(result))
+        Ok(annotated(program, id, result))
     }
 
-    /// Executes one rotation fan-out group hoisted: the shared source is
-    /// RNS-decomposed once and every member's Galois key is applied to the
-    /// shared digits (`Evaluator::rotate_hoisted`). Returns the member
-    /// values in `members` order.
-    ///
-    /// Both executors route fan-out members through this kernel; a plaintext
-    /// source falls back to reference rotation semantics per member.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`EvaError::Execution`] if the CKKS backend rejects the
-    /// hoisted rotation (e.g. a missing Galois key).
-    pub fn execute_rotation_group(
+    /// Runs a whole **switch site** on the calling thread: `members`, the
+    /// relinearizations or non-zero rotations of `source`, share one
+    /// decomposition of its last polynomial and each apply their own key to
+    /// it (hoisted key switching). Returns their values in `members` order.
+    /// The serial executor runs every site this way; the parallel one
+    /// schedules the same pieces —
+    /// [`key_switch_digit`](Self::key_switch_digit) per data prime, then
+    /// [`execute_switch_member`](Self::execute_switch_member) per member —
+    /// as tasks of their own.
+    pub(crate) fn execute_switch_site(
         &self,
         program: &Program,
-        members: &[(NodeId, i64)],
+        members: impl IntoIterator<Item = NodeId>,
         source: &NodeValue,
+        scratch: &mut KeySwitchScratch,
     ) -> Result<Vec<NodeValue>, EvaError> {
-        match source {
-            NodeValue::Plain(v) => Ok(members
-                .iter()
-                .map(|&(_, step)| NodeValue::Plain(rotate_left(v, step, program.vec_size())))
-                .collect()),
-            NodeValue::Cipher(ct) => {
-                let steps: Vec<i64> = members.iter().map(|&(_, s)| s).collect();
-                let rotated = self
-                    .evaluator
-                    .rotate_hoisted(ct, &steps, &self.galois_keys)
-                    .map_err(to_eva_error)?;
-                Ok(members
-                    .iter()
-                    .zip(rotated)
-                    .map(|(&(id, _), result)| {
-                        debug_assert_eq!(
-                            result.scale_log2().to_bits(),
-                            program.node(id).scale_log2.to_bits(),
-                            "hoisted node {id}: executor scale 2^{} deviates from the \
-                             compiler's exact annotation 2^{}",
-                            result.scale_log2(),
-                            program.node(id).scale_log2,
-                        );
-                        NodeValue::Cipher(result)
-                    })
-                    .collect())
+        let ct = expect_cipher(source)?;
+        let digits = (0..ct.level()).map(|j| self.key_switch_digit(source, j));
+        let decomp = KeySwitchDecomposition::from_digits(digits.collect::<Result<_, _>>()?);
+        let member = |id| self.execute_switch_member(program, id, source, &decomp, scratch);
+        members.into_iter().map(member).collect()
+    }
+
+    /// Digit `j` of the decomposition a switch site's members share.
+    pub(crate) fn key_switch_digit(
+        &self,
+        source: &NodeValue,
+        j: usize,
+    ) -> Result<eva_poly::RnsPoly, EvaError> {
+        let ct = expect_cipher(source)?;
+        let target = ct.polys().last().expect("a ciphertext has polynomials");
+        Ok(self.evaluator.key_switch_digit(target, ct.level(), j))
+    }
+
+    /// One member of a switch site: applies the key node `id` names to the
+    /// site's decomposition of `source`.
+    pub(crate) fn execute_switch_member(
+        &self,
+        program: &Program,
+        id: NodeId,
+        source: &NodeValue,
+        decomp: &KeySwitchDecomposition,
+        scratch: &mut KeySwitchScratch,
+    ) -> Result<NodeValue, EvaError> {
+        let ct = expect_cipher(source)?;
+        let ev = &self.evaluator;
+        let step = match program.opcode(id) {
+            Some(Opcode::RotateLeft(steps)) => Some(steps as i64),
+            Some(Opcode::RotateRight(steps)) => Some(-(steps as i64)),
+            Some(Opcode::Relinearize) => None,
+            _ => return Err(EvaError::Execution(format!("node {id} switches no key"))),
+        };
+        let result = match step {
+            Some(step) => ev.rotate_decomposed(ct, step, &self.galois_keys, decomp, scratch),
+            None => {
+                let key = self.relin_key.as_ref().ok_or_else(|| {
+                    EvaError::Execution("program relinearizes but no relinearization key".into())
+                })?;
+                ev.relinearize_decomposed(ct, key, decomp, scratch)
             }
-        }
+        };
+        Ok(annotated(program, id, result.map_err(to_eva_error)?))
     }
 
     /// Serial execution of the whole program: walks the program's
@@ -516,11 +523,10 @@ impl EvaluationContext {
 
     /// The serial executor. For each step of the program's [`Schedule`] it
     /// computes the values the step materializes — one node through
-    /// [`execute_node`](Self::execute_node), or a whole rotation fan-out
-    /// hoisted through
-    /// [`execute_rotation_group`](Self::execute_rotation_group) — stores
-    /// them, and drops the values the step releases (the memory-reuse rule
-    /// of paper Section 6.1).
+    /// [`execute_node`](Self::execute_node)'s kernel, or a whole rotation
+    /// fan-out as one switch site — stores them, and drops the values the
+    /// step releases (the memory-reuse rule of paper Section 6.1). One
+    /// [`KeySwitchScratch`] serves every key switch of the walk.
     ///
     /// Alongside the outputs it returns a [`MemoryAudit`]: the peak number
     /// of values and ciphertexts the loop really held at once and their real
@@ -547,6 +553,7 @@ impl EvaluationContext {
         let schedule = Schedule::new(program)?;
         let mut values: Vec<Option<NodeValue>> = vec![None; program.len()];
         let mut held = Held::default();
+        let mut scratch = KeySwitchScratch::default();
         for (id, value) in bindings {
             held.add(&value);
             values[id] = Some(value);
@@ -564,10 +571,11 @@ impl EvaluationContext {
                 }
                 (_, Some(g)) => {
                     let fanout = &schedule.fanouts[g as usize];
+                    let members = fanout.members.iter().map(|&(member, _)| member);
                     let source = values[fanout.source]
                         .as_ref()
                         .expect("fan-out source computed first");
-                    self.execute_rotation_group(program, &fanout.members, source)?
+                    self.execute_switch_site(program, members, source, &mut scratch)?
                 }
                 (_, None) => {
                     let args: Vec<&NodeValue> = program
@@ -575,7 +583,7 @@ impl EvaluationContext {
                         .iter()
                         .map(|&a| values[a].as_ref().expect("parents computed first"))
                         .collect();
-                    vec![self.execute_node(program, step.node, &args)?]
+                    vec![self.execute_node_with(program, step.node, &args, &mut scratch)?]
                 }
             };
             // A result coexists with its not-yet-released parents for an
@@ -805,6 +813,33 @@ impl EncryptedContext {
         }
         Ok(outputs)
     }
+}
+
+/// Whether `op` on an encrypted operand switches keys — a relinearization
+/// or a rotation by a non-zero step (a zero step is a clone) — and so
+/// belongs to a switch site.
+pub(crate) fn switches_key(op: Opcode) -> bool {
+    match op {
+        Opcode::Relinearize => true,
+        Opcode::RotateLeft(steps) | Opcode::RotateRight(steps) => steps != 0,
+        _ => false,
+    }
+}
+
+/// Wraps the ciphertext node `id` produced. The compiler's exact-scale phase
+/// promises its per-node annotations are bit-identical to the scales the
+/// evaluator produces; this checks that on every node in debug builds (CI
+/// runs a debug-assertions job so it executes on the encrypted network
+/// paths).
+fn annotated(program: &Program, id: NodeId, result: Ciphertext) -> NodeValue {
+    debug_assert_eq!(
+        result.scale_log2().to_bits(),
+        program.node(id).scale_log2.to_bits(),
+        "node {id}: executor scale 2^{} deviates from the compiler's exact annotation 2^{}",
+        result.scale_log2(),
+        program.node(id).scale_log2,
+    );
+    NodeValue::Cipher(result)
 }
 
 fn expect_cipher(value: &NodeValue) -> Result<&Ciphertext, EvaError> {

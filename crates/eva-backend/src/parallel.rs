@@ -5,85 +5,357 @@
 //! nodes are executed by a pool of worker threads, and a node's value is
 //! *retired* (its memory released) as soon as its last consumer has used it.
 //! The original system uses the Galois parallel runtime; this reproduction
-//! uses a dependence-counting scheduler over crossbeam scoped threads with the
-//! same two properties: cross-kernel parallelism and memory reuse.
+//! is a dependence-counting scheduler over scoped threads with the same two
+//! properties: cross-kernel parallelism and memory reuse.
+//!
+//! # A key switch is scheduled as its pieces
+//!
+//! Key switches are most of the work and, left whole, the narrowest part of
+//! the DAG: a rotation fan-out is one source feeding `k` rotations, a
+//! relinearization sits alone on the critical path. But a switch at level
+//! `l` is `l` independent digit lifts followed by one independent key apply
+//! per rotation or relinearization, so the scheduler runs those, not the
+//! switch. The encrypted relinearizations and non-zero rotations of one
+//! source form a **switch site** (a `Schedule` fan-out, or a site of one).
+//! When the source's value lands, the site's `l` **digit tasks** are queued;
+//! its members wait for the decomposition as for one more parent, and when
+//! the last digit lands they become ordinary ready nodes that apply their
+//! key to the shared digits. The decomposition goes when its last member is
+//! done, the source when its last consumer is — members included, so the
+//! digits never outlive or outrun what they were lifted from.
+//!
+//! Workers take ready nodes before digit tasks, and digit tasks site by
+//! site. A new decomposition (`l(l+1)·N·8` bytes) is therefore started only
+//! by a worker that found no node to run, which means every decomposition
+//! already resident has a job in flight on some other worker: at most one
+//! per worker is ever resident. Each worker owns the [`KeySwitchScratch`]
+//! its key applies use.
+//!
+//! All bookkeeping is one `Board` behind one mutex and one condition
+//! variable; it knows nothing about threads, so tests drive it by hand
+//! through the orders threads could produce.
 
-use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::collections::{HashMap, VecDeque};
+use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::{Arc, Condvar, Mutex};
 
-use crossbeam::queue::SegQueue;
-use parking_lot::{Condvar, Mutex, RwLock};
-
+use eva_ckks::{KeySwitchDecomposition, KeySwitchScratch};
 use eva_core::analysis::Schedule;
-use eva_core::{CompiledProgram, EvaError, NodeId, NodeKind};
+use eva_core::{CompiledProgram, EvaError, NodeId, NodeKind, Program};
+use eva_poly::RnsPoly;
 
-use crate::encrypted::{EvaluationContext, NodeValue};
+use crate::encrypted::{switches_key, EvaluationContext, NodeValue};
 
-struct Shared<'a> {
-    context: &'a EvaluationContext,
-    program: &'a eva_core::Program,
-    /// The lowered program: live consumers to notify, and the rotation
-    /// fan-out groups executed hoisted by whichever worker claims one first.
+/// The key switches of one source value (see the module docs).
+struct Site {
+    source: NodeId,
+    /// The members, until the decomposition releases them.
+    members: Vec<NodeId>,
+    members_left: usize,
+    /// The digits as they land, in any order.
+    digits: Vec<Option<RnsPoly>>,
+    /// All of them, from the last digit's landing to the last member's.
+    decomposition: Option<Arc<KeySwitchDecomposition>>,
+}
+
+/// One piece of work, with the operands it reads.
+enum Job {
+    /// Execute node `id`; a switch-site member brings its site's digits.
+    Node {
+        id: NodeId,
+        args: Vec<Arc<NodeValue>>,
+        digits: Option<Arc<KeySwitchDecomposition>>,
+    },
+    /// Lift digit `digit` of `site`'s source.
+    Digit {
+        site: usize,
+        digit: usize,
+        source: Arc<NodeValue>,
+    },
+}
+
+/// What a finished [`Job`] produced.
+enum Done {
+    Node(NodeId, NodeValue),
+    Digit(usize, usize, RnsPoly),
+}
+
+/// What a completion retired; dropped after the board's lock is released.
+#[derive(Default)]
+struct Retired {
+    values: Vec<Arc<NodeValue>>,
+    digits: Option<Arc<KeySwitchDecomposition>>,
+}
+
+/// The state of one execution: what is ready, what everything else waits
+/// for, and the values computed so far.
+struct Board<'a> {
+    program: &'a Program,
     schedule: &'a Schedule,
-    values: Vec<RwLock<Option<NodeValue>>>,
-    pending_parents: Vec<AtomicUsize>,
-    remaining_uses: Vec<AtomicUsize>,
-    ready: SegQueue<NodeId>,
-    remaining_nodes: AtomicUsize,
-    error: Mutex<Option<EvaError>>,
-    /// One claim flag per fan-out group: every member lands in the ready
-    /// queue when the shared source completes, the first worker to pop any
-    /// member CAS-claims the group and executes it whole, and later pops of
-    /// the remaining members no-op.
-    group_claimed: Vec<AtomicBool>,
-    /// Guards the sleep/wake handshake: a worker only blocks on [`Shared::wake`]
-    /// while holding this lock *after* re-checking the ready queue and the
-    /// termination conditions, and every producer notifies while holding the
-    /// same lock, so a wakeup can never slip between the check and the wait.
-    wake_lock: Mutex<()>,
+    /// Ready nodes and ready digit tasks `(site, digit)`, both first in
+    /// first out.
+    nodes: VecDeque<NodeId>,
+    digits: VecDeque<(usize, usize)>,
+    /// Per node: parents not yet computed, plus one for a site member whose
+    /// site is not yet decomposed.
+    pending: Vec<usize>,
+    /// Per node: consumers (and program outputs) that have not used it yet.
+    uses: Vec<usize>,
+    unfinished: usize,
+    values: Vec<Option<Arc<NodeValue>>>,
+    sites: Vec<Site>,
+    /// Per node: the site it is a member of, and the site it is the source
+    /// of.
+    site_of: Vec<Option<usize>>,
+    site_from: Vec<Option<usize>>,
+    error: Option<EvaError>,
+}
+
+impl<'a> Board<'a> {
+    fn new(program: &'a Program, schedule: &'a Schedule) -> Self {
+        let mut board = Board {
+            program,
+            schedule,
+            nodes: VecDeque::new(),
+            digits: VecDeque::new(),
+            pending: schedule.parent_counts.clone(),
+            uses: schedule.use_counts.clone(),
+            unfinished: schedule.steps.len(),
+            values: vec![None; program.len()],
+            sites: Vec::new(),
+            site_of: vec![None; program.len()],
+            site_from: vec![None; program.len()],
+            error: None,
+        };
+        for id in schedule.steps.iter().map(|step| step.node) {
+            if !program.node(id).ty.is_cipher() || !program.opcode(id).is_some_and(switches_key) {
+                continue;
+            }
+            let source = program.args(id)[0];
+            let site = *board.site_from[source].get_or_insert_with(|| {
+                board.sites.push(Site {
+                    source,
+                    members: Vec::new(),
+                    members_left: 0,
+                    digits: Vec::new(),
+                    decomposition: None,
+                });
+                board.sites.len() - 1
+            });
+            board.sites[site].members.push(id);
+            board.sites[site].members_left += 1;
+            board.site_of[id] = Some(site);
+            board.pending[id] += 1;
+        }
+        board
+    }
+
+    fn finished(&self) -> bool {
+        self.error.is_some() || self.unfinished == 0
+    }
+
+    fn fail(&mut self, err: EvaError) {
+        self.error.get_or_insert(err);
+    }
+
+    /// The next job, if anything is ready. Nodes go first: a digit task
+    /// starts or extends a resident decomposition, a node may finish one.
+    fn take(&mut self) -> Option<Job> {
+        if let Some(id) = self.nodes.pop_front() {
+            let live = |&a: &NodeId| self.values[a].clone();
+            let args = self
+                .program
+                .args(id)
+                .iter()
+                .map(live)
+                .collect::<Option<_>>();
+            return Some(Job::Node {
+                id,
+                args: args.expect("a parent's value is live until all of its uses retire"),
+                digits: self.site_of[id].map(|site| {
+                    let digits = self.sites[site].decomposition.clone();
+                    digits.expect("a member waits for its site's decomposition")
+                }),
+            });
+        }
+        let (site, digit) = self.digits.pop_front()?;
+        let source = self.values[self.sites[site].source].clone();
+        Some(Job::Digit {
+            site,
+            digit,
+            source: source.expect("a site's members keep its source live"),
+        })
+    }
+
+    /// One dependence of `id` is satisfied; the last one makes it ready.
+    fn release(&mut self, id: NodeId) {
+        self.pending[id] -= 1;
+        if self.pending[id] == 0 {
+            self.nodes.push_back(id);
+        }
+    }
+
+    /// Node `id` has produced `value`: stores it, retires the parents — and
+    /// the site decomposition — whose last use this was, releases its
+    /// consumers and, if it is the source of a switch site, queues the
+    /// site's digit tasks.
+    fn node_done(&mut self, id: NodeId, value: NodeValue) -> Retired {
+        let mut retired = Retired::default();
+        if let Some(site) = self.site_from[id] {
+            match &value {
+                NodeValue::Cipher(ct) => {
+                    self.sites[site].digits = vec![None; ct.level()];
+                    self.digits
+                        .extend((0..ct.level()).map(|digit| (site, digit)));
+                }
+                NodeValue::Plain(_) => self.fail(EvaError::Execution(format!(
+                    "node {id} is relinearized or rotated encrypted but is a plaintext"
+                ))),
+            }
+        }
+        self.values[id] = Some(Arc::new(value));
+        // One retire per distinct parent, matching the use counts.
+        let mut parents = self.program.args(id).to_vec();
+        parents.sort_unstable();
+        parents.dedup();
+        for a in parents {
+            self.uses[a] -= 1;
+            if self.uses[a] == 0 {
+                retired.values.extend(self.values[a].take());
+            }
+        }
+        if let Some(site) = self.site_of[id] {
+            let site = &mut self.sites[site];
+            site.members_left -= 1;
+            if site.members_left == 0 {
+                retired.digits = site.decomposition.take();
+            }
+        }
+        let schedule = self.schedule;
+        for &child in &schedule.consumers[id] {
+            self.release(child);
+        }
+        self.unfinished -= 1;
+        retired
+    }
+
+    /// Digit `digit` of `site` has been lifted; the last one to land
+    /// completes the decomposition and releases the members.
+    fn digit_done(&mut self, site: usize, digit: usize, lifted: RnsPoly) {
+        let digits = &mut self.sites[site].digits;
+        digits[digit] = Some(lifted);
+        if digits.iter().all(Option::is_some) {
+            let digits = digits.drain(..).flatten().collect();
+            let decomposition = KeySwitchDecomposition::from_digits(digits);
+            self.sites[site].decomposition = Some(Arc::new(decomposition));
+            for member in std::mem::take(&mut self.sites[site].members) {
+                self.release(member);
+            }
+        }
+    }
+}
+
+/// The board, and where workers with nothing to do sleep.
+struct Monitor<'a> {
+    board: Mutex<Board<'a>>,
     wake: Condvar,
 }
 
-impl<'a> Shared<'a> {
-    fn fail(&self, err: EvaError) {
-        let mut slot = self.error.lock();
-        if slot.is_none() {
-            *slot = Some(err);
-        }
-        drop(slot);
-        // Unblock everyone so the workers can observe the failure and exit.
-        self.remaining_nodes.store(0, Ordering::SeqCst);
-        let _guard = self.wake_lock.lock();
-        self.wake.notify_all();
-    }
-
-    fn failed(&self) -> bool {
-        self.error.lock().is_some()
-    }
-
-    /// Bookkeeping after `id`'s value has been stored: retire the parents
-    /// whose last consumer this was, hand the value to its consumers, and
-    /// count the node done.
-    fn complete(&self, id: NodeId, parents: &[NodeId]) {
-        for &a in parents {
-            if self.remaining_uses[a].fetch_sub(1, Ordering::SeqCst) == 1 {
-                *self.values[a].write() = None;
+impl Monitor<'_> {
+    /// Records what the calling worker has just finished and hands it its
+    /// next job, sleeping until there is one. `None` once every node is done
+    /// or one has failed.
+    ///
+    /// Jobs only appear here, under the lock, and whoever takes one while
+    /// more are ready wakes one sleeper, who does the same: no job waits
+    /// while a worker sleeps.
+    fn next(&self, done: Option<Result<Done, EvaError>>) -> Option<Job> {
+        let mut board = self
+            .board
+            .lock()
+            .expect("no worker panics holding the board");
+        let retired = match done {
+            Some(Ok(Done::Node(id, value))) => board.node_done(id, value),
+            Some(Ok(Done::Digit(site, digit, lifted))) => {
+                board.digit_done(site, digit, lifted);
+                Retired::default()
             }
-        }
-        for &child in &self.schedule.consumers[id] {
-            if self.pending_parents[child].fetch_sub(1, Ordering::SeqCst) == 1 {
-                self.ready.push(child);
-                // Taking the wake lock orders this notification after any worker
-                // that found the queue empty but has not yet gone to sleep.
-                let _guard = self.wake_lock.lock();
-                self.wake.notify_one();
+            Some(Err(err)) => {
+                board.fail(err);
+                Retired::default()
             }
+            None => Retired::default(),
+        };
+        let job = loop {
+            if board.finished() {
+                self.wake.notify_all();
+                break None;
+            }
+            if let Some(job) = board.take() {
+                if !board.nodes.is_empty() || !board.digits.is_empty() {
+                    self.wake.notify_one();
+                }
+                break Some(job);
+            }
+            board = self
+                .wake
+                .wait(board)
+                .expect("no worker panics holding the board");
+        };
+        // Free what was retired without holding the lock.
+        drop(board);
+        drop(retired);
+        job
+    }
+}
+
+impl Job {
+    fn run(
+        self,
+        context: &EvaluationContext,
+        program: &Program,
+        scratch: &mut KeySwitchScratch,
+    ) -> Result<Done, EvaError> {
+        match self {
+            Job::Node {
+                id,
+                args,
+                digits: Some(digits),
+            } => context
+                .execute_switch_member(program, id, &args[0], &digits, scratch)
+                .map(|value| Done::Node(id, value)),
+            Job::Node {
+                id,
+                args,
+                digits: None,
+            } => {
+                let args: Vec<&NodeValue> = args.iter().map(|a| &**a).collect();
+                context
+                    .execute_node_with(program, id, &args, scratch)
+                    .map(|value| Done::Node(id, value))
+            }
+            Job::Digit {
+                site,
+                digit,
+                source,
+            } => context
+                .key_switch_digit(&source, digit)
+                .map(|lifted| Done::Digit(site, digit, lifted)),
         }
-        if self.remaining_nodes.fetch_sub(1, Ordering::SeqCst) == 1 {
-            // Last node: rouse every sleeping worker so they can exit.
-            let _guard = self.wake_lock.lock();
-            self.wake.notify_all();
-        }
+    }
+}
+
+fn worker(monitor: &Monitor<'_>, context: &EvaluationContext, program: &Program) {
+    let mut scratch = KeySwitchScratch::default();
+    let mut done = None;
+    while let Some(job) = monitor.next(done.take()) {
+        // A panicking kernel must still report in, or the others would wait
+        // for its node forever.
+        let run = AssertUnwindSafe(|| job.run(context, program, &mut scratch));
+        done = Some(
+            catch_unwind(run)
+                .unwrap_or_else(|_| Err(EvaError::Execution("a worker thread panicked".into()))),
+        );
     }
 }
 
@@ -104,26 +376,10 @@ pub fn execute_parallel(
     // Only nodes that reach an output participate: dead branches are not
     // covered by the compiler's prime budget or exact-scale annotations.
     let schedule = Schedule::new(program)?;
-    let counters = |counts: &[usize]| counts.iter().map(|&c| AtomicUsize::new(c)).collect();
-    let shared = Shared {
-        context,
-        program,
-        schedule: &schedule,
-        values: (0..program.len()).map(|_| RwLock::new(None)).collect(),
-        pending_parents: counters(&schedule.parent_counts),
-        remaining_uses: counters(&schedule.use_counts),
-        ready: SegQueue::new(),
-        remaining_nodes: AtomicUsize::new(schedule.steps.len()),
-        error: Mutex::new(None),
-        group_claimed: (0..schedule.fanouts.len())
-            .map(|_| AtomicBool::new(false))
-            .collect(),
-        wake_lock: Mutex::new(()),
-        wake: Condvar::new(),
-    };
+    let mut board = Board::new(program, &schedule);
 
     // Bound inputs and materialized constants complete immediately (no
-    // worker runs yet, so this only fills the ready queue). Every
+    // worker runs yet, so this only fills the ready queues). Every
     // instruction has at least one parent, so all ready instructions are
     // discovered through these completions and the workers' own.
     for id in schedule.steps.iter().map(|step| step.node) {
@@ -134,133 +390,35 @@ pub fn execute_parallel(
             NodeKind::Constant { value } => NodeValue::Plain(value.to_vector(program.vec_size())),
             NodeKind::Instruction { .. } => continue,
         };
-        *shared.values[id].write() = Some(value);
-        shared.complete(id, &[]);
+        board.node_done(id, value);
     }
 
-    crossbeam::thread::scope(|scope| {
+    let monitor = Monitor {
+        board: Mutex::new(board),
+        wake: Condvar::new(),
+    };
+    std::thread::scope(|scope| {
         for _ in 0..num_threads.max(1) {
-            scope.spawn(|_| worker(&shared));
+            scope.spawn(|| worker(&monitor, context, program));
         }
-    })
-    .map_err(|_| EvaError::Execution("a worker thread panicked".into()))?;
-
-    if let Some(err) = shared.error.lock().take() {
+    });
+    let mut board = monitor
+        .board
+        .into_inner()
+        .expect("no worker panics holding the board");
+    if let Some(err) = board.error.take() {
         return Err(err);
     }
 
     let mut outputs = HashMap::new();
     for output in program.outputs() {
-        let value = shared.values[output.node]
-            .read()
-            .clone()
+        let value = board.values[output.node]
+            .as_deref()
+            .cloned()
             .ok_or_else(|| EvaError::Execution(format!("output {:?} not computed", output.name)))?;
         outputs.insert(output.node, value);
     }
     Ok(outputs)
-}
-
-/// Pops the next ready node, blocking on the condvar (no timeout polling)
-/// until one appears or the execution terminates. Returns `None` on shutdown
-/// (all nodes done or a failure was recorded).
-fn next_ready(shared: &Shared<'_>) -> Option<NodeId> {
-    // Fast path: check for shutdown and grab work without touching the lock.
-    if shared.failed() || shared.remaining_nodes.load(Ordering::SeqCst) == 0 {
-        let _guard = shared.wake_lock.lock();
-        shared.wake.notify_all();
-        return None;
-    }
-    if let Some(id) = shared.ready.pop() {
-        return Some(id);
-    }
-    let mut guard = shared.wake_lock.lock();
-    loop {
-        if shared.failed() || shared.remaining_nodes.load(Ordering::SeqCst) == 0 {
-            shared.wake.notify_all();
-            return None;
-        }
-        // Re-check under the lock: a producer pushes and then notifies while
-        // holding the lock, so either the pop below sees the node or the wait
-        // below observes the notification.
-        if let Some(id) = shared.ready.pop() {
-            return Some(id);
-        }
-        shared.wake.wait(&mut guard);
-    }
-}
-
-/// Executes one claimed rotation fan-out group hoisted and performs every
-/// member's bookkeeping (value store, parent retire, child notification,
-/// node-count decrement) on behalf of the workers that popped — or will
-/// pop — the other members.
-fn execute_group(shared: &Shared<'_>, g: usize) {
-    let fanout = &shared.schedule.fanouts[g];
-    let result = {
-        let guard = shared.values[fanout.source].read();
-        let source = guard
-            .as_ref()
-            .expect("fan-out source is live until every member retires it");
-        shared
-            .context
-            .execute_rotation_group(shared.program, &fanout.members, source)
-    };
-    match result {
-        Ok(results) => {
-            for (&(member, _), value) in fanout.members.iter().zip(results) {
-                *shared.values[member].write() = Some(value);
-                // Each member retires its (shared) parent once, exactly as
-                // the unhoisted path would.
-                shared.complete(member, &[fanout.source]);
-            }
-        }
-        Err(err) => shared.fail(err),
-    }
-}
-
-fn worker(shared: &Shared<'_>) {
-    loop {
-        let Some(id) = next_ready(shared) else {
-            return;
-        };
-
-        // Fan-out members are executed as a whole group by whichever worker
-        // claims the group first; everyone else drops the node on the floor
-        // (the owner does all of its bookkeeping).
-        if let Some(g) = shared.schedule.group_of[id] {
-            if !shared.group_claimed[g as usize].swap(true, Ordering::SeqCst) {
-                execute_group(shared, g as usize);
-            }
-            continue;
-        }
-
-        // Gather argument values (shared read locks).
-        let program = shared.program;
-        let mut parents: Vec<NodeId> = program.args(id).to_vec();
-        let guards: Vec<_> = parents.iter().map(|&a| shared.values[a].read()).collect();
-        let arg_refs: Vec<&NodeValue> = guards
-            .iter()
-            .map(|g| {
-                g.as_ref()
-                    .expect("parent value is live until all uses retire")
-            })
-            .collect();
-        let result = shared.context.execute_node(program, id, &arg_refs);
-        drop(guards);
-
-        match result {
-            Ok(value) => {
-                *shared.values[id].write() = Some(value);
-                // One retire per distinct parent, matching the use counts.
-                parents.sort_unstable();
-                parents.dedup();
-                shared.complete(id, &parents);
-            }
-            Err(err) => {
-                shared.fail(err);
-                return;
-            }
-        }
-    }
 }
 
 #[cfg(test)]
@@ -268,7 +426,9 @@ mod tests {
     use super::*;
     use crate::encrypted::{run_encrypted, EncryptedContext};
     use crate::reference::run_reference;
+    use eva_ckks::{Ciphertext, GaloisKeys};
     use eva_core::{compile, CompilerOptions, Opcode as Op, Program};
+    use eva_poly::PolyForm;
 
     fn wide_program() -> Program {
         // Eight independent chains that rejoin at the end: a good shape for
@@ -288,6 +448,42 @@ mod tests {
         }
         p.output("out", acc, 30);
         p
+    }
+
+    /// LeNet's shape in small: a convolution (a fan-out of eight rotations
+    /// of the input, weighted and summed), a squaring activation (the
+    /// compiler adds its relinearization) and a fully-connected layer (a
+    /// rotate-and-add tree four rotations deep, each a site of one).
+    fn lenet_shaped() -> CompiledProgram {
+        let mut p = Program::new("lenet_shaped", 32);
+        let x = p.input_cipher("x", 30);
+        let w = p.input_vector("w", 20);
+        let mut acc = p.instruction(Op::Multiply, &[x, w]);
+        for step in 1..=8 {
+            let rot = p.instruction(Op::RotateLeft(step), &[x]);
+            let tap = p.instruction(Op::Multiply, &[rot, w]);
+            acc = p.instruction(Op::Add, &[acc, tap]);
+        }
+        let mut sum = p.instruction(Op::Multiply, &[acc, acc]);
+        for depth in 0..4 {
+            let rot = p.instruction(Op::RotateLeft(1 << depth), &[sum]);
+            sum = p.instruction(Op::Add, &[sum, rot]);
+        }
+        p.output("out", sum, 30);
+        let mut compiled = compile(&p, &CompilerOptions::default()).unwrap();
+        let ops = compiled.program.opcode_histogram();
+        assert_eq!(ops["relinearize"], 1);
+        // The compiler's primes stay NTT-friendly for any smaller power of
+        // two; a small insecure ring keeps the thread sweep in milliseconds.
+        compiled.parameters.degree = 1024;
+        compiled.parameters.secure = false;
+        compiled
+    }
+
+    fn lenet_shaped_inputs() -> HashMap<String, Vec<f64>> {
+        let x = (0..32).map(|i| (i as f64) / 32.0 - 0.5).collect();
+        let w = (0..32).map(|i| ((i % 5) as f64) / 4.0 - 0.5).collect();
+        HashMap::from([("x".to_string(), x), ("w".to_string(), w)])
     }
 
     #[test]
@@ -331,5 +527,276 @@ mod tests {
         let ctx = EncryptedContext::setup(&compiled, Some(1)).unwrap();
         let result = execute_parallel(ctx.evaluation(), &compiled, HashMap::new(), 2);
         assert!(result.is_err());
+    }
+
+    #[test]
+    fn thread_sweep_is_bit_identical_to_serial_on_a_lenet_shaped_program() {
+        let compiled = lenet_shaped();
+        let inputs = lenet_shaped_inputs();
+        let mut ctx = EncryptedContext::setup(&compiled, Some(19)).unwrap();
+        let bindings = ctx.encrypt_inputs(&compiled, &inputs).unwrap();
+        let serial = ctx.execute_serial(&compiled, bindings.clone()).unwrap();
+        let expected = run_reference(&compiled.program, &inputs).unwrap();
+        let decrypted = ctx.decrypt_outputs(&compiled, &serial).unwrap();
+        for (a, b) in decrypted["out"].iter().zip(&expected["out"]) {
+            assert!((a - b).abs() < 1e-2, "serial vs reference: {a} vs {b}");
+        }
+        for threads in [1, 2, 3, 8] {
+            let parallel =
+                execute_parallel(ctx.evaluation(), &compiled, bindings.clone(), threads).unwrap();
+            assert_eq!(parallel.len(), serial.len());
+            for (node, value) in &serial {
+                let (NodeValue::Cipher(s), NodeValue::Cipher(p)) = (value, &parallel[node]) else {
+                    panic!("output {node} is not a ciphertext on both sides");
+                };
+                assert_eq!(s.polys(), p.polys(), "{threads} threads: output {node}");
+                assert_eq!(s.scale_log2().to_bits(), p.scale_log2().to_bits());
+            }
+        }
+    }
+
+    #[test]
+    fn a_failing_member_ends_the_run_with_its_error() {
+        // The same program on a server that was sent no Galois keys: the
+        // first rotation to apply one fails, and every worker must return.
+        let compiled = lenet_shaped();
+        let mut ctx = EncryptedContext::setup(&compiled, Some(23)).unwrap();
+        let bindings = ctx
+            .encrypt_inputs(&compiled, &lenet_shaped_inputs())
+            .unwrap();
+        let keyless =
+            EvaluationContext::from_parts(ctx.context().clone(), None, GaloisKeys::default());
+        for threads in [1, 3] {
+            let err = execute_parallel(&keyless, &compiled, bindings.clone(), threads).unwrap_err();
+            assert!(err.to_string().contains("Galois"), "{err}");
+        }
+    }
+
+    // ---- the board, driven by hand --------------------------------------
+
+    const FAKE_LEVEL: usize = 3;
+
+    /// A stand-in value of the node's type: the board reads a value's kind
+    /// and level and nothing else.
+    fn fake_value(program: &Program, id: NodeId) -> NodeValue {
+        if !program.node(id).ty.is_cipher() {
+            return NodeValue::Plain(Vec::new());
+        }
+        let poly = RnsPoly::zero(4, FAKE_LEVEL, PolyForm::Ntt);
+        NodeValue::Cipher(Ciphertext::from_parts(vec![poly; 2], 0.0, FAKE_LEVEL))
+    }
+
+    fn fake_digit() -> RnsPoly {
+        RnsPoly::zero(4, FAKE_LEVEL + 1, PolyForm::Ntt)
+    }
+
+    fn seeded<'a>(program: &'a Program, schedule: &'a Schedule) -> Board<'a> {
+        let mut board = Board::new(program, schedule);
+        for step in &schedule.steps {
+            if program.opcode(step.node).is_none() {
+                board.node_done(step.node, fake_value(program, step.node));
+            }
+        }
+        board
+    }
+
+    /// Sites whose digits occupy memory: being lifted, landed, or assembled.
+    fn resident_sites(board: &Board<'_>, in_flight: &[Job]) -> usize {
+        (0..board.sites.len())
+            .filter(|&s| {
+                let site = &board.sites[s];
+                let lifting = |job: &Job| matches!(job, Job::Digit { site, .. } if *site == s);
+                site.decomposition.is_some()
+                    || site.digits.iter().any(Option::is_some)
+                    || in_flight.iter().any(lifting)
+            })
+            .count()
+    }
+
+    /// Plays `workers` workers against the board in an order drawn from
+    /// `seed` — who takes a job and who finishes one next is arbitrary, as
+    /// it is between threads — checking after every event what must hold in
+    /// every interleaving. `fail_at` makes that node's job fail.
+    fn play(program: &Program, workers: usize, seed: u64, fail_at: Option<NodeId>) {
+        let schedule = Schedule::new(program).unwrap();
+        let mut board = seeded(program, &schedule);
+        let mut state = seed;
+        let mut draw = move |below: usize| {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            (state >> 33) as usize % below
+        };
+        let mut in_flight: Vec<Job> = Vec::new();
+        let mut completions = vec![0usize; program.len()];
+        let mut most_resident = 0;
+        loop {
+            // A worker only asks for work while the run is on (`next`).
+            let ready = !board.nodes.is_empty() || !board.digits.is_empty();
+            let can_take = ready && !board.finished() && in_flight.len() < workers;
+            if !can_take && in_flight.is_empty() {
+                break;
+            }
+            if can_take && (in_flight.is_empty() || draw(2) == 0) {
+                in_flight.push(board.take().expect("something is ready"));
+            } else {
+                match in_flight.swap_remove(draw(in_flight.len())) {
+                    Job::Node { id, .. } if fail_at == Some(id) => {
+                        board.fail(EvaError::Execution(format!("node {id} failed")));
+                    }
+                    Job::Node { id, args, digits } => {
+                        assert_eq!(args.len(), program.args(id).len());
+                        assert_eq!(digits.is_some(), board.site_of[id].is_some());
+                        completions[id] += 1;
+                        let was_last = board.site_of[id]
+                            .is_some_and(|site| board.sites[site].members_left == 1);
+                        drop((args, digits));
+                        let retired = board.node_done(id, fake_value(program, id));
+                        assert_eq!(retired.digits.is_some(), was_last, "node {id}");
+                        let freed = |v: &Arc<NodeValue>| Arc::strong_count(v) == 1;
+                        assert!(retired.values.iter().all(freed), "node {id}");
+                    }
+                    Job::Digit { site, digit, .. } => board.digit_done(site, digit, fake_digit()),
+                }
+            }
+
+            assert!(completions.iter().all(|&c| c <= 1), "a node ran twice");
+            most_resident = most_resident.max(resident_sites(&board, &in_flight));
+            for site in &board.sites {
+                // The digits live exactly as long as a member needs them ...
+                if site.members_left == 0 {
+                    assert!(site.decomposition.is_none() && site.digits.is_empty());
+                }
+                // ... and the source as long as the digits and the members.
+                let produced =
+                    completions[site.source] == 1 || program.opcode(site.source).is_none();
+                if produced && board.values[site.source].is_none() {
+                    assert_eq!(site.members_left, 0, "source {} went early", site.source);
+                }
+            }
+        }
+        assert!(
+            most_resident <= workers,
+            "{most_resident} resident decompositions on {workers} workers"
+        );
+        if let Some(id) = fail_at {
+            let err = board.error.expect("the failure is recorded");
+            assert_eq!(
+                err.to_string(),
+                format!("execution error: node {id} failed")
+            );
+            return;
+        }
+        assert_eq!(board.unfinished, 0, "the run stalled");
+        for step in &schedule.steps {
+            let id = step.node;
+            let ran = usize::from(program.opcode(id).is_some());
+            assert_eq!(completions[id], ran, "node {id}");
+            let is_output = program.outputs().iter().any(|o| o.node == id);
+            assert_eq!(board.values[id].is_some(), is_output, "node {id}");
+        }
+    }
+
+    /// Two fan-outs and a lone rotation over two sources, joined at the end.
+    fn two_sources() -> Program {
+        let mut p = Program::new("two_sources", 8);
+        let x = p.input_cipher("x", 30);
+        let y = p.input_cipher("y", 30);
+        let mut sum = p.instruction(Op::Add, &[x, y]);
+        for (source, steps) in [(x, 1..=3), (y, 1..=2), (sum, 4..=4)] {
+            for step in steps {
+                let rot = p.instruction(Op::RotateLeft(step), &[source]);
+                sum = p.instruction(Op::Add, &[sum, rot]);
+            }
+        }
+        p.output("out", sum, 30);
+        p
+    }
+
+    #[test]
+    fn every_interleaving_completes_each_node_once_and_bounds_the_digits() {
+        let lenet = lenet_shaped().program;
+        let two = two_sources();
+        for seed in 0..200 {
+            for workers in [1, 2, 3, 8] {
+                play(&lenet, workers, seed, None);
+                play(&two, workers, seed, None);
+            }
+        }
+    }
+
+    #[test]
+    fn a_failure_stops_the_board_from_any_interleaving() {
+        let two = two_sources();
+        let schedule = Schedule::new(&two).unwrap();
+        let board = Board::new(&two, &schedule);
+        let members: Vec<NodeId> = (0..two.len())
+            .filter(|&id| board.site_of[id].is_some())
+            .collect();
+        assert_eq!(members.len(), 6);
+        for seed in 0..50 {
+            for &member in &members {
+                play(&two, 2, seed, Some(member));
+            }
+        }
+    }
+
+    #[test]
+    fn digits_land_in_any_order_and_two_sites_interleave() {
+        let two = two_sources();
+        let schedule = Schedule::new(&two).unwrap();
+        let mut board = seeded(&two, &schedule);
+        // x = 0, y = 1, x + y = 2; x's fan-out is site 0, y's site 1.
+        let (x, y) = (0, 1);
+        let (sx, sy) = (board.site_from[x].unwrap(), board.site_from[y].unwrap());
+        assert_eq!(board.sites[sx].members_left, 3);
+        assert_eq!(board.sites[sy].members_left, 2);
+
+        // The one ready node goes before any digit; the digits follow site
+        // by site.
+        assert!(matches!(board.take(), Some(Job::Node { id: 2, .. })));
+        let mut lifts = Vec::new();
+        while let Some(Job::Digit { site, digit, .. }) = board.take() {
+            lifts.push((site, digit));
+        }
+        let in_order: Vec<_> = [sx, sy]
+            .into_iter()
+            .flat_map(|s| (0..FAKE_LEVEL).map(move |d| (s, d)))
+            .collect();
+        assert_eq!(lifts, in_order);
+
+        // They land interleaved and backwards: no member moves before its
+        // own site's last digit, whatever the other site has.
+        for digit in (1..FAKE_LEVEL).rev() {
+            board.digit_done(sy, digit, fake_digit());
+            board.digit_done(sx, digit, fake_digit());
+        }
+        assert!(board.nodes.is_empty());
+        board.digit_done(sy, 0, fake_digit());
+        assert_eq!(board.nodes.len(), 2, "y's two rotations");
+        assert!(board.sites[sy].decomposition.is_some());
+        assert!(board.sites[sx].decomposition.is_none());
+        board.digit_done(sx, 0, fake_digit());
+        assert_eq!(board.nodes.len(), 5);
+
+        // y's members run; y (also read by x + y, still in flight) stays
+        // until all three consumers are done, the digits go with the second
+        // member.
+        let members: Vec<NodeId> = board.nodes.iter().copied().take(2).collect();
+        for (i, &member) in members.iter().enumerate() {
+            let Some(Job::Node { id, digits, .. }) = board.take() else {
+                panic!("a member is ready");
+            };
+            assert_eq!(id, member);
+            assert!(digits.is_some());
+            drop(digits);
+            let retired = board.node_done(id, fake_value(&two, id));
+            assert_eq!(retired.digits.is_some(), i == 1);
+            assert!(retired.values.is_empty());
+            assert!(board.values[y].is_some());
+        }
+        let retired = board.node_done(2, fake_value(&two, 2));
+        assert_eq!(retired.values.len(), 1, "y retires; x has members to go");
+        assert!(board.values[y].is_none() && board.values[x].is_some());
     }
 }

@@ -22,11 +22,22 @@
 //! textbook count has `l` more — digit `j` lifted to its own prime `q_j` —
 //! but reducing a residue of `q_j` modulo `q_j` changes nothing, so that
 //! row's forward NTT is the target's NTT row the decomposition started
-//! from, and [`Evaluator::decompose_for_key_switch`] copies it. The copy is
+//! from, and [`Evaluator::key_switch_digit`] copies it. The copy is
 //! bit-exact because stored rows are canonical and the NTT is a bijection on
 //! canonical rows. The constants of the two flooring divisions
 //! (`P⁻¹`, `P mod q_i` here; `q_last⁻¹` in RESCALE) come from
 //! [`eva_poly::RnsBasis::drop_constants`], computed once per context.
+//!
+//! # A key switch is its pieces
+//!
+//! Nothing in a switch is private to one call. The decomposition is `l`
+//! independent digits ([`Evaluator::key_switch_digit`]), and applying a key
+//! to it ([`Evaluator::relinearize_decomposed`],
+//! [`Evaluator::rotate_decomposed`]) needs only the digits, the key and a
+//! [`KeySwitchScratch`] its caller owns. [`Evaluator::relinearize`],
+//! [`Evaluator::rotate`] and [`Evaluator::rotate_hoisted`] run those pieces
+//! in order on one thread; a scheduler may run them as separate tasks, and
+//! the bits cannot tell.
 //!
 //! # One key-switch kernel, and why its sum is exact
 //!
@@ -52,10 +63,11 @@ use crate::keys::{GaloisKeys, KeySwitchKey, RelinearizationKey};
 
 /// Reusable RNS decomposition of a key-switch target.
 ///
-/// Produced by [`Evaluator::decompose_for_key_switch`]: for each data prime
-/// `q_j` of the target's chain it holds the digit `target mod q_j` lifted to
-/// every modulus of the extended basis (data primes + special prime) in NTT
-/// form. Decomposing costs `l(l+1)` NTTs and is independent of the key being
+/// Produced by [`Evaluator::decompose_for_key_switch`], or assembled from
+/// separately computed digits by [`KeySwitchDecomposition::from_digits`]:
+/// for each data prime `q_j` of the target's chain it holds the digit
+/// `target mod q_j` lifted to every modulus of the extended basis (data
+/// primes + special prime) in NTT form. Decomposing costs `l(l+1)` NTTs and is independent of the key being
 /// applied, so a rotation fan-out decomposes its source **once** and applies
 /// each Galois key to the shared digits — hoisted key-switching. The
 /// automorphism commutes with the decomposition (it is a pure NTT-domain
@@ -68,6 +80,24 @@ pub struct KeySwitchDecomposition {
 }
 
 impl KeySwitchDecomposition {
+    /// Assembles a decomposition from its digits, one per data prime in
+    /// prime order, each from [`Evaluator::key_switch_digit`] on the same
+    /// target — what a scheduler that ran the digits as separate tasks hands
+    /// back to the evaluator.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a digit does not span the `digits.len() + 1` moduli of the
+    /// extended basis.
+    pub fn from_digits(digits: Vec<RnsPoly>) -> Self {
+        let level = digits.len();
+        assert!(
+            digits.iter().all(|d| d.level() == level + 1),
+            "every digit spans the data primes plus the special prime"
+        );
+        Self { level, digits }
+    }
+
     /// Number of data primes in the decomposed target's chain.
     pub fn level(&self) -> usize {
         self.level
@@ -81,17 +111,44 @@ impl KeySwitchDecomposition {
     }
 }
 
-/// Reusable key-switch work buffers (see
-/// [`Evaluator::key_switch_scratch`]): the extended accumulator pair plus the
-/// special-row and delta rows of the mod-down. A hoisted rotation fan-out
-/// allocates one of these and threads it through every member, so the
-/// ~0.5 MB of intermediates is mapped and faulted once per fan-out rather
-/// than once per rotation.
-struct KeySwitchScratch {
-    acc0: Vec<u64>,
-    acc1: Vec<u64>,
-    special: Vec<u64>,
-    delta: Vec<u64>,
+/// The work buffers of a key switch — the extended accumulator pair plus
+/// the special-row and delta rows of the mod-down — owned by whoever runs
+/// switches one after another: a parallel-executor worker, a serial walk.
+///
+/// It starts empty, grows to the highest level it has been used at and is
+/// sliced per call, so a run's megabytes of intermediates are mapped and
+/// faulted once per owner rather than once per switch, and a program with
+/// no key switch allocates nothing. Every area is fully overwritten before
+/// it is read: what an earlier switch left behind cannot reach a result.
+#[derive(Debug, Default)]
+pub struct KeySwitchScratch {
+    words: Vec<u64>,
+}
+
+impl KeySwitchScratch {
+    /// The `acc0`, `acc1` (`(level + 1) · n` each), `special` (`n`) and
+    /// `delta` (`level · n`) areas of one switch.
+    fn areas(&mut self, level: usize, n: usize) -> [&mut [u64]; 4] {
+        let ext = (level + 1) * n;
+        let words = 2 * ext + n + level * n;
+        if self.words.len() < words {
+            self.words = vec![0u64; words];
+        }
+        let (acc0, rest) = self.words.split_at_mut(ext);
+        let (acc1, rest) = rest.split_at_mut(ext);
+        let (special, rest) = rest.split_at_mut(n);
+        [acc0, acc1, special, &mut rest[..level * n]]
+    }
+}
+
+fn check_size(ct: &Ciphertext, expected: usize) -> Result<(), CkksError> {
+    if ct.size() != expected {
+        return Err(CkksError::InvalidCiphertextSize {
+            found: ct.size(),
+            expected,
+        });
+    }
+    Ok(())
 }
 
 /// Stateless homomorphic evaluator bound to one [`CkksContext`].
@@ -289,7 +346,8 @@ impl Evaluator {
     }
 
     /// Reduces a three-polynomial ciphertext back to two polynomials using the
-    /// relinearization key (the paper's RELINEARIZE instruction).
+    /// relinearization key (the paper's RELINEARIZE instruction): decomposes
+    /// `c2` and hands it to [`Evaluator::relinearize_decomposed`].
     ///
     /// # Errors
     ///
@@ -299,17 +357,34 @@ impl Evaluator {
         ct: &Ciphertext,
         key: &RelinearizationKey,
     ) -> Result<Ciphertext, CkksError> {
-        if ct.size() != 3 {
-            return Err(CkksError::InvalidCiphertextSize {
-                found: ct.size(),
-                expected: 3,
-            });
-        }
+        check_size(ct, 3)?;
+        let decomp = self.decompose_for_key_switch(&ct.polys()[2], ct.level());
+        self.relinearize_decomposed(ct, key, &decomp, &mut KeySwitchScratch::default())
+    }
+
+    /// The key-dependent half of [`Evaluator::relinearize`]: applies the
+    /// relinearization key to `decomp`, the decomposition of `ct`'s third
+    /// polynomial (however its digits were computed), using the caller's
+    /// work buffers.
+    ///
+    /// # Errors
+    ///
+    /// Fails if the ciphertext does not have exactly three polynomials.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `decomp` was not taken at `ct`'s level.
+    pub fn relinearize_decomposed(
+        &self,
+        ct: &Ciphertext,
+        key: &RelinearizationKey,
+        decomp: &KeySwitchDecomposition,
+        scratch: &mut KeySwitchScratch,
+    ) -> Result<Ciphertext, CkksError> {
+        check_size(ct, 3)?;
         // Switch `c2` from `s²` to `s`: `c0` is folded into the mod-down,
         // `c1` accumulated into the owned output — no cloned temporaries.
-        let decomp = self.decompose_for_key_switch(&ct.polys()[2], ct.level());
-        let mut scratch = self.key_switch_scratch(ct.level());
-        let (d0, mut d1) = self.finish_key_switch(&decomp, &key.key, &ct.polys()[0], &mut scratch);
+        let (d0, mut d1) = self.finish_key_switch(ct, decomp, &key.key, scratch);
         d1.add_assign(&ct.polys()[1], self.context.key_basis());
         Ok(Ciphertext::from_parts(
             vec![d0, d1],
@@ -398,9 +473,9 @@ impl Evaluator {
 
     /// Rotates one ciphertext by every step in `steps` with **hoisted**
     /// key-switching: the expensive RNS decomposition of `c1` is computed
-    /// once and each Galois key is applied to the shared digits, so `k`
-    /// rotations cost one decompose plus `k` cheap applies instead of `k`
-    /// full key-switches.
+    /// once and each Galois key is applied to the shared digits
+    /// ([`Evaluator::rotate_decomposed`]), so `k` rotations cost one
+    /// decompose plus `k` cheap applies instead of `k` full key-switches.
     ///
     /// Results are **bit-identical** to calling [`Evaluator::rotate`] once
     /// per step (which is this with a fan-out of one: no member's result
@@ -417,91 +492,104 @@ impl Evaluator {
         steps: &[i64],
         keys: &GaloisKeys,
     ) -> Result<Vec<Ciphertext>, CkksError> {
-        if ct.size() != 2 {
-            return Err(CkksError::InvalidCiphertextSize {
-                found: ct.size(),
-                expected: 2,
-            });
-        }
+        check_size(ct, 2)?;
         let mut decomp = None;
-        let mut scratch = self.key_switch_scratch(ct.level());
-        let mut out = Vec::with_capacity(steps.len());
-        for &step in steps {
-            if step == 0 {
-                out.push(ct.clone());
-                continue;
-            }
-            let key = keys.key_for_step(step)?;
-            let decomp = decomp
-                .get_or_insert_with(|| self.decompose_for_key_switch(&ct.polys()[1], ct.level()));
-            let (c0_rot, d1) = self.finish_key_switch(decomp, key, &ct.polys()[0], &mut scratch);
-            out.push(Ciphertext::from_parts(
-                vec![c0_rot, d1],
-                ct.scale_log2(),
-                ct.level(),
-            ));
-        }
-        Ok(out)
+        let mut scratch = KeySwitchScratch::default();
+        steps
+            .iter()
+            .map(|&step| {
+                if step == 0 {
+                    return Ok(ct.clone());
+                }
+                let decomp = decomp.get_or_insert_with(|| {
+                    self.decompose_for_key_switch(&ct.polys()[1], ct.level())
+                });
+                self.rotate_decomposed(ct, step, keys, decomp, &mut scratch)
+            })
+            .collect()
     }
 
-    /// Allocates the reusable buffers one key switch at `level` needs: the
-    /// two extended accumulators plus the special-row and delta rows of the
-    /// mod-down. Reused across every member of a hoisted fan-out.
-    fn key_switch_scratch(&self, level: usize) -> KeySwitchScratch {
-        let n = self.context.degree();
-        let ext = level + 1;
-        KeySwitchScratch {
-            acc0: vec![0u64; ext * n],
-            acc1: vec![0u64; ext * n],
-            special: vec![0u64; n],
-            delta: vec![0u64; level * n],
-        }
+    /// One member of a hoisted fan-out: applies the Galois key for the
+    /// non-zero `step` to `decomp`, the decomposition of `ct`'s second
+    /// polynomial (however its digits were computed), using the caller's
+    /// work buffers. Members of one fan-out may run in any order and on
+    /// different threads, each with a scratch of its own.
+    ///
+    /// # Errors
+    ///
+    /// Fails if the ciphertext does not have exactly two polynomials or no
+    /// Galois key for `step` exists.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `decomp` was not taken at `ct`'s level.
+    pub fn rotate_decomposed(
+        &self,
+        ct: &Ciphertext,
+        step: i64,
+        keys: &GaloisKeys,
+        decomp: &KeySwitchDecomposition,
+        scratch: &mut KeySwitchScratch,
+    ) -> Result<Ciphertext, CkksError> {
+        check_size(ct, 2)?;
+        let key = keys.key_for_step(step)?;
+        let (c0_rot, d1) = self.finish_key_switch(ct, decomp, key, scratch);
+        Ok(Ciphertext::from_parts(
+            vec![c0_rot, d1],
+            ct.scale_log2(),
+            ct.level(),
+        ))
     }
 
     /// RNS-decomposes a key-switch target (NTT form, spanning `level` data
-    /// primes): digit `j` is the target's residue `j` lifted to every
-    /// modulus of the extended basis (data primes + special prime), forward
-    /// transformed. This is the key-independent half of key switching —
-    /// `l` inverse plus `l²` forward NTTs, digit `j`'s own-prime row being a
-    /// copy of the target's (see the module docs) — reusable across every
-    /// key applied to the same target.
+    /// primes): one [`Evaluator::key_switch_digit`] per data prime. This is
+    /// the key-independent half of key switching — `l` inverse plus `l²`
+    /// forward NTTs — reusable across every key applied to the same target.
     pub fn decompose_for_key_switch(
         &self,
         target: &RnsPoly,
         level: usize,
     ) -> KeySwitchDecomposition {
+        let digits = (0..level).map(|j| self.key_switch_digit(target, level, j));
+        KeySwitchDecomposition::from_digits(digits.collect())
+    }
+
+    /// Digit `j` of a key-switch target's decomposition: the target's
+    /// residue `j` lifted to every modulus of the extended basis (data
+    /// primes + special prime), forward transformed. It reads row `j` of the
+    /// target and nothing else — one inverse NTT and `level` forward ones,
+    /// its own-prime row being a copy of the target's (see the module docs)
+    /// — so the `level` digits of one target are independent pieces of work.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `j` is not below `level` or the target has fewer rows.
+    pub fn key_switch_digit(&self, target: &RnsPoly, level: usize, j: usize) -> RnsPoly {
         let basis = self.context.key_basis();
         let n = self.context.degree();
         let special = self.context.special_index();
-        let ext = level + 1;
+        assert!(j < level, "digit {j} of a level-{level} decomposition");
 
-        let mut target_coeff = target.clone();
-        target_coeff.to_coeff(basis);
-
-        let digits = (0..level)
-            .map(|j| {
-                let digit = target_coeff.residue(j);
-                let mut lifted = RnsPoly::zero(n, ext, PolyForm::Ntt);
-                for pos in 0..ext {
-                    let row = lifted.residue_mut(pos);
-                    if pos == j {
-                        // Reducing digit `j` modulo its own prime changes
-                        // nothing, so its forward NTT is the row the inverse
-                        // transform above started from.
-                        row.copy_from_slice(target.residue(j));
-                        continue;
-                    }
-                    let m_idx = if pos == level { special } else { pos };
-                    let modulus = &basis.moduli()[m_idx];
-                    for (dst, &c) in row.iter_mut().zip(digit) {
-                        *dst = modulus.reduce(c);
-                    }
-                    basis.ntt_tables()[m_idx].forward(row);
-                }
-                lifted
-            })
-            .collect();
-        KeySwitchDecomposition { level, digits }
+        let mut data = vec![0u64; (level + 1) * n];
+        // Row `j` holds the digit in coefficient form while the other rows
+        // are lifted from it, and only then becomes what it has to be.
+        let (before, rest) = data.split_at_mut(j * n);
+        let (digit, after) = rest.split_at_mut(n);
+        digit.copy_from_slice(target.residue(j));
+        basis.ntt_tables()[j].inverse(digit);
+        let others = (0..j).chain(j + 1..=level);
+        for (pos, row) in others.zip(before.chunks_mut(n).chain(after.chunks_mut(n))) {
+            let m_idx = if pos == level { special } else { pos };
+            let modulus = &basis.moduli()[m_idx];
+            for (dst, &c) in row.iter_mut().zip(&*digit) {
+                *dst = modulus.reduce(c);
+            }
+            basis.ntt_tables()[m_idx].forward(row);
+        }
+        // Reducing digit `j` modulo its own prime changes nothing, so its
+        // forward NTT is the row the inverse transform above started from.
+        digit.copy_from_slice(target.residue(j));
+        RnsPoly::from_flat(n, data, PolyForm::Ntt)
     }
 
     /// The key-dependent half of key switching, and the only digit × key
@@ -571,28 +659,26 @@ impl Evaluator {
         }
     }
 
-    /// Applies `key` to the decomposed target and floors the special prime
-    /// away from both accumulators, yielding the canonical `(d0, d1)` pair
-    /// over the data primes with `fold0` added into `d0` in the same pass —
-    /// everything read through the key's gather table when it has one (a
-    /// rotation: the automorphism happens here).
+    /// Applies `key` to the decomposition of `ct`'s last polynomial and
+    /// floors the special prime away from both accumulators, yielding the
+    /// canonical `(d0, d1)` pair over the data primes with `ct`'s `c0` added
+    /// into `d0` in the same pass — everything read through the key's gather
+    /// table when it has one (a rotation: the automorphism happens here).
     fn finish_key_switch(
         &self,
+        ct: &Ciphertext,
         decomp: &KeySwitchDecomposition,
         key: &KeySwitchKey,
-        fold0: &RnsPoly,
         scratch: &mut KeySwitchScratch,
     ) -> (RnsPoly, RnsPoly) {
-        let KeySwitchScratch {
-            acc0,
-            acc1,
-            special,
-            delta,
-        } = scratch;
+        let level = decomp.level;
+        assert_eq!(level, ct.level(), "decomposition taken at another level");
+        let [acc0, acc1, special, delta] = scratch.areas(level, self.context.degree());
         self.apply_key_switch(decomp, key, acc0, acc1);
         let table = key.ntt_permutation();
-        let d0 = self.mod_down_into(acc0, decomp.level, table, Some(fold0), special, delta);
-        let d1 = self.mod_down_into(acc1, decomp.level, table, None, special, delta);
+        let fold0 = Some(&ct.polys()[0]);
+        let d0 = self.mod_down_into(acc0, level, table, fold0, special, delta);
+        let d1 = self.mod_down_into(acc1, level, table, None, special, delta);
         (d0, d1)
     }
 

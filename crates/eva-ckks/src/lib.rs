@@ -75,6 +75,6 @@ pub use context::CkksContext;
 pub use encoder::{CkksEncoder, Plaintext};
 pub use encrypt::{Decryptor, Encryptor, SymmetricEncryptor};
 pub use error::CkksError;
-pub use evaluator::{Evaluator, KeySwitchDecomposition};
+pub use evaluator::{Evaluator, KeySwitchDecomposition, KeySwitchScratch};
 pub use keys::{GaloisKeys, KeyGenerator, KeySwitchKey, PublicKey, RelinearizationKey, SecretKey};
 pub use params::{max_coeff_modulus_bits, minimal_degree_for_bits, CkksParameters, ParameterError};

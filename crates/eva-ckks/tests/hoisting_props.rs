@@ -1,7 +1,7 @@
 //! Differential key-switch test harness for hoisted rotations.
 //!
-//! Two contracts are pinned here, over random rotation sets, levels and ring
-//! degrees:
+//! Three contracts are pinned here, over random rotation sets, levels and
+//! ring degrees:
 //!
 //! 1. **Bit identity**: `Evaluator::rotate_hoisted` (decompose once, apply
 //!    every Galois key to the shared digits) produces ciphertexts that are
@@ -13,10 +13,16 @@
 //!    key's *canonical* rows computes: directly for a relinearization key,
 //!    through the key's gather table for a (stored `σ⁻¹`-permuted) Galois
 //!    key.
+//! 3. **A switch is its pieces**: `Evaluator::key_switch_digit` alone is
+//!    that digit of the whole decomposition (and of the definition), and
+//!    digits assembled in any order, applied member by member in any order
+//!    from a scratch another switch left dirty, are bit-identical to
+//!    `rotate_hoisted` and `relinearize` — what lets a scheduler run the
+//!    pieces as separate tasks.
 
 use eva_ckks::{
     Ciphertext, CkksContext, CkksEncoder, CkksParameters, Decryptor, Encryptor, Evaluator,
-    KeyGenerator, KeySwitchDecomposition,
+    KeyGenerator, KeySwitchDecomposition, KeySwitchScratch,
 };
 use eva_poly::RnsPoly;
 use proptest::prelude::*;
@@ -213,5 +219,95 @@ proptest! {
                 }
             }
         }
+    }
+
+    // Digit `j` computed alone is digit `j` of the whole decomposition, and
+    // both are what the definition says: the target's residue `j`, as
+    // coefficients, reduced into every modulus of the extended basis and
+    // transformed.
+    #[test]
+    fn each_digit_alone_is_its_row_of_the_whole_decomposition(
+        degree in prop::sample::select(vec![64usize, 128, 256]),
+        levels in 2usize..=4,
+        level_pick in any::<u64>(),
+        seed in any::<u64>(),
+    ) {
+        let level = 1 + (level_pick as usize) % levels;
+        let h = build(degree, levels, level, seed);
+        let target = &h.ct.polys()[1];
+        let whole = h.evaluator.decompose_for_key_switch(target, level);
+        prop_assert_eq!(whole.digits().len(), level);
+        let basis = h.context.key_basis();
+        let mut coefficients = target.clone();
+        coefficients.to_coeff(basis);
+        for j in (0..level).rev() {
+            let digit = h.evaluator.key_switch_digit(target, level, j);
+            prop_assert_eq!(&digit, &whole.digits()[j]);
+            for pos in 0..=level {
+                let m_idx = if pos == level { h.context.special_index() } else { pos };
+                let q = row_modulus(&h.context, level, pos);
+                let mut row: Vec<u64> =
+                    coefficients.residue(j).iter().map(|&c| q.reduce(c)).collect();
+                basis.ntt_tables()[m_idx].forward(&mut row);
+                prop_assert_eq!(digit.residue(pos), &row[..]);
+            }
+        }
+    }
+
+    // Digits lifted backwards and assembled, then members applied in reverse
+    // from a scratch that a switch of another ciphertext at a higher level
+    // left its sums in, are bit-identical to `rotate_hoisted` and
+    // `relinearize`, which run the same pieces in order from a fresh one.
+    #[test]
+    fn members_in_any_order_from_a_dirty_scratch_match_the_whole_switch(
+        degree in prop::sample::select(vec![64usize, 128, 256]),
+        levels in 2usize..=4,
+        level_pick in any::<u64>(),
+        seed in any::<u64>(),
+        raw_steps in prop::collection::vec(any::<i64>(), 4),
+    ) {
+        let level = 1 + (level_pick as usize) % (levels - 1);
+        let slots = (degree / 2) as i64;
+        let steps: Vec<i64> = raw_steps.iter().map(|s| 1 + s.rem_euclid(slots - 1)).collect();
+        let mut h = build(degree, levels, level, seed);
+        let gk = h.keygen.create_galois_keys(&steps);
+        let rk = h.keygen.create_relinearization_key();
+
+        let mut scratch = KeySwitchScratch::default();
+        let mut other = build(degree, levels, levels, seed ^ 0xD1127);
+        let other_rk = other.keygen.create_relinearization_key();
+        let product = other.evaluator.multiply(&other.ct, &other.ct).unwrap();
+        let decomp = other.evaluator.decompose_for_key_switch(&product.polys()[2], levels);
+        other
+            .evaluator
+            .relinearize_decomposed(&product, &other_rk, &decomp, &mut scratch)
+            .unwrap();
+
+        let expected = h.evaluator.rotate_hoisted(&h.ct, &steps, &gk).unwrap();
+        let target = &h.ct.polys()[1];
+        let mut digits: Vec<RnsPoly> = (0..level)
+            .rev()
+            .map(|j| h.evaluator.key_switch_digit(target, level, j))
+            .collect();
+        digits.reverse();
+        let decomp = KeySwitchDecomposition::from_digits(digits);
+        for (expected, &step) in expected.iter().zip(&steps).rev() {
+            let member = h
+                .evaluator
+                .rotate_decomposed(&h.ct, step, &gk, &decomp, &mut scratch)
+                .unwrap();
+            prop_assert_eq!(member.polys(), expected.polys());
+            prop_assert_eq!(member.scale_log2(), expected.scale_log2());
+        }
+
+        let product = h.evaluator.multiply(&h.ct, &h.ct).unwrap();
+        let expected = h.evaluator.relinearize(&product, &rk).unwrap();
+        let decomp = h.evaluator.decompose_for_key_switch(&product.polys()[2], level);
+        let relinearized = h
+            .evaluator
+            .relinearize_decomposed(&product, &rk, &decomp, &mut scratch)
+            .unwrap();
+        prop_assert_eq!(relinearized.polys(), expected.polys());
+        prop_assert_eq!(relinearized.scale_log2(), expected.scale_log2());
     }
 }
