@@ -7,12 +7,15 @@
 //! cargo run --release -p eva-bench --bin report -- --primitives     # BENCH_primitives.json
 //! cargo run --release -p eva-bench --bin report -- --analysis       # verifier + noise budgets
 //! cargo run --release -p eva-bench --bin report -- --cost           # BENCH_cost.json
+//! cargo run --release -p eva-bench --bin report -- --wire           # BENCH_wire.json (sizes)
 //! cargo run --release -p eva-bench --bin report -- --dot sobel.dot  # annotated graphviz dump
 //! ```
 //!
 //! By default the encrypted-latency measurements (Tables 5, 7 and Figure 7)
 //! only run the smaller networks so the report finishes in minutes on a
-//! laptop; pass `--full` to measure every network of Table 3.
+//! laptop; pass `--full` to measure every network of Table 3. An unknown flag,
+//! table or figure, or an operand that does not parse, prints the usage line
+//! and exits non-zero.
 
 use std::time::Instant;
 
@@ -23,6 +26,7 @@ use eva_core::{
 };
 use eva_tensor::all_networks;
 
+#[derive(Debug)]
 struct Options {
     tables: Vec<u32>,
     figures: Vec<u32>,
@@ -31,13 +35,9 @@ struct Options {
     /// `Some(path)` when `--primitives [path]` was passed: time the arithmetic
     /// substrate kernels and write the JSON baseline to `path`.
     primitives: Option<String>,
-    /// `Some(path)` when `--wire [path]` was passed: measure wire object
-    /// sizes and localhost service round-trip latency, writing `path`.
+    /// `Some(path)` when `--wire [path]` was passed: measure the encoded
+    /// size of every wire object, writing `path`.
     wire: Option<String>,
-    /// `Some(path)` when `--service [path]` was passed: measure the
-    /// fault-tolerant service baseline (session setup cold/warm/after a
-    /// restart, evaluation success rate under injected faults), writing `path`.
-    service: Option<String>,
     /// `--analysis`: time the static verifier and dump per-output worst-case
     /// noise budgets for the example circuits (Sobel, LeNet).
     analysis: bool,
@@ -50,8 +50,46 @@ struct Options {
     dot: Option<String>,
 }
 
-fn parse_args() -> Options {
-    let args: Vec<String> = std::env::args().skip(1).collect();
+const USAGE: &str = "usage: report [--all] [--full] [--threads N] [--table 3..8]... \
+                     [--figure 2|3|5|7]... [--analysis] [--primitives [PATH]] [--wire [PATH]] \
+                     [--cost [PATH]] [--dot [PATH]]";
+
+/// The paper's tables and figures this binary reproduces.
+const TABLES: [u32; 6] = [3, 4, 5, 6, 7, 8];
+const FIGURES: [u32; 4] = [2, 3, 5, 7];
+
+type Args<'a> = std::iter::Peekable<std::slice::Iter<'a, String>>;
+
+/// The numeric operand of `flag`.
+fn number<T: std::str::FromStr>(flag: &str, args: &mut Args) -> Result<T, String> {
+    let operand = args
+        .next()
+        .ok_or_else(|| format!("{flag} needs a number"))?;
+    operand
+        .parse()
+        .map_err(|_| format!("{flag}: `{operand}` is not a number"))
+}
+
+/// The operand of `--table` / `--figure`: one of the numbers in `valid`.
+fn one_of(valid: &[u32], flag: &str, args: &mut Args) -> Result<u32, String> {
+    let n = number(flag, args)?;
+    if valid.contains(&n) {
+        Ok(n)
+    } else {
+        Err(format!("no such {}: {n}", flag.trim_start_matches('-')))
+    }
+}
+
+/// The optional path operand of a flag: the next argument unless it is
+/// itself a flag, else the repo-root baseline file `default`.
+fn path_or(default: &str, args: &mut Args) -> String {
+    match args.peek() {
+        Some(path) if !path.starts_with("--") => args.next().unwrap().clone(),
+        _ => default.to_string(),
+    }
+}
+
+fn parse_args(args: &[String]) -> Result<Options, String> {
     let mut options = Options {
         tables: Vec::new(),
         figures: Vec::new(),
@@ -61,7 +99,6 @@ fn parse_args() -> Options {
             .unwrap_or(1),
         primitives: None,
         wire: None,
-        service: None,
         analysis: false,
         cost: None,
         dot: None,
@@ -72,70 +109,32 @@ fn parse_args() -> Options {
         match arg.as_str() {
             "--all" => all = true,
             "--full" => options.full = true,
-            "--table" => {
-                if let Some(n) = iter.next().and_then(|v| v.parse().ok()) {
-                    options.tables.push(n);
-                }
-            }
-            "--figure" => {
-                if let Some(n) = iter.next().and_then(|v| v.parse().ok()) {
-                    options.figures.push(n);
-                }
-            }
-            "--threads" => {
-                if let Some(n) = iter.next().and_then(|v| v.parse().ok()) {
-                    options.threads = n;
-                }
-            }
+            "--table" => options.tables.push(one_of(&TABLES, arg, &mut iter)?),
+            "--figure" => options.figures.push(one_of(&FIGURES, arg, &mut iter)?),
+            "--threads" => options.threads = number(arg, &mut iter)?,
             "--primitives" => {
-                // Optional path operand; defaults to the repo-root baseline file.
-                let path = match iter.peek() {
-                    Some(p) if !p.starts_with("--") => iter.next().unwrap().clone(),
-                    _ => "BENCH_primitives.json".to_string(),
-                };
-                options.primitives = Some(path);
+                options.primitives = Some(path_or("BENCH_primitives.json", &mut iter))
             }
-            "--wire" => {
-                let path = match iter.peek() {
-                    Some(p) if !p.starts_with("--") => iter.next().unwrap().clone(),
-                    _ => "BENCH_wire.json".to_string(),
-                };
-                options.wire = Some(path);
-            }
-            "--service" => {
-                let path = match iter.peek() {
-                    Some(p) if !p.starts_with("--") => iter.next().unwrap().clone(),
-                    _ => "BENCH_service.json".to_string(),
-                };
-                options.service = Some(path);
-            }
+            "--wire" => options.wire = Some(path_or("BENCH_wire.json", &mut iter)),
             "--analysis" => options.analysis = true,
-            "--cost" => {
-                let path = match iter.peek() {
-                    Some(p) if !p.starts_with("--") => iter.next().unwrap().clone(),
-                    _ => "BENCH_cost.json".to_string(),
-                };
-                options.cost = Some(path);
-            }
-            "--dot" => {
-                let path = match iter.peek() {
-                    Some(p) if !p.starts_with("--") => iter.next().unwrap().clone(),
-                    _ => "sobel.dot".to_string(),
-                };
-                options.dot = Some(path);
-            }
-            other => eprintln!("ignoring unknown argument {other}"),
+            "--cost" => options.cost = Some(path_or("BENCH_cost.json", &mut iter)),
+            "--dot" => options.dot = Some(path_or("sobel.dot", &mut iter)),
+            other => return Err(format!("unknown argument {other}")),
         }
     }
     if all {
-        options.tables = vec![3, 4, 5, 6, 7, 8];
-        options.figures = vec![2, 3, 5, 7];
+        options.tables = TABLES.to_vec();
+        options.figures = FIGURES.to_vec();
     }
-    options
+    Ok(options)
 }
 
 fn main() {
-    let options = parse_args();
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let options = parse_args(&args).unwrap_or_else(|err| {
+        eprintln!("report: {err}\n{USAGE}");
+        std::process::exit(2);
+    });
 
     if let Some(path) = &options.primitives {
         println!("== Arithmetic-substrate primitives (writing {path}) ==");
@@ -165,50 +164,19 @@ fn main() {
     }
 
     if let Some(path) = &options.wire {
-        println!("== Deployment wire baseline (writing {path}) ==");
+        println!("== Wire object sizes (writing {path}) ==");
         let sizes = measure_wire_sizes();
         for entry in &sizes {
             println!("{:<32} {:>12} bytes", entry.name, entry.bytes);
         }
-        let timings = measure_service_roundtrip(false);
-        for t in &timings {
-            println!(
-                "{:<36} mean={:>10.3}µs min={:>10.3}µs ({} samples)",
-                t.name, t.mean_us, t.min_us, t.samples
-            );
-        }
-        let json = wire_json(&sizes, &timings, &[]);
-        if let Err(err) = std::fs::write(path, &json) {
-            eprintln!("failed to write {path}: {err}");
-        }
-    }
-
-    if let Some(path) = &options.service {
-        println!("== Service resilience baseline (writing {path}) ==");
-        let resilience = measure_service_resilience(false);
-        for t in &resilience.timings {
-            println!(
-                "{:<36} mean={:>10.3}µs min={:>10.3}µs ({} samples)",
-                t.name, t.mean_us, t.min_us, t.samples
-            );
-        }
-        println!(
-            "fault injection: {}/{} rounds recovered bit-identically \
-             ({} retried evaluations, {} resumed retries)",
-            resilience.recovered,
-            resilience.fault_rounds,
-            resilience.retried_evaluations,
-            resilience.resumed_retries
-        );
-        let json = service_json(&resilience, &[]);
-        if let Err(err) = std::fs::write(path, &json) {
+        if let Err(err) = std::fs::write(path, wire_json(&sizes)) {
             eprintln!("failed to write {path}: {err}");
         }
     }
 
     if let Some(path) = &options.cost {
         println!("== Static cost model vs measured execution (writing {path}) ==");
-        let measurements = measure_cost(false);
+        let measurements = measure_cost();
         for m in &measurements {
             println!(
                 "{:<16} nodes {:>5} -> {:<5} rotation steps {:>3} -> {:<3} key switches {:>4} -> {:<4}",
@@ -297,7 +265,7 @@ fn main() {
                     println!("(pass --full to measure every network of Table 3)");
                 }
             }
-            other => eprintln!("no such figure: {other}"),
+            other => unreachable!("parse_args admitted figure {other}"),
         }
     }
 
@@ -356,7 +324,7 @@ fn main() {
                     println!("(pass --full to also measure the 64x64 Sobel and Harris kernels)");
                 }
             }
-            other => eprintln!("no such table: {other}"),
+            other => unreachable!("parse_args admitted table {other}"),
         }
     }
 }
@@ -461,4 +429,34 @@ fn figure5() {
         },
     );
     report_compilation("eager modswitch (EVA)", &p, &CompilerOptions::default());
+}
+
+#[cfg(test)]
+mod tests {
+    use super::parse_args;
+
+    fn parse(args: &[&str]) -> Result<super::Options, String> {
+        parse_args(&args.iter().map(|a| a.to_string()).collect::<Vec<_>>())
+    }
+
+    #[test]
+    fn nonsense_is_an_error_not_a_warning() {
+        assert!(parse(&["--service"]).unwrap_err().contains("unknown"));
+        assert!(parse(&["--table", "99"]).unwrap_err().contains("99"));
+        assert!(parse(&["--figure", "4"]).unwrap_err().contains("4"));
+        assert!(parse(&["--threads", "x"]).unwrap_err().contains("`x`"));
+        assert!(parse(&["--table"]).unwrap_err().contains("needs"));
+    }
+
+    #[test]
+    fn path_operands_default_to_the_checked_in_baselines() {
+        let options = parse(&["--wire"]).unwrap();
+        assert_eq!(options.wire.as_deref(), Some("BENCH_wire.json"));
+        let options = parse(&["--wire", "--cost", "now.json", "--table", "6"]).unwrap();
+        assert_eq!(options.wire.as_deref(), Some("BENCH_wire.json"));
+        assert_eq!(options.cost.as_deref(), Some("now.json"));
+        assert_eq!(options.tables, [6]);
+        let all = parse(&[]).unwrap();
+        assert_eq!((all.tables.len(), all.figures.len()), (6, 4));
+    }
 }

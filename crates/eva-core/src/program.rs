@@ -2,8 +2,6 @@
 //! (paper Section 3), together with the traversal helpers the compiler's
 //! analysis and rewriting frameworks are built on (Sections 5.1 and 6.1).
 
-use serde::{Deserialize, Serialize};
-
 use crate::error::EvaError;
 use crate::types::{ConstantValue, Opcode, ValueType};
 
@@ -12,7 +10,7 @@ pub type NodeId = usize;
 
 /// What a node represents: a runtime input, a compile-time constant, or an
 /// instruction computing a new value from its parents.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum NodeKind {
     /// A value only available at run time.
     Input {
@@ -34,7 +32,7 @@ pub enum NodeKind {
 }
 
 /// One node of the program graph.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Node {
     /// What the node is.
     pub kind: NodeKind,
@@ -53,7 +51,7 @@ pub struct Node {
 }
 
 /// A named program output (a leaf of the graph).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct OutputInfo {
     /// Output name.
     pub name: String,
@@ -70,7 +68,7 @@ pub struct OutputInfo {
 /// previously created nodes, so the node id order is a topological order of
 /// the DAG. Compiler passes that insert nodes keep this invariant by visiting
 /// an explicit topological ordering instead of raw ids.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Program {
     name: String,
     vec_size: usize,

@@ -1,10 +1,8 @@
 //! Value types, opcodes and constant values of the EVA language (paper
 //! Tables 1 and 2).
 
-use serde::{Deserialize, Serialize};
-
 /// The type of a value flowing through an EVA program (paper Table 1).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ValueType {
     /// An encrypted vector of fixed-point values.
     Cipher,
@@ -43,7 +41,7 @@ impl std::fmt::Display for ValueType {
 ///
 /// `Eq`/`Hash` are sound because no variant carries floating-point payload;
 /// value numbering (`analysis::dataflow`) keys hash tables on opcodes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Opcode {
     /// Negate each element of the argument.
     Negate,
@@ -127,7 +125,7 @@ impl std::fmt::Display for Opcode {
 /// A compile-time constant value. Constants may be of any type except
 /// `Cipher` (paper Section 3: ciphertext values cannot exist before key
 /// generation).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum ConstantValue {
     /// A plaintext vector.
     Vector(Vec<f64>),

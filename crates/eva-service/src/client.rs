@@ -218,21 +218,6 @@ impl EvaClient<TcpStream> {
     ) -> Result<Self, ServiceError> {
         Self::handshake(connect_stream(addr, config)?, key_seed)
     }
-
-    /// [`EvaClient::connect_resuming`] under a [`ClientConfig`] (see
-    /// [`EvaClient::connect_with`]).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ServiceError`] on connection, protocol or validation
-    /// failures.
-    pub fn connect_resuming_with(
-        addr: impl ToSocketAddrs,
-        ticket: SessionTicket,
-        config: &ClientConfig,
-    ) -> Result<Self, ServiceError> {
-        Self::handshake_resuming(connect_stream(addr, config)?, ticket)
-    }
 }
 
 impl<S: Read + Write> EvaClient<S> {

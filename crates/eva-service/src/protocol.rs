@@ -521,43 +521,26 @@ pub fn read_message<S: Read>(stream: &mut S) -> Result<Option<Message>, ServiceE
     }
 }
 
-/// Reads one raw frame (the byte-level half of [`read_message`]), returning
-/// `Ok(None)` on a clean end-of-stream between frames. Exposed crate-wide so
-/// the server can fingerprint a key-upload payload without re-serializing
-/// the decoded keys.
-///
-/// # Errors
-///
-/// Returns [`ServiceError`] on socket failure, oversized frames or
-/// mid-frame truncation.
-pub(crate) fn read_frame<S: Read>(stream: &mut S) -> Result<Option<(u8, Vec<u8>)>, ServiceError> {
-    read_frame_checked(stream, |_, _| Ok(()))
-}
-
 /// Bytes a blocking frame read requests from the socket at a time. The
 /// assembler caps each request at the current frame's remaining bytes, so a
 /// read never consumes bytes of the *next* pipelined frame.
 pub(crate) const READ_CHUNK_BYTES: usize = 64 * 1024;
 
-/// [`read_frame`] with an admission check run against the frame header —
-/// tag and **announced** length — before a single payload byte is read. The
-/// server threads its per-session byte quotas through here: an over-quota
-/// frame is refused at the cost of its 9-byte header, not of buffering the
-/// payload.
+/// Reads one raw frame (the byte-level half of [`read_message`]), returning
+/// `Ok(None)` on a clean end-of-stream between frames.
 ///
 /// The payload is streamed through the shared [`FrameAssembler`] in
 /// [`READ_CHUNK_BYTES`] chunks — the same chunked path the reactor uses —
 /// so memory grows only as announced bytes actually arrive, and an
 /// EvalKeys payload is content-fingerprinted incrementally as it streams.
+/// Nothing is admitted here: the reactor checks a session's quotas at the
+/// frame header through `SessionMachine::admit`.
 ///
 /// # Errors
 ///
-/// As [`read_frame`], plus whatever `admit` returns.
-pub(crate) fn read_frame_checked<S: Read>(
-    stream: &mut S,
-    admit: impl FnOnce(u8, u64) -> Result<(), ServiceError>,
-) -> Result<Option<(u8, Vec<u8>)>, ServiceError> {
-    let mut admit = Some(admit);
+/// Returns [`ServiceError`] on socket failure, oversized frames or
+/// mid-frame truncation.
+fn read_frame<S: Read>(stream: &mut S) -> Result<Option<(u8, Vec<u8>)>, ServiceError> {
     let mut assembler = FrameAssembler::new();
     let mut out = std::collections::VecDeque::new();
     let mut buf = [0u8; READ_CHUNK_BYTES];
@@ -578,11 +561,7 @@ pub(crate) fn read_frame_checked<S: Read>(
                 Err(ServiceError::Disconnected)
             };
         }
-        assembler.push(
-            &buf[..n],
-            &mut |tag, len| (admit.take().expect("reads stop at the frame boundary"))(tag, len),
-            &mut out,
-        )?;
+        assembler.push(&buf[..n], &mut |_, _| Ok(()), &mut out)?;
         if let Some(frame) = out.pop_front() {
             return Ok(Some((frame.tag, frame.payload)));
         }
