@@ -17,7 +17,6 @@ use eva_ckks::{
 use eva_core::analysis::Schedule;
 use eva_core::{CompiledProgram, EvaError, NodeId, NodeKind, Opcode, Program, ValueType};
 
-use crate::keys::ProgramKeyDerivation;
 use crate::reference::{apply_op, replicate};
 
 /// A value flowing through the encrypted executor: either a ciphertext or a
@@ -668,13 +667,11 @@ impl EncryptedContext {
             None => KeyGenerator::new(context.clone()),
         };
         // The public key is not used for input encryption (the symmetric
-        // seeded path below is), but generating it keeps the keygen draw
-        // order identical to the deployment client's handshake — and to every
-        // seeded fixture since PR 3 — so relin/Galois keys stay bit-stable.
+        // seeded path below is), but it is drawn first in the order
+        // `create_evaluation_keys` documents.
         let _public_key = keygen.create_public_key();
-        let relin_key =
-            needs_relinearization(compiled).then(|| keygen.create_relinearization_key());
-        let galois_keys = keygen.create_galois_keys_for_program(&compiled.program);
+        let (relin_key, galois_keys) = keygen
+            .create_evaluation_keys(needs_relinearization(compiled), &compiled.rotation_steps);
 
         let secret_key = keygen.secret_key().clone();
         let encryptor = match seed {

@@ -16,8 +16,6 @@
 //!   dependence-counting scheduler over a pool of worker threads, seeded
 //!   from the same schedule's per-node tables, that also retires (frees)
 //!   ciphertexts as soon as their last consumer has run.
-//! * [`keys`] — program-driven key derivation: generate exactly the Galois
-//!   keys a compiled program's ROTATE nodes need.
 //!
 //! The encrypted executor is split along the deployment trust boundary:
 //! [`EvaluationContext`] holds only public evaluation state (context,
@@ -47,7 +45,6 @@
 #![warn(missing_docs)]
 
 pub mod encrypted;
-pub mod keys;
 pub mod parallel;
 pub mod reference;
 
@@ -55,6 +52,5 @@ pub use encrypted::{
     needs_relinearization, parameters_from_spec, run_encrypted, EncryptedContext,
     EvaluationContext, MemoryAudit, NodeValue,
 };
-pub use keys::ProgramKeyDerivation;
 pub use parallel::execute_parallel;
 pub use reference::run_reference;

@@ -145,20 +145,7 @@ fn main() {
                 t.name, t.mean_us, t.min_us, t.samples
             );
         }
-        // Carry historical reference sections over from the existing baseline
-        // so re-baselining never silently deletes them.
-        let preserved: Vec<String> = std::fs::read_to_string(path)
-            .ok()
-            .iter()
-            .flat_map(|old| {
-                ["pre_lazy_reference_us"]
-                    .iter()
-                    .filter_map(|key| extract_json_section(old, key))
-                    .collect::<Vec<_>>()
-            })
-            .collect();
-        let json = primitives_json(&timings, &preserved);
-        if let Err(err) = std::fs::write(path, &json) {
+        if let Err(err) = std::fs::write(path, primitives_json(&timings)) {
             eprintln!("failed to write {path}: {err}");
         }
     }

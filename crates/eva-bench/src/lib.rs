@@ -331,16 +331,11 @@ pub fn measure_primitives(quick: bool) -> Vec<KernelTiming> {
 
 /// Renders kernel timings as the `BENCH_primitives.json` document (hand-rolled
 /// JSON; the workspace has no serialization dependency).
-///
-/// `preserved` carries verbatim top-level sections rescued from a previous
-/// baseline file (see [`extract_json_section`]) so re-baselining does not
-/// silently delete the hand-recorded historical reference numbers.
-pub fn primitives_json(timings: &[KernelTiming], preserved: &[String]) -> String {
+pub fn primitives_json(timings: &[KernelTiming]) -> String {
     let mut s = String::from("{\n  \"schema\": \"eva-bench-primitives-v1\",\n");
     s.push_str(
-        "  \"note\": \"Regenerate the 'kernels' section with: cargo run --release -p eva-bench \
-         --bin report -- --primitives BENCH_primitives.json. Other sections are preserved \
-         verbatim across regeneration.\",\n",
+        "  \"note\": \"Regenerate with: cargo run --release -p eva-bench \
+         --bin report -- --primitives BENCH_primitives.json.\",\n",
     );
     s.push_str("  \"kernels\": {\n");
     for (i, t) in timings.iter().enumerate() {
@@ -350,37 +345,8 @@ pub fn primitives_json(timings: &[KernelTiming], preserved: &[String]) -> String
             t.name, t.mean_us, t.min_us, t.samples
         ));
     }
-    s.push_str("  }");
-    for section in preserved {
-        s.push_str(",\n  ");
-        s.push_str(section);
-    }
-    s.push_str("\n}\n");
+    s.push_str("  }\n}\n");
     s
-}
-
-/// Extracts a top-level `"key": { ... }` object from a JSON document as the
-/// verbatim `"key": {...}` fragment (brace matching; no string-escape
-/// handling, which the baseline file does not use). Returns `None` if the key
-/// is absent or malformed.
-pub fn extract_json_section(doc: &str, key: &str) -> Option<String> {
-    let needle = format!("\"{key}\"");
-    let start = doc.find(&needle)?;
-    let open = start + doc[start..].find('{')?;
-    let mut depth = 0usize;
-    for (offset, ch) in doc[open..].char_indices() {
-        match ch {
-            '{' => depth += 1,
-            '}' => {
-                depth -= 1;
-                if depth == 0 {
-                    return Some(doc[start..=open + offset].to_string());
-                }
-            }
-            _ => {}
-        }
-    }
-    None
 }
 
 /// One wire-size entry for the serialization baseline.
@@ -893,30 +859,9 @@ mod tests {
         assert!(names.iter().any(|n| n.starts_with("ntt_inverse_")));
         assert!(names.iter().any(|n| n.starts_with("dyadic_mul_acc_")));
         assert!(timings.iter().all(|t| t.mean_us > 0.0 && t.min_us > 0.0));
-        let json = primitives_json(&timings, &[]);
+        let json = primitives_json(&timings);
         assert!(json.starts_with('{') && json.trim_end().ends_with('}'));
         assert_eq!(json.matches("mean_us").count(), timings.len());
-    }
-
-    #[test]
-    fn rebaselining_preserves_historical_sections() {
-        let timings = vec![KernelTiming {
-            name: "k".into(),
-            mean_us: 1.0,
-            min_us: 0.5,
-            samples: 3,
-        }];
-        let old = primitives_json(
-            &timings,
-            &["\"pre_lazy_reference_us\": {\n    \"k\": { \"mean_us\": 9.0 }\n  }".to_string()],
-        );
-        // Re-extracting from the emitted document must round-trip the section.
-        let section = extract_json_section(&old, "pre_lazy_reference_us").unwrap();
-        assert!(section.contains("\"mean_us\": 9.0"));
-        let regenerated = primitives_json(&timings, &[section]);
-        assert!(regenerated.contains("pre_lazy_reference_us"));
-        assert!(regenerated.contains("\"mean_us\": 9.0"));
-        assert_eq!(extract_json_section(&old, "missing_key"), None);
     }
 
     #[test]

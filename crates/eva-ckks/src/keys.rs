@@ -14,9 +14,10 @@
 
 use std::borrow::Cow;
 use std::collections::HashMap;
+use std::sync::{mpsc, Mutex};
 
 use eva_math::galois::GaloisTool;
-use eva_poly::{PolyForm, RnsPoly};
+use eva_poly::{PolyForm, RnsBasis, RnsPoly};
 use rand::rngs::{ChaCha20Rng, StdRng};
 use rand::{RngCore, SeedableRng};
 
@@ -32,7 +33,7 @@ use crate::error::CkksError;
 pub struct SecretKey {
     /// `s` in NTT form over the full key basis (data primes + special prime).
     pub(crate) ntt: RnsPoly,
-    /// `s` in coefficient form, needed to derive Galois-rotated keys.
+    /// `s` in coefficient form (what [`SecretKey::leak_probe`] reads).
     pub(crate) coeff: RnsPoly,
 }
 
@@ -90,7 +91,7 @@ impl PublicKey {
 /// because `σ(d)·k = σ(d · σ⁻¹(k))`, the multiply-accumulate streams digits
 /// and key rows linearly and the automorphism moves into the mod-down, fused
 /// into reads it makes anyway. The permutation happens once, where the key
-/// is made ([`KeyGenerator::create_galois_keys`], [`GaloisKeys::from_parts`]);
+/// is made ([`KeyGenerator::create_evaluation_keys`], [`GaloisKeys::from_parts`]);
 /// the wire format and the fingerprint see only
 /// [`KeySwitchKey::canonical_digits`].
 #[derive(Debug, Clone)]
@@ -338,17 +339,6 @@ impl KeyGenerator {
         &self.secret
     }
 
-    /// Samples a uniformly random polynomial directly in NTT form over the
-    /// first `level` primes of the key basis.
-    fn sample_uniform_ntt(&mut self, level: usize) -> RnsPoly {
-        let basis = self.context.key_basis();
-        let mut poly = RnsPoly::zero(basis.degree(), level, PolyForm::Ntt);
-        for (row, modulus) in poly.rows_mut().zip(basis.moduli()) {
-            eva_math::sample_uniform_into(&mut self.rng, row, modulus);
-        }
-        poly
-    }
-
     /// Samples a small error polynomial over the first `level` primes, NTT form.
     fn sample_error_ntt(&mut self, level: usize) -> RnsPoly {
         let basis = self.context.key_basis();
@@ -364,7 +354,7 @@ impl KeyGenerator {
         let context = self.context.clone();
         let basis = context.key_basis();
         let full = basis.len();
-        let a = self.sample_uniform_ntt(full);
+        let a = sample_uniform_ntt(basis, &mut *self.rng);
         let e = self.sample_error_ntt(full);
         // p0 = -(a*s + e)
         let mut p0 = a.dyadic_mul(&self.secret.ntt, basis);
@@ -375,70 +365,225 @@ impl KeyGenerator {
 
     /// Generates a relinearization key (switching from `s²` to `s`).
     pub fn create_relinearization_key(&mut self) -> RelinearizationKey {
-        let basis = self.context.key_basis();
-        let s_squared = self.secret.ntt.dyadic_mul(&self.secret.ntt, basis);
-        RelinearizationKey {
-            key: self.create_key_switch_key(&s_squared),
-        }
+        let (relin, _) = self.create_evaluation_keys(true, &[]);
+        relin.expect("a relinearization key was requested")
     }
 
-    /// Generates Galois keys for the given rotation steps.
-    ///
-    /// Duplicate steps are collapsed; step 0 is skipped entirely — a
-    /// rotation by zero is a no-op clone in the evaluator, so no key
-    /// material is generated (and none needs to be uploaded) for it.
+    /// Generates Galois keys for the given rotation steps (see
+    /// [`KeyGenerator::create_evaluation_keys`]).
     pub fn create_galois_keys(&mut self, steps: &[i64]) -> GaloisKeys {
-        let context = self.context.clone();
-        let basis = context.key_basis();
-        let mut galois_keys = GaloisKeys::default();
-        for &step in steps {
-            if step == 0 {
-                continue;
-            }
-            let elt = self.context.galois().galois_elt_from_step(step);
-            galois_keys.steps.insert(step, elt);
-            if galois_keys.keys.contains_key(&elt) {
-                continue;
-            }
-            // Source key: s composed with the automorphism.
-            let mut rotated = self.secret.coeff.apply_galois(elt, basis);
-            rotated.to_ntt(basis);
-            let key = self.create_key_switch_key(&rotated);
-            let table = self.context.galois().ntt_permutation(elt);
-            galois_keys.keys.insert(elt, key.permuted(table));
-        }
-        galois_keys
+        self.create_evaluation_keys(false, steps).1
     }
 
-    /// Builds a key-switching key from `source` (an NTT-form polynomial over
-    /// the full key basis, e.g. `s²` or a rotated `s`) to the secret key.
-    fn create_key_switch_key(&mut self, source: &RnsPoly) -> KeySwitchKey {
-        let context = self.context.clone();
-        let basis = context.key_basis();
-        let full = basis.len();
-        let special = context.special_index();
-        let p_value = context.params().special_prime();
-        let digit_count = context.max_level();
-        let mut digits = Vec::with_capacity(digit_count);
-        for j in 0..digit_count {
-            let a = self.sample_uniform_ntt(full);
-            let e = self.sample_error_ntt(full);
-            // k0 = -(a*s + e) with (P mod q_j) * source added into residue j.
-            let mut k0 = a.dyadic_mul(&self.secret.ntt, basis);
-            k0.add_assign(&e, basis);
+    /// Generates the evaluation keys a program needs: a relinearization key
+    /// if `relin`, and Galois keys for the rotation `steps`.
+    ///
+    /// Duplicate steps, and steps that alias one Galois element, share one
+    /// key; step 0 is skipped entirely — a rotation by zero is a no-op clone
+    /// in the evaluator, so no key material is generated (and none needs to
+    /// be uploaded) for it.
+    ///
+    /// Generation runs in two phases. The calling thread draws every random
+    /// value and allocates every key row, key by key (relinearization first,
+    /// then Galois keys in step order) and, within a key, digit by digit
+    /// (the uniform `a` over the full basis, then the error). It hands each
+    /// key to a pool of scoped workers as soon as it is drawn; a worker
+    /// computes the key in the rows it was handed. The draw order is the
+    /// contract every caller relies on: after the public key, a seeded
+    /// generator yields the same keys — and so the same wire bytes and
+    /// fingerprint — whether it runs in-process
+    /// (`EncryptedContext::setup`) or in the deployment client's handshake,
+    /// on any number of cores. One key is built inline, with no thread.
+    pub fn create_evaluation_keys(
+        &mut self,
+        relin: bool,
+        steps: &[i64],
+    ) -> (Option<RelinearizationKey>, GaloisKeys) {
+        let workers = std::thread::available_parallelism().map_or(1, |n| n.get());
+        self.create_evaluation_keys_on(relin, steps, workers)
+    }
+
+    /// [`KeyGenerator::create_evaluation_keys`] on at most `workers` threads.
+    fn create_evaluation_keys_on(
+        &mut self,
+        relin: bool,
+        steps: &[i64],
+        workers: usize,
+    ) -> (Option<RelinearizationKey>, GaloisKeys) {
+        let galois = self.context.galois();
+        let mut step_elements = HashMap::new();
+        let mut elements = Vec::new();
+        for &step in steps.iter().filter(|&&step| step != 0) {
+            let elt = galois.galois_elt_from_step(step);
+            step_elements.insert(step, elt);
+            if !elements.contains(&elt) {
+                elements.push(elt);
+            }
+        }
+        let sources: Vec<KeySource> = relin
+            .then_some(KeySource::Square)
+            .into_iter()
+            .chain(
+                elements
+                    .iter()
+                    .map(|&elt| KeySource::Galois(galois.ntt_permutation(elt))),
+            )
+            .collect();
+
+        let Self {
+            context,
+            secret,
+            rng,
+        } = self;
+        let workers = workers.min(sources.len());
+        let built: Vec<KeySwitchKey> = if workers <= 1 {
+            sources
+                .into_iter()
+                .map(|source| build_key(context, secret, draw_key(context, &mut **rng, source)))
+                .collect()
+        } else {
+            let (jobs, queue) = mpsc::channel();
+            let queue = Mutex::new(queue);
+            let mut built: Vec<(usize, KeySwitchKey)> = std::thread::scope(|scope| {
+                let pool: Vec<_> = (0..workers)
+                    .map(|_| {
+                        scope.spawn(|| {
+                            let mut done = Vec::new();
+                            loop {
+                                // The guard drops at the end of this
+                                // statement: the lock covers the wait for a
+                                // key, never the building of one.
+                                let job = queue
+                                    .lock()
+                                    .expect("no worker panics holding the queue")
+                                    .recv();
+                                let Ok((index, drawn)) = job else { break };
+                                done.push((index, build_key(context, secret, drawn)));
+                            }
+                            done
+                        })
+                    })
+                    .collect();
+                for (index, source) in sources.into_iter().enumerate() {
+                    let drawn = draw_key(context, &mut **rng, source);
+                    jobs.send((index, drawn))
+                        .expect("the queue outlives the draws");
+                }
+                drop(jobs);
+                pool.into_iter()
+                    .flat_map(|worker| worker.join().expect("a key-building worker panicked"))
+                    .collect()
+            });
+            built.sort_unstable_by_key(|&(index, _)| index);
+            built.into_iter().map(|(_, key)| key).collect()
+        };
+
+        let mut built = built.into_iter();
+        let relin = relin.then(|| RelinearizationKey {
+            key: built
+                .next()
+                .expect("the relinearization key is built first"),
+        });
+        let galois = GaloisKeys {
+            keys: elements.into_iter().zip(built).collect(),
+            steps: step_elements,
+        };
+        (relin, galois)
+    }
+}
+
+/// Samples a uniformly random polynomial directly in NTT form over every
+/// prime of `basis`.
+fn sample_uniform_ntt(basis: &RnsBasis, rng: &mut (dyn RngCore + Send + Sync)) -> RnsPoly {
+    let mut poly = RnsPoly::zero(basis.degree(), basis.len(), PolyForm::Ntt);
+    for (row, modulus) in poly.rows_mut().zip(basis.moduli()) {
+        eva_math::sample_uniform_into(rng, row, modulus);
+    }
+    poly
+}
+
+/// What a key-switching key switches from; the target is always `s`.
+enum KeySource {
+    /// `s²`: the relinearization key.
+    Square,
+    /// `σ(s)` for the automorphism with this NTT gather table: a Galois key,
+    /// stored `σ⁻¹`-permuted under the same table.
+    Galois(Vec<u32>),
+}
+
+/// One key-switching key as the drawing thread hands it to a worker: its
+/// randomness drawn and every row it will own allocated, nothing computed.
+struct DrawnKey {
+    source: KeySource,
+    /// Per data-prime digit: the `k0` rows (zero, in coefficient form), the
+    /// uniform `a` (which is `k1`), and the error coefficients.
+    digits: Vec<(RnsPoly, RnsPoly, Vec<i8>)>,
+}
+
+/// Draws one key's randomness in the order keys have always drawn it.
+/// Every row the key will own is allocated here, on the drawing thread, so
+/// the long-lived key rows come from one allocator arena rather than
+/// scattering across the workers'.
+fn draw_key(
+    context: &CkksContext,
+    rng: &mut (dyn RngCore + Send + Sync),
+    source: KeySource,
+) -> DrawnKey {
+    let basis = context.key_basis();
+    let digits = (0..context.max_level())
+        .map(|_| {
+            let a = sample_uniform_ntt(basis, rng);
+            let error = eva_math::sample_cbd(rng, basis.degree());
+            let k0 = RnsPoly::zero(basis.degree(), basis.len(), PolyForm::Coeff);
+            (k0, a, error)
+        })
+        .collect();
+    DrawnKey { source, digits }
+}
+
+/// Computes a drawn key in place: for digit `j`,
+/// `k0 = −(a·s + e) + (P mod q_j)·src` with `src` added into residue `j`
+/// only, so that accumulating `d_j · key` over the digits and flooring away
+/// `P` switches `src` to `s`. Only residue `j` of `src` is needed, so it is
+/// read off `s` element by element (`s²`, or the gather `σ(s)[i] = s[table[i]]`)
+/// and never materialized: a worker allocates nothing that outlives a key.
+fn build_key(context: &CkksContext, secret: &SecretKey, drawn: DrawnKey) -> KeySwitchKey {
+    let basis = context.key_basis();
+    let p_value = context.params().special_prime();
+    let DrawnKey { source, digits } = drawn;
+    let digits = digits
+        .into_iter()
+        .enumerate()
+        .map(|(j, (mut k0, a, error))| {
+            for (row, q) in k0.rows_mut().zip(basis.moduli()) {
+                for (dst, &e) in row.iter_mut().zip(&error) {
+                    *dst = if e < 0 {
+                        q.neg(u64::from(e.unsigned_abs()))
+                    } else {
+                        e as u64
+                    };
+                }
+            }
+            k0.to_ntt(basis);
+            a.dyadic_mul_acc(&secret.ntt, &mut k0, basis);
             k0.negate(basis);
             let q_j = &basis.moduli()[j];
-            let p_mod_qj = q_j.reduce(p_value);
-            let pre = q_j.shoup(p_mod_qj);
-            let src_row = source.residue(j);
-            let row = k0.residue_mut(j);
-            for (dst, &src) in row.iter_mut().zip(src_row) {
-                *dst = q_j.add(*dst, q_j.mul_shoup(src, &pre));
+            let pre = q_j.shoup(q_j.reduce(p_value));
+            let s_j = secret.ntt.residue(j);
+            let src = |i: usize| match &source {
+                KeySource::Square => q_j.mul(s_j[i], s_j[i]),
+                KeySource::Galois(table) => s_j[table[i] as usize],
+            };
+            for (i, dst) in k0.residue_mut(j).iter_mut().enumerate() {
+                *dst = q_j.add(*dst, q_j.mul_shoup(src(i), &pre));
             }
-            debug_assert!(special == full - 1);
-            digits.push((k0, a));
-        }
-        KeySwitchKey::from_digits(digits)
+            (k0, a)
+        })
+        .collect();
+    let key = KeySwitchKey::from_digits(digits);
+    match source {
+        KeySource::Square => key,
+        KeySource::Galois(table) => key.permuted(table),
     }
 }
 
@@ -576,6 +721,102 @@ mod tests {
         for (k0, k1) in &rk.key.digits {
             assert_eq!(k0.level(), ctx.key_basis().len());
             assert_eq!(k1.level(), ctx.key_basis().len());
+        }
+    }
+
+    /// The sequential key-switching key loop the two-phase generator
+    /// replaced: each digit drawn and computed in turn on one thread.
+    fn reference_key_switch_key(keygen: &mut KeyGenerator, source: &RnsPoly) -> KeySwitchKey {
+        let context = keygen.context.clone();
+        let basis = context.key_basis();
+        let p_value = context.params().special_prime();
+        let mut digits = Vec::new();
+        for j in 0..context.max_level() {
+            let a = sample_uniform_ntt(basis, &mut *keygen.rng);
+            let e = keygen.sample_error_ntt(basis.len());
+            // k0 = -(a*s + e) with (P mod q_j) * source added into residue j.
+            let mut k0 = a.dyadic_mul(&keygen.secret.ntt, basis);
+            k0.add_assign(&e, basis);
+            k0.negate(basis);
+            let q_j = &basis.moduli()[j];
+            let pre = q_j.shoup(q_j.reduce(p_value));
+            for (dst, &src) in k0.residue_mut(j).iter_mut().zip(source.residue(j)) {
+                *dst = q_j.add(*dst, q_j.mul_shoup(src, &pre));
+            }
+            digits.push((k0, a));
+        }
+        KeySwitchKey::from_digits(digits)
+    }
+
+    /// Relinearization then Galois keys from the sequential loop, with
+    /// `σ(s)` taken in coefficient form and transformed.
+    fn reference_keys(
+        keygen: &mut KeyGenerator,
+        relin: bool,
+        steps: &[i64],
+    ) -> (Option<KeySwitchKey>, GaloisKeys) {
+        let context = keygen.context.clone();
+        let basis = context.key_basis();
+        let relin = relin.then(|| {
+            let s_squared = keygen.secret.ntt.dyadic_mul(&keygen.secret.ntt, basis);
+            reference_key_switch_key(keygen, &s_squared)
+        });
+        let mut galois = GaloisKeys::default();
+        for &step in steps.iter().filter(|&&step| step != 0) {
+            let elt = context.galois().galois_elt_from_step(step);
+            galois.steps.insert(step, elt);
+            if galois.keys.contains_key(&elt) {
+                continue;
+            }
+            let mut rotated = keygen.secret.coeff.apply_galois(elt, basis);
+            rotated.to_ntt(basis);
+            let key = reference_key_switch_key(keygen, &rotated);
+            let table = context.galois().ntt_permutation(elt);
+            galois.keys.insert(elt, key.permuted(table));
+        }
+        (relin, galois)
+    }
+
+    fn assert_same_key(got: &KeySwitchKey, want: &KeySwitchKey, what: &str) {
+        assert!(got.digits == want.digits, "{what}: digit rows differ");
+        assert_eq!(got.table, want.table, "{what}: gather table differs");
+    }
+
+    #[test]
+    fn evaluation_keys_match_the_sequential_reference_on_any_worker_count() {
+        let ctx = context();
+        // Step 0 (no key), a negative step and its alias 29 ≡ −3 (32
+        // slots), with and without relinearization; then one key alone.
+        let steps = [0, 1, -3, 29, 5];
+        let cases: [(bool, &[i64]); 4] =
+            [(true, &steps), (false, &steps), (true, &[]), (false, &[5])];
+        for (relin, steps) in cases {
+            let mut reference = KeyGenerator::from_seed(ctx.clone(), 23);
+            let (want_relin, want_galois) = reference_keys(&mut reference, relin, steps);
+            let want_next = reference.create_public_key();
+            for workers in [1, 2, 3, 8] {
+                let what = format!("relin {relin}, steps {steps:?}, {workers} workers");
+                let mut keygen = KeyGenerator::from_seed(ctx.clone(), 23);
+                let (got_relin, got_galois) =
+                    keygen.create_evaluation_keys_on(relin, steps, workers);
+                assert_eq!(got_relin.is_some(), relin, "{what}");
+                if let (Some(got), Some(want)) = (&got_relin, &want_relin) {
+                    assert_same_key(&got.key, want, &what);
+                }
+                assert_eq!(
+                    got_galois.step_elements(),
+                    want_galois.step_elements(),
+                    "{what}"
+                );
+                let (got_keys, want_keys) = (got_galois.element_keys(), want_galois.element_keys());
+                assert_eq!(got_keys.len(), want_keys.len(), "{what}");
+                for ((elt, got), (want_elt, want)) in got_keys.into_iter().zip(want_keys) {
+                    assert_eq!(elt, want_elt, "{what}");
+                    assert_same_key(got, want, &format!("{what}, element {elt}"));
+                }
+                // Both generators consumed the same draws: what comes next matches too.
+                assert_eq!(keygen.create_public_key().p1, want_next.p1, "{what}");
+            }
         }
     }
 }

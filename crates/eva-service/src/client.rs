@@ -352,9 +352,6 @@ impl<S: Read + Write> EvaClient<S> {
         let context =
             CkksContext::new(params).map_err(|e| ServiceError::InvalidParameters(e.to_string()))?;
 
-        // Client-side key generation, mirroring EncryptedContext::setup's
-        // draw order exactly (secret → public → relin → Galois) so seeded
-        // runs are bit-identical to the in-process executor.
         let mut keygen = match key_seed {
             Some(seed) => KeyGenerator::from_seed(context.clone(), seed),
             None => KeyGenerator::new(context.clone()),
@@ -366,14 +363,12 @@ impl<S: Read + Write> EvaClient<S> {
             Some(resume.expect("checked above"))
         } else {
             // The public key is not used for encryption (the symmetric
-            // seeded path is) but its draw keeps the keygen RNG order
-            // stable, which is what makes the relin/Galois keys — and hence
-            // the fingerprint — reproducible from the seed.
+            // seeded path is) but it is drawn first in the order
+            // `create_evaluation_keys` documents, which is what makes the
+            // fingerprint reproducible from the seed.
             let _public_key = keygen.create_public_key();
-            let relin = manifest
-                .needs_relin
-                .then(|| keygen.create_relinearization_key());
-            let galois = keygen.create_galois_keys(&manifest.rotation_steps);
+            let (relin, galois) =
+                keygen.create_evaluation_keys(manifest.needs_relin, &manifest.rotation_steps);
             // Serialize the upload once and fingerprint those same bytes —
             // the EvalKeys payload (`has_relin · EVAL? · EVAG`) is exactly
             // the fingerprint input, and the server hashes it as received.

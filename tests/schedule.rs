@@ -251,8 +251,8 @@ fn forecast_key_bytes_equal_the_resident_key_rows() {
         let context =
             CkksContext::new(parameters_from_spec(&compiled.parameters).unwrap()).unwrap();
         let mut keygen = KeyGenerator::from_seed(context.clone(), 5);
-        let relin = needs_relinearization(&compiled).then(|| keygen.create_relinearization_key());
-        let galois = keygen.create_galois_keys(&compiled.rotation_steps);
+        let (relin, galois) = keygen
+            .create_evaluation_keys(needs_relinearization(&compiled), &compiled.rotation_steps);
         let resident = relin.map_or(0, |k| k.resident_bytes()) + galois.resident_bytes();
         let tables = galois.element_keys().len() * context.degree() * std::mem::size_of::<u32>();
 
