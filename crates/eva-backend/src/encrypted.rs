@@ -487,20 +487,16 @@ impl EvaluationContext {
     ) -> Result<NodeValue, EvaError> {
         let ct = expect_cipher(source)?;
         let ev = &self.evaluator;
-        let step = match program.opcode(id) {
-            Some(Opcode::RotateLeft(steps)) => Some(steps as i64),
-            Some(Opcode::RotateRight(steps)) => Some(-(steps as i64)),
-            Some(Opcode::Relinearize) => None,
-            _ => return Err(EvaError::Execution(format!("node {id} switches no key"))),
-        };
-        let result = match step {
+        let op = program.opcode(id);
+        let result = match op.and_then(Opcode::rotation_step) {
             Some(step) => ev.rotate_decomposed(ct, step, &self.galois_keys, decomp, scratch),
-            None => {
+            None if op == Some(Opcode::Relinearize) => {
                 let key = self.relin_key.as_ref().ok_or_else(|| {
                     EvaError::Execution("program relinearizes but no relinearization key".into())
                 })?;
                 ev.relinearize_decomposed(ct, key, decomp, scratch)
             }
+            None => return Err(EvaError::Execution(format!("node {id} switches no key"))),
         };
         Ok(annotated(program, id, result.map_err(to_eva_error)?))
     }

@@ -645,8 +645,6 @@ pub struct CostMeasurement {
     pub rotations_canonicalized: usize,
     /// Rotations eliminated by baby-step/giant-step factoring.
     pub rotations_factored: usize,
-    /// Rotations re-parented by the rotation-chaining pass.
-    pub rotations_chained: usize,
     /// Wall-clock of one serial encrypted execution of the optimized
     /// program, in microseconds (compare with `optimized.predicted_us`).
     pub measured_execute_us: f64,
@@ -726,7 +724,6 @@ pub fn measure_cost() -> Vec<CostMeasurement> {
             dce_removed: opt.stats.dce_removed,
             rotations_canonicalized: opt.stats.rotations_canonicalized,
             rotations_factored: opt.stats.rotations_factored,
-            rotations_chained: opt.stats.rotations_chained,
             measured_execute_us,
             forecast,
             audit,
@@ -763,8 +760,8 @@ fn cost_report_json(report: &eva_core::CostReport, indent: &str) -> String {
 
 /// Renders cost measurements as the `BENCH_cost.json` document. The flat
 /// `ci` section repeats the deterministic static counts under
-/// `<workload>_<metric>` keys so CI can grep single scalars for
-/// non-regression without a JSON parser.
+/// `<workload>_<metric>` keys so CI can compare the whole section with the
+/// checked-in one, line for line, without a JSON parser.
 pub fn cost_json(measurements: &[CostMeasurement]) -> String {
     let mut s = String::from("{\n  \"schema\": \"eva-bench-cost-v1\",\n");
     s.push_str(
@@ -786,13 +783,8 @@ pub fn cost_json(measurements: &[CostMeasurement]) -> String {
         ));
         s.push_str(&format!(
             "      \"optimizer_stats\": {{ \"cse_merged\": {}, \"dce_removed\": {}, \
-             \"rotations_canonicalized\": {}, \"rotations_factored\": {}, \
-             \"rotations_chained\": {} }},\n",
-            m.cse_merged,
-            m.dce_removed,
-            m.rotations_canonicalized,
-            m.rotations_factored,
-            m.rotations_chained
+             \"rotations_canonicalized\": {}, \"rotations_factored\": {} }},\n",
+            m.cse_merged, m.dce_removed, m.rotations_canonicalized, m.rotations_factored
         ));
         s.push_str(&format!(
             "      \"measured_execute_us\": {:.1},\n      \"max_error\": {:.3e},\n",

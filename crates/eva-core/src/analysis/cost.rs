@@ -31,7 +31,7 @@
 //! [`CostReport::ntts`] and `predicted_us` report the model's figures.
 //!
 //! Only **live** cipher nodes are costed: executors skip dead branches, and
-//! after this PR `compile()` removes them outright.
+//! `compile()` removes them outright.
 
 use std::collections::BTreeMap;
 
@@ -248,7 +248,7 @@ mod tests {
     use super::*;
     use crate::compiler::{compile, CompilerOptions};
     use crate::program::Program;
-    use crate::types::Opcode;
+    use crate::types::{Opcode, ValueType};
 
     fn rotated_product() -> CompiledProgram {
         let mut p = Program::new("rotprod", 16);
@@ -277,22 +277,21 @@ mod tests {
 
     #[test]
     fn dead_nodes_cost_nothing() {
-        let mut p = Program::new("deadcost", 16);
-        let x = p.input_cipher("x", 30);
-        let live = p.instruction(Opcode::Add, &[x, x]);
-        p.output("out", live, 30);
-        let mut with_dead = p.clone();
-        let d = with_dead.instruction(Opcode::RotateLeft(2), &[x]);
-        let _dead = with_dead.instruction(Opcode::Multiply, &[d, d]);
-        // Compare compiled costs — the dead rotation must not be charged.
-        // (Compiled through the unoptimized pipeline so the dead branch is
-        // actually still present; compile() now strips it.)
-        let a = compile(&p, &CompilerOptions::default()).unwrap();
-        let report_a = estimate_cost(&a, &CostModel::default()).unwrap();
-        let b = compile(&with_dead, &CompilerOptions::default()).unwrap();
-        let report_b = estimate_cost(&b, &CostModel::default()).unwrap();
-        assert_eq!(report_a.key_switches, report_b.key_switches);
-        assert_eq!(report_a.rotations, report_b.rotations);
+        let compiled = rotated_product();
+        let before = estimate_cost(&compiled, &CostModel::default()).unwrap();
+        let mut with_dead = compiled.clone();
+        let p = &mut with_dead.program;
+        let x = (0..p.len())
+            .find(|&id| matches!(p.node(id).kind, NodeKind::Input { .. }))
+            .unwrap();
+        let d = p.push_instruction(Opcode::RotateLeft(2), vec![x], ValueType::Cipher);
+        p.push_instruction(Opcode::Multiply, vec![d, d], ValueType::Cipher);
+        let after = estimate_cost(&with_dead, &CostModel::default()).unwrap();
+        assert_eq!(after.nodes, before.nodes + 2);
+        assert_eq!(after.rotations, before.rotations);
+        assert_eq!(after.key_switches, before.key_switches);
+        assert_eq!(after.ntts, before.ntts);
+        assert_eq!(after.predicted_us.to_bits(), before.predicted_us.to_bits());
     }
 
     #[test]

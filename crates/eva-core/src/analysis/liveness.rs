@@ -188,8 +188,6 @@ mod tests {
             acc = p.instruction(Opcode::Add, &[acc, b]);
         }
         p.output("out", acc, 30);
-        // Compile unoptimized: rotation chaining would serialize the fan-out
-        // (that reduction is exactly what the optimizer is for).
         let compiled = compile(&p, &CompilerOptions::unoptimized()).unwrap();
         let f = predict_peak_memory(&compiled).unwrap();
         // x + all four rotations live at once (x is consumed by every branch).

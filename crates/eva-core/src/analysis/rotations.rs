@@ -31,8 +31,7 @@
 
 use std::collections::BTreeSet;
 
-use crate::program::{NodeKind, Program};
-use crate::types::Opcode;
+use crate::program::Program;
 
 /// Maps a signed rotation step (positive = left, negative = right) to its
 /// canonical left step in `[0, vec_size)`.
@@ -57,20 +56,10 @@ pub fn canonical_left_step(step: i64, vec_size: usize) -> i64 {
 /// Positive values are left rotations, negative values right rotations, and
 /// zero-step rotations are omitted (they are the identity and need no key).
 pub fn select_rotation_steps(program: &Program) -> Vec<i64> {
-    let mut steps = BTreeSet::new();
-    for node in program.nodes() {
-        if let NodeKind::Instruction { op, .. } = &node.kind {
-            match op {
-                Opcode::RotateLeft(s) if *s != 0 => {
-                    steps.insert(*s as i64);
-                }
-                Opcode::RotateRight(s) if *s != 0 => {
-                    steps.insert(-(*s as i64));
-                }
-                _ => {}
-            }
-        }
-    }
+    let steps: BTreeSet<i64> = (0..program.len())
+        .filter_map(|id| program.opcode(id)?.rotation_step())
+        .filter(|&step| step != 0)
+        .collect();
     steps.into_iter().collect()
 }
 

@@ -9,7 +9,7 @@
 //!
 //! * a step **materializes** the values that come into existence when its
 //!   node is reached: the node's own value, or — for the first-reached
-//!   member of a rotation fan-out (`group_rotation_fanouts`) — every member
+//!   member of a rotation fan-out ([`RotationFanout`]) — every member
 //!   of the group at once, because the executors run the group hoisted
 //!   (one shared decomposition, one key apply per member). Inputs are bound
 //!   before execution and fan-out members reached later already exist, so
@@ -28,11 +28,47 @@
 //! per call and never cached: there is no plan object to keep in sync with
 //! a program and no second entry point that takes one.
 
+use std::collections::BTreeMap;
+
 use crate::error::EvaError;
-use crate::passes::{group_rotation_fanouts, RotationFanout};
 use crate::program::{NodeId, NodeKind, Program};
+use crate::types::Opcode;
 
 use super::dataflow::Dataflow;
+
+/// A group of live cipher rotations sharing one source ciphertext, executed
+/// hoisted: one shared decomposition, one key apply per member.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct RotationFanout {
+    /// The shared source node every member rotates.
+    pub source: NodeId,
+    /// The member rotation nodes with their signed left-rotation steps,
+    /// in ascending node order.
+    pub members: Vec<(NodeId, i64)>,
+}
+
+/// Groups live, cipher-typed, non-identity rotations by their source node,
+/// returning every group with at least two members in ascending source
+/// order (members in ascending node order). Zero-step rotations are clones
+/// in the evaluator and perform no key switch, so they never join a group.
+fn group_rotation_fanouts(program: &Program, live: &[bool]) -> Vec<RotationFanout> {
+    let mut groups: BTreeMap<NodeId, Vec<(NodeId, i64)>> = BTreeMap::new();
+    for id in 0..program.len() {
+        if !live[id] || !program.node(id).ty.is_cipher() {
+            continue;
+        }
+        let step = program.opcode(id).and_then(Opcode::rotation_step);
+        if let Some(step) = step.filter(|&s| s != 0) {
+            let source = program.args(id)[0];
+            groups.entry(source).or_default().push((id, step));
+        }
+    }
+    groups
+        .into_iter()
+        .filter(|(_, members)| members.len() >= 2)
+        .map(|(source, members)| RotationFanout { source, members })
+        .collect()
+}
 
 /// One live node of the serial execution order, with the values that appear
 /// and disappear around it.
@@ -94,7 +130,7 @@ impl Schedule {
             use_counts[output.node] += 1;
         }
 
-        let fanouts = group_rotation_fanouts(program);
+        let fanouts = group_rotation_fanouts(program, live);
         let mut group_of = vec![None; program.len()];
         for (g, fanout) in fanouts.iter().enumerate() {
             for &(member, _) in &fanout.members {
@@ -158,7 +194,6 @@ impl Schedule {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::types::Opcode;
 
     /// A 3-way rotation fan-out whose source also feeds an ADD, a
     /// duplicate-argument node, a dead branch and two outputs sharing a node.
@@ -257,5 +292,71 @@ mod tests {
             Schedule::new(&p),
             Err(EvaError::InvalidProgram(_))
         ));
+    }
+
+    /// A summed rotation fan-out of `steps` from a single source.
+    fn fanout_program(steps: &[i32]) -> (Program, NodeId) {
+        let mut p = Program::new("fanout", 256);
+        let x = p.input_cipher("x", 30);
+        let mut acc = None;
+        for &step in steps {
+            let r = p.instruction(Opcode::RotateLeft(step), &[x]);
+            acc = Some(match acc {
+                None => r,
+                Some(prev) => p.instruction(Opcode::Add, &[prev, r]),
+            });
+        }
+        p.output("out", acc.unwrap(), 30);
+        (p, x)
+    }
+
+    fn fanouts(p: &Program) -> Vec<RotationFanout> {
+        group_rotation_fanouts(p, &p.live_mask())
+    }
+
+    #[test]
+    fn groups_same_source_rotations() {
+        let (p, x) = fanout_program(&[1, 2, 16, 17, 18, 32, 33, 34]);
+        let groups = fanouts(&p);
+        assert_eq!(groups.len(), 1);
+        assert_eq!(groups[0].source, x);
+        let steps: Vec<i64> = groups[0].members.iter().map(|&(_, s)| s).collect();
+        assert_eq!(steps, vec![1, 2, 16, 17, 18, 32, 33, 34]);
+    }
+
+    #[test]
+    fn lone_rotations_and_identities_form_no_group() {
+        let mut p = Program::new("lone", 16);
+        let x = p.input_cipher("x", 30);
+        let r = p.instruction(Opcode::RotateLeft(1), &[x]);
+        let z = p.instruction(Opcode::RotateLeft(0), &[x]);
+        let s = p.instruction(Opcode::Add, &[r, z]);
+        p.output("out", s, 30);
+        assert!(fanouts(&p).is_empty());
+    }
+
+    #[test]
+    fn dead_rotations_are_not_grouped() {
+        let mut p = Program::new("dead", 16);
+        let x = p.input_cipher("x", 30);
+        let live = p.instruction(Opcode::RotateLeft(1), &[x]);
+        let _dead_a = p.instruction(Opcode::RotateLeft(2), &[x]);
+        let _dead_b = p.instruction(Opcode::RotateLeft(3), &[x]);
+        p.output("out", live, 30);
+        assert!(fanouts(&p).is_empty());
+    }
+
+    #[test]
+    fn right_rotations_group_with_signed_steps() {
+        let mut p = Program::new("signed", 16);
+        let x = p.input_cipher("x", 30);
+        let a = p.instruction(Opcode::RotateLeft(1), &[x]);
+        let b = p.instruction(Opcode::RotateRight(2), &[x]);
+        let s = p.instruction(Opcode::Add, &[a, b]);
+        p.output("out", s, 30);
+        let groups = fanouts(&p);
+        assert_eq!(groups.len(), 1);
+        let steps: Vec<i64> = groups[0].members.iter().map(|&(_, s)| s).collect();
+        assert_eq!(steps, vec![1, -2]);
     }
 }

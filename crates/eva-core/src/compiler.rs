@@ -11,10 +11,9 @@ use crate::analysis::{
 };
 use crate::error::EvaError;
 use crate::passes::{
-    apply_exact_scales, canonicalize_rotations, chain_rotations_if_profitable,
-    eliminate_common_subexpressions, eliminate_dead_code, factor_rotation_sums,
-    insert_always_rescale, insert_eager_modswitch, insert_lazy_modswitch, insert_match_scale,
-    insert_relinearize, insert_waterline_rescale,
+    apply_exact_scales, canonicalize_rotations, eliminate_common_subexpressions,
+    eliminate_dead_code, factor_rotation_sums, insert_always_rescale, insert_eager_modswitch,
+    insert_lazy_modswitch, insert_match_scale, insert_relinearize, insert_waterline_rescale,
 };
 use crate::program::Program;
 
@@ -41,53 +40,6 @@ pub enum ModSwitchStrategy {
     Lazy,
 }
 
-/// Which analysis-driven optimization passes run before the maintenance
-/// pipeline (all on by default — each is individually re-verified by the
-/// IR verifier after it runs, so disabling them is only useful for
-/// ablations and for producing bit-stable unoptimized twins in tests).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct OptimizerOptions {
-    /// Global common-subexpression elimination via value numbering
-    /// (bit-preserving).
-    pub cse: bool,
-    /// Dead-code elimination before the maintenance pipeline
-    /// (bit-preserving; a final sweep after exact-scale annotation always
-    /// runs regardless, so compiled programs are dead-free either way).
-    pub dce: bool,
-    /// Rotation canonicalization, compose-merging and differential chaining
-    /// (value-preserving: decoded outputs are equal, ciphertext bits and
-    /// Galois-key sets differ).
-    pub rotation_min: bool,
-    /// Maximum differential-chain depth for rotation chaining. Deeper chains
-    /// collapse more Galois keys but accumulate more rotation noise; the
-    /// compile-time noise gate bounds how far this can be pushed.
-    pub rotation_chain_depth: u32,
-}
-
-impl Default for OptimizerOptions {
-    fn default() -> Self {
-        Self {
-            cse: true,
-            dce: true,
-            rotation_min: true,
-            rotation_chain_depth: 4,
-        }
-    }
-}
-
-impl OptimizerOptions {
-    /// All optimization passes off (the pre-optimizer pipeline, for
-    /// ablations and unoptimized-twin tests).
-    pub fn disabled() -> Self {
-        Self {
-            cse: false,
-            dce: false,
-            rotation_min: false,
-            rotation_chain_depth: 0,
-        }
-    }
-}
-
 /// Options controlling compilation.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CompilerOptions {
@@ -98,8 +50,10 @@ pub struct CompilerOptions {
     /// Maximum rescale value / prime size in bits (the paper's `log2 s_f`,
     /// 60 in SEAL).
     pub max_rescale_bits: u32,
-    /// Analysis-driven optimization passes.
-    pub optimizer: OptimizerOptions,
+    /// Run the analysis-driven optimizer before the maintenance pipeline
+    /// (see [`compile`]). On by default; off runs the paper's Algorithm 1
+    /// alone, for ablations and unoptimized twins in tests.
+    pub optimize: bool,
 }
 
 impl Default for CompilerOptions {
@@ -108,16 +62,16 @@ impl Default for CompilerOptions {
             rescale: RescaleStrategy::Waterline,
             mod_switch: ModSwitchStrategy::Eager,
             max_rescale_bits: 60,
-            optimizer: OptimizerOptions::default(),
+            optimize: true,
         }
     }
 }
 
 impl CompilerOptions {
-    /// Default options with every optimization pass disabled.
+    /// Default options with the optimizer off.
     pub fn unoptimized() -> Self {
         Self {
-            optimizer: OptimizerOptions::disabled(),
+            optimize: false,
             ..Self::default()
         }
     }
@@ -149,8 +103,6 @@ pub struct CompilationStats {
     /// Rotations eliminated by baby-step/giant-step factoring of
     /// rotate–multiply–accumulate sums.
     pub rotations_factored: usize,
-    /// Rotations re-parented into differential chains.
-    pub rotations_chained: usize,
 }
 
 /// The result of compilation: the transformed executable program plus the
@@ -242,10 +194,10 @@ fn optimizer_guard(
 /// Compiles an input EVA program (paper Algorithm 1, preceded by this
 /// reproduction's analysis-driven optimizer).
 ///
-/// First the optimization passes run — rotation canonicalization, global
-/// common-subexpression elimination, baby-step/giant-step rotation
-/// factoring, rotation chaining and dead-code elimination, each re-checked
-/// by the IR verifier. The transformation step
+/// First, when [`CompilerOptions::optimize`] is set, the optimization passes
+/// run — rotation canonicalization, global common-subexpression elimination,
+/// baby-step/giant-step rotation factoring and dead-code elimination, each
+/// re-checked by the IR verifier. The transformation step
 /// then applies, in order: RESCALE insertion, MODSWITCH insertion,
 /// MATCH-SCALE and RELINEARIZE. The transformed program is validated
 /// against Constraints 1–4 — if validation fails the compiler returns an
@@ -270,65 +222,30 @@ pub fn compile(input: &Program, options: &CompilerOptions) -> Result<CompiledPro
     input.validate_as_input()?;
     let mut program = input.clone();
 
-    // Analysis-driven optimization passes (this PR's addition to the paper's
-    // pipeline): rotation canonicalization, CSE, baby-step/giant-step
-    // rotation factoring, rotation chaining, DCE — in that order, so CSE
-    // sees canonical rotation spellings, factoring sees deduplicated
-    // single-use rotations, and chaining sees the factored baby/giant step
-    // sets. Every pass is re-checked by the IR verifier before the next one
-    // runs.
-    let opt = &options.optimizer;
+    // Analysis-driven optimization passes (this reproduction's addition to
+    // the paper's pipeline), in an order where CSE sees canonical rotation
+    // spellings and factoring sees deduplicated single-use rotations. Every
+    // pass is re-checked by the IR verifier before the next one runs.
     let mut cse_merged = 0;
     let mut dce_removed = 0;
     let mut rotations_canonicalized = 0;
     let mut rotations_factored = 0;
-    let mut rotations_chained = 0;
-    if opt.cse || opt.dce || opt.rotation_min {
+    if options.optimize {
         let baseline: HashSet<Check> = verify_program(&program, options.max_rescale_bits)
             .errors()
             .map(|d| d.check)
             .collect();
-        if opt.rotation_min {
-            rotations_canonicalized = canonicalize_rotations(&mut program);
-            optimizer_guard(
-                &program,
-                options.max_rescale_bits,
-                &baseline,
-                "rotation-canonicalize",
-            )?;
-        }
-        if opt.cse {
-            cse_merged = eliminate_common_subexpressions(&mut program);
-            optimizer_guard(&program, options.max_rescale_bits, &baseline, "cse")?;
-        }
-        if opt.rotation_min {
-            rotations_factored = factor_rotation_sums(&mut program);
-            optimizer_guard(
-                &program,
-                options.max_rescale_bits,
-                &baseline,
-                "rotation-factor",
-            )?;
-        }
-        if opt.rotation_min {
-            // Chaining shrinks the Galois-key set but re-parents fan-out
-            // members onto each other, destroying the same-source structure
-            // hoisted key-switching exploits at runtime. The gate commits
-            // the rewrite only when the hoisted NTT estimate does not get
-            // worse — on fan-out-shaped programs it declines.
-            rotations_chained =
-                chain_rotations_if_profitable(&mut program, opt.rotation_chain_depth);
-            optimizer_guard(
-                &program,
-                options.max_rescale_bits,
-                &baseline,
-                "rotation-chain",
-            )?;
-        }
-        if opt.dce {
-            dce_removed = eliminate_dead_code(&mut program);
-            optimizer_guard(&program, options.max_rescale_bits, &baseline, "dce")?;
-        }
+        let guard = |program: &Program, pass: &str| {
+            optimizer_guard(program, options.max_rescale_bits, &baseline, pass)
+        };
+        rotations_canonicalized = canonicalize_rotations(&mut program);
+        guard(&program, "rotation-canonicalize")?;
+        cse_merged = eliminate_common_subexpressions(&mut program);
+        guard(&program, "cse")?;
+        rotations_factored = factor_rotation_sums(&mut program);
+        guard(&program, "rotation-factor")?;
+        dce_removed = eliminate_dead_code(&mut program);
+        guard(&program, "dce")?;
     }
 
     let rescales_inserted = match options.rescale {
@@ -370,7 +287,6 @@ pub fn compile(input: &Program, options: &CompilerOptions) -> Result<CompiledPro
         dce_removed,
         rotations_canonicalized,
         rotations_factored,
-        rotations_chained,
     };
     let compiled = CompiledProgram {
         program,
@@ -443,7 +359,7 @@ mod tests {
                     rescale,
                     mod_switch,
                     max_rescale_bits: 60,
-                    optimizer: OptimizerOptions::default(),
+                    optimize: true,
                 };
                 let compiled = compile(&program, &options).unwrap();
                 assert!(compiled.parameters.total_bits() > 0);
@@ -459,8 +375,7 @@ mod tests {
         let b = p.instruction(Opcode::RotateRight(4), &[x]);
         let sum = p.instruction(Opcode::Add, &[a, b]);
         p.output("out", sum, 30);
-        // The optimizer canonicalizes RotateRight(4) to RotateLeft(60); the
-        // chain rewrite is refused here ({1, 59} is no smaller than {1, 60}).
+        // The optimizer canonicalizes RotateRight(4) to RotateLeft(60).
         let compiled = compile(&p, &CompilerOptions::default()).unwrap();
         assert_eq!(compiled.rotation_steps, vec![1, 60]);
         assert_eq!(compiled.stats.rotations_canonicalized, 1);

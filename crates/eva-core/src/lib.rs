@@ -61,8 +61,7 @@ pub use analysis::{
     NoiseReport, ParameterSpec, VerifierReport,
 };
 pub use compiler::{
-    compile, CompilationStats, CompiledProgram, CompilerOptions, ModSwitchStrategy,
-    OptimizerOptions, RescaleStrategy,
+    compile, CompilationStats, CompiledProgram, CompilerOptions, ModSwitchStrategy, RescaleStrategy,
 };
 pub use error::EvaError;
 pub use program::{Node, NodeId, NodeKind, OutputInfo, Program};

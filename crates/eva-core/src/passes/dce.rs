@@ -132,7 +132,7 @@ mod tests {
 
     #[test]
     fn handles_out_of_id_order_graphs() {
-        // Rotation chaining re-parents nodes onto later ids; DCE must follow
+        // A rewrite can re-parent a node onto a later id; DCE must follow
         // the true topological order, not id order.
         let mut p = Program::new("reorder", 8);
         let x = p.input_cipher("x", 30);

@@ -8,7 +8,6 @@
 
 pub mod cse;
 pub mod dce;
-pub mod hoist_rotations;
 pub mod match_scale;
 pub mod modswitch;
 pub mod relinearize;
@@ -18,13 +17,12 @@ pub mod rotation_min;
 
 pub use cse::eliminate_common_subexpressions;
 pub use dce::eliminate_dead_code;
-pub use hoist_rotations::{chain_rotations_if_profitable, group_rotation_fanouts, RotationFanout};
 pub use match_scale::{apply_exact_scales, insert_match_scale};
 pub use modswitch::{insert_eager_modswitch, insert_lazy_modswitch};
 pub use relinearize::insert_relinearize;
 pub use rescale::{insert_always_rescale, insert_waterline_rescale};
 pub use rotation_factor::factor_rotation_sums;
-pub use rotation_min::{canonicalize_rotations, chain_rotations};
+pub use rotation_min::canonicalize_rotations;
 
 use crate::program::{NodeId, Program};
 use crate::types::{Opcode, ValueType};

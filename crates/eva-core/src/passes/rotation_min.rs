@@ -1,30 +1,19 @@
-//! Rotation-set minimization: canonicalize rotation spellings, collapse
-//! composed rotations, and re-parent same-source rotations into short
-//! differential chains so the program needs fewer Galois keys *and* fewer
+//! Rotation-set minimization: canonicalize rotation spellings and collapse
+//! composed rotations, so the program needs fewer Galois keys *and* fewer
 //! key switches.
 //!
-//! Three rewrites, in the order `compile()` applies them:
+//! Two rewrites, both in [`canonicalize_rotations`]:
 //!
-//! 1. [`canonicalize_rotations`] — every rotation becomes
+//! 1. Canonical spelling — every rotation becomes
 //!    `RotateLeft(canonical_left_step(step, vec_size))` (the contract of
 //!    [`crate::analysis::rotations`]); identity rotations (canonical step 0)
 //!    are bypassed entirely, since the evaluator would clone the ciphertext
 //!    but `select_rotation_steps` would still demand a Galois key for the
 //!    spelled step.
-//! 2. Compose-merging (also in [`canonicalize_rotations`]) —
+//! 2. Compose-merging —
 //!    `rotate(rotate(x, a), b)` where the inner rotation has no other
 //!    consumer becomes `rotate(x, (a + b) mod size)`: one key switch and one
 //!    node fewer, and strictly less rotation noise.
-//! 3. [`chain_rotations`] — live cipher rotations sharing a source node are
-//!    grouped, their sorted canonical steps split into runs of at most
-//!    `max_depth`, and each run rewritten as a differential chain
-//!    (`head` rotates by its full step, each successor by the delta to its
-//!    predecessor). Key-switch count is unchanged, but many distinct steps
-//!    collapse onto shared deltas, shrinking the Galois-key set. The chain
-//!    depth bound caps the extra rotation-noise accumulation (≈ quadrature
-//!    growth, ~1–2 bits at depth 4) so the compiler's worst-case noise gate
-//!    stays satisfiable; the rewrite is applied only when it strictly
-//!    shrinks the global distinct-step count.
 //!
 //! Canonicalization and compose-merging are value-preserving but not
 //! bit-preserving (a different automorphism draws different keygen
@@ -32,22 +21,10 @@
 //! every compiled artifact and the optimizer proptests assert tolerance
 //! equality rather than bit equality for this pass.
 
-use std::collections::BTreeMap;
-use std::collections::BTreeSet;
-
 use crate::analysis::dataflow::kahn_order;
 use crate::analysis::rotations::canonical_left_step;
-use crate::program::{NodeId, NodeKind, Program};
+use crate::program::{NodeKind, Program};
 use crate::types::Opcode;
-
-/// Extracts the signed step of a rotation opcode.
-fn rotation_step(op: Opcode) -> Option<i64> {
-    match op {
-        Opcode::RotateLeft(s) => Some(s as i64),
-        Opcode::RotateRight(s) => Some(-(s as i64)),
-        _ => None,
-    }
-}
 
 /// Rewrites every rotation into canonical left-step form, bypasses identity
 /// rotations, and merges single-use composed rotations. Returns the number
@@ -66,7 +43,7 @@ pub fn canonicalize_rotations(program: &mut Program) -> usize {
             continue;
         };
         let (op, args) = (*op, args.clone());
-        if let Some(step) = rotation_step(op) {
+        if let Some(step) = op.rotation_step() {
             let canonical = canonical_left_step(step, size as usize);
             if op != Opcode::RotateLeft(canonical as i32) {
                 program.replace_instruction(id, Opcode::RotateLeft(canonical as i32), args);
@@ -126,107 +103,6 @@ pub fn canonicalize_rotations(program: &mut Program) -> usize {
     rewrites
 }
 
-/// Re-parents same-source rotations into differential chains of depth at
-/// most `max_depth`, if and only if doing so strictly shrinks the program's
-/// global distinct-rotation-step set. Returns the number of rotations
-/// re-parented.
-///
-/// Expects canonical form (run [`canonicalize_rotations`] first); rotations
-/// not in canonical form are left alone. Run CSE in between so each
-/// `(source, step)` pair has a single live rotation node.
-pub fn chain_rotations(program: &mut Program, max_depth: u32) -> usize {
-    if max_depth < 2 {
-        return 0;
-    }
-    if kahn_order(program).is_err() {
-        return 0;
-    }
-    let live = program.live_mask();
-
-    // Group live canonical cipher rotations by source node. Only groups where
-    // every step has exactly one rotation node participate (guaranteed after
-    // CSE; duplicated steps would need representative selection).
-    let mut groups: BTreeMap<NodeId, BTreeMap<i64, NodeId>> = BTreeMap::new();
-    let mut ungrouped_steps: BTreeSet<i64> = BTreeSet::new();
-    let mut duplicated: BTreeSet<NodeId> = BTreeSet::new();
-    for id in 0..program.len() {
-        let Some(op) = program.opcode(id) else {
-            continue;
-        };
-        let Some(step) = rotation_step(op) else {
-            continue;
-        };
-        if step == 0 {
-            continue;
-        }
-        let is_canonical_cipher = matches!(op, Opcode::RotateLeft(_))
-            && (0..program.vec_size() as i64).contains(&step)
-            && program.node(id).ty.is_cipher();
-        if !live[id] || !is_canonical_cipher {
-            ungrouped_steps.insert(step);
-            continue;
-        }
-        let source = program.args(id)[0];
-        if groups.entry(source).or_default().insert(step, id).is_some() {
-            duplicated.insert(source);
-        }
-    }
-    for source in duplicated {
-        if let Some(group) = groups.remove(&source) {
-            ungrouped_steps.extend(group.keys());
-        }
-    }
-
-    let current_steps: BTreeSet<i64> = {
-        let mut s = ungrouped_steps.clone();
-        for group in groups.values() {
-            s.extend(group.keys());
-        }
-        s
-    };
-
-    // Steps a group contributes once chained: chunk heads keep their full
-    // step, successors contribute the delta to their predecessor.
-    let chained_steps = |steps: &[i64]| -> Vec<i64> {
-        let mut out = Vec::new();
-        for chunk in steps.chunks(max_depth as usize) {
-            out.push(chunk[0]);
-            for pair in chunk.windows(2) {
-                out.push(pair[1] - pair[0]);
-            }
-        }
-        out
-    };
-
-    let mut prospective: BTreeSet<i64> = ungrouped_steps.clone();
-    for group in groups.values() {
-        let steps: Vec<i64> = group.keys().copied().collect();
-        prospective.extend(chained_steps(&steps));
-    }
-    if prospective.len() >= current_steps.len() {
-        return 0;
-    }
-
-    let mut reparented = 0usize;
-    for group in groups.values() {
-        let entries: Vec<(i64, NodeId)> = group.iter().map(|(&s, &n)| (s, n)).collect();
-        for chunk in entries.chunks(max_depth as usize) {
-            for pair in chunk.windows(2) {
-                let (prev_step, prev_node) = pair[0];
-                let (step, node) = pair[1];
-                let delta = step - prev_step;
-                program.replace_instruction(
-                    node,
-                    Opcode::RotateLeft(delta as i32),
-                    vec![prev_node],
-                );
-                reparented += 1;
-            }
-        }
-    }
-    reparented
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -271,103 +147,5 @@ mod tests {
         canonicalize_rotations(&mut p);
         assert_eq!(p.opcode(outer), Some(Opcode::RotateLeft(5)));
         assert_eq!(p.args(outer), &[inner], "shared inner stays");
-    }
-
-    #[test]
-    fn chains_collapse_a_rotation_ladder() {
-        // Sobel-shaped step set: 8 distinct steps from one source.
-        let mut p = Program::new("ladder", 256);
-        let x = p.input_cipher("x", 30);
-        let mut acc = None;
-        for step in [1, 2, 16, 17, 18, 32, 33, 34] {
-            let r = p.instruction(Opcode::RotateLeft(step), &[x]);
-            acc = Some(match acc {
-                None => r,
-                Some(prev) => p.instruction(Opcode::Add, &[prev, r]),
-            });
-        }
-        p.output("out", acc.unwrap(), 30);
-        assert_eq!(select_rotation_steps(&p).len(), 8);
-        let before_rotations = p
-            .nodes()
-            .iter()
-            .filter(|n| {
-                matches!(
-                    n.kind,
-                    NodeKind::Instruction {
-                        op: Opcode::RotateLeft(_),
-                        ..
-                    }
-                )
-            })
-            .count();
-        let reparented = chain_rotations(&mut p, 4);
-        assert!(reparented > 0);
-        // Chunks [1,2,16,17] and [18,32,33,34] → heads {1,18} plus deltas
-        // {1,14,1} → distinct {1,14,18}.
-        assert_eq!(select_rotation_steps(&p), vec![1, 14, 18]);
-        let after_rotations = p
-            .nodes()
-            .iter()
-            .filter(|n| {
-                matches!(
-                    n.kind,
-                    NodeKind::Instruction {
-                        op: Opcode::RotateLeft(_),
-                        ..
-                    }
-                )
-            })
-            .count();
-        assert_eq!(
-            before_rotations, after_rotations,
-            "key-switch count unchanged"
-        );
-    }
-
-    #[test]
-    fn chaining_refuses_rewrites_that_do_not_shrink_the_step_set() {
-        let mut p = Program::new("nochain", 16);
-        let x = p.input_cipher("x", 30);
-        let a = p.instruction(Opcode::RotateLeft(1), &[x]);
-        let b = p.instruction(Opcode::RotateLeft(2), &[x]);
-        let s = p.instruction(Opcode::Add, &[a, b]);
-        p.output("out", s, 30);
-        // Chained contribution: head 1 + delta 1 → {1, 2} → {1} is smaller!
-        // Steps {1,2} chain to {1}: accepted.
-        assert!(chain_rotations(&mut p, 4) > 0);
-        assert_eq!(select_rotation_steps(&p), vec![1]);
-
-        let mut q = Program::new("nochain2", 16);
-        let x = q.input_cipher("x", 30);
-        let a = q.instruction(Opcode::RotateLeft(1), &[x]);
-        let b = q.instruction(Opcode::RotateLeft(5), &[x]);
-        let s = q.instruction(Opcode::Add, &[a, b]);
-        q.output("out", s, 30);
-        // Chained contribution {1, 4} is no smaller than {1, 5}: refused.
-        assert_eq!(chain_rotations(&mut q, 4), 0);
-        assert_eq!(select_rotation_steps(&q), vec![1, 5]);
-    }
-
-    #[test]
-    fn chaining_preserves_reference_semantics() {
-        // rotate(rotate(x, 1), 1) must equal rotate(x, 2) on decoded values.
-        let mut p = Program::new("sem", 8);
-        let x = p.input_cipher("x", 30);
-        let a = p.instruction(Opcode::RotateLeft(1), &[x]);
-        let b = p.instruction(Opcode::RotateLeft(2), &[x]);
-        let s = p.instruction(Opcode::Add, &[a, b]);
-        p.output("out", s, 30);
-        chain_rotations(&mut p, 4);
-        // b is now rotate(a, 1).
-        assert_eq!(p.opcode(b), Some(Opcode::RotateLeft(1)));
-        assert_eq!(p.args(b), &[a]);
-        let v: Vec<f64> = (0..8).map(|i| i as f64).collect();
-        let rot = |v: &[f64], k: i64| -> Vec<f64> {
-            (0..v.len())
-                .map(|i| v[(i as i64 + k).rem_euclid(v.len() as i64) as usize])
-                .collect()
-        };
-        assert_eq!(rot(&rot(&v, 1), 1), rot(&v, 2));
     }
 }

@@ -14,11 +14,12 @@
 //! |---|---|---|
 //! | [`Program`] | `EVAP` | 3 |
 //! | [`ParameterSpec`] | `EVAS` | 1 |
-//! | [`CompiledProgram`] (the `.evaprog` bundle) | `EVAB` | 2 |
+//! | [`CompiledProgram`] (the `.evaprog` bundle) | `EVAB` | 3 |
 //!
 //! Version history of `EVAP`: v2 switched scales to exact `f64` log2 values;
 //! v3 adopted the shared length-prefixed envelope. `EVAB` v2 extended the
-//! statistics block from 6 to 10 `u64` counts (optimizer pass counters).
+//! statistics block from 6 to 11 `u64` counts (optimizer pass counters); v3
+//! dropped the rotation-chaining count, leaving 10.
 
 use crate::analysis::ParameterSpec;
 use crate::compiler::{CompilationStats, CompiledProgram};
@@ -302,10 +303,8 @@ impl WireObject for ParameterSpec {
 
 impl WireObject for CompiledProgram {
     const MAGIC: [u8; 4] = *b"EVAB";
-    // v2 extended the statistics block from 6 to 11 counts (optimizer pass
-    // counters: CSE merges, DCE removals, rotation canonicalizations,
-    // factorings and chainings).
-    const VERSION: u32 = 2;
+    // See the module docs for the version history.
+    const VERSION: u32 = 3;
 
     fn encode_body(&self, w: &mut Writer) {
         self.program.encode(w);
@@ -326,7 +325,6 @@ impl WireObject for CompiledProgram {
             stats.dce_removed,
             stats.rotations_canonicalized,
             stats.rotations_factored,
-            stats.rotations_chained,
         ] {
             w.u64(count as u64);
         }
@@ -340,7 +338,7 @@ impl WireObject for CompiledProgram {
         for _ in 0..step_count {
             rotation_steps.push(r.i64()?);
         }
-        let mut counts = [0usize; 11];
+        let mut counts = [0usize; 10];
         for slot in &mut counts {
             *slot = r.u64()? as usize;
         }
@@ -355,7 +353,6 @@ impl WireObject for CompiledProgram {
             dce_removed: counts[7],
             rotations_canonicalized: counts[8],
             rotations_factored: counts[9],
-            rotations_chained: counts[10],
         };
         Ok(CompiledProgram {
             program,

@@ -95,6 +95,16 @@ impl Opcode {
         }
     }
 
+    /// The signed step of a rotation (`RotateLeft(s)` → `s`,
+    /// `RotateRight(s)` → `−s`), or `None` for any other opcode.
+    pub fn rotation_step(self) -> Option<i64> {
+        match self {
+            Opcode::RotateLeft(s) => Some(s as i64),
+            Opcode::RotateRight(s) => Some(-(s as i64)),
+            _ => None,
+        }
+    }
+
     /// A short mnemonic used by the textual program dump.
     pub fn mnemonic(&self) -> &'static str {
         match self {

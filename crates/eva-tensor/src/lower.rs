@@ -549,7 +549,6 @@ mod tests {
     use crate::networks::{lenet5_small, Layer, Network};
     use crate::tensor::{ConvWeights, FcWeights, Tensor};
     use eva_backend::run_reference;
-    use eva_core::Opcode;
     use rand::{Rng, SeedableRng};
     use std::collections::HashMap;
 
@@ -640,14 +639,10 @@ mod tests {
         crate::networks::random_fc(&mut rng, in_dim, out_dim)
     }
 
-    fn rotation_steps(network: &Network) -> Vec<i32> {
+    fn rotation_steps(network: &Network) -> Vec<i64> {
         let program = lower_network(network, LoweringMode::Eva).program;
         (0..program.len())
-            .filter_map(|id| match program.opcode(id) {
-                Some(Opcode::RotateLeft(step)) => Some(step),
-                Some(Opcode::RotateRight(step)) => Some(-step),
-                _ => None,
-            })
+            .filter_map(|id| program.opcode(id)?.rotation_step())
             .collect()
     }
 
@@ -667,7 +662,7 @@ mod tests {
         assert!(
             fc_steps
                 .iter()
-                .all(|&s| s > 0 && (s as u32).is_power_of_two()),
+                .all(|&s| s > 0 && (s as u64).is_power_of_two()),
             "{fc_steps:?}"
         );
         assert_eq!(fc_steps.len(), tree + offset_bits, "{fc_steps:?}");

@@ -37,7 +37,7 @@
 //! | object | magic | version |
 //! |---|---|---|
 //! | EVA program (`eva-core::serialize`) | `EVAP` | 3 |
-//! | compiled program bundle (`eva-core::serialize`) | `EVAB` | 2 |
+//! | compiled program bundle (`eva-core::serialize`) | `EVAB` | 3 |
 //! | encryption parameter spec (`eva-core::serialize`) | `EVAS` | 1 |
 //! | ciphertext | `EVAC` | 1 |
 //! | seeded ciphertext | `EVAD` | 1 |

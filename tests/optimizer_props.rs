@@ -7,21 +7,21 @@
 //!    with zero errors (the in-pipeline guards re-check after each pass; this
 //!    re-checks the final artifact from outside).
 //! 2. **Bit-identity of the structural subset** — CSE + DCE are
-//!    bit-preserving: a twin compiled with only those passes decrypts to
-//!    exactly the same `f64` bits as the unoptimized twin after encrypted
-//!    execution with the same seed, whenever both twins select the same
-//!    encryption parameters. (The rotation passes are only
-//!    *value*-preserving — they re-associate sums and re-encode constants —
-//!    so they are excluded here and covered by tolerance-based tests.
+//!    bit-preserving: a twin built by running those two passes by hand and
+//!    compiling the result unoptimized decrypts to exactly the same `f64`
+//!    bits as the unoptimized twin after encrypted execution with the same
+//!    seed, whenever both twins select the same encryption parameters. (The
+//!    rotation passes are only *value*-preserving — they re-associate sums
+//!    and re-encode constants — so they are excluded here and covered by
+//!    tolerance-based tests.
 //!    Parameters can legitimately differ when the unoptimized twin carries a
 //!    dead cipher branch with a deeper rescale chain than any live path:
 //!    parameter selection runs before the final dead-code sweep, so only the
 //!    optimized twin gets the smaller modulus chain. That is an optimizer
 //!    win, not a bug — in that case the outputs agree to working precision
 //!    instead of bitwise.)
-//! 3. **Monotone cost** — the fully optimized twin never has more nodes,
-//!    rotations, distinct rotation steps or key switches than the
-//!    unoptimized twin.
+//! 3. **Monotone key switching** — the fully optimized twin never has more
+//!    rotations or key switches than the unoptimized twin.
 //! 4. **Mutation corpus** — corrupting an optimized compiled program (a
 //!    rotation by an unrequested step smuggled in front of an output) is
 //!    caught by the matching named check.
@@ -30,9 +30,10 @@ use std::collections::HashMap;
 
 use eva::backend::{execute_parallel, EncryptedContext, NodeValue};
 use eva::ir::analysis::verifier::{verify_compiled, Check};
+use eva::ir::passes::{eliminate_common_subexpressions, eliminate_dead_code};
 use eva::ir::{
-    compile, estimate_cost, CompiledProgram, CompilerOptions, CostModel, NodeKind, Opcode, Program,
-    ValueType,
+    compile, estimate_cost, CompiledProgram, CompilerOptions, CostModel, EvaError, NodeKind,
+    Opcode, Program, ValueType,
 };
 use proptest::prelude::*;
 use rand::{Rng, SeedableRng};
@@ -85,11 +86,13 @@ fn inputs_for(seed: u64) -> HashMap<String, Vec<f64>> {
         .collect()
 }
 
-/// Options with only the bit-preserving structural passes enabled.
-fn cse_dce_only() -> CompilerOptions {
-    let mut options = CompilerOptions::default();
-    options.optimizer.rotation_min = false;
-    options
+/// The bit-preserving structural passes (CSE + DCE) run by hand, then the
+/// maintenance pipeline alone.
+fn compile_cse_dce_only(program: &Program) -> Result<CompiledProgram, EvaError> {
+    let mut program = program.clone();
+    eliminate_common_subexpressions(&mut program);
+    eliminate_dead_code(&mut program);
+    compile(&program, &CompilerOptions::unoptimized())
 }
 
 /// One seeded encrypted execution: setup, encrypt, run, decrypt.
@@ -116,7 +119,7 @@ proptest! {
         }
     }
 
-    // (3) Optimization never increases the static cost counters.
+    // (3) Optimization never adds a rotation or a key switch.
     #[test]
     fn optimization_is_cost_monotone(seed in any::<u64>(), budget in 3usize..25) {
         let program = random_program(seed, budget);
@@ -127,11 +130,12 @@ proptest! {
         let model = CostModel::default();
         let before = estimate_cost(&unopt, &model).unwrap();
         let after = estimate_cost(&opt, &model).unwrap();
-        prop_assert!(after.nodes <= before.nodes, "{} > {} nodes", after.nodes, before.nodes);
+        // Not monotone by design, so not asserted:
+        // - `nodes`: eager mod-switch placement without the dead consumers can add one;
+        // - `distinct_rotation_steps`: compose-merging rot(rot(x,5),5) beside a kept
+        //   rot(x,5) saves a key switch but needs a new key (step 10).
         prop_assert!(after.rotations <= before.rotations,
             "{} > {} rotations", after.rotations, before.rotations);
-        prop_assert!(after.distinct_rotation_steps <= before.distinct_rotation_steps,
-            "{} > {} steps", after.distinct_rotation_steps, before.distinct_rotation_steps);
         prop_assert!(after.key_switches <= before.key_switches,
             "{} > {} key switches", after.key_switches, before.key_switches);
     }
@@ -173,7 +177,7 @@ proptest! {
         let program = random_program(seed, budget);
         let (Ok(unopt), Ok(opt)) = (
             compile(&program, &CompilerOptions::unoptimized()),
-            compile(&program, &cse_dce_only()),
+            compile_cse_dce_only(&program),
         ) else { return Ok(()); };
         let inputs = inputs_for(seed);
         let baseline = run_seeded(&unopt, &inputs, 42);
@@ -200,10 +204,8 @@ proptest! {
 
 /// The acceptance workload, deterministically: on compiled Sobel 16×16 the
 /// optimizer strictly reduces node count and key switches, keeps the
-/// rotation fan-outs intact for hoisted execution (the chaining gate
-/// declines rewrites that would re-pay the shared decomposition per
-/// member), and the optimized program still decrypts to the unoptimized
-/// twin's outputs within CKKS noise.
+/// rotation fan-outs intact for hoisted execution, and the optimized program
+/// still decrypts to the unoptimized twin's outputs within CKKS noise.
 #[test]
 fn sobel_16x16_is_strictly_reduced_and_value_preserving() {
     let program = eva::apps::image::sobel_program(16);
@@ -230,8 +232,7 @@ fn sobel_16x16_is_strictly_reduced_and_value_preserving() {
         after.key_switches,
         before.key_switches
     );
-    // The optimizer must leave Sobel's rotation fan-out hoistable: chaining
-    // it away would trade one shared decomposition for eight.
+    // The optimizer must leave Sobel's rotation fan-out hoistable.
     assert!(after.hoisted_groups >= 1, "{:?}", after.hoisted_groups);
     assert!(
         after.hoisted_rotations >= after.rotations / 2,
@@ -251,7 +252,7 @@ fn sobel_16x16_is_strictly_reduced_and_value_preserving() {
     let baseline = run_seeded(&unopt, &inputs, 42);
 
     // The structural subset (CSE + DCE) is exactly bit-identical on Sobel.
-    let structural = compile(&program, &cse_dce_only()).unwrap();
+    let structural = compile_cse_dce_only(&program).unwrap();
     assert_eq!(structural.parameters, unopt.parameters);
     for (name, expected) in &baseline {
         for (i, (a, b)) in run_seeded(&structural, &inputs, 42)[name]
