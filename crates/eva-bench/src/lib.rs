@@ -21,10 +21,10 @@
 //! Beside the paper's artifacts the crate keeps the exact counts and sizes the
 //! repository gates on: [`measure_cost`] (`BENCH_cost.json`, whose `ci` block
 //! is deterministic), [`measure_wire_sizes`] (`BENCH_wire.json`, a golden) and
-//! [`measure_primitives`] (`BENCH_primitives.json`: the hoisting-ratio gate and
-//! the cost model's calibration rows). How fast the stack runs end to end, and
-//! where the time goes, is `perfbench`'s question (`BENCHMARK.json`), not this
-//! crate's.
+//! [`measure_primitives`] (`BENCH_primitives.json`: the hoisting-ratio and
+//! NTT-correction-pass gates and the cost model's calibration rows). How fast
+//! the stack runs end to end, and where the time goes, is `perfbench`'s
+//! question (`BENCHMARK.json`), not this crate's.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -229,6 +229,16 @@ pub fn measure_primitives(quick: bool) -> Vec<KernelTiming> {
             || {
                 buf.copy_from_slice(&input);
                 tables.forward(&mut buf);
+            },
+        ));
+        // The same butterflies without the [0, 4q) → [0, q) correction pass:
+        // the gap to `ntt_forward_*` is that pass's cost, which CI bounds.
+        out.push(time_kernel(
+            &format!("ntt_forward_lazy_n{degree}_q50"),
+            samples,
+            || {
+                buf.copy_from_slice(&input);
+                tables.forward_lazy(&mut buf);
             },
         ));
         let mut eval = input.clone();
@@ -847,7 +857,8 @@ mod tests {
     fn primitives_report_has_expected_kernels_and_valid_json_shape() {
         let timings = measure_primitives(true);
         let names: Vec<&str> = timings.iter().map(|t| t.name.as_str()).collect();
-        assert!(names.iter().any(|n| n.starts_with("ntt_forward_")));
+        assert!(names.iter().any(|n| n.starts_with("ntt_forward_n")));
+        assert!(names.iter().any(|n| n.starts_with("ntt_forward_lazy_n")));
         assert!(names.iter().any(|n| n.starts_with("ntt_inverse_")));
         assert!(names.iter().any(|n| n.starts_with("dyadic_mul_acc_")));
         assert!(timings.iter().all(|t| t.mean_us > 0.0 && t.min_us > 0.0));

@@ -53,6 +53,8 @@
 //! to reducing every term, and both mod-downs canonicalize, so outputs are
 //! bit-identical to a reduce-per-term kernel.
 
+use std::hint::select_unpredictable;
+
 use eva_poly::{PolyForm, RnsPoly};
 
 use crate::ciphertext::Ciphertext;
@@ -734,7 +736,7 @@ impl Evaluator {
             let wrap = c > half_p;
             for (m, (q_i, p)) in moduli.iter().zip(consts).enumerate() {
                 let r = q_i.reduce(c);
-                delta[m * n + ci] = if wrap { q_i.sub(r, p.residue) } else { r };
+                delta[m * n + ci] = select_unpredictable(wrap, q_i.sub(r, p.residue), r);
             }
         }
 

@@ -23,8 +23,21 @@
 //! The canonical operations ([`Modulus::add`], [`Modulus::sub`],
 //! [`Modulus::mul`], [`Modulus::mul_shoup`]) keep both inputs and outputs in
 //! `[0, q)`.
+//!
+//! # Selects and branches
+//!
+//! A per-coefficient choice that is a coin flip on random residues (whether
+//! a sum crossed `q`, whether a lazy value crossed `2q`, which side of `q/2`
+//! a centered lift falls on) goes through [`std::hint::select_unpredictable`]:
+//! left to its heuristics, LLVM turns a mask select into a conditional jump
+//! that mispredicts on half the coefficients. A choice that is almost always
+//! the same (the Barrett correction in [`Modulus::reduce_u128`] and
+//! [`Modulus::reduce_u128_lazy`], whose estimate is nearly always exact)
+//! stays a branch, which predicts and is cheaper than a select. Both arms of
+//! a select are evaluated, so an arm that can underflow uses `wrapping_sub`.
 
 use std::fmt;
+use std::hint::select_unpredictable;
 
 /// Maximum number of bits a [`Modulus`] value may occupy.
 ///
@@ -163,24 +176,24 @@ impl Modulus {
 
     /// Modular addition of two residues already in `[0, q)`.
     ///
-    /// Branch-free (mask-select correction) so throughput does not depend on
-    /// the data distribution.
+    /// Whether the sum crosses `q` is a coin flip on random residues, so the
+    /// correction is a select, not a branch.
     #[inline]
     pub fn add(&self, a: u64, b: u64) -> u64 {
         debug_assert!(a < self.value && b < self.value);
         let s = a + b;
-        s - (self.value & ((s >= self.value) as u64).wrapping_neg())
+        select_unpredictable(s >= self.value, s.wrapping_sub(self.value), s)
     }
 
     /// Modular subtraction of two residues already in `[0, q)`.
     ///
-    /// Branch-free: adds back `q` under a borrow mask instead of branching on
-    /// `a >= b`, which mispredicts on random residues.
+    /// Adds back `q` on a borrow, through a select: `a >= b` is a coin flip
+    /// on random residues.
     #[inline]
     pub fn sub(&self, a: u64, b: u64) -> u64 {
         debug_assert!(a < self.value && b < self.value);
         let (d, borrow) = a.overflowing_sub(b);
-        d.wrapping_add(self.value & (borrow as u64).wrapping_neg())
+        select_unpredictable(borrow, d.wrapping_add(self.value), d)
     }
 
     /// Lazy modular addition: inputs in `[0, q)`, output in `[0, 2q)`.
@@ -205,22 +218,23 @@ impl Modulus {
     }
 
     /// Reduces a lazy representative in `[0, 2q)` to canonical `[0, q)` with a
-    /// single mask-selected subtraction.
+    /// single selected subtraction of `q`.
     #[inline]
     pub fn reduce_once(&self, a: u64) -> u64 {
         debug_assert!(a < 2 * self.value);
-        a - (self.value & ((a >= self.value) as u64).wrapping_neg())
+        select_unpredictable(a >= self.value, a.wrapping_sub(self.value), a)
     }
 
     /// Reduces a lazy representative in `[0, 4q)` to canonical `[0, q)` with
-    /// two mask-selected subtractions (the correction pass the lazy NTT runs
-    /// once at the end instead of inside every butterfly).
+    /// two selected subtractions, of `2q` and then of `q` (the correction
+    /// pass the lazy NTT runs once at the end instead of inside every
+    /// butterfly).
     #[inline]
     pub fn reduce_twice(&self, a: u64) -> u64 {
         debug_assert!(a < 4 * self.value);
         let two_q = self.value << 1;
-        let a = a - (two_q & ((a >= two_q) as u64).wrapping_neg());
-        a - (self.value & ((a >= self.value) as u64).wrapping_neg())
+        let a = select_unpredictable(a >= two_q, a.wrapping_sub(two_q), a);
+        self.reduce_once(a)
     }
 
     /// Modular negation of a residue in `[0, q)`.
@@ -244,7 +258,7 @@ impl Modulus {
     /// Lazy modular multiplication: inputs in `[0, q)`, output in `[0, 2q)`.
     ///
     /// Runs the same Barrett step as [`Modulus::mul`] but settles for a lazy
-    /// representative with one mask-selected subtraction of `2q` instead of
+    /// representative with one conditional subtraction of `2q` instead of
     /// the canonical correction loop — the form fused key-switch
     /// accumulation loops keep until the single canonicalization pass at the
     /// end.
@@ -255,9 +269,10 @@ impl Modulus {
     }
 
     /// Lazy Barrett reduction of an arbitrary 128-bit value: a representative
-    /// of `z mod q` in `[0, 2q)`, with one mask-selected subtraction of `2q`
+    /// of `z mod q` in `[0, 2q)`, with one conditional subtraction of `2q`
     /// instead of the canonical correction loop. This is what lets a sum of
     /// unreduced products be reduced **once** (the key-switch accumulation).
+    /// The subtraction is rarely taken, so it is left a branch.
     #[inline]
     pub fn reduce_u128_lazy(&self, z: u128) -> u64 {
         let r = self.reduce_u128_raw(z);
@@ -499,11 +514,34 @@ mod tests {
 
     #[test]
     fn reduce_twice_covers_full_4q_range() {
-        let q = Modulus::new((1u64 << 50) - 27).unwrap();
-        let qv = q.value();
-        for &a in &[0, 1, qv - 1, qv, 2 * qv - 1, 2 * qv, 3 * qv + 5, 4 * qv - 1] {
-            assert_eq!(q.reduce_twice(a), a % qv);
+        // Up to the largest modulus, where 4q - 1 sits just below 2^64.
+        for qv in [(1u64 << 50) - 27, (1u64 << MAX_MODULUS_BITS) - 1] {
+            let q = Modulus::new(qv).unwrap();
+            for &a in &[0, 1, qv - 1, qv, 2 * qv - 1, 2 * qv, 3 * qv + 5, 4 * qv - 1] {
+                assert_eq!(q.reduce_twice(a), a % qv);
+            }
         }
+    }
+
+    #[test]
+    fn canonical_ops_at_the_largest_modulus() {
+        // Both arms of a select are evaluated: an arm that underflows would
+        // panic here under overflow checks.
+        let qv = (1u64 << MAX_MODULUS_BITS) - 1;
+        let q = Modulus::new(qv).unwrap();
+        for &a in &[0, 1, qv - 1, qv, 2 * qv - 1] {
+            assert_eq!(q.reduce_once(a), a % qv);
+        }
+        let edges = [0, 1, qv / 2, qv / 2 + 1, qv - 2, qv - 1];
+        for &a in &edges {
+            for &b in &edges {
+                // q < 2^62, so these reference sums cannot overflow.
+                assert_eq!(q.add(a, b), (a + b) % qv, "add({a}, {b})");
+                assert_eq!(q.sub(a, b), (a + qv - b) % qv, "sub({a}, {b})");
+            }
+        }
+        assert_eq!(q.add(qv - 1, qv - 1), qv - 2);
+        assert_eq!(q.sub(0, qv - 1), 1);
     }
 
     #[test]

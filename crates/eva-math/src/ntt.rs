@@ -28,6 +28,8 @@
 //! strided butterfly loops stream two dense `u64` arrays instead of
 //! interleaved pairs.
 
+use std::hint::select_unpredictable;
+
 use crate::modulus::{Modulus, ShoupPrecomputed};
 use crate::primes::primitive_root_of_unity;
 
@@ -216,7 +218,7 @@ impl NttTables {
                 let (lower, upper) = values[j1..j1 + 2 * t].split_at_mut(t);
                 for (x, y) in lower.iter_mut().zip(upper.iter_mut()) {
                     // u in [0, 2q); v = y·w mod q as a [0, 2q) representative.
-                    let u = if *x >= two_q { *x - two_q } else { *x };
+                    let u = select_unpredictable(*x >= two_q, x.wrapping_sub(two_q), *x);
                     let hi = ((*y as u128 * w_quot as u128) >> 64) as u64;
                     let v = y.wrapping_mul(w).wrapping_sub(hi.wrapping_mul(q));
                     *x = u + v;
@@ -279,7 +281,7 @@ impl NttTables {
                     let u = *x;
                     let v = *y;
                     let s = u + v;
-                    *x = if s >= two_q { s - two_q } else { s };
+                    *x = select_unpredictable(s >= two_q, s.wrapping_sub(two_q), s);
                     let d = u + two_q - v;
                     let hi = ((d as u128 * w_quot as u128) >> 64) as u64;
                     *y = d.wrapping_mul(w).wrapping_sub(hi.wrapping_mul(q));

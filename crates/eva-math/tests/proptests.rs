@@ -144,16 +144,11 @@ fn inverse_reference(values: &mut [u64], q: &Modulus, psi: u64) {
     }
 }
 
-/// Recovers the 2N-th root ψ the tables were built from: forward-transforming
-/// the polynomial X puts ψ^{bitrev-order} in the output; the easiest stable
-/// way is to regenerate it the same way `NttTables` does, via the shared
-/// public primitive-root search. Instead of exposing internals, derive ψ from
-/// the transform of X: forward(X)[0] = ψ^{bitrev(0)·…}. Simpler: search for a
-/// 2N-th root whose reference transform matches on a probe vector.
+/// Recovers the 2N-th root ψ the tables were built from: the forward
+/// transform of the polynomial X lists powers of ψ, and slot 0 holds ψ itself
+/// (the bit-reversed ordering starts at ψ^1).
 fn find_matching_psi(tables: &NttTables, degree: usize) -> u64 {
     let q = *tables.modulus();
-    // Probe with X: the forward transform of X lists powers of ψ, and
-    // slot 0 holds ψ^1 exactly (bit-reversed twiddle ordering starts at ψ).
     let mut probe = vec![0u64; degree];
     probe[1] = 1;
     tables.forward(&mut probe);

@@ -15,6 +15,8 @@
 //! `[0, 4q)`), but they restore the canonical invariant before returning, so
 //! callers never observe a lazy representative.
 
+use std::hint::select_unpredictable;
+
 use eva_math::galois::GaloisTool;
 
 use crate::basis::RnsBasis;
@@ -316,14 +318,11 @@ impl RnsPoly {
         let mut delta = vec![0u64; degree];
         for (i, consts) in basis.drop_constants(last_idx).iter().enumerate() {
             let q_i = &basis.moduli()[i];
-            // delta = centered representative of the last residue, reduced mod q_i.
+            // delta = centered representative of the last residue, reduced
+            // mod q_i; above q_last/2 it is the negative one, c - q_last.
             for (d, &c) in delta.iter_mut().zip(&last_coeff) {
-                *d = if c > half_q_last {
-                    // negative representative: c - q_last
-                    q_i.sub(q_i.reduce(c), consts.residue)
-                } else {
-                    q_i.reduce(c)
-                };
+                let r = q_i.reduce(c);
+                *d = select_unpredictable(c > half_q_last, q_i.sub(r, consts.residue), r);
             }
             if self.form == PolyForm::Ntt {
                 basis.ntt_tables()[i].forward(&mut delta);
@@ -561,6 +560,37 @@ mod tests {
         assert_eq!(a.residue(0)[0], v as u64);
         assert_eq!(a.residue(1)[0], v as u64);
         assert_eq!(a.residue(0)[3], b.moduli()[0].value() - v as u64);
+    }
+
+    #[test]
+    fn rescale_matches_per_coefficient_i128_reference() {
+        // out_i = (a_i - centered(a_last)) * q_last^-1 mod q_i, where the
+        // centered lift is a_last if a_last <= q_last/2, else a_last - q_last.
+        // The last row holds both sides of that boundary; the two bases put
+        // q_last above and below the remaining primes.
+        for bits in [[30, 30, 40], [50, 40, 30]] {
+            let b = basis(16, &bits);
+            let q_last = b.moduli()[2].value();
+            let half = q_last / 2;
+            let mut a = random_poly(&b, 3, 8);
+            a.residue_mut(2)[..4].copy_from_slice(&[half, half + 1, 0, q_last - 1]);
+            let original = a.clone();
+            a.rescale_by_last(&b);
+            for (i, q_i) in b.moduli()[..2].iter().enumerate() {
+                let q = q_i.value() as i128;
+                let inv = q_i.inv(q_last).expect("distinct primes") as i128;
+                let rows = original.residue(i).iter().zip(original.residue(2));
+                for (j, (&x, &c)) in rows.enumerate() {
+                    let centered = if c > half {
+                        c as i128 - q_last as i128
+                    } else {
+                        c as i128
+                    };
+                    let expected = (x as i128 - centered).rem_euclid(q) * inv % q;
+                    assert_eq!(a.residue(i)[j] as i128, expected, "prime {i} coeff {j}");
+                }
+            }
+        }
     }
 
     #[test]
