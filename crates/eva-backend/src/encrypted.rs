@@ -4,7 +4,9 @@
 //!
 //! The executor is split into explicit phases (context/key generation, input
 //! encryption, execution, decryption) so the benchmark harness can time each
-//! phase separately, exactly like the paper's Table 7.
+//! phase separately, exactly like the paper's Table 7. This module holds the
+//! per-node kernels; the order they run in — serial on the calling thread or
+//! parallel on workers — is [`crate::parallel`]'s one scheduler.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -322,32 +324,14 @@ impl EvaluationContext {
         Ok(outputs)
     }
 
-    /// Executes one instruction given its already-computed argument values,
-    /// with work buffers of its own for a key switch (the executors keep
-    /// theirs across nodes).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`EvaError::Execution`] if the CKKS backend rejects an
-    /// operation; for a validated compiled program this indicates an internal
-    /// bug, which is exactly the class of error the paper's validation pass is
-    /// meant to preclude.
-    pub fn execute_node(
+    /// Executes instruction `id` given its argument values — every
+    /// instruction but a switch-site member, which
+    /// [`execute_switch_member`](Self::execute_switch_member) runs.
+    pub(crate) fn execute_instruction(
         &self,
         program: &Program,
         id: NodeId,
         args: &[&NodeValue],
-    ) -> Result<NodeValue, EvaError> {
-        self.execute_node_with(program, id, args, &mut KeySwitchScratch::default())
-    }
-
-    /// The shared per-node kernel of the serial and the parallel executor.
-    pub(crate) fn execute_node_with(
-        &self,
-        program: &Program,
-        id: NodeId,
-        args: &[&NodeValue],
-        scratch: &mut KeySwitchScratch,
     ) -> Result<NodeValue, EvaError> {
         let size = program.vec_size();
         let node = program.node(id);
@@ -420,14 +404,12 @@ impl EvaluationContext {
                     }
                 }
             }
-            // A lone key switch is a switch site of one member.
-            _ if switches_key(*op) => {
-                let mut site = self.execute_switch_site(program, [id], args[0], scratch)?;
-                return Ok(site.pop().expect("one member, one value"));
-            }
-            // What is left of these is the rotation by zero: a clone.
+            Opcode::RotateLeft(0) | Opcode::RotateRight(0) => expect_cipher(args[0])?.clone(),
+            // Every other encrypted key switch is a switch-site member.
             Opcode::RotateLeft(_) | Opcode::RotateRight(_) | Opcode::Relinearize => {
-                expect_cipher(args[0])?.clone()
+                return Err(EvaError::Execution(format!(
+                    "node {id} switches a key outside a switch site"
+                )));
             }
             Opcode::ModSwitch => {
                 let ct = expect_cipher(args[0])?;
@@ -439,29 +421,6 @@ impl EvaluationContext {
             }
         };
         Ok(annotated(program, id, result))
-    }
-
-    /// Runs a whole **switch site** on the calling thread: `members`, the
-    /// relinearizations or non-zero rotations of `source`, share one
-    /// decomposition of its last polynomial and each apply their own key to
-    /// it (hoisted key switching). Returns their values in `members` order.
-    /// The serial executor runs every site this way; the parallel one
-    /// schedules the same pieces —
-    /// [`key_switch_digit`](Self::key_switch_digit) per data prime, then
-    /// [`execute_switch_member`](Self::execute_switch_member) per member —
-    /// as tasks of their own.
-    pub(crate) fn execute_switch_site(
-        &self,
-        program: &Program,
-        members: impl IntoIterator<Item = NodeId>,
-        source: &NodeValue,
-        scratch: &mut KeySwitchScratch,
-    ) -> Result<Vec<NodeValue>, EvaError> {
-        let ct = expect_cipher(source)?;
-        let digits = (0..ct.level()).map(|j| self.key_switch_digit(source, j));
-        let decomp = KeySwitchDecomposition::from_digits(digits.collect::<Result<_, _>>()?);
-        let member = |id| self.execute_switch_member(program, id, source, &decomp, scratch);
-        members.into_iter().map(member).collect()
     }
 
     /// Digit `j` of the decomposition a switch site's members share.
@@ -501,8 +460,7 @@ impl EvaluationContext {
         Ok(annotated(program, id, result.map_err(to_eva_error)?))
     }
 
-    /// Serial execution of the whole program: walks the program's
-    /// [`Schedule`] step by step and returns the values of the output nodes.
+    /// Serial execution of the whole program on the calling thread.
     ///
     /// # Errors
     ///
@@ -516,90 +474,27 @@ impl EvaluationContext {
             .map(|(values, _)| values)
     }
 
-    /// The serial executor. For each step of the program's [`Schedule`] it
-    /// computes the values the step materializes — one node through
-    /// [`execute_node`](Self::execute_node)'s kernel, or a whole rotation
-    /// fan-out as one switch site — stores them, and drops the values the
-    /// step releases (the memory-reuse rule of paper Section 6.1). One
-    /// [`KeySwitchScratch`] serves every key switch of the walk.
-    ///
-    /// Alongside the outputs it returns a [`MemoryAudit`]: the peak number
-    /// of values and ciphertexts the loop really held at once and their real
-    /// `memory_bytes()`. `eva-core`'s `predict_peak_memory` walks the same
-    /// steps with static sizes, so the audit is what checks those sizes —
-    /// and this loop's stores and drops — against the running scheme.
+    /// The serial executor: [`crate::parallel`]'s board driven on the
+    /// calling thread, so its outputs are bit-identical to a parallel run's
+    /// at any thread count. Alongside them it returns the board's
+    /// [`MemoryAudit`]: the peak number of values and ciphertexts held at
+    /// once and their real `memory_bytes()`. `eva-core`'s
+    /// `predict_peak_memory` walks the [`Schedule`] steps with static sizes;
+    /// the board takes ready nodes first in, first out instead, and the
+    /// forecast has measured equal to the audit on Sobel and above it on
+    /// LeNet.
     ///
     /// # Errors
     ///
     /// Returns [`EvaError`] if the program is cyclic or a live input is
-    /// unbound, and propagates errors from
-    /// [`execute_node`](Self::execute_node).
+    /// unbound, and propagates node errors — a kernel panic, such as a
+    /// failed exact-scale check, included.
     pub fn execute_serial_audited(
         &self,
         compiled: &CompiledProgram,
         bindings: HashMap<NodeId, NodeValue>,
     ) -> Result<(HashMap<NodeId, NodeValue>, MemoryAudit), EvaError> {
-        let program = &compiled.program;
-        // Compiled programs arrive dead-free (compile() runs a final
-        // dead-code elimination and the verifier rejects any survivors), but
-        // the schedule skips dead nodes anyway as defense in depth: a raw or
-        // tampered program could still carry dead branches, which are not
-        // covered by the prime budget or exact-scale annotations.
-        let schedule = Schedule::new(program)?;
-        let mut values: Vec<Option<NodeValue>> = vec![None; program.len()];
-        let mut held = Held::default();
-        let mut scratch = KeySwitchScratch::default();
-        for (id, value) in bindings {
-            held.add(&value);
-            values[id] = Some(value);
-        }
-        if let Some(id) = schedule.inputs.iter().find(|&&id| values[id].is_none()) {
-            return Err(EvaError::Execution(format!(
-                "input node {id} was not bound before execution"
-            )));
-        }
-        for step in &schedule.steps {
-            let produced = match (&program.node(step.node).kind, schedule.group_of[step.node]) {
-                _ if step.materializes.is_empty() => Vec::new(),
-                (NodeKind::Constant { value }, _) => {
-                    vec![NodeValue::Plain(value.to_vector(program.vec_size()))]
-                }
-                (_, Some(g)) => {
-                    let fanout = &schedule.fanouts[g as usize];
-                    let members = fanout.members.iter().map(|&(member, _)| member);
-                    let source = values[fanout.source]
-                        .as_ref()
-                        .expect("fan-out source computed first");
-                    self.execute_switch_site(program, members, source, &mut scratch)?
-                }
-                (_, None) => {
-                    let args: Vec<&NodeValue> = program
-                        .args(step.node)
-                        .iter()
-                        .map(|&a| values[a].as_ref().expect("parents computed first"))
-                        .collect();
-                    vec![self.execute_node_with(program, step.node, &args, &mut scratch)?]
-                }
-            };
-            // A result coexists with its not-yet-released parents for an
-            // instant: the peak is sampled before the releases.
-            for (&id, value) in step.materializes.iter().zip(produced) {
-                held.add(&value);
-                values[id] = Some(value);
-            }
-            for &id in &step.releases {
-                let released = values[id]
-                    .take()
-                    .expect("an earlier step materialized every released value");
-                held.remove(&released);
-            }
-        }
-        let outputs = program
-            .outputs()
-            .iter()
-            .filter_map(|output| Some((output.node, values[output.node].clone()?)))
-            .collect();
-        Ok((outputs, held.peak))
+        crate::parallel::run(self, compiled, bindings, 0)
     }
 }
 
@@ -613,34 +508,6 @@ pub struct MemoryAudit {
     pub peak_live_ciphertexts: usize,
     /// Maximum simultaneous bytes across all live values.
     pub peak_bytes: usize,
-}
-
-/// The running counts behind a [`MemoryAudit`]: what the serial executor
-/// holds right now, and the peak it has held.
-#[derive(Default)]
-struct Held {
-    values: usize,
-    ciphertexts: usize,
-    bytes: usize,
-    peak: MemoryAudit,
-}
-
-impl Held {
-    fn add(&mut self, value: &NodeValue) {
-        self.values += 1;
-        self.ciphertexts += usize::from(matches!(value, NodeValue::Cipher(_)));
-        self.bytes += value.memory_bytes();
-        let peak = &mut self.peak;
-        peak.peak_live_values = peak.peak_live_values.max(self.values);
-        peak.peak_live_ciphertexts = peak.peak_live_ciphertexts.max(self.ciphertexts);
-        peak.peak_bytes = peak.peak_bytes.max(self.bytes);
-    }
-
-    fn remove(&mut self, value: &NodeValue) {
-        self.values -= 1;
-        self.ciphertexts -= usize::from(matches!(value, NodeValue::Cipher(_)));
-        self.bytes -= value.memory_bytes();
-    }
 }
 
 impl EncryptedContext {
@@ -743,21 +610,6 @@ impl EncryptedContext {
             bindings.insert(id, value);
         }
         Ok(bindings)
-    }
-
-    /// Executes one instruction given its already-computed argument values
-    /// (delegates to the evaluation half).
-    ///
-    /// # Errors
-    ///
-    /// See [`EvaluationContext::execute_node`].
-    pub fn execute_node(
-        &self,
-        program: &Program,
-        id: NodeId,
-        args: &[&NodeValue],
-    ) -> Result<NodeValue, EvaError> {
-        self.eval.execute_node(program, id, args)
     }
 
     /// Serial execution of the whole program (delegates to the evaluation

@@ -6,21 +6,22 @@
 //! * [`mod@reference`] — the paper's `id`-scheme reference semantics on plaintext
 //!   vectors (Section 3), used to define correctness and to measure the
 //!   numeric fidelity of encrypted execution.
-//! * [`encrypted`] — key generation, input encryption, serial execution
+//! * [`encrypted`] — key generation, input encryption, the per-node kernels
 //!   against the `eva-ckks` RNS-CKKS scheme, and output decryption, with the
-//!   phases split out so they can be timed separately (paper Table 7). The
-//!   serial executor is a walk over the program's execution schedule
-//!   (`eva_core::analysis::Schedule`: what each step materializes and
-//!   releases) that also audits its own peak memory.
-//! * [`parallel`] — the asynchronous DAG executor of Section 6.1: a
-//!   dependence-counting scheduler over a pool of worker threads, seeded
-//!   from the same schedule's per-node tables, that also retires (frees)
-//!   ciphertexts as soon as their last consumer has run.
+//!   phases split out so they can be timed separately (paper Table 7).
+//! * [`parallel`] — the one executor, the asynchronous DAG scheduler of
+//!   Section 6.1: a dependence-counting board seeded from the program's
+//!   execution schedule (`eva_core::analysis::Schedule`), which retires
+//!   (frees) each value as soon as its last consumer has run and audits
+//!   the peak memory it held. [`execute_parallel`] runs it on a pool of
+//!   worker threads; [`EvaluationContext::execute_serial`] runs the same
+//!   board on the calling thread, so serial and parallel runs are
+//!   bit-identical by construction.
 //!
 //! The encrypted executor is split along the deployment trust boundary:
 //! [`EvaluationContext`] holds only public evaluation state (context,
-//! encoder, evaluator, relinearization + Galois keys) and is what both
-//! executors run against — locally and on the `eva-service` server, where
+//! encoder, evaluator, relinearization + Galois keys) and is what the
+//! executor runs against — locally and on the `eva-service` server, where
 //! the keys arrive over the wire; [`EncryptedContext`] wraps it with the
 //! encryptor and secret-key decryptor for in-process runs.
 //!

@@ -34,6 +34,10 @@
 //! All bookkeeping is one `Board` behind one mutex and one condition
 //! variable; it knows nothing about threads, so tests drive it by hand
 //! through the orders threads could produce.
+//! [`EvaluationContext::execute_serial`] is the same worker loop on the
+//! calling thread. The board also keeps the [`MemoryAudit`]: a value is
+//! counted when stored, before its parents retire, and un-counted when
+//! retired; decomposition digits are not counted.
 
 use std::collections::{HashMap, VecDeque};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -44,7 +48,7 @@ use eva_core::analysis::Schedule;
 use eva_core::{CompiledProgram, EvaError, NodeId, NodeKind, Program};
 use eva_poly::RnsPoly;
 
-use crate::encrypted::{switches_key, EvaluationContext, NodeValue};
+use crate::encrypted::{switches_key, EvaluationContext, MemoryAudit, NodeValue};
 
 /// The key switches of one source value (see the module docs).
 struct Site {
@@ -87,6 +91,34 @@ struct Retired {
     digits: Option<Arc<KeySwitchDecomposition>>,
 }
 
+/// The running counts behind a [`MemoryAudit`]: what the board holds right
+/// now, and the peak it has held.
+#[derive(Default)]
+struct Held {
+    values: usize,
+    ciphertexts: usize,
+    bytes: usize,
+    peak: MemoryAudit,
+}
+
+impl Held {
+    fn add(&mut self, value: &NodeValue) {
+        self.values += 1;
+        self.ciphertexts += usize::from(matches!(value, NodeValue::Cipher(_)));
+        self.bytes += value.memory_bytes();
+        let peak = &mut self.peak;
+        peak.peak_live_values = peak.peak_live_values.max(self.values);
+        peak.peak_live_ciphertexts = peak.peak_live_ciphertexts.max(self.ciphertexts);
+        peak.peak_bytes = peak.peak_bytes.max(self.bytes);
+    }
+
+    fn remove(&mut self, value: &NodeValue) {
+        self.values -= 1;
+        self.ciphertexts -= usize::from(matches!(value, NodeValue::Cipher(_)));
+        self.bytes -= value.memory_bytes();
+    }
+}
+
 /// The state of one execution: what is ready, what everything else waits
 /// for, and the values computed so far.
 struct Board<'a> {
@@ -108,6 +140,7 @@ struct Board<'a> {
     /// of.
     site_of: Vec<Option<usize>>,
     site_from: Vec<Option<usize>>,
+    held: Held,
     error: Option<EvaError>,
 }
 
@@ -125,6 +158,7 @@ impl<'a> Board<'a> {
             sites: Vec::new(),
             site_of: vec![None; program.len()],
             site_from: vec![None; program.len()],
+            held: Held::default(),
             error: None,
         };
         for id in schedule.steps.iter().map(|step| step.node) {
@@ -195,10 +229,10 @@ impl<'a> Board<'a> {
         }
     }
 
-    /// Node `id` has produced `value`: stores it, retires the parents — and
-    /// the site decomposition — whose last use this was, releases its
-    /// consumers and, if it is the source of a switch site, queues the
-    /// site's digit tasks.
+    /// Node `id` has produced `value`: stores and counts it, retires the
+    /// parents — and the site decomposition — whose last use this was,
+    /// releases its consumers and, if it is the source of a switch site,
+    /// queues the site's digit tasks.
     fn node_done(&mut self, id: NodeId, value: NodeValue) -> Retired {
         let mut retired = Retired::default();
         if let Some(site) = self.site_from[id] {
@@ -213,6 +247,9 @@ impl<'a> Board<'a> {
                 ))),
             }
         }
+        // A result coexists with its not-yet-retired parents for an
+        // instant: the peak is sampled before the retirements.
+        self.held.add(&value);
         self.values[id] = Some(Arc::new(value));
         // One retire per distinct parent, matching the use counts.
         let mut parents = self.program.args(id).to_vec();
@@ -221,7 +258,10 @@ impl<'a> Board<'a> {
         for a in parents {
             self.uses[a] -= 1;
             if self.uses[a] == 0 {
-                retired.values.extend(self.values[a].take());
+                if let Some(value) = self.values[a].take() {
+                    self.held.remove(&value);
+                    retired.values.push(value);
+                }
             }
         }
         if let Some(site) = self.site_of[id] {
@@ -331,7 +371,7 @@ impl Job {
             } => {
                 let args: Vec<&NodeValue> = args.iter().map(|a| &**a).collect();
                 context
-                    .execute_node_with(program, id, &args, scratch)
+                    .execute_instruction(program, id, &args)
                     .map(|value| Done::Node(id, value))
             }
             Job::Digit {
@@ -350,12 +390,17 @@ fn worker(monitor: &Monitor<'_>, context: &EvaluationContext, program: &Program)
     let mut done = None;
     while let Some(job) = monitor.next(done.take()) {
         // A panicking kernel must still report in, or the others would wait
-        // for its node forever.
+        // for its node forever; its message (a failed exact-scale check
+        // names the node) becomes the run's error.
         let run = AssertUnwindSafe(|| job.run(context, program, &mut scratch));
-        done = Some(
-            catch_unwind(run)
-                .unwrap_or_else(|_| Err(EvaError::Execution("a worker thread panicked".into()))),
-        );
+        done = Some(catch_unwind(run).unwrap_or_else(|payload| {
+            let message = payload
+                .downcast_ref::<&str>()
+                .copied()
+                .or_else(|| payload.downcast_ref::<String>().map(String::as_str))
+                .unwrap_or("no message");
+            Err(EvaError::Execution(format!("a kernel panicked: {message}")))
+        }));
     }
 }
 
@@ -369,9 +414,21 @@ fn worker(monitor: &Monitor<'_>, context: &EvaluationContext, program: &Program)
 pub fn execute_parallel(
     context: &EvaluationContext,
     compiled: &CompiledProgram,
-    mut bindings: HashMap<NodeId, NodeValue>,
+    bindings: HashMap<NodeId, NodeValue>,
     num_threads: usize,
 ) -> Result<HashMap<NodeId, NodeValue>, EvaError> {
+    run(context, compiled, bindings, num_threads.max(1)).map(|(outputs, _)| outputs)
+}
+
+/// The executor: runs `compiled` on `spawn` scoped worker threads, or with
+/// `spawn == 0` on the calling thread alone, and returns the outputs with
+/// the board's [`MemoryAudit`].
+pub(crate) fn run(
+    context: &EvaluationContext,
+    compiled: &CompiledProgram,
+    mut bindings: HashMap<NodeId, NodeValue>,
+    spawn: usize,
+) -> Result<(HashMap<NodeId, NodeValue>, MemoryAudit), EvaError> {
     let program = &compiled.program;
     // Only nodes that reach an output participate: dead branches are not
     // covered by the compiler's prime budget or exact-scale annotations.
@@ -397,11 +454,15 @@ pub fn execute_parallel(
         board: Mutex::new(board),
         wake: Condvar::new(),
     };
-    std::thread::scope(|scope| {
-        for _ in 0..num_threads.max(1) {
-            scope.spawn(|| worker(&monitor, context, program));
-        }
-    });
+    if spawn == 0 {
+        worker(&monitor, context, program);
+    } else {
+        std::thread::scope(|scope| {
+            for _ in 0..spawn {
+                scope.spawn(|| worker(&monitor, context, program));
+            }
+        });
+    }
     let mut board = monitor
         .board
         .into_inner()
@@ -418,7 +479,7 @@ pub fn execute_parallel(
             .ok_or_else(|| EvaError::Execution(format!("output {:?} not computed", output.name)))?;
         outputs.insert(output.node, value);
     }
-    Ok(outputs)
+    Ok((outputs, board.held.peak))
 }
 
 #[cfg(test)]
@@ -569,6 +630,35 @@ mod tests {
         for threads in [1, 3] {
             let err = execute_parallel(&keyless, &compiled, bindings.clone(), threads).unwrap_err();
             assert!(err.to_string().contains("Galois"), "{err}");
+        }
+    }
+
+    /// A kernel panic reaches the caller as an error that keeps its
+    /// message, on the calling thread as on a worker.
+    #[cfg(debug_assertions)]
+    #[test]
+    fn a_failed_exact_scale_check_names_itself_serial_and_parallel() {
+        let mut compiled = lenet_shaped();
+        let squaring = (0..compiled.program.len())
+            .find(|&id| {
+                let args = compiled.program.args(id);
+                compiled.program.opcode(id) == Some(Op::Multiply) && args[0] == args[1]
+            })
+            .expect("the activation squares");
+        let nudged = compiled.program.node(squaring).scale_log2 + 0.5;
+        compiled.program.set_scale_log2(squaring, nudged);
+        let mut ctx = EncryptedContext::setup(&compiled, Some(29)).unwrap();
+        let bindings = ctx
+            .encrypt_inputs(&compiled, &lenet_shaped_inputs())
+            .unwrap();
+        let serial = ctx.execute_serial(&compiled, bindings.clone());
+        let parallel = execute_parallel(ctx.evaluation(), &compiled, bindings, 2);
+        for err in [serial.unwrap_err(), parallel.unwrap_err()] {
+            let text = err.to_string();
+            assert!(
+                text.contains("deviates from the compiler's exact annotation"),
+                "{text}"
+            );
         }
     }
 

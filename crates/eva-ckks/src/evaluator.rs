@@ -115,7 +115,7 @@ impl KeySwitchDecomposition {
 
 /// The work buffers of a key switch — the extended accumulator pair plus
 /// the special-row and delta rows of the mod-down — owned by whoever runs
-/// switches one after another: a parallel-executor worker, a serial walk.
+/// switches one after another, such as an executor worker.
 ///
 /// It starts empty, grows to the highest level it has been used at and is
 /// sliced per call, so a run's megabytes of intermediates are mapped and

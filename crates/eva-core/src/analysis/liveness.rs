@@ -1,13 +1,12 @@
 //! Liveness and peak-memory analysis: predicts, before execution, the
-//! maximum number of simultaneously-live ciphertexts — and bytes — the
-//! serial executor will hold.
+//! maximum number of simultaneously-live ciphertexts — and bytes — a serial
+//! execution holds.
 //!
-//! The forecast is the [`Schedule`] walk the serial executor itself performs
-//! (paper Section 6.1: a value is released once its last live consumer has
-//! run), with static sizes in place of values: the live inputs are the
-//! baseline, each step adds what it materializes — the peak is sampled
-//! there, while a result still coexists with its parents — and subtracts
-//! what it releases.
+//! The forecast is the [`Schedule`] walk (paper Section 6.1: a value is
+//! released once its last live consumer has run) with static sizes in
+//! place of values: the live inputs are the baseline, each step adds what
+//! it materializes — the peak is sampled there, while a result still
+//! coexists with its parents — and subtracts what it releases.
 //!
 //! Sizes follow the backend's accounting: a ciphertext at level `ℓ` with
 //! `p` polynomials holds `p · ℓ · degree` 8-byte residues
@@ -15,13 +14,15 @@
 //! floats. Levels come from the same chain analysis the verifier uses and
 //! polynomial counts from [`analyze_num_polys`].
 //!
-//! Because forecast and executor share the step list, their agreement on
-//! *which* values are live *when* holds by construction. What the backend's
-//! allocation-counting audit (`EvaluationContext::execute_serial_audited`)
-//! still checks independently is everything else: that the static sizes
-//! equal the `memory_bytes()` of the ciphertexts the evaluator really
-//! produces (level and polynomial-count analyses against the scheme), and
-//! that the executor's loop really stores and drops what the steps list.
+//! The backend's serial executor does not walk the steps: it is its
+//! parallel scheduler on one thread, which takes ready nodes first in,
+//! first out. Its allocation-counting audit
+//! (`EvaluationContext::execute_serial_audited`) therefore agrees with
+//! this forecast by measurement, not by construction — equal on Sobel,
+//! lower on LeNet-5-small — and checks what the forecast assumes: that the
+//! static sizes equal the `memory_bytes()` of the ciphertexts the
+//! evaluator really produces (level and polynomial-count analyses against
+//! the scheme).
 //!
 //! Beside the values stand the evaluation keys, resident for the whole
 //! execution: one key-switching key for relinearization if the program
@@ -62,7 +63,9 @@ pub struct MemoryForecast {
     pub key_bytes: usize,
 }
 
-/// Predicts the serial executor's peak memory for a compiled program.
+/// Predicts a compiled program's peak memory along its schedule steps — the
+/// serial executor's, up to the order it takes ready nodes in (see the
+/// module docs).
 ///
 /// # Errors
 ///

@@ -1,5 +1,5 @@
-//! The execution schedule: the one lowering of a program that both
-//! executors, the peak-memory forecast and the cost model walk.
+//! The execution schedule: the one lowering of a program that the
+//! executor, the peak-memory forecast and the cost model read.
 //!
 //! The paper's executor (Section 6.1) is one rule — visit the DAG in
 //! dependence order, run a node once its parents are done, free a value
@@ -10,7 +10,7 @@
 //! * a step **materializes** the values that come into existence when its
 //!   node is reached: the node's own value, or — for the first-reached
 //!   member of a rotation fan-out ([`RotationFanout`]) — every member
-//!   of the group at once, because the executors run the group hoisted
+//!   of the group at once, because the executor runs the group hoisted
 //!   (one shared decomposition, one key apply per member). Inputs are bound
 //!   before execution and fan-out members reached later already exist, so
 //!   those steps materialize nothing;
@@ -18,10 +18,12 @@
 //!   fan-out source is therefore released when its last member is *reached*
 //!   in topological order, not when the group executes.
 //!
-//! The serial executor is that walk with ciphertexts, the memory forecast
-//! is the same walk with static byte sizes, the cost model reads the step
-//! order and the fan-out followers, and the parallel executor seeds its
-//! dependence and use counters from the per-node tables.
+//! The memory forecast is that walk with static byte sizes and the cost
+//! model reads the step order and the fan-out followers. The executor —
+//! one scheduler, on the calling thread or on workers — seeds its
+//! dependence and use counters from the per-node tables and runs ready
+//! nodes first in, first out, so even on one thread its order need not be
+//! the step order.
 //!
 //! Lowering is a single `O(nodes + edges)` pass next to kernels that take
 //! tens of microseconds to milliseconds per node, so a schedule is built
@@ -76,10 +78,10 @@ fn group_rotation_fanouts(program: &Program, live: &[bool]) -> Vec<RotationFanou
 pub struct Step {
     /// The node this step reaches.
     pub node: NodeId,
-    /// Values that come into existence at this step, in the order the
-    /// executor stores them: `[node]`, every member of the node's rotation
-    /// fan-out (ascending node order) when it is the first member reached,
-    /// or nothing for inputs and for fan-out members reached later.
+    /// Values that come into existence at this step: `[node]`, every
+    /// member of the node's rotation fan-out (ascending node order) when it
+    /// is the first member reached, or nothing for inputs and for fan-out
+    /// members reached later.
     pub materializes: Vec<NodeId>,
     /// Values whose last live consumer is this step, dropped once it has
     /// run (ascending node order). Output nodes are never released.

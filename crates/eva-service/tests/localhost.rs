@@ -6,9 +6,9 @@
 use std::collections::HashMap;
 use std::net::{TcpListener, TcpStream};
 
-use eva_backend::{execute_parallel, run_reference, EncryptedContext, NodeValue};
+use eva_backend::{execute_parallel, run_reference, EncryptedContext};
 use eva_core::passes::{eliminate_common_subexpressions, eliminate_dead_code};
-use eva_core::{compile, CompilerOptions, NodeKind, Opcode, Program};
+use eva_core::{compile, CompilerOptions, Opcode, Program};
 use eva_service::{
     bytes_with_tag, contains_bytes, frame_index, EvaClient, EvaServer, RecordingStream,
     TAG_EVAL_KEYS, TAG_INPUTS,
@@ -456,56 +456,25 @@ fn evaluating_with_wrong_input_names_is_a_clean_remote_error() {
     let _ = server_thread.join().unwrap();
 }
 
-/// Hoisted key-switching acceptance over the wire: Sobel's rotation
-/// fan-outs execute hoisted on the server (shared RNS decomposition, one
-/// Galois-key apply per member), and under the same deterministic handshake
-/// the decrypted outputs are bit-identical to an in-process *unhoisted*
-/// node-at-a-time execution — hoisting must not move a single bit, even
-/// across the client/server boundary.
+/// Hoisted key switching over the wire: Sobel's rotation fan-outs execute
+/// hoisted on a two-thread server (shared RNS decomposition, one Galois-key
+/// apply per member), and under the same deterministic handshake the
+/// decrypted outputs are bit-identical to in-process serial execution —
+/// neither the thread count nor the client/server boundary may move a bit.
 #[test]
-fn hoisted_sobel_over_the_service_matches_unhoisted_in_process_bit_for_bit() {
+fn hoisted_sobel_over_the_service_matches_in_process_serial_bit_for_bit() {
     let program = eva_apps::image::sobel_program(16);
     let compiled = compile(&program, &CompilerOptions::default()).unwrap();
     let image: Vec<f64> = (0..256).map(|i| ((i % 17) as f64) / 17.0).collect();
     let inputs: HashMap<String, Vec<f64>> = [("image".to_string(), image)].into_iter().collect();
     let seed = 42u64;
 
-    // In-process twin with hoisting out of the loop: every node individually
-    // through `execute_node`, whose rotations take the sequential path.
     let mut in_process = EncryptedContext::setup(&compiled, Some(seed)).unwrap();
     let bindings = in_process.encrypt_inputs(&compiled, &inputs).unwrap();
-    let prog = &compiled.program;
-    let live = prog.live_mask();
-    let mut values: Vec<Option<NodeValue>> = vec![None; prog.len()];
-    for (id, v) in bindings {
-        values[id] = Some(v);
-    }
-    for id in prog.topological_order() {
-        if !live[id] {
-            continue;
-        }
-        match &prog.node(id).kind {
-            NodeKind::Input { .. } => {}
-            NodeKind::Constant { value } => {
-                values[id] = Some(NodeValue::Plain(value.to_vector(prog.vec_size())));
-            }
-            NodeKind::Instruction { args, .. } => {
-                let arg_refs: Vec<&NodeValue> = args
-                    .iter()
-                    .map(|&a| values[a].as_ref().expect("parents computed first"))
-                    .collect();
-                values[id] = Some(in_process.execute_node(prog, id, &arg_refs).unwrap());
-            }
-        }
-    }
-    let unhoisted: HashMap<usize, NodeValue> = prog
-        .outputs()
-        .iter()
-        .map(|o| (o.node, values[o.node].clone().unwrap()))
-        .collect();
-    let expected = in_process.decrypt_outputs(&compiled, &unhoisted).unwrap();
+    let values = in_process.execute_serial(&compiled, bindings).unwrap();
+    let expected = in_process.decrypt_outputs(&compiled, &values).unwrap();
 
-    // Client → (hoisted) server → client over a real socket, same seed.
+    // Client → two-thread server → client over a real socket, same seed.
     let listener = TcpListener::bind("127.0.0.1:0").unwrap();
     let addr = listener.local_addr().unwrap();
     let server = EvaServer::new(compiled.clone()).unwrap().with_threads(2);
@@ -522,8 +491,8 @@ fn hoisted_sobel_over_the_service_matches_unhoisted_in_process_bit_for_bit() {
             assert_eq!(
                 a.to_bits(),
                 b.to_bits(),
-                "output {name:?}[{i}]: hoisted service execution deviates from \
-                 the unhoisted in-process twin"
+                "output {name:?}[{i}]: the service deviates from in-process \
+                 serial execution"
             );
         }
     }

@@ -3,10 +3,11 @@
 //! scales the encrypted executor observes, across random programs with deep
 //! rescale chains.
 //!
-//! Every instruction executed by `EncryptedContext::execute_node` also runs a
+//! Every ciphertext the encrypted executor produces is also checked by a
 //! `debug_assert!` comparing observed vs annotated scale, so (with debug
 //! assertions on, as in `cargo test` and the CI debug job) a single encrypted
-//! run checks *every* node, not only the outputs asserted here.
+//! run checks *every* node, not only the outputs asserted here: a deviation
+//! fails the run with an error naming the node.
 
 use std::collections::HashMap;
 

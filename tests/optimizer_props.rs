@@ -32,8 +32,8 @@ use eva::backend::{execute_parallel, EncryptedContext, NodeValue};
 use eva::ir::analysis::verifier::{verify_compiled, Check};
 use eva::ir::passes::{eliminate_common_subexpressions, eliminate_dead_code};
 use eva::ir::{
-    compile, estimate_cost, CompiledProgram, CompilerOptions, CostModel, EvaError, NodeKind,
-    Opcode, Program, ValueType,
+    compile, estimate_cost, CompiledProgram, CompilerOptions, CostModel, EvaError, Opcode, Program,
+    ValueType,
 };
 use proptest::prelude::*;
 use rand::{Rng, SeedableRng};
@@ -279,66 +279,6 @@ fn sobel_16x16_is_strictly_reduced_and_value_preserving() {
     }
 }
 
-/// Serial execution with hoisting disabled: every node goes through
-/// `execute_node` individually (sequential `Evaluator::rotate` per
-/// rotation), with the executor's release discipline. The differential twin
-/// for the hoisted executors.
-fn run_unhoisted_serial(
-    context: &EncryptedContext,
-    compiled: &CompiledProgram,
-    mut bindings: HashMap<usize, NodeValue>,
-) -> HashMap<usize, NodeValue> {
-    let program = &compiled.program;
-    let live = program.live_mask();
-    let uses = program.uses();
-    let mut remaining: Vec<usize> = uses
-        .iter()
-        .map(|u| u.iter().filter(|&&c| live[c]).count())
-        .collect();
-    for out in program.outputs() {
-        remaining[out.node] += 1;
-    }
-    let mut values: Vec<Option<NodeValue>> = vec![None; program.len()];
-    for (id, v) in bindings.drain() {
-        values[id] = Some(v);
-    }
-    for id in program.topological_order() {
-        if !live[id] {
-            continue;
-        }
-        match &program.node(id).kind {
-            NodeKind::Input { .. } => {}
-            NodeKind::Constant { value } => {
-                values[id] = Some(NodeValue::Plain(value.to_vector(program.vec_size())));
-            }
-            NodeKind::Instruction { args, .. } => {
-                let arg_refs: Vec<&NodeValue> = args
-                    .iter()
-                    .map(|&a| values[a].as_ref().expect("parents computed first"))
-                    .collect();
-                let result = context
-                    .execute_node(program, id, &arg_refs)
-                    .expect("unhoisted execution");
-                values[id] = Some(result);
-                let mut distinct = args.clone();
-                distinct.sort_unstable();
-                distinct.dedup();
-                for a in distinct {
-                    remaining[a] = remaining[a].saturating_sub(1);
-                    if remaining[a] == 0 {
-                        values[a] = None;
-                    }
-                }
-            }
-        }
-    }
-    program
-        .outputs()
-        .iter()
-        .filter_map(|o| values[o.node].clone().map(|v| (o.node, v)))
-        .collect()
-}
-
 /// Asserts two output maps hold bit-identical values (ciphertext
 /// polynomials and scales, or plaintext `f64` bits).
 fn assert_outputs_bit_identical(
@@ -369,11 +309,11 @@ fn assert_outputs_bit_identical(
     }
 }
 
-/// Runs one workload through the hoisted serial executor, the hoisted
-/// parallel executor and the node-at-a-time unhoisted twin, asserting
-/// bit-identical ciphertext outputs everywhere — `rotate` and
-/// `rotate_hoisted` are built on the same decompose/apply primitives, so
-/// hoisting must not move a single bit.
+/// Runs one workload through the serial executor and the parallel one at
+/// 2, 3 and 8 threads, asserting bit-identical ciphertext outputs
+/// everywhere: each rotation fan-out is one shared decomposition whose
+/// digits and key applies run as tasks in whatever order the threads take
+/// them, and that must not move a single bit.
 fn assert_hoisting_is_bit_invisible(
     compiled: &CompiledProgram,
     inputs: &HashMap<String, Vec<f64>>,
@@ -385,19 +325,20 @@ fn assert_hoisting_is_bit_invisible(
     );
     let mut ctx = EncryptedContext::setup(compiled, Some(42)).unwrap();
     let bindings = ctx.encrypt_inputs(compiled, inputs).unwrap();
-    let hoisted = ctx.execute_serial(compiled, bindings.clone()).unwrap();
-    let unhoisted = run_unhoisted_serial(&ctx, compiled, bindings.clone());
-    assert_outputs_bit_identical(&hoisted, &unhoisted, "serial hoisted vs unhoisted");
-    let parallel = execute_parallel(ctx.evaluation(), compiled, bindings, 4).unwrap();
-    assert_outputs_bit_identical(&parallel, &unhoisted, "parallel hoisted vs unhoisted");
+    let serial = ctx.execute_serial(compiled, bindings.clone()).unwrap();
+    for threads in [2, 3, 8] {
+        let parallel =
+            execute_parallel(ctx.evaluation(), compiled, bindings.clone(), threads).unwrap();
+        assert_outputs_bit_identical(&parallel, &serial, &format!("serial vs {threads} threads"));
+    }
     // And the outputs decode to something: guard against a trivially-empty
     // comparison.
-    let decrypted = ctx.decrypt_outputs(compiled, &hoisted).unwrap();
+    let decrypted = ctx.decrypt_outputs(compiled, &serial).unwrap();
     assert!(!decrypted.is_empty());
 }
 
-/// Sobel 16×16 twins: hoisted (serial and parallel) executions are
-/// bit-identical to the unhoisted node-at-a-time execution.
+/// Sobel 16×16 twins: the serial and the parallel executions of its
+/// rotation fan-outs are bit-identical.
 #[test]
 fn sobel_hoisted_twins_are_bit_identical() {
     let program = eva::apps::image::sobel_program(16);
