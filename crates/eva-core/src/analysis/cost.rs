@@ -177,10 +177,9 @@ pub fn estimate_cost(
         // The level the instruction's *inputs* are at (what key-switch and
         // dyadic work operate on): maintenance ops record their own chain,
         // so use the argument's level where one exists.
-        let level = args
-            .iter()
-            .filter(|&&a| program.node(a).ty.is_cipher())
-            .map(|&a| levels[a])
+        let level = program
+            .cipher_args(id)
+            .map(|a| levels[a])
             .max()
             .unwrap_or(levels[id]);
         let scale = |ref_us: f64, weight: f64| ref_us * weight;

@@ -14,7 +14,6 @@ pub mod parameters;
 pub mod rotations;
 pub mod scale;
 pub mod schedule;
-pub mod validation;
 pub mod verifier;
 
 pub use cost::{estimate_cost, CostModel, CostReport};
@@ -30,5 +29,4 @@ pub use scale::{
     prime_log2s, remaining_levels, ChainEntry,
 };
 pub use schedule::{Schedule, Step};
-pub use validation::{validate_exact_scales, validate_transformed};
 pub use verifier::{verify_compiled, verify_program, Check, Diagnostic, Severity, VerifierReport};

@@ -1,10 +1,28 @@
 //! Forward data-flow analyses: fixed-point scales, rescale chains (levels) and
 //! polynomial counts.
 //!
+//! # One copy of each rule
+//!
+//! Every scale rule lives in one transfer function, `scale_of`, and every
+//! chain rule in one propagator, `propagate_chains`. Both report each
+//! violation to a caller-supplied sink as `(check, node, message)` and keep
+//! propagating, so every caller sees the same facts:
+//!
+//! * the [verifier](crate::analysis::verifier) pushes each finding as a
+//!   diagnostic, over its own cycle-safe order;
+//! * the public wrappers below ([`analyze_scales`], [`analyze_exact_scales`],
+//!   [`analyze_levels`], [`remaining_levels`]) run over
+//!   [`Program::topological_order`] and return their first fatal finding as
+//!   [`EvaError::Validation`];
+//! * the exact match-scale pass ([`crate::passes::apply_exact_scales`]) turns
+//!   a finding into an error;
+//! * the nominal rewrite passes (waterline / always rescale, match-scale)
+//!   ignore findings: they run before the program is valid.
+//!
 //! # The two-phase exact-scale pipeline
 //!
 //! Scales are tracked in the `log2` domain as `f64` throughout the compiler,
-//! in two phases:
+//! in two phases, which are the two phases of `scale_of`:
 //!
 //! 1. **Nominal phase** (before parameter selection): [`analyze_scales`]
 //!    propagates the programmer's integral bit annotations under
@@ -35,6 +53,7 @@
 //! tolerance at all** — its scale comparison is exact `f64` equality, and any
 //! mismatch is a genuine compiler bug rather than inherent prime drift.
 
+use crate::analysis::verifier::Check;
 use crate::error::EvaError;
 use crate::program::{NodeId, NodeKind, Program};
 use crate::types::Opcode;
@@ -60,14 +79,226 @@ impl ChainEntry {
     }
 }
 
+/// Where the shared propagators send a violation: the check it breaks, the
+/// node, and a message with node and opcode provenance.
+pub(crate) type Sink<'s> = &'s mut dyn FnMut(Check, NodeId, String);
+
+/// Which semantics `scale_of` applies.
+pub(crate) enum Phase<'a> {
+    /// Power-of-two semantics over the programmer's integral annotations.
+    Nominal,
+    /// The evaluator's replay against the actual primes: `log_primes` holds
+    /// each data prime's `log2` (bottom of the chain first), `chains` every
+    /// node's rescale chain and `live` the nodes that execute.
+    Exact {
+        log_primes: &'a [f64],
+        chains: &'a [Vec<ChainEntry>],
+        live: &'a [bool],
+    },
+}
+
+/// The scale transfer function: the `log2` scale of node `id` given its
+/// operands' entries in `scales`. Every scale rule is stated here once.
+///
+/// * Inputs and constants carry their annotation.
+/// * **Nominal**: MULTIPLY adds its operands' scales; ADD/SUB operands,
+///   plaintext included, must agree ([`Check::ScaleMatch`]) and the result
+///   is the larger; `RESCALE(s)` subtracts `s` bits, saturating at zero on
+///   underflow ([`Check::RescaleBounds`]); every other instruction keeps its
+///   first operand's scale.
+/// * **Exact**, cipher nodes: the evaluator's replay. A RESCALE whose chain
+///   leaves level `l` subtracts `log2(q_l)` of the real prime (a chain longer
+///   than the primes is [`Check::LevelBudget`] and falls back to the nominal
+///   divisor); an ADD/SUB with a plaintext operand inherits the cipher
+///   operand's scale, since the executor encodes the plaintext at exactly
+///   that scale, so only two cipher operands can disagree.
+/// * **Exact**, plaintext nodes: nominal — the executor computes them as raw
+///   vectors and re-encodes them at their annotation. Dead nodes keep their
+///   annotation: they never execute, and their chains may outrun the primes.
+///
+/// Never indexes out of range on a program the verifier's structural pass
+/// accepts (arities, argument indices and cipher bits all consistent).
+pub(crate) fn scale_of(
+    program: &Program,
+    id: NodeId,
+    scales: &[f64],
+    phase: &Phase<'_>,
+    report: Sink<'_>,
+) -> f64 {
+    let node = program.node(id);
+    let NodeKind::Instruction { op, args } = &node.kind else {
+        return node.scale_log2;
+    };
+    let exact = match *phase {
+        Phase::Exact { live, .. } if !live[id] => return node.scale_log2,
+        Phase::Exact {
+            log_primes, chains, ..
+        } if node.ty.is_cipher() => Some((log_primes, chains)),
+        _ => None,
+    };
+    let operand = |i: usize| scales[args[i]];
+    match op {
+        Opcode::Multiply => operand(0) + operand(1),
+        Opcode::Add | Opcode::Sub => {
+            let (a, b, which) = if exact.is_some() {
+                let mut cipher = program.cipher_args(id).map(|arg| scales[arg]);
+                let a = cipher.next().unwrap_or_else(|| operand(0));
+                (a, cipher.next().unwrap_or(a), "exact ")
+            } else {
+                (operand(0), operand(1), "")
+            };
+            if a != b {
+                let message =
+                    format!("node {id} ({op}): operand {which}scales differ (2^{a} vs 2^{b})");
+                report(Check::ScaleMatch, id, message);
+            }
+            a.max(b)
+        }
+        Opcode::Rescale(bits) => {
+            let input = operand(0);
+            let bits = f64::from(*bits);
+            if let Some((log_primes, chains)) = exact {
+                // chains[id] includes this node's own entry, so the prime
+                // divided sits at max_level - chains[id].len().
+                let (consumed, max_level) = (chains[id].len(), log_primes.len());
+                if let Some(log_q) = max_level
+                    .checked_sub(consumed)
+                    .and_then(|l| log_primes.get(l))
+                {
+                    return input - log_q;
+                }
+                let message = format!(
+                    "node {id} ({op}): rescale chain of length {consumed} exceeds the \
+                     {max_level}-prime chain"
+                );
+                report(Check::LevelBudget, id, message);
+                input - bits
+            } else {
+                if input < bits {
+                    let message = format!(
+                        "node {id} ({op}): rescale by 2^{bits} underflows operand scale 2^{input}"
+                    );
+                    report(Check::RescaleBounds, id, message);
+                }
+                (input - bits).max(0.0)
+            }
+        }
+        Opcode::Negate
+        | Opcode::RotateLeft(_)
+        | Opcode::RotateRight(_)
+        | Opcode::Relinearize
+        | Opcode::ModSwitch => operand(0),
+    }
+}
+
+/// The rescale-chain propagator (paper Definition 3 and Constraint 1): the
+/// chain of every cipher node, visiting `order`. Non-cipher nodes get an
+/// empty chain; a cipher instruction merges its cipher operands' chains and
+/// appends its own RESCALE/MODSWITCH entry.
+///
+/// Operands whose chains do not conform are reported once per node as
+/// [`Check::ChainConformity`], and propagation recovers so one root cause
+/// does not cascade into a finding per descendant: a length conflict keeps
+/// the longer chain, an entry conflict keeps the first operand's entry.
+pub(crate) fn propagate_chains(
+    program: &Program,
+    order: &[NodeId],
+    report: Sink<'_>,
+) -> Vec<Vec<ChainEntry>> {
+    let mut chains: Vec<Vec<ChainEntry>> = vec![Vec::new(); program.len()];
+    for &id in order {
+        let node = program.node(id);
+        let NodeKind::Instruction { op, .. } = &node.kind else {
+            continue;
+        };
+        if !node.ty.is_cipher() {
+            continue;
+        }
+        let mut conflict = None;
+        let mut merged: Option<Vec<ChainEntry>> = None;
+        for arg in program.cipher_args(id) {
+            let arg_chain = &chains[arg];
+            merged = Some(match merged {
+                None => arg_chain.clone(),
+                Some(current) if current.len() != arg_chain.len() => {
+                    conflict.get_or_insert_with(|| {
+                        format!(
+                            "operand rescale chains have different lengths ({} vs {})",
+                            current.len(),
+                            arg_chain.len()
+                        )
+                    });
+                    if arg_chain.len() > current.len() {
+                        arg_chain.clone()
+                    } else {
+                        current
+                    }
+                }
+                Some(current) => current
+                    .iter()
+                    .zip(arg_chain)
+                    .map(|(&a, &b)| {
+                        ChainEntry::merge(a, b).unwrap_or_else(|| {
+                            conflict.get_or_insert_with(|| {
+                                format!(
+                                    "operands have non-conforming rescale chains ({a:?} vs {b:?})"
+                                )
+                            });
+                            a
+                        })
+                    })
+                    .collect(),
+            });
+        }
+        if let Some(message) = conflict {
+            report(
+                Check::ChainConformity,
+                id,
+                format!("node {id} ({op}): {message}"),
+            );
+        }
+        let mut chain = merged.unwrap_or_default();
+        match op {
+            Opcode::Rescale(bits) => chain.push(ChainEntry::Rescale(*bits)),
+            Opcode::ModSwitch => chain.push(ChainEntry::ModSwitch),
+            _ => {}
+        }
+        chains[id] = chain;
+    }
+    chains
+}
+
+/// Runs a propagation with a sink that keeps the first finding whose check
+/// `fatal` accepts, and returns that finding as the error.
+fn first_fatal<T>(
+    fatal: impl Fn(Check) -> bool,
+    run: impl FnOnce(Sink<'_>) -> T,
+) -> Result<T, EvaError> {
+    let mut first = None;
+    let value = run(&mut |check, _, message| {
+        if first.is_none() && fatal(check) {
+            first = Some(message);
+        }
+    });
+    first.map_or(Ok(value), |message| Err(EvaError::Validation(message)))
+}
+
+/// `scale_of` over every node in [`Program::topological_order`].
+fn propagate_scales(program: &Program, phase: &Phase<'_>, report: Sink<'_>) -> Vec<f64> {
+    let mut scales = vec![0.0f64; program.len()];
+    for id in program.topological_order() {
+        scales[id] = scale_of(program, id, &scales, phase, report);
+    }
+    scales
+}
+
 /// Computes the nominal `log2` scale of every node and stores it on the
 /// program. Returns the vector of scales indexed by node id.
 ///
-/// Scales combine exactly as the paper describes: inputs and constants carry
-/// their annotations, MULTIPLY adds `log2` scales, RESCALE subtracts its
-/// nominal divisor, and every other instruction preserves its (first cipher)
-/// parent's scale. This is the *nominal* (power-of-two) phase of the pipeline
-/// described in the module docs; after parameter selection
+/// This is the *nominal* phase of the pipeline described in the module docs:
+/// inputs and constants carry their annotations, MULTIPLY adds `log2` scales,
+/// RESCALE subtracts its nominal divisor, and every other instruction keeps
+/// its first operand's scale. After parameter selection
 /// [`analyze_exact_scales`] replaces these annotations with the exact values.
 ///
 /// # Errors
@@ -75,53 +306,14 @@ impl ChainEntry {
 /// Returns [`EvaError::Validation`] if a RESCALE divides by more bits than its
 /// operand's scale has.
 pub fn analyze_scales(program: &mut Program) -> Result<Vec<f64>, EvaError> {
-    let order = program.topological_order();
-    let mut scales = vec![0.0f64; program.len()];
-    for id in order {
-        let scale = match &program.node(id).kind {
-            NodeKind::Input { .. } | NodeKind::Constant { .. } => program.node(id).scale_log2,
-            NodeKind::Instruction { op, args } => {
-                let arg_scales: Vec<f64> = args.iter().map(|&a| scales[a]).collect();
-                match op {
-                    Opcode::Multiply => arg_scales.iter().sum(),
-                    Opcode::Add | Opcode::Sub => arg_scales.iter().copied().fold(0.0f64, f64::max),
-                    Opcode::Rescale(bits) => {
-                        let input = arg_scales[0];
-                        if input < f64::from(*bits) {
-                            return Err(EvaError::Validation(format!(
-                                "node {id}: rescale by 2^{bits} underflows operand scale 2^{input}"
-                            )));
-                        }
-                        input - f64::from(*bits)
-                    }
-                    Opcode::Negate
-                    | Opcode::RotateLeft(_)
-                    | Opcode::RotateRight(_)
-                    | Opcode::Relinearize
-                    | Opcode::ModSwitch => arg_scales[0],
-                }
-            }
-        };
-        scales[id] = scale;
+    let scales = first_fatal(
+        |check| check == Check::RescaleBounds,
+        |report| propagate_scales(program, &Phase::Nominal, report),
+    )?;
+    for (id, &scale) in scales.iter().enumerate() {
         program.set_scale_log2(id, scale);
     }
     Ok(scales)
-}
-
-/// The nominal `log2` transfer function for one node given its operands'
-/// scales: the same rules as [`analyze_scales`], but saturating on rescale
-/// underflow instead of erroring. Shared by the rewrite passes (waterline /
-/// always rescale, match-scale) so the rules live in exactly one place.
-pub(crate) fn nominal_scale_of(node: &crate::program::Node, arg_scales: &[f64]) -> f64 {
-    match &node.kind {
-        NodeKind::Input { .. } | NodeKind::Constant { .. } => node.scale_log2,
-        NodeKind::Instruction { op, .. } => match op {
-            Opcode::Multiply => arg_scales.iter().sum(),
-            Opcode::Add | Opcode::Sub => arg_scales.iter().copied().fold(0.0f64, f64::max),
-            Opcode::Rescale(bits) => (arg_scales[0] - f64::from(*bits)).max(0.0),
-            _ => arg_scales[0],
-        },
-    }
 }
 
 /// `log2` of each data prime, cached once per exact-scale pass. The values
@@ -135,111 +327,28 @@ pub fn prime_log2s(data_primes: &[u64]) -> Vec<f64> {
 /// Computes the **exact** `log2` scale of every node against the actual prime
 /// chain chosen by parameter selection, without modifying the program.
 ///
-/// The propagation replays the evaluator's own scale arithmetic: MULTIPLY
-/// adds the operand `log2` scales (for a plaintext operand, the plaintext
-/// node's annotation, at which the executor encodes it), RESCALE at level `l`
-/// subtracts `log2(q_{l-1})` of the real prime, ADD/SUB with a plaintext
-/// operand inherits the cipher operand's scale (the executor encodes the
-/// plaintext at exactly that scale), and every other instruction preserves
-/// its parent's scale. Non-cipher nodes keep their (integral) nominal scales.
+/// The propagation replays the evaluator's own scale arithmetic (the exact
+/// phase in the module docs): MULTIPLY adds the operand `log2` scales, a
+/// RESCALE subtracts `log2` of the real prime it divides by, ADD/SUB with a
+/// plaintext operand inherits the cipher operand's scale, and plaintext and
+/// dead nodes keep nominal semantics.
 ///
 /// # Errors
 ///
-/// Returns [`EvaError::Validation`] if a cipher-cipher ADD/SUB has operands
-/// whose exact scales are not bit-identical (the exact match-scale pass
-/// should have corrected them first), or if a node's rescale chain is longer
-/// than the prime chain.
+/// Returns [`EvaError::Validation`] if the rescale chains do not conform, a
+/// cipher-cipher ADD/SUB has operands whose exact scales are not
+/// bit-identical (the exact match-scale pass should have corrected them
+/// first), or a node's rescale chain is longer than the prime chain.
 pub fn analyze_exact_scales(program: &Program, data_primes: &[u64]) -> Result<Vec<f64>, EvaError> {
     let chains = analyze_levels(program)?;
     let log_primes = prime_log2s(data_primes);
-    let max_level = data_primes.len();
-    let order = program.topological_order();
     let live = program.live_mask();
-    let mut scales = vec![0.0f64; program.len()];
-    for id in order {
-        if !live[id] {
-            // Dead nodes are never executed; they keep their nominal
-            // annotation (their chains may exceed the prime budget).
-            scales[id] = program.node(id).scale_log2;
-            continue;
-        }
-        scales[id] = exact_scale_of(program, id, &scales, &chains, &log_primes, max_level)?;
-    }
-    Ok(scales)
-}
-
-/// The exact-scale transfer function for one node, shared by the pure
-/// analysis above and the rewriting pass in `passes::match_scale`.
-pub(crate) fn exact_scale_of(
-    program: &Program,
-    id: NodeId,
-    scales: &[f64],
-    chains: &[Vec<ChainEntry>],
-    log_primes: &[f64],
-    max_level: usize,
-) -> Result<f64, EvaError> {
-    let node = program.node(id);
-    let scale = match &node.kind {
-        NodeKind::Input { .. } | NodeKind::Constant { .. } => node.scale_log2,
-        NodeKind::Instruction { op, args } => {
-            if !node.ty.is_cipher() {
-                // Plaintext subgraphs keep nominal (integral) semantics: the
-                // executor computes them as raw vectors and re-encodes them at
-                // their annotated scale when a cipher consumer needs them.
-                let arg_scales: Vec<f64> = args.iter().map(|&a| scales[a]).collect();
-                return Ok(match op {
-                    Opcode::Multiply => arg_scales.iter().sum(),
-                    Opcode::Add | Opcode::Sub => arg_scales.iter().copied().fold(0.0f64, f64::max),
-                    Opcode::Rescale(bits) => arg_scales[0] - f64::from(*bits),
-                    _ => arg_scales[0],
-                });
-            }
-            let cipher_args: Vec<NodeId> = args
-                .iter()
-                .copied()
-                .filter(|&a| program.node(a).ty.is_cipher())
-                .collect();
-            match op {
-                Opcode::Multiply => scales[args[0]] + scales[args[1]],
-                Opcode::Add | Opcode::Sub => {
-                    if cipher_args.len() == 2 {
-                        let (a, b) = (scales[cipher_args[0]], scales[cipher_args[1]]);
-                        if a != b {
-                            return Err(EvaError::Validation(format!(
-                                "node {id} ({op}): operand exact scales differ \
-                                 (2^{a:.10e} vs 2^{b:.10e})"
-                            )));
-                        }
-                        a
-                    } else {
-                        // The executor encodes the plaintext operand at the
-                        // cipher operand's exact scale.
-                        scales[cipher_args[0]]
-                    }
-                }
-                Opcode::Rescale(_) => {
-                    // chains[id] includes this node's own entry, so the level
-                    // *after* this rescale — which indexes the prime divided —
-                    // is max_level - chains[id].len().
-                    let consumed = chains[id].len();
-                    if consumed > max_level {
-                        return Err(EvaError::Validation(format!(
-                            "node {id}: rescale chain of length {consumed} exceeds the \
-                             {max_level}-prime chain"
-                        )));
-                    }
-                    let level = max_level - consumed;
-                    scales[args[0]] - log_primes[level]
-                }
-                Opcode::Negate
-                | Opcode::RotateLeft(_)
-                | Opcode::RotateRight(_)
-                | Opcode::Relinearize
-                | Opcode::ModSwitch => scales[args[0]],
-            }
-        }
+    let phase = Phase::Exact {
+        log_primes: &log_primes,
+        chains: &chains,
+        live: &live,
     };
-    Ok(scale)
+    first_fatal(|_| true, |report| propagate_scales(program, &phase, report))
 }
 
 /// Solves for a `log2`-domain correction `delta` such that
@@ -284,64 +393,7 @@ pub fn match_scale_delta(source: f64, target: f64) -> Option<f64> {
 /// Returns [`EvaError::Validation`] if any node has non-conforming chains.
 pub fn analyze_levels(program: &Program) -> Result<Vec<Vec<ChainEntry>>, EvaError> {
     let order = program.topological_order();
-    let mut chains: Vec<Vec<ChainEntry>> = vec![Vec::new(); program.len()];
-    for id in order {
-        let node = program.node(id);
-        if !node.ty.is_cipher() {
-            continue;
-        }
-        let chain = match &node.kind {
-            NodeKind::Input { .. } => Vec::new(),
-            NodeKind::Constant { .. } => Vec::new(),
-            NodeKind::Instruction { op, args } => {
-                // Merge the chains of all cipher parents.
-                let cipher_args: Vec<NodeId> = args
-                    .iter()
-                    .copied()
-                    .filter(|&a| program.node(a).ty.is_cipher())
-                    .collect();
-                let mut merged: Option<Vec<ChainEntry>> = None;
-                for &arg in &cipher_args {
-                    let arg_chain = &chains[arg];
-                    merged = Some(match merged {
-                        None => arg_chain.clone(),
-                        Some(current) => {
-                            if current.len() != arg_chain.len() {
-                                return Err(EvaError::Validation(format!(
-                                    "node {id}: operands have rescale chains of different \
-                                     length ({} vs {})",
-                                    current.len(),
-                                    arg_chain.len()
-                                )));
-                            }
-                            let mut out = Vec::with_capacity(current.len());
-                            for (&a, &b) in current.iter().zip(arg_chain) {
-                                match ChainEntry::merge(a, b) {
-                                    Some(entry) => out.push(entry),
-                                    None => {
-                                        return Err(EvaError::Validation(format!(
-                                            "node {id}: operands have non-conforming rescale \
-                                             chains ({a:?} vs {b:?})"
-                                        )))
-                                    }
-                                }
-                            }
-                            out
-                        }
-                    });
-                }
-                let mut chain = merged.unwrap_or_default();
-                match op {
-                    Opcode::Rescale(bits) => chain.push(ChainEntry::Rescale(*bits)),
-                    Opcode::ModSwitch => chain.push(ChainEntry::ModSwitch),
-                    _ => {}
-                }
-                chain
-            }
-        };
-        chains[id] = chain;
-    }
-    Ok(chains)
+    first_fatal(|_| true, |report| propagate_chains(program, &order, report))
 }
 
 /// Computes the number of polynomials of every cipher node's ciphertext
@@ -355,12 +407,8 @@ pub fn analyze_num_polys(program: &Program) -> Vec<usize> {
         if !node.ty.is_cipher() {
             continue;
         }
-        if let NodeKind::Instruction { op, args } = &node.kind {
-            let cipher_args: Vec<NodeId> = args
-                .iter()
-                .copied()
-                .filter(|&a| program.node(a).ty.is_cipher())
-                .collect();
+        if let Some(op) = program.opcode(id) {
+            let cipher_args: Vec<NodeId> = program.cipher_args(id).collect();
             polys[id] = match op {
                 Opcode::Multiply if cipher_args.len() == 2 => {
                     polys[cipher_args[0]] + polys[cipher_args[1]] - 1

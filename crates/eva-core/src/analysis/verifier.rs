@@ -1,11 +1,11 @@
 //! The full IR verifier: a standalone static checker for EVA programs.
 //!
-//! The compiler's validation passes (paper Section 6.2) only ever ran inside
-//! [`crate::compile`], and they stopped at the first violated constraint.
-//! This module turns them into a reusable verifier that works on **any**
-//! [`Program`] — freshly compiled or decoded from an untrusted `.evaprog`
-//! file — and reports *every* violation it finds, each with node provenance
-//! (id and opcode), instead of first-error-only.
+//! The paper's validation passes (Section 6.2) as a reusable verifier that
+//! works on **any** [`Program`] — freshly compiled or decoded from an
+//! untrusted `.evaprog` file — and reports *every* violation it finds, each
+//! with node provenance (id and opcode), instead of first-error-only. The
+//! scale and rescale-chain rules it checks are the compiler's own, shared
+//! through [`crate::analysis::scale`].
 //!
 //! Two entry points:
 //!
@@ -55,7 +55,7 @@ use std::collections::HashSet;
 
 use crate::analysis::parameters::max_bits_for_degree;
 use crate::analysis::rotations::select_rotation_steps;
-use crate::analysis::scale::{analyze_num_polys, prime_log2s, ChainEntry};
+use crate::analysis::scale::{analyze_num_polys, prime_log2s, propagate_chains, scale_of, Phase};
 use crate::compiler::CompiledProgram;
 use crate::error::EvaError;
 use crate::program::{NodeId, NodeKind, Program};
@@ -68,8 +68,9 @@ use crate::types::{ConstantValue, Opcode};
 pub enum Check {
     /// The program graph is a DAG (no argument cycles).
     Acyclic,
-    /// Argument lists match opcode arities and every index names an existing
-    /// node.
+    /// Argument lists match opcode arities, every index names an existing
+    /// node, and the declared type follows the operands (an instruction is
+    /// Cipher-typed iff one of its operands is).
     ArgIndices,
     /// Outputs exist, refer to existing nodes and have unique names.
     Outputs,
@@ -253,6 +254,15 @@ pub fn verify_compiled(compiled: &CompiledProgram) -> VerifierReport {
     verifier.report
 }
 
+/// `%id (opcode)` / `%id (input "x")` provenance prefix for messages.
+fn describe(program: &Program, id: NodeId) -> String {
+    match &program.node(id).kind {
+        NodeKind::Input { name } => format!("node {id} (input {name:?})"),
+        NodeKind::Constant { .. } => format!("node {id} (constant)"),
+        NodeKind::Instruction { op, .. } => format!("node {id} ({op})"),
+    }
+}
+
 /// Internal driver holding the program under inspection and the report being
 /// built.
 struct Verifier<'a> {
@@ -298,15 +308,6 @@ impl<'a> Verifier<'a> {
             node,
             message,
         });
-    }
-
-    /// `%id (opcode)` / `%id (input "x")` provenance prefix for messages.
-    fn describe(&self, id: NodeId) -> String {
-        match &self.program.node(id).kind {
-            NodeKind::Input { name } => format!("node {id} (input {name:?})"),
-            NodeKind::Constant { .. } => format!("node {id} (constant)"),
-            NodeKind::Instruction { op, .. } => format!("node {id} ({op})"),
-        }
     }
 
     fn run(&mut self) {
@@ -391,6 +392,7 @@ impl<'a> Verifier<'a> {
                         );
                         navigable = false;
                     }
+                    let mut in_range = true;
                     for &arg in args {
                         if arg >= node_count {
                             self.error(
@@ -401,9 +403,25 @@ impl<'a> Verifier<'a> {
                                      ({node_count} nodes)"
                                 ),
                             );
-                            navigable = false;
+                            in_range = false;
                         }
                     }
+                    // The rule `Program::instruction` infers types by: Cipher
+                    // iff some operand is. The scale and chain rules rely on it.
+                    let typed = !in_range
+                        || program.cipher_args(id).next().is_some() == node.ty.is_cipher();
+                    if !typed {
+                        let has = if node.ty.is_cipher() { "no" } else { "a" };
+                        self.error(
+                            Check::ArgIndices,
+                            Some(id),
+                            format!(
+                                "node {id} ({op}) is declared {} but has {has} Cipher operand",
+                                node.ty
+                            ),
+                        );
+                    }
+                    navigable &= in_range && typed;
                 }
                 NodeKind::Input { .. } => {}
             }
@@ -470,220 +488,67 @@ impl<'a> Verifier<'a> {
         true
     }
 
-    /// Multi-diagnostic rescale-chain propagation (paper Definition 3 and
-    /// Constraint 1). On a conformity conflict the longer chain is kept so
-    /// one root cause does not cascade into a diagnostic per descendant.
-    fn analyze_chains(&mut self) -> Vec<Vec<ChainEntry>> {
+    /// The semantic pass: chains and scales through the shared propagators
+    /// in [`crate::analysis::scale`], then polynomial counts, exact-scale
+    /// stamps and level budget.
+    fn semantic(&mut self) {
         let program = self.program;
-        let mut chains: Vec<Vec<ChainEntry>> = vec![Vec::new(); program.len()];
-        for idx in 0..self.order.len() {
-            let id = self.order[idx];
-            let node = program.node(id);
-            if !node.ty.is_cipher() {
-                continue;
-            }
-            let NodeKind::Instruction { op, args } = &node.kind else {
-                continue;
-            };
-            let cipher_args: Vec<NodeId> = args
-                .iter()
-                .copied()
-                .filter(|&a| program.node(a).ty.is_cipher())
-                .collect();
-            let mut merged: Option<Vec<ChainEntry>> = None;
-            let mut reported = false;
-            for &arg in &cipher_args {
-                let arg_chain = chains[arg].clone();
-                merged = Some(match merged {
-                    None => arg_chain,
-                    Some(current) => {
-                        if current.len() != arg_chain.len() {
-                            if !reported {
-                                let message = format!(
-                                    "{}: operand rescale chains have different lengths \
-                                     ({} vs {})",
-                                    self.describe(id),
-                                    current.len(),
-                                    arg_chain.len()
-                                );
-                                self.error(Check::ChainConformity, Some(id), message);
-                                reported = true;
-                            }
-                            // Keep the longer chain to bound the cascade.
-                            if arg_chain.len() > current.len() {
-                                arg_chain
-                            } else {
-                                current
-                            }
-                        } else {
-                            let mut out = Vec::with_capacity(current.len());
-                            for (&a, &b) in current.iter().zip(&arg_chain) {
-                                match ChainEntry::merge(a, b) {
-                                    Some(entry) => out.push(entry),
-                                    None => {
-                                        if !reported {
-                                            let message = format!(
-                                                "{}: operands have non-conforming rescale \
-                                                 chains ({a:?} vs {b:?})",
-                                                self.describe(id)
-                                            );
-                                            self.error(Check::ChainConformity, Some(id), message);
-                                            reported = true;
-                                        }
-                                        out.push(a);
-                                    }
-                                }
-                            }
-                            out
-                        }
-                    }
-                });
-            }
-            let mut chain = merged.unwrap_or_default();
-            match op {
-                Opcode::Rescale(bits) => chain.push(ChainEntry::Rescale(*bits)),
-                Opcode::ModSwitch => chain.push(ChainEntry::ModSwitch),
-                _ => {}
-            }
-            chains[id] = chain;
-        }
-        chains
-    }
-
-    /// Scale propagation, nominal or exact depending on whether a parameter
-    /// spec is in hand, collecting `scale-match` / `rescale-bounds` /
-    /// `exact-scales` diagnostics along the way.
-    fn analyze_scales(&mut self, chains: &[Vec<ChainEntry>]) -> Vec<f64> {
-        let program = self.program;
-        let exact = self
+        let diagnostics = &mut self.report.diagnostics;
+        let mut sink = |check, id, message| {
+            diagnostics.push(Diagnostic {
+                check,
+                severity: Severity::Error,
+                node: Some(id),
+                message,
+            })
+        };
+        let chains = propagate_chains(program, &self.order, &mut sink);
+        let log_primes = self
             .compiled
-            .map(|c| (prime_log2s(&c.parameters.data_primes), c));
-        let max_level = exact
-            .as_ref()
-            .map(|(logs, _)| logs.len())
-            .unwrap_or(usize::MAX);
+            .map(|c| prime_log2s(&c.parameters.data_primes));
+        let phase = match &log_primes {
+            Some(log_primes) => Phase::Exact {
+                log_primes,
+                chains: &chains,
+                live: &self.live,
+            },
+            None => Phase::Nominal,
+        };
         let mut scales = vec![0.0f64; program.len()];
-        for idx in 0..self.order.len() {
-            let id = self.order[idx];
-            let node = program.node(id);
-            if exact.is_some() && !self.live[id] {
-                // Dead nodes are never executed; like the exact-scale pass,
-                // trust their stamped annotation and move on.
-                scales[id] = node.scale_log2;
-                continue;
-            }
-            let scale = match &node.kind {
-                NodeKind::Input { .. } | NodeKind::Constant { .. } => node.scale_log2,
-                NodeKind::Instruction { op, args } => {
-                    let arg_scales: Vec<f64> = args.iter().map(|&a| scales[a]).collect();
-                    let cipher_args: Vec<NodeId> = args
-                        .iter()
-                        .copied()
-                        .filter(|&a| program.node(a).ty.is_cipher())
-                        .collect();
-                    let exact_cipher = exact.is_some() && node.ty.is_cipher();
-                    match op {
-                        Opcode::Multiply => arg_scales.iter().sum(),
-                        Opcode::Add | Opcode::Sub => {
-                            if exact_cipher {
-                                // Exact mode mirrors the executor: a plain
-                                // operand is encoded at the cipher operand's
-                                // exact scale, so only cipher-cipher pairs
-                                // can mismatch.
-                                if cipher_args.len() == 2 {
-                                    let (a, b) = (scales[cipher_args[0]], scales[cipher_args[1]]);
-                                    if a != b {
-                                        let message = format!(
-                                            "{}: operand scales differ (2^{a} vs 2^{b})",
-                                            self.describe(id)
-                                        );
-                                        self.error(Check::ScaleMatch, Some(id), message);
-                                    }
-                                    a.max(b)
-                                } else {
-                                    scales[cipher_args[0]]
-                                }
-                            } else {
-                                // Nominal mode follows the paper: both
-                                // operands (plain included) must agree.
-                                let (a, b) = (arg_scales[0], arg_scales[1]);
-                                if a != b {
-                                    let message = format!(
-                                        "{}: operand scales differ (2^{a} vs 2^{b})",
-                                        self.describe(id)
-                                    );
-                                    self.error(Check::ScaleMatch, Some(id), message);
-                                }
-                                a.max(b)
-                            }
-                        }
-                        Opcode::Rescale(bits) => {
-                            if *bits > self.max_rescale_bits {
-                                let message = format!(
-                                    "{}: rescale by 2^{bits} exceeds the maximum of 2^{}",
-                                    self.describe(id),
-                                    self.max_rescale_bits
-                                );
-                                self.error(Check::RescaleBounds, Some(id), message);
-                            }
-                            if exact_cipher {
-                                // chains[id] includes this node's own entry,
-                                // so the prime divided sits at
-                                // max_level - chains[id].len().
-                                let consumed = chains[id].len();
-                                if consumed > max_level {
-                                    // Level underflow is reported by the
-                                    // dedicated check below; fall back to the
-                                    // nominal divisor to keep propagating.
-                                    arg_scales[0] - f64::from(*bits)
-                                } else {
-                                    let (logs, _) = exact.as_ref().expect("exact mode");
-                                    arg_scales[0] - logs[max_level - consumed]
-                                }
-                            } else {
-                                if arg_scales[0] < f64::from(*bits) {
-                                    let message = format!(
-                                        "{}: rescale by 2^{bits} underflows operand scale 2^{}",
-                                        self.describe(id),
-                                        arg_scales[0]
-                                    );
-                                    self.error(Check::RescaleBounds, Some(id), message);
-                                }
-                                (arg_scales[0] - f64::from(*bits)).max(0.0)
-                            }
-                        }
-                        Opcode::Negate
-                        | Opcode::RotateLeft(_)
-                        | Opcode::RotateRight(_)
-                        | Opcode::Relinearize
-                        | Opcode::ModSwitch => arg_scales[0],
-                    }
+        for &id in &self.order {
+            // Dead nodes of a compiled program never execute, so neither
+            // the bounds nor the exact replay apply to them.
+            let executes = log_primes.is_none() || self.live[id];
+            if let Some(op @ Opcode::Rescale(bits)) = program.opcode(id) {
+                if executes && bits > self.max_rescale_bits {
+                    let message = format!(
+                        "node {id} ({op}): rescale by 2^{bits} exceeds the maximum of 2^{}",
+                        self.max_rescale_bits
+                    );
+                    sink(Check::RescaleBounds, id, message);
                 }
-            };
-            scales[id] = scale;
+            }
+            // `level-budget` is reported below, once per consuming node.
+            scales[id] = scale_of(program, id, &scales, &phase, &mut |check, id, message| {
+                if check != Check::LevelBudget {
+                    sink(check, id, message);
+                }
+            });
             // Exact mode: the stamped annotation must be bit-identical to the
             // replayed value, or the evaluator's exact-equality check fires
             // at run time.
-            if exact.is_some() && node.scale_log2.to_bits() != scale.to_bits() {
+            let stamped = program.node(id).scale_log2;
+            if log_primes.is_some() && stamped.to_bits() != scales[id].to_bits() {
                 let message = format!(
-                    "{}: stamped scale 2^{} is not bit-identical to the replayed exact \
+                    "{}: stamped scale 2^{stamped} is not bit-identical to the replayed exact \
                      scale 2^{}",
-                    self.describe(id),
-                    node.scale_log2,
-                    scale
+                    describe(program, id),
+                    scales[id]
                 );
-                self.error(Check::ExactScales, Some(id), message);
+                sink(Check::ExactScales, id, message);
             }
         }
-        scales
-    }
-
-    /// The semantic pass: chains, scales, polynomial counts, level budget.
-    fn semantic(&mut self) {
-        let program = self.program;
-        let chains = self.analyze_chains();
         let polys = analyze_num_polys(program);
-        self.analyze_scales(&chains);
 
         let max_level = self
             .compiled
@@ -693,12 +558,6 @@ impl<'a> Verifier<'a> {
             let Some(op) = program.opcode(id) else {
                 continue;
             };
-            let cipher_args: Vec<NodeId> = program
-                .args(id)
-                .iter()
-                .copied()
-                .filter(|&a| program.node(a).ty.is_cipher())
-                .collect();
             // The runtime's multiply and rotate both require canonical
             // 2-polynomial operands (`CkksError::TooManyPolynomials` /
             // `InvalidCiphertextSize`), so a missing relinearization anywhere
@@ -707,11 +566,11 @@ impl<'a> Verifier<'a> {
                 op,
                 Opcode::Multiply | Opcode::RotateLeft(_) | Opcode::RotateRight(_)
             ) {
-                for &a in &cipher_args {
+                for a in program.cipher_args(id) {
                     if polys[a] != 2 {
                         let message = format!(
                             "{}: operand %{a} has {} polynomials; relinearization missing",
-                            self.describe(id),
+                            describe(self.program, id),
                             polys[a]
                         );
                         self.error(Check::Relinearized, Some(id), message);
@@ -729,7 +588,7 @@ impl<'a> Verifier<'a> {
             {
                 let message = format!(
                     "{}: rescale chain of length {} exceeds the {max_level}-prime chain",
-                    self.describe(id),
+                    describe(self.program, id),
                     chains[id].len()
                 );
                 self.error(Check::LevelBudget, Some(id), message);
@@ -750,7 +609,7 @@ impl<'a> Verifier<'a> {
                 let message = format!(
                     "output {:?} ({}) has {} polynomials; relinearization missing",
                     output.name,
-                    self.describe(node),
+                    describe(self.program, node),
                     polys[node]
                 );
                 self.error(Check::Relinearized, Some(node), message);
@@ -1062,5 +921,116 @@ mod tests {
         let report = verify_program(&p, 60);
         assert!(report.has_error(Check::Relinearized), "{report}");
         assert!(report.has_error(Check::ScaleMatch), "{report}");
+    }
+
+    // The paper's Constraints 1–4 on transformed programs, one case each.
+
+    #[test]
+    fn valid_program_passes() {
+        // x^2 (relinearized) added to the raw product: equal scales and chains.
+        let mut p = Program::new("valid", 8);
+        let x = p.input_cipher("x", 30);
+        let prod = p.instruction(Opcode::Multiply, &[x, x]);
+        let relin = p.push_instruction(Opcode::Relinearize, vec![prod], ValueType::Cipher);
+        let sum = p.instruction(Opcode::Add, &[relin, prod]);
+        p.output("out", sum, 30);
+        let report = verify_program(&p, 60);
+        assert!(report.is_clean(), "{report}");
+    }
+
+    /// The single error a one-defect program reports, as `[check] message`.
+    fn only_error(p: &Program) -> String {
+        let err = verify_program(p, 60)
+            .into_error()
+            .expect("a defect")
+            .to_string();
+        assert_eq!(err.matches('[').count(), 1, "{err}");
+        err
+    }
+
+    #[test]
+    fn scale_mismatch_is_reported() {
+        let mut p = Program::new("scale_mismatch", 8);
+        let x = p.input_cipher("x", 30);
+        let x2 = p.instruction(Opcode::Multiply, &[x, x]);
+        let sum = p.instruction(Opcode::Add, &[x2, x]); // 60 vs 30 bits
+        p.output("out", sum, 30);
+        let err = only_error(&p);
+        assert!(
+            err.contains("[scale-match]") && err.contains("scales differ"),
+            "{err}"
+        );
+    }
+
+    #[test]
+    fn modulus_mismatch_is_reported() {
+        let mut p = Program::new("modulus_mismatch", 8);
+        let x = p.input_cipher("x", 30);
+        let y = p.input_cipher("y", 30);
+        let rescaled = p.push_instruction(Opcode::Rescale(30), vec![x], ValueType::Cipher);
+        let sum = p.instruction(Opcode::Add, &[rescaled, y]);
+        p.output("out", sum, 30);
+        let err = verify_program(&p, 60).into_error().unwrap().to_string();
+        assert!(
+            err.contains("[chain-conformity]") && err.contains("chain"),
+            "{err}"
+        );
+    }
+
+    #[test]
+    fn missing_relinearization_is_reported() {
+        let mut p = Program::new("missing_relin", 8);
+        let x = p.input_cipher("x", 30);
+        let prod = p.instruction(Opcode::Multiply, &[x, x]);
+        let deeper = p.instruction(Opcode::Multiply, &[prod, x]);
+        p.output("out", deeper, 30);
+        let err = only_error(&p);
+        assert!(
+            err.contains("[relinearized]") && err.contains("polynomials"),
+            "{err}"
+        );
+    }
+
+    #[test]
+    fn oversized_rescale_is_reported() {
+        let mut p = Program::new("big_rescale", 8);
+        let x = p.input_cipher("x", 65);
+        let r = p.push_instruction(Opcode::Rescale(65), vec![x], ValueType::Cipher);
+        p.output("out", r, 30);
+        let err = only_error(&p);
+        assert!(
+            err.contains("[rescale-bounds]") && err.contains("exceeds the maximum"),
+            "{err}"
+        );
+    }
+
+    #[test]
+    fn type_lying_instruction_is_refused_without_panicking() {
+        // A Cipher-typed ADD of two plaintext operands, shipped through the
+        // .evaprog codec: the exact replay has no cipher operand to follow.
+        let mut p = Program::new("square", 8);
+        let x = p.input_cipher("x", 30);
+        let sq = p.instruction(Opcode::Multiply, &[x, x]);
+        p.output("out", sq, 30);
+        let mut compiled = compile(&p, &CompilerOptions::default()).unwrap();
+        let program = &mut compiled.program;
+        let out = program.outputs()[0].node;
+        let v = program.input_vector("v", 20);
+        let lie = program.push_instruction(Opcode::Add, vec![v, v], ValueType::Cipher);
+        let sum = program.push_instruction(Opcode::Add, vec![out, lie], ValueType::Cipher);
+        program.redirect_outputs(out, sum);
+        let bytes = crate::serialize::compiled_to_bytes(&compiled);
+        let decoded = crate::serialize::compiled_from_bytes(&bytes).unwrap();
+        let report = verify_compiled(&decoded);
+        assert!(report.has_error(Check::ArgIndices), "{report}");
+        assert!(report.errors().all(|d| d.node == Some(lie)), "{report}");
+
+        // The other direction: a plaintext-typed NEGATE of a ciphertext.
+        let mut p = Program::new("retyped", 8);
+        let x = p.input_cipher("x", 30);
+        let plain = p.push_instruction(Opcode::Negate, vec![x], ValueType::Vector);
+        p.output("out", plain, 30);
+        let report = verify_program(&p, 60);
+        assert!(report.has_error(Check::ArgIndices), "{report}");
     }
 }

@@ -6,9 +6,7 @@ use std::collections::HashSet;
 use crate::analysis::noise::{check_noise, estimate_noise, NoiseModel};
 use crate::analysis::scale::remaining_levels;
 use crate::analysis::verifier::{verify_compiled, verify_program, Check};
-use crate::analysis::{
-    select_parameters, select_rotation_steps, validate_transformed, ParameterSpec,
-};
+use crate::analysis::{select_parameters, select_rotation_steps, ParameterSpec};
 use crate::error::EvaError;
 use crate::passes::{
     apply_exact_scales, canonicalize_rotations, eliminate_common_subexpressions,
@@ -199,18 +197,20 @@ fn optimizer_guard(
 /// baby-step/giant-step rotation factoring and dead-code elimination, each
 /// re-checked by the IR verifier. The transformation step
 /// then applies, in order: RESCALE insertion, MODSWITCH insertion,
-/// MATCH-SCALE and RELINEARIZE. The transformed program is validated
-/// against Constraints 1–4 — if validation fails the compiler returns an
-/// error instead of producing a program that would throw inside the FHE
+/// MATCH-SCALE and RELINEARIZE. The transformed program is checked against
+/// Constraints 1–4 by [`verify_program`] — if it fails the compiler returns
+/// an error instead of producing a program that would throw inside the FHE
 /// library — and encryption parameters (including the actual primes) are
 /// selected. A second, exact scale phase then re-annotates the program
 /// against the chosen primes, inserting exact match-scale corrections where
 /// rescale drift would otherwise break the evaluator's exact scale-equality
-/// check, and validates that every annotation is bit-identical to what the
-/// executor will observe (see [`crate::analysis::scale`]). A final
-/// dead-code sweep (unconditional — optimizer on or off) guarantees shipped
-/// programs are dead-free, and rotation steps are selected last so they
-/// reflect the optimized graph.
+/// check. Both phases use the one scale transfer function of
+/// [`crate::analysis::scale`]. A final dead-code sweep (unconditional —
+/// optimizer on or off) guarantees shipped programs are dead-free, and
+/// rotation steps are selected last so they reflect the optimized graph.
+/// The result passes [`verify_compiled`], which also checks that every
+/// annotation is bit-identical to what the executor will observe, and the
+/// worst-case noise gate.
 ///
 /// # Errors
 ///
@@ -261,7 +261,9 @@ pub fn compile(input: &Program, options: &CompilerOptions) -> Result<CompiledPro
     let scale_fixes_inserted = insert_match_scale(&mut program);
     let relinearizations_inserted = insert_relinearize(&mut program);
 
-    validate_transformed(&mut program, options.max_rescale_bits)?;
+    if let Some(err) = verify_program(&program, options.max_rescale_bits).into_error() {
+        return Err(err);
+    }
     let parameters = select_parameters(&mut program, options.max_rescale_bits)?;
 
     // Phase two: the prime chain is fixed, so re-annotate with exact scales
@@ -297,7 +299,7 @@ pub fn compile(input: &Program, options: &CompilerOptions) -> Result<CompiledPro
 
     // The full verifier re-checks its own output against the shipped spec —
     // structure, constraints, level budget, rotation coverage and
-    // bit-identical exact scales (subsuming the old exact-scale validation).
+    // bit-identical exact scales.
     if let Some(err) = verify_compiled(&compiled).into_error() {
         return Err(err);
     }

@@ -17,22 +17,12 @@
 //!   lower-scale operand by `1` at a delta solved to make the exact scales
 //!   bit-identical, then stamps every node with its exact scale annotation.
 
-use crate::analysis::scale::{analyze_levels, exact_scale_of, match_scale_delta, prime_log2s};
+use crate::analysis::scale::{analyze_levels, match_scale_delta, prime_log2s, scale_of, Phase};
 use crate::analysis::ParameterSpec;
 use crate::error::EvaError;
 use crate::passes::GraphEditor;
 use crate::program::{NodeId, Program};
 use crate::types::{ConstantValue, Opcode};
-
-fn compute_scale(editor: &GraphEditor<'_>, scales: &[f64], id: usize) -> f64 {
-    let args: Vec<f64> = editor
-        .program()
-        .args(id)
-        .iter()
-        .map(|&a| scales[a])
-        .collect();
-    crate::analysis::scale::nominal_scale_of(editor.program().node(id), &args)
-}
 
 /// Inserts MATCH-SCALE fixes (Figure 4): for every ADD/SUB whose operand
 /// scales differ, multiply the smaller-scale operand by a constant `1` encoded
@@ -69,7 +59,14 @@ pub fn insert_match_scale(program: &mut Program) -> usize {
             }
         }
         scales.resize(editor.len(), 0.0);
-        scales[id] = compute_scale(&editor, &scales, id);
+        // The program is not valid yet, so findings are ignored.
+        scales[id] = scale_of(
+            editor.program(),
+            id,
+            &scales,
+            &Phase::Nominal,
+            &mut |_, _, _| {},
+        );
     }
     inserted
 }
@@ -89,30 +86,29 @@ pub fn insert_match_scale(program: &mut Program) -> usize {
 pub fn apply_exact_scales(program: &mut Program, spec: &ParameterSpec) -> Result<usize, EvaError> {
     let chains = analyze_levels(program)?;
     let log_primes = prime_log2s(&spec.data_primes);
-    let max_level = spec.data_primes.len();
     let order = program.topological_order();
     let live = program.live_mask();
+    // Correction nodes are appended after every original id and are never
+    // RESCALEs, so the precomputed chains and live mask stay valid for every
+    // node the loop visits.
+    let phase = Phase::Exact {
+        log_primes: &log_primes,
+        chains: &chains,
+        live: &live,
+    };
     let mut editor = GraphEditor::new(program);
     let mut scales = vec![0.0f64; editor.len()];
     let mut inserted = 0;
 
     for id in order {
         scales.resize(editor.len(), 0.0);
-        if !live[id] {
-            // Dead nodes are never executed: keep the nominal annotation and
-            // insert no corrections (their chains may outrun the primes).
-            scales[id] = editor.program().node(id).scale_log2;
-            continue;
-        }
         // Correct drifted cipher-cipher ADD/SUB operands before computing
-        // this node's own exact scale.
+        // this node's own exact scale. Dead nodes are never executed: they
+        // get no corrections (their chains may outrun the primes).
         let op = editor.program().opcode(id);
-        if matches!(op, Some(Opcode::Add) | Some(Opcode::Sub)) {
+        if live[id] && matches!(op, Some(Opcode::Add) | Some(Opcode::Sub)) {
             let args: Vec<NodeId> = editor.program().args(id).to_vec();
-            let both_cipher = args.len() == 2
-                && args
-                    .iter()
-                    .all(|&a| editor.program().node(a).ty.is_cipher());
+            let both_cipher = editor.program().cipher_args(id).count() == 2;
             if both_cipher && scales[args[0]] != scales[args[1]] {
                 let (a, b) = (args[0], args[1]);
                 let (low_idx, low_node, target) = if scales[a] < scales[b] {
@@ -142,16 +138,19 @@ pub fn apply_exact_scales(program: &mut Program, spec: &ParameterSpec) -> Result
             }
         }
         scales.resize(editor.len(), 0.0);
-        // Correction nodes are appended after every original id and are never
-        // RESCALEs, so the precomputed chains stay valid for all lookups.
-        scales[id] = exact_scale_of(
+        let mut finding = None;
+        scales[id] = scale_of(
             editor.program(),
             id,
             &scales,
-            &chains,
-            &log_primes,
-            max_level,
-        )?;
+            &phase,
+            &mut |_, _, message| {
+                finding.get_or_insert(message);
+            },
+        );
+        if let Some(message) = finding {
+            return Err(EvaError::Validation(message));
+        }
     }
 
     // Stamp the exact annotations (corrections included) onto the program.
@@ -166,7 +165,7 @@ pub fn apply_exact_scales(program: &mut Program, spec: &ParameterSpec) -> Result
 mod tests {
     use super::*;
     use crate::analysis::scale::analyze_scales;
-    use crate::analysis::validation::validate_transformed;
+    use crate::analysis::verifier::verify_program;
     use crate::passes::relinearize::insert_relinearize;
     use crate::program::Program;
     use crate::types::Opcode;
@@ -196,7 +195,7 @@ mod tests {
         let out = p.outputs()[0].node;
         assert_eq!(scales[out], 60.0);
         insert_relinearize(&mut p);
-        assert!(validate_transformed(&mut p, 60).is_ok());
+        assert!(verify_program(&p, 60).is_clean());
     }
 
     #[test]
@@ -277,6 +276,6 @@ mod tests {
         let inserted = insert_match_scale(&mut p);
         assert_eq!(inserted, 2);
         insert_relinearize(&mut p);
-        assert!(validate_transformed(&mut p, 60).is_ok());
+        assert!(verify_program(&p, 60).is_clean());
     }
 }

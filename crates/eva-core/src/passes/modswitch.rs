@@ -144,10 +144,8 @@ pub fn insert_lazy_modswitch(program: &mut Program) -> usize {
         // Now compute this node's own level.
         let parent_max = editor
             .program()
-            .args(id)
-            .iter()
-            .filter(|&&a| editor.program().node(a).ty.is_cipher())
-            .map(|&a| level[a])
+            .cipher_args(id)
+            .map(|a| level[a])
             .max()
             .unwrap_or(0);
         level[id] = parent_max
@@ -160,7 +158,7 @@ pub fn insert_lazy_modswitch(program: &mut Program) -> usize {
 mod tests {
     use super::*;
     use crate::analysis::scale::analyze_levels;
-    use crate::analysis::validation::validate_transformed;
+    use crate::analysis::verifier::verify_program;
     use crate::passes::rescale::insert_waterline_rescale;
     use crate::program::Program;
     use crate::types::Opcode;
@@ -226,7 +224,7 @@ mod tests {
             "chains conform after eager insertion"
         );
         // Constraint 1 holds for the add as well.
-        assert!(validate_transformed(&mut p, 60).is_ok());
+        assert!(verify_program(&p, 60).is_clean());
     }
 
     #[test]

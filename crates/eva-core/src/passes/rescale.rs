@@ -8,6 +8,7 @@
 //!   comparison: rescale after every ciphertext multiplication by the smaller
 //!   operand scale.
 
+use crate::analysis::scale::{scale_of, Phase};
 use crate::passes::GraphEditor;
 use crate::program::{NodeKind, Program};
 use crate::types::Opcode;
@@ -19,20 +20,6 @@ fn waterline(program: &Program) -> f64 {
         .filter(|n| matches!(n.kind, NodeKind::Input { .. } | NodeKind::Constant { .. }))
         .map(|n| n.scale_log2)
         .fold(0.0f64, f64::max)
-}
-
-fn operand_scales(editor: &GraphEditor<'_>, scales: &[f64], id: usize) -> Vec<f64> {
-    editor
-        .program()
-        .args(id)
-        .iter()
-        .map(|&a| scales[a])
-        .collect()
-}
-
-fn compute_scale(editor: &GraphEditor<'_>, scales: &[f64], id: usize) -> f64 {
-    let args = operand_scales(editor, scales, id);
-    crate::analysis::scale::nominal_scale_of(editor.program().node(id), &args)
 }
 
 /// Inserts WATERLINE-RESCALE nodes (Figure 4): after a ciphertext
@@ -49,7 +36,14 @@ pub fn insert_waterline_rescale(program: &mut Program, max_rescale_bits: u32) ->
 
     for id in order {
         scales.resize(editor.len(), 0.0);
-        scales[id] = compute_scale(&editor, &scales, id);
+        // The program is not valid yet, so findings are ignored.
+        scales[id] = scale_of(
+            editor.program(),
+            id,
+            &scales,
+            &Phase::Nominal,
+            &mut |_, _, _| {},
+        );
         let node = editor.program().node(id);
         let is_cipher_multiply =
             node.ty.is_cipher() && matches!(editor.program().opcode(id), Some(Opcode::Multiply));
@@ -83,15 +77,25 @@ pub fn insert_always_rescale(program: &mut Program) -> usize {
 
     for id in order {
         scales.resize(editor.len(), 0.0);
-        scales[id] = compute_scale(&editor, &scales, id);
+        // The program is not valid yet, so findings are ignored.
+        scales[id] = scale_of(
+            editor.program(),
+            id,
+            &scales,
+            &Phase::Nominal,
+            &mut |_, _, _| {},
+        );
         let node = editor.program().node(id);
         let is_cipher_multiply =
             node.ty.is_cipher() && matches!(editor.program().opcode(id), Some(Opcode::Multiply));
         if !is_cipher_multiply {
             continue;
         }
-        let operand_min = operand_scales(&editor, &scales, id)
-            .into_iter()
+        let operand_min = editor
+            .program()
+            .args(id)
+            .iter()
+            .map(|&a| scales[a])
             .fold(f64::INFINITY, f64::min);
         if operand_min <= 0.0 || !operand_min.is_finite() {
             continue;

@@ -241,6 +241,14 @@ impl Program {
         }
     }
 
+    /// The Cipher-typed operands of a node, in argument order.
+    pub(crate) fn cipher_args(&self, id: NodeId) -> impl Iterator<Item = NodeId> + '_ {
+        self.args(id)
+            .iter()
+            .copied()
+            .filter(|&arg| self.nodes[arg].ty.is_cipher())
+    }
+
     /// The opcode of a node, if it is an instruction.
     pub fn opcode(&self, id: NodeId) -> Option<Opcode> {
         match &self.nodes[id].kind {

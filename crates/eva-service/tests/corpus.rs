@@ -127,6 +127,21 @@ const CORRUPTIONS: &[Corruption] = &[
             compiled.parameters.degree = 512;
         },
     },
+    Corruption {
+        // A Cipher-typed ADD of two plaintext operands: the declared type
+        // lies about the operands, and the exact-scale replay has no cipher
+        // operand to follow.
+        name: "retyped-instruction",
+        expected_checks: &["arg-indices"],
+        mutate: |compiled| {
+            let program = &mut compiled.program;
+            let out = program.outputs()[0].node;
+            let v = program.input_vector("v", 20);
+            let lie = program.push_instruction(Opcode::Add, vec![v, v], ValueType::Cipher);
+            let sum = program.push_instruction(Opcode::Add, vec![out, lie], ValueType::Cipher);
+            program.redirect_outputs(out, sum);
+        },
+    },
 ];
 
 /// Writes the corpus into a fresh per-process directory and returns

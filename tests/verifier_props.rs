@@ -8,7 +8,8 @@
 //! 2. **Sensitivity to corruption** — a single mutation of a compiled
 //!    program (retargeting an argument, bypassing a relinearize, deepening a
 //!    rescale chain past the prime budget, dropping a rotation step from the
-//!    Galois-key request) is caught by the matching named check.
+//!    Galois-key request, flipping an instruction's cipher bit) is caught by
+//!    the matching named check.
 
 use eva::ir::analysis::verifier::{verify_compiled, Check};
 use eva::ir::{
@@ -136,6 +137,30 @@ fn mutate(compiled: &mut CompiledProgram, choice: usize, rng: &mut impl Rng) -> 
             }
             vec![Check::LevelBudget, Check::ExactScales]
         }
+        // Flip the cipher bit of a live instruction: a retyped copy takes
+        // over its uses, so its declared type no longer follows its operands.
+        4 => {
+            let live = program.live_mask();
+            let instructions: Vec<usize> = (0..program.len())
+                .filter(|&id| live[id] && program.opcode(id).is_some())
+                .collect();
+            if instructions.is_empty() {
+                return Vec::new();
+            }
+            let id = instructions[rng.gen_range(0..instructions.len())];
+            let ty = if program.node(id).ty.is_cipher() {
+                ValueType::Vector
+            } else {
+                ValueType::Cipher
+            };
+            let op = program.opcode(id).unwrap();
+            let retyped = program.push_instruction(op, program.args(id).to_vec(), ty);
+            for user in 0..retyped {
+                program.replace_arg(user, id, retyped);
+            }
+            program.redirect_outputs(id, retyped);
+            vec![Check::ArgIndices]
+        }
         // Drop a rotation step from the Galois-key request.
         _ => {
             if compiled.rotation_steps.is_empty() {
@@ -166,7 +191,7 @@ proptest! {
     fn corruption_is_caught_by_the_matching_check(
         seed in any::<u64>(),
         budget in 6usize..25,
-        choice in 0usize..4,
+        choice in 0usize..5,
     ) {
         let Some(mut compiled) = compile_random(seed, budget, false) else { return Ok(()); };
         let mut rng = rand::rngs::StdRng::seed_from_u64(seed ^ 0xc0ffee);
