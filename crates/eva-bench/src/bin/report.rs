@@ -20,7 +20,7 @@
 use std::time::Instant;
 
 use eva_bench::*;
-use eva_core::analysis::{estimate_noise, verify_compiled, NoiseModel};
+use eva_core::analysis::{estimate_noise, verify_compiled};
 use eva_core::{
     compile, CompiledProgram, CompilerOptions, ModSwitchStrategy, Opcode, Program, RescaleStrategy,
 };
@@ -323,7 +323,7 @@ fn analysis_entry(label: &str, compiled: &CompiledProgram) {
     let report = verify_compiled(compiled);
     let verify_time = start.elapsed();
     let start = Instant::now();
-    let noise = estimate_noise(compiled, &NoiseModel::default());
+    let noise = estimate_noise(compiled);
     let noise_time = start.elapsed();
     println!(
         "{label:<24} {:>6} nodes  verify {:>9.2?} ({})  noise model {:>9.2?}",

@@ -19,7 +19,7 @@ use std::collections::HashMap;
 
 use eva_backend::{run_encrypted, run_reference};
 use eva_bench::{measure_inference, prepare_network, random_image};
-use eva_core::analysis::{estimate_noise, NoiseModel, DEFAULT_SAFETY_MARGIN_BITS};
+use eva_core::analysis::{estimate_noise, DEFAULT_SAFETY_MARGIN_BITS};
 use eva_core::{compile, CompilerOptions};
 use eva_tensor::networks::lenet5_small;
 
@@ -29,7 +29,7 @@ fn sobel_estimate_bounds_measured_error() {
     let program = eva_apps::image::sobel_program(n);
     let compiled = compile(&program, &CompilerOptions::default()).unwrap();
 
-    let noise = estimate_noise(&compiled, &NoiseModel::default());
+    let noise = estimate_noise(&compiled);
     let budgets = noise.output_budgets(&compiled.program);
     assert!(!budgets.is_empty());
     for output in &budgets {
@@ -75,7 +75,7 @@ fn lenet_estimate_bounds_measured_error() {
     let prepared = prepare_network(&network);
     let compiled = &prepared.eva.1;
 
-    let noise = estimate_noise(compiled, &NoiseModel::default());
+    let noise = estimate_noise(compiled);
     let budgets = noise.output_budgets(&compiled.program);
     assert!(!budgets.is_empty());
     for output in &budgets {

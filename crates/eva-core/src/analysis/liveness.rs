@@ -35,7 +35,8 @@
 //! The service layer uses [`predict_peak_memory`] for admission control:
 //! a program whose predicted footprint — values plus keys — exceeds the
 //! configured budget is refused at load time with a named `peak-memory`
-//! finding.
+//! finding, and an admitted one runs at most `max(1, budget / peak_bytes)`
+//! evaluations at once.
 
 use std::collections::BTreeSet;
 

@@ -112,7 +112,7 @@
 //! p.output("out", sq, 30);
 //! let compiled = compile(&p, &CompilerOptions::default()).unwrap();
 //!
-//! let report = estimate_noise(&compiled, &NoiseModel::default());
+//! let report = estimate_noise(&compiled);
 //! let budget = report.output_budgets(&compiled.program);
 //! assert!(budget[0].budget_bits > NoiseModel::default().safety_margin_bits);
 //! ```
@@ -270,7 +270,7 @@ impl NoiseReport {
 /// underflow the prime chain. Out-of-budget levels saturate rather than
 /// panic, so running the estimator on an unverified program is safe but its
 /// numbers are only meaningful after verification.
-pub fn estimate_noise(compiled: &CompiledProgram, _model: &NoiseModel) -> NoiseReport {
+pub fn estimate_noise(compiled: &CompiledProgram) -> NoiseReport {
     let program = &compiled.program;
     let spec = &compiled.parameters;
     let log_primes = prime_log2s(&spec.data_primes);
@@ -519,7 +519,7 @@ pub fn check_noise(
     compiled: &CompiledProgram,
     model: &NoiseModel,
 ) -> Result<NoiseReport, EvaError> {
-    let report = estimate_noise(compiled, model);
+    let report = estimate_noise(compiled);
     let failing: Vec<String> = report
         .output_budgets(&compiled.program)
         .iter()
@@ -571,11 +571,10 @@ mod tests {
     fn budgets_shrink_with_depth() {
         let shallow = compiled(1);
         let deep = compiled(4);
-        let model = NoiseModel::default();
-        let b_shallow = estimate_noise(&shallow, &model)
+        let b_shallow = estimate_noise(&shallow)
             .min_output_budget(&shallow.program)
             .unwrap();
-        let b_deep = estimate_noise(&deep, &model)
+        let b_deep = estimate_noise(&deep)
             .min_output_budget(&deep.program)
             .unwrap();
         assert!(
@@ -622,7 +621,7 @@ mod tests {
         let prod = p.instruction(Opcode::Multiply, &[x, v]);
         p.output("out", prod, 30);
         let c = compile(&p, &CompilerOptions::default()).unwrap();
-        let report = estimate_noise(&c, &NoiseModel::default());
+        let report = estimate_noise(&c);
         for (id, node) in c.program.nodes().iter().enumerate() {
             if !node.ty.is_cipher() {
                 assert_eq!(report.nodes[id].budget_bits, f64::INFINITY);

@@ -149,7 +149,7 @@ impl CompiledProgram {
     /// ```
     pub fn to_dot(&self) -> String {
         let program = &self.program;
-        let noise = estimate_noise(self, &NoiseModel::default());
+        let noise = estimate_noise(self);
         let max_level = self.parameters.data_primes.len();
         let levels =
             remaining_levels(program, max_level).unwrap_or_else(|_| vec![max_level; program.len()]);

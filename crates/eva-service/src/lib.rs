@@ -91,6 +91,5 @@ pub use protocol::{
 pub use record::{contains_bytes, RecordingStream};
 pub use retry::{ReliableClient, RetryPolicy, RetryStats};
 pub use server::{
-    EvaServer, ServerStats, SessionReport, DEFAULT_KEY_CACHE_BUDGET_BYTES,
-    DEFAULT_KEY_CACHE_CAPACITY,
+    EvaServer, ServerStats, SessionReport, KEY_CACHE_BUDGET_BYTES, KEY_CACHE_CAPACITY,
 };

@@ -5,7 +5,9 @@
 //! sessions — must be bounded *before* any trust is established. This module
 //! holds the knobs ([`ServerConfig`], [`ClientConfig`]) and the per-session
 //! byte quotas; the reactor enforces the time bound as a per-connection
-//! timer.
+//! timer. A server takes its [`ServerConfig`] once, at construction
+//! ([`EvaServer::with_config`](crate::EvaServer::with_config)), and keeps
+//! it for its lifetime.
 //!
 //! The read deadline is a **wall-clock budget per incoming message**, not a
 //! per-`read(2)` timeout: a slowloris peer that trickles one byte per
@@ -17,13 +19,20 @@
 //! each get their own budget while a peer that never completes a frame in
 //! time is still cut off.
 
+use std::path::PathBuf;
 use std::time::Duration;
 
 use crate::error::ServiceError;
 use crate::protocol::{TAG_EVAL_KEYS, TAG_INPUTS};
 
-/// Resource limits an [`EvaServer`](crate::EvaServer) applies to every
-/// session (set with [`EvaServer::with_config`](crate::EvaServer::with_config)).
+/// Peak-memory admission budget of [`ServerConfig::default`]: 4 GiB of
+/// simultaneously-live ciphertext/plaintext bytes plus one session's
+/// evaluation keys, as predicted by `eva_core::predict_peak_memory`.
+const DEFAULT_MEMORY_BUDGET_BYTES: u64 = 4 << 30;
+
+/// Resource limits an [`EvaServer`](crate::EvaServer) applies to the loaded
+/// program and to every session (taken once, by
+/// [`EvaServer::with_config`](crate::EvaServer::with_config)).
 #[derive(Debug, Clone)]
 pub struct ServerConfig {
     /// Wall-clock budget for receiving one complete message (tag, length and
@@ -54,6 +63,22 @@ pub struct ServerConfig {
     /// `0` sizes the pool automatically from the machine's available
     /// parallelism.
     pub eval_workers: usize,
+    /// Peak-memory budget in bytes. The load gate refuses a program whose
+    /// forecast peak (`eva_core::predict_peak_memory`: live values plus one
+    /// session's evaluation keys) exceeds it, with a `peak-memory` finding;
+    /// the scheduler then runs at most as many evaluations at once as the
+    /// budget holds forecast peaks (always at least one). `None` disables
+    /// both.
+    pub memory_budget: Option<u64>,
+    /// Directory of a [`DiskKeyStore`](crate::DiskKeyStore) layered under
+    /// the in-memory key cache (created if needed): uploaded evaluation
+    /// keys are persisted there, and resumption lookups that miss the
+    /// in-memory cache fall back to disk — so warm, zero-upload resumption
+    /// survives server restarts. Disk entries are never trusted: the
+    /// fingerprint is re-verified over the bytes read back, and the keys
+    /// re-validated, before anything is served. `None` keeps keys in
+    /// memory only.
+    pub key_store: Option<PathBuf>,
 }
 
 impl Default for ServerConfig {
@@ -69,6 +94,8 @@ impl Default for ServerConfig {
             // peer needing more opens a new session.
             input_quota: 1 << 30,
             eval_workers: 0,
+            memory_budget: Some(DEFAULT_MEMORY_BUDGET_BYTES),
+            key_store: None,
         }
     }
 }

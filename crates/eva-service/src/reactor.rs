@@ -4,15 +4,15 @@
 //! crate) serves every connection: non-blocking sockets feed each
 //! connection's [`FrameAssembler`], completed frames drive its
 //! [`SessionMachine`], and `Inputs` rounds become jobs on the shared
-//! [`Scheduler`] — a bounded pool of evaluation workers that orders jobs by
-//! the cost model's prediction and admits concurrent evaluations under the
-//! peak-memory forecast. Worker completions come back over a wake pipe, so
-//! the reactor sleeps in `epoll_wait` whenever nothing is ready.
+//! [`Scheduler`] — a FIFO queue drained by as many evaluation workers as
+//! the config asks for and the peak-memory budget admits. Worker
+//! completions come back over a wake pipe, so the reactor sleeps in
+//! `epoll_wait` whenever nothing is ready.
 //!
 //! The protocol's resource rules are reactor state:
 //!
 //! * the per-message read **deadline** is a reactor timer, armed from
-//!   the session's config snapshot at admission and re-armed on every write
+//!   the server's config at admission and re-armed on every write
 //!   and every completed frame (disarmed while an evaluation is in flight);
 //! * **quotas** are charged against announced frame headers inside the
 //!   assembler, before payload bytes are accepted;
@@ -39,7 +39,7 @@ use polling::{Event, Interest, Poller};
 
 use crate::error::ServiceError;
 use crate::protocol::{encode_payload, Message, READ_CHUNK_BYTES};
-use crate::sched::{Completion, Job, JobOutcome, Scheduler};
+use crate::sched::{Completion, JobOutcome, Scheduler};
 use crate::server::{EvaServer, SessionGuard, SessionReport};
 use crate::session::{FrameAssembler, SessionMachine, Step};
 
@@ -90,8 +90,8 @@ struct Conn {
     /// Outgoing bytes not yet written (`out[out_pos..]` is unsent).
     out: Vec<u8>,
     out_pos: usize,
-    /// The session's read-deadline budget, snapshotted at admission (live
-    /// config retunes apply to sessions started afterwards).
+    /// The session's read-deadline budget (`None` for busy-rejected
+    /// connections and when the config disables the deadline).
     budget: Option<Duration>,
     /// When the current message's budget expires (None while disarmed).
     expires: Option<Instant>,
@@ -230,14 +230,12 @@ impl Reactor {
         wake_rx.set_nonblocking(true)?;
         wake_tx.set_nonblocking(true)?;
         poller.add(wake_rx.as_raw_fd(), TOKEN_WAKE, Interest::READ)?;
-        let config = server.config();
-        let workers = match config.eval_workers {
+        let workers = match server.config().eval_workers {
             0 => std::thread::available_parallelism().map_or(4, |n| n.get()),
             n => n,
         };
         let scheduler = Scheduler::new(
-            workers,
-            server.memory_budget(),
+            workers.min(server.eval_slots()),
             server.sched_gauges(),
             Box::new(move || {
                 // Best effort: a full pipe already guarantees a pending wake.
@@ -441,9 +439,8 @@ impl Reactor {
         match server.try_begin_session() {
             Some(guard) => {
                 server.counters().started.fetch_add(1, Ordering::Relaxed);
-                let config = server.config();
                 conn.id = server.next_session_id();
-                conn.budget = config.read_deadline;
+                conn.budget = server.config().read_deadline;
                 conn.machine = Some(SessionMachine::new(server.clone()));
                 conn._guard = Some(guard);
                 conn.arm_deadline(now);
@@ -545,15 +542,10 @@ impl Reactor {
                 conn.queue_frames(&frames);
                 conn.arm_deadline(now);
             }
-            Ok(Step::Evaluate(job)) => {
+            Ok(Step::Evaluate(run)) => {
                 conn.evaluating = true;
                 conn.expires = None;
-                scheduler.submit(Job {
-                    token: conn.token,
-                    cost_us: job.cost_us,
-                    peak_bytes: job.peak_bytes,
-                    run: job.run,
-                });
+                scheduler.submit(conn.token, run);
             }
             Ok(Step::Close(report)) => {
                 conn.result = Some(self.record_completed(report));

@@ -1,31 +1,22 @@
-//! The shared cross-session evaluation scheduler: a bounded pool of worker
-//! threads draining one cost-ordered job queue.
+//! The shared cross-session evaluation scheduler: a pool of worker threads
+//! draining one FIFO job queue.
 //!
 //! Under the reactor, sessions no longer own a thread, so their evaluations
-//! meet in one place — this queue — and two analysis products from the
-//! compiler decide what runs when:
-//!
-//! * **Cost-aware ordering** — jobs are ordered by the static cost model's
-//!   `predicted_us` for their program (`eva_core::estimate_cost`), shortest
-//!   predicted job first, FIFO among equals. One server serves one program,
-//!   so today every job ties and the order degenerates to FIFO — but the
-//!   queue is written against the prediction, not the program count, so a
-//!   multi-program server (or per-request cost scaling) slots in without a
-//!   scheduler change.
-//! * **Memory-forecast admission** — `eva_core::predict_peak_memory`
-//!   forecasts each job's peak simultaneously-live ciphertext bytes; a job
-//!   is dispatched only while the sum of running forecasts stays within the
-//!   server's memory budget. At least one job always runs (the load-time
-//!   admission gate already refused any program whose *single* evaluation
-//!   exceeds the budget), so the queue cannot deadlock.
+//! meet in one place — this queue. One server serves one compiled program,
+//! so every job has the same predicted cost and the same peak-memory
+//! forecast: ordering by cost would tie on every job, and summing forecast
+//! bytes against the memory budget is a fixed cap on concurrent jobs. The
+//! load gate computes that cap once ([`eval_slots`]) and the reactor sizes
+//! the pool to `min(eval_workers, slots)`, so jobs simply run in submission
+//! order on however many workers the budget admits.
 //!
 //! Workers run each job under `catch_unwind`: a panicking evaluation is
 //! contained, reported as a panic outcome on the completion queue, and the
 //! worker survives to take the next job.
 
-use std::collections::{BinaryHeap, VecDeque};
+use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 
 use crate::error::ServiceError;
@@ -35,6 +26,19 @@ use crate::protocol::OutputValue;
 /// on a worker thread and yields the session's named output values.
 pub(crate) type EvalRun =
     Box<dyn FnOnce() -> Result<Vec<(String, OutputValue)>, ServiceError> + Send>;
+
+/// How many evaluations of one program the memory budget admits at once:
+/// `n` jobs fit iff `n · peak_bytes ≤ budget`, and at least one always runs
+/// (the load gate already refused a program whose *single* evaluation
+/// exceeds the budget). Unbounded without a budget or with a zero forecast.
+pub(crate) fn eval_slots(budget: Option<u64>, peak_bytes: u64) -> usize {
+    match budget {
+        Some(budget) if peak_bytes > 0 => {
+            usize::try_from(budget / peak_bytes).map_or(usize::MAX, |slots| slots.max(1))
+        }
+        _ => usize::MAX,
+    }
+}
 
 /// Live gauges the scheduler maintains and [`crate::ServerStats`] exposes.
 /// Plain atomics: the reactor samples them on its hot path and session
@@ -66,98 +70,33 @@ pub(crate) struct Completion {
 }
 
 /// One queued evaluation.
-pub(crate) struct Job {
+struct Job {
     /// The submitting connection's reactor token (echoed in the completion).
-    pub(crate) token: u64,
-    /// Predicted serial latency of this evaluation in microseconds
-    /// (`CostReport::predicted_us`); the queue runs shortest-predicted-first.
-    pub(crate) cost_us: f64,
-    /// Forecast peak simultaneously-live bytes of this evaluation
-    /// (`MemoryForecast::peak_bytes`); gates concurrent dispatch.
-    pub(crate) peak_bytes: u64,
-    /// The evaluation itself.
-    pub(crate) run: EvalRun,
-}
-
-impl std::fmt::Debug for Job {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Job")
-            .field("token", &self.token)
-            .field("cost_us", &self.cost_us)
-            .field("peak_bytes", &self.peak_bytes)
-            .finish()
-    }
-}
-
-/// Heap entry: min-order by (predicted cost, submission sequence), so equal
-/// costs preserve FIFO and no session starves behind a stream of peers.
-struct QueuedJob {
-    cost_us: f64,
-    seq: u64,
-    job: Job,
-}
-
-impl PartialEq for QueuedJob {
-    fn eq(&self, other: &Self) -> bool {
-        self.cmp(other) == std::cmp::Ordering::Equal
-    }
-}
-impl Eq for QueuedJob {}
-impl PartialOrd for QueuedJob {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for QueuedJob {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        // Reversed: BinaryHeap is a max-heap, we want the cheapest job (and
-        // among ties the oldest) on top. predicted_us is finite (a sum of
-        // finite model weights), so total_cmp is a total order here.
-        other
-            .cost_us
-            .total_cmp(&self.cost_us)
-            .then(other.seq.cmp(&self.seq))
-    }
+    token: u64,
+    run: EvalRun,
 }
 
 #[derive(Default)]
 struct QueueState {
-    heap: BinaryHeap<QueuedJob>,
-    seq: u64,
-    /// Sum of `peak_bytes` over jobs currently running.
-    inflight_bytes: u64,
-    /// Jobs currently running.
-    inflight_jobs: usize,
+    jobs: VecDeque<Job>,
     shutting_down: bool,
 }
 
 struct SchedShared {
     queue: Mutex<QueueState>,
-    /// Signals workers: a job arrived, memory freed up, or shutdown began.
+    /// Signals workers: a job arrived or shutdown began.
     work: Condvar,
     completions: Mutex<VecDeque<Completion>>,
     gauges: Arc<SchedGauges>,
-    /// Concurrent-evaluation memory budget (`None` = unbounded).
-    memory_budget: Option<u64>,
-    /// Set once any completion is queued, so the reactor can be woken.
+    /// Invoked once per queued completion, so the reactor can be woken.
     wake: Box<dyn Fn() + Send + Sync>,
 }
 
-impl std::fmt::Debug for SchedShared {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("SchedShared")
-            .field("memory_budget", &self.memory_budget)
-            .finish_non_exhaustive()
-    }
-}
-
 /// The worker pool + queue handle owned by one reactor run. Dropping the
-/// scheduler shuts the workers down after they finish their current jobs.
-#[derive(Debug)]
+/// scheduler shuts the workers down after they drain the queue.
 pub(crate) struct Scheduler {
     shared: Arc<SchedShared>,
     workers: Vec<std::thread::JoinHandle<()>>,
-    panicked_workers: Arc<AtomicBool>,
 }
 
 impl Scheduler {
@@ -166,7 +105,6 @@ impl Scheduler {
     /// writes one byte into its wake pipe.
     pub(crate) fn new(
         workers: usize,
-        memory_budget: Option<u64>,
         gauges: Arc<SchedGauges>,
         wake: Box<dyn Fn() + Send + Sync>,
     ) -> Self {
@@ -175,37 +113,25 @@ impl Scheduler {
             work: Condvar::new(),
             completions: Mutex::new(VecDeque::new()),
             gauges,
-            memory_budget,
             wake,
         });
-        let panicked_workers = Arc::new(AtomicBool::new(false));
         let workers = (0..workers.max(1))
             .map(|_| {
                 let shared = Arc::clone(&shared);
                 std::thread::spawn(move || worker_loop(&shared))
             })
             .collect();
-        Self {
-            shared,
-            workers,
-            panicked_workers,
-        }
+        Self { shared, workers }
     }
 
-    /// Queues one evaluation job.
-    pub(crate) fn submit(&self, job: Job) {
+    /// Queues one evaluation job for the connection `token`.
+    pub(crate) fn submit(&self, token: u64, run: EvalRun) {
         let mut queue = self.shared.queue.lock().expect("scheduler queue poisoned");
-        queue.seq += 1;
-        let entry = QueuedJob {
-            cost_us: job.cost_us,
-            seq: queue.seq,
-            job,
-        };
-        queue.heap.push(entry);
+        queue.jobs.push_back(Job { token, run });
         self.shared
             .gauges
             .queue_depth
-            .store(queue.heap.len() as u64, Ordering::Relaxed);
+            .store(queue.jobs.len() as u64, Ordering::Relaxed);
         drop(queue);
         self.shared.work.notify_one();
     }
@@ -223,85 +149,44 @@ impl Scheduler {
 
 impl Drop for Scheduler {
     fn drop(&mut self) {
-        {
-            let mut queue = self.shared.queue.lock().expect("scheduler queue poisoned");
-            queue.shutting_down = true;
-        }
+        self.shared
+            .queue
+            .lock()
+            .expect("scheduler queue poisoned")
+            .shutting_down = true;
         self.shared.work.notify_all();
         for worker in self.workers.drain(..) {
-            if worker.join().is_err() {
-                // worker_loop contains job panics, so this is unreachable in
-                // practice; record rather than propagate from a destructor.
-                self.panicked_workers.store(true, Ordering::Relaxed);
-            }
+            // worker_loop contains job panics, so a join error is
+            // unreachable in practice; never propagate from a destructor.
+            let _ = worker.join();
         }
-    }
-}
-
-/// Whether the job at the top of the heap may start now: the concurrent
-/// memory forecast must fit the budget, except that an idle pool always
-/// admits one job (the load-time gate bounded single evaluations already).
-fn admissible(state: &QueueState, job: &Job, budget: Option<u64>) -> bool {
-    if state.inflight_jobs == 0 {
-        return true;
-    }
-    match budget {
-        Some(budget) => state
-            .inflight_bytes
-            .checked_add(job.peak_bytes)
-            .is_some_and(|total| total <= budget),
-        None => true,
     }
 }
 
 fn worker_loop(shared: &SchedShared) {
     loop {
-        let job = {
+        let Job { token, run } = {
             let mut queue = shared.queue.lock().expect("scheduler queue poisoned");
             loop {
-                if queue.shutting_down && queue.heap.is_empty() {
-                    return;
-                }
-                let admit = queue
-                    .heap
-                    .peek()
-                    .is_some_and(|entry| admissible(&queue, &entry.job, shared.memory_budget));
-                if admit {
-                    let entry = queue.heap.pop().expect("peeked entry");
-                    queue.inflight_jobs += 1;
-                    queue.inflight_bytes =
-                        queue.inflight_bytes.saturating_add(entry.job.peak_bytes);
+                if let Some(job) = queue.jobs.pop_front() {
                     shared
                         .gauges
                         .queue_depth
-                        .store(queue.heap.len() as u64, Ordering::Relaxed);
-                    shared
-                        .gauges
-                        .jobs_inflight
-                        .store(queue.inflight_jobs as u64, Ordering::Relaxed);
-                    break entry.job;
+                        .store(queue.jobs.len() as u64, Ordering::Relaxed);
+                    shared.gauges.jobs_inflight.fetch_add(1, Ordering::Relaxed);
+                    break job;
+                }
+                if queue.shutting_down {
+                    return;
                 }
                 queue = shared.work.wait(queue).expect("scheduler queue poisoned");
             }
         };
-        let token = job.token;
-        let peak = job.peak_bytes;
-        let run = job.run;
         let outcome = match catch_unwind(AssertUnwindSafe(run)) {
             Ok(result) => JobOutcome::Done(result),
             Err(payload) => JobOutcome::Panicked(crate::server::panic_message(payload.as_ref())),
         };
-        {
-            let mut queue = shared.queue.lock().expect("scheduler queue poisoned");
-            queue.inflight_jobs -= 1;
-            queue.inflight_bytes = queue.inflight_bytes.saturating_sub(peak);
-            shared
-                .gauges
-                .jobs_inflight
-                .store(queue.inflight_jobs as u64, Ordering::Relaxed);
-        }
-        // Freed memory may admit the next job on another worker.
-        shared.work.notify_all();
+        shared.gauges.jobs_inflight.fetch_sub(1, Ordering::Relaxed);
         shared
             .completions
             .lock()
@@ -321,13 +206,19 @@ mod tests {
         Box::new(|| {})
     }
 
-    fn job(token: u64, cost_us: f64, peak: u64) -> Job {
-        Job {
-            token,
-            cost_us,
-            peak_bytes: peak,
-            run: Box::new(move || Ok(Vec::new())),
-        }
+    fn noop_run() -> EvalRun {
+        Box::new(|| Ok(Vec::new()))
+    }
+
+    /// A job that holds its worker until `gate` is set.
+    fn gated_run(gate: &Arc<AtomicUsize>) -> EvalRun {
+        let gate = Arc::clone(gate);
+        Box::new(move || {
+            while gate.load(Ordering::SeqCst) == 0 {
+                std::thread::sleep(Duration::from_millis(1));
+            }
+            Ok(Vec::new())
+        })
     }
 
     fn wait_for_completions(sched: &Scheduler, n: usize) -> Vec<Completion> {
@@ -344,9 +235,9 @@ mod tests {
 
     #[test]
     fn jobs_complete_and_are_keyed_by_token() {
-        let sched = Scheduler::new(2, None, Arc::default(), noop_wake());
+        let sched = Scheduler::new(2, Arc::default(), noop_wake());
         for t in 0..8 {
-            sched.submit(job(t, 1.0, 0));
+            sched.submit(t, noop_run());
         }
         let completions = wait_for_completions(&sched, 8);
         let mut tokens: Vec<u64> = completions.iter().map(|c| c.token).collect();
@@ -355,97 +246,55 @@ mod tests {
     }
 
     #[test]
-    fn cheapest_job_runs_first_and_ties_stay_fifo() {
+    fn jobs_dispatch_in_submission_order() {
         // One worker, and the queue is pre-loaded while the worker is held
-        // busy by a gate job — so dispatch order is purely the heap's.
+        // busy by a gate job — so dispatch order is purely the queue's.
         let order: Arc<Mutex<Vec<u64>>> = Arc::default();
         let gate: Arc<AtomicUsize> = Arc::default();
-        let sched = Scheduler::new(1, None, Arc::default(), noop_wake());
-        let gate_for_job = Arc::clone(&gate);
-        sched.submit(Job {
-            token: 99,
-            cost_us: 0.0,
-            peak_bytes: 0,
-            run: Box::new(move || {
-                while gate_for_job.load(Ordering::SeqCst) == 0 {
-                    std::thread::sleep(Duration::from_millis(1));
-                }
-                Ok(Vec::new())
-            }),
-        });
-        let record = |t: u64, order: &Arc<Mutex<Vec<u64>>>| {
-            let order = Arc::clone(order);
-            Box::new(move || {
-                order.lock().unwrap().push(t);
-                Ok(Vec::new())
-            })
-        };
-        // Submitted expensive-first; equal-cost pair (2, 3) in FIFO order.
-        for (t, cost) in [(1u64, 500.0), (2, 10.0), (3, 10.0), (4, 1.0)] {
-            sched.submit(Job {
-                token: t,
-                cost_us: cost,
-                peak_bytes: 0,
-                run: record(t, &order),
-            });
+        let sched = Scheduler::new(1, Arc::default(), noop_wake());
+        sched.submit(99, gated_run(&gate));
+        for t in [1u64, 2, 3, 4] {
+            let order = Arc::clone(&order);
+            sched.submit(
+                t,
+                Box::new(move || {
+                    order.lock().unwrap().push(t);
+                    Ok(Vec::new())
+                }),
+            );
         }
         gate.store(1, Ordering::SeqCst);
         wait_for_completions(&sched, 5);
-        assert_eq!(*order.lock().unwrap(), vec![4, 2, 3, 1]);
+        assert_eq!(*order.lock().unwrap(), vec![1, 2, 3, 4]);
     }
 
     #[test]
-    fn memory_budget_bounds_concurrent_dispatch() {
-        // Two workers, but each job forecasts 60 of a 100-byte budget: the
-        // second job must wait for the first to finish.
-        let inflight_peak: Arc<AtomicUsize> = Arc::default();
-        let inflight_now: Arc<AtomicUsize> = Arc::default();
-        let sched = Scheduler::new(2, Some(100), Arc::default(), noop_wake());
-        for t in 0..4 {
-            let peak = Arc::clone(&inflight_peak);
-            let now = Arc::clone(&inflight_now);
-            sched.submit(Job {
-                token: t,
-                cost_us: 1.0,
-                peak_bytes: 60,
-                run: Box::new(move || {
-                    let live = now.fetch_add(1, Ordering::SeqCst) + 1;
-                    peak.fetch_max(live, Ordering::SeqCst);
-                    std::thread::sleep(Duration::from_millis(10));
-                    now.fetch_sub(1, Ordering::SeqCst);
-                    Ok(Vec::new())
-                }),
-            });
-        }
-        wait_for_completions(&sched, 4);
-        assert_eq!(
-            inflight_peak.load(Ordering::SeqCst),
-            1,
-            "the 60+60 > 100 forecast must serialize dispatch"
-        );
+    fn a_budget_admits_as_many_evaluations_as_fit() {
+        // Each job forecasts 60 of a 100-byte budget: 60 + 60 > 100, so
+        // evaluations run one at a time.
+        assert_eq!(eval_slots(Some(100), 60), 1);
+        assert_eq!(eval_slots(Some(120), 60), 2);
     }
 
     #[test]
-    fn an_idle_pool_always_admits_one_job() {
-        // A job whose forecast alone exceeds the budget still runs when
-        // nothing else does (the load-time gate owns that refusal).
-        let sched = Scheduler::new(2, Some(10), Arc::default(), noop_wake());
-        sched.submit(job(1, 1.0, 1_000_000));
-        let completions = wait_for_completions(&sched, 1);
-        assert!(matches!(completions[0].outcome, JobOutcome::Done(Ok(_))));
+    fn an_over_budget_forecast_still_admits_one_evaluation() {
+        // A forecast alone above the budget still runs when nothing else
+        // does (the load-time gate owns that refusal).
+        assert_eq!(eval_slots(Some(10), 1_000_000), 1);
+    }
+
+    #[test]
+    fn no_budget_or_a_zero_forecast_is_unbounded() {
+        assert_eq!(eval_slots(None, 60), usize::MAX);
+        assert_eq!(eval_slots(Some(100), 0), usize::MAX);
     }
 
     #[test]
     fn panicking_jobs_are_contained_and_reported() {
-        let sched = Scheduler::new(1, None, Arc::default(), noop_wake());
-        sched.submit(Job {
-            token: 5,
-            cost_us: 1.0,
-            peak_bytes: 0,
-            run: Box::new(|| panic!("injected evaluation panic")),
-        });
+        let sched = Scheduler::new(1, Arc::default(), noop_wake());
+        sched.submit(5, Box::new(|| panic!("injected evaluation panic")));
         // The worker survives to run the next job.
-        sched.submit(job(6, 1.0, 0));
+        sched.submit(6, noop_run());
         let completions = wait_for_completions(&sched, 2);
         let panicked = completions.iter().find(|c| c.token == 5).unwrap();
         match &panicked.outcome {
@@ -462,21 +311,10 @@ mod tests {
     fn gauges_track_queue_depth_and_inflight() {
         let gauges: Arc<SchedGauges> = Arc::default();
         let gate: Arc<AtomicUsize> = Arc::default();
-        let sched = Scheduler::new(1, None, Arc::clone(&gauges), noop_wake());
-        let gate_for_job = Arc::clone(&gate);
-        sched.submit(Job {
-            token: 1,
-            cost_us: 1.0,
-            peak_bytes: 0,
-            run: Box::new(move || {
-                while gate_for_job.load(Ordering::SeqCst) == 0 {
-                    std::thread::sleep(Duration::from_millis(1));
-                }
-                Ok(Vec::new())
-            }),
-        });
-        sched.submit(job(2, 1.0, 0));
-        sched.submit(job(3, 1.0, 0));
+        let sched = Scheduler::new(1, Arc::clone(&gauges), noop_wake());
+        sched.submit(1, gated_run(&gate));
+        sched.submit(2, noop_run());
+        sched.submit(3, noop_run());
         // One job running, two queued behind the single worker.
         for _ in 0..500 {
             if gauges.jobs_inflight.load(Ordering::Relaxed) == 1

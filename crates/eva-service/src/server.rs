@@ -14,6 +14,11 @@
 //! and skips the multi-megabyte upload entirely (session resumption). Cached
 //! entries are shared across sessions behind `Arc`s, so a resumed session
 //! costs neither the transfer nor a copy of the keys.
+//!
+//! A server is configured once, at construction: [`EvaServer::with_config`]
+//! takes a [`ServerConfig`] ([`EvaServer::new`] takes the default), runs the
+//! load gate on the untrusted program, and keeps both for its lifetime; the
+//! only other knob is [`EvaServer::with_threads`].
 
 use std::collections::HashMap;
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -27,14 +32,14 @@ use eva_ckks::{CkksContext, GaloisKeys, RelinearizationKey};
 use eva_core::analysis::noise::{check_noise, NoiseModel};
 use eva_core::analysis::verifier::{verify_compiled, VerifierReport};
 use eva_core::serialize::compiled_from_bytes;
-use eva_core::{estimate_cost, predict_peak_memory, CompiledProgram, CostModel};
+use eva_core::{predict_peak_memory, CompiledProgram};
 use eva_wire::{fingerprint_eval_key_payload, KeyFingerprint, ProgramDiagnostics, WireDiagnostic};
 
 use crate::error::ServiceError;
 use crate::keystore::DiskKeyStore;
 use crate::limits::ServerConfig;
 use crate::protocol::{decode_payload, message_name, Message, ProgramManifest, TAG_EVAL_KEYS};
-use crate::sched::SchedGauges;
+use crate::sched::{eval_slots, SchedGauges};
 
 /// Converts a verifier report into the wire payload a refused load carries:
 /// error-severity findings only, each with its stable check name and node.
@@ -50,6 +55,54 @@ fn diagnostics_payload(program: &str, report: &VerifierReport) -> ProgramDiagnos
             })
             .collect(),
     }
+}
+
+/// A load refusal with one finding from a gate the verifier does not run
+/// (`noise-budget`, `peak-memory`).
+fn refusal(program: &str, check: &str, node: Option<usize>, message: String) -> ServiceError {
+    ServiceError::InvalidProgram(ProgramDiagnostics {
+        program: program.to_string(),
+        diagnostics: vec![WireDiagnostic {
+            check: check.to_string(),
+            node: node.map(|n| n as u64),
+            message,
+        }],
+    })
+}
+
+/// The load gate for an untrusted program: the full static verifier, then
+/// the worst-case noise gate, then the peak-memory forecast, then the
+/// budget — refusing on the first finding, before any FHE state exists.
+/// Returns how many evaluations the budget admits at once ([`eval_slots`]).
+fn admit_program(compiled: &CompiledProgram, budget: Option<u64>) -> Result<usize, ServiceError> {
+    let program = compiled.name();
+    let report = verify_compiled(compiled);
+    if !report.is_clean() {
+        return Err(ServiceError::InvalidProgram(diagnostics_payload(
+            program, &report,
+        )));
+    }
+    check_noise(compiled, &NoiseModel::default())
+        .map_err(|e| refusal(program, "noise-budget", None, e.to_string()))?;
+    let forecast = predict_peak_memory(compiled)
+        .map_err(|e| refusal(program, "peak-memory", None, e.to_string()))?;
+    if let Some(budget) = budget {
+        // Live values plus one session's resident evaluation keys.
+        if (forecast.peak_bytes + forecast.key_bytes) as u64 > budget {
+            return Err(refusal(
+                program,
+                "peak-memory",
+                forecast.at_node,
+                format!(
+                    "predicted peak of {} simultaneously-live bytes \
+                     ({} ciphertexts) plus {} bytes of evaluation keys \
+                     exceeds the admission budget of {budget} bytes",
+                    forecast.peak_bytes, forecast.peak_live_ciphertexts, forecast.key_bytes
+                ),
+            ));
+        }
+    }
+    Ok(eval_slots(budget, forecast.peak_bytes as u64))
 }
 
 /// Statistics for one completed session.
@@ -133,7 +186,7 @@ impl KeyCache {
 
     fn insert(&mut self, fingerprint: KeyFingerprint, keys: SessionKeys) {
         let bytes = keys.resident_bytes();
-        if self.capacity == 0 || bytes > self.max_bytes {
+        if bytes > self.max_bytes {
             return;
         }
         self.clock += 1;
@@ -149,15 +202,9 @@ impl KeyCache {
                 keys,
             },
         );
-        // The new entry carries the newest stamp, so LRU eviction trims
-        // older entries first and the insert always survives.
-        self.enforce_bounds();
-    }
-
-    /// Evicts least-recently-used entries until both bounds hold (also run
-    /// by the setters, so shrinking a bound purges immediately rather than
-    /// on the next insert).
-    fn enforce_bounds(&mut self) {
+        // Evict least-recently-used entries until both bounds hold. The new
+        // entry carries the newest stamp, so older entries go first and the
+        // insert survives unless the capacity is zero.
         while self.entries.len() > self.capacity || self.bytes > self.max_bytes {
             let Some(oldest) = self
                 .entries
@@ -197,10 +244,12 @@ struct ServerInner {
     context: CkksContext,
     key_cache: Mutex<KeyCache>,
     /// Optional disk layer under the in-memory cache
-    /// ([`EvaServer::with_key_store`]); `Arc` so lookups clone the handle
-    /// out and do their I/O without holding the lock.
-    key_store: Mutex<Option<Arc<DiskKeyStore>>>,
-    config: Mutex<ServerConfig>,
+    /// ([`ServerConfig::key_store`]).
+    key_store: Option<DiskKeyStore>,
+    config: ServerConfig,
+    /// How many evaluations the memory budget admits at once, computed by
+    /// the load gate; the scheduler runs at most this many workers.
+    eval_slots: usize,
     stats: StatCounters,
     session_ids: AtomicU64,
     /// Sessions currently being served — admission is a lock-free
@@ -213,15 +262,6 @@ struct ServerInner {
     /// Where the serving listener is bound, so [`EvaServer::begin_shutdown`]
     /// can wake the reactor's poller with a throwaway connection.
     listener_addr: Mutex<Option<SocketAddr>>,
-    /// `CostReport::predicted_us` for the loaded program (the scheduler's
-    /// shortest-job-first key), computed once at load.
-    cost_us: f64,
-    /// `MemoryForecast::peak_bytes` for the loaded program (the scheduler's
-    /// admission weight), computed once at load.
-    peak_bytes: u64,
-    /// The peak-memory budget concurrent evaluations are admitted under
-    /// (`None` disables concurrency admission, like the load-time gate).
-    memory_budget: Option<u64>,
     /// Live scheduler gauges (queue depth, jobs in flight), shared with
     /// whichever reactor run is currently serving.
     gauges: Arc<SchedGauges>,
@@ -292,39 +332,21 @@ impl Drop for SessionGuard {
     }
 }
 
-/// Default number of distinct evaluation-key sets the server caches for
-/// session resumption (tune with [`EvaServer::with_key_cache_capacity`]).
-pub const DEFAULT_KEY_CACHE_CAPACITY: usize = 32;
+/// Number of distinct evaluation-key sets the server caches for session
+/// resumption.
+pub const KEY_CACHE_CAPACITY: usize = 32;
 
-/// Default byte budget of the evaluation-key cache (1 GiB; tune with
-/// [`EvaServer::with_key_cache_budget`]). Key sets are tens of megabytes
-/// each and the socket is unauthenticated, so the cache is bounded in bytes
-/// as well as entries.
-pub const DEFAULT_KEY_CACHE_BUDGET_BYTES: usize = 1 << 30;
-
-/// Default peak-memory admission budget per loaded program (4 GiB of
-/// simultaneously-live ciphertext/plaintext bytes plus one session's
-/// evaluation keys, as predicted by `eva_core::predict_peak_memory`).
-/// Programs forecast to exceed the budget are refused at load time with a
-/// `peak-memory` finding; tune with [`EvaServer::new_with_memory_budget`].
-pub const DEFAULT_MEMORY_BUDGET_BYTES: u64 = 4 << 30;
+/// Byte budget of the evaluation-key cache (1 GiB). Key sets are tens of
+/// megabytes each and the socket is unauthenticated, so the cache is
+/// bounded in bytes as well as entries.
+pub const KEY_CACHE_BUDGET_BYTES: usize = 1 << 30;
 
 impl EvaServer {
-    /// Builds a server around a compiled program, instantiating the CKKS
-    /// context from the compiler's parameter spec (the actual primes, so the
-    /// compiler's exact-scale annotations hold bit-for-bit at run time).
-    ///
-    /// The program is treated as **untrusted**: the full static verifier
-    /// (`eva_core::analysis::verifier`) and the worst-case noise gate run
-    /// first, and any finding refuses the program with
-    /// [`ServiceError::InvalidProgram`] before any FHE state exists — a
-    /// malformed `.evaprog` can never panic the server or reach a session.
+    /// [`with_config`](Self::with_config) under [`ServerConfig::default`].
     ///
     /// # Errors
     ///
-    /// Returns [`ServiceError::InvalidProgram`] if verification or the noise
-    /// gate fails, and [`ServiceError::InvalidParameters`] if the spec cannot
-    /// be instantiated.
+    /// As [`with_config`](Self::with_config).
     ///
     /// # Example
     ///
@@ -343,97 +365,53 @@ impl EvaServer {
     /// server.serve_forever(&listener).unwrap();
     /// ```
     pub fn new(compiled: CompiledProgram) -> Result<Self, ServiceError> {
-        Self::new_with_memory_budget(compiled, Some(DEFAULT_MEMORY_BUDGET_BYTES))
+        Self::with_config(compiled, ServerConfig::default())
     }
 
-    /// [`new`](Self::new) with an explicit peak-memory admission budget.
+    /// Builds a server around a compiled program under `config`,
+    /// instantiating the CKKS context from the compiler's parameter spec
+    /// (the actual primes, so the compiler's exact-scale annotations hold
+    /// bit-for-bit at run time).
     ///
-    /// `eva_core::predict_peak_memory` forecasts the serial executor's peak
-    /// simultaneously-live bytes for the program and the bytes of evaluation
-    /// keys a session holds beside them; a sum above
-    /// `budget_bytes` refuses the program at load time with a `peak-memory`
-    /// finding in the [`ServiceError::InvalidProgram`] diagnostics payload.
-    /// `None` disables the admission check.
+    /// The program is treated as **untrusted**: the full static verifier
+    /// (`eva_core::analysis::verifier`), the worst-case noise gate and the
+    /// peak-memory admission check against
+    /// [`ServerConfig::memory_budget`] run first, and any finding refuses
+    /// the program with [`ServiceError::InvalidProgram`] before any FHE
+    /// state exists — a malformed `.evaprog` can never panic the server or
+    /// reach a session.
     ///
     /// # Errors
     ///
-    /// As [`new`](Self::new), plus the budget refusal described above.
-    pub fn new_with_memory_budget(
+    /// Returns [`ServiceError::InvalidProgram`] if verification, the noise
+    /// gate or the memory budget refuses the program,
+    /// [`ServiceError::InvalidParameters`] if the spec cannot be
+    /// instantiated, and [`ServiceError::Io`] if the
+    /// [`ServerConfig::key_store`] directory cannot be created.
+    pub fn with_config(
         compiled: CompiledProgram,
-        budget_bytes: Option<u64>,
+        config: ServerConfig,
     ) -> Result<Self, ServiceError> {
-        // The program is untrusted input (it usually arrives as a `.evaprog`
-        // file): run the full static verifier and the worst-case noise gate
-        // before building any FHE state, and refuse to serve on any finding.
-        let report = verify_compiled(&compiled);
-        if !report.is_clean() {
-            return Err(ServiceError::InvalidProgram(diagnostics_payload(
-                compiled.name(),
-                &report,
-            )));
-        }
-        if let Err(err) = check_noise(&compiled, &NoiseModel::default()) {
-            return Err(ServiceError::InvalidProgram(ProgramDiagnostics {
-                program: compiled.name().to_string(),
-                diagnostics: vec![WireDiagnostic {
-                    check: "noise-budget".to_string(),
-                    node: None,
-                    message: err.to_string(),
-                }],
-            }));
-        }
-        // The analysis products drive the scheduler at serve time: predicted
-        // cost orders the shared job queue (shortest-job-first) and the peak
-        // forecast weighs concurrent-evaluation admission.
-        let forecast = predict_peak_memory(&compiled).map_err(|e| {
-            ServiceError::InvalidProgram(ProgramDiagnostics {
-                program: compiled.name().to_string(),
-                diagnostics: vec![WireDiagnostic {
-                    check: "peak-memory".to_string(),
-                    node: None,
-                    message: e.to_string(),
-                }],
-            })
-        })?;
-        let cost_us = estimate_cost(&compiled, &CostModel::default())
-            .map(|report| report.predicted_us)
-            .unwrap_or(0.0);
-        if let Some(budget) = budget_bytes {
-            // Admission control: refuse programs whose forecast peak memory
-            // — live values plus one session's resident evaluation keys —
-            // exceeds the configured budget, before any FHE state exists.
-            if (forecast.peak_bytes + forecast.key_bytes) as u64 > budget {
-                return Err(ServiceError::InvalidProgram(ProgramDiagnostics {
-                    program: compiled.name().to_string(),
-                    diagnostics: vec![WireDiagnostic {
-                        check: "peak-memory".to_string(),
-                        node: forecast.at_node.map(|n| n as u64),
-                        message: format!(
-                            "predicted peak of {} simultaneously-live bytes \
-                             ({} ciphertexts) plus {} bytes of evaluation keys \
-                             exceeds the admission budget of {budget} bytes",
-                            forecast.peak_bytes, forecast.peak_live_ciphertexts, forecast.key_bytes
-                        ),
-                    }],
-                }));
-            }
-        }
+        let eval_slots = admit_program(&compiled, config.memory_budget)?;
         let params = parameters_from_spec(&compiled.parameters)
             .map_err(|e| ServiceError::InvalidParameters(e.to_string()))?;
         let context =
             CkksContext::new(params).map_err(|e| ServiceError::InvalidParameters(e.to_string()))?;
+        let key_store = config
+            .key_store
+            .as_ref()
+            .map(DiskKeyStore::open)
+            .transpose()?;
         let manifest = ProgramManifest::from_compiled(&compiled);
         Ok(Self {
             inner: Arc::new(ServerInner {
                 compiled,
                 manifest,
                 context,
-                key_cache: Mutex::new(KeyCache::new(
-                    DEFAULT_KEY_CACHE_CAPACITY,
-                    DEFAULT_KEY_CACHE_BUDGET_BYTES,
-                )),
-                key_store: Mutex::new(None),
-                config: Mutex::new(ServerConfig::default()),
+                key_cache: Mutex::new(KeyCache::new(KEY_CACHE_CAPACITY, KEY_CACHE_BUDGET_BYTES)),
+                key_store,
+                config,
+                eval_slots,
                 stats: StatCounters::default(),
                 session_ids: AtomicU64::new(0),
                 active: AtomicUsize::new(0),
@@ -441,9 +419,6 @@ impl EvaServer {
                 idle: Condvar::new(),
                 shutting_down: AtomicBool::new(false),
                 listener_addr: Mutex::new(None),
-                cost_us,
-                peak_bytes: forecast.peak_bytes as u64,
-                memory_budget: budget_bytes,
                 gauges: Arc::new(SchedGauges::default()),
             }),
             threads: 1,
@@ -471,53 +446,14 @@ impl EvaServer {
         self
     }
 
-    /// Replaces the server's resource limits (deadlines, concurrency bound,
-    /// per-session quotas — see [`ServerConfig`]). Sessions pick up the
-    /// config when they start.
-    #[must_use]
-    pub fn with_config(self, config: ServerConfig) -> Self {
-        *self.inner.config.lock().expect("config lock poisoned") = config;
-        self
+    /// The server's resource limits, as given at construction.
+    pub fn config(&self) -> &ServerConfig {
+        &self.inner.config
     }
 
-    /// The server's current resource limits.
-    pub fn config(&self) -> ServerConfig {
-        self.inner
-            .config
-            .lock()
-            .expect("config lock poisoned")
-            .clone()
-    }
-
-    /// Layers a [`DiskKeyStore`] under the in-memory key cache, rooted at
-    /// `dir` (created if needed): uploaded evaluation keys are persisted
-    /// there (content-addressed, atomic write-rename), and resumption
-    /// lookups that miss the in-memory LRU fall back to disk — so warm,
-    /// zero-upload resumption survives server restarts. Disk entries are
-    /// never trusted: the fingerprint is re-verified over the bytes read
-    /// back, and the keys re-validated, before anything is served.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ServiceError::Io`] if the store directory cannot be
-    /// created.
-    pub fn with_key_store(self, dir: impl Into<std::path::PathBuf>) -> Result<Self, ServiceError> {
-        let store = DiskKeyStore::open(dir)?;
-        *self
-            .inner
-            .key_store
-            .lock()
-            .expect("key store lock poisoned") = Some(Arc::new(store));
-        Ok(self)
-    }
-
-    /// The disk key store, if one is configured.
-    pub fn key_store(&self) -> Option<Arc<DiskKeyStore>> {
-        self.inner
-            .key_store
-            .lock()
-            .expect("key store lock poisoned")
-            .clone()
+    /// The disk key store, if [`ServerConfig::key_store`] configured one.
+    pub fn key_store(&self) -> Option<&DiskKeyStore> {
+        self.inner.key_store.as_ref()
     }
 
     /// A point-in-time snapshot of the server's lifetime counters.
@@ -655,56 +591,10 @@ impl EvaServer {
         self.threads
     }
 
-    /// The loaded program's predicted serial cost in microseconds (the
-    /// scheduler's shortest-job-first key).
-    pub(crate) fn job_cost_us(&self) -> f64 {
-        self.inner.cost_us
-    }
-
-    /// The loaded program's forecast peak simultaneously-live bytes (the
-    /// scheduler's admission weight).
-    pub(crate) fn job_peak_bytes(&self) -> u64 {
-        self.inner.peak_bytes
-    }
-
-    /// The peak-memory budget concurrent evaluations are admitted under.
-    pub(crate) fn memory_budget(&self) -> Option<u64> {
-        self.inner.memory_budget
-    }
-
-    /// Sets how many distinct evaluation-key sets the resumption cache holds
-    /// (default [`DEFAULT_KEY_CACHE_CAPACITY`]); `0` disables caching, so
-    /// every session must upload its keys. Shrinking below the current
-    /// population evicts immediately (least-recently-used first).
-    #[must_use]
-    pub fn with_key_cache_capacity(self, capacity: usize) -> Self {
-        let mut cache = self
-            .inner
-            .key_cache
-            .lock()
-            .expect("key cache lock poisoned");
-        cache.capacity = capacity;
-        cache.enforce_bounds();
-        drop(cache);
-        self
-    }
-
-    /// Sets the resumption cache's total byte budget (default
-    /// [`DEFAULT_KEY_CACHE_BUDGET_BYTES`]). Entries are evicted
-    /// least-recently-used until both the entry and the byte bound hold —
-    /// immediately on shrink, and on every insert; a key set larger than
-    /// the whole budget is simply not cached.
-    #[must_use]
-    pub fn with_key_cache_budget(self, max_bytes: usize) -> Self {
-        let mut cache = self
-            .inner
-            .key_cache
-            .lock()
-            .expect("key cache lock poisoned");
-        cache.max_bytes = max_bytes;
-        cache.enforce_bounds();
-        drop(cache);
-        self
+    /// How many evaluations the memory budget admits at once (the
+    /// scheduler's worker cap).
+    pub(crate) fn eval_slots(&self) -> usize {
+        self.inner.eval_slots
     }
 
     /// Number of evaluation-key sets currently cached for resumption.
@@ -716,7 +606,8 @@ impl EvaServer {
             .len()
     }
 
-    /// Total wire bytes of the evaluation-key sets currently cached.
+    /// Total resident bytes of the evaluation-key sets currently cached:
+    /// each upload's key rows plus its Galois gather tables.
     pub fn cached_key_bytes(&self) -> usize {
         self.inner
             .key_cache
@@ -738,8 +629,8 @@ impl EvaServer {
     /// Accepts exactly `sessions` connections from `listener` and serves
     /// them **concurrently** on the event-driven reactor: one IO thread
     /// multiplexes every connection and a bounded worker pool runs the
-    /// evaluations, ordered shortest-job-first and admitted under the
-    /// peak-memory budget. Returns the per-session reports in accept order
+    /// evaluations in submission order, as many at once as the peak-memory
+    /// budget admits. Returns the per-session reports in accept order
     /// once every session has ended; per-session failures — including
     /// `busy:` rejections at the concurrency limit — are reported in the
     /// result slots rather than aborting the other sessions.
@@ -1057,7 +948,11 @@ mod tests {
         // The default budget admits this tiny program...
         assert!(EvaServer::new(compiled.clone()).is_ok());
         // ...an impossible budget refuses it, naming the check.
-        let err = EvaServer::new_with_memory_budget(compiled.clone(), Some(1)).unwrap_err();
+        let budget = |memory_budget| ServerConfig {
+            memory_budget,
+            ..ServerConfig::default()
+        };
+        let err = EvaServer::with_config(compiled.clone(), budget(Some(1))).unwrap_err();
         match err {
             ServiceError::InvalidProgram(payload) => {
                 assert_eq!(payload.program, "square");
@@ -1073,25 +968,28 @@ mod tests {
             other => panic!("expected InvalidProgram, got {other:?}"),
         }
         // `None` disables admission entirely.
-        assert!(EvaServer::new_with_memory_budget(compiled, None).is_ok());
+        assert!(EvaServer::with_config(compiled, budget(None)).is_ok());
     }
 
     #[test]
-    fn shrinking_bounds_evicts_immediately() {
-        // Entries cached before a capacity/budget shrink must not keep
-        // serving resumptions (with_key_cache_* calls enforce_bounds).
-        let mut cache = KeyCache::new(4, usize::MAX);
-        for i in 1..=4 {
-            cache.insert(fp(i), dummy_keys(16));
-        }
-        cache.max_bytes = 32;
-        cache.enforce_bounds();
-        assert_eq!(cache.len(), 2);
-        assert_eq!(cache.bytes, 32);
-        cache.capacity = 0;
-        cache.enforce_bounds();
-        assert_eq!(cache.len(), 0);
-        assert_eq!(cache.bytes, 0);
-        assert!(cache.get(&fp(4)).is_none());
+    fn an_uncreatable_key_store_refuses_construction_with_an_io_error() {
+        use eva_core::{compile, CompilerOptions, Opcode, Program};
+
+        let mut p = Program::new("square", 8);
+        let x = p.input_cipher("x", 30);
+        let sq = p.instruction(Opcode::Multiply, &[x, x]);
+        p.output("out", sq, 30);
+        let compiled = compile(&p, &CompilerOptions::default()).unwrap();
+
+        // A directory cannot be created under a regular file.
+        let file = std::env::temp_dir().join(format!("eva-keystore-file-{}", std::process::id()));
+        std::fs::write(&file, b"not a directory").unwrap();
+        let config = ServerConfig {
+            key_store: Some(file.join("store")),
+            ..ServerConfig::default()
+        };
+        let err = EvaServer::with_config(compiled, config).unwrap_err();
+        std::fs::remove_file(&file).unwrap();
+        assert!(matches!(err, ServiceError::Io(_)), "got {err:?}");
     }
 }

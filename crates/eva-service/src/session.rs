@@ -6,7 +6,7 @@
 //! steps — Hello → Manifest, EvalKeys (unless resumed), then Inputs/Outputs
 //! rounds until Bye — with the message ordering, validation and error
 //! strings the `limits`/`persistence`/`chaos` suites pin. An `Inputs` frame
-//! does not evaluate inline: it yields an [`EvalJob`] for the shared
+//! does not evaluate inline: it yields an evaluation closure for the shared
 //! scheduler, and the session resumes when the job's completion comes back.
 
 use std::collections::VecDeque;
@@ -21,6 +21,7 @@ use crate::protocol::{
     decode_payload, encode_payload, message_name, partition_inputs, Message, OutputValue,
     MAX_FRAME_BYTES, PROTOCOL_VERSION, TAG_EVAL_KEYS,
 };
+use crate::sched::EvalRun;
 use crate::server::{EvaServer, SessionReport};
 
 /// Payload bytes are accumulated (and reserved) in steps of this size, so a
@@ -146,37 +147,16 @@ impl FrameAssembler {
     }
 }
 
-/// One queued evaluation produced by a session's `Inputs` frame, annotated
-/// with the analysis products the scheduler orders and admits by.
-pub(crate) struct EvalJob {
-    /// `CostReport::predicted_us` for the program (shortest-job-first key).
-    pub(crate) cost_us: f64,
-    /// `MemoryForecast::peak_bytes` for the program (admission weight).
-    pub(crate) peak_bytes: u64,
-    /// The evaluation closure (runs on a scheduler worker).
-    pub(crate) run: crate::sched::EvalRun,
-}
-
-impl std::fmt::Debug for EvalJob {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("EvalJob")
-            .field("cost_us", &self.cost_us)
-            .field("peak_bytes", &self.peak_bytes)
-            .finish()
-    }
-}
-
 /// What one protocol step asks the transport to do next.
-#[derive(Debug)]
 pub(crate) enum Step {
     /// Nothing to send; keep reading frames.
     Continue,
     /// Queue these encoded frames for the peer, then keep reading.
     Reply(Vec<(u8, Vec<u8>)>),
-    /// Submit this job to the evaluation scheduler and **pause reading**
-    /// until its completion comes back (one in-flight evaluation per
-    /// session).
-    Evaluate(EvalJob),
+    /// Submit this evaluation (it runs on a scheduler worker) and **pause
+    /// reading** until its completion comes back (one in-flight evaluation
+    /// per session).
+    Evaluate(EvalRun),
     /// The session ended cleanly (Bye, or EOF between rounds).
     Close(SessionReport),
 }
@@ -201,10 +181,10 @@ pub(crate) struct SessionMachine {
 }
 
 impl SessionMachine {
-    /// A fresh machine awaiting the client's Hello. Quotas snapshot the
-    /// server config at session start.
+    /// A fresh machine awaiting the client's Hello, with the full
+    /// per-session quotas of the server's config.
     pub(crate) fn new(server: EvaServer) -> Self {
-        let quotas = SessionQuotas::new(&server.config());
+        let quotas = SessionQuotas::new(server.config());
         Self {
             server,
             quotas,
@@ -337,18 +317,14 @@ impl SessionMachine {
         let server = self.server.clone();
         let threads = self.server.executor_threads();
         self.phase = Phase::Evaluating;
-        Ok(Step::Evaluate(EvalJob {
-            cost_us: self.server.job_cost_us(),
-            peak_bytes: self.server.job_peak_bytes(),
-            run: Box::new(move || {
-                let values = execute_parallel(&eval, server.compiled(), bindings, threads)?;
-                let outputs = EvaluationContext::named_outputs(server.compiled(), &values)?
-                    .into_iter()
-                    .map(|(name, value)| (name, OutputValue::from(value)))
-                    .collect();
-                Ok(outputs)
-            }),
-        }))
+        Ok(Step::Evaluate(Box::new(move || {
+            let values = execute_parallel(&eval, server.compiled(), bindings, threads)?;
+            let outputs = EvaluationContext::named_outputs(server.compiled(), &values)?
+                .into_iter()
+                .map(|(name, value)| (name, OutputValue::from(value)))
+                .collect();
+            Ok(outputs)
+        })))
     }
 }
 

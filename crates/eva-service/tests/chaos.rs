@@ -118,13 +118,6 @@ fn assert_bit_identical(
     }
 }
 
-fn set_read_deadline(control: &EvaServer, deadline: Option<Duration>) {
-    let _ = control.clone().with_config(ServerConfig {
-        read_deadline: deadline,
-        ..ServerConfig::default()
-    });
-}
-
 #[test]
 fn retrying_client_survives_every_fault_class_bit_identically() {
     let app = eva_apps::image::sobel(8, 5);
@@ -139,7 +132,15 @@ fn retrying_client_survives_every_fault_class_bit_identically() {
 
     let listener = TcpListener::bind("127.0.0.1:0").unwrap();
     let addr = listener.local_addr().unwrap();
-    let server = EvaServer::new(compiled).unwrap().with_threads(2);
+    // One short read deadline for the whole run, so the stall of fault
+    // class 1 trips it.
+    let config = ServerConfig {
+        read_deadline: Some(Duration::from_secs(2)),
+        ..ServerConfig::default()
+    };
+    let server = EvaServer::with_config(compiled, config)
+        .unwrap()
+        .with_threads(2);
     let control = server.clone();
     let serve = std::thread::spawn(move || server.serve_forever(&listener));
 
@@ -197,7 +198,6 @@ fn retrying_client_survives_every_fault_class_bit_identically() {
 
     // ---- Fault class 1: a mid-upload stall longer than the server's read
     // deadline. The server must cut the session; the retry completes. ----
-    set_read_deadline(&control, Some(Duration::from_secs(2)));
     *next_plan.lock().unwrap() = vec![Fault::DelayWrite {
         at: hello_len + 40, // 40 bytes into the Inputs frame
         delay: Duration::from_secs(4),
@@ -205,7 +205,6 @@ fn retrying_client_survives_every_fault_class_bit_identically() {
     client.disconnect();
     let outputs = client.evaluate(&inputs).unwrap();
     assert_bit_identical(&outputs, &expected, "delay");
-    set_read_deadline(&control, ServerConfig::default().read_deadline);
 
     // ---- Fault class 2: a short read — the Outputs frame ends early. ----
     *next_plan.lock().unwrap() = vec![Fault::TruncateRead {

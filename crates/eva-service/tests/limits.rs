@@ -23,9 +23,9 @@ fn square_program() -> Program {
     p
 }
 
-fn square_server() -> EvaServer {
+fn square_server(config: ServerConfig) -> EvaServer {
     let compiled = compile(&square_program(), &CompilerOptions::default()).unwrap();
-    EvaServer::new(compiled).unwrap()
+    EvaServer::with_config(compiled, config).unwrap()
 }
 
 fn square_inputs() -> HashMap<String, Vec<f64>> {
@@ -36,7 +36,7 @@ fn square_inputs() -> HashMap<String, Vec<f64>> {
 /// **naming the limit** before the close — not a silent hang-up.
 #[test]
 fn oversized_frame_gets_an_error_frame_naming_the_limit() {
-    let server = square_server();
+    let server = square_server(ServerConfig::default());
     let listener = TcpListener::bind("127.0.0.1:0").unwrap();
     let addr = listener.local_addr().unwrap();
     let server_thread = std::thread::spawn(move || server.serve_sessions(&listener, 1));
@@ -66,7 +66,7 @@ fn oversized_frame_gets_an_error_frame_naming_the_limit() {
 /// disconnected by the read deadline — server side.
 #[test]
 fn partial_frame_stall_trips_the_server_read_deadline() {
-    let server = square_server().with_config(ServerConfig {
+    let server = square_server(ServerConfig {
         read_deadline: Some(Duration::from_millis(300)),
         ..ServerConfig::default()
     });
@@ -136,7 +136,7 @@ fn stalled_server_trips_the_client_read_timeout() {
 /// counted in the server stats.
 #[test]
 fn busy_server_rejects_politely_at_the_session_limit() {
-    let server = square_server().with_config(ServerConfig {
+    let server = square_server(ServerConfig {
         max_sessions: 1,
         ..ServerConfig::default()
     });
@@ -180,7 +180,7 @@ fn busy_server_rejects_politely_at_the_session_limit() {
 /// upload against its **announced** length, with a `quota:` Error frame.
 #[test]
 fn eval_key_quota_refuses_oversized_uploads() {
-    let server = square_server().with_config(ServerConfig {
+    let server = square_server(ServerConfig {
         eval_key_quota: 10_000, // far below a real key set
         ..ServerConfig::default()
     });
@@ -224,7 +224,7 @@ fn eval_key_quota_refuses_oversized_uploads() {
 /// session — its evaluation completes, nothing is aborted.
 #[test]
 fn graceful_shutdown_drains_in_flight_sessions() {
-    let server = square_server();
+    let server = square_server(ServerConfig::default());
     let control = server.clone();
     let listener = TcpListener::bind("127.0.0.1:0").unwrap();
     let addr = listener.local_addr().unwrap();
@@ -268,7 +268,7 @@ fn graceful_shutdown_drains_in_flight_sessions() {
 /// left to wake it.)
 #[test]
 fn shutdown_requested_before_serving_returns_promptly() {
-    let server = square_server();
+    let server = square_server(ServerConfig::default());
     let listener = TcpListener::bind("127.0.0.1:0").unwrap();
     server.begin_shutdown();
     let (done_tx, done_rx) = std::sync::mpsc::channel();

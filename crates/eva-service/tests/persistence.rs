@@ -6,11 +6,11 @@
 use std::collections::HashMap;
 use std::fs;
 use std::net::{TcpListener, TcpStream};
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
 use eva_core::{compile, CompilerOptions, Opcode, Program};
 use eva_service::{
-    bytes_with_tag, frame_index, EvaClient, EvaServer, RecordingStream, TAG_EVAL_KEYS,
+    bytes_with_tag, frame_index, EvaClient, EvaServer, RecordingStream, ServerConfig, TAG_EVAL_KEYS,
 };
 
 /// Rotation + relinearization, so the key set is non-trivial.
@@ -39,6 +39,14 @@ fn temp_dir(tag: &str) -> PathBuf {
     dir
 }
 
+/// The default config with a disk key store rooted at `dir`.
+fn store_config(dir: &Path) -> ServerConfig {
+    ServerConfig {
+        key_store: Some(dir.to_path_buf()),
+        ..ServerConfig::default()
+    }
+}
+
 /// Tentpole: a cold session persists its keys to disk; after a full server
 /// restart (fresh process state, same store directory) a resuming client
 /// still gets a warm session — zero evaluation-key bytes on the wire, the
@@ -53,10 +61,7 @@ fn warm_resumption_survives_a_server_restart_via_the_disk_store() {
     // ---- Incarnation 1: cold session, keys written through to disk. ----
     let listener = TcpListener::bind("127.0.0.1:0").unwrap();
     let addr = listener.local_addr().unwrap();
-    let server = EvaServer::new(compiled.clone())
-        .unwrap()
-        .with_key_store(&dir)
-        .unwrap();
+    let server = EvaServer::with_config(compiled.clone(), store_config(&dir)).unwrap();
     let stats_one = server.clone();
     let thread = std::thread::spawn(move || server.serve_sessions(&listener, 1));
 
@@ -79,10 +84,7 @@ fn warm_resumption_survives_a_server_restart_via_the_disk_store() {
     // Its in-memory LRU starts empty; only the disk layer can warm it.
     let listener = TcpListener::bind("127.0.0.1:0").unwrap();
     let addr = listener.local_addr().unwrap();
-    let server = EvaServer::new(compiled)
-        .unwrap()
-        .with_key_store(&dir)
-        .unwrap();
+    let server = EvaServer::with_config(compiled, store_config(&dir)).unwrap();
     let stats_two = server.clone();
     let thread = std::thread::spawn(move || server.serve_sessions(&listener, 2));
 
@@ -134,10 +136,7 @@ fn corrupt_disk_entries_fall_back_to_upload_and_are_replaced() {
     // Cold session to populate the store.
     let listener = TcpListener::bind("127.0.0.1:0").unwrap();
     let addr = listener.local_addr().unwrap();
-    let server = EvaServer::new(compiled.clone())
-        .unwrap()
-        .with_key_store(&dir)
-        .unwrap();
+    let server = EvaServer::with_config(compiled.clone(), store_config(&dir)).unwrap();
     let handle = server.clone();
     let thread = std::thread::spawn(move || server.serve_sessions(&listener, 1));
     let mut client = EvaClient::connect(addr, Some(33)).unwrap();
@@ -157,10 +156,7 @@ fn corrupt_disk_entries_fall_back_to_upload_and_are_replaced() {
     // server evicts the entry and asks for a fresh upload instead.
     let listener = TcpListener::bind("127.0.0.1:0").unwrap();
     let addr = listener.local_addr().unwrap();
-    let server = EvaServer::new(compiled)
-        .unwrap()
-        .with_key_store(&dir)
-        .unwrap();
+    let server = EvaServer::with_config(compiled, store_config(&dir)).unwrap();
     let handle = server.clone();
     let thread = std::thread::spawn(move || server.serve_sessions(&listener, 1));
 

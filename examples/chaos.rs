@@ -76,9 +76,16 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let _ = std::fs::remove_dir_all(&store_dir);
     let listener = TcpListener::bind("127.0.0.1:0")?;
     let addr = listener.local_addr()?;
-    let server = EvaServer::new(compiled.clone())?
-        .with_threads(2)
-        .with_key_store(&store_dir)?;
+    // The read deadline is short enough for the delay fault below to trip.
+    let server = EvaServer::with_config(
+        compiled.clone(),
+        ServerConfig {
+            read_deadline: Some(Duration::from_millis(1500)),
+            key_store: Some(store_dir.clone()),
+            ..ServerConfig::default()
+        },
+    )?
+    .with_threads(2);
     let control = server.clone();
     let serve = std::thread::spawn(move || server.serve_forever(&listener));
     println!(
@@ -161,20 +168,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         ),
     ];
     for (label, plan) in rounds {
-        let needs_short_deadline = matches!(plan[0], Fault::DelayWrite { .. });
-        if needs_short_deadline {
-            let _ = control.clone().with_config(ServerConfig {
-                read_deadline: Some(Duration::from_millis(1500)),
-                ..ServerConfig::default()
-            });
-        }
         *stage.lock().unwrap() = plan;
         client.disconnect();
         let start = Instant::now();
         let outputs = client.evaluate(&inputs)?;
-        if needs_short_deadline {
-            let _ = control.clone().with_config(ServerConfig::default());
-        }
         if !bit_identical(&outputs, &expected) {
             return Err(format!("fault `{label}`: recovered outputs deviate").into());
         }
@@ -222,9 +219,14 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // ---- Restart: a brand-new server process state, same store dir. -----
     let listener = TcpListener::bind("127.0.0.1:0")?;
     let addr = listener.local_addr()?;
-    let server = EvaServer::new(compiled)?
-        .with_threads(2)
-        .with_key_store(&store_dir)?;
+    let server = EvaServer::with_config(
+        compiled,
+        ServerConfig {
+            key_store: Some(store_dir.clone()),
+            ..ServerConfig::default()
+        },
+    )?
+    .with_threads(2);
     let control = server.clone();
     let serve = std::thread::spawn(move || server.serve_forever(&listener));
     let stream = RecordingStream::new(TcpStream::connect(addr)?);
