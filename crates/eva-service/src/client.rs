@@ -369,21 +369,23 @@ impl<S: Read + Write> EvaClient<S> {
             let _public_key = keygen.create_public_key();
             let (relin, galois) =
                 keygen.create_evaluation_keys(manifest.needs_relin, &manifest.rotation_steps);
-            // Serialize the upload once and fingerprint those same bytes —
-            // the EvalKeys payload (`has_relin · EVAL? · EVAG`) is exactly
-            // the fingerprint input, and the server hashes it as received.
-            // Unseeded sessions skip the hash: their secret key can never be
-            // re-derived, so no resumption ticket can exist and digesting
-            // megabytes of key material would buy nothing.
+            // Serialize the upload once, send it, then fingerprint those
+            // same bytes — the EvalKeys payload (`has_relin · EVAL? · EVAG`)
+            // is exactly the fingerprint input, and the server hashes it as
+            // received. Hashing after the write lets the client's pass
+            // overlap the server's hash, decode and validation of the
+            // upload instead of delaying it. Unseeded sessions skip the
+            // hash: their secret key can never be re-derived, so no
+            // resumption ticket can exist and digesting megabytes of key
+            // material would buy nothing.
             let (tag, payload) = encode_payload(&Message::EvalKeys {
                 relin: relin.map(Box::new),
                 galois: Box::new(galois),
             });
-            let fingerprint = key_seed
-                .is_some()
-                .then(|| fingerprint_eval_key_payload(&payload));
             write_frame(&mut stream, tag, &payload)?;
-            fingerprint
+            key_seed
+                .is_some()
+                .then(|| fingerprint_eval_key_payload(&payload))
         };
 
         let encoder = CkksEncoder::new(context.clone());

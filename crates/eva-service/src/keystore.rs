@@ -4,7 +4,7 @@
 //!
 //! Layout and trust model:
 //!
-//! * Entries are addressed by the SHA-256 fingerprint from
+//! * Entries are addressed by the BLAKE2b-256 fingerprint from
 //!   `eva_wire::fingerprint` — the file at `<root>/ab/<64 hex>.evakeys`
 //!   holds the raw `EvalKeys` frame payload, which is exactly the
 //!   fingerprint's input. Content addressing makes writes idempotent and
@@ -17,7 +17,9 @@
 //!   is not trusted: a corrupt, truncated or tampered file fails the hash,
 //!   is deleted, and the server falls back to asking the client for a fresh
 //!   upload. Nothing that fails verification is ever decoded, let alone
-//!   served.
+//!   served. The same holds for an entry written by a build that
+//!   fingerprinted with SHA-256: an old ticket still names it, its bytes
+//!   no longer hash to that name, and it is deleted on first load.
 
 use std::fs;
 use std::io::{self, Write};
@@ -25,15 +27,6 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use eva_wire::{fingerprint_eval_key_payload, KeyFingerprint};
-
-/// Hex-encodes a fingerprint (lowercase, 64 chars).
-fn hex(fingerprint: &KeyFingerprint) -> String {
-    let mut out = String::with_capacity(64);
-    for byte in fingerprint.as_bytes() {
-        out.push_str(&format!("{byte:02x}"));
-    }
-    out
-}
 
 /// The disk-backed evaluation-key store (see the module docs for the
 /// layout, atomicity and trust rules).
@@ -68,7 +61,7 @@ impl DiskKeyStore {
     /// The path an entry for `fingerprint` lives at (whether or not it
     /// exists) — two-hex-char fan-out directory, then the full digest.
     pub fn entry_path(&self, fingerprint: &KeyFingerprint) -> PathBuf {
-        let digest = hex(fingerprint);
+        let digest = fingerprint.to_string();
         self.root
             .join(&digest[..2])
             .join(format!("{digest}.evakeys"))
@@ -95,7 +88,7 @@ impl DiskKeyStore {
         fs::create_dir_all(dir)?;
         let temp = dir.join(format!(
             ".{}.{}.{}.tmp",
-            hex(fingerprint),
+            fingerprint,
             std::process::id(),
             self.temp_counter.fetch_add(1, Ordering::Relaxed),
         ));

@@ -17,7 +17,7 @@
 //!   [`Plaintext`](eva_ckks::Plaintext), [`PublicKey`](eva_ckks::PublicKey),
 //!   [`RelinearizationKey`](eva_ckks::RelinearizationKey) and
 //!   [`GaloisKeys`](eva_ckks::GaloisKeys).
-//! * [`fingerprint`] — SHA-256 content fingerprints over evaluation-key wire
+//! * [`fingerprint`] — BLAKE2b-256 content fingerprints over evaluation-key wire
 //!   bytes ([`fingerprint_eval_keys`]), the addresses of the deployment
 //!   server's evaluation-key cache for session resumption.
 //! * [`diagnostics`] — [`ProgramDiagnostics`], the payload a server returns
@@ -63,8 +63,8 @@ pub mod runtime;
 
 pub use diagnostics::{ProgramDiagnostics, WireDiagnostic};
 pub use fingerprint::{
-    fingerprint_eval_key_payload, fingerprint_eval_keys, EvalKeyPayloadHasher, KeyFingerprint,
-    Sha256,
+    fingerprint_eval_key_payload, fingerprint_eval_keys, Blake2b256, EvalKeyPayloadHasher,
+    KeyFingerprint,
 };
 pub use frame::{Reader, WireError, WireObject, Writer};
 pub use runtime::{

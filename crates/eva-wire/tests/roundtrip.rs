@@ -307,12 +307,14 @@ fn eval_key_fingerprints_are_stable_and_content_sensitive() {
 /// keys were stored in evaluation order: seeded keys encode to the same
 /// `EVAL` / `EVAG` bytes and fingerprint, decoding and re-encoding is byte
 /// identical, and a decoded Galois key rotates exactly as the generated one.
+/// The byte pins are BLAKE2b-256 digests (`b2sum -l 256`) of the same
+/// `EVAL` / `EVAG` bytes the original SHA-256 pins were taken over.
 #[test]
 fn seeded_eval_keys_keep_their_wire_bytes_fingerprint_and_rotations() {
     use eva_ckks::{CkksContext, CkksEncoder, CkksParameters, Encryptor, Evaluator, KeyGenerator};
-    use eva_wire::Sha256;
+    use eva_wire::{Blake2b256, KeyFingerprint};
 
-    let hex = |digest: [u8; 32]| -> String { digest.iter().map(|b| format!("{b:02x}")).collect() };
+    let hex = |digest: [u8; 32]| KeyFingerprint(digest).to_string();
     let params = CkksParameters::new_insecure(64, &[40, 40, 40], 45).unwrap();
     let ctx = CkksContext::new(params).unwrap();
     let mut keygen = KeyGenerator::from_seed(ctx.clone(), 17);
@@ -324,16 +326,16 @@ fn seeded_eval_keys_keep_their_wire_bytes_fingerprint_and_rotations() {
 
     let (relin_bytes, galois_bytes) = (relin.to_wire_bytes(), galois.to_wire_bytes());
     assert_eq!(
-        hex(Sha256::digest(&relin_bytes)),
-        "34a4143bc27f46c98646932528b84a338625b3851af81062f66563b5f1996e7a"
+        hex(Blake2b256::digest(&relin_bytes)),
+        "4717f524e25747afcb269443c9f8694796a5abcfadc0548dd5d29b6ed2d0e9db"
     );
     assert_eq!(
-        hex(Sha256::digest(&galois_bytes)),
-        "af08f311e5cbe5bdc7390dd9c5f0926251228a58d2ed4e47e4824573cbf5bd9d"
+        hex(Blake2b256::digest(&galois_bytes)),
+        "e9e92f3eff68a838f9cb2ce6680993fbfd791abc7c2d8934100b5f15be398f54"
     );
     assert_eq!(
         fingerprint_eval_keys(Some(&relin), &galois).to_string(),
-        "30cb5d75cbc91241f4673eb7fc08557f16e7c86f511982134122d7f5fb61410f"
+        "1df88999eddfe43c453cdb27789c86a9907a421b371cbf1082f5eaaa71ab73e9"
     );
 
     let decoded = GaloisKeys::from_wire_bytes(&galois_bytes).unwrap();
