@@ -102,44 +102,20 @@ fn to_eva_error(err: CkksError) -> EvaError {
 ///
 /// # Errors
 ///
-/// Returns [`EvaError::Execution`] if the spec cannot be instantiated.
+/// Returns [`EvaError::Execution`] if the spec cannot be instantiated —
+/// among others when it names no data primes.
 pub fn parameters_from_spec(spec: &eva_core::ParameterSpec) -> Result<CkksParameters, EvaError> {
     // Build the context from the *actual primes* the compiler selected
     // and annotated exact scales against — regenerating primes from bit
-    // sizes here would break the bit-identity between the compiler's
-    // scale predictions and the evaluator's observations. The bit-size
-    // path remains as a fallback for hand-built specs without primes.
-    if !spec.data_primes.is_empty() {
-        CkksParameters::from_primes(
-            spec.degree,
-            &spec.data_primes,
-            spec.special_prime,
-            spec.secure,
-        )
-    } else if spec.secure {
-        CkksParameters::with_special_prime_bits(
-            spec.degree,
-            &spec.data_prime_bits,
-            spec.special_prime_bits,
-        )
-    } else {
-        CkksParameters::new_insecure(spec.degree, &spec.data_prime_bits, spec.special_prime_bits)
-    }
+    // sizes would break the bit-identity between the compiler's scale
+    // predictions and the evaluator's observations.
+    CkksParameters::from_primes(
+        spec.degree,
+        &spec.data_primes,
+        spec.special_prime,
+        spec.secure,
+    )
     .map_err(|e| EvaError::Execution(format!("invalid encryption parameters: {e}")))
-}
-
-/// Whether the compiled program contains a RELINEARIZE instruction (and hence
-/// needs a relinearization key).
-pub fn needs_relinearization(compiled: &CompiledProgram) -> bool {
-    compiled.program.nodes().iter().any(|n| {
-        matches!(
-            n.kind,
-            NodeKind::Instruction {
-                op: Opcode::Relinearize,
-                ..
-            }
-        )
-    })
 }
 
 impl EvaluationContext {
@@ -534,7 +510,7 @@ impl EncryptedContext {
         // `create_evaluation_keys` documents.
         let _public_key = keygen.create_public_key();
         let (relin_key, galois_keys) = keygen
-            .create_evaluation_keys(needs_relinearization(compiled), &compiled.rotation_steps);
+            .create_evaluation_keys(compiled.needs_relinearization(), &compiled.rotation_steps);
 
         let secret_key = keygen.secret_key().clone();
         let encryptor = match seed {
@@ -735,6 +711,20 @@ mod tests {
 
     fn close(a: &[f64], b: &[f64], tol: f64) -> bool {
         a.iter().zip(b).all(|(x, y)| (x - y).abs() < tol)
+    }
+
+    #[test]
+    fn a_spec_without_primes_is_refused() {
+        let mut p = Program::new("sq", 8);
+        let x = p.input_cipher("x", 30);
+        let sq = p.instruction(Op::Multiply, &[x, x]);
+        p.output("out", sq, 30);
+        let mut spec = compile(&p, &CompilerOptions::default()).unwrap().parameters;
+        assert!(parameters_from_spec(&spec).is_ok());
+        spec.data_primes.clear();
+        let err = parameters_from_spec(&spec).unwrap_err();
+        assert!(matches!(err, EvaError::Execution(_)), "{err}");
+        assert!(err.to_string().contains("data prime"), "{err}");
     }
 
     #[test]

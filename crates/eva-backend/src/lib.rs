@@ -50,8 +50,8 @@ pub mod parallel;
 pub mod reference;
 
 pub use encrypted::{
-    needs_relinearization, parameters_from_spec, run_encrypted, EncryptedContext,
-    EvaluationContext, MemoryAudit, NodeValue,
+    parameters_from_spec, run_encrypted, EncryptedContext, EvaluationContext, MemoryAudit,
+    NodeValue,
 };
 pub use parallel::execute_parallel;
 pub use reference::run_reference;

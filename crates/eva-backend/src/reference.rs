@@ -22,7 +22,8 @@ use eva_core::{EvaError, NodeKind, Opcode, Program};
 /// # Errors
 ///
 /// Returns [`EvaError::Execution`] if an input is missing or has an
-/// incompatible length.
+/// incompatible length, and [`EvaError::InvalidProgram`] if the graph has a
+/// cycle.
 pub fn run_reference(
     program: &Program,
     inputs: &HashMap<String, Vec<f64>>,
@@ -30,7 +31,13 @@ pub fn run_reference(
     let size = program.vec_size();
     let mut values: Vec<Option<Vec<f64>>> = vec![None; program.len()];
 
-    for id in program.topological_order() {
+    let order = program.topological_order().map_err(|cyclic| {
+        EvaError::InvalidProgram(format!(
+            "program graph has a cycle through {} node(s)",
+            cyclic.len()
+        ))
+    })?;
+    for id in order {
         let node = program.node(id);
         let value = match &node.kind {
             NodeKind::Input { name } => {
@@ -141,6 +148,19 @@ mod tests {
         p.output("out", sq, 30);
         let result = run_reference(&p, &inputs(&[("x", vec![2.0, 3.0])])).unwrap();
         assert_eq!(result["out"], vec![4.0, 9.0, 4.0, 9.0, 4.0, 9.0, 4.0, 9.0]);
+    }
+
+    #[test]
+    fn cyclic_programs_are_errors() {
+        let mut p = Program::new("cyclic", 8);
+        let x = p.input_cipher("x", 30);
+        let sq = p.instruction(Opcode::Multiply, &[x, x]);
+        let sum = p.instruction(Opcode::Add, &[sq, x]);
+        p.output("out", sum, 30);
+        p.replace_arg(sq, x, sum);
+        let p = eva_core::serialize::from_bytes(&eva_core::serialize::to_bytes(&p)).unwrap();
+        let err = run_reference(&p, &inputs(&[("x", vec![2.0])])).unwrap_err();
+        assert!(matches!(err, EvaError::InvalidProgram(_)), "{err}");
     }
 
     #[test]

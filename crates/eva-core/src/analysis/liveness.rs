@@ -43,7 +43,6 @@ use std::collections::BTreeSet;
 use crate::analysis::scale::{analyze_num_polys, remaining_levels};
 use crate::compiler::CompiledProgram;
 use crate::error::EvaError;
-use crate::types::Opcode;
 
 use super::schedule::Schedule;
 
@@ -129,11 +128,8 @@ pub fn predict_peak_memory(compiled: &CompiledProgram) -> Result<MemoryForecast,
 
 /// `(needs_relin + distinct Galois elements) · l · 2 · (l + 1) · N · 8`.
 fn key_bytes(compiled: &CompiledProgram) -> usize {
-    let program = &compiled.program;
     let degree = compiled.parameters.degree;
     let l = compiled.parameters.data_primes.len();
-    let needs_relin =
-        (0..program.nodes().len()).any(|id| program.opcode(id) == Some(Opcode::Relinearize));
     // The Galois element of a step is `5^step mod 2N` and 5 has order `N/2`
     // there, so steps share an automorphism — hence a key — exactly when
     // they are congruent modulo the slot count.
@@ -143,7 +139,7 @@ fn key_bytes(compiled: &CompiledProgram) -> usize {
         .iter()
         .map(|&step| step.rem_euclid(slots))
         .collect();
-    (usize::from(needs_relin) + elements.len())
+    (usize::from(compiled.needs_relinearization()) + elements.len())
         * l
         * 2
         * (l + 1)

@@ -1,5 +1,10 @@
 //! Analysis passes: graph traversals that compute per-node facts without
 //! modifying the graph (paper Section 6).
+//!
+//! Each walks [`Program::topological_order`](crate::Program::topological_order)
+//! — the one Kahn sort, which the verifier's `acyclic` check also runs —
+//! and reads [`Program::uses`](crate::Program::uses) and
+//! [`Program::live_mask`](crate::Program::live_mask) directly.
 
 // The analysis API is a documented contract (docs/ANALYSIS.md): the service
 // layer gates untrusted program load on it, so missing docs here are errors
@@ -7,7 +12,6 @@
 #![deny(missing_docs)]
 
 pub mod cost;
-pub mod dataflow;
 pub mod liveness;
 pub mod noise;
 pub mod parameters;
@@ -17,7 +21,6 @@ pub mod schedule;
 pub mod verifier;
 
 pub use cost::{estimate_cost, CostModel, CostReport};
-pub use dataflow::{kahn_order, value_numbers, Dataflow};
 pub use liveness::{predict_peak_memory, MemoryForecast};
 pub use noise::{
     check_noise, estimate_noise, NoiseModel, NoiseReport, OutputBudget, DEFAULT_SAFETY_MARGIN_BITS,

@@ -270,6 +270,11 @@ impl NoiseReport {
 /// underflow the prime chain. Out-of-budget levels saturate rather than
 /// panic, so running the estimator on an unverified program is safe but its
 /// numbers are only meaningful after verification.
+///
+/// # Panics
+///
+/// Panics if the graph has a cycle, which the verifier's `acyclic` check
+/// refuses and no compiled program has.
 pub fn estimate_noise(compiled: &CompiledProgram) -> NoiseReport {
     let program = &compiled.program;
     let spec = &compiled.parameters;
@@ -332,7 +337,10 @@ pub fn estimate_noise(compiled: &CompiledProgram) -> NoiseReport {
         program.len()
     ];
 
-    for id in program.topological_order() {
+    let order = program
+        .topological_order()
+        .expect("acyclic: compiled programs pass the verifier's cycle check");
+    for id in order {
         let node = program.node(id);
         let state = match &node.kind {
             NodeKind::Input { .. } => {

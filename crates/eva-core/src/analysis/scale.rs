@@ -9,10 +9,11 @@
 //! propagating, so every caller sees the same facts:
 //!
 //! * the [verifier](crate::analysis::verifier) pushes each finding as a
-//!   diagnostic, over its own cycle-safe order;
+//!   diagnostic, over the order its structural pass computed;
 //! * the public wrappers below ([`analyze_scales`], [`analyze_exact_scales`],
 //!   [`analyze_levels`], [`remaining_levels`]) run over
-//!   [`Program::topological_order`] and return their first fatal finding as
+//!   [`Program::topological_order`], refuse a cyclic graph as
+//!   [`EvaError::InvalidProgram`] and return their first fatal finding as
 //!   [`EvaError::Validation`];
 //! * the exact match-scale pass ([`crate::passes::apply_exact_scales`]) turns
 //!   a finding into an error;
@@ -283,10 +284,26 @@ fn first_fatal<T>(
     first.map_or(Ok(value), |message| Err(EvaError::Validation(message)))
 }
 
-/// `scale_of` over every node in [`Program::topological_order`].
-fn propagate_scales(program: &Program, phase: &Phase<'_>, report: Sink<'_>) -> Vec<f64> {
+/// [`Program::topological_order`], with a cycle refused as
+/// [`EvaError::InvalidProgram`].
+pub(crate) fn acyclic_order(program: &Program) -> Result<Vec<NodeId>, EvaError> {
+    program.topological_order().map_err(|cyclic| {
+        EvaError::InvalidProgram(format!(
+            "program graph has a cycle through {} node(s)",
+            cyclic.len()
+        ))
+    })
+}
+
+/// `scale_of` over every node of `order`.
+fn propagate_scales(
+    program: &Program,
+    order: &[NodeId],
+    phase: &Phase<'_>,
+    report: Sink<'_>,
+) -> Vec<f64> {
     let mut scales = vec![0.0f64; program.len()];
-    for id in program.topological_order() {
+    for &id in order {
         scales[id] = scale_of(program, id, &scales, phase, report);
     }
     scales
@@ -304,11 +321,13 @@ fn propagate_scales(program: &Program, phase: &Phase<'_>, report: Sink<'_>) -> V
 /// # Errors
 ///
 /// Returns [`EvaError::Validation`] if a RESCALE divides by more bits than its
-/// operand's scale has.
+/// operand's scale has, and [`EvaError::InvalidProgram`] if the graph has a
+/// cycle.
 pub fn analyze_scales(program: &mut Program) -> Result<Vec<f64>, EvaError> {
+    let order = acyclic_order(program)?;
     let scales = first_fatal(
         |check| check == Check::RescaleBounds,
-        |report| propagate_scales(program, &Phase::Nominal, report),
+        |report| propagate_scales(program, &order, &Phase::Nominal, report),
     )?;
     for (id, &scale) in scales.iter().enumerate() {
         program.set_scale_log2(id, scale);
@@ -338,9 +357,11 @@ pub fn prime_log2s(data_primes: &[u64]) -> Vec<f64> {
 /// Returns [`EvaError::Validation`] if the rescale chains do not conform, a
 /// cipher-cipher ADD/SUB has operands whose exact scales are not
 /// bit-identical (the exact match-scale pass should have corrected them
-/// first), or a node's rescale chain is longer than the prime chain.
+/// first), or a node's rescale chain is longer than the prime chain, and
+/// [`EvaError::InvalidProgram`] if the graph has a cycle.
 pub fn analyze_exact_scales(program: &Program, data_primes: &[u64]) -> Result<Vec<f64>, EvaError> {
     let chains = analyze_levels(program)?;
+    let order = acyclic_order(program)?;
     let log_primes = prime_log2s(data_primes);
     let live = program.live_mask();
     let phase = Phase::Exact {
@@ -348,7 +369,10 @@ pub fn analyze_exact_scales(program: &Program, data_primes: &[u64]) -> Result<Ve
         chains: &chains,
         live: &live,
     };
-    first_fatal(|_| true, |report| propagate_scales(program, &phase, report))
+    first_fatal(
+        |_| true,
+        |report| propagate_scales(program, &order, &phase, report),
+    )
 }
 
 /// Solves for a `log2`-domain correction `delta` such that
@@ -390,17 +414,25 @@ pub fn match_scale_delta(source: f64, target: f64) -> Option<f64> {
 ///
 /// # Errors
 ///
-/// Returns [`EvaError::Validation`] if any node has non-conforming chains.
+/// Returns [`EvaError::Validation`] if any node has non-conforming chains,
+/// and [`EvaError::InvalidProgram`] if the graph has a cycle.
 pub fn analyze_levels(program: &Program) -> Result<Vec<Vec<ChainEntry>>, EvaError> {
-    let order = program.topological_order();
+    let order = acyclic_order(program)?;
     first_fatal(|_| true, |report| propagate_chains(program, &order, report))
 }
 
 /// Computes the number of polynomials of every cipher node's ciphertext
 /// (paper Constraint 3): fresh ciphertexts have 2, a cipher-cipher MULTIPLY
 /// produces 3, RELINEARIZE brings it back to 2.
+///
+/// # Panics
+///
+/// Panics if the graph has a cycle. Its callers — the verifier's semantic
+/// pass and the memory forecast — reach it only after a cycle check.
 pub fn analyze_num_polys(program: &Program) -> Vec<usize> {
-    let order = program.topological_order();
+    let order = program
+        .topological_order()
+        .expect("acyclic: checked before polynomial counts are taken");
     let mut polys = vec![2usize; program.len()];
     for id in order {
         let node = program.node(id);
@@ -432,7 +464,7 @@ pub fn chain_lengths(chains: &[Vec<ChainEntry>]) -> Vec<usize> {
 ///
 /// # Errors
 ///
-/// Propagates [`analyze_levels`] failures (non-conforming chains).
+/// Propagates [`analyze_levels`] failures (non-conforming chains, cycles).
 pub fn remaining_levels(program: &Program, max_level: usize) -> Result<Vec<usize>, EvaError> {
     Ok(analyze_levels(program)?
         .iter()

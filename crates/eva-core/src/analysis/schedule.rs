@@ -4,8 +4,9 @@
 //! The paper's executor (Section 6.1) is one rule — visit the DAG in
 //! dependence order, run a node once its parents are done, free a value
 //! once its last consumer has run. [`Schedule::new`] applies that rule once,
-//! over the [`Dataflow`] order, def-use chains and live set, and records the
-//! result as a list of [`Step`]s in serial execution order:
+//! over the program's topological order, use lists ([`Program::uses`]) and
+//! live set ([`Program::live_mask`]), and records the result as a list of
+//! [`Step`]s in serial execution order:
 //!
 //! * a step **materializes** the values that come into existence when its
 //!   node is reached: the node's own value, or — for the first-reached
@@ -36,7 +37,7 @@ use crate::error::EvaError;
 use crate::program::{NodeId, NodeKind, Program};
 use crate::types::Opcode;
 
-use super::dataflow::Dataflow;
+use super::scale::acyclic_order;
 
 /// A group of live cipher rotations sharing one source ciphertext, executed
 /// hoisted: one shared decomposition, one key apply per member.
@@ -120,19 +121,19 @@ impl Schedule {
     ///
     /// Returns [`EvaError::InvalidProgram`] if the graph has a cycle.
     pub fn new(program: &Program) -> Result<Self, EvaError> {
-        let df = Dataflow::try_new(program)?;
-        let live = df.live();
-        let consumers: Vec<Vec<NodeId>> = df
+        let order = acyclic_order(program)?;
+        let live = program.live_mask();
+        let consumers: Vec<Vec<NodeId>> = program
             .uses()
-            .iter()
-            .map(|users| users.iter().copied().filter(|&c| live[c]).collect())
+            .into_iter()
+            .map(|users| users.into_iter().filter(|&c| live[c]).collect())
             .collect();
         let mut use_counts: Vec<usize> = consumers.iter().map(Vec::len).collect();
         for output in program.outputs() {
             use_counts[output.node] += 1;
         }
 
-        let fanouts = group_rotation_fanouts(program, live);
+        let fanouts = group_rotation_fanouts(program, &live);
         let mut group_of = vec![None; program.len()];
         for (g, fanout) in fanouts.iter().enumerate() {
             for &(member, _) in &fanout.members {
@@ -144,7 +145,7 @@ impl Schedule {
         let mut remaining = use_counts.clone();
         let mut group_done = vec![false; fanouts.len()];
         let mut steps = Vec::new();
-        for &id in df.order().iter().filter(|&&id| live[id]) {
+        for id in order.into_iter().filter(|&id| live[id]) {
             let materializes = match group_of[id] {
                 _ if matches!(program.node(id).kind, NodeKind::Input { .. }) => Vec::new(),
                 None => vec![id],

@@ -126,6 +126,16 @@ impl Check {
             Check::Parameters => "parameters",
         }
     }
+
+    /// Whether the check guards the program's shape rather than its
+    /// arithmetic (`acyclic`, `arg-indices`, `outputs`, `constants`): a
+    /// program failing one is malformed, and `compile` refuses it as input.
+    pub fn is_structural(self) -> bool {
+        matches!(
+            self,
+            Check::Acyclic | Check::ArgIndices | Check::Outputs | Check::Constants
+        )
+    }
 }
 
 impl std::fmt::Display for Check {
@@ -430,13 +440,10 @@ impl<'a> Verifier<'a> {
             return false;
         }
 
-        // Cycle check: the shared Kahn ordering from `analysis::dataflow`
-        // (used here rather than `Program::topological_order`, which assumes
-        // — and debug-asserts — acyclicity, precisely what an untrusted
-        // decoded program may violate). Sharing the implementation keeps the
-        // verifier and every dataflow-driven optimizer pass iterating in the
-        // same proven order.
-        match crate::analysis::dataflow::kahn_order(program) {
+        // Cycle check: the program's one topological order, which reports
+        // the nodes a cycle blocks instead of assuming a DAG. The semantic
+        // pass walks the same order every rewrite pass walks.
+        match program.topological_order() {
             Ok(order) => self.order = order,
             Err(mut cyclic) => {
                 let stuck = cyclic.len();

@@ -14,6 +14,7 @@ use crate::passes::{
     insert_lazy_modswitch, insert_match_scale, insert_relinearize, insert_waterline_rescale,
 };
 use crate::program::Program;
+use crate::types::Opcode;
 
 /// Which RESCALE insertion strategy to use (paper Section 5.3).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -129,6 +130,14 @@ impl CompiledProgram {
         self.program.name()
     }
 
+    /// Whether the program contains a RELINEARIZE instruction, and so needs
+    /// a relinearization key next to the Galois keys of
+    /// [`CompiledProgram::rotation_steps`].
+    pub fn needs_relinearization(&self) -> bool {
+        let program = &self.program;
+        (0..program.len()).any(|id| program.opcode(id) == Some(Opcode::Relinearize))
+    }
+
     /// Renders the compiled graph in Graphviz DOT syntax, annotated with the
     /// facts the static analyses computed: each node label carries its
     /// opcode, level (remaining primes), exact `log2` scale and worst-case
@@ -192,10 +201,16 @@ fn optimizer_guard(
 /// Compiles an input EVA program (paper Algorithm 1, preceded by this
 /// reproduction's analysis-driven optimizer).
 ///
-/// First, when [`CompilerOptions::optimize`] is set, the optimization passes
-/// run — rotation canonicalization, global common-subexpression elimination,
-/// baby-step/giant-step rotation factoring and dead-code elimination, each
-/// re-checked by the IR verifier. The transformation step
+/// First, the input gate: [`verify_program`] runs once on the input, and a
+/// program failing one of its structural checks (`acyclic`, `arg-indices`,
+/// `outputs`, `constants`) is refused, as is one containing a compiler-only
+/// instruction (RESCALE, MODSWITCH, RELINEARIZE). This holds even when the
+/// offending node is dead. The remaining findings of that report are the
+/// optimizer's baseline. Then, when [`CompilerOptions::optimize`] is set,
+/// the optimization passes run — rotation canonicalization, global
+/// common-subexpression elimination, baby-step/giant-step rotation
+/// factoring and dead-code elimination — and after each the verifier checks
+/// that no error class outside the baseline appeared. The transformation step
 /// then applies, in order: RESCALE insertion, MODSWITCH insertion,
 /// MATCH-SCALE and RELINEARIZE. The transformed program is checked against
 /// Constraints 1–4 by [`verify_program`] — if it fails the compiler returns
@@ -214,12 +229,31 @@ fn optimizer_guard(
 ///
 /// # Errors
 ///
-/// Returns [`EvaError`] if the input program is malformed, an optimizer
-/// pass introduces a new verifier error class, a constraint is violated
-/// after transformation, or no supported ring degree can hold the required
-/// coefficient modulus.
+/// Returns [`EvaError::InvalidProgram`] if the input gate refuses the
+/// program, carrying every structural finding (each prefixed with its check
+/// name) or the first compiler-only instruction. Returns another
+/// [`EvaError`] if an optimizer pass introduces a new verifier error class,
+/// a constraint is violated after transformation, or no supported ring
+/// degree can hold the required coefficient modulus.
 pub fn compile(input: &Program, options: &CompilerOptions) -> Result<CompiledProgram, EvaError> {
-    input.validate_as_input()?;
+    // The input gate: a program the verifier finds structurally broken is
+    // not navigable by the passes below, so it is refused before any runs.
+    let report = verify_program(input, options.max_rescale_bits);
+    let structural: Vec<String> = report
+        .errors()
+        .filter(|d| d.check.is_structural())
+        .map(|d| format!("[{}] {}", d.check, d.message))
+        .collect();
+    if !structural.is_empty() {
+        return Err(EvaError::InvalidProgram(structural.join("; ")));
+    }
+    for id in 0..input.len() {
+        if let Some(op) = input.opcode(id).filter(|op| !op.allowed_in_input()) {
+            return Err(EvaError::InvalidProgram(format!(
+                "instruction node {id} uses compiler-only opcode {op}"
+            )));
+        }
+    }
     let mut program = input.clone();
 
     // Analysis-driven optimization passes (this reproduction's addition to
@@ -231,10 +265,7 @@ pub fn compile(input: &Program, options: &CompilerOptions) -> Result<CompiledPro
     let mut rotations_canonicalized = 0;
     let mut rotations_factored = 0;
     if options.optimize {
-        let baseline: HashSet<Check> = verify_program(&program, options.max_rescale_bits)
-            .errors()
-            .map(|d| d.check)
-            .collect();
+        let baseline: HashSet<Check> = report.errors().map(|d| d.check).collect();
         let guard = |program: &Program, pass: &str| {
             optimizer_guard(program, options.max_rescale_bits, &baseline, pass)
         };
@@ -312,8 +343,7 @@ pub fn compile(input: &Program, options: &CompilerOptions) -> Result<CompiledPro
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::program::Program;
-    use crate::types::Opcode;
+    use crate::types::ValueType;
 
     /// The paper's Figure 2 running example.
     fn x2y3() -> Program {
@@ -344,12 +374,47 @@ mod tests {
 
     #[test]
     fn compile_rejects_invalid_input() {
-        let mut p = Program::new("empty", 8);
-        p.input_cipher("x", 30);
-        assert!(matches!(
-            compile(&p, &CompilerOptions::default()),
-            Err(EvaError::InvalidProgram(_))
-        ));
+        let refusal = |p: &Program, options: &CompilerOptions| match compile(p, options) {
+            Err(EvaError::InvalidProgram(message)) => message,
+            other => panic!("expected InvalidProgram, got {other:?}"),
+        };
+        let both = [CompilerOptions::default(), CompilerOptions::unoptimized()];
+
+        // A program without outputs and one with a compiler-only opcode are
+        // refused too; `program.rs`'s `input_validation_*` tests cover them.
+        let mut twice = Program::new("twice", 8);
+        let x = twice.input_cipher("x", 30);
+        twice.output("out", x, 30);
+        twice.output("out", x, 30);
+        for options in &both {
+            assert!(refusal(&twice, options).contains("[outputs] duplicate output name"));
+        }
+
+        // A two-node cycle, as a decoded `.evaprog` can carry one: the gate
+        // refuses it before any pass walks a partial order.
+        let mut cyclic = Program::new("cyclic", 8);
+        let x = cyclic.input_cipher("x", 30);
+        let sq = cyclic.instruction(Opcode::Multiply, &[x, x]);
+        let sum = cyclic.instruction(Opcode::Add, &[sq, x]);
+        cyclic.output("out", sum, 30);
+        cyclic.replace_arg(sq, x, sum);
+        let cyclic = crate::serialize::from_bytes(&crate::serialize::to_bytes(&cyclic)).unwrap();
+        for options in &both {
+            assert!(refusal(&cyclic, options).contains("[acyclic]"));
+        }
+
+        // A Cipher-typed ADD of two plaintext operands lies about its type;
+        // it is refused even though no output reads it.
+        let mut retyped = Program::new("retyped", 8);
+        let x = retyped.input_cipher("x", 30);
+        let v = retyped.input_vector("v", 30);
+        let w = retyped.input_vector("w", 30);
+        let sq = retyped.instruction(Opcode::Multiply, &[x, x]);
+        retyped.push_instruction(Opcode::Add, vec![v, w], ValueType::Cipher);
+        retyped.output("out", sq, 30);
+        for options in &both {
+            assert!(refusal(&retyped, options).contains("[arg-indices]"));
+        }
     }
 
     #[test]

@@ -20,14 +20,13 @@
 //! The pass is bit-preserving: live nodes, their exact annotations and
 //! their topological execution order are unchanged.
 
-use crate::analysis::dataflow::kahn_order;
 use crate::program::{Node, NodeKind, Program};
 
 /// Removes every non-input node that does not reach an output, returning the
 /// number of nodes removed. Cyclic graphs are left untouched (the verifier
 /// gate reports the cycle instead).
 pub fn eliminate_dead_code(program: &mut Program) -> usize {
-    let Ok(order) = kahn_order(program) else {
+    let Ok(order) = program.topological_order() else {
         return 0;
     };
     let live = program.live_mask();

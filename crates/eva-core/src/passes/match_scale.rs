@@ -17,7 +17,9 @@
 //!   lower-scale operand by `1` at a delta solved to make the exact scales
 //!   bit-identical, then stamps every node with its exact scale annotation.
 
-use crate::analysis::scale::{analyze_levels, match_scale_delta, prime_log2s, scale_of, Phase};
+use crate::analysis::scale::{
+    acyclic_order, analyze_levels, match_scale_delta, prime_log2s, scale_of, Phase,
+};
 use crate::analysis::ParameterSpec;
 use crate::error::EvaError;
 use crate::passes::GraphEditor;
@@ -28,7 +30,9 @@ use crate::types::{ConstantValue, Opcode};
 /// scales differ, multiply the smaller-scale operand by a constant `1` encoded
 /// at the scale difference. Returns the number of fixes inserted.
 pub fn insert_match_scale(program: &mut Program) -> usize {
-    let order = program.topological_order();
+    let Ok(order) = program.topological_order() else {
+        return 0;
+    };
     let mut editor = GraphEditor::new(program);
     let mut scales = vec![0.0f64; editor.len()];
     let mut inserted = 0;
@@ -86,7 +90,7 @@ pub fn insert_match_scale(program: &mut Program) -> usize {
 pub fn apply_exact_scales(program: &mut Program, spec: &ParameterSpec) -> Result<usize, EvaError> {
     let chains = analyze_levels(program)?;
     let log_primes = prime_log2s(&spec.data_primes);
-    let order = program.topological_order();
+    let order = acyclic_order(program)?;
     let live = program.live_mask();
     // Correction nodes are appended after every original id and are never
     // RESCALEs, so the precomputed chains and live mask stay valid for every

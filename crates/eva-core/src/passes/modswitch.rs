@@ -28,7 +28,9 @@ fn consumes_modulus(program: &Program, id: NodeId) -> bool {
 /// that equalizes the reverse levels of all ciphertext roots. Returns the
 /// number of MODSWITCH nodes inserted.
 pub fn insert_eager_modswitch(program: &mut Program) -> usize {
-    let order = program.topological_order();
+    let Ok(order) = program.topological_order() else {
+        return 0;
+    };
     let mut editor = GraphEditor::new(program);
     // rlevel(n): conforming rescale-chain length of n in the transpose graph,
     // i.e. how many RESCALE/MODSWITCH nodes lie below n on every path.
@@ -93,7 +95,9 @@ pub fn insert_eager_modswitch(program: &mut Program) -> usize {
 /// MODSWITCH nodes directly on the higher-level... lower-level operand edge
 /// until the levels match. Returns the number of MODSWITCH nodes inserted.
 pub fn insert_lazy_modswitch(program: &mut Program) -> usize {
-    let order = program.topological_order();
+    let Ok(order) = program.topological_order() else {
+        return 0;
+    };
     let mut editor = GraphEditor::new(program);
     // level(n): number of RESCALE/MODSWITCH nodes above n (forward).
     let mut level: Vec<usize> = vec![0; editor.len()];

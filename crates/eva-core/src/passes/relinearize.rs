@@ -13,7 +13,9 @@ use crate::types::Opcode;
 /// Inserts RELINEARIZE after every ciphertext-ciphertext multiplication
 /// (Figure 4). Returns the number of nodes inserted.
 pub fn insert_relinearize(program: &mut Program) -> usize {
-    let order = program.topological_order();
+    let Ok(order) = program.topological_order() else {
+        return 0;
+    };
     let mut editor = GraphEditor::new(program);
     let mut inserted = 0;
     for id in order {

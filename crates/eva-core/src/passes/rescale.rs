@@ -29,7 +29,9 @@ fn waterline(program: &Program) -> f64 {
 pub fn insert_waterline_rescale(program: &mut Program, max_rescale_bits: u32) -> usize {
     let sw = waterline(program);
     let sf = f64::from(max_rescale_bits);
-    let order = program.topological_order();
+    let Ok(order) = program.topological_order() else {
+        return 0;
+    };
     let mut editor = GraphEditor::new(program);
     let mut scales = vec![0.0f64; editor.len()];
     let mut inserted = 0;
@@ -70,7 +72,9 @@ pub fn insert_waterline_rescale(program: &mut Program, max_rescale_bits: u32) ->
 /// only as a baseline; EVA itself uses [`insert_waterline_rescale`]. Returns
 /// the number of RESCALE nodes inserted.
 pub fn insert_always_rescale(program: &mut Program) -> usize {
-    let order = program.topological_order();
+    let Ok(order) = program.topological_order() else {
+        return 0;
+    };
     let mut editor = GraphEditor::new(program);
     let mut scales = vec![0.0f64; editor.len()];
     let mut inserted = 0;

@@ -41,7 +41,6 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use crate::analysis::dataflow::kahn_order;
 use crate::program::{NodeKind, Program};
 use crate::types::{ConstantValue, Opcode};
 
@@ -66,7 +65,7 @@ struct Term {
 /// or non-power-of-two-vector programs are left untouched.
 pub fn factor_rotation_sums(program: &mut Program) -> usize {
     let vs = program.vec_size() as i64;
-    if !program.vec_size().is_power_of_two() || kahn_order(program).is_err() {
+    if !program.vec_size().is_power_of_two() || program.topological_order().is_err() {
         return 0;
     }
 
@@ -393,7 +392,7 @@ mod tests {
     fn eval(p: &Program, inputs: &HashMap<String, Vec<f64>>) -> HashMap<String, Vec<f64>> {
         let vs = p.vec_size();
         let mut values: Vec<Option<Vec<f64>>> = vec![None; p.len()];
-        for id in kahn_order(p).unwrap() {
+        for id in p.topological_order().unwrap() {
             let value = match &p.node(id).kind {
                 NodeKind::Input { name } => inputs[name].clone(),
                 NodeKind::Constant { value } => value.to_vector(vs),

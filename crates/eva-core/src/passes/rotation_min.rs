@@ -21,7 +21,6 @@
 //! every compiled artifact and the optimizer proptests assert tolerance
 //! equality rather than bit equality for this pass.
 
-use crate::analysis::dataflow::kahn_order;
 use crate::analysis::rotations::canonical_left_step;
 use crate::program::{NodeKind, Program};
 use crate::types::Opcode;
@@ -30,7 +29,7 @@ use crate::types::Opcode;
 /// rotations, and merges single-use composed rotations. Returns the number
 /// of rewrites performed.
 pub fn canonicalize_rotations(program: &mut Program) -> usize {
-    let Ok(order) = kahn_order(program) else {
+    let Ok(order) = program.topological_order() else {
         return 0;
     };
     let size = program.vec_size() as i64;

@@ -2,7 +2,6 @@
 //! (paper Section 3), together with the traversal helpers the compiler's
 //! analysis and rewriting frameworks are built on (Sections 5.1 and 6.1).
 
-use crate::error::EvaError;
 use crate::types::{ConstantValue, Opcode, ValueType};
 
 /// Identifier of a node inside a [`Program`].
@@ -280,12 +279,20 @@ impl Program {
         uses
     }
 
-    /// A topological ordering of all nodes (parents before children).
+    /// A topological ordering of all nodes (parents before children),
+    /// computed with Kahn's algorithm: the ready queue is seeded in ascending
+    /// node id and drained first in, first out.
     ///
     /// Node ids are already topologically ordered for programs built through
-    /// this API, but compiler passes append nodes out of order, so an explicit
-    /// ordering is computed from the edges.
-    pub fn topological_order(&self) -> Vec<NodeId> {
+    /// this API, but compiler passes append nodes out of order and decoded or
+    /// hand-mutated programs may not be acyclic at all, so the ordering is
+    /// computed from the edges and never assumed.
+    ///
+    /// # Errors
+    ///
+    /// Returns the ids of the nodes stuck on (or behind) a cycle, in
+    /// ascending order, when the graph is not a DAG.
+    pub fn topological_order(&self) -> Result<Vec<NodeId>, Vec<NodeId>> {
         let mut in_degree: Vec<usize> = self
             .nodes
             .iter()
@@ -314,8 +321,13 @@ impl Program {
                 }
             }
         }
-        debug_assert_eq!(order.len(), self.nodes.len(), "program graph has a cycle");
-        order
+        if order.len() < self.nodes.len() {
+            // A node never reached still waits for a parent.
+            return Err((0..self.nodes.len())
+                .filter(|&id| in_degree[id] > 0)
+                .collect());
+        }
+        Ok(order)
     }
 
     /// Returns, for every node, whether it can reach a program output (is
@@ -345,8 +357,14 @@ impl Program {
 
     /// Multiplicative depth of the program: the maximum number of MULTIPLY
     /// nodes on any root-to-output path (paper Section 2.2).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the graph has a cycle, which has no depth.
     pub fn multiplicative_depth(&self) -> usize {
-        let order = self.topological_order();
+        let order = self
+            .topological_order()
+            .expect("the multiplicative depth needs an acyclic program graph");
         let mut depth = vec![0usize; self.nodes.len()];
         let mut max_depth = 0;
         for id in order {
@@ -356,70 +374,6 @@ impl Program {
             max_depth = max_depth.max(depth[id]);
         }
         max_depth
-    }
-
-    /// Checks that the program is a well-formed *input* program: every
-    /// instruction uses only frontend-permitted opcodes, arguments exist, and
-    /// every output refers to an existing node.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`EvaError::InvalidProgram`] describing the first violation.
-    pub fn validate_as_input(&self) -> Result<(), EvaError> {
-        if self.outputs.is_empty() {
-            return Err(EvaError::InvalidProgram(
-                "program declares no outputs".into(),
-            ));
-        }
-        for (id, node) in self.nodes.iter().enumerate() {
-            match &node.kind {
-                NodeKind::Constant { value } => {
-                    if node.ty.is_cipher() {
-                        return Err(EvaError::InvalidProgram(format!(
-                            "constant node {id} cannot have Cipher type"
-                        )));
-                    }
-                    if let ConstantValue::Vector(v) = value {
-                        if v.len() > self.vec_size {
-                            return Err(EvaError::InvalidProgram(format!(
-                                "constant node {id} is longer than the program vector size"
-                            )));
-                        }
-                    }
-                }
-                NodeKind::Instruction { op, args } => {
-                    if !op.allowed_in_input() {
-                        return Err(EvaError::InvalidProgram(format!(
-                            "instruction node {id} uses compiler-only opcode {op}"
-                        )));
-                    }
-                    if args.len() != op.arity() {
-                        return Err(EvaError::InvalidProgram(format!(
-                            "instruction node {id} has {} arguments, {op} expects {}",
-                            args.len(),
-                            op.arity()
-                        )));
-                    }
-                    for &arg in args {
-                        if arg >= self.nodes.len() {
-                            return Err(EvaError::InvalidProgram(format!(
-                                "instruction node {id} references missing node {arg}"
-                            )));
-                        }
-                    }
-                }
-                NodeKind::Input { .. } => {}
-            }
-        }
-        for output in &self.outputs {
-            if output.node >= self.nodes.len() {
-                return Err(EvaError::InvalidProgram(format!(
-                    "output {} references missing node {}",
-                    output.name, output.node
-                )));
-            }
-        }
-        Ok(())
     }
 
     /// Renders the program graph in Graphviz DOT syntax (mirroring PyEVA's
@@ -647,6 +601,7 @@ impl std::fmt::Display for Program {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::error::EvaError;
 
     fn x2_plus_x() -> Program {
         let mut p = Program::new("x2_plus_x", 8);
@@ -668,7 +623,6 @@ mod tests {
         assert!(p.is_cipher_root(0));
         assert!(!p.is_cipher_root(1));
         assert_eq!(p.multiplicative_depth(), 1);
-        assert!(p.validate_as_input().is_ok());
     }
 
     #[test]
@@ -688,11 +642,25 @@ mod tests {
         let uses = p.uses();
         assert_eq!(uses[0], vec![1, 2]); // x used by the multiply and the add
         assert_eq!(uses[1], vec![2]);
-        let order = p.topological_order();
+        let order = p.topological_order().unwrap();
         assert_eq!(order.len(), 3);
         let pos = |id: NodeId| order.iter().position(|&n| n == id).unwrap();
         assert!(pos(0) < pos(1));
         assert!(pos(1) < pos(2));
+    }
+
+    #[test]
+    fn topological_order_reports_cyclic_nodes() {
+        let mut p = x2_plus_x();
+        let neg = p.instruction(Opcode::Negate, &[2]);
+        // The multiply now reads the add, which reads the multiply.
+        p.replace_arg(1, 0, 2);
+        let cyclic = p.topological_order().unwrap_err();
+        assert_eq!(
+            cyclic,
+            vec![1, 2, neg],
+            "the cycle and everything behind it"
+        );
     }
 
     #[test]
@@ -707,21 +675,38 @@ mod tests {
         assert_eq!(p.multiplicative_depth(), 3);
     }
 
+    /// The message `compile`'s input gate refuses `p` with, under both the
+    /// default and the unoptimized options.
+    fn input_refusals(p: &Program) -> Vec<String> {
+        use crate::compiler::{compile, CompilerOptions};
+        [CompilerOptions::default(), CompilerOptions::unoptimized()]
+            .iter()
+            .map(|options| match compile(p, options) {
+                Err(EvaError::InvalidProgram(message)) => message,
+                other => panic!("expected InvalidProgram, got {other:?}"),
+            })
+            .collect()
+    }
+
     #[test]
     fn input_validation_rejects_compiler_opcodes() {
+        // Maintenance instructions are the compiler's to insert.
         let mut p = Program::new("bad", 4);
         let x = p.input_cipher("x", 30);
         let r = p.push_instruction(Opcode::Rescale(60), vec![x], ValueType::Cipher);
         p.output("out", r, 30);
-        let err = p.validate_as_input().unwrap_err();
-        assert!(err.to_string().contains("compiler-only"));
+        for message in input_refusals(&p) {
+            assert!(message.contains("compiler-only"), "{message}");
+        }
     }
 
     #[test]
     fn input_validation_requires_outputs() {
         let mut p = Program::new("no_outputs", 4);
         p.input_cipher("x", 30);
-        assert!(p.validate_as_input().is_err());
+        for message in input_refusals(&p) {
+            assert!(message.contains("[outputs]"), "{message}");
+        }
     }
 
     #[test]

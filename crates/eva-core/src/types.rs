@@ -40,7 +40,7 @@ impl std::fmt::Display for ValueType {
 /// accepted from frontends.
 ///
 /// `Eq`/`Hash` are sound because no variant carries floating-point payload;
-/// value numbering (`analysis::dataflow`) keys hash tables on opcodes.
+/// value numbering (in `passes::cse`) keys hash tables on opcodes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Opcode {
     /// Negate each element of the argument.

@@ -118,7 +118,18 @@ impl ProgramBuilder {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use eva_core::{compile, CompilerOptions};
+    use eva_core::{compile, verify_program, CompilerOptions};
+
+    /// No error from the verifier's structural checks: the program is one
+    /// `compile` accepts as input (raw programs may still fail scale checks
+    /// the compiler's passes repair).
+    fn assert_structurally_sound(program: &Program) {
+        let report = verify_program(program, 60);
+        assert!(
+            !report.errors().any(|d| d.check.is_structural()),
+            "{report}"
+        );
+    }
 
     #[test]
     fn sobel_like_program_compiles() {
@@ -141,7 +152,7 @@ mod tests {
         let energy = &ix * &ix;
         b.output("edges", energy, 30);
         let program = b.build();
-        assert!(program.validate_as_input().is_ok());
+        assert_structurally_sound(&program);
         let compiled = compile(&program, &CompilerOptions::default()).unwrap();
         assert!(!compiled.rotation_steps.is_empty());
     }
@@ -159,7 +170,7 @@ mod tests {
         let program = b.build();
         assert_eq!(program.len(), 9);
         assert_eq!(program.outputs().len(), 1);
-        assert!(program.validate_as_input().is_ok());
+        assert_structurally_sound(&program);
     }
 
     #[test]

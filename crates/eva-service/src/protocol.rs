@@ -36,7 +36,7 @@
 use std::collections::HashMap;
 use std::io::{Read, Write};
 
-use eva_backend::{needs_relinearization, NodeValue};
+use eva_backend::NodeValue;
 use eva_ckks::{Ciphertext, CkksContext, GaloisKeys, RelinearizationKey, SeededCiphertext};
 use eva_core::{CompiledProgram, NodeKind, ValueType};
 use eva_wire::{KeyFingerprint, Reader, WireError, WireObject, Writer};
@@ -142,7 +142,7 @@ impl ProgramManifest {
             data_primes: compiled.parameters.data_primes.clone(),
             special_prime: compiled.parameters.special_prime,
             secure: compiled.parameters.secure,
-            needs_relin: needs_relinearization(compiled),
+            needs_relin: compiled.needs_relinearization(),
             rotation_steps: compiled.rotation_steps.clone(),
             inputs,
             outputs,

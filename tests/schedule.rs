@@ -231,7 +231,7 @@ fn lenet_census_one_reduction_tree_per_fully_connected_layer() {
 /// `u32` gather table per Galois key — there is no second resident form.
 #[test]
 fn forecast_key_bytes_equal_the_resident_key_rows() {
-    use eva::backend::{needs_relinearization, parameters_from_spec};
+    use eva::backend::parameters_from_spec;
     use eva::ckks::{CkksContext, KeyGenerator};
 
     let mut x2_plus_x = Program::new("x2_plus_x", 8);
@@ -246,7 +246,7 @@ fn forecast_key_bytes_equal_the_resident_key_rows() {
             CkksContext::new(parameters_from_spec(&compiled.parameters).unwrap()).unwrap();
         let mut keygen = KeyGenerator::from_seed(context.clone(), 5);
         let (relin, galois) = keygen
-            .create_evaluation_keys(needs_relinearization(&compiled), &compiled.rotation_steps);
+            .create_evaluation_keys(compiled.needs_relinearization(), &compiled.rotation_steps);
         let resident = relin.map_or(0, |k| k.resident_bytes()) + galois.resident_bytes();
         let tables = galois.element_keys().len() * context.degree() * std::mem::size_of::<u32>();
 
