@@ -77,4 +77,4 @@ pub use encrypt::{Decryptor, Encryptor, SymmetricEncryptor};
 pub use error::CkksError;
 pub use evaluator::{Evaluator, KeySwitchDecomposition, KeySwitchScratch};
 pub use keys::{GaloisKeys, KeyGenerator, KeySwitchKey, PublicKey, RelinearizationKey, SecretKey};
-pub use params::{max_coeff_modulus_bits, minimal_degree_for_bits, CkksParameters, ParameterError};
+pub use params::{max_coeff_modulus_bits, CkksParameters, ParameterError};

@@ -6,37 +6,8 @@
 //! `log2 Q` for each ring degree at 128-bit security, exactly as SEAL does
 //! when it validates parameters.
 
+pub use eva_math::primes::max_coeff_modulus_bits;
 use eva_math::primes::{generate_ntt_primes, PrimeGenError};
-
-/// Maximum total bits of the coefficient modulus (including the special prime)
-/// admissible at 128-bit security for a given ring degree, following the
-/// HomomorphicEncryption.org security standard (and extrapolating one doubling
-/// for degree 65536, which the standard tables stop short of).
-pub fn max_coeff_modulus_bits(degree: usize) -> Option<u32> {
-    match degree {
-        1024 => Some(27),
-        2048 => Some(54),
-        4096 => Some(109),
-        8192 => Some(218),
-        16384 => Some(438),
-        32768 => Some(881),
-        65536 => Some(1762),
-        _ => None,
-    }
-}
-
-/// Returns the smallest supported ring degree whose 128-bit-security budget can
-/// accommodate `total_bits` bits of coefficient modulus.
-pub fn minimal_degree_for_bits(total_bits: u32) -> Option<usize> {
-    for degree in [1024usize, 2048, 4096, 8192, 16384, 32768, 65536] {
-        if let Some(max) = max_coeff_modulus_bits(degree) {
-            if total_bits <= max {
-                return Some(degree);
-            }
-        }
-    }
-    None
-}
 
 /// The standard security level targeted by every context in this crate.
 pub const SECURITY_BITS: u32 = 128;
@@ -358,9 +329,6 @@ mod tests {
         assert_eq!(max_coeff_modulus_bits(4096), Some(109));
         assert_eq!(max_coeff_modulus_bits(32768), Some(881));
         assert_eq!(max_coeff_modulus_bits(1000), None);
-        assert_eq!(minimal_degree_for_bits(100), Some(4096));
-        assert_eq!(minimal_degree_for_bits(360), Some(16384));
-        assert_eq!(minimal_degree_for_bits(5000), None);
     }
 
     #[test]

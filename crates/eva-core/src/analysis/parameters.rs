@@ -10,7 +10,7 @@
 use crate::analysis::scale::{analyze_levels, analyze_scales, ChainEntry};
 use crate::error::EvaError;
 use crate::program::Program;
-use eva_math::primes::generate_ntt_primes;
+use eva_math::primes::{generate_ntt_primes, max_coeff_modulus_bits};
 
 /// The encryption parameters the compiler hands to the backend.
 ///
@@ -72,21 +72,6 @@ fn split_scale_bits(total_bits: u32, max_bits: u32) -> Vec<u32> {
         .map(|i| if i < remainder { base + 1 } else { base })
         .map(|bits| bits.max(2))
         .collect()
-}
-
-/// Security table lookup shared with `eva-ckks`: the maximum total modulus
-/// bits admissible at 128-bit security for each supported degree.
-pub(crate) fn max_bits_for_degree(degree: usize) -> Option<u32> {
-    match degree {
-        1024 => Some(27),
-        2048 => Some(54),
-        4096 => Some(109),
-        8192 => Some(218),
-        16384 => Some(438),
-        32768 => Some(881),
-        65536 => Some(1762),
-        _ => None,
-    }
 }
 
 /// Selects encryption parameters for a validated, transformed program.
@@ -162,7 +147,7 @@ pub fn select_parameters(
         if candidate < min_degree_for_slots {
             continue;
         }
-        let Some(max) = max_bits_for_degree(candidate) else {
+        let Some(max) = max_coeff_modulus_bits(candidate) else {
             continue;
         };
         if total > max {

@@ -53,7 +53,6 @@
 
 use std::collections::HashSet;
 
-use crate::analysis::parameters::max_bits_for_degree;
 use crate::analysis::rotations::select_rotation_steps;
 use crate::analysis::scale::{analyze_num_polys, prime_log2s, propagate_chains, scale_of, Phase};
 use crate::compiler::CompiledProgram;
@@ -653,7 +652,7 @@ impl<'a> Verifier<'a> {
             );
             return;
         }
-        let Some(max_bits) = max_bits_for_degree(spec.degree) else {
+        let Some(max_bits) = eva_math::primes::max_coeff_modulus_bits(spec.degree) else {
             self.error(
                 Check::Parameters,
                 None,

@@ -10,7 +10,8 @@
 //!   outputs in `[0, 2q)`) that the hot kernels build on; see the module docs
 //!   for the range-invariant table.
 //! * [`primes`] — deterministic Miller–Rabin primality testing and generation
-//!   of NTT-friendly primes (`q ≡ 1 mod 2N`) of requested bit sizes.
+//!   of NTT-friendly primes (`q ≡ 1 mod 2N`) of requested bit sizes, and the
+//!   128-bit security table bounding their product per ring degree.
 //! * [`ntt`] — the negacyclic number-theoretic transform over `Z_q[X]/(X^N+1)`,
 //!   with Harvey lazy-reduction butterflies and SoA twiddle tables.
 //! * [`fft`] — a complex FFT over the canonical-embedding root ordering used by

@@ -3,9 +3,27 @@
 //! The RNS-CKKS coefficient modulus is a product of word-sized primes, each of
 //! which must satisfy `q ≡ 1 (mod 2N)` so that the negacyclic NTT of degree `N`
 //! exists modulo `q`. [`generate_ntt_primes`] produces distinct primes with the
-//! requested bit sizes, mirroring SEAL's `CoeffModulus::Create`.
+//! requested bit sizes, mirroring SEAL's `CoeffModulus::Create`, and
+//! [`max_coeff_modulus_bits`] bounds their product at 128-bit security.
 
 use crate::modulus::Modulus;
+
+/// Maximum total bits of the coefficient modulus (including the special prime)
+/// admissible at 128-bit security for a given ring degree, following the
+/// HomomorphicEncryption.org security standard (and extrapolating one doubling
+/// for degree 65536, which the standard tables stop short of).
+pub fn max_coeff_modulus_bits(degree: usize) -> Option<u32> {
+    match degree {
+        1024 => Some(27),
+        2048 => Some(54),
+        4096 => Some(109),
+        8192 => Some(218),
+        16384 => Some(438),
+        32768 => Some(881),
+        65536 => Some(1762),
+        _ => None,
+    }
+}
 
 /// Deterministic Miller–Rabin primality test, valid for all `u64` inputs.
 ///

@@ -40,8 +40,9 @@ impl ServiceError {
     /// protocol-violating traffic (a flipped bit or truncated frame corrupts
     /// what the peer *sent*, not what it *is*), locally-detected parameter
     /// corruption, and the server's explicitly retryable refusals (`busy:`
-    /// backpressure, `deadline:` stall disconnects, `quota:` exhaustion —
-    /// fresh sessions get fresh quotas — and `internal error` panics).
+    /// backpressure, `deadline:` stall disconnects, `quota:` refusals of a
+    /// frame header — a length corrupted in transit announces more than
+    /// the program's bound — and `internal error` panics).
     ///
     /// Permanent: every other server-reported error (a verifier refusal or
     /// an execution failure reproduces deterministically) and local

@@ -3,11 +3,15 @@
 //! The session socket is unauthenticated, so every resource a peer can make
 //! the server spend — worker-thread time, buffered bytes, concurrent
 //! sessions — must be bounded *before* any trust is established. This module
-//! holds the knobs ([`ServerConfig`], [`ClientConfig`]) and the per-session
-//! byte quotas; the reactor enforces the time bound as a per-connection
-//! timer. A server takes its [`ServerConfig`] once, at construction
+//! holds the knobs ([`ServerConfig`], [`ClientConfig`]); the reactor enforces
+//! the time bound as a per-connection timer. A server takes its
+//! [`ServerConfig`] once, at construction
 //! ([`EvaServer::with_config`](crate::EvaServer::with_config)), and keeps
 //! it for its lifetime.
+//!
+//! Buffered bytes need no knob: each frame header is checked against the
+//! largest payload a conforming client of the loaded program sends under
+//! that tag, and reads pause while a completed frame waits to be served.
 //!
 //! The read deadline is a **wall-clock budget per incoming message**, not a
 //! per-`read(2)` timeout: a slowloris peer that trickles one byte per
@@ -21,9 +25,6 @@
 
 use std::path::PathBuf;
 use std::time::Duration;
-
-use crate::error::ServiceError;
-use crate::protocol::{TAG_EVAL_KEYS, TAG_INPUTS};
 
 /// Peak-memory admission budget of [`ServerConfig::default`]: 4 GiB of
 /// simultaneously-live ciphertext/plaintext bytes plus one session's
@@ -52,17 +53,6 @@ pub struct ServerConfig {
     /// backpressure a retrying client turns into backoff, instead of
     /// unbounded per-connection state.
     pub max_sessions: usize,
-    /// Per-session byte quota for `EvalKeys` frames, checked against the
-    /// **announced** frame length before any payload byte is buffered.
-    pub eval_key_quota: u64,
-    /// Per-session cumulative byte quota for `Inputs` frames, checked the
-    /// same way.
-    pub input_quota: u64,
-    /// Evaluation worker threads the reactor's shared scheduler runs
-    /// (cross-session: every queued evaluation competes for this pool).
-    /// `0` sizes the pool automatically from the machine's available
-    /// parallelism.
-    pub eval_workers: usize,
     /// Peak-memory budget in bytes. The load gate refuses a program whose
     /// forecast peak (`eva_core::predict_peak_memory`: live values plus one
     /// session's evaluation keys) exceeds it, with a `peak-memory` finding;
@@ -87,13 +77,6 @@ impl Default for ServerConfig {
             read_deadline: Some(Duration::from_secs(30)),
             write_timeout: Some(Duration::from_secs(30)),
             max_sessions: 64,
-            // Evaluation keys are tens of megabytes (≈48 MB for 16×16
-            // Sobel); one upload per session plus headroom.
-            eval_key_quota: 256 * 1024 * 1024,
-            // Many evaluation rounds of seeded inputs fit comfortably; a
-            // peer needing more opens a new session.
-            input_quota: 1 << 30,
-            eval_workers: 0,
             memory_budget: Some(DEFAULT_MEMORY_BUDGET_BYTES),
             key_store: None,
         }
@@ -123,64 +106,55 @@ impl Default for ClientConfig {
     }
 }
 
-/// Per-session byte budgets for the unauthenticated sinks (`EvalKeys` and
-/// `Inputs` frames), decremented by the **announced** length of each frame
-/// before its payload is read — an over-quota frame is refused while still
-/// costing the server only its 9-byte header.
-#[derive(Debug)]
-pub(crate) struct SessionQuotas {
-    eval_key: u64,
-    input: u64,
-}
-
-impl SessionQuotas {
-    pub(crate) fn new(config: &ServerConfig) -> Self {
-        Self {
-            eval_key: config.eval_key_quota,
-            input: config.input_quota,
-        }
-    }
-
-    /// Admits or refuses one announced frame. Non-sink tags are always
-    /// admitted (they are tiny and bounded by `MAX_FRAME_BYTES` anyway).
-    pub(crate) fn admit(&mut self, tag: u8, len: u64) -> Result<(), ServiceError> {
-        let (budget, what) = match tag {
-            TAG_EVAL_KEYS => (&mut self.eval_key, "evaluation-key"),
-            TAG_INPUTS => (&mut self.input, "input"),
-            _ => return Ok(()),
-        };
-        if len > *budget {
-            return Err(ServiceError::Protocol(format!(
-                "quota: {what} frame of {len} bytes exceeds the session's remaining \
-                 {budget}-byte {what} quota"
-            )));
-        }
-        *budget -= len;
-        Ok(())
-    }
-}
-
 #[cfg(test)]
 mod tests {
-    use super::*;
+    use eva_core::{compile, CompilerOptions, Opcode, Program};
+
+    use crate::protocol::{TAG_BYE, TAG_EVAL_KEYS, TAG_HELLO, TAG_INPUTS, TAG_OUTPUTS};
+    use crate::session::SessionMachine;
+    use crate::EvaServer;
 
     #[test]
-    fn quotas_track_the_announced_lengths_per_tag() {
-        let config = ServerConfig {
-            eval_key_quota: 100,
-            input_quota: 50,
-            ..ServerConfig::default()
-        };
-        let mut quotas = SessionQuotas::new(&config);
-        quotas.admit(TAG_EVAL_KEYS, 60).unwrap();
-        quotas.admit(TAG_INPUTS, 20).unwrap();
-        quotas.admit(TAG_INPUTS, 30).unwrap();
-        // Budgets are cumulative per tag.
-        let err = quotas.admit(TAG_INPUTS, 1).unwrap_err();
-        assert!(err.to_string().contains("quota:"), "{err}");
-        let err = quotas.admit(TAG_EVAL_KEYS, 41).unwrap_err();
-        assert!(err.to_string().contains("evaluation-key"), "{err}");
-        // Other tags are never counted.
-        quotas.admit(crate::protocol::TAG_BYE, u64::MAX).unwrap();
+    fn each_tag_is_bounded_by_what_the_programs_client_sends() {
+        let mut p = Program::new("square", 8);
+        let x = p.input_cipher("x", 30);
+        let sq = p.instruction(Opcode::Multiply, &[x, x]);
+        p.output("out", sq, 30);
+        let server = EvaServer::new(compile(&p, &CompilerOptions::default()).unwrap()).unwrap();
+        let (degree, primes) = (
+            server.manifest().degree,
+            server.manifest().data_primes.len(),
+        );
+        let key = eva_wire::encoded_key_switch_key_len(primes, degree, primes + 1);
+        let machine = SessionMachine::new(server);
+        let cases = [
+            // has_relin · EVAL · an EVAG without steps.
+            (
+                TAG_EVAL_KEYS,
+                1 + (16 + key) + (16 + 4 + 4),
+                "evaluation-key",
+            ),
+            // One input named "x", a full top-level ciphertext.
+            (
+                TAG_INPUTS,
+                4 + 4 + 1 + 1 + eva_wire::encoded_ciphertext_len(2, degree, primes),
+                "input",
+            ),
+            (TAG_HELLO, 37, "control"),
+            (TAG_BYE, 37, "control"),
+            (TAG_OUTPUTS, 37, "control"),
+        ];
+        for (tag, bound, what) in cases {
+            machine.admit(tag, bound).unwrap();
+            let err = machine.admit(tag, bound + 1).unwrap_err();
+            let rendered = err.to_string();
+            assert!(rendered.contains("quota:"), "{rendered}");
+            assert!(rendered.contains(what), "{rendered}");
+            assert!(rendered.contains(&format!("{bound}-byte")), "{rendered}");
+            assert!(
+                err.is_transient(),
+                "a corrupted length header stays retryable"
+            );
+        }
     }
 }

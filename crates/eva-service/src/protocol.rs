@@ -33,13 +33,16 @@
 //! the session state machine and the security argument — is
 //! [`docs/PROTOCOL.md`](https://github.com/eva-reproduction/eva/blob/main/docs/PROTOCOL.md).
 
-use std::collections::HashMap;
+use std::collections::{BTreeSet, HashMap};
 use std::io::{Read, Write};
 
 use eva_backend::NodeValue;
 use eva_ckks::{Ciphertext, CkksContext, GaloisKeys, RelinearizationKey, SeededCiphertext};
 use eva_core::{CompiledProgram, NodeKind, ValueType};
-use eva_wire::{KeyFingerprint, Reader, WireError, WireObject, Writer};
+use eva_wire::{
+    encoded_ciphertext_len, encoded_galois_keys_len, encoded_key_switch_key_len,
+    encoded_relin_key_len, KeyFingerprint, Reader, WireError, WireObject, Writer,
+};
 
 use crate::error::ServiceError;
 use crate::session::FrameAssembler;
@@ -54,8 +57,12 @@ pub const PROTOCOL_VERSION: u32 = 2;
 /// Upper bound on a single frame's payload (1 GiB), so a corrupt or hostile
 /// length prefix cannot demand an unbounded buffer. Frames are additionally
 /// read incrementally, so even below the cap a peer must actually send the
-/// bytes it announced before they are held in memory.
+/// bytes it announced before they are held in memory. The server bounds a
+/// client's frames tighter still, by what its own program's client sends.
 pub const MAX_FRAME_BYTES: u64 = 1 << 30;
+
+/// The largest `Hello` payload: version, resume flag and fingerprint.
+const MAX_HELLO_BYTES: u64 = 4 + 1 + 32;
 
 /// One program input as described by the manifest.
 #[derive(Debug, Clone, PartialEq)]
@@ -239,6 +246,57 @@ impl WireObject for ProgramManifest {
             inputs,
             outputs,
         })
+    }
+}
+
+/// The largest payload a conforming client of one program sends under each
+/// frame tag, derived once from the program's manifest: its evaluation keys
+/// as keygen builds them, one round of inputs with every cipher as a full
+/// top-level `EVAC` (larger than the seeded `EVAD` clients send), and a
+/// `Hello` for every other tag.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct ClientFrameBounds {
+    eval_keys: u64,
+    inputs: u64,
+}
+
+impl ClientFrameBounds {
+    pub(crate) fn new(manifest: &ProgramManifest) -> Self {
+        let (degree, primes) = (manifest.degree, manifest.data_primes.len());
+        let steps: BTreeSet<i64> = manifest
+            .rotation_steps
+            .iter()
+            .copied()
+            .filter(|&step| step != 0)
+            .collect();
+        // Steps congruent modulo the slot count share a Galois element.
+        let slots = (degree / 2).max(1) as i64;
+        let elements: BTreeSet<i64> = steps.iter().map(|step| step.rem_euclid(slots)).collect();
+        let key = encoded_key_switch_key_len(primes, degree, primes + 1);
+        let relin = u64::from(manifest.needs_relin) * encoded_relin_key_len(key);
+        let cipher = encoded_ciphertext_len(2, degree, primes);
+        let plain = 8 + 8 * manifest.vec_size as u64;
+        let inputs: u64 = manifest
+            .inputs
+            .iter()
+            .map(|input| {
+                4 + input.name.len() as u64 + 1 + if input.cipher { cipher } else { plain }
+            })
+            .sum();
+        Self {
+            eval_keys: 1 + relin + encoded_galois_keys_len(steps.len(), elements.len(), key),
+            inputs: 4 + inputs,
+        }
+    }
+
+    /// The payload bound for a client frame tagged `tag`, and what a
+    /// refusal calls such a frame.
+    pub(crate) fn bound(&self, tag: u8) -> (u64, &'static str) {
+        match tag {
+            TAG_EVAL_KEYS => (self.eval_keys, "evaluation-key"),
+            TAG_INPUTS => (self.inputs, "input"),
+            _ => (MAX_HELLO_BYTES, "control"),
+        }
     }
 }
 
@@ -533,8 +591,9 @@ pub(crate) const READ_CHUNK_BYTES: usize = 64 * 1024;
 /// [`READ_CHUNK_BYTES`] chunks — the same chunked path the reactor uses —
 /// so memory grows only as announced bytes actually arrive, and an
 /// EvalKeys payload is content-fingerprinted incrementally as it streams.
-/// Nothing is admitted here: the reactor checks a session's quotas at the
-/// frame header through `SessionMachine::admit`.
+/// Nothing is admitted here beyond [`MAX_FRAME_BYTES`]: the reactor checks
+/// each frame header against the program's bound for its tag through
+/// `SessionMachine::admit`.
 ///
 /// # Errors
 ///
@@ -684,7 +743,7 @@ mod tests {
     use super::*;
     use eva_core::{compile, CompilerOptions, Opcode, Program};
 
-    fn compiled_fixture() -> CompiledProgram {
+    fn fixture_program() -> Program {
         let mut p = Program::new("fixture", 8);
         let x = p.input_cipher("x", 30);
         let w = p.input_vector("w", 20);
@@ -692,7 +751,11 @@ mod tests {
         let prod = p.instruction(Opcode::Multiply, &[rot, w]);
         let sq = p.instruction(Opcode::Multiply, &[prod, prod]);
         p.output("out", sq, 30);
-        compile(&p, &CompilerOptions::default()).unwrap()
+        p
+    }
+
+    fn compiled_fixture() -> CompiledProgram {
+        compile(&fixture_program(), &CompilerOptions::default()).unwrap()
     }
 
     #[test]
@@ -896,5 +959,107 @@ mod tests {
             expect_message(&mut cursor),
             Err(ServiceError::Protocol(_))
         ));
+    }
+
+    #[test]
+    fn a_lenet_shaped_key_upload_is_bounded_above_the_old_quota() {
+        // LeNet-5-small: N = 2^15, 8 data primes, relinearization and 20
+        // distinct rotation steps, one Galois element each.
+        let manifest = ProgramManifest {
+            name: "lenet".into(),
+            vec_size: 1024,
+            degree: 1 << 15,
+            data_primes: vec![0; 8],
+            special_prime: 0,
+            secure: true,
+            needs_relin: true,
+            rotation_steps: (1..=20).collect(),
+            inputs: Vec::new(),
+            outputs: Vec::new(),
+        };
+        let bounds = ClientFrameBounds::new(&manifest);
+        assert_eq!(bounds.bound(TAG_EVAL_KEYS).0, 792_727_085);
+        assert!(bounds.bound(TAG_EVAL_KEYS).0 > 1 << 28);
+        assert!(bounds.bound(TAG_EVAL_KEYS).0 < MAX_FRAME_BYTES);
+    }
+
+    /// Serves `program` for one session and runs one round through a real
+    /// client, returning the manifest, the server's bounds and what the
+    /// client sent.
+    fn real_session(
+        program: &Program,
+        options: &CompilerOptions,
+    ) -> (ProgramManifest, ClientFrameBounds, Vec<u8>) {
+        use crate::{EvaClient, EvaServer, RecordingStream};
+        use std::net::{TcpListener, TcpStream};
+
+        let server = EvaServer::new(compile(program, options).unwrap()).unwrap();
+        let manifest = server.manifest().clone();
+        let bounds = *server.frame_bounds();
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let thread = std::thread::spawn(move || server.serve_sessions(&listener, 1));
+        let stream = RecordingStream::new(TcpStream::connect(addr).unwrap());
+        let mut client = EvaClient::handshake(stream, Some(1)).unwrap();
+        let inputs = client
+            .manifest()
+            .inputs
+            .iter()
+            .map(|input| (input.name.clone(), vec![0.5; program.vec_size()]))
+            .collect();
+        client.evaluate(&inputs).unwrap();
+        let (_, sent, _) = client.finish().unwrap().into_parts();
+        thread.join().unwrap().unwrap()[0].as_ref().unwrap();
+        (manifest, bounds, sent)
+    }
+
+    #[test]
+    fn a_real_key_upload_is_exactly_its_bound() {
+        let tagged = |sent: &[u8], tag| bytes_with_tag(sent, tag).unwrap();
+        // Distinct steps: one Galois key per step.
+        let (_, bounds, sent) = real_session(&fixture_program(), &CompilerOptions::default());
+        assert_eq!(tagged(&sent, TAG_EVAL_KEYS), bounds.bound(TAG_EVAL_KEYS).0);
+        assert!(tagged(&sent, TAG_INPUTS) <= bounds.bound(TAG_INPUTS).0);
+
+        // Aliasing steps: congruent modulo every slot count, so two
+        // step-table entries share one key.
+        let mut p = Program::new("aliasing", 8);
+        let x = p.input_cipher("x", 30);
+        let a = p.instruction(Opcode::RotateLeft(1), &[x]);
+        let b = p.instruction(Opcode::RotateLeft(1 + (1 << 17)), &[x]);
+        let sum = p.instruction(Opcode::Add, &[a, b]);
+        p.output("out", sum, 30);
+        let (manifest, bounds, sent) = real_session(&p, &CompilerOptions::unoptimized());
+        assert_eq!(manifest.rotation_steps, vec![1, 1 + (1 << 17)]);
+        assert_eq!(tagged(&sent, TAG_EVAL_KEYS), bounds.bound(TAG_EVAL_KEYS).0);
+    }
+
+    #[test]
+    fn full_ciphertext_inputs_are_exactly_their_bound() {
+        use eva_ckks::{CkksEncoder, Encryptor, KeyGenerator};
+
+        let compiled = compiled_fixture();
+        let manifest = ProgramManifest::from_compiled(&compiled);
+        let server = crate::EvaServer::new(compiled).unwrap();
+        let context = server.context().clone();
+        let mut keygen = KeyGenerator::from_seed(context.clone(), 2);
+        let mut encryptor = Encryptor::from_seed(context.clone(), keygen.create_public_key(), 3);
+        let encoder = CkksEncoder::new(context.clone());
+        let inputs = manifest
+            .inputs
+            .iter()
+            .map(|input| {
+                let values = vec![0.5; manifest.vec_size];
+                let value = if input.cipher {
+                    let pt = encoder.encode(&values, input.scale_log2, context.max_level());
+                    InputValue::Cipher(Box::new(encryptor.encrypt(&pt)))
+                } else {
+                    InputValue::Plain(values)
+                };
+                (input.name.clone(), value)
+            })
+            .collect();
+        let (tag, payload) = encode_payload(&Message::Inputs(inputs));
+        assert_eq!(payload.len() as u64, server.frame_bounds().bound(tag).0);
     }
 }

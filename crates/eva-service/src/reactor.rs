@@ -4,8 +4,8 @@
 //! crate) serves every connection: non-blocking sockets feed each
 //! connection's [`FrameAssembler`], completed frames drive its
 //! [`SessionMachine`], and `Inputs` rounds become jobs on the shared
-//! [`Scheduler`] — a FIFO queue drained by as many evaluation workers as
-//! the config asks for and the peak-memory budget admits. Worker
+//! [`Scheduler`] — a FIFO queue drained by one evaluation worker per
+//! available core, or fewer when the peak-memory budget admits fewer. Worker
 //! completions come back over a wake pipe, so the reactor sleeps in
 //! `epoll_wait` whenever nothing is ready.
 //!
@@ -14,8 +14,12 @@
 //! * the per-message read **deadline** is a reactor timer, armed from
 //!   the server's config at admission and re-armed on every write
 //!   and every completed frame (disarmed while an evaluation is in flight);
-//! * **quotas** are charged against announced frame headers inside the
-//!   assembler, before payload bytes are accepted;
+//! * **frame bounds** are checked against announced frame headers inside
+//!   the assembler, before payload bytes are accepted: each tag may carry
+//!   no more than a conforming client of the loaded program sends;
+//! * **reads pause** while a completed frame waits to be stepped (and
+//!   while the session's evaluation is in flight), so pipelined frames
+//!   wait in the peer's socket, not in server memory;
 //! * the **error-frame-before-close** rule is a draining close state:
 //!   the frame is queued, the peer's in-flight bytes are read and discarded
 //!   for a bounded window so the close is a FIN rather than an RST, then
@@ -79,10 +83,11 @@ struct Conn {
     assembler: FrameAssembler,
     /// `None` for busy-rejected connections (no session was admitted).
     machine: Option<SessionMachine>,
-    /// Completed frames not yet fed to the machine (one frame per step;
-    /// frames queue here while an evaluation is in flight).
+    /// Completed frames not yet fed to the machine (one frame per step).
+    /// Reads pause while this is non-empty, so it holds at most the frames
+    /// one read chunk completed.
     pending: VecDeque<crate::session::Frame>,
-    /// An error raised while reading (oversized frame, quota refusal, socket
+    /// An error raised while reading (oversized frame, bound refusal, socket
     /// error) that the step sweep turns into an error close — *after* the
     /// frames that completed before it, preserving one-frame-at-a-time
     /// ordering.
@@ -125,6 +130,12 @@ impl Conn {
         }
     }
 
+    /// Reads wait while an evaluation is in flight or a completed frame is
+    /// unstepped (epoll is level-triggered, so readable interest drops too).
+    fn read_paused(&self) -> bool {
+        self.evaluating || !self.pending.is_empty()
+    }
+
     /// Re-arms the per-message deadline (fresh budget from now).
     fn arm_deadline(&mut self, now: Instant) {
         self.expires = self.budget.map(|budget| now + budget);
@@ -136,7 +147,7 @@ impl Conn {
         let readable = if let Some(closing) = &self.closing {
             !self.eof && now < closing.drain_until
         } else {
-            !self.eof && !self.evaluating
+            !self.eof && !self.read_paused()
         };
         let writable = self.has_output();
         if !readable && !writable {
@@ -230,10 +241,7 @@ impl Reactor {
         wake_rx.set_nonblocking(true)?;
         wake_tx.set_nonblocking(true)?;
         poller.add(wake_rx.as_raw_fd(), TOKEN_WAKE, Interest::READ)?;
-        let workers = match server.config().eval_workers {
-            0 => std::thread::available_parallelism().map_or(4, |n| n.get()),
-            n => n,
-        };
+        let workers = std::thread::available_parallelism().map_or(4, |n| n.get());
         let scheduler = Scheduler::new(
             workers.min(server.eval_slots()),
             server.sched_gauges(),
@@ -450,7 +458,11 @@ impl Reactor {
                     .counters()
                     .busy_rejected
                     .fetch_add(1, Ordering::Relaxed);
-                let message = server.busy_message();
+                // The `busy:` prefix is what clients classify as transient.
+                let message = format!(
+                    "busy: server is at its {}-session limit; retry with backoff",
+                    server.config().max_sessions.max(1)
+                );
                 conn.queue_frames(&[encode_payload(&Message::Error(message.clone()))]);
                 conn.result = Some(Err(ServiceError::Protocol(message)));
                 conn.closing = Some(self.closing_state(now, ERROR_DRAIN_WINDOW));
@@ -471,19 +483,6 @@ impl Reactor {
         }
     }
 
-    /// Counts one cleanly-completed session and returns its slot result.
-    fn record_completed(&self, report: SessionReport) -> Result<SessionReport, ServiceError> {
-        let counters = self.server.counters();
-        counters.completed.fetch_add(1, Ordering::Relaxed);
-        if report.resumed {
-            counters.resumed.fetch_add(1, Ordering::Relaxed);
-        }
-        counters
-            .evaluations
-            .fetch_add(report.evaluations as u64, Ordering::Relaxed);
-        Ok(report)
-    }
-
     /// Initiates an error close: count it, queue the error frame (unless the
     /// peer is already gone) and enter the draining state.
     fn fail_conn(&self, conn: &mut Conn, err: ServiceError, now: Instant) {
@@ -491,7 +490,18 @@ impl Reactor {
             .counters()
             .failed
             .fetch_add(1, Ordering::Relaxed);
-        self.close_with_error_frame(conn, err, now);
+        // Error-frame-before-close: tell the peer what went wrong, except
+        // when the error *is* that the peer is gone.
+        let drain = match &err {
+            ServiceError::Disconnected => Duration::ZERO,
+            _ => {
+                conn.queue_frames(&[encode_payload(&Message::Error(err.to_string()))]);
+                ERROR_DRAIN_WINDOW
+            }
+        };
+        conn.result = Some(Err(err));
+        conn.closing = Some(self.closing_state(now, drain));
+        conn.expires = None;
     }
 
     /// Initiates a panic close: count it separately, log it, answer with the
@@ -510,21 +520,6 @@ impl Reactor {
             "session {id} panicked: {message}"
         ))));
         conn.closing = Some(self.closing_state(now, ERROR_DRAIN_WINDOW));
-        conn.expires = None;
-    }
-
-    fn close_with_error_frame(&self, conn: &mut Conn, err: ServiceError, now: Instant) {
-        // Error-frame-before-close: tell the peer what went wrong, except
-        // when the error *is* that the peer is gone.
-        let drain = match &err {
-            ServiceError::Disconnected => Duration::ZERO,
-            _ => {
-                conn.queue_frames(&[encode_payload(&Message::Error(err.to_string()))]);
-                ERROR_DRAIN_WINDOW
-            }
-        };
-        conn.result = Some(Err(err));
-        conn.closing = Some(self.closing_state(now, drain));
         conn.expires = None;
     }
 
@@ -548,16 +543,16 @@ impl Reactor {
                 scheduler.submit(conn.token, run);
             }
             Ok(Step::Close(report)) => {
-                conn.result = Some(self.record_completed(report));
-                conn.closing = Some(Closing {
-                    drain_until: now,
-                    hard: now
-                        + self
-                            .server
-                            .config()
-                            .write_timeout
-                            .unwrap_or(DEFAULT_CLOSE_CAP),
-                });
+                let counters = self.server.counters();
+                counters.completed.fetch_add(1, Ordering::Relaxed);
+                if report.resumed {
+                    counters.resumed.fetch_add(1, Ordering::Relaxed);
+                }
+                counters
+                    .evaluations
+                    .fetch_add(report.evaluations as u64, Ordering::Relaxed);
+                conn.result = Some(Ok(report));
+                conn.closing = Some(self.closing_state(now, Duration::ZERO));
                 conn.expires = None;
             }
             Err(err) => self.fail_conn(conn, err, now),
@@ -715,10 +710,11 @@ fn drain_wake_pipe(wake_rx: &UnixStream) {
     }
 }
 
-/// Reads everything currently available on one connection into its frame
-/// assembler (or discards it, when the connection is draining to close).
+/// Reads what is available on one connection into its frame assembler,
+/// until a frame completes (or discards it all, when the connection is
+/// draining to close).
 fn read_conn(conn: &mut Conn) {
-    if conn.eof || (conn.evaluating && conn.closing.is_none()) {
+    if conn.eof || (conn.read_paused() && conn.closing.is_none()) {
         return;
     }
     let mut buf = [0u8; READ_CHUNK_BYTES];
@@ -751,11 +747,14 @@ fn read_conn(conn: &mut Conn) {
             &mut conn.pending,
         );
         if let Err(err) = push {
-            // Oversized frame or quota refusal: the step sweep turns this
+            // Oversized frame or bound refusal: the step sweep turns this
             // into the error-frame-before-close path once the frames that
             // completed before it have been served.
             conn.pending_error = Some(err);
             return;
+        }
+        if !conn.pending.is_empty() {
+            return; // paused until the sweep steps the frame
         }
     }
 }

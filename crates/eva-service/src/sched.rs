@@ -7,8 +7,8 @@
 //! forecast: ordering by cost would tie on every job, and summing forecast
 //! bytes against the memory budget is a fixed cap on concurrent jobs. The
 //! load gate computes that cap once ([`eval_slots`]) and the reactor sizes
-//! the pool to `min(eval_workers, slots)`, so jobs simply run in submission
-//! order on however many workers the budget admits.
+//! the pool to `min(available cores, slots)`, so jobs simply run in
+//! submission order on however many workers the budget admits.
 //!
 //! Workers run each job under `catch_unwind`: a panicking evaluation is
 //! contained, reported as a panic outcome on the completion queue, and the

@@ -18,7 +18,9 @@
 //! A server is configured once, at construction: [`EvaServer::with_config`]
 //! takes a [`ServerConfig`] ([`EvaServer::new`] takes the default), runs the
 //! load gate on the untrusted program, and keeps both for its lifetime; the
-//! only other knob is [`EvaServer::with_threads`].
+//! only other knob is [`EvaServer::with_threads`]. The rest is derived from
+//! the program: the worker cap from its peak-memory forecast, and each
+//! client frame's size bound from what its own client sends.
 
 use std::collections::HashMap;
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -27,7 +29,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::Duration;
 
-use eva_backend::{parameters_from_spec, EvaluationContext};
+use eva_backend::parameters_from_spec;
 use eva_ckks::{CkksContext, GaloisKeys, RelinearizationKey};
 use eva_core::analysis::noise::{check_noise, NoiseModel};
 use eva_core::analysis::verifier::{verify_compiled, VerifierReport};
@@ -38,7 +40,7 @@ use eva_wire::{fingerprint_eval_key_payload, KeyFingerprint, ProgramDiagnostics,
 use crate::error::ServiceError;
 use crate::keystore::DiskKeyStore;
 use crate::limits::ServerConfig;
-use crate::protocol::{decode_payload, message_name, Message, ProgramManifest, TAG_EVAL_KEYS};
+use crate::protocol::{decode_payload, ClientFrameBounds, Message, ProgramManifest, TAG_EVAL_KEYS};
 use crate::sched::{eval_slots, SchedGauges};
 
 /// Converts a verifier report into the wire payload a refused load carries:
@@ -121,8 +123,8 @@ pub struct SessionReport {
 /// sessions through the key cache.
 #[derive(Debug, Clone)]
 pub(crate) struct SessionKeys {
-    relin: Option<Arc<RelinearizationKey>>,
-    galois: Arc<GaloisKeys>,
+    pub(crate) relin: Option<Arc<RelinearizationKey>>,
+    pub(crate) galois: Arc<GaloisKeys>,
 }
 
 impl SessionKeys {
@@ -131,12 +133,6 @@ impl SessionKeys {
     /// Galois gather tables (about 1 % on top).
     fn resident_bytes(&self) -> usize {
         self.relin.as_ref().map_or(0, |k| k.resident_bytes()) + self.galois.resident_bytes()
-    }
-
-    /// Builds the per-session evaluation context around the server's shared
-    /// CKKS context and these keys.
-    pub(crate) fn into_evaluation_context(self, context: CkksContext) -> EvaluationContext {
-        EvaluationContext::from_shared(context, self.relin, self.galois)
     }
 }
 
@@ -218,10 +214,6 @@ impl KeyCache {
             self.bytes -= evicted.bytes;
         }
     }
-
-    fn len(&self) -> usize {
-        self.entries.len()
-    }
 }
 
 /// A server for one compiled EVA program.
@@ -241,6 +233,8 @@ pub struct EvaServer {
 struct ServerInner {
     compiled: CompiledProgram,
     manifest: ProgramManifest,
+    /// The largest payload a client may announce under each frame tag.
+    frame_bounds: ClientFrameBounds,
     context: CkksContext,
     key_cache: Mutex<KeyCache>,
     /// Optional disk layer under the in-memory cache
@@ -291,7 +285,7 @@ pub struct ServerStats {
     /// Sessions that ended cleanly (client said Bye or hung up between
     /// rounds).
     pub sessions_completed: u64,
-    /// Sessions that ended in an error (protocol violation, deadline, quota,
+    /// Sessions that ended in an error (protocol violation, deadline, frame bound,
     /// invalid keys, …). Panics are counted separately.
     pub sessions_failed: u64,
     /// Sessions whose worker **panicked**; the panic is caught, logged with
@@ -406,6 +400,7 @@ impl EvaServer {
         Ok(Self {
             inner: Arc::new(ServerInner {
                 compiled,
+                frame_bounds: ClientFrameBounds::new(&manifest),
                 manifest,
                 context,
                 key_cache: Mutex::new(KeyCache::new(KEY_CACHE_CAPACITY, KEY_CACHE_BUDGET_BYTES)),
@@ -519,35 +514,15 @@ impl EvaServer {
     /// compare-exchange loop on the active-session counter.
     pub(crate) fn try_begin_session(&self) -> Option<SessionGuard> {
         let max = self.config().max_sessions.max(1);
-        let mut current = self.inner.active.load(Ordering::SeqCst);
-        loop {
-            if current >= max {
-                return None;
-            }
-            match self.inner.active.compare_exchange(
-                current,
-                current + 1,
-                Ordering::SeqCst,
-                Ordering::SeqCst,
-            ) {
-                Ok(_) => {
-                    return Some(SessionGuard {
-                        inner: Arc::clone(&self.inner),
-                    })
-                }
-                Err(actual) => current = actual,
-            }
-        }
-    }
-
-    /// The wire message a connection rejected at the concurrency limit gets
-    /// (the bare `busy:`-prefixed text the client's transient-error
-    /// classifier keys on).
-    pub(crate) fn busy_message(&self) -> String {
-        format!(
-            "busy: server is at its {}-session limit; retry with backoff",
-            self.config().max_sessions.max(1)
-        )
+        self.inner
+            .active
+            .fetch_update(Ordering::SeqCst, Ordering::SeqCst, |n| {
+                (n < max).then_some(n + 1)
+            })
+            .ok()?;
+        Some(SessionGuard {
+            inner: Arc::clone(&self.inner),
+        })
     }
 
     pub(crate) fn next_session_id(&self) -> u64 {
@@ -575,12 +550,6 @@ impl EvaServer {
         Arc::clone(&self.inner.gauges)
     }
 
-    /// A clone of the shared CKKS context (cheap: the context is internally
-    /// reference-counted).
-    pub(crate) fn shared_context(&self) -> CkksContext {
-        self.inner.context.clone()
-    }
-
     /// The server's CKKS context.
     pub(crate) fn context(&self) -> &CkksContext {
         &self.inner.context
@@ -603,6 +572,7 @@ impl EvaServer {
             .key_cache
             .lock()
             .expect("key cache lock poisoned")
+            .entries
             .len()
     }
 
@@ -614,6 +584,11 @@ impl EvaServer {
             .lock()
             .expect("key cache lock poisoned")
             .bytes
+    }
+
+    /// The per-tag bounds on a client's frames, derived from the manifest.
+    pub(crate) fn frame_bounds(&self) -> &ClientFrameBounds {
+        &self.inner.frame_bounds
     }
 
     /// The manifest published to clients.
@@ -677,20 +652,7 @@ impl EvaServer {
             fingerprint_eval_key_payload(payload),
             "transport-computed fingerprint must match the one-shot digest"
         );
-        let (relin, galois) = match decode_payload(TAG_EVAL_KEYS, payload)? {
-            Message::EvalKeys { relin, galois } => (relin.map(|k| *k), *galois),
-            other => {
-                return Err(ServiceError::Protocol(format!(
-                    "expected EvalKeys, got {}",
-                    message_name(&other)
-                )))
-            }
-        };
-        self.validate_eval_keys(relin.as_ref(), &galois)?;
-        let keys = SessionKeys {
-            relin: relin.map(Arc::new),
-            galois: Arc::new(galois),
-        };
+        let keys = self.decode_keys(payload)?;
         self.inner
             .key_cache
             .lock()
@@ -729,19 +691,7 @@ impl EvaServer {
             return Some(keys);
         }
         let payload = self.key_store()?.load(fingerprint)?;
-        let keys = match decode_payload(TAG_EVAL_KEYS, &payload) {
-            Ok(Message::EvalKeys { relin, galois }) => {
-                let relin = relin.map(|k| *k);
-                let galois = *galois;
-                self.validate_eval_keys(relin.as_ref(), &galois)
-                    .ok()
-                    .map(|()| SessionKeys {
-                        relin: relin.map(Arc::new),
-                        galois: Arc::new(galois),
-                    })
-            }
-            _ => None,
-        }?;
+        let keys = self.decode_keys(&payload).ok()?;
         self.inner
             .stats
             .disk_resumed
@@ -752,6 +702,19 @@ impl EvaServer {
             .expect("key cache lock poisoned")
             .insert(*fingerprint, keys.clone());
         Some(keys)
+    }
+
+    /// Decodes one `EvalKeys` payload and validates the keys, the one path
+    /// both an upload and a disk-store entry take into a session.
+    fn decode_keys(&self, payload: &[u8]) -> Result<SessionKeys, ServiceError> {
+        let Message::EvalKeys { relin, galois } = decode_payload(TAG_EVAL_KEYS, payload)? else {
+            unreachable!("an EvalKeys payload decodes to EvalKeys or fails");
+        };
+        self.validate_eval_keys(relin.as_deref(), &galois)?;
+        Ok(SessionKeys {
+            relin: relin.map(|key| Arc::new(*key)),
+            galois: Arc::new(*galois),
+        })
     }
 
     /// Validates uploaded evaluation keys against the server context and the
@@ -810,10 +773,19 @@ impl EvaServer {
                 )));
             }
         }
+        // Only the automorphisms the program rotates by: a key no step needs
+        // would be cached, persisted and charged to the budget for nothing.
+        let requested: Vec<u64> = inner
+            .manifest
+            .rotation_steps
+            .iter()
+            .filter(|&&step| step != 0)
+            .map(|&step| inner.context.galois().galois_elt_from_step(step))
+            .collect();
         for (elt, key) in galois.element_keys() {
-            if elt % 2 != 1 || elt >= 2 * degree as u64 {
+            if !requested.contains(&elt) {
                 return Err(ServiceError::InvalidParameters(format!(
-                    "Galois element {elt} is not an odd unit modulo 2N"
+                    "Galois element {elt} is not requested by any rotation step of the program"
                 )));
             }
             check_ksk("Galois key", key)?;
@@ -864,7 +836,7 @@ mod tests {
         // Touch 1 so 2 becomes the oldest.
         assert!(cache.get(&fp(1)).is_some());
         cache.insert(fp(3), dummy_keys(16));
-        assert_eq!(cache.len(), 2);
+        assert_eq!(cache.entries.len(), 2);
         assert!(cache.get(&fp(1)).is_some());
         assert!(cache.get(&fp(2)).is_none(), "LRU entry should be evicted");
         assert!(cache.get(&fp(3)).is_some());
@@ -878,7 +850,7 @@ mod tests {
         assert_eq!(cache.bytes, 64);
         // 32 more bytes exceed the budget: the oldest entry goes.
         cache.insert(fp(3), dummy_keys(32));
-        assert_eq!(cache.len(), 2);
+        assert_eq!(cache.entries.len(), 2);
         assert_eq!(cache.bytes, 64);
         assert!(cache.get(&fp(1)).is_none());
         // An entry larger than the whole budget is not cached at all.
@@ -887,13 +859,14 @@ mod tests {
         assert_eq!(cache.bytes, 64);
         // Re-inserting an existing fingerprint replaces, not duplicates.
         cache.insert(fp(2), dummy_keys(48));
-        assert_eq!(cache.len(), 2);
+        assert_eq!(cache.entries.len(), 2);
         assert_eq!(cache.bytes, 80);
     }
 
-    #[test]
-    fn an_upload_is_charged_what_it_holds_resident() {
-        use crate::protocol::encode_payload;
+    /// A server for a program rotating by 1 and -2, and an `EvalKeys`
+    /// payload carrying keys for `extra_steps` beside the program's.
+    fn rotating_upload(extra_steps: &[i64]) -> (EvaServer, Vec<u8>) {
+        use crate::protocol::{encode_payload, Message};
         use eva_ckks::KeyGenerator;
         use eva_core::{compile, CompilerOptions, Opcode, Program};
 
@@ -906,14 +879,20 @@ mod tests {
         p.output("out", sum, 30);
         let server = EvaServer::new(compile(&p, &CompilerOptions::default()).unwrap()).unwrap();
 
-        let context = server.inner.context.clone();
-        let mut keygen = KeyGenerator::from_seed(context.clone(), 1);
-        let relin = keygen.create_relinearization_key();
-        let galois = keygen.create_galois_keys(&server.inner.manifest.rotation_steps);
+        let mut keygen = KeyGenerator::from_seed(server.inner.context.clone(), 1);
+        let mut steps = server.inner.manifest.rotation_steps.clone();
+        steps.extend_from_slice(extra_steps);
+        let (relin, galois) = keygen.create_evaluation_keys(true, &steps);
         let (_, payload) = encode_payload(&Message::EvalKeys {
-            relin: Some(Box::new(relin)),
+            relin: relin.map(Box::new),
             galois: Box::new(galois),
         });
+        (server, payload)
+    }
+
+    #[test]
+    fn an_upload_is_charged_what_it_holds_resident() {
+        let (server, payload) = rotating_upload(&[]);
         let keys = server
             .accept_key_upload(&payload, fingerprint_eval_key_payload(&payload))
             .unwrap();
@@ -922,16 +901,29 @@ mod tests {
         // plus a gather table per Galois key, and nothing else exists.
         let charged = server.inner.key_cache.lock().unwrap().bytes;
         assert_eq!(charged, keys.resident_bytes());
-        let tables = 2 * context.degree() * std::mem::size_of::<u32>();
+        let tables = 2 * server.context().degree() * std::mem::size_of::<u32>();
         let framing = payload.len() - (charged - tables);
         assert!(framing < 1024, "{framing} bytes of wire framing");
+    }
+
+    #[test]
+    fn a_galois_key_no_step_requests_is_refused_and_not_cached() {
+        let (server, payload) = rotating_upload(&[3]);
+        let err = server
+            .accept_key_upload(&payload, fingerprint_eval_key_payload(&payload))
+            .unwrap_err();
+        assert!(
+            matches!(&err, ServiceError::InvalidParameters(m) if m.contains("not requested")),
+            "{err}"
+        );
+        assert_eq!(server.cached_key_sets(), 0);
     }
 
     #[test]
     fn zero_capacity_disables_caching() {
         let mut cache = KeyCache::new(0, usize::MAX);
         cache.insert(fp(1), dummy_keys(16));
-        assert_eq!(cache.len(), 0);
+        assert_eq!(cache.entries.len(), 0);
         assert!(cache.get(&fp(1)).is_none());
     }
 

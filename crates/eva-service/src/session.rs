@@ -16,13 +16,12 @@ use eva_backend::{execute_parallel, EvaluationContext};
 use eva_wire::{EvalKeyPayloadHasher, KeyFingerprint};
 
 use crate::error::ServiceError;
-use crate::limits::SessionQuotas;
 use crate::protocol::{
     decode_payload, encode_payload, message_name, partition_inputs, Message, OutputValue,
     MAX_FRAME_BYTES, PROTOCOL_VERSION, TAG_EVAL_KEYS,
 };
 use crate::sched::EvalRun;
-use crate::server::{EvaServer, SessionReport};
+use crate::server::{EvaServer, SessionKeys, SessionReport};
 
 /// Payload bytes are accumulated (and reserved) in steps of this size, so a
 /// frame header announcing gigabytes costs at most one such step of memory
@@ -44,7 +43,7 @@ pub(crate) struct Frame {
 
 /// Incremental frame parser: feed it received byte slices in any sizes and
 /// it emits completed frames. Admission checks — the `MAX_FRAME_BYTES` cap
-/// and the caller's quota callback — run against the **announced** header
+/// and the caller's per-tag bound — run against the **announced** header
 /// before the first payload chunk is accepted, and payload memory grows in
 /// [`PAYLOAD_RESERVE_CHUNK`] steps as bytes actually arrive, never as one
 /// up-front allocation of the announced size.
@@ -174,20 +173,16 @@ enum Phase {
 #[derive(Debug)]
 pub(crate) struct SessionMachine {
     server: EvaServer,
-    quotas: SessionQuotas,
     report: SessionReport,
     phase: Phase,
     eval: Option<Arc<EvaluationContext>>,
 }
 
 impl SessionMachine {
-    /// A fresh machine awaiting the client's Hello, with the full
-    /// per-session quotas of the server's config.
+    /// A fresh machine awaiting the client's Hello.
     pub(crate) fn new(server: EvaServer) -> Self {
-        let quotas = SessionQuotas::new(server.config());
         Self {
             server,
-            quotas,
             report: SessionReport::default(),
             phase: Phase::AwaitHello,
             eval: None,
@@ -195,9 +190,19 @@ impl SessionMachine {
     }
 
     /// Admission check for one announced frame header (threaded into the
-    /// [`FrameAssembler`] by the transport).
-    pub(crate) fn admit(&mut self, tag: u8, len: u64) -> Result<(), ServiceError> {
-        self.quotas.admit(tag, len)
+    /// [`FrameAssembler`] by the transport): the payload may not exceed what
+    /// a conforming client of the server's program sends under that tag.
+    /// The refusal is a `quota:` protocol error, which stays retryable: a
+    /// length header corrupted in transit is refused the same way.
+    pub(crate) fn admit(&self, tag: u8, len: u64) -> Result<(), ServiceError> {
+        let (bound, what) = self.server.frame_bounds().bound(tag);
+        if len > bound {
+            return Err(ServiceError::Protocol(format!(
+                "quota: {what} frame of {len} bytes exceeds the {bound}-byte {what} \
+                 bound of this program"
+            )));
+        }
+        Ok(())
     }
 
     /// Advances the protocol by one completed frame.
@@ -266,11 +271,7 @@ impl SessionMachine {
         match cached {
             Some((fingerprint, keys)) => {
                 self.report.resumed = true;
-                self.report.key_fingerprint = Some(fingerprint);
-                self.eval = Some(Arc::new(
-                    keys.into_evaluation_context(self.server.shared_context()),
-                ));
-                self.phase = Phase::AwaitInputs;
+                self.use_keys(fingerprint, keys);
             }
             None => self.phase = Phase::AwaitEvalKeys,
         }
@@ -289,12 +290,17 @@ impl SessionMachine {
             .eval_key_fingerprint
             .expect("assembler fingerprints every EvalKeys frame");
         let keys = self.server.accept_key_upload(&frame.payload, fingerprint)?;
-        self.report.key_fingerprint = Some(fingerprint);
-        self.eval = Some(Arc::new(
-            keys.into_evaluation_context(self.server.shared_context()),
-        ));
-        self.phase = Phase::AwaitInputs;
+        self.use_keys(fingerprint, keys);
         Ok(Step::Continue)
+    }
+
+    /// Binds the session to its evaluation keys; input rounds may follow.
+    fn use_keys(&mut self, fingerprint: KeyFingerprint, keys: SessionKeys) {
+        self.report.key_fingerprint = Some(fingerprint);
+        let context = self.server.context().clone();
+        let eval = EvaluationContext::from_shared(context, keys.relin, keys.galois);
+        self.eval = Some(Arc::new(eval));
+        self.phase = Phase::AwaitInputs;
     }
 
     fn on_inputs(&mut self, frame: Frame) -> Result<Step, ServiceError> {

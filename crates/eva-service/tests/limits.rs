@@ -1,4 +1,4 @@
-//! Robustness tests for the service's deadlines, quotas, concurrency
+//! Robustness tests for the service's deadlines, frame bounds, concurrency
 //! bound and graceful shutdown: slow, stalled and abusive peers must be
 //! bounded in the resources they can pin, and every abnormal close must be
 //! preceded by a protocol `Error` frame naming what went wrong.
@@ -8,11 +8,14 @@ use std::io::Write;
 use std::net::{TcpListener, TcpStream};
 use std::time::{Duration, Instant};
 
+use eva_ckks::{
+    CkksContext, CkksEncoder, CkksParameters, Decryptor, KeyGenerator, SymmetricEncryptor,
+};
 use eva_core::{compile, CompilerOptions, Opcode, Program};
 use eva_service::protocol::{expect_message, write_message};
 use eva_service::{
-    ClientConfig, EvaClient, EvaServer, Message, ServerConfig, ServiceError, MAX_FRAME_BYTES,
-    PROTOCOL_VERSION, TAG_EVAL_KEYS,
+    ClientConfig, EvaClient, EvaServer, InputValue, Message, OutputValue, ServerConfig,
+    ServiceError, MAX_FRAME_BYTES, PROTOCOL_VERSION, TAG_EVAL_KEYS, TAG_HELLO,
 };
 
 fn square_program() -> Program {
@@ -79,7 +82,7 @@ fn partial_frame_stall_trips_the_server_read_deadline() {
     let mut stream = TcpStream::connect(addr).unwrap();
     // Valid Hello tag + plausible length… then silence.
     stream.write_all(&[eva_service::TAG_HELLO]).unwrap();
-    stream.write_all(&100u64.to_le_bytes()).unwrap();
+    stream.write_all(&30u64.to_le_bytes()).unwrap();
     stream.write_all(&[1, 2, 3]).unwrap();
     stream.flush().unwrap();
     // The server must send a deadline Error frame, then close.
@@ -176,14 +179,12 @@ fn busy_server_rejects_politely_at_the_session_limit() {
     assert_eq!(stats.evaluations, 1);
 }
 
-/// Tentpole: the per-session evaluation-key quota refuses an over-quota
-/// upload against its **announced** length, with a `quota:` Error frame.
+/// Tentpole: an `EvalKeys` frame announcing more than the program's
+/// clients upload is refused against its **announced** length, with a
+/// `quota:` Error frame.
 #[test]
 fn eval_key_quota_refuses_oversized_uploads() {
-    let server = square_server(ServerConfig {
-        eval_key_quota: 10_000, // far below a real key set
-        ..ServerConfig::default()
-    });
+    let server = square_server(ServerConfig::default());
     let listener = TcpListener::bind("127.0.0.1:0").unwrap();
     let addr = listener.local_addr().unwrap();
     let server_thread = std::thread::spawn(move || server.serve_sessions(&listener, 1));
@@ -204,8 +205,9 @@ fn eval_key_quota_refuses_oversized_uploads() {
         Message::Manifest { .. } => {}
         other => panic!("expected Manifest, got {other:?}"),
     }
+    // 512 MiB: above the square program's key set, below MAX_FRAME_BYTES.
     stream.write_all(&[TAG_EVAL_KEYS]).unwrap();
-    stream.write_all(&1_000_000u64.to_le_bytes()).unwrap();
+    stream.write_all(&(512u64 << 20).to_le_bytes()).unwrap();
     stream.flush().unwrap();
     match expect_message(&mut stream).unwrap() {
         Message::Error(msg) => {
@@ -218,6 +220,167 @@ fn eval_key_quota_refuses_oversized_uploads() {
     let err = reports[0].as_ref().unwrap_err();
     assert!(err.to_string().contains("quota:"), "{err}");
     assert!(err.is_transient(), "fresh sessions get fresh quotas");
+}
+
+/// A `Hello` is at most 37 bytes, so a `Hello`-tagged header announcing
+/// 1 MiB is answered at once, from the header alone — well inside a client
+/// read timeout far shorter than the server's read deadline.
+#[test]
+fn an_oversized_hello_is_refused_at_its_header() {
+    let server = square_server(ServerConfig::default());
+    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap();
+    let server_thread = std::thread::spawn(move || server.serve_sessions(&listener, 1));
+
+    let mut stream = TcpStream::connect(addr).unwrap();
+    stream
+        .set_read_timeout(Some(Duration::from_secs(2)))
+        .unwrap();
+    stream.write_all(&[TAG_HELLO]).unwrap();
+    stream.write_all(&(1u64 << 20).to_le_bytes()).unwrap();
+    stream.flush().unwrap();
+    match expect_message(&mut stream).unwrap() {
+        Message::Error(msg) => {
+            assert!(msg.contains("quota:"), "unexpected error: {msg}");
+            assert!(msg.contains("37-byte"), "the bound must be named: {msg}");
+        }
+        other => panic!("expected Error, got {other:?}"),
+    }
+    let reports = server_thread.join().unwrap().unwrap();
+    assert!(reports[0].is_err());
+}
+
+/// A raw client writes its keys and two rounds of inputs back to back
+/// before reading anything: reads pause while a round evaluates, and the
+/// pause neither reorders nor stalls the pipelined frames.
+#[test]
+fn pipelined_rounds_are_answered_in_order() {
+    let server = square_server(ServerConfig::default());
+    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap();
+    let server_thread = std::thread::spawn(move || server.serve_sessions(&listener, 1));
+
+    let mut stream = TcpStream::connect(addr).unwrap();
+    write_message(
+        &mut stream,
+        &Message::Hello {
+            protocol: PROTOCOL_VERSION,
+            resume: None,
+        },
+    )
+    .unwrap();
+    let manifest = match expect_message(&mut stream).unwrap() {
+        Message::Manifest { manifest, .. } => manifest,
+        other => panic!("expected Manifest, got {other:?}"),
+    };
+    let params = CkksParameters::from_primes(
+        manifest.degree,
+        &manifest.data_primes,
+        manifest.special_prime,
+        manifest.secure,
+    )
+    .unwrap();
+    let context = CkksContext::new(params).unwrap();
+    let mut keygen = KeyGenerator::from_seed(context.clone(), 7);
+    let (relin, galois) =
+        keygen.create_evaluation_keys(manifest.needs_relin, &manifest.rotation_steps);
+    let encoder = CkksEncoder::new(context.clone());
+    let mut encryptor =
+        SymmetricEncryptor::from_seed(context.clone(), keygen.secret_key().clone(), 8);
+    let rounds = [1.5, -2.0];
+
+    let mut pipelined = Vec::new();
+    write_message(
+        &mut pipelined,
+        &Message::EvalKeys {
+            relin: relin.map(Box::new),
+            galois: Box::new(galois),
+        },
+    )
+    .unwrap();
+    for x in rounds {
+        let plaintext = encoder.encode(&[x; 8], manifest.inputs[0].scale_log2, context.max_level());
+        let input = InputValue::Seeded(Box::new(encryptor.encrypt_seeded(&plaintext)));
+        write_message(&mut pipelined, &Message::Inputs(vec![("x".into(), input)])).unwrap();
+    }
+    write_message(&mut pipelined, &Message::Bye).unwrap();
+    stream.write_all(&pipelined).unwrap();
+
+    let decryptor = Decryptor::new(context, keygen.secret_key().clone());
+    for x in rounds {
+        let outputs = match expect_message(&mut stream).unwrap() {
+            Message::Outputs(outputs) => outputs,
+            other => panic!("expected Outputs, got {other:?}"),
+        };
+        let OutputValue::Cipher(ct) = &outputs[0].1 else {
+            panic!("expected a ciphertext output");
+        };
+        let out = decryptor.decrypt_to_values(ct, 8)[0];
+        assert!((out - x * x).abs() < 1e-3, "round {x}: got {out}");
+    }
+    let reports = server_thread.join().unwrap().unwrap();
+    assert_eq!(reports[0].as_ref().unwrap().evaluations, 2);
+}
+
+/// A key upload carrying one Galois key beyond the program's rotation
+/// steps is refused, and nothing is cached. The bound is exact, so the
+/// extra key is refused at the frame header.
+#[test]
+fn an_upload_with_an_unrequested_galois_key_is_refused() {
+    let mut p = Program::new("rotate", 8);
+    let x = p.input_cipher("x", 30);
+    let r = p.instruction(Opcode::RotateLeft(1), &[x]);
+    let sq = p.instruction(Opcode::Multiply, &[r, r]);
+    p.output("out", sq, 30);
+    let compiled = compile(&p, &CompilerOptions::default()).unwrap();
+    let server = EvaServer::new(compiled).unwrap();
+    let probe = server.clone();
+    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap();
+    let server_thread = std::thread::spawn(move || server.serve_sessions(&listener, 1));
+
+    let mut stream = TcpStream::connect(addr).unwrap();
+    write_message(
+        &mut stream,
+        &Message::Hello {
+            protocol: PROTOCOL_VERSION,
+            resume: None,
+        },
+    )
+    .unwrap();
+    let manifest = match expect_message(&mut stream).unwrap() {
+        Message::Manifest { manifest, .. } => manifest,
+        other => panic!("expected Manifest, got {other:?}"),
+    };
+    let context = CkksContext::new(
+        CkksParameters::from_primes(
+            manifest.degree,
+            &manifest.data_primes,
+            manifest.special_prime,
+            manifest.secure,
+        )
+        .unwrap(),
+    )
+    .unwrap();
+    let mut steps = manifest.rotation_steps.clone();
+    steps.push(3);
+    let (relin, galois) =
+        KeyGenerator::from_seed(context, 9).create_evaluation_keys(manifest.needs_relin, &steps);
+    write_message(
+        &mut stream,
+        &Message::EvalKeys {
+            relin: relin.map(Box::new),
+            galois: Box::new(galois),
+        },
+    )
+    .unwrap();
+    match expect_message(&mut stream).unwrap() {
+        Message::Error(msg) => assert!(msg.contains("evaluation-key"), "unexpected: {msg}"),
+        other => panic!("expected Error, got {other:?}"),
+    }
+    let reports = server_thread.join().unwrap().unwrap();
+    assert!(reports[0].is_err());
+    assert_eq!(probe.cached_key_sets(), 0);
 }
 
 /// Tentpole: graceful shutdown stops accepting but **drains** the in-flight

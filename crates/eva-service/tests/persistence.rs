@@ -8,10 +8,14 @@ use std::fs;
 use std::net::{TcpListener, TcpStream};
 use std::path::{Path, PathBuf};
 
+use eva_ckks::{CkksContext, CkksParameters, KeyGenerator};
 use eva_core::{compile, CompilerOptions, Opcode, Program};
+use eva_service::protocol::{expect_message, write_message};
 use eva_service::{
-    bytes_with_tag, frame_index, EvaClient, EvaServer, RecordingStream, ServerConfig, TAG_EVAL_KEYS,
+    bytes_with_tag, frame_index, EvaClient, EvaServer, Message, RecordingStream, ServerConfig,
+    PROTOCOL_VERSION, TAG_EVAL_KEYS,
 };
+use eva_wire::fingerprint_eval_key_payload;
 
 /// Rotation + relinearization, so the key set is non-trivial.
 fn rotating_program() -> Program {
@@ -182,6 +186,72 @@ fn corrupt_disk_entries_fall_back_to_upload_and_are_replaced() {
         store.load(&ticket.fingerprint).map(|p| p.len() > 100_000),
         Some(true)
     );
+
+    let _ = fs::remove_dir_all(&dir);
+}
+
+/// A stored key set never passed the frame bound, so key validation is its
+/// only gate: an entry carrying a Galois key no rotation step of the
+/// program maps to is not served, and the resuming Hello gets
+/// `keys_cached = false`.
+#[test]
+fn stored_keys_with_an_unrequested_galois_key_are_not_served() {
+    let compiled = compile(&rotating_program(), &CompilerOptions::default()).unwrap();
+    let dir = temp_dir("unrequested");
+    let server = EvaServer::with_config(compiled, store_config(&dir)).unwrap();
+    let handle = server.clone();
+
+    // The program's keys plus one for a step it never rotates by, stored
+    // under their own fingerprint as an upload would be.
+    let manifest = server.manifest().clone();
+    let params = CkksParameters::from_primes(
+        manifest.degree,
+        &manifest.data_primes,
+        manifest.special_prime,
+        manifest.secure,
+    )
+    .unwrap();
+    let mut steps = manifest.rotation_steps.clone();
+    steps.push(3);
+    let (relin, galois) = KeyGenerator::from_seed(CkksContext::new(params).unwrap(), 5)
+        .create_evaluation_keys(manifest.needs_relin, &steps);
+    let mut frame = Vec::new();
+    write_message(
+        &mut frame,
+        &Message::EvalKeys {
+            relin: relin.map(Box::new),
+            galois: Box::new(galois),
+        },
+    )
+    .unwrap();
+    let payload = &frame[9..];
+    let fingerprint = fingerprint_eval_key_payload(payload);
+    server
+        .key_store()
+        .unwrap()
+        .store(&fingerprint, payload)
+        .unwrap();
+
+    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap();
+    let thread = std::thread::spawn(move || server.serve_sessions(&listener, 1));
+    let mut stream = TcpStream::connect(addr).unwrap();
+    write_message(
+        &mut stream,
+        &Message::Hello {
+            protocol: PROTOCOL_VERSION,
+            resume: Some(fingerprint),
+        },
+    )
+    .unwrap();
+    match expect_message(&mut stream).unwrap() {
+        Message::Manifest { keys_cached, .. } => assert!(!keys_cached),
+        other => panic!("expected Manifest, got {other:?}"),
+    }
+    drop(stream);
+    thread.join().unwrap().unwrap();
+    assert_eq!(handle.cached_key_sets(), 0);
+    assert_eq!(handle.stats().disk_resumptions, 0);
 
     let _ = fs::remove_dir_all(&dir);
 }

@@ -31,6 +31,9 @@ pub const MAX_WIRE_LEVEL: usize = 64;
 /// produced by any executor path but get a little headroom.
 pub const MAX_WIRE_CIPHERTEXT_POLYS: usize = 8;
 
+/// Bytes of an object envelope: magic, version and body length.
+const ENVELOPE_BYTES: u64 = 4 + 4 + 8;
+
 fn form_tag(form: PolyForm) -> u8 {
     match form {
         PolyForm::Coeff => 0,
@@ -58,6 +61,11 @@ pub fn encode_poly(w: &mut Writer, poly: &RnsPoly) {
             w.u64(limb);
         }
     }
+}
+
+/// Encoded length of a polynomial of `degree` coefficients over `level` primes.
+pub fn encoded_poly_len(degree: usize, level: usize) -> u64 {
+    4 + 4 + 1 + 8 * (degree * level) as u64
 }
 
 /// Reads one RNS polynomial written by [`encode_poly`].
@@ -141,6 +149,11 @@ impl WireObject for Ciphertext {
         }
         Ok(Ciphertext::from_parts(polys, scale_log2, level))
     }
+}
+
+/// Encoded length of an `EVAC` object holding `size` such polynomials.
+pub fn encoded_ciphertext_len(size: usize, degree: usize, level: usize) -> u64 {
+    ENVELOPE_BYTES + 8 + 4 + 1 + size as u64 * encoded_poly_len(degree, level)
 }
 
 impl WireObject for SeededCiphertext {
@@ -232,6 +245,12 @@ fn encode_key_switch_key(w: &mut Writer, key: &KeySwitchKey) {
     }
 }
 
+/// Encoded length of a key-switching key of `digits` digit pairs over the
+/// `level` primes of the key basis (the field nested in `EVAL` and `EVAG`).
+pub fn encoded_key_switch_key_len(digits: usize, degree: usize, level: usize) -> u64 {
+    4 + 2 * digits as u64 * encoded_poly_len(degree, level)
+}
+
 fn decode_key_switch_key(r: &mut Reader<'_>) -> Result<KeySwitchKey, WireError> {
     let count = r.u32()? as usize;
     if count == 0 || count > MAX_WIRE_LEVEL {
@@ -261,6 +280,18 @@ impl WireObject for RelinearizationKey {
             decode_key_switch_key(r)?,
         ))
     }
+}
+
+/// Encoded length of an `EVAL` object around a key-switching key of
+/// `key_switch_key_len` bytes.
+pub fn encoded_relin_key_len(key_switch_key_len: u64) -> u64 {
+    ENVELOPE_BYTES + key_switch_key_len
+}
+
+/// Encoded length of an `EVAG` object with `steps` step-table entries and
+/// `elements` keys of `key_switch_key_len` bytes each.
+pub fn encoded_galois_keys_len(steps: usize, elements: usize, key_switch_key_len: u64) -> u64 {
+    ENVELOPE_BYTES + 4 + 16 * steps as u64 + 4 + elements as u64 * (8 + key_switch_key_len)
 }
 
 impl WireObject for GaloisKeys {
@@ -460,6 +491,58 @@ mod tests {
             "re-encode must be byte-identical"
         );
         assert!(restored.supports_step(-2));
+    }
+
+    #[test]
+    fn encoded_lengths_match_the_encoders() {
+        let ctx = context();
+        let (degree, level) = (ctx.degree(), ctx.max_level());
+        let mut keygen = KeyGenerator::from_seed(ctx.clone(), 5);
+        let pk = keygen.create_public_key();
+        let encoder = CkksEncoder::new(ctx.clone());
+        let ct = Encryptor::from_seed(ctx, pk, 6).encrypt(&encoder.encode(&[1.0; 4], 30.0, level));
+        let mut w = Writer::new();
+        encode_poly(&mut w, &ct.polys()[0]);
+        assert_eq!(w.into_bytes().len() as u64, encoded_poly_len(degree, level));
+        assert_eq!(
+            ct.to_wire_bytes().len() as u64,
+            encoded_ciphertext_len(2, degree, level)
+        );
+
+        // One digit per data prime, each over the key basis (one more prime).
+        let key = encoded_key_switch_key_len(level, degree, level + 1);
+        let (relin, galois) = keygen.create_evaluation_keys(true, &[1, -2, 5]);
+        let relin = relin.unwrap().to_wire_bytes();
+        assert_eq!(relin.len() as u64, encoded_relin_key_len(key));
+        assert_eq!(
+            galois.to_wire_bytes().len() as u64,
+            encoded_galois_keys_len(3, 3, key)
+        );
+        // Steps congruent modulo the slot count share one key.
+        let aliasing = keygen.create_galois_keys(&[1, 1 + degree as i64 / 2]);
+        assert_eq!(
+            aliasing.to_wire_bytes().len() as u64,
+            encoded_galois_keys_len(2, 1, key)
+        );
+        assert_eq!(
+            GaloisKeys::default().to_wire_bytes().len() as u64,
+            encoded_galois_keys_len(0, 0, key)
+        );
+    }
+
+    #[test]
+    fn encoded_lengths_reproduce_measured_key_uploads() {
+        // `EVAL` plus `EVAG` bytes, with as many steps as keys.
+        let keys = |degree: usize, primes: usize, elements: usize| {
+            let key = encoded_key_switch_key_len(primes, degree, primes + 1);
+            encoded_relin_key_len(key) + encoded_galois_keys_len(elements, elements, key)
+        };
+        // LeNet-5-small's kernel replay: N = 2^15, 8 data primes, 8 keys.
+        assert_eq!(keys(1 << 15, 8, 8), 339_740_188);
+        // Sobel 64×64: N = 2^14, 4 data primes, 8 keys.
+        assert_eq!(keys(1 << 14, 4, 8), 47_186_836);
+        // x² + x, the service workloads: N = 2^13, 2 data primes, no rotation.
+        assert_eq!(keys(1 << 13, 2, 0), 786_512);
     }
 
     #[test]
