@@ -14,7 +14,7 @@ use std::sync::Arc;
 use eva_ckks::{
     Ciphertext, CkksContext, CkksEncoder, CkksError, CkksParameters, Decryptor, Evaluator,
     GaloisKeys, KeyGenerator, KeySwitchDecomposition, KeySwitchScratch, RelinearizationKey,
-    SymmetricEncryptor,
+    SeededCiphertext, SymmetricEncryptor,
 };
 use eva_core::analysis::Schedule;
 use eva_core::{CompiledProgram, EvaError, NodeId, NodeKind, Opcode, Program, ValueType};
@@ -48,9 +48,8 @@ impl NodeValue {
 ///
 /// This is exactly the state an untrusted deployment server holds: it can
 /// execute a compiled program over ciphertexts it received, but it can
-/// neither encrypt under the client's public key nor decrypt anything. The
-/// client-side [`EncryptedContext`] wraps this with an encryptor and a
-/// decryptor.
+/// neither encrypt nor decrypt anything. The in-process [`EncryptedContext`]
+/// pairs this with the client's [`SecretContext`].
 pub struct EvaluationContext {
     context: CkksContext,
     encoder: CkksEncoder,
@@ -71,18 +70,38 @@ impl std::fmt::Debug for EvaluationContext {
     }
 }
 
-/// CKKS context plus **all** key material needed to run one compiled program
-/// in-process: the evaluation half ([`EvaluationContext`]) plus the
-/// encryptor and the secret-key decryptor.
+/// The client's secret-key half: the CKKS context, an encoder, the
+/// secret-key encryptor and the decryptor. The in-process executor
+/// ([`EncryptedContext`]) and the deployment client (`eva-service`'s
+/// `EvaClient`) both hold one, so they derive keys in one order and encrypt
+/// and decrypt with one code path; a seeded in-process run is bit-identical
+/// to a client/server run by construction.
 ///
-/// Inputs are encrypted with the **symmetric seeded** path
-/// ([`SymmetricEncryptor`]): the in-process executor owns the secret key, and
-/// using the same encryption the deployment client ships over the wire keeps
-/// seeded in-process runs bit-identical to client/server runs.
-pub struct EncryptedContext {
-    eval: EvaluationContext,
+/// Inputs are encrypted with the **secret key**, in seeded form
+/// ([`SymmetricEncryptor`]): the party that encrypts owns the secret key,
+/// and this fresh noise is what `eva-core`'s noise analysis prices.
+pub struct SecretContext {
+    context: CkksContext,
+    encoder: CkksEncoder,
     encryptor: SymmetricEncryptor,
     decryptor: Decryptor,
+}
+
+impl std::fmt::Debug for SecretContext {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("SecretContext")
+            .field("degree", &self.context.degree())
+            .field("levels", &self.context.max_level())
+            .finish()
+    }
+}
+
+/// CKKS context plus **all** key material needed to run one compiled program
+/// in-process: the evaluation half ([`EvaluationContext`]) plus the
+/// secret-key half ([`SecretContext`]).
+pub struct EncryptedContext {
+    eval: EvaluationContext,
+    secret: SecretContext,
 }
 
 impl std::fmt::Debug for EncryptedContext {
@@ -486,11 +505,96 @@ pub struct MemoryAudit {
     pub peak_bytes: usize,
 }
 
+impl SecretContext {
+    /// Derives the secret key — from `key_seed`, or from OS entropy — and
+    /// then, if `eval_keys` asks for them as `(relinearize, rotation
+    /// steps)`, the evaluation keys, in
+    /// [`KeyGenerator::create_evaluation_keys`]' draw order. A resumed
+    /// session passes `None`: only the secret key is derived.
+    ///
+    /// Encryption randomness comes from `key_seed + 1` when
+    /// `deterministic_encryption` is set and a seed is given, and from OS
+    /// entropy otherwise. Deterministic encryption is for tests and
+    /// measurements only: two sessions with the same seed repeat their
+    /// per-ciphertext randomness, and the difference of two `b` components
+    /// reveals the difference of the encoded plaintexts.
+    pub fn generate(
+        context: CkksContext,
+        key_seed: Option<u64>,
+        deterministic_encryption: bool,
+        eval_keys: Option<(bool, &[i64])>,
+    ) -> (Self, Option<(Option<RelinearizationKey>, GaloisKeys)>) {
+        let mut keygen = match key_seed {
+            Some(seed) => KeyGenerator::from_seed(context.clone(), seed),
+            None => KeyGenerator::new(context.clone()),
+        };
+        let keys = eval_keys.map(|(relin, steps)| keygen.create_evaluation_keys(relin, steps));
+        let secret_key = keygen.secret_key();
+        let encryptor = match key_seed {
+            Some(seed) if deterministic_encryption => SymmetricEncryptor::from_seed(
+                context.clone(),
+                secret_key.clone(),
+                seed.wrapping_add(1),
+            ),
+            _ => SymmetricEncryptor::new(context.clone(), secret_key.clone()),
+        };
+        let secret = Self {
+            encoder: CkksEncoder::new(context.clone()),
+            decryptor: Decryptor::new(context.clone(), secret_key.clone()),
+            encryptor,
+            context,
+        };
+        (secret, keys)
+    }
+
+    /// The underlying CKKS context.
+    pub fn context(&self) -> &CkksContext {
+        &self.context
+    }
+
+    /// Encrypts the `Cipher` input `name`: replicates `raw` to `vec_size`
+    /// slots, encodes it at the top level with the input's exact `log2`
+    /// scale and encrypts it in seeded form.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`EvaError::Execution`] if `raw` is empty or longer than
+    /// `vec_size`.
+    pub fn encrypt(
+        &mut self,
+        name: &str,
+        raw: &[f64],
+        vec_size: usize,
+        scale_log2: f64,
+    ) -> Result<SeededCiphertext, EvaError> {
+        let replicated = replicate(raw, vec_size, name)?;
+        let plaintext = self
+            .encoder
+            .encode(&replicated, scale_log2, self.context.max_level());
+        Ok(self.encryptor.encrypt_seeded(&plaintext))
+    }
+
+    /// Decrypts and decodes a ciphertext to its first `vec_size` values.
+    pub fn decrypt(&self, ct: &Ciphertext, vec_size: usize) -> Vec<f64> {
+        let mut values = self.decryptor.decrypt_to_values(ct, vec_size.max(1));
+        values.truncate(vec_size);
+        values
+    }
+
+    /// The secret key's leak-audit probe (see
+    /// [`eva_ckks::SecretKey::leak_probe`]): raw bytes that deployment tests
+    /// scan captured traffic for.
+    pub fn secret_key_probe(&self) -> Vec<u8> {
+        self.decryptor.secret_key_probe()
+    }
+}
+
 impl EncryptedContext {
     /// Generates the encryption context and all keys the compiled program
-    /// needs (public key, relinearization key if the program relinearizes,
-    /// Galois keys for exactly the rotation steps the program's ROTATE nodes
-    /// use).
+    /// needs: the secret key, a relinearization key if the program
+    /// relinearizes and Galois keys for exactly the rotation steps its
+    /// ROTATE nodes use. A seed fixes the keys and the encryption
+    /// randomness (see [`SecretContext::generate`]).
     ///
     /// # Errors
     ///
@@ -500,32 +604,16 @@ impl EncryptedContext {
         let params = parameters_from_spec(&compiled.parameters)?;
         let context = CkksContext::new(params)
             .map_err(|e| EvaError::Execution(format!("context creation failed: {e}")))?;
-
-        let mut keygen = match seed {
-            Some(seed) => KeyGenerator::from_seed(context.clone(), seed),
-            None => KeyGenerator::new(context.clone()),
-        };
-        // The public key is not used for input encryption (the symmetric
-        // seeded path below is), but it is drawn first in the order
-        // `create_evaluation_keys` documents.
-        let _public_key = keygen.create_public_key();
-        let (relin_key, galois_keys) = keygen
-            .create_evaluation_keys(compiled.needs_relinearization(), &compiled.rotation_steps);
-
-        let secret_key = keygen.secret_key().clone();
-        let encryptor = match seed {
-            Some(seed) => SymmetricEncryptor::from_seed(
-                context.clone(),
-                secret_key.clone(),
-                seed.wrapping_add(1),
-            ),
-            None => SymmetricEncryptor::new(context.clone(), secret_key.clone()),
-        };
-        let decryptor = Decryptor::new(context.clone(), secret_key);
+        let (secret, keys) = SecretContext::generate(
+            context.clone(),
+            seed,
+            true,
+            Some((compiled.needs_relinearization(), &compiled.rotation_steps)),
+        );
+        let (relin_key, galois_keys) = keys.expect("evaluation keys were requested");
         Ok(Self {
             eval: EvaluationContext::from_parts(context, relin_key, galois_keys),
-            encryptor,
-            decryptor,
+            secret,
         })
     }
 
@@ -559,7 +647,6 @@ impl EncryptedContext {
     ) -> Result<HashMap<NodeId, NodeValue>, EvaError> {
         let program = &compiled.program;
         let size = program.vec_size();
-        let top_level = self.eval.context.max_level();
         let mut bindings = HashMap::new();
         // Only live inputs: the executors never read dead ones, so they
         // need neither a bound value nor an encode+encrypt.
@@ -571,17 +658,16 @@ impl EncryptedContext {
             let raw = inputs
                 .get(name)
                 .ok_or_else(|| EvaError::Execution(format!("missing input value for {name:?}")))?;
-            let replicated = replicate(raw, size, name)?;
             let value = match node.ty {
-                ValueType::Cipher => {
-                    // Encode/encrypt stamp the node's exact log2 scale.
-                    let plaintext =
-                        self.eval
-                            .encoder
-                            .encode(&replicated, node.scale_log2, top_level);
-                    NodeValue::Cipher(self.encryptor.encrypt(&plaintext))
-                }
-                _ => NodeValue::Plain(replicated),
+                // The expansion of the seeded form is exactly what
+                // `SymmetricEncryptor::encrypt` returns.
+                ValueType::Cipher => NodeValue::Cipher(
+                    self.secret
+                        .encrypt(name, raw, size, node.scale_log2)?
+                        .expand(self.eval.context())
+                        .map_err(to_eva_error)?,
+                ),
+                _ => NodeValue::Plain(replicate(raw, size, name)?),
             };
             bindings.insert(id, value);
         }
@@ -602,13 +688,6 @@ impl EncryptedContext {
         self.eval.execute_serial(compiled, bindings)
     }
 
-    /// The secret key's leak-audit probe (see
-    /// [`eva_ckks::SecretKey::leak_probe`]): raw bytes that deployment tests
-    /// scan captured traffic for.
-    pub fn secret_key_probe(&self) -> Vec<u8> {
-        self.decryptor.secret_key_probe()
-    }
-
     /// Decrypts the program outputs into plain vectors of the program's
     /// vector size.
     ///
@@ -624,10 +703,7 @@ impl EncryptedContext {
         let mut outputs = HashMap::new();
         for (name, value) in EvaluationContext::named_outputs(compiled, values)? {
             let decoded = match value {
-                NodeValue::Cipher(ct) => {
-                    let full = self.decryptor.decrypt_to_values(&ct, size.max(1));
-                    full[..size].to_vec()
-                }
+                NodeValue::Cipher(ct) => self.secret.decrypt(&ct, size),
                 NodeValue::Plain(v) => v,
             };
             outputs.insert(name, decoded);
@@ -725,6 +801,37 @@ mod tests {
         let err = parameters_from_spec(&spec).unwrap_err();
         assert!(matches!(err, EvaError::Execution(_)), "{err}");
         assert!(err.to_string().contains("data prime"), "{err}");
+    }
+
+    #[test]
+    fn the_secret_half_rederives_its_secret_and_keys_from_a_seed() {
+        let params = CkksParameters::new_insecure(64, &[40, 40], 45).unwrap();
+        let context = CkksContext::new(params).unwrap();
+        let request = Some((true, &[1i64, -2][..]));
+        let fingerprint = |keys: Option<(Option<RelinearizationKey>, GaloisKeys)>| {
+            let (relin, galois) = keys.expect("keys were requested");
+            eva_wire::fingerprint_eval_keys(relin.as_ref(), &galois)
+        };
+
+        // The encryption mode draws nothing from the key generator.
+        let (mut first, keys) = SecretContext::generate(context.clone(), Some(5), false, request);
+        let (_, again) = SecretContext::generate(context.clone(), Some(5), true, request);
+        assert_eq!(fingerprint(keys), fingerprint(again));
+
+        // A resumed session derives the same secret key, and nothing else.
+        let (resumed, none) = SecretContext::generate(context.clone(), Some(5), false, None);
+        assert!(none.is_none());
+        assert_eq!(resumed.secret_key_probe(), first.secret_key_probe());
+        let (other, _) = SecretContext::generate(context.clone(), Some(6), false, None);
+        assert_ne!(other.secret_key_probe(), first.secret_key_probe());
+
+        // So it decrypts what the first session encrypted.
+        let ct = first.encrypt("x", &[0.5, -0.25], 8, 30.0).unwrap();
+        let decrypted = resumed.decrypt(&ct.expand(&context).unwrap(), 8);
+        assert_eq!(decrypted.len(), 8);
+        assert!(close(&decrypted, &[0.5, -0.25].repeat(4), 1e-4));
+        assert!(first.encrypt("x", &[], 8, 30.0).is_err());
+        assert!(first.encrypt("x", &[0.0; 9], 8, 30.0).is_err());
     }
 
     #[test]

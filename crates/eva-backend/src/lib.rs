@@ -22,8 +22,10 @@
 //! [`EvaluationContext`] holds only public evaluation state (context,
 //! encoder, evaluator, relinearization + Galois keys) and is what the
 //! executor runs against — locally and on the `eva-service` server, where
-//! the keys arrive over the wire; [`EncryptedContext`] wraps it with the
-//! encryptor and secret-key decryptor for in-process runs.
+//! the keys arrive over the wire. [`SecretContext`] is the client's half
+//! (key derivation, secret-key encryption, decryption), shared by the
+//! in-process [`EncryptedContext`], which pairs it with an
+//! [`EvaluationContext`], and by the `eva-service` deployment client.
 //!
 //! ```no_run
 //! use std::collections::HashMap;
@@ -51,7 +53,7 @@ pub mod reference;
 
 pub use encrypted::{
     parameters_from_spec, run_encrypted, EncryptedContext, EvaluationContext, MemoryAudit,
-    NodeValue,
+    NodeValue, SecretContext,
 };
 pub use parallel::execute_parallel;
 pub use reference::run_reference;

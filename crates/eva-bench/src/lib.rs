@@ -207,7 +207,9 @@ fn random_ntt_poly(
 /// Panics if prime generation or context setup fails (fixed, known-good
 /// parameters).
 pub fn measure_primitives(quick: bool) -> Vec<KernelTiming> {
-    use eva_ckks::{CkksContext, CkksEncoder, CkksParameters, Encryptor, Evaluator, KeyGenerator};
+    use eva_ckks::{
+        CkksContext, CkksEncoder, CkksParameters, Evaluator, KeyGenerator, SymmetricEncryptor,
+    };
     use eva_math::{generate_ntt_primes, Modulus, NttTables};
     use eva_poly::RnsBasis;
     use rand::Rng;
@@ -289,10 +291,10 @@ pub fn measure_primitives(quick: bool) -> Vec<KernelTiming> {
         let params = CkksParameters::new(8192, &[40, 40, 40]).expect("parameters");
         let context = CkksContext::new(params).expect("context");
         let mut keygen = KeyGenerator::from_seed(context.clone(), 1);
-        let public_key = keygen.create_public_key();
         let relin_key = keygen.create_relinearization_key();
         let encoder = CkksEncoder::new(context.clone());
-        let mut encryptor = Encryptor::from_seed(context.clone(), public_key, 2);
+        let mut encryptor =
+            SymmetricEncryptor::from_seed(context.clone(), keygen.secret_key().clone(), 2);
         let evaluator = Evaluator::new(context.clone());
         let values: Vec<f64> = (0..context.slot_count())
             .map(|i| (i as f64).sin())
@@ -376,9 +378,7 @@ pub struct WireSize {
 ///
 /// Panics if context setup fails (fixed, known-good parameters).
 pub fn measure_wire_sizes() -> Vec<WireSize> {
-    use eva_ckks::{
-        CkksContext, CkksEncoder, CkksParameters, Encryptor, KeyGenerator, SymmetricEncryptor,
-    };
+    use eva_ckks::{CkksContext, CkksEncoder, CkksParameters, KeyGenerator, SymmetricEncryptor};
     use eva_wire::WireObject;
 
     let mut out = Vec::new();
@@ -391,19 +391,17 @@ pub fn measure_wire_sizes() -> Vec<WireSize> {
         let context = CkksContext::new(params).expect("context");
         let level = context.max_level();
         let mut keygen = KeyGenerator::from_seed(context.clone(), 77);
-        let public_key = keygen.create_public_key();
         let relin_key = keygen.create_relinearization_key();
         let galois_one_step = keygen.create_galois_keys(&[1]);
         let encoder = CkksEncoder::new(context.clone());
-        let mut encryptor = Encryptor::from_seed(context.clone(), public_key.clone(), 78);
-        let mut symmetric =
+        let mut encryptor =
             SymmetricEncryptor::from_seed(context.clone(), keygen.secret_key().clone(), 79);
         let values: Vec<f64> = (0..context.slot_count())
             .map(|i| (i as f64).cos())
             .collect();
         let plaintext = encoder.encode(&values, f64::from(*data_bits.last().unwrap()), level);
         let ciphertext = encryptor.encrypt(&plaintext);
-        let seeded_ciphertext = symmetric.encrypt_seeded(&plaintext);
+        let seeded_ciphertext = encryptor.encrypt_seeded(&plaintext);
 
         let mut push = |name: String, bytes: usize| out.push(WireSize { name, bytes });
         push(
@@ -413,14 +411,6 @@ pub fn measure_wire_sizes() -> Vec<WireSize> {
         push(
             format!("seeded_ciphertext_n{degree}_l{level}"),
             seeded_ciphertext.to_wire_bytes().len(),
-        );
-        push(
-            format!("plaintext_n{degree}_l{level}"),
-            plaintext.to_wire_bytes().len(),
-        );
-        push(
-            format!("public_key_n{degree}"),
-            public_key.to_wire_bytes().len(),
         );
         push(
             format!("relin_key_n{degree}"),
@@ -876,7 +866,6 @@ mod tests {
             "ciphertext_n8192_l3",
             "seeded_ciphertext_n4096_l2",
             "seeded_ciphertext_n8192_l3",
-            "public_key_n8192",
             "relin_key_n8192",
             "galois_key_per_step_n4096",
         ] {

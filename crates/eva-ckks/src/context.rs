@@ -130,11 +130,6 @@ impl CkksContext {
         &self.inner.composers[level - 1]
     }
 
-    /// The actual value of data prime `i`.
-    pub fn data_prime(&self, i: usize) -> u64 {
-        self.inner.params.data_primes()[i]
-    }
-
     /// Cached `log2` of data prime `i` (the exact `f64` a rescale at level
     /// `i + 1` subtracts from the scale).
     pub fn data_prime_log2(&self, i: usize) -> f64 {

@@ -1,14 +1,12 @@
 //! Encryption and decryption.
 //!
-//! Two encryptors exist:
-//!
-//! * [`Encryptor`] — classic public-key encryption. Anyone holding the
-//!   public key can encrypt; both ciphertext polynomials are dense.
-//! * [`SymmetricEncryptor`] — secret-key encryption producing
-//!   [`SeededCiphertext`]s: the uniform `a` polynomial is replaced by the
-//!   32-byte ChaCha20 seed it expands from, halving fresh-ciphertext wire
-//!   bytes. This is the natural choice for the deployment client, which owns
-//!   the secret key anyway.
+//! Encryption is secret-key only: [`SymmetricEncryptor`] produces
+//! [`SeededCiphertext`]s, whose uniform `a` polynomial is replaced by the
+//! 32-byte ChaCha20 seed it expands from, halving fresh-ciphertext wire
+//! bytes. Whoever encrypts owns the secret key (the deployment client, or
+//! the in-process executor), and the noise analysis prices exactly this
+//! fresh noise; there is no public-key encryptor, whose `u·e` products
+//! would add noise the analysis does not model.
 
 use rand::rngs::{ChaCha20Rng, StdRng};
 use rand::{RngCore, SeedableRng};
@@ -16,91 +14,13 @@ use rand::{RngCore, SeedableRng};
 use crate::ciphertext::{expand_seeded_a, Ciphertext, SeededCiphertext};
 use crate::context::CkksContext;
 use crate::encoder::{CkksEncoder, Plaintext};
-use crate::keys::{PublicKey, SecretKey};
-
-/// Encrypts plaintexts under a public key.
-///
-/// [`Encryptor::new`] draws the ephemeral secrets and errors from a ChaCha20
-/// generator keyed from OS entropy; [`Encryptor::from_seed`] keeps the
-/// deterministic xoshiro256** generator for reproducible tests.
-pub struct Encryptor {
-    context: CkksContext,
-    public_key: PublicKey,
-    rng: Box<dyn RngCore + Send + Sync>,
-}
-
-impl std::fmt::Debug for Encryptor {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Encryptor")
-            .field("degree", &self.context.degree())
-            .finish()
-    }
-}
-
-impl Encryptor {
-    /// Creates an encryptor whose randomness comes from a ChaCha20 generator
-    /// keyed from OS entropy.
-    pub fn new(context: CkksContext, public_key: PublicKey) -> Self {
-        Self {
-            context,
-            public_key,
-            rng: Box::new(ChaCha20Rng::from_os_entropy()),
-        }
-    }
-
-    /// Creates an encryptor with deterministic encryption randomness
-    /// (xoshiro256**; tests and benchmarks only — not a CSPRNG).
-    pub fn from_seed(context: CkksContext, public_key: PublicKey, seed: u64) -> Self {
-        Self {
-            context,
-            public_key,
-            rng: Box::new(StdRng::seed_from_u64(seed)),
-        }
-    }
-
-    /// Encrypts a plaintext. The resulting ciphertext inherits the plaintext's
-    /// scale and level.
-    pub fn encrypt(&mut self, plaintext: &Plaintext) -> Ciphertext {
-        let basis = self.context.key_basis();
-        let level = plaintext.level;
-        let n = self.context.degree();
-
-        // Ephemeral secret u (ternary) and errors e0, e1.
-        let ternary = eva_math::sample_ternary(&mut self.rng, n);
-        let signed: Vec<i64> = ternary.iter().map(|&v| v as i64).collect();
-        let mut u = basis.poly_from_signed(&signed, level);
-        u.to_ntt(basis);
-
-        let make_error = |rng: &mut (dyn RngCore + Send + Sync)| {
-            let cbd = eva_math::sample_cbd(rng, n);
-            let signed: Vec<i64> = cbd.iter().map(|&v| v as i64).collect();
-            let mut e = basis.poly_from_signed(&signed, level);
-            e.to_ntt(basis);
-            e
-        };
-        let e0 = make_error(&mut self.rng);
-        let e1 = make_error(&mut self.rng);
-
-        let pk0 = self.public_key.p0.truncated(level);
-        let pk1 = self.public_key.p1.truncated(level);
-
-        let mut c0 = pk0.dyadic_mul(&u, basis);
-        c0.add_assign(&e0, basis);
-        c0.add_assign(&plaintext.poly, basis);
-
-        let mut c1 = pk1.dyadic_mul(&u, basis);
-        c1.add_assign(&e1, basis);
-
-        Ciphertext::from_parts(vec![c0, c1], plaintext.scale_log2, level)
-    }
-}
+use crate::keys::SecretKey;
 
 /// Encrypts plaintexts under the **secret key**, emitting seed-compressible
 /// ciphertexts.
 ///
 /// A symmetric encryption is `(b, a)` with `a` uniformly random and
-/// `b = -(a·s) + e + m`. Because `a` is *purely* random — unlike the
-/// public-key path, where `c1 = pk1·u + e1` depends on secrets — it can be
+/// `b = -(a·s) + e + m`. Because `a` is *purely* random, it can be
 /// derived from a 32-byte seed and shipped as that seed:
 /// [`SymmetricEncryptor::encrypt_seeded`] returns a [`SeededCiphertext`]
 /// holding `(seed, b)`, and [`SeededCiphertext::expand`] reproduces the full
@@ -108,8 +28,8 @@ impl Encryptor {
 /// unseeded convenience path; it is *defined* as `encrypt_seeded` followed by
 /// `expand`, so the two paths can never diverge.
 ///
-/// Like [`Encryptor`], [`SymmetricEncryptor::new`] draws randomness from a
-/// ChaCha20 generator keyed from OS entropy and
+/// [`SymmetricEncryptor::new`] draws randomness from a ChaCha20 generator
+/// keyed from OS entropy and
 /// [`SymmetricEncryptor::from_seed`] keeps the deterministic xoshiro256**
 /// generator for reproducible tests.
 pub struct SymmetricEncryptor {
@@ -252,13 +172,12 @@ mod tests {
     use crate::keys::KeyGenerator;
     use crate::params::CkksParameters;
 
-    fn setup() -> (CkksContext, CkksEncoder, Encryptor, Decryptor) {
+    fn setup() -> (CkksContext, CkksEncoder, SymmetricEncryptor, Decryptor) {
         let params = CkksParameters::new_insecure(256, &[40, 40, 40], 45).unwrap();
         let ctx = CkksContext::new(params).unwrap();
-        let mut keygen = KeyGenerator::from_seed(ctx.clone(), 11);
-        let pk = keygen.create_public_key();
+        let keygen = KeyGenerator::from_seed(ctx.clone(), 11);
         let encoder = CkksEncoder::new(ctx.clone());
-        let encryptor = Encryptor::from_seed(ctx.clone(), pk, 12);
+        let encryptor = SymmetricEncryptor::from_seed(ctx.clone(), keygen.secret_key().clone(), 12);
         let decryptor = Decryptor::new(ctx.clone(), keygen.secret_key().clone());
         (ctx, encoder, encryptor, decryptor)
     }
@@ -275,6 +194,28 @@ mod tests {
         let decrypted = decryptor.decrypt_to_values(&ct, 128);
         for (a, b) in decrypted.iter().zip(&values) {
             assert!((a - b).abs() < 1e-4, "{a} vs {b}");
+        }
+    }
+
+    #[test]
+    fn an_encryption_of_zero_decrypts_to_a_small_error() {
+        // b + a·s = e + m: with m = 0, decryption leaves the error alone.
+        let (ctx, encoder, mut encryptor, decryptor) = setup();
+        let zero = encoder.encode(&[0.0; 128], 30.0, 3);
+        let mut error = decryptor.decrypt(&encryptor.encrypt(&zero)).poly;
+        error.to_coeff(ctx.key_basis());
+        // Each coefficient modulo the first prime, centered: must be tiny.
+        let q0 = ctx.key_basis().moduli()[0].value();
+        for &c in error.residue(0) {
+            let centered = if c > q0 / 2 {
+                c as i64 - q0 as i64
+            } else {
+                c as i64
+            };
+            assert!(
+                centered.abs() < 64,
+                "error coefficient too large: {centered}"
+            );
         }
     }
 

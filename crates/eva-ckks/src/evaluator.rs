@@ -795,13 +795,13 @@ impl Evaluator {
 mod tests {
     use super::*;
     use crate::encoder::CkksEncoder;
-    use crate::encrypt::{Decryptor, Encryptor};
+    use crate::encrypt::{Decryptor, SymmetricEncryptor};
     use crate::keys::KeyGenerator;
     use crate::params::CkksParameters;
 
     struct Fixture {
         encoder: CkksEncoder,
-        encryptor: Encryptor,
+        encryptor: SymmetricEncryptor,
         decryptor: Decryptor,
         evaluator: Evaluator,
         keygen: KeyGenerator,
@@ -811,11 +811,10 @@ mod tests {
     fn fixture() -> Fixture {
         let params = CkksParameters::new_insecure(256, &[40, 40, 40, 40], 45).unwrap();
         let ctx = CkksContext::new(params).unwrap();
-        let mut keygen = KeyGenerator::from_seed(ctx.clone(), 21);
-        let pk = keygen.create_public_key();
+        let keygen = KeyGenerator::from_seed(ctx.clone(), 21);
         Fixture {
             encoder: CkksEncoder::new(ctx.clone()),
-            encryptor: Encryptor::from_seed(ctx.clone(), pk, 22),
+            encryptor: SymmetricEncryptor::from_seed(ctx.clone(), keygen.secret_key().clone(), 22),
             decryptor: Decryptor::new(ctx.clone(), keygen.secret_key().clone()),
             evaluator: Evaluator::new(ctx),
             keygen,

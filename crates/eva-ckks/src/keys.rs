@@ -1,5 +1,5 @@
-//! Key material and key generation: secret, public, relinearization and
-//! Galois keys.
+//! Key material and key generation: the secret key and the evaluation
+//! (relinearization and Galois) keys.
 //!
 //! Key switching follows the RNS "one digit per data prime, one special prime"
 //! construction used by SEAL: the key for digit `j` hides `(P mod q_j) · s_src`
@@ -26,9 +26,10 @@ use crate::error::CkksError;
 
 /// The secret key: a uniformly random ternary polynomial.
 ///
-/// Deliberately **not** serializable: `eva-wire` implements codecs for every
-/// other runtime object but provides no encoder for this type, so a secret
-/// key can never be framed onto a socket by the service layer.
+/// Deliberately **not** serializable: `eva-wire` implements codecs for the
+/// ciphertexts and evaluation keys a session frames but provides no encoder
+/// for this type, so a secret key can never be framed onto a socket by the
+/// service layer.
 #[derive(Debug, Clone)]
 pub struct SecretKey {
     /// `s` in NTT form over the full key basis (data primes + special prime).
@@ -48,37 +49,6 @@ impl SecretKey {
             .iter()
             .flat_map(|&c| c.to_le_bytes())
             .collect()
-    }
-}
-
-/// The public encryption key `(-(a·s + e), a)` over the full key basis.
-#[derive(Debug, Clone)]
-pub struct PublicKey {
-    pub(crate) p0: RnsPoly,
-    pub(crate) p1: RnsPoly,
-}
-
-impl PublicKey {
-    /// Reassembles a public key from its two polynomials (the inverse of
-    /// [`PublicKey::p0`] / [`PublicKey::p1`]; used by the wire codec).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the polynomials disagree in degree or level.
-    pub fn from_parts(p0: RnsPoly, p1: RnsPoly) -> Self {
-        assert_eq!(p0.degree(), p1.degree(), "public key degree mismatch");
-        assert_eq!(p0.level(), p1.level(), "public key level mismatch");
-        Self { p0, p1 }
-    }
-
-    /// The `-(a·s + e)` component.
-    pub fn p0(&self) -> &RnsPoly {
-        &self.p0
-    }
-
-    /// The uniformly random `a` component.
-    pub fn p1(&self) -> &RnsPoly {
-        &self.p1
     }
 }
 
@@ -339,30 +309,6 @@ impl KeyGenerator {
         &self.secret
     }
 
-    /// Samples a small error polynomial over the first `level` primes, NTT form.
-    fn sample_error_ntt(&mut self, level: usize) -> RnsPoly {
-        let basis = self.context.key_basis();
-        let cbd = eva_math::sample_cbd(&mut self.rng, basis.degree());
-        let signed: Vec<i64> = cbd.iter().map(|&v| v as i64).collect();
-        let mut poly = basis.poly_from_signed(&signed, level);
-        poly.to_ntt(basis);
-        poly
-    }
-
-    /// Generates a public key.
-    pub fn create_public_key(&mut self) -> PublicKey {
-        let context = self.context.clone();
-        let basis = context.key_basis();
-        let full = basis.len();
-        let a = sample_uniform_ntt(basis, &mut *self.rng);
-        let e = self.sample_error_ntt(full);
-        // p0 = -(a*s + e)
-        let mut p0 = a.dyadic_mul(&self.secret.ntt, basis);
-        p0.add_assign(&e, basis);
-        p0.negate(basis);
-        PublicKey { p0, p1: a }
-    }
-
     /// Generates a relinearization key (switching from `s²` to `s`).
     pub fn create_relinearization_key(&mut self) -> RelinearizationKey {
         let (relin, _) = self.create_evaluation_keys(true, &[]);
@@ -389,11 +335,10 @@ impl KeyGenerator {
     /// (the uniform `a` over the full basis, then the error). It hands each
     /// key to a pool of scoped workers as soon as it is drawn; a worker
     /// computes the key in the rows it was handed. The draw order is the
-    /// contract every caller relies on: after the public key, a seeded
-    /// generator yields the same keys — and so the same wire bytes and
-    /// fingerprint — whether it runs in-process
-    /// (`EncryptedContext::setup`) or in the deployment client's handshake,
-    /// on any number of cores. One key is built inline, with no thread.
+    /// contract every caller relies on: drawn right after the secret key, as
+    /// `eva-backend`'s one client key path does, a seeded generator yields
+    /// the same keys — and so the same wire bytes and fingerprint — on any
+    /// number of cores. One key is built inline, with no thread.
     pub fn create_evaluation_keys(
         &mut self,
         relin: bool,
@@ -633,31 +578,6 @@ mod tests {
     }
 
     #[test]
-    fn public_key_decrypts_to_small_error() {
-        // p0 + p1*s = -e must decode to near-zero under the secret key.
-        let ctx = context();
-        let mut keygen = KeyGenerator::from_seed(ctx.clone(), 3);
-        let pk = keygen.create_public_key();
-        let basis = ctx.key_basis();
-        let mut check = pk.p1.dyadic_mul(&keygen.secret_key().ntt, basis);
-        check.add_assign(&pk.p0, basis);
-        check.to_coeff(basis);
-        // Interpret each coefficient modulo the first prime, centered: must be tiny.
-        let q0 = basis.moduli()[0];
-        for &c in check.residue(0) {
-            let centered = if c > q0.value() / 2 {
-                c as i64 - q0.value() as i64
-            } else {
-                c as i64
-            };
-            assert!(
-                centered.abs() < 64,
-                "error coefficient too large: {centered}"
-            );
-        }
-    }
-
-    #[test]
     fn galois_keys_track_requested_steps() {
         let ctx = context();
         let mut keygen = KeyGenerator::from_seed(ctx, 4);
@@ -724,6 +644,16 @@ mod tests {
         }
     }
 
+    /// Samples a small error polynomial over the first `level` primes, NTT form.
+    fn sample_error_ntt(keygen: &mut KeyGenerator, level: usize) -> RnsPoly {
+        let basis = keygen.context.key_basis();
+        let cbd = eva_math::sample_cbd(&mut keygen.rng, basis.degree());
+        let signed: Vec<i64> = cbd.iter().map(|&v| v as i64).collect();
+        let mut poly = basis.poly_from_signed(&signed, level);
+        poly.to_ntt(basis);
+        poly
+    }
+
     /// The sequential key-switching key loop the two-phase generator
     /// replaced: each digit drawn and computed in turn on one thread.
     fn reference_key_switch_key(keygen: &mut KeyGenerator, source: &RnsPoly) -> KeySwitchKey {
@@ -733,7 +663,7 @@ mod tests {
         let mut digits = Vec::new();
         for j in 0..context.max_level() {
             let a = sample_uniform_ntt(basis, &mut *keygen.rng);
-            let e = keygen.sample_error_ntt(basis.len());
+            let e = sample_error_ntt(keygen, basis.len());
             // k0 = -(a*s + e) with (P mod q_j) * source added into residue j.
             let mut k0 = a.dyadic_mul(&keygen.secret.ntt, basis);
             k0.add_assign(&e, basis);
@@ -793,7 +723,7 @@ mod tests {
         for (relin, steps) in cases {
             let mut reference = KeyGenerator::from_seed(ctx.clone(), 23);
             let (want_relin, want_galois) = reference_keys(&mut reference, relin, steps);
-            let want_next = reference.create_public_key();
+            let want_next = reference.rng.next_u64();
             for workers in [1, 2, 3, 8] {
                 let what = format!("relin {relin}, steps {steps:?}, {workers} workers");
                 let mut keygen = KeyGenerator::from_seed(ctx.clone(), 23);
@@ -815,7 +745,7 @@ mod tests {
                     assert_same_key(got, want, &format!("{what}, element {elt}"));
                 }
                 // Both generators consumed the same draws: what comes next matches too.
-                assert_eq!(keygen.create_public_key().p1, want_next.p1, "{what}");
+                assert_eq!(keygen.rng.next_u64(), want_next, "{what}");
             }
         }
     }

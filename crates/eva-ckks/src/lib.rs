@@ -15,19 +15,22 @@
 //!   against the 128-bit security standard, and the precomputed state derived
 //!   from them.
 //! * [`CkksEncoder`] — canonical-embedding encoding of real vectors.
-//! * [`KeyGenerator`], [`PublicKey`], [`SecretKey`], [`RelinearizationKey`],
-//!   [`GaloisKeys`] — key material.
-//! * [`Encryptor`] / [`Decryptor`] — public-key encryption and decryption.
-//! * [`SymmetricEncryptor`] / [`SeededCiphertext`] — secret-key encryption
-//!   whose uniform `a` polynomial travels as a 32-byte ChaCha20 seed,
-//!   halving fresh-ciphertext wire bytes (the deployment transport form).
+//! * [`KeyGenerator`], [`SecretKey`], [`RelinearizationKey`], [`GaloisKeys`]
+//!   — key material.
+//! * [`SymmetricEncryptor`] / [`SeededCiphertext`] / [`Decryptor`] —
+//!   secret-key encryption, whose uniform `a` polynomial travels as a
+//!   32-byte ChaCha20 seed (halving fresh-ciphertext wire bytes), and
+//!   decryption. There is no public-key encryption: the party that encrypts
+//!   owns the secret key, and the noise analysis prices only this fresh
+//!   noise.
 //! * [`Evaluator`] — the homomorphic operations (one per EVA opcode).
 //!
 //! # Example
 //!
 //! ```
 //! use eva_ckks::{
-//!     CkksContext, CkksEncoder, CkksParameters, Decryptor, Encryptor, Evaluator, KeyGenerator,
+//!     CkksContext, CkksEncoder, CkksParameters, Decryptor, Evaluator, KeyGenerator,
+//!     SymmetricEncryptor,
 //! };
 //!
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -37,11 +40,10 @@
 //! let params = CkksParameters::new(8192, &[40, 40, 40])?;
 //! let context = CkksContext::new(params)?;
 //! let mut keygen = KeyGenerator::new(context.clone());
-//! let public_key = keygen.create_public_key();
 //! let relin_key = keygen.create_relinearization_key();
 //!
 //! let encoder = CkksEncoder::new(context.clone());
-//! let mut encryptor = Encryptor::new(context.clone(), public_key);
+//! let mut encryptor = SymmetricEncryptor::new(context.clone(), keygen.secret_key().clone());
 //! let decryptor = Decryptor::new(context.clone(), keygen.secret_key().clone());
 //! let evaluator = Evaluator::new(context);
 //!
@@ -73,8 +75,8 @@ pub mod params;
 pub use ciphertext::{Ciphertext, SeededCiphertext};
 pub use context::CkksContext;
 pub use encoder::{CkksEncoder, Plaintext};
-pub use encrypt::{Decryptor, Encryptor, SymmetricEncryptor};
+pub use encrypt::{Decryptor, SymmetricEncryptor};
 pub use error::CkksError;
 pub use evaluator::{Evaluator, KeySwitchDecomposition, KeySwitchScratch};
-pub use keys::{GaloisKeys, KeyGenerator, KeySwitchKey, PublicKey, RelinearizationKey, SecretKey};
+pub use keys::{GaloisKeys, KeyGenerator, KeySwitchKey, RelinearizationKey, SecretKey};
 pub use params::{max_coeff_modulus_bits, CkksParameters, ParameterError};

@@ -21,8 +21,8 @@
 //!    pieces as separate tasks.
 
 use eva_ckks::{
-    Ciphertext, CkksContext, CkksEncoder, CkksParameters, Decryptor, Encryptor, Evaluator,
-    KeyGenerator, KeySwitchDecomposition, KeySwitchScratch,
+    Ciphertext, CkksContext, CkksEncoder, CkksParameters, Decryptor, Evaluator, KeyGenerator,
+    KeySwitchDecomposition, KeySwitchScratch, SymmetricEncryptor,
 };
 use eva_poly::RnsPoly;
 use proptest::prelude::*;
@@ -42,9 +42,9 @@ fn build(degree: usize, levels: usize, level: usize, seed: u64) -> Harness {
     let bits = vec![40u32; levels];
     let params = CkksParameters::new_insecure(degree, &bits, 45).unwrap();
     let context = CkksContext::new(params).unwrap();
-    let mut keygen = KeyGenerator::from_seed(context.clone(), seed ^ 0xA5A5);
-    let pk = keygen.create_public_key();
-    let mut encryptor = Encryptor::from_seed(context.clone(), pk, seed ^ 0x5A5A);
+    let keygen = KeyGenerator::from_seed(context.clone(), seed ^ 0xA5A5);
+    let mut encryptor =
+        SymmetricEncryptor::from_seed(context.clone(), keygen.secret_key().clone(), seed ^ 0x5A5A);
     let encoder = CkksEncoder::new(context.clone());
     let decryptor = Decryptor::new(context.clone(), keygen.secret_key().clone());
 

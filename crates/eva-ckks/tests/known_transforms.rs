@@ -16,11 +16,15 @@
 //!    constants moved into `RnsBasis::drop_constants`).
 //!
 //! The hashes asserted below were captured by running this file on the parent
-//! commit (`eef4907`), whose encoder and evaluator run every transform.
+//! commit (`eef4907`), whose encoder and evaluator run every transform. The
+//! key-switch hashes were re-captured when the fixture moved from public-key
+//! to secret-key encryption (which changes the input ciphertext and, with no
+//! public key drawn first, the keys): on `1a78693`, whose kernels still
+//! matched the `eef4907` hashes under the old fixture, with the new one.
 
 use eva_ckks::{
-    Ciphertext, CkksContext, CkksEncoder, CkksParameters, Encryptor, Evaluator, KeyGenerator,
-    Plaintext,
+    Ciphertext, CkksContext, CkksEncoder, CkksParameters, Evaluator, KeyGenerator, Plaintext,
+    SymmetricEncryptor,
 };
 use eva_poly::RnsPoly;
 use proptest::prelude::*;
@@ -40,23 +44,22 @@ fn fnv_cts(cts: &[Ciphertext]) -> u64 {
     fnv(cts.iter().flat_map(|ct| ct.polys()))
 }
 
-/// `evaluator.rs`'s seeded unit-test fixture (key seed 21, encryption seed
-/// 22) over arbitrary parameters.
+/// `evaluator.rs`'s seeded unit-test fixture (key seed 21, secret-key
+/// encryption seed 22) over arbitrary parameters.
 struct Harness {
     context: CkksContext,
     encoder: CkksEncoder,
-    encryptor: Encryptor,
+    encryptor: SymmetricEncryptor,
     evaluator: Evaluator,
     keygen: KeyGenerator,
 }
 
 fn harness(params: CkksParameters) -> Harness {
     let context = CkksContext::new(params).unwrap();
-    let mut keygen = KeyGenerator::from_seed(context.clone(), 21);
-    let pk = keygen.create_public_key();
+    let keygen = KeyGenerator::from_seed(context.clone(), 21);
     Harness {
         encoder: CkksEncoder::new(context.clone()),
-        encryptor: Encryptor::from_seed(context.clone(), pk, 22),
+        encryptor: SymmetricEncryptor::from_seed(context.clone(), keygen.secret_key().clone(), 22),
         evaluator: Evaluator::new(context.clone()),
         keygen,
         context,
@@ -110,10 +113,10 @@ fn key_switch_outputs_match_the_parent_commit_on_the_fixture() {
     assert_eq!(
         key_switch_hashes(fixture()),
         [
-            0x280e_471f_5ab6_6e19,
-            0xb546_29e0_50ce_a0cb,
-            0x4b26_00d3_0bb0_54a2,
-            0x00ae_d12e_2b59_1c00
+            0x85e9_a503_e43c_b3ef,
+            0xeebe_4042_26f5_7710,
+            0x69b0_dee9_6527_9d85,
+            0x113b_ba76_00e5_9bd2
         ],
         "relinearize / rescale / rotate / rotate_hoisted at N = 256, 4 primes"
     );
@@ -124,10 +127,10 @@ fn key_switch_outputs_match_the_parent_commit_at_n8192_level3() {
     assert_eq!(
         key_switch_hashes(harness(CkksParameters::new(8192, &[40, 40, 40]).unwrap())),
         [
-            0x3d7e_a165_f6f8_cd9b,
-            0x4c0b_c723_fbb3_0ee5,
-            0x5da1_31cb_c85a_55e2,
-            0xc8b7_c165_4a11_9d8a
+            0x240c_a222_feed_67bd,
+            0x5a29_c26b_5f7c_4459,
+            0xc4dc_9268_7319_502c,
+            0x0c64_ad40_a233_526f
         ],
         "relinearize / rescale / rotate / rotate_hoisted at N = 8192, level 3"
     );

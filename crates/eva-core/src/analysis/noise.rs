@@ -286,8 +286,8 @@ pub fn estimate_noise(compiled: &CompiledProgram) -> NoiseReport {
     // (canonical embedding) image of that rounding polynomial concentrates
     // around √(N/12), so the high-probability bound is √N · 2^ENCODE_HP.
     let encode_err = 0.5 * log_n + ENCODE_HP_BITS;
-    // Symmetric (seeded) encryption — the transport the deployment pipeline
-    // uses — adds a single CBD error polynomial: √N·σ slot-domain spread.
+    // Symmetric (seeded) encryption — the only encryption `eva-ckks` has —
+    // adds a single CBD error polynomial: √N·σ slot-domain spread.
     // (Public-key encryption would add the u·e products, ≈ √N·σ larger.)
     let fresh_err = log2_add_rms(0.5 * log_n + FRESH_HP_BITS, encode_err);
     let special_bits = f64::from(spec.special_prime_bits);

@@ -106,8 +106,8 @@ pub enum Check {
 }
 
 impl Check {
-    /// A stable kebab-case name for the check, used in diagnostics, wire
-    /// payloads and tests.
+    /// A stable kebab-case name for the check, used in diagnostics, the
+    /// service's load refusals and tests.
     pub fn name(self) -> &'static str {
         match self {
             Check::Acyclic => "acyclic",

@@ -43,12 +43,6 @@ impl ProgramBuilder {
         }
     }
 
-    /// Changes the default scale used for constants lifted from `f64` operands
-    /// by expressions created *after* this call.
-    pub fn set_default_constant_scale(&mut self, scale_bits: u32) {
-        self.default_constant_scale = scale_bits;
-    }
-
     /// The program's vector size.
     pub fn vec_size(&self) -> usize {
         self.program.borrow().vec_size()

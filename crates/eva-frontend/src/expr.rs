@@ -72,19 +72,6 @@ impl Expr {
         }
     }
 
-    /// Lifts a plaintext vector constant at the expression's default scale.
-    pub fn lift_vector(&self, values: Vec<f64>) -> Expr {
-        let node = self
-            .program
-            .borrow_mut()
-            .constant(ConstantValue::Vector(values), self.constant_scale);
-        Expr {
-            program: Rc::clone(&self.program),
-            node,
-            constant_scale: self.constant_scale,
-        }
-    }
-
     /// Rotates the vector left by `steps` slots (the paper's `<<` in PyEVA).
     pub fn rotate_left(&self, steps: i32) -> Expr {
         self.unary(Opcode::RotateLeft(steps))

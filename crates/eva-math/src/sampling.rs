@@ -1,7 +1,7 @@
 //! Random samplers used by RLWE key generation and encryption.
 //!
-//! * [`sample_uniform_poly`] — coefficients uniform in `[0, q)` (the public-key
-//!   "a" component).
+//! * [`sample_uniform_poly`] — coefficients uniform in `[0, q)` (the uniform
+//!   "a" component of RLWE samples).
 //! * [`sample_ternary`] — uniform ternary secrets in `{-1, 0, 1}`.
 //! * [`sample_cbd`] — small errors from a centered binomial distribution with
 //!   standard deviation ≈ 3.2, the value mandated by the homomorphic

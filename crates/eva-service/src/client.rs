@@ -6,14 +6,17 @@
 //! distinctness and — when claimed — the 128-bit security bound), generates
 //! all key material locally, uploads only the evaluation keys, and then
 //! encrypts inputs / decrypts outputs for as many evaluation rounds as it
-//! likes. Secret and public encryption keys never leave the client.
+//! likes. The secret key never leaves the client, and there is no public
+//! key: key derivation, encryption and decryption are `eva-backend`'s
+//! [`SecretContext`], the same code the in-process executor runs, so a
+//! seeded session is bit-identical to an in-process run.
 //!
 //! Two transport optimizations keep sessions lean:
 //!
 //! * fresh ciphertexts travel in **seeded** form (`EVAD`): inputs are
-//!   encrypted with the secret-key [`SymmetricEncryptor`], whose uniform
-//!   polynomial ships as a 32-byte seed — roughly half the bytes of the full
-//!   two-polynomial encoding;
+//!   encrypted with the secret key, and the uniform polynomial ships as a
+//!   32-byte seed — roughly half the bytes of the full two-polynomial
+//!   encoding;
 //! * a reconnecting client can **resume**: it presents the
 //!   [`SessionTicket`] of an earlier session — the key seed paired with the
 //!   evaluation-key fingerprint — and if the server still caches those keys
@@ -29,9 +32,8 @@ use std::collections::HashMap;
 use std::io::{Read, Write};
 use std::net::{TcpStream, ToSocketAddrs};
 
-use eva_ckks::{
-    CkksContext, CkksEncoder, CkksParameters, Decryptor, KeyGenerator, SymmetricEncryptor,
-};
+use eva_backend::SecretContext;
+use eva_ckks::{CkksContext, CkksParameters};
 use eva_wire::{fingerprint_eval_key_payload, KeyFingerprint};
 
 use crate::error::ServiceError;
@@ -101,11 +103,7 @@ pub struct SessionTicket {
 pub struct EvaClient<S> {
     stream: S,
     manifest: ProgramManifest,
-    context: CkksContext,
-    encoder: CkksEncoder,
-    encryptor: SymmetricEncryptor,
-    decryptor: Decryptor,
-    keygen: KeyGenerator,
+    secret: SecretContext,
     key_seed: Option<u64>,
     fingerprint: Option<KeyFingerprint>,
     resumed: bool,
@@ -115,7 +113,7 @@ impl<S> std::fmt::Debug for EvaClient<S> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("EvaClient")
             .field("program", &self.manifest.name)
-            .field("degree", &self.context.degree())
+            .field("degree", &self.secret.context().degree())
             .field("resumed", &self.resumed)
             .finish()
     }
@@ -238,9 +236,9 @@ impl<S: Read + Write> EvaClient<S> {
     }
 
     /// Performs a **fully deterministic** handshake: keys *and* encryption
-    /// randomness derive from `key_seed`, matching
-    /// `EncryptedContext::setup`'s draw order so the session is bit-identical
-    /// to the in-process executor. Tests, benchmarks and reproducible
+    /// randomness derive from `key_seed` exactly as in
+    /// `EncryptedContext::setup`, so the session is bit-identical to the
+    /// in-process executor. Tests, benchmarks and reproducible
     /// measurements only: two sessions with the same seed repeat the same
     /// per-ciphertext `(seed, e)` randomness, and the difference of their
     /// `b` components reveals the encoded plaintext difference — **never use
@@ -352,61 +350,39 @@ impl<S: Read + Write> EvaClient<S> {
         let context =
             CkksContext::new(params).map_err(|e| ServiceError::InvalidParameters(e.to_string()))?;
 
-        let mut keygen = match key_seed {
-            Some(seed) => KeyGenerator::from_seed(context.clone(), seed),
-            None => KeyGenerator::new(context.clone()),
-        };
-        let fingerprint = if keys_cached {
+        let eval_keys =
+            (!keys_cached).then_some((manifest.needs_relin, &manifest.rotation_steps[..]));
+        let (secret, keys) =
+            SecretContext::generate(context, key_seed, deterministic_encryption, eval_keys);
+        let fingerprint = match keys {
+            Some((relin, galois)) => {
+                // Serialize the upload once, send it, then fingerprint those
+                // same bytes — the EvalKeys payload (`has_relin · EVAL? ·
+                // EVAG`) is exactly the fingerprint input, and the server
+                // hashes it as received. Hashing after the write lets the
+                // client's pass overlap the server's hash, decode and
+                // validation of the upload instead of delaying it. Unseeded
+                // sessions skip the hash: their secret key can never be
+                // re-derived, so no resumption ticket can exist and
+                // digesting megabytes of key material would buy nothing.
+                let (tag, payload) = encode_payload(&Message::EvalKeys {
+                    relin: relin.map(Box::new),
+                    galois: Box::new(galois),
+                });
+                write_frame(&mut stream, tag, &payload)?;
+                key_seed
+                    .is_some()
+                    .then(|| fingerprint_eval_key_payload(&payload))
+            }
             // Resumed: the server already holds keys under this fingerprint,
-            // so all evaluation-side key generation (public/relin/Galois) and
-            // the upload are skipped — only the secret key was derived.
-            Some(resume.expect("checked above"))
-        } else {
-            // The public key is not used for encryption (the symmetric
-            // seeded path is) but it is drawn first in the order
-            // `create_evaluation_keys` documents, which is what makes the
-            // fingerprint reproducible from the seed.
-            let _public_key = keygen.create_public_key();
-            let (relin, galois) =
-                keygen.create_evaluation_keys(manifest.needs_relin, &manifest.rotation_steps);
-            // Serialize the upload once, send it, then fingerprint those
-            // same bytes — the EvalKeys payload (`has_relin · EVAL? · EVAG`)
-            // is exactly the fingerprint input, and the server hashes it as
-            // received. Hashing after the write lets the client's pass
-            // overlap the server's hash, decode and validation of the
-            // upload instead of delaying it. Unseeded sessions skip the
-            // hash: their secret key can never be re-derived, so no
-            // resumption ticket can exist and digesting megabytes of key
-            // material would buy nothing.
-            let (tag, payload) = encode_payload(&Message::EvalKeys {
-                relin: relin.map(Box::new),
-                galois: Box::new(galois),
-            });
-            write_frame(&mut stream, tag, &payload)?;
-            key_seed
-                .is_some()
-                .then(|| fingerprint_eval_key_payload(&payload))
+            // so evaluation-key generation and the upload are skipped — only
+            // the secret key was derived.
+            None => Some(resume.expect("keys_cached implies a resume offer")),
         };
-
-        let encoder = CkksEncoder::new(context.clone());
-        let secret_key = keygen.secret_key().clone();
-        let encryptor = match key_seed {
-            Some(seed) if deterministic_encryption => SymmetricEncryptor::from_seed(
-                context.clone(),
-                secret_key.clone(),
-                seed.wrapping_add(1),
-            ),
-            _ => SymmetricEncryptor::new(context.clone(), secret_key.clone()),
-        };
-        let decryptor = Decryptor::new(context.clone(), secret_key);
         Ok(Self {
             stream,
             manifest,
-            context,
-            encoder,
-            encryptor,
-            decryptor,
-            keygen,
+            secret,
             key_seed,
             fingerprint,
             resumed: keys_cached,
@@ -459,25 +435,18 @@ impl<S: Read + Write> EvaClient<S> {
         inputs: &HashMap<String, Vec<f64>>,
     ) -> Result<HashMap<String, Vec<f64>>, ServiceError> {
         let vec_size = self.manifest.vec_size;
-        let top_level = self.context.max_level();
         let mut wire_inputs = Vec::with_capacity(self.manifest.inputs.len());
         for spec in &self.manifest.inputs {
             let raw = inputs.get(&spec.name).ok_or_else(|| {
                 ServiceError::Execution(format!("missing input value for {:?}", spec.name))
             })?;
-            if raw.is_empty() || raw.len() > vec_size {
-                return Err(ServiceError::Execution(format!(
-                    "input {:?} has length {}, expected between 1 and {vec_size}",
-                    spec.name,
-                    raw.len()
-                )));
-            }
+            // A plaintext input travels as given; the server replicates it
+            // with the same length check as `SecretContext::encrypt`.
             let value = if spec.cipher {
-                // Replicate exactly like the in-process executor, then stamp
-                // the node's exact log2 scale (bit-for-bit from the wire).
-                let replicated: Vec<f64> = (0..vec_size).map(|i| raw[i % raw.len()]).collect();
-                let plaintext = self.encoder.encode(&replicated, spec.scale_log2, top_level);
-                InputValue::Seeded(Box::new(self.encryptor.encrypt_seeded(&plaintext)))
+                let ct = self
+                    .secret
+                    .encrypt(&spec.name, raw, vec_size, spec.scale_log2)?;
+                InputValue::Seeded(Box::new(ct))
             } else {
                 InputValue::Plain(raw.clone())
             };
@@ -500,8 +469,9 @@ impl<S: Read + Write> EvaClient<S> {
                     // Validate the shape before decrypting so a hostile
                     // server cannot push the decryptor out of its domain
                     // (which would panic, e.g. on a coefficient-form poly).
-                    if ct.polys()[0].degree() != self.context.degree()
-                        || ct.level() > self.context.max_level()
+                    let context = self.secret.context();
+                    if ct.polys()[0].degree() != context.degree()
+                        || ct.level() > context.max_level()
                         || ct.size() > 3
                         || ct
                             .polys()
@@ -512,8 +482,7 @@ impl<S: Read + Write> EvaClient<S> {
                             "output {name:?} has an invalid ciphertext shape"
                         )));
                     }
-                    let full = self.decryptor.decrypt_to_values(&ct, vec_size.max(1));
-                    full[..vec_size].to_vec()
+                    self.secret.decrypt(&ct, vec_size)
                 }
                 OutputValue::Seeded(_) => {
                     // Computed values cannot be seed-compressed; a server
@@ -533,7 +502,7 @@ impl<S: Read + Write> EvaClient<S> {
     /// [`eva_ckks::SecretKey::leak_probe`]): deployment tests scan captured
     /// traffic for these bytes to prove the secret never hit the socket.
     pub fn secret_key_probe(&self) -> Vec<u8> {
-        self.keygen.secret_key().leak_probe()
+        self.secret.secret_key_probe()
     }
 
     /// Ends the session politely and returns the transport (so instrumented

@@ -3,7 +3,31 @@
 use std::fmt;
 use std::io;
 
-use eva_wire::{ProgramDiagnostics, WireError};
+use eva_wire::WireError;
+
+/// The findings behind a refused program load: the program's name and one
+/// entry per finding. A server only ever reports them to its operator; they
+/// are never framed.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct ProgramDiagnostics {
+    /// Name of the program the findings refer to.
+    pub program: String,
+    /// Every finding, in the order the gate produced them.
+    pub diagnostics: Vec<Finding>,
+}
+
+/// One finding: the check that fired (the verifier's stable kebab-case
+/// name, e.g. `"scale-match"`, or `"noise-budget"` / `"peak-memory"`), the
+/// node it anchors to (if any) and the message.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Finding {
+    /// Stable name of the check that fired.
+    pub check: String,
+    /// Node id the finding is anchored to, if any.
+    pub node: Option<usize>,
+    /// Human-readable description with node/opcode provenance.
+    pub message: String,
+}
 
 /// Errors produced by the EVA deployment client and server.
 #[derive(Debug)]

@@ -79,7 +79,7 @@ mod session;
 
 pub use chaos::{ChaosStream, Fault};
 pub use client::{EvaClient, SessionTicket};
-pub use error::ServiceError;
+pub use error::{Finding, ProgramDiagnostics, ServiceError};
 pub use eva_wire::KeyFingerprint;
 pub use keystore::DiskKeyStore;
 pub use limits::{ClientConfig, ServerConfig};

@@ -1036,14 +1036,15 @@ mod tests {
 
     #[test]
     fn full_ciphertext_inputs_are_exactly_their_bound() {
-        use eva_ckks::{CkksEncoder, Encryptor, KeyGenerator};
+        use eva_ckks::{CkksEncoder, KeyGenerator, SymmetricEncryptor};
 
         let compiled = compiled_fixture();
         let manifest = ProgramManifest::from_compiled(&compiled);
         let server = crate::EvaServer::new(compiled).unwrap();
         let context = server.context().clone();
-        let mut keygen = KeyGenerator::from_seed(context.clone(), 2);
-        let mut encryptor = Encryptor::from_seed(context.clone(), keygen.create_public_key(), 3);
+        let keygen = KeyGenerator::from_seed(context.clone(), 2);
+        let mut encryptor =
+            SymmetricEncryptor::from_seed(context.clone(), keygen.secret_key().clone(), 3);
         let encoder = CkksEncoder::new(context.clone());
         let inputs = manifest
             .inputs

@@ -35,24 +35,24 @@ use eva_core::analysis::noise::{check_noise, NoiseModel};
 use eva_core::analysis::verifier::{verify_compiled, VerifierReport};
 use eva_core::serialize::compiled_from_bytes;
 use eva_core::{predict_peak_memory, CompiledProgram};
-use eva_wire::{fingerprint_eval_key_payload, KeyFingerprint, ProgramDiagnostics, WireDiagnostic};
+use eva_wire::{fingerprint_eval_key_payload, KeyFingerprint};
 
-use crate::error::ServiceError;
+use crate::error::{Finding, ProgramDiagnostics, ServiceError};
 use crate::keystore::DiskKeyStore;
 use crate::limits::ServerConfig;
 use crate::protocol::{decode_payload, ClientFrameBounds, Message, ProgramManifest, TAG_EVAL_KEYS};
 use crate::sched::{eval_slots, SchedGauges};
 
-/// Converts a verifier report into the wire payload a refused load carries:
+/// Converts a verifier report into the findings a refused load carries:
 /// error-severity findings only, each with its stable check name and node.
 fn diagnostics_payload(program: &str, report: &VerifierReport) -> ProgramDiagnostics {
     ProgramDiagnostics {
         program: program.to_string(),
         diagnostics: report
             .errors()
-            .map(|d| WireDiagnostic {
+            .map(|d| Finding {
                 check: d.check.name().to_string(),
-                node: d.node.map(|n| n as u64),
+                node: d.node,
                 message: d.message.clone(),
             })
             .collect(),
@@ -64,9 +64,9 @@ fn diagnostics_payload(program: &str, report: &VerifierReport) -> ProgramDiagnos
 fn refusal(program: &str, check: &str, node: Option<usize>, message: String) -> ServiceError {
     ServiceError::InvalidProgram(ProgramDiagnostics {
         program: program.to_string(),
-        diagnostics: vec![WireDiagnostic {
+        diagnostics: vec![Finding {
             check: check.to_string(),
-            node: node.map(|n| n as u64),
+            node,
             message,
         }],
     })

@@ -14,15 +14,11 @@
 //!   [`Ciphertext`](eva_ckks::Ciphertext),
 //!   [`SeededCiphertext`](eva_ckks::SeededCiphertext) (half-size fresh
 //!   ciphertexts whose uniform polynomial ships as a 32-byte seed),
-//!   [`Plaintext`](eva_ckks::Plaintext), [`PublicKey`](eva_ckks::PublicKey),
 //!   [`RelinearizationKey`](eva_ckks::RelinearizationKey) and
-//!   [`GaloisKeys`](eva_ckks::GaloisKeys).
+//!   [`GaloisKeys`](eva_ckks::GaloisKeys) — the objects a session frames.
 //! * [`fingerprint`] — BLAKE2b-256 content fingerprints over evaluation-key wire
 //!   bytes ([`fingerprint_eval_keys`]), the addresses of the deployment
 //!   server's evaluation-key cache for session resumption.
-//! * [`diagnostics`] — [`ProgramDiagnostics`], the payload a server returns
-//!   when the static verifier refuses to load a program, carrying every
-//!   finding (check name, node, message) across the trust boundary.
 //!
 //! `SecretKey` intentionally has **no codec**: the service layer can only
 //! frame [`WireObject`] values, so this crate is a structural guarantee that
@@ -41,12 +37,9 @@
 //! | encryption parameter spec (`eva-core::serialize`) | `EVAS` | 1 |
 //! | ciphertext | `EVAC` | 1 |
 //! | seeded ciphertext | `EVAD` | 1 |
-//! | plaintext | `EVAT` | 1 |
-//! | public key | `EVAK` | 1 |
 //! | relinearization key | `EVAL` | 1 |
 //! | Galois keys | `EVAG` | 1 |
 //! | program manifest (`eva-service`) | `EVAM` | 1 |
-//! | program diagnostics ([`diagnostics`]) | `EVAX` | 1 |
 //!
 //! Every object is `magic(4) · version(u32) · body_len(u64) · body`, all
 //! integers little-endian. The full byte-level specification, including the
@@ -56,12 +49,10 @@
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
 
-pub mod diagnostics;
 pub mod fingerprint;
 pub mod frame;
 pub mod runtime;
 
-pub use diagnostics::{ProgramDiagnostics, WireDiagnostic};
 pub use fingerprint::{
     fingerprint_eval_key_payload, fingerprint_eval_keys, Blake2b256, EvalKeyPayloadHasher,
     KeyFingerprint,

@@ -1,5 +1,5 @@
 //! Wire codecs for the runtime objects that cross the client/server trust
-//! boundary: ciphertexts, plaintexts and the three public key types.
+//! boundary: full and seeded ciphertexts and the two evaluation-key types.
 //!
 //! Every codec is a [`WireObject`] — a 4-byte magic, a `u32` version and a
 //! length-prefixed body — and every decoder validates shapes structurally
@@ -11,10 +11,7 @@
 //! only ever frame objects that implement [`WireObject`], so secret key
 //! material cannot reach a socket through this crate.
 
-use eva_ckks::{
-    Ciphertext, GaloisKeys, KeySwitchKey, Plaintext, PublicKey, RelinearizationKey,
-    SeededCiphertext,
-};
+use eva_ckks::{Ciphertext, GaloisKeys, KeySwitchKey, RelinearizationKey, SeededCiphertext};
 use eva_poly::{PolyForm, RnsPoly};
 
 use crate::frame::{Reader, WireError, WireObject, Writer};
@@ -187,56 +184,6 @@ impl WireObject for SeededCiphertext {
     }
 }
 
-impl WireObject for Plaintext {
-    const MAGIC: [u8; 4] = *b"EVAT";
-    const VERSION: u32 = 1;
-
-    fn encode_body(&self, w: &mut Writer) {
-        w.f64(self.scale_log2);
-        w.u32(self.level as u32);
-        encode_poly(w, &self.poly);
-    }
-
-    fn decode_body(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        let scale_log2 = r.f64()?;
-        if !scale_log2.is_finite() {
-            return Err(WireError::Invalid("non-finite plaintext scale".into()));
-        }
-        let level = r.u32()? as usize;
-        let poly = decode_poly(r)?;
-        if poly.level() != level {
-            return Err(WireError::Invalid(format!(
-                "plaintext level field {level} does not match polynomial level {}",
-                poly.level()
-            )));
-        }
-        Ok(Plaintext {
-            poly,
-            scale_log2,
-            level,
-        })
-    }
-}
-
-impl WireObject for PublicKey {
-    const MAGIC: [u8; 4] = *b"EVAK";
-    const VERSION: u32 = 1;
-
-    fn encode_body(&self, w: &mut Writer) {
-        encode_poly(w, self.p0());
-        encode_poly(w, self.p1());
-    }
-
-    fn decode_body(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        let polys = decode_uniform_polys(r, 2, "public key")?;
-        let mut it = polys.into_iter();
-        Ok(PublicKey::from_parts(
-            it.next().unwrap(),
-            it.next().unwrap(),
-        ))
-    }
-}
-
 fn encode_key_switch_key(w: &mut Writer, key: &KeySwitchKey) {
     w.u32(key.digits().len() as u32);
     for (k0, k1) in key.canonical_digits() {
@@ -393,7 +340,9 @@ impl WireObject for GaloisKeys {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use eva_ckks::{CkksContext, CkksEncoder, CkksParameters, Decryptor, Encryptor, KeyGenerator};
+    use eva_ckks::{
+        CkksContext, CkksEncoder, CkksParameters, Decryptor, KeyGenerator, SymmetricEncryptor,
+    };
 
     fn context() -> CkksContext {
         let params = CkksParameters::new_insecure(32, &[30, 30, 40], 45).unwrap();
@@ -403,10 +352,10 @@ mod tests {
     #[test]
     fn ciphertext_roundtrip_is_bit_exact_and_reencode_is_byte_identical() {
         let ctx = context();
-        let mut keygen = KeyGenerator::from_seed(ctx.clone(), 1);
-        let pk = keygen.create_public_key();
+        let keygen = KeyGenerator::from_seed(ctx.clone(), 1);
         let encoder = CkksEncoder::new(ctx.clone());
-        let mut encryptor = Encryptor::from_seed(ctx.clone(), pk, 2);
+        let mut encryptor =
+            SymmetricEncryptor::from_seed(ctx.clone(), keygen.secret_key().clone(), 2);
         let pt = encoder.encode(&[0.5, -1.25, 3.0, 0.125], 30.5, 3);
         let ct = encryptor.encrypt(&pt);
 
@@ -425,8 +374,6 @@ mod tests {
 
     #[test]
     fn seeded_ciphertext_roundtrip_expands_to_the_unseeded_encryption() {
-        use eva_ckks::SymmetricEncryptor;
-
         let ctx = context();
         let keygen = KeyGenerator::from_seed(ctx.clone(), 9);
         let encoder = CkksEncoder::new(ctx.clone());
@@ -451,23 +398,6 @@ mod tests {
         let decryptor = Decryptor::new(ctx, keygen.secret_key().clone());
         let values = decryptor.decrypt_to_values(&expanded, 4);
         assert!((values[0] - 0.75).abs() < 1e-3);
-    }
-
-    #[test]
-    fn plaintext_and_public_key_roundtrip() {
-        let ctx = context();
-        let mut keygen = KeyGenerator::from_seed(ctx.clone(), 3);
-        let pk = keygen.create_public_key();
-        let encoder = CkksEncoder::new(ctx);
-        let pt = encoder.encode(&[1.0; 16], 25.0, 2);
-
-        let restored = Plaintext::from_wire_bytes(&pt.to_wire_bytes()).unwrap();
-        assert_eq!(restored.poly, pt.poly);
-        assert_eq!(restored.scale_log2.to_bits(), pt.scale_log2.to_bits());
-
-        let restored = PublicKey::from_wire_bytes(&pk.to_wire_bytes()).unwrap();
-        assert_eq!(restored.p0(), pk.p0());
-        assert_eq!(restored.p1(), pk.p1());
     }
 
     #[test]
@@ -498,9 +428,9 @@ mod tests {
         let ctx = context();
         let (degree, level) = (ctx.degree(), ctx.max_level());
         let mut keygen = KeyGenerator::from_seed(ctx.clone(), 5);
-        let pk = keygen.create_public_key();
         let encoder = CkksEncoder::new(ctx.clone());
-        let ct = Encryptor::from_seed(ctx, pk, 6).encrypt(&encoder.encode(&[1.0; 4], 30.0, level));
+        let ct = SymmetricEncryptor::from_seed(ctx, keygen.secret_key().clone(), 6)
+            .encrypt(&encoder.encode(&[1.0; 4], 30.0, level));
         let mut w = Writer::new();
         encode_poly(&mut w, &ct.polys()[0]);
         assert_eq!(w.into_bytes().len() as u64, encoded_poly_len(degree, level));
@@ -555,14 +485,16 @@ mod tests {
     #[test]
     fn mismatched_levels_are_rejected() {
         let ctx = context();
-        let encoder = CkksEncoder::new(ctx);
-        let pt = encoder.encode(&[1.0; 4], 20.0, 2);
-        let mut bytes = pt.to_wire_bytes();
+        let keygen = KeyGenerator::from_seed(ctx.clone(), 7);
+        let encoder = CkksEncoder::new(ctx.clone());
+        let ct = SymmetricEncryptor::from_seed(ctx, keygen.secret_key().clone(), 8)
+            .encrypt(&encoder.encode(&[1.0; 4], 20.0, 2));
+        let mut bytes = ct.to_wire_bytes();
         // The level field sits right after the envelope (16 bytes) and the
-        // scale (8 bytes); bump it so it disagrees with the polynomial.
+        // scale (8 bytes); bump it so it disagrees with the polynomials.
         bytes[16 + 8] ^= 0x01;
         assert!(matches!(
-            Plaintext::from_wire_bytes(&bytes),
+            Ciphertext::from_wire_bytes(&bytes),
             Err(WireError::Invalid(_))
         ));
     }

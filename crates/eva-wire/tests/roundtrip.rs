@@ -1,13 +1,10 @@
 //! Property tests for the runtime wire codecs: `decode ∘ encode = id` (and
-//! re-encoding is byte-identical) for ciphertexts, plaintexts and all three
-//! public key types across random degrees and levels, plus totality under
+//! re-encoding is byte-identical) for full and seeded ciphertexts and both
+//! evaluation-key types across random degrees and levels, plus totality under
 //! corruption — truncated and bit-flipped buffers must return errors, never
 //! panic.
 
-use eva_ckks::{
-    Ciphertext, GaloisKeys, KeySwitchKey, Plaintext, PublicKey, RelinearizationKey,
-    SeededCiphertext,
-};
+use eva_ckks::{Ciphertext, GaloisKeys, KeySwitchKey, RelinearizationKey, SeededCiphertext};
 use eva_poly::{PolyForm, RnsPoly};
 use eva_wire::{fingerprint_eval_keys, WireError, WireObject};
 use proptest::prelude::*;
@@ -175,35 +172,6 @@ proptest! {
     }
 
     #[test]
-    fn plaintext_roundtrip(
-        degree in prop::sample::select(vec![8usize, 16, 64]),
-        level in 1usize..5,
-        seed in any::<u64>(),
-    ) {
-        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
-        let pt = Plaintext {
-            poly: random_poly(degree, level, PolyForm::Ntt, &mut rng),
-            scale_log2: rng.gen_range(-10.0..60.0),
-            level,
-        };
-        assert_roundtrip(&pt);
-    }
-
-    #[test]
-    fn public_key_roundtrip(
-        degree in prop::sample::select(vec![8usize, 32]),
-        level in 1usize..5,
-        seed in any::<u64>(),
-    ) {
-        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
-        let pk = PublicKey::from_parts(
-            random_poly(degree, level, PolyForm::Ntt, &mut rng),
-            random_poly(degree, level, PolyForm::Ntt, &mut rng),
-        );
-        assert_roundtrip(&pk);
-    }
-
-    #[test]
     fn relinearization_key_roundtrip(
         degree in prop::sample::select(vec![8usize, 32]),
         level in 1usize..4,
@@ -241,15 +209,6 @@ fn corruption_never_panics_and_always_surfaces() {
     let mut rng = rand::rngs::StdRng::seed_from_u64(7);
     assert_corruption_total(&random_ciphertext(8, 2, 2, 7));
     assert_corruption_total(&random_seeded_ciphertext(8, 2, 7));
-    assert_corruption_total(&Plaintext {
-        poly: random_poly(8, 2, PolyForm::Ntt, &mut rng),
-        scale_log2: 31.25,
-        level: 2,
-    });
-    assert_corruption_total(&PublicKey::from_parts(
-        random_poly(8, 2, PolyForm::Ntt, &mut rng),
-        random_poly(8, 2, PolyForm::Ntt, &mut rng),
-    ));
     assert_corruption_total(&RelinearizationKey::from_key_switch_key(
         random_key_switch_key(8, 2, &mut rng),
     ));
@@ -262,10 +221,10 @@ fn corruption_never_panics_and_always_surfaces() {
 
 #[test]
 fn wrong_magic_is_a_typed_error() {
-    // A ciphertext buffer is not accepted by the plaintext decoder: the two
-    // formats are distinguished by magic, not by guessing.
+    // A ciphertext buffer is not accepted by the relinearization-key
+    // decoder: the formats are distinguished by magic, not by guessing.
     let ct = random_ciphertext(8, 1, 2, 1);
-    let err = Plaintext::from_wire_bytes(&ct.to_wire_bytes()).unwrap_err();
+    let err = RelinearizationKey::from_wire_bytes(&ct.to_wire_bytes()).unwrap_err();
     assert!(matches!(err, WireError::BadMagic { .. }));
     // Nor is a seeded ciphertext a full ciphertext (EVAD vs EVAC).
     let seeded = random_seeded_ciphertext(8, 1, 1);
@@ -311,7 +270,9 @@ fn eval_key_fingerprints_are_stable_and_content_sensitive() {
 /// `EVAL` / `EVAG` bytes the original SHA-256 pins were taken over.
 #[test]
 fn seeded_eval_keys_keep_their_wire_bytes_fingerprint_and_rotations() {
-    use eva_ckks::{CkksContext, CkksEncoder, CkksParameters, Encryptor, Evaluator, KeyGenerator};
+    use eva_ckks::{
+        CkksContext, CkksEncoder, CkksParameters, Evaluator, KeyGenerator, SymmetricEncryptor,
+    };
     use eva_wire::{Blake2b256, KeyFingerprint};
 
     let hex = |digest: [u8; 32]| KeyFingerprint(digest).to_string();
@@ -342,9 +303,8 @@ fn seeded_eval_keys_keep_their_wire_bytes_fingerprint_and_rotations() {
     assert_eq!(decoded.to_wire_bytes(), galois_bytes);
     assert_roundtrip(&relin);
 
-    let pk = keygen.create_public_key();
     let values: Vec<f64> = (0..32).map(|i| i as f64 / 32.0).collect();
-    let ct = Encryptor::from_seed(ctx.clone(), pk, 18)
+    let ct = SymmetricEncryptor::from_seed(ctx.clone(), keygen.secret_key().clone(), 18)
         .encrypt(&CkksEncoder::new(ctx.clone()).encode(&values, 30.0, 3));
     let evaluator = Evaluator::new(ctx);
     let expected = evaluator.rotate_hoisted(&ct, &steps, &galois).unwrap();
