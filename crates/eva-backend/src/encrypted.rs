@@ -489,7 +489,7 @@ impl EvaluationContext {
         compiled: &CompiledProgram,
         bindings: HashMap<NodeId, NodeValue>,
     ) -> Result<(HashMap<NodeId, NodeValue>, MemoryAudit), EvaError> {
-        crate::parallel::run(self, compiled, bindings, 0)
+        crate::parallel::run(self, compiled, bindings, 1)
     }
 }
 

@@ -13,10 +13,10 @@
 //!   Section 6.1: a dependence-counting board seeded from the program's
 //!   execution schedule (`eva_core::analysis::Schedule`), which retires
 //!   (frees) each value as soon as its last consumer has run and audits
-//!   the peak memory it held. [`execute_parallel`] runs it on a pool of
-//!   worker threads; [`EvaluationContext::execute_serial`] runs the same
-//!   board on the calling thread, so serial and parallel runs are
-//!   bit-identical by construction.
+//!   the peak memory it held. [`execute_parallel`] runs it on the calling
+//!   thread plus scoped worker threads; [`EvaluationContext::execute_serial`]
+//!   is the same run at one thread, on the caller alone, so serial and
+//!   parallel runs are bit-identical by construction.
 //!
 //! The encrypted executor is split along the deployment trust boundary:
 //! [`EvaluationContext`] holds only public evaluation state (context,

@@ -33,11 +33,12 @@
 //!
 //! All bookkeeping is one `Board` behind one mutex and one condition
 //! variable; it knows nothing about threads, so tests drive it by hand
-//! through the orders threads could produce.
-//! [`EvaluationContext::execute_serial`] is the same worker loop on the
-//! calling thread. The board also keeps the [`MemoryAudit`]: a value is
-//! counted when stored, before its parents retire, and un-counted when
-//! retired; decomposition digits are not counted.
+//! through the orders threads could produce. The calling thread is worker
+//! zero, so [`EvaluationContext::execute_serial`] is a run at one thread:
+//! the worker loop on the caller, no thread spawned. The board also keeps
+//! the [`MemoryAudit`]: a value is counted when stored, before its parents
+//! retire, and un-counted when retired; decomposition digits are not
+//! counted.
 
 use std::collections::{HashMap, VecDeque};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -404,8 +405,8 @@ fn worker(monitor: &Monitor<'_>, context: &EvaluationContext, program: &Program)
     }
 }
 
-/// Executes a compiled program using `num_threads` worker threads, retiring
-/// each value as soon as its last consumer has run.
+/// Executes a compiled program on `num_threads` workers, the calling thread
+/// among them, retiring each value as soon as its last consumer has run.
 ///
 /// # Errors
 ///
@@ -417,17 +418,17 @@ pub fn execute_parallel(
     bindings: HashMap<NodeId, NodeValue>,
     num_threads: usize,
 ) -> Result<HashMap<NodeId, NodeValue>, EvaError> {
-    run(context, compiled, bindings, num_threads.max(1)).map(|(outputs, _)| outputs)
+    run(context, compiled, bindings, num_threads).map(|(outputs, _)| outputs)
 }
 
-/// The executor: runs `compiled` on `spawn` scoped worker threads, or with
-/// `spawn == 0` on the calling thread alone, and returns the outputs with
-/// the board's [`MemoryAudit`].
+/// The executor: runs `compiled` on `threads` workers — the calling thread
+/// is worker zero, the rest are scoped threads — and returns the outputs
+/// with the board's [`MemoryAudit`].
 pub(crate) fn run(
     context: &EvaluationContext,
     compiled: &CompiledProgram,
     mut bindings: HashMap<NodeId, NodeValue>,
-    spawn: usize,
+    threads: usize,
 ) -> Result<(HashMap<NodeId, NodeValue>, MemoryAudit), EvaError> {
     let program = &compiled.program;
     // Only nodes that reach an output participate: dead branches are not
@@ -454,15 +455,12 @@ pub(crate) fn run(
         board: Mutex::new(board),
         wake: Condvar::new(),
     };
-    if spawn == 0 {
+    std::thread::scope(|scope| {
+        for _ in 1..threads {
+            scope.spawn(|| worker(&monitor, context, program));
+        }
         worker(&monitor, context, program);
-    } else {
-        std::thread::scope(|scope| {
-            for _ in 0..spawn {
-                scope.spawn(|| worker(&monitor, context, program));
-            }
-        });
-    }
+    });
     let mut board = monitor
         .board
         .into_inner()

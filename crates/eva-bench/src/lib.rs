@@ -370,56 +370,41 @@ pub struct WireSize {
     pub bytes: usize,
 }
 
-/// Measures the encoded sizes of every runtime wire object at the two
-/// deployment-relevant ring degrees (N = 4096 and N = 8192): the
-/// `BENCH_wire.json` entries.
-///
-/// # Panics
-///
-/// Panics if context setup fails (fixed, known-good parameters).
+/// The encoded sizes of every runtime wire object at the two
+/// deployment-relevant ring degrees (N = 4096 over two data primes and
+/// N = 8192 over three, each with one special prime): the `BENCH_wire.json`
+/// entries. The sizes depend only on the shape, so they come from eva-wire's
+/// length helpers, which its tests pin against the encoders.
 pub fn measure_wire_sizes() -> Vec<WireSize> {
-    use eva_ckks::{CkksContext, CkksEncoder, CkksParameters, KeyGenerator, SymmetricEncryptor};
-    use eva_wire::WireObject;
+    use eva_wire::{
+        encoded_ciphertext_len, encoded_galois_keys_len, encoded_key_switch_key_len,
+        encoded_relin_key_len, encoded_seeded_ciphertext_len,
+    };
 
     let mut out = Vec::new();
-    for (degree, data_bits, special_bits) in [
-        (4096usize, vec![30u32, 30], 40u32),
-        (8192, vec![40, 40, 40], 60),
-    ] {
-        let params = CkksParameters::with_special_prime_bits(degree, &data_bits, special_bits)
-            .expect("baseline parameters");
-        let context = CkksContext::new(params).expect("context");
-        let level = context.max_level();
-        let mut keygen = KeyGenerator::from_seed(context.clone(), 77);
-        let relin_key = keygen.create_relinearization_key();
-        let galois_one_step = keygen.create_galois_keys(&[1]);
-        let encoder = CkksEncoder::new(context.clone());
-        let mut encryptor =
-            SymmetricEncryptor::from_seed(context.clone(), keygen.secret_key().clone(), 79);
-        let values: Vec<f64> = (0..context.slot_count())
-            .map(|i| (i as f64).cos())
-            .collect();
-        let plaintext = encoder.encode(&values, f64::from(*data_bits.last().unwrap()), level);
-        let ciphertext = encryptor.encrypt(&plaintext);
-        let seeded_ciphertext = encryptor.encrypt_seeded(&plaintext);
-
-        let mut push = |name: String, bytes: usize| out.push(WireSize { name, bytes });
-        push(
-            format!("ciphertext_n{degree}_l{level}"),
-            ciphertext.to_wire_bytes().len(),
-        );
-        push(
-            format!("seeded_ciphertext_n{degree}_l{level}"),
-            seeded_ciphertext.to_wire_bytes().len(),
-        );
-        push(
-            format!("relin_key_n{degree}"),
-            relin_key.to_wire_bytes().len(),
-        );
-        push(
-            format!("galois_key_per_step_n{degree}"),
-            galois_one_step.to_wire_bytes().len(),
-        );
+    for (degree, level) in [(4096usize, 2usize), (8192, 3)] {
+        // One digit per data prime, each over the key basis (one more prime).
+        let key = encoded_key_switch_key_len(level, degree, level + 1);
+        for (name, bytes) in [
+            (
+                format!("ciphertext_n{degree}_l{level}"),
+                encoded_ciphertext_len(2, degree, level),
+            ),
+            (
+                format!("seeded_ciphertext_n{degree}_l{level}"),
+                encoded_seeded_ciphertext_len(degree, level),
+            ),
+            (format!("relin_key_n{degree}"), encoded_relin_key_len(key)),
+            (
+                format!("galois_key_per_step_n{degree}"),
+                encoded_galois_keys_len(1, 1, key),
+            ),
+        ] {
+            out.push(WireSize {
+                name,
+                bytes: bytes as usize,
+            });
+        }
     }
     out
 }
@@ -472,33 +457,26 @@ pub fn table3_network_inventory(network: &Network) -> String {
     )
 }
 
-/// One row of Table 4: scales used and the accuracy proxy (max logit error and
-/// argmax agreement of EVA-mode encrypted inference vs plaintext inference,
-/// computed by the reference semantics so it stays fast).
-pub fn table4_accuracy(prepared: &PreparedNetwork, seed: u64) -> String {
-    let image = random_image(&prepared.network, seed);
-    let (lowered, compiled) = &prepared.eva;
-    let packed = pack_input(&image, compiled.program.vec_size());
-    let inputs: HashMap<String, Vec<f64>> =
-        [(lowered.input_name.clone(), packed)].into_iter().collect();
-    let outputs = run_reference(&compiled.program, &inputs).expect("reference execution");
-    let logits = lowered.extract_logits(&outputs[&lowered.output_name]);
-    let expected = prepared.network.infer_plain(&image);
-    let max_err = logits
-        .iter()
-        .zip(&expected)
-        .map(|(a, b)| (a - b).abs())
-        .fold(0.0f64, f64::max);
-    format!(
-        "{:<20} scales(cipher/vector/scalar/out)={}/{}/{}/{}  max_logit_err={:.2e}  argmax_match={}",
-        prepared.network.name,
-        lowered.scales.cipher,
-        lowered.scales.vector,
-        lowered.scales.scalar,
-        lowered.scales.output,
-        max_err,
-        argmax(&logits) == argmax(&expected),
-    )
+/// One row of Table 4: the scales the EVA lowering chose and, given one
+/// encrypted inference of the network ([`measure_inference`]), its accuracy
+/// proxy — the max logit error against plaintext inference and whether the
+/// argmax agrees.
+pub fn table4_accuracy(
+    prepared: &PreparedNetwork,
+    measured: Option<&InferenceMeasurement>,
+) -> String {
+    let scales = &prepared.eva.0.scales;
+    let mut row = format!(
+        "{:<20} scales(cipher/vector/scalar/out)={}/{}/{}/{}",
+        prepared.network.name, scales.cipher, scales.vector, scales.scalar, scales.output,
+    );
+    if let Some(m) = measured {
+        row += &format!(
+            "  max_logit_err={:.2e}  argmax_match={}",
+            m.max_error, m.argmax_agrees
+        );
+    }
+    row
 }
 
 /// One row of Table 6: encryption parameters selected for CHET vs EVA.
@@ -839,8 +817,19 @@ mod tests {
         let prepared = prepare_network(&network);
         let params = table6_parameters(&prepared);
         assert!(params.contains("CHET") && params.contains("EVA"));
-        let accuracy = table4_accuracy(&prepared, 3);
-        assert!(accuracy.contains("argmax_match"));
+        let scales = table4_accuracy(&prepared, None);
+        assert!(scales.contains("scales(") && !scales.contains("argmax_match"));
+        let measured = InferenceMeasurement {
+            context_time: Duration::ZERO,
+            encrypt_time: Duration::ZERO,
+            execute_time: Duration::ZERO,
+            decrypt_time: Duration::ZERO,
+            max_error: 1.5e-4,
+            argmax_agrees: true,
+        };
+        let accuracy = table4_accuracy(&prepared, Some(&measured));
+        assert!(accuracy.starts_with(&scales));
+        assert!(accuracy.ends_with("max_logit_err=1.50e-4  argmax_match=true"));
     }
 
     #[test]

@@ -48,10 +48,12 @@ pub struct ServerConfig {
     /// last frames, so a peer that stops reading cannot hold its slot
     /// forever.
     pub write_timeout: Option<Duration>,
-    /// Maximum concurrently served sessions. Further connections are
-    /// answered with a polite `busy:` protocol `Error` frame and closed —
-    /// backpressure a retrying client turns into backoff, instead of
-    /// unbounded per-connection state.
+    /// Maximum concurrently served sessions of one serve call
+    /// ([`EvaServer::serve_forever`](crate::EvaServer::serve_forever) or
+    /// [`serve_sessions`](crate::EvaServer::serve_sessions)). Further
+    /// connections are answered with a polite `busy:` protocol `Error`
+    /// frame and closed — backpressure a retrying client turns into
+    /// backoff, instead of unbounded per-connection state.
     pub max_sessions: usize,
     /// Peak-memory budget in bytes. The load gate refuses a program whose
     /// forecast peak (`eva_core::predict_peak_memory`: live values plus one

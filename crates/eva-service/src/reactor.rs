@@ -9,6 +9,19 @@
 //! completions come back over a wake pipe, so the reactor sleeps in
 //! `epoll_wait` whenever nothing is ready.
 //!
+//! The reactor alone owns the serving state, for the length of one serve
+//! call:
+//!
+//! * **admission** counts the admitted connections in its own table
+//!   against [`ServerConfig::max_sessions`](crate::ServerConfig::max_sessions);
+//!   a slot frees when its connection leaves the table;
+//! * **shutdown wake-up**: the run publishes its wake pipe to the server,
+//!   and [`EvaServer::begin_shutdown`] writes one byte into it, as a
+//!   completion does;
+//! * **drain**: once shutdown has begun and the last connection has
+//!   closed, the run joins the scheduler's workers and returns, so
+//!   `serve_forever` returning is the drain point.
+//!
 //! The protocol's resource rules are reactor state:
 //!
 //! * the per-message read **deadline** is a reactor timer, armed from
@@ -44,7 +57,7 @@ use polling::{Event, Interest, Poller};
 use crate::error::ServiceError;
 use crate::protocol::{encode_payload, Message, READ_CHUNK_BYTES};
 use crate::sched::{Completion, JobOutcome, Scheduler};
-use crate::server::{EvaServer, SessionGuard, SessionReport};
+use crate::server::{EvaServer, SessionReport};
 use crate::session::{FrameAssembler, SessionMachine, Step};
 
 const TOKEN_LISTENER: u64 = 0;
@@ -81,7 +94,8 @@ struct Conn {
     addr: SocketAddr,
     stream: TcpStream,
     assembler: FrameAssembler,
-    /// `None` for busy-rejected connections (no session was admitted).
+    /// `None` for busy-rejected connections (no session was admitted): the
+    /// connections holding a session slot are the table's `Some`s.
     machine: Option<SessionMachine>,
     /// Completed frames not yet fed to the machine (one frame per step).
     /// Reads pause while this is non-empty, so it holds at most the frames
@@ -108,8 +122,6 @@ struct Conn {
     eof: bool,
     /// An evaluation job is in flight for this connection (reads pause).
     evaluating: bool,
-    /// Releases the concurrency slot when dropped with the connection.
-    _guard: Option<SessionGuard>,
     /// Whether the fd is currently registered with the poller, and with
     /// what interest. A connection with nothing to wait for is deregistered
     /// outright so unmaskable `EPOLLHUP` events cannot spin the loop.
@@ -231,16 +243,17 @@ impl Reactor {
     ) -> Result<(), ServiceError> {
         let server = &self.server;
         let poller = &self.poller;
-        server.set_listener_addr(listener.local_addr().ok());
         listener.set_nonblocking(true)?;
         poller.add(listener.as_raw_fd(), TOKEN_LISTENER, Interest::READ)?;
 
-        // The wake pipe: evaluation workers write one byte per completion so
-        // a reactor parked in epoll_wait notices finished jobs immediately.
+        // The wake pipe: evaluation workers write one byte per completion,
+        // and begin_shutdown one, so a reactor parked in epoll_wait notices
+        // finished jobs and shutdown immediately.
         let (wake_rx, wake_tx) = UnixStream::pair()?;
         wake_rx.set_nonblocking(true)?;
         wake_tx.set_nonblocking(true)?;
         poller.add(wake_rx.as_raw_fd(), TOKEN_WAKE, Interest::READ)?;
+        server.publish_wake(Some(wake_tx.try_clone()?));
         let workers = std::thread::available_parallelism().map_or(4, |n| n.get());
         let scheduler = Scheduler::new(
             workers.min(server.eval_slots()),
@@ -361,6 +374,7 @@ impl Reactor {
         // Scheduler drop joins the workers: in-flight evaluations complete
         // before serve returns, so shutdown drains rather than aborts.
         drop(scheduler);
+        server.publish_wake(None);
         result
     }
 
@@ -376,6 +390,7 @@ impl Reactor {
         accepting: &mut bool,
         now: Instant,
     ) -> Result<(), ServiceError> {
+        let mut admitted = conns.values().filter(|c| c.machine.is_some()).count();
         loop {
             let (stream, addr) = match listener.accept() {
                 Ok(pair) => pair,
@@ -384,7 +399,7 @@ impl Reactor {
                 Err(err) => return Err(err.into()),
             };
             if matches!(mode, Mode::Forever) && self.server.is_shutting_down() {
-                // begin_shutdown's wake connection (or a late client).
+                // A client arriving after begin_shutdown.
                 drop(stream);
                 *accepting = false;
                 let _ = self.poller.delete(listener.as_raw_fd());
@@ -396,7 +411,9 @@ impl Reactor {
             };
             let token = *next_token;
             *next_token += 1;
-            let conn = self.admit_conn(stream, addr, token, slot, now);
+            let admit = admitted < self.server.config().max_sessions.max(1);
+            admitted += usize::from(admit);
+            let conn = self.admit_conn(stream, addr, token, slot, admit, now);
             conns.insert(token, conn);
             if let Mode::Sessions(n) = mode {
                 *accepted += 1;
@@ -409,15 +426,16 @@ impl Reactor {
         }
     }
 
-    /// Builds the connection state for one accepted socket: an admitted
-    /// session with a machine and an armed deadline, or a busy rejection
-    /// already in its draining close.
+    /// Builds the connection state for one accepted socket: with `admit`,
+    /// a session with a machine and an armed deadline, otherwise a busy
+    /// rejection already in its draining close.
     fn admit_conn(
         &self,
         stream: TcpStream,
         addr: SocketAddr,
         token: u64,
         slot: Option<usize>,
+        admit: bool,
         now: Instant,
     ) -> Conn {
         let server = &self.server;
@@ -441,32 +459,27 @@ impl Reactor {
             slot,
             eof: false,
             evaluating: false,
-            _guard: None,
             registered: None,
         };
-        match server.try_begin_session() {
-            Some(guard) => {
-                server.counters().started.fetch_add(1, Ordering::Relaxed);
-                conn.id = server.next_session_id();
-                conn.budget = server.config().read_deadline;
-                conn.machine = Some(SessionMachine::new(server.clone()));
-                conn._guard = Some(guard);
-                conn.arm_deadline(now);
-            }
-            None => {
-                server
-                    .counters()
-                    .busy_rejected
-                    .fetch_add(1, Ordering::Relaxed);
-                // The `busy:` prefix is what clients classify as transient.
-                let message = format!(
-                    "busy: server is at its {}-session limit; retry with backoff",
-                    server.config().max_sessions.max(1)
-                );
-                conn.queue_frames(&[encode_payload(&Message::Error(message.clone()))]);
-                conn.result = Some(Err(ServiceError::Protocol(message)));
-                conn.closing = Some(self.closing_state(now, ERROR_DRAIN_WINDOW));
-            }
+        if admit {
+            // A session's id is its ordinal among the server's sessions.
+            conn.id = server.counters().started.fetch_add(1, Ordering::Relaxed) + 1;
+            conn.budget = server.config().read_deadline;
+            conn.machine = Some(SessionMachine::new(server.clone()));
+            conn.arm_deadline(now);
+        } else {
+            server
+                .counters()
+                .busy_rejected
+                .fetch_add(1, Ordering::Relaxed);
+            // The `busy:` prefix is what clients classify as transient.
+            let message = format!(
+                "busy: server is at its {}-session limit; retry with backoff",
+                server.config().max_sessions.max(1)
+            );
+            conn.queue_frames(&[encode_payload(&Message::Error(message.clone()))]);
+            conn.result = Some(Err(ServiceError::Protocol(message)));
+            conn.closing = Some(self.closing_state(now, ERROR_DRAIN_WINDOW));
         }
         conn
     }

@@ -21,13 +21,19 @@
 //! only other knob is [`EvaServer::with_threads`]. The rest is derived from
 //! the program: the worker cap from its peak-memory forecast, and each
 //! client frame's size bound from what its own client sends.
+//!
+//! Serving state — the open connections, the session limit, shutdown's
+//! wake-up and the drain — belongs to the reactor a serve call runs
+//! (`reactor.rs`). The server keeps what outlives a call: the program, the
+//! key cache, the lifetime counters and the shutdown flag.
 
 use std::collections::HashMap;
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::io::Write;
+use std::net::TcpListener;
+use std::os::unix::net::UnixStream;
 use std::path::Path;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
-use std::time::Duration;
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::{Arc, Mutex};
 
 use eva_backend::parameters_from_spec;
 use eva_ckks::{CkksContext, GaloisKeys, RelinearizationKey};
@@ -245,17 +251,10 @@ struct ServerInner {
     /// the load gate; the scheduler runs at most this many workers.
     eval_slots: usize,
     stats: StatCounters,
-    session_ids: AtomicU64,
-    /// Sessions currently being served — admission is a lock-free
-    /// compare-exchange on this counter; `idle_lock`/`idle` exist only so
-    /// [`EvaServer::wait_idle`] can sleep instead of spin.
-    active: AtomicUsize,
-    idle_lock: Mutex<()>,
-    idle: Condvar,
     shutting_down: AtomicBool,
-    /// Where the serving listener is bound, so [`EvaServer::begin_shutdown`]
-    /// can wake the reactor's poller with a throwaway connection.
-    listener_addr: Mutex<Option<SocketAddr>>,
+    /// The write end of the serving reactor's wake pipe, published for the
+    /// length of its run, so [`EvaServer::begin_shutdown`] can wake it.
+    wake: Mutex<Option<UnixStream>>,
     /// Live scheduler gauges (queue depth, jobs in flight), shared with
     /// whichever reactor run is currently serving.
     gauges: Arc<SchedGauges>,
@@ -306,24 +305,6 @@ pub struct ServerStats {
     /// Evaluation jobs currently executing on scheduler workers. Zero
     /// outside a reactor run.
     pub jobs_inflight: u64,
-}
-
-/// Decrements the active-session count (and wakes shutdown waiters) when a
-/// session ends, however it ends — the guard pattern keeps the count honest
-/// across error paths and caught panics alike.
-#[derive(Debug)]
-pub(crate) struct SessionGuard {
-    inner: Arc<ServerInner>,
-}
-
-impl Drop for SessionGuard {
-    fn drop(&mut self) {
-        self.inner.active.fetch_sub(1, Ordering::SeqCst);
-        // Taking the lock before notifying closes the race with a waiter
-        // that observed a non-zero count and is about to sleep.
-        drop(self.inner.idle_lock.lock().expect("idle lock poisoned"));
-        self.inner.idle.notify_all();
-    }
 }
 
 /// Number of distinct evaluation-key sets the server caches for session
@@ -408,12 +389,8 @@ impl EvaServer {
                 config,
                 eval_slots,
                 stats: StatCounters::default(),
-                session_ids: AtomicU64::new(0),
-                active: AtomicUsize::new(0),
-                idle_lock: Mutex::new(()),
-                idle: Condvar::new(),
                 shutting_down: AtomicBool::new(false),
-                listener_addr: Mutex::new(None),
+                wake: Mutex::new(None),
                 gauges: Arc::new(SchedGauges::default()),
             }),
             threads: 1,
@@ -468,40 +445,16 @@ impl EvaServer {
         }
     }
 
-    /// Flags the server as shutting down and wakes a [`EvaServer::serve_forever`]
-    /// loop parked in its poller (with a throwaway self-connection), without
-    /// waiting for in-flight sessions. Pair with [`EvaServer::wait_idle`],
-    /// or call [`EvaServer::shutdown`] for both.
+    /// Flags the server as shutting down and wakes a
+    /// [`EvaServer::serve_forever`] loop parked in its poller through the
+    /// reactor's wake pipe, without waiting for in-flight sessions: the
+    /// loop stops accepting, drains them and then returns.
     pub fn begin_shutdown(&self) {
         self.inner.shutting_down.store(true, Ordering::SeqCst);
-        let addr = *self
-            .inner
-            .listener_addr
-            .lock()
-            .expect("listener addr lock poisoned");
-        if let Some(addr) = addr {
-            // Failure just means the listener is gone (or already woke).
-            let _ = TcpStream::connect_timeout(&addr, Duration::from_millis(250));
+        if let Some(mut wake) = self.inner.wake.lock().expect("wake lock poisoned").as_ref() {
+            // Best effort: a full pipe already guarantees a pending wake.
+            let _ = wake.write(&[1u8]);
         }
-    }
-
-    /// Blocks until no session is being served (the drain half of graceful
-    /// shutdown — in-flight evaluations run to completion, they are never
-    /// aborted).
-    pub fn wait_idle(&self) {
-        let mut guard = self.inner.idle_lock.lock().expect("idle lock poisoned");
-        while self.inner.active.load(Ordering::SeqCst) > 0 {
-            guard = self.inner.idle.wait(guard).expect("idle lock poisoned");
-        }
-    }
-
-    /// Graceful shutdown: [`EvaServer::begin_shutdown`] then
-    /// [`EvaServer::wait_idle`]. After this returns, a
-    /// [`EvaServer::serve_forever`] loop on this server has stopped
-    /// accepting and every in-flight evaluation has drained.
-    pub fn shutdown(&self) {
-        self.begin_shutdown();
-        self.wait_idle();
     }
 
     /// Whether [`EvaServer::begin_shutdown`] has been called.
@@ -509,34 +462,10 @@ impl EvaServer {
         self.inner.shutting_down.load(Ordering::SeqCst)
     }
 
-    /// Admits a new session under the concurrency limit, returning the
-    /// guard that releases the slot, or `None` at capacity. Lock-free: a
-    /// compare-exchange loop on the active-session counter.
-    pub(crate) fn try_begin_session(&self) -> Option<SessionGuard> {
-        let max = self.config().max_sessions.max(1);
-        self.inner
-            .active
-            .fetch_update(Ordering::SeqCst, Ordering::SeqCst, |n| {
-                (n < max).then_some(n + 1)
-            })
-            .ok()?;
-        Some(SessionGuard {
-            inner: Arc::clone(&self.inner),
-        })
-    }
-
-    pub(crate) fn next_session_id(&self) -> u64 {
-        self.inner.session_ids.fetch_add(1, Ordering::Relaxed) + 1
-    }
-
-    /// Publishes where the serving listener is bound so
-    /// [`EvaServer::begin_shutdown`] can wake it with a self-connection.
-    pub(crate) fn set_listener_addr(&self, addr: Option<SocketAddr>) {
-        *self
-            .inner
-            .listener_addr
-            .lock()
-            .expect("listener addr lock poisoned") = addr;
+    /// Publishes the running reactor's wake pipe for
+    /// [`EvaServer::begin_shutdown`] (`None` once the run ends).
+    pub(crate) fn publish_wake(&self, wake: Option<UnixStream>) {
+        *self.inner.wake.lock().expect("wake lock poisoned") = wake;
     }
 
     /// The raw lifetime counters, for transports that account sessions
@@ -608,7 +537,8 @@ impl EvaServer {
     /// budget admits. Returns the per-session reports in accept order
     /// once every session has ended; per-session failures — including
     /// `busy:` rejections at the concurrency limit — are reported in the
-    /// result slots rather than aborting the other sessions.
+    /// result slots rather than aborting the other sessions. The
+    /// [`ServerConfig::max_sessions`] limit counts this call's sessions.
     ///
     /// # Errors
     ///
@@ -622,12 +552,13 @@ impl EvaServer {
         crate::reactor::Reactor::new(self.clone())?.serve_sessions(listener, sessions)
     }
 
-    /// Serves connections until [`EvaServer::begin_shutdown`] (or
-    /// [`EvaServer::shutdown`]) is called, multiplexing every session on the
-    /// event-driven reactor with evaluations on a bounded worker pool,
-    /// honoring the concurrency limit with `busy:` rejections. On shutdown
-    /// the accept loop stops and in-flight sessions are **drained** —
-    /// evaluations run to completion — before this returns.
+    /// Serves connections until [`EvaServer::begin_shutdown`] is called,
+    /// multiplexing every session on the event-driven reactor with
+    /// evaluations on a bounded worker pool, and answering connections past
+    /// [`ServerConfig::max_sessions`] (counted per call) with `busy:`
+    /// rejections. On shutdown the accept loop stops and in-flight sessions
+    /// are **drained** — evaluations run to completion — before this
+    /// returns.
     ///
     /// # Errors
     ///

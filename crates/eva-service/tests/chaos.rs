@@ -263,7 +263,7 @@ fn retrying_client_survives_every_fault_class_bit_identically() {
     }
 
     client.finish().unwrap();
-    control.shutdown();
+    control.begin_shutdown();
     serve
         .join()
         .unwrap()

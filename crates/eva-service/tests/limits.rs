@@ -4,7 +4,7 @@
 //! preceded by a protocol `Error` frame naming what went wrong.
 
 use std::collections::HashMap;
-use std::io::Write;
+use std::io::{Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::time::{Duration, Instant};
 
@@ -177,6 +177,36 @@ fn busy_server_rejects_politely_at_the_session_limit() {
     assert_eq!(stats.busy_rejections, 1);
     assert_eq!(stats.sessions_completed, 1);
     assert_eq!(stats.evaluations, 1);
+}
+
+/// A session's slot frees when its connection closes: at a limit of one,
+/// two sessions one after the other are both admitted.
+#[test]
+fn a_closed_session_frees_its_slot() {
+    let server = square_server(ServerConfig {
+        max_sessions: 1,
+        ..ServerConfig::default()
+    });
+    let stats_handle = server.clone();
+    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap();
+    let server_thread = std::thread::spawn(move || server.serve_sessions(&listener, 2));
+
+    for seed in [1, 2] {
+        let mut client = EvaClient::connect(addr, Some(seed)).unwrap();
+        let outputs = client.evaluate(&square_inputs()).unwrap();
+        assert!((outputs["out"][0] - 2.25).abs() < 1e-3);
+        // The server's FIN comes after the connection left its table.
+        let mut rest = Vec::new();
+        client.finish().unwrap().read_to_end(&mut rest).unwrap();
+        assert!(rest.is_empty());
+    }
+
+    let reports = server_thread.join().unwrap().unwrap();
+    assert!(reports.iter().all(Result::is_ok), "{reports:?}");
+    let stats = stats_handle.stats();
+    assert_eq!(stats.busy_rejections, 0);
+    assert_eq!(stats.sessions_completed, 2);
 }
 
 /// Tentpole: an `EvalKeys` frame announcing more than the program's
@@ -396,7 +426,7 @@ fn graceful_shutdown_drains_in_flight_sessions() {
     // A session is mid-flight when shutdown begins…
     let mut client = EvaClient::connect(addr, Some(9)).unwrap();
     let shutdown_control = control.clone();
-    let shutdown_thread = std::thread::spawn(move || shutdown_control.shutdown());
+    let shutdown_thread = std::thread::spawn(move || shutdown_control.begin_shutdown());
     std::thread::sleep(Duration::from_millis(100));
     // …and still completes its work.
     let outputs = client.evaluate(&square_inputs()).unwrap();
@@ -441,5 +471,24 @@ fn shutdown_requested_before_serving_returns_promptly() {
     done_rx
         .recv_timeout(Duration::from_secs(2))
         .expect("serve_forever hung on a shutdown flag set before it started")
+        .expect("serve_forever");
+}
+
+/// A serve loop parked in `epoll_wait` with no connection open wakes on
+/// `begin_shutdown` and returns.
+#[test]
+fn shutdown_wakes_a_parked_serve_loop() {
+    let server = square_server(ServerConfig::default());
+    let control = server.clone();
+    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    let (done_tx, done_rx) = std::sync::mpsc::channel();
+    std::thread::spawn(move || {
+        let _ = done_tx.send(server.serve_forever(&listener));
+    });
+    std::thread::sleep(Duration::from_millis(200));
+    control.begin_shutdown();
+    done_rx
+        .recv_timeout(Duration::from_secs(2))
+        .expect("serve_forever stayed parked after begin_shutdown")
         .expect("serve_forever");
 }

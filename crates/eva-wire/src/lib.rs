@@ -60,6 +60,6 @@ pub use fingerprint::{
 pub use frame::{Reader, WireError, WireObject, Writer};
 pub use runtime::{
     decode_poly, encode_poly, encoded_ciphertext_len, encoded_galois_keys_len,
-    encoded_key_switch_key_len, encoded_poly_len, encoded_relin_key_len, MAX_WIRE_CIPHERTEXT_POLYS,
-    MAX_WIRE_DEGREE, MAX_WIRE_LEVEL,
+    encoded_key_switch_key_len, encoded_poly_len, encoded_relin_key_len,
+    encoded_seeded_ciphertext_len, MAX_WIRE_CIPHERTEXT_POLYS, MAX_WIRE_DEGREE, MAX_WIRE_LEVEL,
 };

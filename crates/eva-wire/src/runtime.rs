@@ -184,6 +184,11 @@ impl WireObject for SeededCiphertext {
     }
 }
 
+/// Encoded length of an `EVAD` object: one polynomial plus its 32-byte seed.
+pub fn encoded_seeded_ciphertext_len(degree: usize, level: usize) -> u64 {
+    ENVELOPE_BYTES + 8 + 4 + 32 + encoded_poly_len(degree, level)
+}
+
 fn encode_key_switch_key(w: &mut Writer, key: &KeySwitchKey) {
     w.u32(key.digits().len() as u32);
     for (k0, k1) in key.canonical_digits() {
@@ -429,14 +434,19 @@ mod tests {
         let (degree, level) = (ctx.degree(), ctx.max_level());
         let mut keygen = KeyGenerator::from_seed(ctx.clone(), 5);
         let encoder = CkksEncoder::new(ctx.clone());
-        let ct = SymmetricEncryptor::from_seed(ctx, keygen.secret_key().clone(), 6)
-            .encrypt(&encoder.encode(&[1.0; 4], 30.0, level));
+        let mut encryptor = SymmetricEncryptor::from_seed(ctx, keygen.secret_key().clone(), 6);
+        let pt = encoder.encode(&[1.0; 4], 30.0, level);
+        let ct = encryptor.encrypt(&pt);
         let mut w = Writer::new();
         encode_poly(&mut w, &ct.polys()[0]);
         assert_eq!(w.into_bytes().len() as u64, encoded_poly_len(degree, level));
         assert_eq!(
             ct.to_wire_bytes().len() as u64,
             encoded_ciphertext_len(2, degree, level)
+        );
+        assert_eq!(
+            encryptor.encrypt_seeded(&pt).to_wire_bytes().len() as u64,
+            encoded_seeded_ciphertext_len(degree, level)
         );
 
         // One digit per data prime, each over the key basis (one more prime).

@@ -204,7 +204,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         return Err("a retried session re-uploaded evaluation-key bytes".into());
     }
 
-    control.shutdown();
+    control.begin_shutdown();
     serve.join().expect("serve thread")?;
     let stats = control.stats();
     println!(
@@ -249,7 +249,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         "restart resumption served from disk ({} disk resumption(s))",
         control.stats().disk_resumptions
     );
-    control.shutdown();
+    control.begin_shutdown();
     serve.join().expect("serve thread")?;
     let _ = std::fs::remove_dir_all(&store_dir);
     Ok(())
