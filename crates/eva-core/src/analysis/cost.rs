@@ -249,24 +249,40 @@ mod tests {
     use crate::program::Program;
     use crate::types::{Opcode, ValueType};
 
-    fn rotated_product() -> CompiledProgram {
+    /// `rot(x · rot(x, 1), 1)`, or the product alone without `rotate_out`.
+    fn product_of_rotation(rotate_out: bool) -> CompiledProgram {
         let mut p = Program::new("rotprod", 16);
         let x = p.input_cipher("x", 30);
         let r = p.instruction(Opcode::RotateLeft(1), &[x]);
-        let m = p.instruction(Opcode::Multiply, &[x, r]);
+        let mut m = p.instruction(Opcode::Multiply, &[x, r]);
+        if rotate_out {
+            m = p.instruction(Opcode::RotateLeft(1), &[m]);
+        }
         p.output("out", m, 30);
         compile(&p, &CompilerOptions::default()).unwrap()
+    }
+
+    fn rotated_product() -> CompiledProgram {
+        product_of_rotation(true)
     }
 
     #[test]
     fn counts_key_switches_and_rotations() {
         let compiled = rotated_product();
         let report = estimate_cost(&compiled, &CostModel::default()).unwrap();
-        assert_eq!(report.rotations, 1);
-        assert_eq!(report.relinearizations, 1, "multiply gets relinearized");
-        assert_eq!(report.key_switches, 2);
+        assert_eq!(report.rotations, 2);
+        assert_eq!(
+            report.relinearizations, 1,
+            "the rotated product is relinearized"
+        );
+        assert_eq!(report.key_switches, 3);
         assert_eq!(report.multiplies, 1);
         assert_eq!(report.distinct_rotation_steps, 1);
+        // The product alone reaches only the output: no relinearization.
+        let unrotated = product_of_rotation(false);
+        let report_unrotated = estimate_cost(&unrotated, &CostModel::default()).unwrap();
+        assert_eq!(report_unrotated.relinearizations, 0);
+        assert_eq!(report_unrotated.key_switches, 1);
         assert!(report.predicted_us > 0.0);
         assert_eq!(
             report.key_switches_per_level.values().sum::<usize>(),

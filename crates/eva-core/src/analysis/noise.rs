@@ -622,6 +622,29 @@ mod tests {
     }
 
     #[test]
+    fn an_unrelinearized_output_is_priced_without_a_key_switch() {
+        // x² + x leaves with three polynomials: its error is the ADD of its
+        // operands' errors and nothing more.
+        let mut p = Program::new("x2_plus_x", 8);
+        let x = p.input_cipher("x", 30);
+        let sq = p.instruction(Opcode::Multiply, &[x, x]);
+        let sum = p.instruction(Opcode::Add, &[sq, x]);
+        p.output("out", sum, 30);
+        let c = compile(&p, &CompilerOptions::default()).unwrap();
+        assert!(!c.needs_relinearization());
+        let report = check_noise(&c, &NoiseModel::default()).unwrap();
+        let out = c.program.outputs()[0].node;
+        let &[a, b] = c.program.args(out) else {
+            panic!("the output is the ADD");
+        };
+        let err = |r: &NoiseReport, id: NodeId| r.nodes[id].err_log2;
+        assert_eq!(
+            err(&report, out).to_bits(),
+            log2_add_rms(err(&report, a), err(&report, b)).to_bits()
+        );
+    }
+
+    #[test]
     fn plaintext_nodes_have_infinite_budget() {
         let mut p = Program::new("plain", 8);
         let x = p.input_cipher("x", 30);

@@ -421,6 +421,20 @@ pub fn analyze_levels(program: &Program) -> Result<Vec<Vec<ChainEntry>>, EvaErro
     first_fatal(|_| true, |report| propagate_chains(program, &order, report))
 }
 
+/// Whether node `id` needs each cipher operand in canonical 2-polynomial
+/// form: a cipher-cipher MULTIPLY, a ROTATE (the evaluator refuses wider
+/// operands to both) or a RESCALE (the evaluator rescales three polynomials,
+/// but the noise model does not price the rounding of the `s²` term). ADD,
+/// SUB, NEGATE, a plaintext MULTIPLY, MODSWITCH and the program's outputs
+/// accept three polynomials.
+pub(crate) fn needs_two_polys(program: &Program, id: NodeId) -> bool {
+    match program.opcode(id) {
+        Some(Opcode::Multiply) => program.cipher_args(id).count() == 2,
+        Some(Opcode::RotateLeft(_) | Opcode::RotateRight(_) | Opcode::Rescale(_)) => true,
+        _ => false,
+    }
+}
+
 /// Computes the number of polynomials of every cipher node's ciphertext
 /// (paper Constraint 3): fresh ciphertexts have 2, a cipher-cipher MULTIPLY
 /// produces 3, RELINEARIZE brings it back to 2.

@@ -13,8 +13,8 @@
 //!   structural well-formedness (acyclic DAG, in-range argument indices and
 //!   arities, no dangling or duplicate outputs, dead-node hygiene) plus the
 //!   paper's Constraints 1–4 over nominal scales (conforming moduli chains,
-//!   equal ADD/SUB scales, relinearization before any 3-polynomial
-//!   multiplication, bounded rescale divisors).
+//!   equal ADD/SUB scales, two polynomials into every cipher-cipher
+//!   multiplication, rotation and rescale, bounded rescale divisors).
 //! * [`verify_compiled`] additionally checks a [`CompiledProgram`] against
 //!   its shipped [`ParameterSpec`](crate::ParameterSpec): level underflow of
 //!   rescale/modswitch chains vs. the actual prime chain, exact-scale
@@ -54,7 +54,9 @@
 use std::collections::HashSet;
 
 use crate::analysis::rotations::select_rotation_steps;
-use crate::analysis::scale::{analyze_num_polys, prime_log2s, propagate_chains, scale_of, Phase};
+use crate::analysis::scale::{
+    analyze_num_polys, needs_two_polys, prime_log2s, propagate_chains, scale_of, Phase,
+};
 use crate::compiler::CompiledProgram;
 use crate::error::EvaError;
 use crate::program::{NodeId, NodeKind, Program};
@@ -85,8 +87,10 @@ pub enum Check {
     /// Paper Constraint 2: ADD/SUB operands have equal scales (exact `f64`
     /// equality when verifying against a parameter spec).
     ScaleMatch,
-    /// Paper Constraint 3: MULTIPLY operands consist of exactly two
-    /// polynomials — relinearization precedes any deeper product.
+    /// Paper Constraint 3, extended to every consumer that needs it: the
+    /// cipher operands of a cipher-cipher MULTIPLY, a ROTATE and a RESCALE
+    /// consist of exactly two polynomials. A plaintext MULTIPLY, ADD, SUB,
+    /// NEGATE, MODSWITCH and outputs accept three.
     Relinearized,
     /// Paper Constraint 4: every RESCALE divides by at most the maximum
     /// prime size and never below its operand's scale.
@@ -564,14 +568,13 @@ impl<'a> Verifier<'a> {
             let Some(op) = program.opcode(id) else {
                 continue;
             };
-            // The runtime's multiply and rotate both require canonical
-            // 2-polynomial operands (`CkksError::TooManyPolynomials` /
-            // `InvalidCiphertextSize`), so a missing relinearization anywhere
-            // upstream of either is a load-time refusal, not a session crash.
-            if matches!(
-                op,
-                Opcode::Multiply | Opcode::RotateLeft(_) | Opcode::RotateRight(_)
-            ) {
+            // A cipher-cipher multiply and a rotate are refused at run time
+            // on wider operands (`CkksError::TooManyPolynomials` /
+            // `InvalidCiphertextSize`), and a rescale of three polynomials
+            // is outside the noise model, so a missing relinearization
+            // upstream of any of them is a load-time refusal, not a session
+            // crash or an unpriced error.
+            if needs_two_polys(program, id) {
                 for a in program.cipher_args(id) {
                     if polys[a] != 2 {
                         let message = format!(
@@ -601,26 +604,10 @@ impl<'a> Verifier<'a> {
             }
         }
 
-        // Deployment gate only: outputs leave a *compiled* program in
-        // canonical 2-polynomial form — the wire ciphertext contract (and the
-        // noise model) assume the final relinearization happened. Standalone
-        // verification stays at the paper's Constraint 3 (the runtime's add
-        // and decrypt both accept wider ciphertexts).
-        if self.compiled.is_none() {
-            return;
-        }
-        for output in program.outputs() {
-            let node = output.node;
-            if program.node(node).ty.is_cipher() && polys[node] != 2 {
-                let message = format!(
-                    "output {:?} ({}) has {} polynomials; relinearization missing",
-                    output.name,
-                    describe(self.program, node),
-                    polys[node]
-                );
-                self.error(Check::Relinearized, Some(node), message);
-            }
-        }
+        // No output gate: an output may leave with three polynomials. The
+        // client's decryption computes `c0 + c1·s + c2·s²`, `EVAC` carries
+        // the polynomial count, and the noise model prices such an output
+        // without a key-switch term, because none ran.
     }
 
     /// Parameter-spec consistency (compiled programs only).
@@ -716,7 +703,7 @@ mod tests {
     use super::*;
     use crate::compiler::{compile, CompilerOptions};
     use crate::program::Program;
-    use crate::types::ValueType;
+    use crate::types::{ConstantValue, ValueType};
 
     fn sum_of_rotations() -> Program {
         // A program exercising rotations, multiplication and addition.
@@ -995,6 +982,43 @@ mod tests {
             err.contains("[relinearized]") && err.contains("polynomials"),
             "{err}"
         );
+    }
+
+    #[test]
+    fn a_three_polynomial_rescale_is_refused() {
+        let mut p = Program::new("rescale_3", 8);
+        let x = p.input_cipher("x", 60);
+        let prod = p.instruction(Opcode::Multiply, &[x, x]);
+        let r = p.push_instruction(Opcode::Rescale(60), vec![prod], ValueType::Cipher);
+        p.output("out", r, 60);
+        let err = only_error(&p);
+        assert!(
+            err.contains("[relinearized]") && err.contains("rescale"),
+            "{err}"
+        );
+    }
+
+    #[test]
+    fn a_three_polynomial_plain_multiply_and_output_are_accepted() {
+        // x² · v + x² leaves with three polynomials, in a program and in a
+        // compiled one.
+        let mut p = Program::new("plain_3", 8);
+        let x = p.input_cipher("x", 20);
+        let v = p.input_vector("v", 10);
+        let prod = p.instruction(Opcode::Multiply, &[x, x]);
+        let scaled = p.instruction(Opcode::Multiply, &[prod, v]);
+        let one = p.constant(ConstantValue::Scalar(1.0), 10);
+        let matched = p.instruction(Opcode::Multiply, &[prod, one]);
+        let sum = p.instruction(Opcode::Add, &[scaled, matched]);
+        p.output("out", sum, 20);
+        assert!(verify_program(&p, 60).is_clean());
+        let compiled = compile(&p, &CompilerOptions::default()).unwrap();
+        assert_eq!(
+            analyze_num_polys(&compiled.program)[compiled.program.outputs()[0].node],
+            3
+        );
+        let report = verify_compiled(&compiled);
+        assert!(report.is_clean(), "{report}");
     }
 
     #[test]

@@ -460,9 +460,11 @@ mod tests {
         let a = p.instruction(Opcode::Multiply, &[x, x]);
         let b = p.instruction(Opcode::Multiply, &[x, x]);
         let s = p.instruction(Opcode::Add, &[a, b]);
+        // The rotation needs the squares relinearized.
+        let r = p.instruction(Opcode::RotateLeft(1), &[s]);
         let dead = p.instruction(Opcode::Negate, &[x]);
         let _dead2 = p.instruction(Opcode::Multiply, &[dead, dead]);
-        p.output("out", s, 30);
+        p.output("out", r, 30);
         let compiled = compile(&p, &CompilerOptions::default()).unwrap();
         assert_eq!(compiled.stats.cse_merged, 1);
         assert!(compiled.stats.dce_removed >= 3, "{:?}", compiled.stats);

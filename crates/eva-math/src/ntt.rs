@@ -206,26 +206,45 @@ impl NttTables {
         );
         let q = self.modulus.value();
         let two_q = q << 1;
-        let n = self.degree;
-        let mut t = n;
+        // u in [0, 2q); v = y·w mod q as a [0, 2q) representative.
+        let butterfly = |x: &mut u64, y: &mut u64, w: u64, w_quot: u64| {
+            let u = select_unpredictable(*x >= two_q, x.wrapping_sub(two_q), *x);
+            let hi = ((*y as u128 * w_quot as u128) >> 64) as u64;
+            let v = y.wrapping_mul(w).wrapping_sub(hi.wrapping_mul(q));
+            *x = u + v;
+            *y = u + two_q - v;
+        };
+        // Stage m pairs block i (of 2t values) with twiddle m + i.
+        let twiddles = |m: usize| {
+            self.root_operands[m..2 * m]
+                .iter()
+                .copied()
+                .zip(self.root_quotients[m..2 * m].iter().copied())
+        };
         let mut m = 1usize;
-        while m < n {
-            t >>= 1;
-            for i in 0..m {
-                let j1 = 2 * i * t;
-                let w = self.root_operands[m + i];
-                let w_quot = self.root_quotients[m + i];
-                let (lower, upper) = values[j1..j1 + 2 * t].split_at_mut(t);
-                for (x, y) in lower.iter_mut().zip(upper.iter_mut()) {
-                    // u in [0, 2q); v = y·w mod q as a [0, 2q) representative.
-                    let u = select_unpredictable(*x >= two_q, x.wrapping_sub(two_q), *x);
-                    let hi = ((*y as u128 * w_quot as u128) >> 64) as u64;
-                    let v = y.wrapping_mul(w).wrapping_sub(hi.wrapping_mul(q));
-                    *x = u + v;
-                    *y = u + two_q - v;
+        let mut t = self.degree >> 1;
+        while t >= 4 {
+            for (block, (w, w_quot)) in values.chunks_exact_mut(2 * t).zip(twiddles(m)) {
+                let (lower, upper) = block.split_at_mut(t);
+                for (x, y) in lower.iter_mut().zip(upper) {
+                    butterfly(x, y, w, w_quot);
                 }
             }
             m <<= 1;
+            t >>= 1;
+        }
+        // The two short stages, unrolled over fixed-size blocks.
+        if t == 2 {
+            for (block, (w, w_quot)) in values.chunks_exact_mut(4).zip(twiddles(m)) {
+                let [x0, x1, y0, y1] = <&mut [u64; 4]>::try_from(block).expect("4-value block");
+                butterfly(x0, y0, w, w_quot);
+                butterfly(x1, y1, w, w_quot);
+            }
+            m <<= 1;
+        }
+        for (block, (w, w_quot)) in values.chunks_exact_mut(2).zip(twiddles(m)) {
+            let [x, y] = <&mut [u64; 2]>::try_from(block).expect("2-value block");
+            butterfly(x, y, w, w_quot);
         }
     }
 
@@ -369,6 +388,68 @@ mod tests {
         assert_ne!(values, original, "transform should not be the identity");
         ntt.inverse(&mut values);
         assert_eq!(values, original);
+    }
+
+    #[test]
+    fn forward_inverse_roundtrip_at_the_smallest_degrees() {
+        // Degree 2 runs only the t = 1 stage, 4 the t = 2 and t = 1 stages,
+        // 8 one general stage before them.
+        for degree in [2, 4, 8] {
+            let ntt = tables(degree, 30);
+            let q = *ntt.modulus();
+            let mut rng = rand::rngs::StdRng::seed_from_u64(degree as u64);
+            let a: Vec<u64> = (0..degree).map(|_| rng.gen_range(0..q.value())).collect();
+            let b: Vec<u64> = (0..degree).map(|_| rng.gen_range(0..q.value())).collect();
+            let mut values = a.clone();
+            ntt.forward(&mut values);
+            ntt.inverse(&mut values);
+            assert_eq!(values, a, "degree {degree}");
+
+            let (mut fa, mut fb) = (a.clone(), b.clone());
+            ntt.forward(&mut fa);
+            ntt.forward(&mut fb);
+            let mut fc: Vec<u64> = fa.iter().zip(&fb).map(|(&x, &y)| q.mul(x, y)).collect();
+            ntt.inverse(&mut fc);
+            assert_eq!(fc, negacyclic_multiply_naive(&a, &b, &q), "degree {degree}");
+        }
+    }
+
+    #[test]
+    fn forward_lazy_matches_the_one_loop_butterfly_sweep_bit_for_bit() {
+        // The stage-by-stage loop the specialized stages replace: every
+        // block of every stage through one sliced split.
+        fn reference(ntt: &NttTables, values: &mut [u64]) {
+            let q = ntt.modulus.value();
+            let two_q = q << 1;
+            let n = ntt.degree;
+            let (mut t, mut m) = (n, 1);
+            while m < n {
+                t >>= 1;
+                for i in 0..m {
+                    let (w, w_quot) = (ntt.root_operands[m + i], ntt.root_quotients[m + i]);
+                    let (lower, upper) = values[2 * i * t..2 * (i + 1) * t].split_at_mut(t);
+                    for (x, y) in lower.iter_mut().zip(upper.iter_mut()) {
+                        let u = if *x >= two_q { *x - two_q } else { *x };
+                        let hi = ((*y as u128 * w_quot as u128) >> 64) as u64;
+                        let v = y.wrapping_mul(w).wrapping_sub(hi.wrapping_mul(q));
+                        *x = u + v;
+                        *y = u + two_q - v;
+                    }
+                }
+                m <<= 1;
+            }
+        }
+        let mut rng = rand::rngs::StdRng::seed_from_u64(23);
+        for log_n in 1..=12 {
+            let degree = 1usize << log_n;
+            let ntt = tables(degree, 60);
+            let four_q = 4 * ntt.modulus().value();
+            let original: Vec<u64> = (0..degree).map(|_| rng.gen_range(0..four_q)).collect();
+            let (mut got, mut expected) = (original.clone(), original);
+            ntt.forward_lazy(&mut got);
+            reference(&ntt, &mut expected);
+            assert_eq!(got, expected, "degree {degree}");
+        }
     }
 
     #[test]

@@ -116,13 +116,30 @@ mod tests {
     use crate::session::SessionMachine;
     use crate::EvaServer;
 
-    #[test]
-    fn each_tag_is_bounded_by_what_the_programs_client_sends() {
+    /// The server of `x²` on a `scale_bits` input.
+    fn square_server(scale_bits: u32) -> EvaServer {
         let mut p = Program::new("square", 8);
-        let x = p.input_cipher("x", 30);
+        let x = p.input_cipher("x", scale_bits);
         let sq = p.instruction(Opcode::Multiply, &[x, x]);
         p.output("out", sq, 30);
-        let server = EvaServer::new(compile(&p, &CompilerOptions::default()).unwrap()).unwrap();
+        EvaServer::new(compile(&p, &CompilerOptions::default()).unwrap()).unwrap()
+    }
+
+    #[test]
+    fn a_keyless_programs_key_frame_is_bounded_to_the_empty_upload() {
+        // At 30 bits the square reaches the output unrescaled and
+        // unrelinearized: has_relin · an EVAG without steps.
+        let machine = SessionMachine::new(square_server(30));
+        machine.admit(TAG_EVAL_KEYS, 1 + (16 + 4 + 4)).unwrap();
+        assert!(machine.admit(TAG_EVAL_KEYS, 1 + (16 + 4 + 4) + 1).is_err());
+    }
+
+    #[test]
+    fn each_tag_is_bounded_by_what_the_programs_client_sends() {
+        // At 60 bits the waterline rescales the square, so it is
+        // relinearized first and the client sends a relinearization key.
+        let server = square_server(60);
+        assert!(server.manifest().needs_relin);
         let (degree, primes) = (
             server.manifest().degree,
             server.manifest().data_primes.len(),

@@ -307,7 +307,8 @@ impl ClientFrameBounds {
 /// this layout and codec.
 #[derive(Debug, Clone)]
 pub enum ValuePayload {
-    /// An encrypted value, both polynomials dense (`EVAC`). Computed values
+    /// An encrypted value, every polynomial dense (`EVAC`): two, or three
+    /// for an output the compiler left unrelinearized. Computed values
     /// (outputs) can only travel this way.
     Cipher(Box<Ciphertext>),
     /// A fresh encrypted value in seeded transport form (`EVAD`, roughly

@@ -18,12 +18,22 @@ use eva_service::{
     ServiceError, MAX_FRAME_BYTES, PROTOCOL_VERSION, TAG_EVAL_KEYS, TAG_HELLO,
 };
 
+/// `x²` on a 60-bit input: the waterline rescales the square, so it is
+/// relinearized first and the client uploads a relinearization key (and no
+/// Galois keys). At 30 bits the square would leave unrelinearized and the
+/// program would need no key at all.
 fn square_program() -> Program {
     let mut p = Program::new("square", 8);
-    let x = p.input_cipher("x", 30);
+    let x = p.input_cipher("x", 60);
     let sq = p.instruction(Opcode::Multiply, &[x, x]);
     p.output("out", sq, 30);
     p
+}
+
+#[test]
+fn the_square_program_needs_a_relinearization_key_only() {
+    let compiled = compile(&square_program(), &CompilerOptions::default()).unwrap();
+    assert!(compiled.needs_relinearization() && compiled.rotation_steps.is_empty());
 }
 
 fn square_server(config: ServerConfig) -> EvaServer {

@@ -107,6 +107,77 @@ fn client_server_roundtrip_matches_in_process_executor_bit_for_bit() {
     assert_eq!(reports[0].as_ref().unwrap().evaluations, 1);
 }
 
+/// Paper Figure 3's x² + x needs no evaluation key: the square reaches the
+/// output through an ADD, so it is never relinearized. The client uploads
+/// an empty key set, and the output crosses the wire with three
+/// polynomials that the client decrypts as `c0 + c1·s + c2·s²`.
+#[test]
+fn square_plus_x_runs_keyless_with_a_three_polynomial_output() {
+    use eva_service::protocol::read_message;
+    use eva_service::{Message, OutputValue};
+
+    let mut p = Program::new("x2_plus_x", 8);
+    let x = p.input_cipher("x", 30);
+    let sq = p.instruction(Opcode::Multiply, &[x, x]);
+    let sum = p.instruction(Opcode::Add, &[sq, x]);
+    p.output("out", sum, 30);
+    let compiled = compile(&p, &CompilerOptions::default()).unwrap();
+    assert!(!compiled.needs_relinearization() && compiled.rotation_steps.is_empty());
+
+    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap();
+    let server = EvaServer::new(compiled).unwrap();
+    let server_thread = std::thread::spawn(move || server.serve_sessions(&listener, 1));
+
+    let xs: Vec<f64> = (0..8).map(|i| (i as f64) / 4.0 - 1.0).collect();
+    let inputs: HashMap<String, Vec<f64>> = [("x".to_string(), xs.clone())].into();
+    let stream = RecordingStream::new(TcpStream::connect(addr).unwrap());
+    let mut client = EvaClient::handshake_deterministic(stream, 17).unwrap();
+    assert!(!client.manifest().needs_relin);
+    let outputs = client.evaluate(&inputs).unwrap();
+    let (_, sent, received) = client.finish().unwrap().into_parts();
+    server_thread.join().unwrap().unwrap();
+
+    // The EvalKeys payload is `has_relin = 0` and an EVAG without keys.
+    let mut frames: &[u8] = &sent;
+    let mut key_uploads = 0;
+    while let Some(message) = read_message(&mut frames).unwrap() {
+        if let Message::EvalKeys { relin, galois } = message {
+            assert!(relin.is_none());
+            assert!(galois.element_keys().is_empty());
+            key_uploads += 1;
+        }
+    }
+    assert_eq!(key_uploads, 1);
+    assert_eq!(
+        bytes_with_tag(&sent, TAG_EVAL_KEYS).unwrap(),
+        1 + 16 + 4 + 4
+    );
+
+    // The output EVAC carries three polynomials.
+    let mut frames: &[u8] = &received;
+    let mut polys = Vec::new();
+    while let Some(message) = read_message(&mut frames).unwrap() {
+        if let Message::Outputs(values) = message {
+            for (_, value) in values {
+                let OutputValue::Cipher(ct) = value else {
+                    panic!("expected a ciphertext output");
+                };
+                polys.push(ct.size());
+            }
+        }
+    }
+    assert_eq!(polys, [3]);
+
+    for (got, x) in outputs["out"].iter().zip(&xs) {
+        assert!(
+            (got - (x * x + x)).abs() <= 4.8e-7,
+            "{got} vs {}",
+            x * x + x
+        );
+    }
+}
+
 #[test]
 fn warm_reconnect_resumes_cached_keys_and_uploads_zero_key_bytes() {
     let compiled = compile(&mixed_program(), &CompilerOptions::default()).unwrap();

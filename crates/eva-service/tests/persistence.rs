@@ -17,14 +17,17 @@ use eva_service::{
 };
 use eva_wire::fingerprint_eval_key_payload;
 
-/// Rotation + relinearization, so the key set is non-trivial.
+/// Rotation + relinearization, so the key set is non-trivial: the square
+/// is rotated again, so it is relinearized (an unrotated square would leave
+/// unrelinearized and need a Galois key only).
 fn rotating_program() -> Program {
     let mut p = Program::new("rotate-square", 16);
     let x = p.input_cipher("x", 30);
     let shifted = p.instruction(Opcode::RotateLeft(2), &[x]);
     let sum = p.instruction(Opcode::Add, &[x, shifted]);
     let sq = p.instruction(Opcode::Multiply, &[sum, sum]);
-    p.output("out", sq, 30);
+    let out = p.instruction(Opcode::RotateLeft(2), &[sq]);
+    p.output("out", out, 30);
     p
 }
 
@@ -58,6 +61,8 @@ fn store_config(dir: &Path) -> ServerConfig {
 #[test]
 fn warm_resumption_survives_a_server_restart_via_the_disk_store() {
     let compiled = compile(&rotating_program(), &CompilerOptions::default()).unwrap();
+    assert!(compiled.needs_relinearization());
+    assert_eq!(compiled.rotation_steps, [2]);
     let inputs = rotating_inputs();
     let seed = 21u64;
     let dir = temp_dir("restart");

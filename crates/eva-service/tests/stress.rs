@@ -17,10 +17,12 @@ const EXECUTOR_THREADS: usize = 2;
 
 /// A small rotation-free program (relinearization key only, no Galois
 /// keys), so 64 cold handshakes stay cheap while still exercising real
-/// ciphertext multiplication.
+/// ciphertext multiplication. The 60-bit input makes the waterline rescale
+/// the square, which needs it relinearized; a 30-bit square would leave
+/// unrelinearized and upload no key.
 fn square_program() -> Program {
     let mut p = Program::new("square", 8);
-    let x = p.input_cipher("x", 30);
+    let x = p.input_cipher("x", 60);
     let sq = p.instruction(Opcode::Multiply, &[x, x]);
     p.output("out", sq, 30);
     p
@@ -77,6 +79,7 @@ fn assert_bit_identical(
 #[test]
 fn sixty_four_concurrent_sessions_multiplex_without_starvation() {
     let compiled = compile(&square_program(), &CompilerOptions::default()).unwrap();
+    assert!(compiled.needs_relinearization() && compiled.rotation_steps.is_empty());
 
     // Seed groups: one warm seed every client in the warm half resumes, and
     // three cold seeds cycled through the cold half. One in-process baseline

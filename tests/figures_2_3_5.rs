@@ -48,7 +48,8 @@ fn figure_2_waterline_beats_always_rescale() {
     let mut waterline = x2y3(60, 30);
     assert_eq!(insert_waterline_rescale(&mut waterline, 60), 2);
 
-    // Figure 2(e): relinearization follows every ciphertext multiplication.
+    // Figure 2(e): every product feeds a multiply or a rescale, so each is
+    // relinearized.
     assert_eq!(insert_relinearize(&mut waterline), 4);
     let histogram = waterline.opcode_histogram();
     assert_eq!(histogram.get("rescale"), Some(&2));
@@ -82,6 +83,10 @@ fn figure_3_match_scale_avoids_extra_primes() {
         "MATCH-SCALE must not consume modulus primes"
     );
     assert_eq!(compiled.stats.scale_fixes_inserted, 1);
+    // The square reaches the output through the ADD only, so it leaves
+    // unrelinearized and the program needs no relinearization key.
+    assert_eq!(compiled.stats.relinearizations_inserted, 0);
+    assert!(!compiled.needs_relinearization());
 }
 
 #[test]

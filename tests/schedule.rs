@@ -234,14 +234,26 @@ fn forecast_key_bytes_equal_the_resident_key_rows() {
     use eva::backend::parameters_from_spec;
     use eva::ckks::{CkksContext, KeyGenerator};
 
-    let mut x2_plus_x = Program::new("x2_plus_x", 8);
-    let x = x2_plus_x.input_cipher("x", 30);
-    let sq = x2_plus_x.instruction(Opcode::Multiply, &[x, x]);
-    let sum = x2_plus_x.instruction(Opcode::Add, &[sq, x]);
-    x2_plus_x.output("out", sum, 30);
-    let x2_plus_x = compile(&x2_plus_x, &CompilerOptions::default()).unwrap();
+    // x² + x, and the same sum rotated by one slot: the rotation needs the
+    // square relinearized, so only the rotated program holds keys.
+    let x2_plus_x = |rotated: bool| {
+        let mut p = Program::new("x2_plus_x", 8);
+        let x = p.input_cipher("x", 30);
+        let sq = p.instruction(Opcode::Multiply, &[x, x]);
+        let mut out = p.instruction(Opcode::Add, &[sq, x]);
+        if rotated {
+            out = p.instruction(Opcode::RotateLeft(1), &[out]);
+        }
+        p.output("out", out, 30);
+        compile(&p, &CompilerOptions::default()).unwrap()
+    };
+    let keyless = x2_plus_x(false);
+    assert!(!keyless.needs_relinearization() && keyless.rotation_steps.is_empty());
+    assert_eq!(predict_peak_memory(&keyless).unwrap().key_bytes, 0);
+    let rotated = x2_plus_x(true);
+    assert!(rotated.needs_relinearization());
 
-    for compiled in [sobel_16().0, x2_plus_x] {
+    for compiled in [sobel_16().0, rotated] {
         let context =
             CkksContext::new(parameters_from_spec(&compiled.parameters).unwrap()).unwrap();
         let mut keygen = KeyGenerator::from_seed(context.clone(), 5);
