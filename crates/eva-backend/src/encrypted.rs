@@ -712,17 +712,6 @@ impl EncryptedContext {
     }
 }
 
-/// Whether `op` on an encrypted operand switches keys — a relinearization
-/// or a rotation by a non-zero step (a zero step is a clone) — and so
-/// belongs to a switch site.
-pub(crate) fn switches_key(op: Opcode) -> bool {
-    match op {
-        Opcode::Relinearize => true,
-        Opcode::RotateLeft(steps) | Opcode::RotateRight(steps) => steps != 0,
-        _ => false,
-    }
-}
-
 /// Wraps the ciphertext node `id` produced. The compiler's exact-scale phase
 /// promises its per-node annotations are bit-identical to the scales the
 /// evaluator produces; this checks that on every node in debug builds (CI

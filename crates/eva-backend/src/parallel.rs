@@ -15,12 +15,14 @@
 //! relinearization sits alone on the critical path. But a switch at level
 //! `l` is `l` independent digit lifts followed by one independent key apply
 //! per rotation or relinearization, so the scheduler runs those, not the
-//! switch. The encrypted relinearizations and non-zero rotations of one
-//! source form a **switch site** (a `Schedule` fan-out, or a site of one).
-//! When the source's value lands, the site's `l` **digit tasks** are queued;
-//! its members wait for the decomposition as for one more parent, and when
-//! the last digit lands they become ordinary ready nodes that apply their
-//! key to the shared digits. The decomposition goes when its last member is
+//! switch. The [`Schedule`] groups the encrypted relinearizations and
+//! non-zero rotations of one source into a **switch site** (a
+//! [`SwitchSite`], often of one member);
+//! the board keeps only each site's run. When the source's value lands,
+//! the site's `l` **digit tasks** are queued; its members wait for the
+//! decomposition instead of for the source, and when the last digit lands
+//! they become ordinary ready nodes that apply their key to the shared
+//! digits. The decomposition goes when its last member is
 //! done, the source when its last consumer is — members included, so the
 //! digits never outlive or outrun what they were lifted from.
 //!
@@ -45,17 +47,14 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{Arc, Condvar, Mutex};
 
 use eva_ckks::{KeySwitchDecomposition, KeySwitchScratch};
-use eva_core::analysis::Schedule;
+use eva_core::analysis::{Schedule, SwitchSite};
 use eva_core::{CompiledProgram, EvaError, NodeId, NodeKind, Program};
 use eva_poly::RnsPoly;
 
-use crate::encrypted::{switches_key, EvaluationContext, MemoryAudit, NodeValue};
+use crate::encrypted::{EvaluationContext, MemoryAudit, NodeValue};
 
-/// The key switches of one source value (see the module docs).
+/// The run of one of the schedule's switch sites (see the module docs).
 struct Site {
-    source: NodeId,
-    /// The members, until the decomposition releases them.
-    members: Vec<NodeId>,
     members_left: usize,
     /// The digits as they land, in any order.
     digits: Vec<Option<RnsPoly>>,
@@ -129,25 +128,27 @@ struct Board<'a> {
     /// first out.
     nodes: VecDeque<NodeId>,
     digits: VecDeque<(usize, usize)>,
-    /// Per node: parents not yet computed, plus one for a site member whose
-    /// site is not yet decomposed.
+    /// Per node: parents not yet computed; a site member's one parent
+    /// counts as computed when its site's decomposition is.
     pending: Vec<usize>,
     /// Per node: consumers (and program outputs) that have not used it yet.
     uses: Vec<usize>,
     unfinished: usize,
     values: Vec<Option<Arc<NodeValue>>>,
+    /// Per site of the schedule, in its order.
     sites: Vec<Site>,
-    /// Per node: the site it is a member of, and the site it is the source
-    /// of.
-    site_of: Vec<Option<usize>>,
-    site_from: Vec<Option<usize>>,
     held: Held,
     error: Option<EvaError>,
 }
 
 impl<'a> Board<'a> {
     fn new(program: &'a Program, schedule: &'a Schedule) -> Self {
-        let mut board = Board {
+        let site = |site: &SwitchSite| Site {
+            members_left: site.members.len(),
+            digits: Vec::new(),
+            decomposition: None,
+        };
+        Board {
             program,
             schedule,
             nodes: VecDeque::new(),
@@ -156,33 +157,10 @@ impl<'a> Board<'a> {
             uses: schedule.use_counts.clone(),
             unfinished: schedule.steps.len(),
             values: vec![None; program.len()],
-            sites: Vec::new(),
-            site_of: vec![None; program.len()],
-            site_from: vec![None; program.len()],
+            sites: schedule.sites.iter().map(site).collect(),
             held: Held::default(),
             error: None,
-        };
-        for id in schedule.steps.iter().map(|step| step.node) {
-            if !program.node(id).ty.is_cipher() || !program.opcode(id).is_some_and(switches_key) {
-                continue;
-            }
-            let source = program.args(id)[0];
-            let site = *board.site_from[source].get_or_insert_with(|| {
-                board.sites.push(Site {
-                    source,
-                    members: Vec::new(),
-                    members_left: 0,
-                    digits: Vec::new(),
-                    decomposition: None,
-                });
-                board.sites.len() - 1
-            });
-            board.sites[site].members.push(id);
-            board.sites[site].members_left += 1;
-            board.site_of[id] = Some(site);
-            board.pending[id] += 1;
         }
-        board
     }
 
     fn finished(&self) -> bool {
@@ -207,14 +185,14 @@ impl<'a> Board<'a> {
             return Some(Job::Node {
                 id,
                 args: args.expect("a parent's value is live until all of its uses retire"),
-                digits: self.site_of[id].map(|site| {
+                digits: self.schedule.site_of[id].map(|site| {
                     let digits = self.sites[site].decomposition.clone();
                     digits.expect("a member waits for its site's decomposition")
                 }),
             });
         }
         let (site, digit) = self.digits.pop_front()?;
-        let source = self.values[self.sites[site].source].clone();
+        let source = self.values[self.schedule.sites[site].source].clone();
         Some(Job::Digit {
             site,
             digit,
@@ -233,10 +211,15 @@ impl<'a> Board<'a> {
     /// Node `id` has produced `value`: stores and counts it, retires the
     /// parents — and the site decomposition — whose last use this was,
     /// releases its consumers and, if it is the source of a switch site,
-    /// queues the site's digit tasks.
+    /// queues the site's digit tasks instead of releasing the members.
     fn node_done(&mut self, id: NodeId, value: NodeValue) -> Retired {
         let mut retired = Retired::default();
-        if let Some(site) = self.site_from[id] {
+        let schedule = self.schedule;
+        // A member's one argument is its site's source.
+        let sourced = schedule.consumers[id]
+            .iter()
+            .find_map(|&child| schedule.site_of[child]);
+        if let Some(site) = sourced {
             match &value {
                 NodeValue::Cipher(ct) => {
                     self.sites[site].digits = vec![None; ct.level()];
@@ -265,16 +248,17 @@ impl<'a> Board<'a> {
                 }
             }
         }
-        if let Some(site) = self.site_of[id] {
+        if let Some(site) = schedule.site_of[id] {
             let site = &mut self.sites[site];
             site.members_left -= 1;
             if site.members_left == 0 {
                 retired.digits = site.decomposition.take();
             }
         }
-        let schedule = self.schedule;
         for &child in &schedule.consumers[id] {
-            self.release(child);
+            if schedule.site_of[child].is_none() {
+                self.release(child);
+            }
         }
         self.unfinished -= 1;
         retired
@@ -289,7 +273,8 @@ impl<'a> Board<'a> {
             let digits = digits.drain(..).flatten().collect();
             let decomposition = KeySwitchDecomposition::from_digits(digits);
             self.sites[site].decomposition = Some(Arc::new(decomposition));
-            for member in std::mem::take(&mut self.sites[site].members) {
+            let schedule = self.schedule;
+            for &member in &schedule.sites[site].members {
                 self.release(member);
             }
         }
@@ -734,9 +719,9 @@ mod tests {
                     }
                     Job::Node { id, args, digits } => {
                         assert_eq!(args.len(), program.args(id).len());
-                        assert_eq!(digits.is_some(), board.site_of[id].is_some());
+                        assert_eq!(digits.is_some(), schedule.site_of[id].is_some());
                         completions[id] += 1;
-                        let was_last = board.site_of[id]
+                        let was_last = schedule.site_of[id]
                             .is_some_and(|site| board.sites[site].members_left == 1);
                         drop((args, digits));
                         let retired = board.node_done(id, fake_value(program, id));
@@ -750,16 +735,16 @@ mod tests {
 
             assert!(completions.iter().all(|&c| c <= 1), "a node ran twice");
             most_resident = most_resident.max(resident_sites(&board, &in_flight));
-            for site in &board.sites {
+            for (site, run) in schedule.sites.iter().zip(&board.sites) {
                 // The digits live exactly as long as a member needs them ...
-                if site.members_left == 0 {
-                    assert!(site.decomposition.is_none() && site.digits.is_empty());
+                if run.members_left == 0 {
+                    assert!(run.decomposition.is_none() && run.digits.is_empty());
                 }
                 // ... and the source as long as the digits and the members.
                 let produced =
                     completions[site.source] == 1 || program.opcode(site.source).is_none();
                 if produced && board.values[site.source].is_none() {
-                    assert_eq!(site.members_left, 0, "source {} went early", site.source);
+                    assert_eq!(run.members_left, 0, "source {} went early", site.source);
                 }
             }
         }
@@ -817,9 +802,8 @@ mod tests {
     fn a_failure_stops_the_board_from_any_interleaving() {
         let two = two_sources();
         let schedule = Schedule::new(&two).unwrap();
-        let board = Board::new(&two, &schedule);
         let members: Vec<NodeId> = (0..two.len())
-            .filter(|&id| board.site_of[id].is_some())
+            .filter(|&id| schedule.site_of[id].is_some())
             .collect();
         assert_eq!(members.len(), 6);
         for seed in 0..50 {
@@ -836,7 +820,8 @@ mod tests {
         let mut board = seeded(&two, &schedule);
         // x = 0, y = 1, x + y = 2; x's fan-out is site 0, y's site 1.
         let (x, y) = (0, 1);
-        let (sx, sy) = (board.site_from[x].unwrap(), board.site_from[y].unwrap());
+        let site_from = |source| schedule.sites.iter().position(|s| s.source == source);
+        let (sx, sy) = (site_from(x).unwrap(), site_from(y).unwrap());
         assert_eq!(board.sites[sx].members_left, 3);
         assert_eq!(board.sites[sy].members_left, 2);
 

@@ -6,14 +6,11 @@
 //! `log2 Q` for each ring degree at 128-bit security, exactly as SEAL does
 //! when it validates parameters.
 
-pub use eva_math::primes::max_coeff_modulus_bits;
 use eva_math::primes::{generate_ntt_primes, PrimeGenError};
+pub use eva_math::primes::{max_coeff_modulus_bits, MAX_PRIME_BITS};
 
 /// The standard security level targeted by every context in this crate.
 pub const SECURITY_BITS: u32 = 128;
-
-/// Maximum bit size of any single prime (SEAL's limit; the paper's `log2 s_f`).
-pub const MAX_PRIME_BITS: u32 = 60;
 
 /// CKKS encryption parameters: a ring degree, a chain of data primes and one
 /// special key-switching prime.

@@ -61,8 +61,8 @@ pub struct CostModel {
     pub add_us: f64,
     /// One forward NTT of a single polynomial at the reference size, µs.
     pub ntt_us: f64,
-    /// One hoisted follower rotation (per-key apply + mod-down against a
-    /// fan-out group's shared decomposition) at the reference level, µs.
+    /// One hoisted follower (per-key apply + mod-down against a switch
+    /// site's shared decomposition) at the reference level, µs.
     pub hoisted_apply_us: f64,
 }
 
@@ -126,10 +126,12 @@ pub struct CostReport {
     pub key_switches: usize,
     /// Number of distinct rotation steps (= Galois keys to generate/ship).
     pub distinct_rotation_steps: usize,
-    /// Rotation fan-out groups executed hoisted (shared decomposition).
+    /// Switch sites of two or more members, executed hoisted (one shared
+    /// decomposition).
     pub hoisted_groups: usize,
-    /// Rotations priced as hoisted followers (group members beyond the
-    /// first, which pay only the per-key apply).
+    /// Key switches priced as hoisted followers (site members beyond the
+    /// first, which pay only the per-key apply). In a compiled program every
+    /// one is a rotation: a product has one relinearization.
     pub hoisted_rotations: usize,
     /// Total NTT count across all key switches and rescales.
     pub ntts: usize,
@@ -162,7 +164,11 @@ pub fn estimate_cost(
     let mut report = CostReport {
         nodes: program.len(),
         distinct_rotation_steps: compiled.rotation_steps.len(),
-        hoisted_groups: schedule.fanouts.len(),
+        hoisted_groups: schedule
+            .sites
+            .iter()
+            .filter(|s| s.members.len() >= 2)
+            .count(),
         ..CostReport::default()
     };
 
@@ -198,32 +204,11 @@ pub fn estimate_cost(
                 report.adds += 1;
                 report.predicted_us += scale(model.add_us, level as f64 / ref_level);
             }
-            Opcode::RotateLeft(s) | Opcode::RotateRight(s) if *s != 0 => {
-                report.rotations += 1;
-                *report.key_switches_per_level.entry(level).or_insert(0) += 1;
-                // The executors run rotation fan-outs hoisted: the group's
-                // first member pays a full key switch (it funds the shared
-                // decomposition), every other member only the per-key apply.
-                if schedule.is_fanout_follower(id) {
-                    report.hoisted_rotations += 1;
-                    let ntts = hoisted_apply_ntts(level);
-                    report.ntts += ntts;
-                    report.predicted_us += scale(model.hoisted_apply_us, ntts as f64 / ref_ha_ntts);
-                } else {
-                    let ntts = key_switch_ntts(level);
-                    report.ntts += ntts;
-                    report.predicted_us += scale(model.key_switch_us, ntts as f64 / ref_ks_ntts);
-                }
-            }
             // Identity rotations are cloned by the evaluator: no key switch.
-            Opcode::RotateLeft(_) | Opcode::RotateRight(_) => {}
-            Opcode::Relinearize => {
-                report.relinearizations += 1;
-                let ntts = key_switch_ntts(level);
-                report.ntts += ntts;
-                *report.key_switches_per_level.entry(level).or_insert(0) += 1;
-                report.predicted_us += scale(model.key_switch_us, ntts as f64 / ref_ks_ntts);
+            Opcode::RotateLeft(_) | Opcode::RotateRight(_) => {
+                report.rotations += usize::from(op.switches_key());
             }
+            Opcode::Relinearize => report.relinearizations += 1,
             Opcode::Rescale(_) => {
                 report.rescales += 1;
                 let ntts = rescale_ntts(level);
@@ -235,6 +220,22 @@ pub fn estimate_cost(
                 // negligible next to any key switch, costed as one add.
                 report.mod_switches += 1;
                 report.predicted_us += scale(model.add_us, level as f64 / ref_level);
+            }
+        }
+        // The executor runs each switch site on one decomposition: its
+        // first member pays a full key switch (it funds the decomposition),
+        // every other member only the per-key apply.
+        if schedule.site_of[id].is_some() {
+            *report.key_switches_per_level.entry(level).or_insert(0) += 1;
+            if schedule.is_hoisted_follower(id) {
+                report.hoisted_rotations += 1;
+                let ntts = hoisted_apply_ntts(level);
+                report.ntts += ntts;
+                report.predicted_us += scale(model.hoisted_apply_us, ntts as f64 / ref_ha_ntts);
+            } else {
+                let ntts = key_switch_ntts(level);
+                report.ntts += ntts;
+                report.predicted_us += scale(model.key_switch_us, ntts as f64 / ref_ks_ntts);
             }
         }
     }

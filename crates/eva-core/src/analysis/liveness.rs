@@ -4,9 +4,11 @@
 //!
 //! The forecast is the [`Schedule`] walk (paper Section 6.1: a value is
 //! released once its last live consumer has run) with static sizes in
-//! place of values: the live inputs are the baseline, each step adds what
-//! it materializes — the peak is sampled there, while a result still
-//! coexists with its parents — and subtracts what it releases.
+//! place of values. The live inputs are the baseline. Each step adds what
+//! it materializes (at the first-reached member of a switch site, every
+//! member, since the executor computes them from one shared
+//! decomposition); the peak is sampled there, while a result still
+//! coexists with its parents; then the step subtracts what it releases.
 //!
 //! Sizes follow the backend's accounting: a ciphertext at level `ℓ` with
 //! `p` polynomials holds `p · ℓ · degree` 8-byte residues

@@ -31,5 +31,5 @@ pub use scale::{
     analyze_exact_scales, analyze_levels, analyze_num_polys, analyze_scales, match_scale_delta,
     prime_log2s, remaining_levels, ChainEntry,
 };
-pub use schedule::{Schedule, Step};
+pub use schedule::{Schedule, Step, SwitchSite};
 pub use verifier::{verify_compiled, verify_program, Check, Diagnostic, Severity, VerifierReport};

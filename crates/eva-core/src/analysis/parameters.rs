@@ -10,7 +10,7 @@
 use crate::analysis::scale::{analyze_levels, analyze_scales, ChainEntry};
 use crate::error::EvaError;
 use crate::program::Program;
-use eva_math::primes::{generate_ntt_primes, max_coeff_modulus_bits};
+use eva_math::primes::{generate_ntt_primes, max_coeff_modulus_bits, MAX_PRIME_BITS};
 
 /// The encryption parameters the compiler hands to the backend.
 ///
@@ -81,10 +81,7 @@ fn split_scale_bits(total_bits: u32, max_bits: u32) -> Vec<u32> {
 /// Returns [`EvaError::ParameterSelection`] if the program has no cipher
 /// output or needs more modulus bits than any supported ring degree provides
 /// at 128-bit security.
-pub fn select_parameters(
-    program: &mut Program,
-    max_rescale_bits: u32,
-) -> Result<ParameterSpec, EvaError> {
+pub fn select_parameters(program: &mut Program) -> Result<ParameterSpec, EvaError> {
     let scales = analyze_scales(program)?;
     let chains = analyze_levels(program)?;
 
@@ -105,13 +102,13 @@ pub fn select_parameters(
             .iter()
             .map(|entry| match entry {
                 ChainEntry::Rescale(bits) => *bits,
-                ChainEntry::ModSwitch => max_rescale_bits,
+                ChainEntry::ModSwitch => MAX_PRIME_BITS,
             })
             .collect();
         // Nominal scales are integral f64s at this point; ceil makes the cast
         // safe even for exact (re-compiled) annotations.
         let needed_bits = (scales[node] + output.scale_log2).ceil() as u32;
-        let tail_bits = split_scale_bits(needed_bits, max_rescale_bits);
+        let tail_bits = split_scale_bits(needed_bits, MAX_PRIME_BITS);
         let length = rescale_bits.len() + tail_bits.len();
         let is_better = match &best {
             None => true,
@@ -129,7 +126,7 @@ pub fn select_parameters(
     let mut data_prime_bits = tail_bits;
     data_prime_bits.extend(rescale_bits.iter().rev());
 
-    let special_prime_bits = max_rescale_bits;
+    let special_prime_bits = MAX_PRIME_BITS;
     let total: u32 = data_prime_bits.iter().sum::<u32>() + special_prime_bits;
 
     // Smallest degree that is secure for `total` bits and can pack the
@@ -216,7 +213,7 @@ mod tests {
         let rescaled = p.push_instruction(Opcode::Rescale(60), vec![relin], ValueType::Cipher);
         p.output("out", rescaled, 30);
         // Output scale after rescale: 0 bits; desired 30 -> one 30-bit tail prime.
-        let spec = select_parameters(&mut p, 60).unwrap();
+        let spec = select_parameters(&mut p).unwrap();
         assert_eq!(spec.data_prime_bits, vec![30, 60]);
         assert_eq!(spec.special_prime_bits, 60);
         assert_eq!(spec.chain_length(), 3);
@@ -239,7 +236,7 @@ mod tests {
         let x = p.input_cipher("x", 30);
         let y = p.instruction(Opcode::Negate, &[x]);
         p.output("out", y, 30);
-        let spec = select_parameters(&mut p, 60).unwrap();
+        let spec = select_parameters(&mut p).unwrap();
         assert!(spec.degree >= 32768, "need at least 2 * 16384 slots");
     }
 
@@ -256,7 +253,7 @@ mod tests {
             acc = p.push_instruction(Opcode::Rescale(60), vec![relin], ValueType::Cipher);
         }
         p.output("out", acc, 30);
-        let err = select_parameters(&mut p, 60).unwrap_err();
+        let err = select_parameters(&mut p).unwrap_err();
         assert!(matches!(err, EvaError::ParameterSelection(_)));
     }
 
@@ -266,6 +263,6 @@ mod tests {
         let v = p.input_vector("v", 30);
         let w = p.instruction(Opcode::Add, &[v, v]);
         p.output("out", w, 30);
-        assert!(select_parameters(&mut p, 60).is_err());
+        assert!(select_parameters(&mut p).is_err());
     }
 }

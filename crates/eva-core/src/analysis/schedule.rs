@@ -10,21 +10,27 @@
 //!
 //! * a step **materializes** the values that come into existence when its
 //!   node is reached: the node's own value, or — for the first-reached
-//!   member of a rotation fan-out ([`RotationFanout`]) — every member
-//!   of the group at once, because the executor runs the group hoisted
-//!   (one shared decomposition, one key apply per member). Inputs are bound
-//!   before execution and fan-out members reached later already exist, so
-//!   those steps materialize nothing;
+//!   member of a switch site ([`SwitchSite`]) — every member of the site at
+//!   once, because the executor runs a site on one shared decomposition
+//!   (one key apply per member). Inputs are bound before execution and
+//!   site members reached later already exist, so those steps materialize
+//!   nothing;
 //! * a step **releases** the parents whose last live consumer it is. A
-//!   fan-out source is therefore released when its last member is *reached*
-//!   in topological order, not when the group executes.
+//!   site's source is therefore released when its last member is *reached*
+//!   in topological order, not when the site executes.
+//!
+//! A **switch site** is every live encrypted key switch of one source
+//! value — its RELINEARIZEs and non-zero ROTATEs ([`Opcode::switches_key`])
+//! — grouped here once: the executor lifts the source's decomposition once
+//! per site and applies each member's key to it, and the cost model prices
+//! a site's members after the first as hoisted followers.
 //!
 //! The memory forecast is that walk with static byte sizes and the cost
-//! model reads the step order and the fan-out followers. The executor —
-//! one scheduler, on the calling thread or on workers — seeds its
-//! dependence and use counters from the per-node tables and runs ready
-//! nodes first in, first out, so even on one thread its order need not be
-//! the step order.
+//! model reads the step order and the sites. The executor — one scheduler,
+//! on the calling thread or on workers — seeds its dependence and use
+//! counters from the per-node tables and its sites from the site list, and
+//! runs ready nodes first in, first out, so even on one thread its order
+//! need not be the step order.
 //!
 //! Lowering is a single `O(nodes + edges)` pass next to kernels that take
 //! tens of microseconds to milliseconds per node, so a schedule is built
@@ -39,38 +45,39 @@ use crate::types::Opcode;
 
 use super::scale::acyclic_order;
 
-/// A group of live cipher rotations sharing one source ciphertext, executed
-/// hoisted: one shared decomposition, one key apply per member.
+/// The live encrypted key switches of one source value (see the module
+/// docs), run on one shared decomposition of it.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct RotationFanout {
-    /// The shared source node every member rotates.
+pub struct SwitchSite {
+    /// The node whose value every member switches.
     pub source: NodeId,
-    /// The member rotation nodes with their signed left-rotation steps,
-    /// in ascending node order.
-    pub members: Vec<(NodeId, i64)>,
+    /// The member nodes, in ascending node order.
+    pub members: Vec<NodeId>,
 }
 
-/// Groups live, cipher-typed, non-identity rotations by their source node,
-/// returning every group with at least two members in ascending source
-/// order (members in ascending node order). Zero-step rotations are clones
-/// in the evaluator and perform no key switch, so they never join a group.
-fn group_rotation_fanouts(program: &Program, live: &[bool]) -> Vec<RotationFanout> {
-    let mut groups: BTreeMap<NodeId, Vec<(NodeId, i64)>> = BTreeMap::new();
+/// Groups every live, cipher-typed key switch by its source node: the
+/// sites in ascending source order, and per node the index of the site it
+/// is a member of.
+fn switch_sites(program: &Program, live: &[bool]) -> (Vec<SwitchSite>, Vec<Option<usize>>) {
+    let mut by_source: BTreeMap<NodeId, Vec<NodeId>> = BTreeMap::new();
     for id in 0..program.len() {
-        if !live[id] || !program.node(id).ty.is_cipher() {
-            continue;
-        }
-        let step = program.opcode(id).and_then(Opcode::rotation_step);
-        if let Some(step) = step.filter(|&s| s != 0) {
-            let source = program.args(id)[0];
-            groups.entry(source).or_default().push((id, step));
+        let switches = program.opcode(id).is_some_and(Opcode::switches_key);
+        if live[id] && switches && program.node(id).ty.is_cipher() {
+            by_source.entry(program.args(id)[0]).or_default().push(id);
         }
     }
-    groups
+    let mut site_of = vec![None; program.len()];
+    let sites = by_source
         .into_iter()
-        .filter(|(_, members)| members.len() >= 2)
-        .map(|(source, members)| RotationFanout { source, members })
-        .collect()
+        .enumerate()
+        .map(|(s, (source, members))| {
+            for &member in &members {
+                site_of[member] = Some(s);
+            }
+            SwitchSite { source, members }
+        })
+        .collect();
+    (sites, site_of)
 }
 
 /// One live node of the serial execution order, with the values that appear
@@ -80,9 +87,9 @@ pub struct Step {
     /// The node this step reaches.
     pub node: NodeId,
     /// Values that come into existence at this step: `[node]`, every
-    /// member of the node's rotation fan-out (ascending node order) when it
-    /// is the first member reached, or nothing for inputs and for fan-out
-    /// members reached later.
+    /// member of the node's switch site (ascending node order) when it is
+    /// the first member reached, or nothing for inputs and for site members
+    /// reached later.
     pub materializes: Vec<NodeId>,
     /// Values whose last live consumer is this step, dropped once it has
     /// run (ascending node order). Output nodes are never released.
@@ -105,13 +112,12 @@ pub struct Schedule {
     /// value is released when this many consumers have run, so an output
     /// survives to decryption.
     pub use_counts: Vec<usize>,
-    /// Rotation fan-outs: two or more live cipher rotations of one source,
-    /// executed hoisted. The first member (lowest node id) pays the shared
-    /// decomposition in the cost model; the rest are followers.
-    pub fanouts: Vec<RotationFanout>,
-    /// Per node: the index into [`Schedule::fanouts`] of the group it is a
-    /// member of, if any.
-    pub group_of: Vec<Option<u32>>,
+    /// Every switch site, sites of one member included, in ascending source
+    /// order.
+    pub sites: Vec<SwitchSite>,
+    /// Per node: the index into [`Schedule::sites`] of the site it is a
+    /// member of, if it switches a key.
+    pub site_of: Vec<Option<usize>>,
 }
 
 impl Schedule {
@@ -132,28 +138,21 @@ impl Schedule {
         for output in program.outputs() {
             use_counts[output.node] += 1;
         }
-
-        let fanouts = group_rotation_fanouts(program, &live);
-        let mut group_of = vec![None; program.len()];
-        for (g, fanout) in fanouts.iter().enumerate() {
-            for &(member, _) in &fanout.members {
-                group_of[member] = Some(g as u32);
-            }
-        }
+        let (sites, site_of) = switch_sites(program, &live);
 
         let mut parent_counts = vec![0usize; program.len()];
         let mut remaining = use_counts.clone();
-        let mut group_done = vec![false; fanouts.len()];
+        let mut site_reached = vec![false; sites.len()];
         let mut steps = Vec::new();
         for id in order.into_iter().filter(|&id| live[id]) {
-            let materializes = match group_of[id] {
+            // The first-reached member of a site materializes every member.
+            let materializes = match site_of[id] {
                 _ if matches!(program.node(id).kind, NodeKind::Input { .. }) => Vec::new(),
                 None => vec![id],
-                Some(g) => {
-                    let first_reached = !std::mem::replace(&mut group_done[g as usize], true);
-                    let members = fanouts[g as usize].members.iter().map(|&(m, _)| m);
-                    members.filter(|_| first_reached).collect()
+                Some(s) if !std::mem::replace(&mut site_reached[s], true) => {
+                    sites[s].members.clone()
                 }
+                Some(_) => Vec::new(),
             };
             let mut parents = program.args(id).to_vec();
             parents.sort_unstable();
@@ -181,16 +180,16 @@ impl Schedule {
             consumers,
             parent_counts,
             use_counts,
-            fanouts,
-            group_of,
+            sites,
+            site_of,
         })
     }
 
-    /// Whether `id` is a fan-out **follower**: a group member other than the
-    /// first, which pays only the per-key apply against the group's shared
-    /// decomposition.
-    pub fn is_fanout_follower(&self, id: NodeId) -> bool {
-        self.group_of[id].is_some_and(|g| self.fanouts[g as usize].members[0].0 != id)
+    /// Whether `id` is a **hoisted follower**: a member of a switch site
+    /// other than its first, which pays only the per-key apply against the
+    /// site's shared decomposition.
+    pub fn is_hoisted_follower(&self, id: NodeId) -> bool {
+        self.site_of[id].is_some_and(|s| self.sites[s].members[0] != id)
     }
 }
 
@@ -235,11 +234,11 @@ mod tests {
                 step(0, &[], &[]),
                 // x * x waits for one distinct parent and releases x.
                 step(1, &[1], &[0]),
-                // First member reached: the whole fan-out appears.
+                // First member reached: the whole site appears.
                 step(2, &[2, 3, 4], &[]),
                 step(3, &[], &[]),
                 step(4, &[], &[]),
-                // sq outlives the group's execution: it goes when its last
+                // sq outlives the site's execution: it goes when its last
                 // live consumer, this ADD, has run; the dead rotation does
                 // not hold it.
                 step(5, &[5], &[1, 2]),
@@ -258,14 +257,56 @@ mod tests {
         assert_eq!(s.use_counts[..8], [1, 4, 1, 1, 1, 1, 1, 2]);
         assert_eq!(s.use_counts[8..], [0, 0, 0]);
         assert_eq!(s.parent_counts[..8], [0, 1, 1, 1, 1, 2, 2, 2]);
-        assert_eq!(s.fanouts.len(), 1);
-        assert_eq!(s.fanouts[0].source, 1);
-        assert_eq!(s.fanouts[0].members, vec![(2, 1), (3, 2), (4, -3)]);
-        assert_eq!(s.group_of[2..5], [Some(0); 3]);
-        assert!(s.group_of[8].is_none(), "dead rotations join no group");
-        assert!(!s.is_fanout_follower(2));
-        assert!(s.is_fanout_follower(3) && s.is_fanout_follower(4));
-        assert!(!s.is_fanout_follower(5));
+        let site = SwitchSite {
+            source: 1,
+            members: vec![2, 3, 4],
+        };
+        assert_eq!(s.sites, vec![site]);
+        assert_eq!(s.site_of[2..5], [Some(0); 3]);
+        assert!(s.site_of[8].is_none(), "dead rotations join no site");
+        assert!(!s.is_hoisted_follower(2));
+        assert!(s.is_hoisted_follower(3) && s.is_hoisted_follower(4));
+        assert!(!s.is_hoisted_follower(5));
+    }
+
+    #[test]
+    fn every_live_key_switch_is_in_exactly_one_site() {
+        let mut p = Program::new("sites", 16);
+        let x = p.input_cipher("x", 30); // 0
+        let sq = p.instruction(Opcode::Multiply, &[x, x]); // 1
+        let relin = p.instruction(Opcode::Relinearize, &[sq]); // 2
+        let lone = p.instruction(Opcode::RotateLeft(1), &[x]); // 3
+        let f1 = p.instruction(Opcode::RotateLeft(1), &[relin]); // 4
+        let f2 = p.instruction(Opcode::RotateLeft(2), &[relin]); // 5
+        let f3 = p.instruction(Opcode::RotateRight(3), &[relin]); // 6
+        let identity = p.instruction(Opcode::RotateLeft(0), &[relin]); // 7
+        let dead = p.instruction(Opcode::RotateLeft(5), &[x]); // 8
+        let a = p.instruction(Opcode::Add, &[lone, f1]);
+        let b = p.instruction(Opcode::Add, &[f2, f3]);
+        let c = p.instruction(Opcode::Add, &[a, b]);
+        let d = p.instruction(Opcode::Add, &[c, identity]);
+        p.output("out", d, 30);
+        let s = Schedule::new(&p).unwrap();
+
+        let switches = [relin, lone, f1, f2, f3];
+        for id in 0..p.len() {
+            let containing = s.sites.iter().filter(|site| site.members.contains(&id));
+            let expected = usize::from(switches.contains(&id));
+            assert_eq!(containing.count(), expected, "node {id}");
+            assert_eq!(s.site_of[id].is_some(), switches.contains(&id), "node {id}");
+        }
+        for site in &s.sites {
+            assert!(site.members.iter().all(|&m| p.args(m) == [site.source]));
+            assert!(site.members.windows(2).all(|w| w[0] < w[1]));
+        }
+        assert!(s.site_of[identity].is_none() && s.site_of[dead].is_none());
+        assert_eq!(s.sites[s.site_of[relin].unwrap()].members, vec![relin]);
+        assert_eq!(s.sites[s.site_of[lone].unwrap()].members, vec![lone]);
+        assert_eq!(s.sites[s.site_of[f1].unwrap()].members, vec![f1, f2, f3]);
+        let followers: Vec<NodeId> = (0..p.len())
+            .filter(|&id| s.is_hoisted_follower(id))
+            .collect();
+        assert_eq!(followers, vec![f2, f3]);
     }
 
     #[test]
@@ -313,18 +354,27 @@ mod tests {
         (p, x)
     }
 
-    fn fanouts(p: &Program) -> Vec<RotationFanout> {
-        group_rotation_fanouts(p, &p.live_mask())
+    fn sites(p: &Program) -> Vec<SwitchSite> {
+        Schedule::new(p).unwrap().sites
+    }
+
+    /// The signed step of each of `site`'s members.
+    fn steps(p: &Program, site: &SwitchSite) -> Vec<i64> {
+        let step = |&m: &NodeId| p.opcode(m).and_then(Opcode::rotation_step);
+        site.members
+            .iter()
+            .map(step)
+            .collect::<Option<_>>()
+            .unwrap()
     }
 
     #[test]
     fn groups_same_source_rotations() {
         let (p, x) = fanout_program(&[1, 2, 16, 17, 18, 32, 33, 34]);
-        let groups = fanouts(&p);
-        assert_eq!(groups.len(), 1);
-        assert_eq!(groups[0].source, x);
-        let steps: Vec<i64> = groups[0].members.iter().map(|&(_, s)| s).collect();
-        assert_eq!(steps, vec![1, 2, 16, 17, 18, 32, 33, 34]);
+        let sites = sites(&p);
+        assert_eq!(sites.len(), 1);
+        assert_eq!(sites[0].source, x);
+        assert_eq!(steps(&p, &sites[0]), vec![1, 2, 16, 17, 18, 32, 33, 34]);
     }
 
     #[test]
@@ -335,7 +385,13 @@ mod tests {
         let z = p.instruction(Opcode::RotateLeft(0), &[x]);
         let s = p.instruction(Opcode::Add, &[r, z]);
         p.output("out", s, 30);
-        assert!(fanouts(&p).is_empty());
+        // The lone rotation is a site of one; the identity is a clone and
+        // joins none.
+        let site = SwitchSite {
+            source: x,
+            members: vec![r],
+        };
+        assert_eq!(sites(&p), vec![site]);
     }
 
     #[test]
@@ -346,7 +402,11 @@ mod tests {
         let _dead_a = p.instruction(Opcode::RotateLeft(2), &[x]);
         let _dead_b = p.instruction(Opcode::RotateLeft(3), &[x]);
         p.output("out", live, 30);
-        assert!(fanouts(&p).is_empty());
+        let site = SwitchSite {
+            source: x,
+            members: vec![live],
+        };
+        assert_eq!(sites(&p), vec![site]);
     }
 
     #[test]
@@ -357,9 +417,8 @@ mod tests {
         let b = p.instruction(Opcode::RotateRight(2), &[x]);
         let s = p.instruction(Opcode::Add, &[a, b]);
         p.output("out", s, 30);
-        let groups = fanouts(&p);
-        assert_eq!(groups.len(), 1);
-        let steps: Vec<i64> = groups[0].members.iter().map(|&(_, s)| s).collect();
-        assert_eq!(steps, vec![1, -2]);
+        let sites = sites(&p);
+        assert_eq!(sites.len(), 1);
+        assert_eq!(steps(&p, &sites[0]), vec![1, -2]);
     }
 }

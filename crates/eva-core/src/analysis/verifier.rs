@@ -53,6 +53,8 @@
 
 use std::collections::HashSet;
 
+use eva_math::MAX_PRIME_BITS;
+
 use crate::analysis::rotations::select_rotation_steps;
 use crate::analysis::scale::{
     analyze_num_polys, needs_two_polys, prime_log2s, propagate_chains, scale_of, Phase,
@@ -242,10 +244,10 @@ impl std::fmt::Display for VerifierReport {
 /// Verifies a standalone (transformed) program: structural well-formedness
 /// plus Constraints 1–4 over nominal scales. Reports every violation found.
 ///
-/// `max_rescale_bits` bounds rescale divisors (Constraint 4, the paper's
-/// `log2 s_f`; 60 in SEAL).
-pub fn verify_program(program: &Program, max_rescale_bits: u32) -> VerifierReport {
-    let mut verifier = Verifier::new(program, max_rescale_bits, None);
+/// [`MAX_PRIME_BITS`] bounds rescale divisors (Constraint 4, the paper's
+/// `log2 s_f`).
+pub fn verify_program(program: &Program) -> VerifierReport {
+    let mut verifier = Verifier::new(program, MAX_PRIME_BITS, None);
     verifier.run();
     verifier.report
 }
@@ -764,7 +766,7 @@ mod tests {
         let prod = p.instruction(Opcode::Multiply, &[x, x]);
         let deeper = p.instruction(Opcode::Multiply, &[prod, x]);
         p.output("out", deeper, 30);
-        let report = verify_program(&p, 60);
+        let report = verify_program(&p);
         assert!(report.has_error(Check::Relinearized), "{report}");
     }
 
@@ -821,7 +823,7 @@ mod tests {
         let b = p.push_instruction(Opcode::Negate, vec![a], ValueType::Cipher);
         p.replace_arg_at(a, 0, b);
         p.output("out", b, 30);
-        let report = verify_program(&p, 60);
+        let report = verify_program(&p);
         assert!(report.has_error(Check::Acyclic), "{report}");
     }
 
@@ -831,11 +833,11 @@ mod tests {
         let x = p.input_cipher("x", 30);
         p.output("out", x, 30);
         p.output("out", x, 30); // duplicate name
-        let report = verify_program(&p, 60);
+        let report = verify_program(&p);
         assert!(report.has_error(Check::Outputs), "{report}");
 
         let empty = Program::new("no_outputs", 8);
-        let report = verify_program(&empty, 60);
+        let report = verify_program(&empty);
         assert!(report.has_error(Check::Outputs), "{report}");
     }
 
@@ -845,7 +847,7 @@ mod tests {
         let x = p.input_cipher("x", 30);
         let r = p.push_instruction(Opcode::Rescale(65), vec![x], ValueType::Cipher);
         p.output("out", r, 30);
-        let report = verify_program(&p, 60);
+        let report = verify_program(&p);
         assert!(report.has_error(Check::RescaleBounds), "{report}");
         // Both findings (over the max AND underflowing the operand) surface.
         assert!(report.error_count() >= 2, "{report}");
@@ -858,7 +860,7 @@ mod tests {
         let _dead = p.instruction(Opcode::Negate, &[x]);
         let live = p.instruction(Opcode::Add, &[x, x]);
         p.output("out", live, 30);
-        let report = verify_program(&p, 60);
+        let report = verify_program(&p);
         assert!(report.is_clean(), "{report}");
         assert!(report
             .diagnostics
@@ -911,7 +913,7 @@ mod tests {
         let deeper = p.instruction(Opcode::Multiply, &[prod, x]); // missing relin
         let sum = p.instruction(Opcode::Add, &[deeper, x]); // scale mismatch
         p.output("out", sum, 30);
-        let report = verify_program(&p, 60);
+        let report = verify_program(&p);
         assert!(report.has_error(Check::Relinearized), "{report}");
         assert!(report.has_error(Check::ScaleMatch), "{report}");
     }
@@ -927,13 +929,13 @@ mod tests {
         let relin = p.push_instruction(Opcode::Relinearize, vec![prod], ValueType::Cipher);
         let sum = p.instruction(Opcode::Add, &[relin, prod]);
         p.output("out", sum, 30);
-        let report = verify_program(&p, 60);
+        let report = verify_program(&p);
         assert!(report.is_clean(), "{report}");
     }
 
     /// The single error a one-defect program reports, as `[check] message`.
     fn only_error(p: &Program) -> String {
-        let err = verify_program(p, 60)
+        let err = verify_program(p)
             .into_error()
             .expect("a defect")
             .to_string();
@@ -963,7 +965,7 @@ mod tests {
         let rescaled = p.push_instruction(Opcode::Rescale(30), vec![x], ValueType::Cipher);
         let sum = p.instruction(Opcode::Add, &[rescaled, y]);
         p.output("out", sum, 30);
-        let err = verify_program(&p, 60).into_error().unwrap().to_string();
+        let err = verify_program(&p).into_error().unwrap().to_string();
         assert!(
             err.contains("[chain-conformity]") && err.contains("chain"),
             "{err}"
@@ -1011,7 +1013,7 @@ mod tests {
         let matched = p.instruction(Opcode::Multiply, &[prod, one]);
         let sum = p.instruction(Opcode::Add, &[scaled, matched]);
         p.output("out", sum, 20);
-        assert!(verify_program(&p, 60).is_clean());
+        assert!(verify_program(&p).is_clean());
         let compiled = compile(&p, &CompilerOptions::default()).unwrap();
         assert_eq!(
             analyze_num_polys(&compiled.program)[compiled.program.outputs()[0].node],
@@ -1060,7 +1062,7 @@ mod tests {
         let x = p.input_cipher("x", 30);
         let plain = p.push_instruction(Opcode::Negate, vec![x], ValueType::Vector);
         p.output("out", plain, 30);
-        let report = verify_program(&p, 60);
+        let report = verify_program(&p);
         assert!(report.has_error(Check::ArgIndices), "{report}");
     }
 }

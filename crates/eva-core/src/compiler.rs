@@ -46,9 +46,6 @@ pub struct CompilerOptions {
     pub rescale: RescaleStrategy,
     /// MODSWITCH insertion strategy.
     pub mod_switch: ModSwitchStrategy,
-    /// Maximum rescale value / prime size in bits (the paper's `log2 s_f`,
-    /// 60 in SEAL).
-    pub max_rescale_bits: u32,
     /// Run the analysis-driven optimizer before the maintenance pipeline
     /// (see [`compile`]). On by default; off runs the paper's Algorithm 1
     /// alone, for ablations and unoptimized twins in tests.
@@ -60,7 +57,6 @@ impl Default for CompilerOptions {
         Self {
             rescale: RescaleStrategy::Waterline,
             mod_switch: ModSwitchStrategy::Eager,
-            max_rescale_bits: 60,
             optimize: true,
         }
     }
@@ -182,11 +178,10 @@ impl CompiledProgram {
 /// or fixed, never add one.
 fn optimizer_guard(
     program: &Program,
-    max_rescale_bits: u32,
     baseline: &HashSet<Check>,
     pass: &str,
 ) -> Result<(), EvaError> {
-    let report = verify_program(program, max_rescale_bits);
+    let report = verify_program(program);
     for diagnostic in report.errors() {
         if !baseline.contains(&diagnostic.check) {
             return Err(EvaError::Validation(format!(
@@ -238,7 +233,7 @@ fn optimizer_guard(
 pub fn compile(input: &Program, options: &CompilerOptions) -> Result<CompiledProgram, EvaError> {
     // The input gate: a program the verifier finds structurally broken is
     // not navigable by the passes below, so it is refused before any runs.
-    let report = verify_program(input, options.max_rescale_bits);
+    let report = verify_program(input);
     let structural: Vec<String> = report
         .errors()
         .filter(|d| d.check.is_structural())
@@ -266,9 +261,7 @@ pub fn compile(input: &Program, options: &CompilerOptions) -> Result<CompiledPro
     let mut rotations_factored = 0;
     if options.optimize {
         let baseline: HashSet<Check> = report.errors().map(|d| d.check).collect();
-        let guard = |program: &Program, pass: &str| {
-            optimizer_guard(program, options.max_rescale_bits, &baseline, pass)
-        };
+        let guard = |program: &Program, pass: &str| optimizer_guard(program, &baseline, pass);
         rotations_canonicalized = canonicalize_rotations(&mut program);
         guard(&program, "rotation-canonicalize")?;
         cse_merged = eliminate_common_subexpressions(&mut program);
@@ -280,9 +273,7 @@ pub fn compile(input: &Program, options: &CompilerOptions) -> Result<CompiledPro
     }
 
     let rescales_inserted = match options.rescale {
-        RescaleStrategy::Waterline => {
-            insert_waterline_rescale(&mut program, options.max_rescale_bits)
-        }
+        RescaleStrategy::Waterline => insert_waterline_rescale(&mut program),
         RescaleStrategy::Always => insert_always_rescale(&mut program),
     };
     let mod_switches_inserted = match options.mod_switch {
@@ -292,10 +283,10 @@ pub fn compile(input: &Program, options: &CompilerOptions) -> Result<CompiledPro
     let scale_fixes_inserted = insert_match_scale(&mut program);
     let relinearizations_inserted = insert_relinearize(&mut program);
 
-    if let Some(err) = verify_program(&program, options.max_rescale_bits).into_error() {
+    if let Some(err) = verify_program(&program).into_error() {
         return Err(err);
     }
-    let parameters = select_parameters(&mut program, options.max_rescale_bits)?;
+    let parameters = select_parameters(&mut program)?;
 
     // Phase two: the prime chain is fixed, so re-annotate with exact scales
     // and correct the sub-bit drift the nominal phase cannot see.
@@ -425,7 +416,6 @@ mod tests {
                 let options = CompilerOptions {
                     rescale,
                     mod_switch,
-                    max_rescale_bits: 60,
                     optimize: true,
                 };
                 let compiled = compile(&program, &options).unwrap();

@@ -199,7 +199,7 @@ mod tests {
         let out = p.outputs()[0].node;
         assert_eq!(scales[out], 60.0);
         insert_relinearize(&mut p);
-        assert!(verify_program(&p, 60).is_clean());
+        assert!(verify_program(&p).is_clean());
     }
 
     #[test]
@@ -280,6 +280,6 @@ mod tests {
         let inserted = insert_match_scale(&mut p);
         assert_eq!(inserted, 2);
         insert_relinearize(&mut p);
-        assert!(verify_program(&p, 60).is_clean());
+        assert!(verify_program(&p).is_clean());
     }
 }

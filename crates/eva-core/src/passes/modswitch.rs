@@ -188,7 +188,7 @@ mod tests {
         // Figure 5(c): after waterline rescaling of x^2, the two ADDs both need
         // x one level down; eager insertion shares one MODSWITCH on x.
         let mut p = x2_plus_x_plus_x();
-        insert_waterline_rescale(&mut p, 60);
+        insert_waterline_rescale(&mut p);
         let inserted = insert_eager_modswitch(&mut p);
         assert_eq!(inserted, 1, "one shared MODSWITCH, as in Figure 5(c)");
         assert_eq!(count_modswitch(&p), 1);
@@ -200,7 +200,7 @@ mod tests {
     fn lazy_inserts_one_modswitch_per_add() {
         // Figure 5(b): lazy insertion patches each ADD separately.
         let mut p = x2_plus_x_plus_x();
-        insert_waterline_rescale(&mut p, 60);
+        insert_waterline_rescale(&mut p);
         let inserted = insert_lazy_modswitch(&mut p);
         assert_eq!(
             inserted, 2,
@@ -221,7 +221,7 @@ mod tests {
         let sum = p.instruction(Opcode::Add, &[x, y]);
         p.output("square", x2, 60);
         p.output("sum", sum, 60);
-        insert_waterline_rescale(&mut p, 60);
+        insert_waterline_rescale(&mut p);
         insert_eager_modswitch(&mut p);
         assert!(
             analyze_levels(&p).is_ok(),
@@ -230,7 +230,7 @@ mod tests {
         // The rescaled square needs its relinearization before the verifier
         // accepts it; Constraint 1 holds for the add as well.
         crate::passes::insert_relinearize(&mut p);
-        assert!(verify_program(&p, 60).is_clean());
+        assert!(verify_program(&p).is_clean());
     }
 
     #[test]

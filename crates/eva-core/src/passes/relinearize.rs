@@ -147,7 +147,7 @@ mod tests {
         let mut p = Program::new("order", 8);
         let x = p.input_cipher("x", 60);
         let sq = p.instruction(Opcode::Multiply, &[x, x]);
-        crate::passes::rescale::insert_waterline_rescale(&mut p, 60);
+        crate::passes::rescale::insert_waterline_rescale(&mut p);
         insert_relinearize(&mut p);
         // sq's only user must now be the relinearize, whose user is the rescale.
         let uses = p.uses();

@@ -8,6 +8,8 @@
 //!   comparison: rescale after every ciphertext multiplication by the smaller
 //!   operand scale.
 
+use eva_math::MAX_PRIME_BITS;
+
 use crate::analysis::scale::{scale_of, Phase};
 use crate::passes::GraphEditor;
 use crate::program::{NodeKind, Program};
@@ -23,12 +25,12 @@ fn waterline(program: &Program) -> f64 {
 }
 
 /// Inserts WATERLINE-RESCALE nodes (Figure 4): after a ciphertext
-/// multiplication, rescale by `2^max_rescale_bits` as long as the remaining
-/// scale stays at or above the waterline `s_w` (the maximum input/constant
-/// scale). Returns the number of RESCALE nodes inserted.
-pub fn insert_waterline_rescale(program: &mut Program, max_rescale_bits: u32) -> usize {
+/// multiplication, rescale by `2^MAX_PRIME_BITS` (the paper's `s_f`) as long
+/// as the remaining scale stays at or above the waterline `s_w` (the maximum
+/// input/constant scale). Returns the number of RESCALE nodes inserted.
+pub fn insert_waterline_rescale(program: &mut Program) -> usize {
     let sw = waterline(program);
-    let sf = f64::from(max_rescale_bits);
+    let sf = f64::from(MAX_PRIME_BITS);
     let Ok(order) = program.topological_order() else {
         return 0;
     };
@@ -56,7 +58,7 @@ pub fn insert_waterline_rescale(program: &mut Program, max_rescale_bits: u32) ->
         let mut current_scale = scales[id];
         let mut tail = id;
         while current_scale >= sf + sw {
-            let rescale = editor.insert_after_all(tail, Opcode::Rescale(max_rescale_bits));
+            let rescale = editor.insert_after_all(tail, Opcode::Rescale(MAX_PRIME_BITS));
             current_scale -= sf;
             scales.resize(editor.len(), 0.0);
             scales[rescale] = current_scale;
@@ -140,7 +142,7 @@ mod tests {
         // two RESCALE nodes: after x^2 (120 -> 60) and after the final multiply
         // (150 -> 90); the output scale is 2^60 * 2^30 as the paper states.
         let mut p = x2y3(60, 30);
-        let inserted = insert_waterline_rescale(&mut p, 60);
+        let inserted = insert_waterline_rescale(&mut p);
         assert_eq!(inserted, 2);
         let scales = analyze_scales(&mut p).unwrap();
         let out_node = p.outputs()[0].node;
@@ -165,7 +167,7 @@ mod tests {
         let y = p.input_cipher("y", 25);
         let prod = p.instruction(Opcode::Multiply, &[x, y]);
         p.output("out", prod, 25);
-        assert_eq!(insert_waterline_rescale(&mut p, 60), 0);
+        assert_eq!(insert_waterline_rescale(&mut p), 0);
     }
 
     #[test]
@@ -185,7 +187,7 @@ mod tests {
         let prod = p.instruction(Opcode::Multiply, &[x, y]);
         let prod2 = p.instruction(Opcode::Multiply, &[prod, prod]);
         p.output("out", prod2, 30);
-        insert_waterline_rescale(&mut p, 60);
+        insert_waterline_rescale(&mut p);
         let scales = analyze_scales(&mut p).unwrap();
         let out_node = p.outputs()[0].node;
         // Whatever the exact chain, the final scale must sit below s_f + s_w.

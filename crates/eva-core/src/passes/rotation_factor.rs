@@ -479,7 +479,7 @@ mod tests {
         assert_eq!(rotation_count(&p), 4);
         let steps: Vec<i64> = select_rotation_steps(&p);
         assert_eq!(steps, vec![1, 2, 16, 32]);
-        assert!(verify_program(&p, 60).is_clean());
+        assert!(verify_program(&p).is_clean());
     }
 
     #[test]

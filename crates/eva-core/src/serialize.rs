@@ -427,7 +427,7 @@ mod tests {
     #[test]
     fn roundtrip_preserves_transformed_programs() {
         let mut p = sample_program();
-        crate::passes::insert_waterline_rescale(&mut p, 60);
+        crate::passes::insert_waterline_rescale(&mut p);
         crate::passes::insert_eager_modswitch(&mut p);
         crate::passes::insert_match_scale(&mut p);
         crate::passes::insert_relinearize(&mut p);

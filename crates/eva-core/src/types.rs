@@ -105,6 +105,17 @@ impl Opcode {
         }
     }
 
+    /// Whether this opcode, on an encrypted operand, switches keys: a
+    /// relinearization or a rotation by a non-zero step (a zero step is a
+    /// clone).
+    pub fn switches_key(self) -> bool {
+        match self {
+            Opcode::Relinearize => true,
+            Opcode::RotateLeft(s) | Opcode::RotateRight(s) => s != 0,
+            _ => false,
+        }
+    }
+
     /// A short mnemonic used by the textual program dump.
     pub fn mnemonic(&self) -> &'static str {
         match self {

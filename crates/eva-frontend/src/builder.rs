@@ -118,7 +118,7 @@ mod tests {
     /// `compile` accepts as input (raw programs may still fail scale checks
     /// the compiler's passes repair).
     fn assert_structurally_sound(program: &Program) {
-        let report = verify_program(program, 60);
+        let report = verify_program(program);
         assert!(
             !report.errors().any(|d| d.check.is_structural()),
             "{report}"

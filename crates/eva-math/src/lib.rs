@@ -52,5 +52,5 @@ pub use fft::{Complex, SpecialFft};
 pub use galois::GaloisTool;
 pub use modulus::Modulus;
 pub use ntt::NttTables;
-pub use primes::{generate_ntt_primes, is_prime, nominal_prime_bits};
+pub use primes::{generate_ntt_primes, is_prime, nominal_prime_bits, MAX_PRIME_BITS};
 pub use sampling::{sample_cbd, sample_ternary, sample_uniform_into, sample_uniform_poly};

@@ -8,6 +8,10 @@
 
 use crate::modulus::Modulus;
 
+/// Maximum bit size of any single prime of a coefficient-modulus chain:
+/// SEAL's limit, and the paper's `log2 s_f`, the largest rescale divisor.
+pub const MAX_PRIME_BITS: u32 = 60;
+
 /// Maximum total bits of the coefficient modulus (including the special prime)
 /// admissible at 128-bit security for a given ring degree, following the
 /// HomomorphicEncryption.org security standard (and extrapolating one doubling

@@ -27,9 +27,9 @@
 //!   (and the key generation behind it) entirely.
 //!
 //! Wire formats come from `eva-wire`; secret keys have no wire
-//! representation at all, and the public *encryption* key also stays on the
-//! client — the server receives nothing it could encrypt (let alone
-//! decrypt) with. The full protocol specification lives in
+//! representation at all, and there is no public key: clients encrypt with
+//! the secret key, so the server receives nothing it could encrypt (let
+//! alone decrypt) with. The full protocol specification lives in
 //! [`docs/PROTOCOL.md`](https://github.com/eva-reproduction/eva/blob/main/docs/PROTOCOL.md).
 //!
 //! # Example

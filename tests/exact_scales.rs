@@ -83,7 +83,7 @@ proptest! {
             (RescaleStrategy::Waterline, ModSwitchStrategy::Lazy),
         ] {
             let options =
-                CompilerOptions { rescale, mod_switch, max_rescale_bits: 60, ..Default::default() };
+                CompilerOptions { rescale, mod_switch, ..Default::default() };
             let Ok(mut compiled) = compile(&program, &options) else {
                 // Oversized random programs may exceed every ring degree.
                 continue;

@@ -46,7 +46,7 @@ fn figure_2_waterline_beats_always_rescale() {
 
     // Figure 2(d): waterline rescaling only needs two.
     let mut waterline = x2y3(60, 30);
-    assert_eq!(insert_waterline_rescale(&mut waterline, 60), 2);
+    assert_eq!(insert_waterline_rescale(&mut waterline), 2);
 
     // Figure 2(e): every product feeds a multiply or a rescale, so each is
     // relinearized.
@@ -61,7 +61,7 @@ fn figure_3_match_scale_avoids_extra_primes() {
     // Figure 3(b): solving the scale mismatch with rescale + modswitch consumes
     // a modulus prime; Figure 3(c)'s MATCH-SCALE multiplication does not.
     let mut with_match_scale = x2_plus_x();
-    assert_eq!(insert_waterline_rescale(&mut with_match_scale, 60), 0);
+    assert_eq!(insert_waterline_rescale(&mut with_match_scale), 0);
     assert_eq!(insert_match_scale(&mut with_match_scale), 1);
     let compiled = compile(&x2_plus_x(), &CompilerOptions::default()).unwrap();
     // The compiled program consumes no primes before the output tail: the chain
@@ -92,11 +92,11 @@ fn figure_3_match_scale_avoids_extra_primes() {
 #[test]
 fn figure_5_eager_shares_modswitch_lazy_duplicates_it() {
     let mut eager = x2_plus_x_plus_x();
-    insert_waterline_rescale(&mut eager, 60);
+    insert_waterline_rescale(&mut eager);
     let eager_count = insert_eager_modswitch(&mut eager);
 
     let mut lazy = x2_plus_x_plus_x();
-    insert_waterline_rescale(&mut lazy, 60);
+    insert_waterline_rescale(&mut lazy);
     let lazy_count = insert_lazy_modswitch(&mut lazy);
 
     assert_eq!(eager_count, 1, "Figure 5(c): one shared MODSWITCH");
@@ -110,7 +110,6 @@ fn compiled_programs_always_validate_across_strategies() {
             let options = CompilerOptions {
                 rescale: RescaleStrategy::Waterline,
                 mod_switch,
-                max_rescale_bits: 60,
                 ..CompilerOptions::default()
             };
             let compiled = compile(&program, &options).expect("compilation must succeed");

@@ -76,7 +76,7 @@ proptest! {
             (RescaleStrategy::Waterline, ModSwitchStrategy::Lazy),
         ] {
             let options =
-                CompilerOptions { rescale, mod_switch, max_rescale_bits: 60, ..Default::default() };
+                CompilerOptions { rescale, mod_switch, ..Default::default() };
             match compile(&program, &options) {
                 Ok(compiled) => {
                     // The transformed program must compute the same values.

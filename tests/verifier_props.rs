@@ -62,7 +62,6 @@ fn compile_random(seed: u64, budget: usize, lazy: bool) -> Option<CompiledProgra
         } else {
             ModSwitchStrategy::Eager
         },
-        max_rescale_bits: 60,
         ..CompilerOptions::default()
     };
     compile(&random_program(seed, budget), &options).ok()
