@@ -16,10 +16,9 @@ use eva_ckks::{
     GaloisKeys, KeyGenerator, KeySwitchDecomposition, KeySwitchScratch, RelinearizationKey,
     SeededCiphertext, SymmetricEncryptor,
 };
-use eva_core::analysis::Schedule;
 use eva_core::{CompiledProgram, EvaError, NodeId, NodeKind, Opcode, Program, ValueType};
 
-use crate::reference::{apply_op, replicate};
+use crate::reference::{apply_op, check_input, replicate};
 
 /// A value flowing through the encrypted executor: either a ciphertext or a
 /// plaintext vector (the executor keeps plaintext data unencoded and encodes
@@ -38,6 +37,69 @@ impl NodeValue {
         match self {
             NodeValue::Cipher(ct) => ct.memory_bytes(),
             NodeValue::Plain(v) => v.len() * std::mem::size_of::<f64>(),
+        }
+    }
+}
+
+/// One live program input, as the client half needs to know it: its name,
+/// whether it is encrypted, and the exact `log2` scale a `Cipher` input is
+/// encoded at (the binding gate checks it bit for bit).
+#[derive(Debug, Clone, PartialEq)]
+pub struct InputSpec {
+    /// Input name (the program's input node name).
+    pub name: String,
+    /// Whether the input is encrypted (`Cipher`) or bound as plain values.
+    pub cipher: bool,
+    /// Exact `log2` scale the client encodes this input at.
+    pub scale_log2: f64,
+}
+
+/// The live (output-reachable) inputs of `program` in ascending node order,
+/// with their node ids: the one list the deployment manifest publishes, the
+/// client half encrypts and [`EvaluationContext::bind_inputs`] binds. Dead
+/// inputs need no value.
+pub fn live_inputs(program: &Program) -> impl Iterator<Item = (NodeId, InputSpec)> + '_ {
+    let live = program.live_mask();
+    program
+        .nodes()
+        .iter()
+        .enumerate()
+        .filter(move |&(id, _)| live[id])
+        .filter_map(|(id, node)| match &node.kind {
+            NodeKind::Input { name } => Some((
+                id,
+                InputSpec {
+                    name: name.clone(),
+                    cipher: node.ty == ValueType::Cipher,
+                    scale_log2: node.scale_log2,
+                },
+            )),
+            _ => None,
+        })
+}
+
+/// A named value between the client half and the evaluation half: inputs
+/// the client encrypted ([`SecretContext::encrypt_inputs`]) on their way to
+/// [`EvaluationContext::bind_inputs`], and outputs on their way back. The
+/// deployment service frames exactly these on the wire.
+#[derive(Debug, Clone)]
+pub enum ValuePayload {
+    /// An encrypted value, every polynomial dense: two, or three for an
+    /// output the compiler left unrelinearized. Computed values (outputs)
+    /// can only travel this way.
+    Cipher(Box<Ciphertext>),
+    /// A fresh encrypted value in seeded form (roughly half the bytes):
+    /// only the encryptor produces these, and the binding gate expands them.
+    Seeded(Box<SeededCiphertext>),
+    /// A plaintext vector.
+    Plain(Vec<f64>),
+}
+
+impl From<NodeValue> for ValuePayload {
+    fn from(value: NodeValue) -> Self {
+        match value {
+            NodeValue::Cipher(ct) => ValuePayload::Cipher(Box::new(ct)),
+            NodeValue::Plain(v) => ValuePayload::Plain(v),
         }
     }
 }
@@ -184,62 +246,67 @@ impl EvaluationContext {
         &self.encoder
     }
 
-    /// Binds already-encrypted inputs (plus plaintext input vectors) to the
-    /// program's input nodes — the server-side counterpart of
-    /// [`EncryptedContext::encrypt_inputs`], used when ciphertexts arrive
-    /// over the wire. Every value is validated against the program's
-    /// annotations before it is accepted:
+    /// The one binding gate: binds named inputs to the program's live input
+    /// nodes, whether they arrived over the wire or from the in-process
+    /// client half ([`EncryptedContext::encrypt_inputs`]). Every value is
+    /// validated against the program's annotations before it is accepted:
     ///
+    /// * a name may appear once;
+    /// * seeded ciphertexts are expanded against this context;
     /// * ciphertexts must match the context's ring degree, sit at the top
     ///   level with exactly two polynomials in NTT form, carry the node's
     ///   exact `log2` scale bit-for-bit, and have every limb canonical
     ///   (`< q_i`);
-    /// * plaintext vectors must have between 1 and `vec_size` values, and are
-    ///   replicated to the program vector size exactly like locally supplied
-    ///   inputs.
+    /// * plaintext vectors must hold between 1 and `vec_size` finite values,
+    ///   and are replicated to the program vector size.
     ///
     /// # Errors
     ///
-    /// Returns [`EvaError::Execution`] if an input is missing, unknown or
-    /// fails validation.
+    /// Returns [`EvaError::Execution`] if an input is duplicated, missing,
+    /// unknown or fails validation.
     pub fn bind_inputs(
         &self,
         compiled: &CompiledProgram,
-        mut ciphers: HashMap<String, Ciphertext>,
-        mut plains: HashMap<String, Vec<f64>>,
+        inputs: Vec<(String, ValuePayload)>,
     ) -> Result<HashMap<NodeId, NodeValue>, EvaError> {
         let program = &compiled.program;
-        let size = program.vec_size();
+        let mut named = HashMap::with_capacity(inputs.len());
+        for (name, value) in inputs {
+            if named.insert(name.clone(), value).is_some() {
+                return Err(EvaError::Execution(format!(
+                    "duplicate input {name:?} in one evaluation request"
+                )));
+            }
+        }
         let mut bindings = HashMap::new();
-        for id in Schedule::new(program)?.inputs {
-            let node = program.node(id);
-            let NodeKind::Input { name } = &node.kind else {
-                unreachable!("schedule inputs are input nodes");
-            };
-            let value = match node.ty {
-                ValueType::Cipher => {
-                    let ct = ciphers.remove(name).ok_or_else(|| {
-                        EvaError::Execution(format!("missing encrypted input {name:?}"))
-                    })?;
-                    self.validate_input_ciphertext(name, &ct, node.scale_log2)?;
-                    NodeValue::Cipher(ct)
+        for (id, spec) in live_inputs(program) {
+            let name = &spec.name;
+            let value = named
+                .remove(name)
+                .ok_or_else(|| EvaError::Execution(format!("missing input value for {name:?}")))?;
+            let value = match (spec.cipher, value) {
+                (true, ValuePayload::Seeded(seeded)) => {
+                    NodeValue::Cipher(seeded.expand(&self.context).map_err(|err| {
+                        EvaError::Execution(format!("seeded input {name:?} rejected: {err}"))
+                    })?)
                 }
-                _ => {
-                    let raw = plains.remove(name).ok_or_else(|| {
-                        EvaError::Execution(format!("missing plaintext input {name:?}"))
-                    })?;
-                    let replicated = replicate(&raw, size, name)?;
-                    if raw.iter().any(|v| !v.is_finite()) {
-                        return Err(EvaError::Execution(format!(
-                            "input {name:?} contains non-finite values"
-                        )));
-                    }
-                    NodeValue::Plain(replicated)
+                (true, ValuePayload::Cipher(ct)) => NodeValue::Cipher(*ct),
+                (false, ValuePayload::Plain(raw)) => {
+                    NodeValue::Plain(replicate(&raw, program.vec_size(), name)?)
+                }
+                (cipher, _) => {
+                    let kind = if cipher { "encrypted" } else { "plain" };
+                    return Err(EvaError::Execution(format!(
+                        "input {name:?} must be {kind}"
+                    )));
                 }
             };
+            if let NodeValue::Cipher(ct) = &value {
+                self.validate_input_ciphertext(name, ct, spec.scale_log2)?;
+            }
             bindings.insert(id, value);
         }
-        if let Some(name) = ciphers.keys().chain(plains.keys()).next() {
+        if let Some(name) = named.keys().next() {
             return Err(EvaError::Execution(format!(
                 "input {name:?} does not match any live program input"
             )));
@@ -474,7 +541,8 @@ impl EvaluationContext {
     /// at any thread count. Alongside them it returns the board's
     /// [`MemoryAudit`]: the peak number of values and ciphertexts held at
     /// once and their real `memory_bytes()`. `eva-core`'s
-    /// `predict_peak_memory` walks the [`Schedule`] steps with static sizes;
+    /// `predict_peak_memory` walks the
+    /// [`Schedule`](eva_core::analysis::Schedule) steps with static sizes;
     /// the board takes ready nodes first in, first out instead, and the
     /// forecast has measured equal to the audit on Sobel and above it on
     /// LeNet.
@@ -558,8 +626,8 @@ impl SecretContext {
     ///
     /// # Errors
     ///
-    /// Returns [`EvaError::Execution`] if `raw` is empty or longer than
-    /// `vec_size`.
+    /// Returns [`EvaError::Execution`] if `raw` is empty, longer than
+    /// `vec_size` or not finite.
     pub fn encrypt(
         &mut self,
         name: &str,
@@ -574,11 +642,61 @@ impl SecretContext {
         Ok(self.encryptor.encrypt_seeded(&plaintext))
     }
 
+    /// The client half of an evaluation round: encrypts every `Cipher`
+    /// input of `specs` in seeded form ([`SecretContext::encrypt`]) and
+    /// passes plaintext inputs on as given, after the same length and
+    /// finiteness check. The named payloads are what
+    /// [`EvaluationContext::bind_inputs`] accepts.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`EvaError::Execution`] naming the input if one is missing,
+    /// empty, longer than `vec_size` or not finite.
+    pub fn encrypt_inputs(
+        &mut self,
+        specs: &[InputSpec],
+        vec_size: usize,
+        values: &HashMap<String, Vec<f64>>,
+    ) -> Result<Vec<(String, ValuePayload)>, EvaError> {
+        let mut payloads = Vec::with_capacity(specs.len());
+        for spec in specs {
+            let name = &spec.name;
+            let raw = values
+                .get(name)
+                .ok_or_else(|| EvaError::Execution(format!("missing input value for {name:?}")))?;
+            let value = if spec.cipher {
+                let ct = self.encrypt(name, raw, vec_size, spec.scale_log2)?;
+                ValuePayload::Seeded(Box::new(ct))
+            } else {
+                check_input(raw, vec_size, name)?;
+                ValuePayload::Plain(raw.clone())
+            };
+            payloads.push((name.clone(), value));
+        }
+        Ok(payloads)
+    }
+
     /// Decrypts and decodes a ciphertext to its first `vec_size` values.
     pub fn decrypt(&self, ct: &Ciphertext, vec_size: usize) -> Vec<f64> {
         let mut values = self.decryptor.decrypt_to_values(ct, vec_size.max(1));
         values.truncate(vec_size);
         values
+    }
+
+    /// The client half's closing step: decrypts every named output to a
+    /// vector of `vec_size` values; plaintext outputs pass as they are.
+    pub fn decrypt_outputs(
+        &self,
+        outputs: Vec<(String, NodeValue)>,
+        vec_size: usize,
+    ) -> HashMap<String, Vec<f64>> {
+        outputs
+            .into_iter()
+            .map(|(name, value)| match value {
+                NodeValue::Cipher(ct) => (name, self.decrypt(&ct, vec_size)),
+                NodeValue::Plain(v) => (name, v),
+            })
+            .collect()
     }
 
     /// The secret key's leak-audit probe (see
@@ -634,44 +752,26 @@ impl EncryptedContext {
         self.eval.evaluator()
     }
 
-    /// Encrypts the program's `Cipher` inputs and collects plaintext inputs,
-    /// returning the initial node-value bindings for execution.
+    /// Encrypts the program's live inputs with the client half and binds
+    /// them through the evaluation half's gate — the client/server round
+    /// trip without the socket — returning the initial node-value bindings
+    /// for execution.
     ///
     /// # Errors
     ///
-    /// Returns [`EvaError::Execution`] if an input is missing or too long.
+    /// Returns [`EvaError::Execution`] if an input is missing, too long or
+    /// not finite, or fails the binding gate.
     pub fn encrypt_inputs(
         &mut self,
         compiled: &CompiledProgram,
         inputs: &HashMap<String, Vec<f64>>,
     ) -> Result<HashMap<NodeId, NodeValue>, EvaError> {
         let program = &compiled.program;
-        let size = program.vec_size();
-        let mut bindings = HashMap::new();
-        // Only live inputs: the executors never read dead ones, so they
-        // need neither a bound value nor an encode+encrypt.
-        for id in Schedule::new(program)?.inputs {
-            let node = program.node(id);
-            let NodeKind::Input { name } = &node.kind else {
-                unreachable!("schedule inputs are input nodes");
-            };
-            let raw = inputs
-                .get(name)
-                .ok_or_else(|| EvaError::Execution(format!("missing input value for {name:?}")))?;
-            let value = match node.ty {
-                // The expansion of the seeded form is exactly what
-                // `SymmetricEncryptor::encrypt` returns.
-                ValueType::Cipher => NodeValue::Cipher(
-                    self.secret
-                        .encrypt(name, raw, size, node.scale_log2)?
-                        .expand(self.eval.context())
-                        .map_err(to_eva_error)?,
-                ),
-                _ => NodeValue::Plain(replicate(raw, size, name)?),
-            };
-            bindings.insert(id, value);
-        }
-        Ok(bindings)
+        let specs: Vec<InputSpec> = live_inputs(program).map(|(_, spec)| spec).collect();
+        let payloads = self
+            .secret
+            .encrypt_inputs(&specs, program.vec_size(), inputs)?;
+        self.eval.bind_inputs(compiled, payloads)
     }
 
     /// Serial execution of the whole program (delegates to the evaluation
@@ -699,16 +799,10 @@ impl EncryptedContext {
         compiled: &CompiledProgram,
         values: &HashMap<NodeId, NodeValue>,
     ) -> Result<HashMap<String, Vec<f64>>, EvaError> {
-        let size = compiled.program.vec_size();
-        let mut outputs = HashMap::new();
-        for (name, value) in EvaluationContext::named_outputs(compiled, values)? {
-            let decoded = match value {
-                NodeValue::Cipher(ct) => self.secret.decrypt(&ct, size),
-                NodeValue::Plain(v) => v,
-            };
-            outputs.insert(name, decoded);
-        }
-        Ok(outputs)
+        let outputs = EvaluationContext::named_outputs(compiled, values)?;
+        Ok(self
+            .secret
+            .decrypt_outputs(outputs, compiled.program.vec_size()))
     }
 }
 
@@ -821,6 +915,78 @@ mod tests {
         assert!(close(&decrypted, &[0.5, -0.25].repeat(4), 1e-4));
         assert!(first.encrypt("x", &[], 8, 30.0).is_err());
         assert!(first.encrypt("x", &[0.0; 9], 8, 30.0).is_err());
+    }
+
+    #[test]
+    fn seeded_inputs_are_expanded_when_bound() {
+        use eva_ckks::SymmetricEncryptor;
+
+        let mut p = Program::new("bound", 8);
+        let x = p.input_cipher("x", 30);
+        let w = p.input_vector("w", 20);
+        let prod = p.instruction(Op::Multiply, &[x, w]);
+        p.output("out", prod, 30);
+        let compiled = compile(&p, &CompilerOptions::default()).unwrap();
+        let inputs: HashMap<String, (NodeId, InputSpec)> = live_inputs(&compiled.program)
+            .map(|(id, spec)| (spec.name.clone(), (id, spec)))
+            .collect();
+        let (x_id, x_spec) = &inputs["x"];
+        let w_id = inputs["w"].0;
+
+        let params = CkksParameters::new_insecure(32, &[30, 30, 40], 45).unwrap();
+        let ctx = CkksContext::new(params).unwrap();
+        let evaluation = |ctx: &CkksContext| {
+            EvaluationContext::from_parts(ctx.clone(), None, GaloisKeys::default())
+        };
+        let keygen = KeyGenerator::from_seed(ctx.clone(), 3);
+        let encryptor =
+            |seed| SymmetricEncryptor::from_seed(ctx.clone(), keygen.secret_key().clone(), seed);
+        let pt =
+            CkksEncoder::new(ctx.clone()).encode(&[1.0; 8], x_spec.scale_log2, ctx.max_level());
+        let seeded = |seed| ValuePayload::Seeded(Box::new(encryptor(seed).encrypt_seeded(&pt)));
+
+        // The expansion is exactly the directly encrypted ciphertext.
+        let bound = evaluation(&ctx)
+            .bind_inputs(
+                &compiled,
+                vec![
+                    ("x".to_string(), seeded(4)),
+                    ("w".to_string(), ValuePayload::Plain(vec![2.0])),
+                ],
+            )
+            .unwrap();
+        let NodeValue::Cipher(ct) = &bound[x_id] else {
+            panic!("x binds a ciphertext");
+        };
+        assert_eq!(ct.polys(), encryptor(4).encrypt(&pt).polys());
+        assert!(matches!(&bound[&w_id], NodeValue::Plain(v) if v == &vec![2.0; 8]));
+
+        // A seeded ciphertext that does not fit the context is refused, with
+        // the class a refused full ciphertext gets.
+        let small = CkksContext::new(CkksParameters::new_insecure(32, &[30], 40).unwrap()).unwrap();
+        let err = evaluation(&small)
+            .bind_inputs(&compiled, vec![("x".to_string(), seeded(5))])
+            .unwrap_err();
+        assert!(
+            matches!(&err, EvaError::Execution(m) if m.contains("seeded input \"x\" rejected")),
+            "{err}"
+        );
+
+        // A name may appear once.
+        let err = evaluation(&ctx)
+            .bind_inputs(
+                &compiled,
+                vec![
+                    ("x".to_string(), seeded(6)),
+                    ("w".to_string(), ValuePayload::Plain(vec![2.0])),
+                    ("w".to_string(), ValuePayload::Plain(vec![3.0])),
+                ],
+            )
+            .unwrap_err();
+        assert!(
+            matches!(&err, EvaError::Execution(m) if m.contains("duplicate input \"w\"")),
+            "{err}"
+        );
     }
 
     #[test]

@@ -6,9 +6,10 @@
 //! * [`mod@reference`] — the paper's `id`-scheme reference semantics on plaintext
 //!   vectors (Section 3), used to define correctness and to measure the
 //!   numeric fidelity of encrypted execution.
-//! * [`encrypted`] — key generation, input encryption, the per-node kernels
-//!   against the `eva-ckks` RNS-CKKS scheme, and output decryption, with the
-//!   phases split out so they can be timed separately (paper Table 7).
+//! * [`encrypted`] — key generation, input encryption and binding, the
+//!   per-node kernels against the `eva-ckks` RNS-CKKS scheme, and output
+//!   decryption, with the phases split out so they can be timed separately
+//!   (paper Table 7).
 //! * [`parallel`] — the one executor, the asynchronous DAG scheduler of
 //!   Section 6.1: a dependence-counting board seeded from the program's
 //!   execution schedule (`eva_core::analysis::Schedule`), which retires
@@ -20,12 +21,16 @@
 //!
 //! The encrypted executor is split along the deployment trust boundary:
 //! [`EvaluationContext`] holds only public evaluation state (context,
-//! encoder, evaluator, relinearization + Galois keys) and is what the
+//! encoder, evaluator, relinearization + Galois keys); it binds inputs
+//! through its one gate, [`EvaluationContext::bind_inputs`], and is what the
 //! executor runs against — locally and on the `eva-service` server, where
-//! the keys arrive over the wire. [`SecretContext`] is the client's half
-//! (key derivation, secret-key encryption, decryption), shared by the
-//! in-process [`EncryptedContext`], which pairs it with an
-//! [`EvaluationContext`], and by the `eva-service` deployment client.
+//! the keys and the inputs arrive over the wire. [`SecretContext`] is the
+//! client's half: key derivation, the one input-encryption loop
+//! ([`SecretContext::encrypt_inputs`] over the [`live_inputs`] list) and the
+//! one decryption loop ([`SecretContext::decrypt_outputs`]), shared by the
+//! `eva-service` deployment client and the in-process [`EncryptedContext`].
+//! An in-process run is the client/server round trip without the socket:
+//! client half, binding gate, executor, client half.
 //!
 //! ```no_run
 //! use std::collections::HashMap;
@@ -52,8 +57,8 @@ pub mod parallel;
 pub mod reference;
 
 pub use encrypted::{
-    parameters_from_spec, run_encrypted, EncryptedContext, EvaluationContext, MemoryAudit,
-    NodeValue, SecretContext,
+    live_inputs, parameters_from_spec, run_encrypted, EncryptedContext, EvaluationContext,
+    InputSpec, MemoryAudit, NodeValue, SecretContext, ValuePayload,
 };
 pub use parallel::execute_parallel;
 pub use reference::run_reference;

@@ -21,9 +21,9 @@ use eva_core::{EvaError, NodeKind, Opcode, Program};
 ///
 /// # Errors
 ///
-/// Returns [`EvaError::Execution`] if an input is missing or has an
-/// incompatible length, and [`EvaError::InvalidProgram`] if the graph has a
-/// cycle.
+/// Returns [`EvaError::Execution`] if an input is missing, has an
+/// incompatible length or holds a non-finite value, and
+/// [`EvaError::InvalidProgram`] if the graph has a cycle.
 pub fn run_reference(
     program: &Program,
     inputs: &HashMap<String, Vec<f64>>,
@@ -69,14 +69,28 @@ pub fn run_reference(
     Ok(outputs)
 }
 
+/// Replicates an input's values cyclically to the program vector size,
+/// after [`check_input`].
 pub(crate) fn replicate(raw: &[f64], size: usize, name: &str) -> Result<Vec<f64>, EvaError> {
+    check_input(raw, size, name)?;
+    Ok((0..size).map(|i| raw[i % raw.len()]).collect())
+}
+
+/// The check every input passes on every path: between 1 and `size`
+/// values, all finite (the encoder cannot represent a NaN or an infinity).
+pub(crate) fn check_input(raw: &[f64], size: usize, name: &str) -> Result<(), EvaError> {
     if raw.is_empty() || raw.len() > size {
         return Err(EvaError::Execution(format!(
             "input {name:?} has length {}, expected between 1 and {size}",
             raw.len()
         )));
     }
-    Ok((0..size).map(|i| raw[i % raw.len()]).collect())
+    if raw.iter().any(|v| !v.is_finite()) {
+        return Err(EvaError::Execution(format!(
+            "input {name:?} contains non-finite values"
+        )));
+    }
+    Ok(())
 }
 
 pub(crate) fn apply_op(op: Opcode, args: &[&Vec<f64>], size: usize) -> Vec<f64> {

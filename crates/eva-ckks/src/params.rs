@@ -97,42 +97,13 @@ impl CkksParameters {
     /// Returns [`ParameterError`] if the degree is unsupported, a bit size is
     /// out of range, or the resulting modulus violates 128-bit security.
     pub fn new(degree: usize, data_prime_bits: &[u32]) -> Result<Self, ParameterError> {
-        Self::with_special_prime_bits(degree, data_prime_bits, MAX_PRIME_BITS)
-    }
-
-    /// Like [`CkksParameters::new`] but with an explicit special-prime size.
-    ///
-    /// # Errors
-    ///
-    /// See [`CkksParameters::new`].
-    pub fn with_special_prime_bits(
-        degree: usize,
-        data_prime_bits: &[u32],
-        special_prime_bits: u32,
-    ) -> Result<Self, ParameterError> {
-        let allowed =
-            max_coeff_modulus_bits(degree).ok_or(ParameterError::UnsupportedDegree(degree))?;
-        let requested: u32 = data_prime_bits.iter().sum::<u32>() + special_prime_bits;
-        if requested > allowed {
-            return Err(ParameterError::InsecureModulus {
-                degree,
-                requested_bits: requested,
-                allowed_bits: allowed,
-            });
-        }
-        let params = Self::build(degree, data_prime_bits, special_prime_bits)?;
-        // The closest-prime search may land primes slightly above 2^s, so the
-        // nominal sum can under-count the real modulus; enforce the standard's
-        // bound on the exact log2 Q too.
-        let exact = params.total_modulus_bits();
-        if exact > f64::from(allowed) {
-            return Err(ParameterError::InsecureModulus {
-                degree,
-                requested_bits: exact.ceil() as u32,
-                allowed_bits: allowed,
-            });
-        }
-        Ok(params)
+        let generated = Self::new_insecure(degree, data_prime_bits, MAX_PRIME_BITS)?;
+        Self::from_primes(
+            degree,
+            &generated.data_primes,
+            generated.special_prime,
+            true,
+        )
     }
 
     /// Builds parameters directly from **actual prime values** — the chain
@@ -142,7 +113,8 @@ impl CkksParameters {
     /// the evaluator observes.
     ///
     /// When `enforce_security` is set, the 128-bit bound on `log2 Q` is
-    /// validated exactly as in [`CkksParameters::new`].
+    /// validated against the exact `log2 Q`: [`CkksParameters::new`] is a
+    /// generated chain checked here.
     ///
     /// # Errors
     ///
@@ -232,37 +204,17 @@ impl CkksParameters {
         if degree < 8 || !degree.is_power_of_two() {
             return Err(ParameterError::UnsupportedDegree(degree));
         }
-        Self::build(degree, data_prime_bits, special_prime_bits)
-    }
-
-    fn build(
-        degree: usize,
-        data_prime_bits: &[u32],
-        special_prime_bits: u32,
-    ) -> Result<Self, ParameterError> {
-        if data_prime_bits.is_empty() {
-            return Err(ParameterError::EmptyChain);
+        let mut bits = data_prime_bits.to_vec();
+        bits.push(special_prime_bits);
+        if let Some(&bad) = bits.iter().find(|b| !(2..=MAX_PRIME_BITS).contains(b)) {
+            return Err(ParameterError::InvalidPrimeBits(bad));
         }
-        for &bits in data_prime_bits
-            .iter()
-            .chain(std::iter::once(&special_prime_bits))
-        {
-            if !(2..=MAX_PRIME_BITS).contains(&bits) {
-                return Err(ParameterError::InvalidPrimeBits(bits));
-            }
-        }
-        let mut all_bits: Vec<u32> = data_prime_bits.to_vec();
-        all_bits.push(special_prime_bits);
-        let primes = generate_ntt_primes(degree, &all_bits)?;
-        let special_prime = *primes.last().expect("chain is non-empty");
-        let data_primes = primes[..primes.len() - 1].to_vec();
-        Ok(Self {
-            degree,
-            data_primes,
-            special_prime,
-            data_prime_bits: data_prime_bits.to_vec(),
-            special_prime_bits,
-        })
+        // Generated primes round to exactly the requested sizes, which
+        // `from_primes` records as the chain's nominal bit sizes.
+        let primes = generate_ntt_primes(degree, &bits)?;
+        let (special_prime, data_primes) =
+            primes.split_last().expect("the chain has a special prime");
+        Self::from_primes(degree, data_primes, *special_prime, false)
     }
 
     /// The ring degree `N`.
@@ -285,12 +237,13 @@ impl CkksParameters {
         self.special_prime
     }
 
-    /// Bit sizes of the data primes as requested.
+    /// Nominal bit sizes of the data primes (for a generated chain, the
+    /// requested sizes).
     pub fn data_prime_bits(&self) -> &[u32] {
         &self.data_prime_bits
     }
 
-    /// Bit size of the special prime as requested.
+    /// Nominal bit size of the special prime.
     pub fn special_prime_bits(&self) -> u32 {
         self.special_prime_bits
     }

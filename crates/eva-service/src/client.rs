@@ -32,14 +32,14 @@ use std::collections::HashMap;
 use std::io::{Read, Write};
 use std::net::{TcpStream, ToSocketAddrs};
 
-use eva_backend::SecretContext;
+use eva_backend::{NodeValue, SecretContext};
 use eva_ckks::{CkksContext, CkksParameters};
 use eva_wire::{fingerprint_eval_key_payload, KeyFingerprint};
 
 use crate::error::ServiceError;
 use crate::limits::ClientConfig;
 use crate::protocol::{
-    encode_payload, expect_message, write_frame, write_message, InputValue, Message, OutputValue,
+    encode_payload, expect_message, write_frame, write_message, Message, OutputValue,
     ProgramManifest, PROTOCOL_VERSION,
 };
 
@@ -120,9 +120,10 @@ impl<S> std::fmt::Debug for EvaClient<S> {
 }
 
 impl EvaClient<TcpStream> {
-    /// Connects to a server and performs the full handshake (hello →
-    /// manifest → parameter validation → key generation → evaluation-key
-    /// upload).
+    /// Connects to a server under the default [`ClientConfig`] (a connect
+    /// deadline and socket read/write timeouts) and performs the full
+    /// handshake (hello → manifest → parameter validation → key generation
+    /// → evaluation-key upload).
     ///
     /// `key_seed` selects deterministic **key derivation** — what makes a
     /// session resumable via [`EvaClient::resumption_ticket`]; pass `None`
@@ -154,9 +155,7 @@ impl EvaClient<TcpStream> {
     /// keys can be re-derived) and keep the [`SessionTicket`]; see
     /// [`EvaClient::connect_resuming`].
     pub fn connect(addr: impl ToSocketAddrs, key_seed: Option<u64>) -> Result<Self, ServiceError> {
-        let stream = TcpStream::connect(addr)?;
-        stream.set_nodelay(true).ok();
-        Self::handshake(stream, key_seed)
+        Self::connect_with(addr, key_seed, &ClientConfig::default())
     }
 
     /// Like [`EvaClient::connect`], but attempting **session resumption**
@@ -195,15 +194,12 @@ impl EvaClient<TcpStream> {
         addr: impl ToSocketAddrs,
         ticket: SessionTicket,
     ) -> Result<Self, ServiceError> {
-        let stream = TcpStream::connect(addr)?;
-        stream.set_nodelay(true).ok();
-        Self::handshake_resuming(stream, ticket)
+        Self::handshake_resuming(connect_stream(addr, &ClientConfig::default())?, ticket)
     }
 
-    /// Like [`EvaClient::connect`], but under a [`ClientConfig`]: the TCP
-    /// connect honors a deadline (per resolved address) and the socket gets
-    /// read/write timeouts, so neither a black-holed connect nor a stalled
-    /// server can hang the client forever.
+    /// Like [`EvaClient::connect`], but under a caller-chosen
+    /// [`ClientConfig`]: the TCP connect honors its deadline (per resolved
+    /// address) and the socket gets its read/write timeouts.
     ///
     /// # Errors
     ///
@@ -421,10 +417,12 @@ impl<S: Read + Write> EvaClient<S> {
         self.resumed
     }
 
-    /// Runs one evaluation round: encodes and encrypts every `Cipher` input
-    /// at its manifest scale (in seeded transport form — half the upload
-    /// bytes of a full ciphertext), ships the inputs, and decrypts/decodes
-    /// the returned outputs to vectors of the program's vector size.
+    /// Runs one evaluation round: encrypts the manifest's inputs with
+    /// [`SecretContext::encrypt_inputs`] (ciphertexts in seeded transport
+    /// form — half the upload bytes of a full ciphertext), ships them, checks
+    /// the shape of every returned output and decrypts them with
+    /// [`SecretContext::decrypt_outputs`] — the loops the in-process
+    /// `EncryptedContext` runs too.
     ///
     /// # Errors
     ///
@@ -435,23 +433,9 @@ impl<S: Read + Write> EvaClient<S> {
         inputs: &HashMap<String, Vec<f64>>,
     ) -> Result<HashMap<String, Vec<f64>>, ServiceError> {
         let vec_size = self.manifest.vec_size;
-        let mut wire_inputs = Vec::with_capacity(self.manifest.inputs.len());
-        for spec in &self.manifest.inputs {
-            let raw = inputs.get(&spec.name).ok_or_else(|| {
-                ServiceError::Execution(format!("missing input value for {:?}", spec.name))
-            })?;
-            // A plaintext input travels as given; the server replicates it
-            // with the same length check as `SecretContext::encrypt`.
-            let value = if spec.cipher {
-                let ct = self
-                    .secret
-                    .encrypt(&spec.name, raw, vec_size, spec.scale_log2)?;
-                InputValue::Seeded(Box::new(ct))
-            } else {
-                InputValue::Plain(raw.clone())
-            };
-            wire_inputs.push((spec.name.clone(), value));
-        }
+        let wire_inputs = self
+            .secret
+            .encrypt_inputs(&self.manifest.inputs, vec_size, inputs)?;
         write_message(&mut self.stream, &Message::Inputs(wire_inputs))?;
         let outputs = match expect_message(&mut self.stream)? {
             Message::Outputs(outputs) => outputs,
@@ -462,40 +446,43 @@ impl<S: Read + Write> EvaClient<S> {
                 )))
             }
         };
-        let mut decoded = HashMap::with_capacity(outputs.len());
-        for (name, value) in outputs {
-            let values = match value {
-                OutputValue::Cipher(ct) => {
+        let context = self.secret.context();
+        let outputs = outputs
+            .into_iter()
+            .map(|(name, value)| {
+                let value = match value {
                     // Validate the shape before decrypting so a hostile
                     // server cannot push the decryptor out of its domain
                     // (which would panic, e.g. on a coefficient-form poly).
-                    let context = self.secret.context();
-                    if ct.polys()[0].degree() != context.degree()
-                        || ct.level() > context.max_level()
-                        || ct.size() > 3
-                        || ct
-                            .polys()
-                            .iter()
-                            .any(|p| p.form() != eva_poly::PolyForm::Ntt)
+                    OutputValue::Cipher(ct)
+                        if ct.polys()[0].degree() == context.degree()
+                            && ct.level() <= context.max_level()
+                            && ct.size() <= 3
+                            && ct
+                                .polys()
+                                .iter()
+                                .all(|p| p.form() == eva_poly::PolyForm::Ntt) =>
                     {
+                        NodeValue::Cipher(*ct)
+                    }
+                    OutputValue::Cipher(_) => {
                         return Err(ServiceError::Protocol(format!(
                             "output {name:?} has an invalid ciphertext shape"
-                        )));
+                        )))
                     }
-                    self.secret.decrypt(&ct, vec_size)
-                }
-                OutputValue::Seeded(_) => {
                     // Computed values cannot be seed-compressed; a server
                     // sending one is talking nonsense.
-                    return Err(ServiceError::Protocol(format!(
-                        "output {name:?} arrived in seeded form, which only encryptors produce"
-                    )));
-                }
-                OutputValue::Plain(values) => values,
-            };
-            decoded.insert(name, values);
-        }
-        Ok(decoded)
+                    OutputValue::Seeded(_) => {
+                        return Err(ServiceError::Protocol(format!(
+                            "output {name:?} arrived in seeded form, which only encryptors produce"
+                        )))
+                    }
+                    OutputValue::Plain(values) => NodeValue::Plain(values),
+                };
+                Ok((name, value))
+            })
+            .collect::<Result<_, ServiceError>>()?;
+        Ok(self.secret.decrypt_outputs(outputs, vec_size))
     }
 
     /// The secret key's leak-audit probe (see

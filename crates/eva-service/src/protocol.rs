@@ -22,23 +22,22 @@
 //!   | -- Bye ---------------------------> |   repeat Inputs/Outputs freely
 //! ```
 //!
-//! Secret keys never have a wire representation (see `eva-wire`), and the
-//! public *encryption* key stays client-side too: the server receives only
-//! the evaluation keys (relinearization + Galois) it needs to run the
-//! circuit. A resuming client that names a fingerprint the server still
-//! holds in its evaluation-key cache skips the multi-megabyte key upload
-//! entirely.
+//! Secret keys never have a wire representation (see `eva-wire`): the
+//! server receives only the evaluation keys (relinearization + Galois) it
+//! needs to run the circuit. A resuming client that names a fingerprint the
+//! server still holds in its evaluation-key cache skips the multi-megabyte
+//! key upload entirely.
 //!
 //! The authoritative byte-level specification — framing, negotiation rules,
 //! the session state machine and the security argument — is
 //! [`docs/PROTOCOL.md`](https://github.com/eva-reproduction/eva/blob/main/docs/PROTOCOL.md).
 
-use std::collections::{BTreeSet, HashMap};
+use std::collections::BTreeSet;
 use std::io::{Read, Write};
 
-use eva_backend::NodeValue;
-use eva_ckks::{Ciphertext, CkksContext, GaloisKeys, RelinearizationKey, SeededCiphertext};
-use eva_core::{CompiledProgram, NodeKind, ValueType};
+pub use eva_backend::{InputSpec, ValuePayload};
+use eva_ckks::{Ciphertext, GaloisKeys, RelinearizationKey, SeededCiphertext};
+use eva_core::{CompiledProgram, ValueType};
 use eva_wire::{
     encoded_ciphertext_len, encoded_galois_keys_len, encoded_key_switch_key_len,
     encoded_relin_key_len, KeyFingerprint, Reader, WireError, WireObject, Writer,
@@ -63,18 +62,6 @@ pub const MAX_FRAME_BYTES: u64 = 1 << 30;
 
 /// The largest `Hello` payload: version, resume flag and fingerprint.
 const MAX_HELLO_BYTES: u64 = 4 + 1 + 32;
-
-/// One program input as described by the manifest.
-#[derive(Debug, Clone, PartialEq)]
-pub struct InputSpec {
-    /// Input name (the program's input node name).
-    pub name: String,
-    /// Whether the input is encrypted (`Cipher`) or travels as plain values.
-    pub cipher: bool,
-    /// Exact `log2` scale the client must encode this input at
-    /// (bit-for-bit; the server validates equality).
-    pub scale_log2: f64,
-}
 
 /// One program output as described by the manifest.
 #[derive(Debug, Clone, PartialEq)]
@@ -119,20 +106,8 @@ impl ProgramManifest {
     /// live (output-reachable) inputs are listed; dead inputs need no value.
     pub fn from_compiled(compiled: &CompiledProgram) -> Self {
         let program = &compiled.program;
-        let live = program.live_mask();
-        let inputs = program
-            .nodes()
-            .iter()
-            .enumerate()
-            .filter(|&(id, _)| live[id])
-            .filter_map(|(_, node)| match &node.kind {
-                NodeKind::Input { name } => Some(InputSpec {
-                    name: name.clone(),
-                    cipher: node.ty == ValueType::Cipher,
-                    scale_log2: node.scale_log2,
-                }),
-                _ => None,
-            })
+        let inputs = eva_backend::live_inputs(program)
+            .map(|(_, spec)| spec)
             .collect();
         let outputs = program
             .outputs()
@@ -300,39 +275,13 @@ impl ClientFrameBounds {
     }
 }
 
-/// A named value crossing the wire in either direction: `Cipher`-typed
-/// program values travel as ciphertexts, plaintext values as raw reals (the
-/// server encodes plaintext operands on demand, like the in-process
-/// executor). Inputs (client → server) and outputs (server → client) share
-/// this layout and codec.
-#[derive(Debug, Clone)]
-pub enum ValuePayload {
-    /// An encrypted value, every polynomial dense (`EVAC`): two, or three
-    /// for an output the compiler left unrelinearized. Computed values
-    /// (outputs) can only travel this way.
-    Cipher(Box<Ciphertext>),
-    /// A fresh encrypted value in seeded transport form (`EVAD`, roughly
-    /// half the bytes): only the encryptor can produce these, so they travel
-    /// client → server exclusively and the server expands them on receipt.
-    Seeded(Box<SeededCiphertext>),
-    /// A plaintext vector.
-    Plain(Vec<f64>),
-}
-
-/// One named input travelling client → server.
+/// One named input travelling client → server. A [`ValuePayload`] crosses
+/// the wire in either direction with one codec: `Cipher` as `EVAC`,
+/// `Seeded` as `EVAD` (client → server only) and `Plain` as raw reals.
 pub type InputValue = ValuePayload;
 
 /// One named output travelling server → client.
 pub type OutputValue = ValuePayload;
-
-impl From<NodeValue> for ValuePayload {
-    fn from(value: NodeValue) -> Self {
-        match value {
-            NodeValue::Cipher(ct) => ValuePayload::Cipher(Box::new(ct)),
-            NodeValue::Plain(v) => ValuePayload::Plain(v),
-        }
-    }
-}
 
 fn encode_named_values(w: &mut Writer, values: &[(String, ValuePayload)]) {
     w.u32(values.len() as u32);
@@ -652,52 +601,6 @@ pub fn expect_message<S: Read>(stream: &mut S) -> Result<Message, ServiceError> 
     read_message(stream)?.ok_or(ServiceError::Disconnected)
 }
 
-/// Named encrypted inputs, as [`EvaluationContext::bind_inputs`] expects.
-///
-/// [`EvaluationContext::bind_inputs`]: eva_backend::EvaluationContext::bind_inputs
-pub type CipherInputs = HashMap<String, Ciphertext>;
-
-/// Named plaintext inputs, as [`EvaluationContext::bind_inputs`] expects.
-///
-/// [`EvaluationContext::bind_inputs`]: eva_backend::EvaluationContext::bind_inputs
-pub type PlainInputs = HashMap<String, Vec<f64>>;
-
-/// Splits decoded inputs into the cipher and plain maps
-/// [`EvaluationContext::bind_inputs`](eva_backend::EvaluationContext::bind_inputs)
-/// expects, rejecting duplicate names. Seeded ciphertexts are expanded
-/// against `context` here — after this point the executor only ever sees
-/// full ciphertexts, which then face the usual `bind_inputs` validation.
-///
-/// # Errors
-///
-/// Returns [`ServiceError::Protocol`] on duplicate input names or a seeded
-/// ciphertext whose shape does not fit the context.
-pub fn partition_inputs(
-    inputs: Vec<(String, InputValue)>,
-    context: &CkksContext,
-) -> Result<(CipherInputs, PlainInputs), ServiceError> {
-    let mut ciphers = HashMap::new();
-    let mut plains = HashMap::new();
-    for (name, value) in inputs {
-        let duplicate = match value {
-            InputValue::Cipher(ct) => ciphers.insert(name.clone(), *ct).is_some(),
-            InputValue::Seeded(seeded) => {
-                let ct = seeded.expand(context).map_err(|err| {
-                    ServiceError::Protocol(format!("seeded input {name:?} rejected: {err}"))
-                })?;
-                ciphers.insert(name.clone(), ct).is_some()
-            }
-            InputValue::Plain(values) => plains.insert(name.clone(), values).is_some(),
-        };
-        if duplicate {
-            return Err(ServiceError::Protocol(format!(
-                "duplicate input {name:?} in one evaluation request"
-            )));
-        }
-    }
-    Ok((ciphers, plains))
-}
-
 /// One frame of a captured protocol byte stream, as returned by
 /// [`frame_index`]: the message tag and the payload length in bytes.
 pub type FrameSummary = (u8, u64);
@@ -896,45 +799,6 @@ mod tests {
                 resume: None
             }
         ));
-    }
-
-    #[test]
-    fn seeded_inputs_are_expanded_when_partitioned() {
-        use eva_ckks::{
-            CkksContext, CkksEncoder, CkksParameters, KeyGenerator, SymmetricEncryptor,
-        };
-
-        let params = CkksParameters::new_insecure(32, &[30, 30, 40], 45).unwrap();
-        let ctx = CkksContext::new(params).unwrap();
-        let keygen = KeyGenerator::from_seed(ctx.clone(), 3);
-        let encoder = CkksEncoder::new(ctx.clone());
-        let mut seeded_enc =
-            SymmetricEncryptor::from_seed(ctx.clone(), keygen.secret_key().clone(), 4);
-        let mut full_enc =
-            SymmetricEncryptor::from_seed(ctx.clone(), keygen.secret_key().clone(), 4);
-        let pt = encoder.encode(&[1.0; 8], 30.0, 3);
-        let seeded = seeded_enc.encrypt_seeded(&pt);
-        let expected = full_enc.encrypt(&pt);
-
-        let inputs = vec![
-            ("x".to_string(), InputValue::Seeded(Box::new(seeded))),
-            ("w".to_string(), InputValue::Plain(vec![2.0])),
-        ];
-        let (ciphers, plains) = partition_inputs(inputs, &ctx).unwrap();
-        assert_eq!(ciphers["x"].polys(), expected.polys());
-        assert_eq!(plains["w"], vec![2.0]);
-
-        // A seeded ciphertext that does not fit the context is rejected
-        // before it ever reaches the executor.
-        let small = CkksContext::new(CkksParameters::new_insecure(32, &[30], 40).unwrap()).unwrap();
-        let mut enc = SymmetricEncryptor::from_seed(ctx.clone(), keygen.secret_key().clone(), 5);
-        let bad = enc.encrypt_seeded(&encoder.encode(&[1.0; 8], 30.0, 2));
-        let err = partition_inputs(
-            vec![("x".to_string(), InputValue::Seeded(Box::new(bad)))],
-            &small,
-        )
-        .unwrap_err();
-        assert!(matches!(err, ServiceError::Protocol(_)));
     }
 
     #[test]

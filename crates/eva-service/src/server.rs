@@ -4,9 +4,10 @@
 //! The server is the **untrusted** party of the paper's deployment split: it
 //! holds the compiled circuit, the CKKS context derived from the compiler's
 //! parameter spec, and — per session — the evaluation keys a client
-//! uploaded. It never sees a secret key, a public encryption key or a
-//! plaintext of any `Cipher` input; it executes the circuit with the shared
-//! parallel executor and returns the still-encrypted outputs.
+//! uploaded. It never sees a secret key or a plaintext of any `Cipher`
+//! input; it binds the inputs through the one gate the in-process run also
+//! passes (`EvaluationContext::bind_inputs`), executes the circuit with the
+//! shared parallel executor and returns the still-encrypted outputs.
 //!
 //! Evaluation keys are additionally kept in a bounded LRU **key cache**
 //! addressed by their content fingerprint (`eva_wire::fingerprint`): a

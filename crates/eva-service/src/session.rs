@@ -17,8 +17,8 @@ use eva_wire::{EvalKeyPayloadHasher, KeyFingerprint};
 
 use crate::error::ServiceError;
 use crate::protocol::{
-    decode_payload, encode_payload, message_name, partition_inputs, Message, OutputValue,
-    MAX_FRAME_BYTES, PROTOCOL_VERSION, TAG_EVAL_KEYS,
+    decode_payload, encode_payload, message_name, Message, OutputValue, MAX_FRAME_BYTES,
+    PROTOCOL_VERSION, TAG_EVAL_KEYS,
 };
 use crate::sched::EvalRun;
 use crate::server::{EvaServer, SessionKeys, SessionReport};
@@ -318,8 +318,7 @@ impl SessionMachine {
             }
         };
         let eval = Arc::clone(self.eval.as_ref().expect("keys precede inputs"));
-        let (ciphers, plains) = partition_inputs(inputs, self.server.context())?;
-        let bindings = eval.bind_inputs(self.server.compiled(), ciphers, plains)?;
+        let bindings = eval.bind_inputs(self.server.compiled(), inputs)?;
         let server = self.server.clone();
         let threads = self.server.executor_threads();
         self.phase = Phase::Evaluating;

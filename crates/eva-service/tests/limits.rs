@@ -144,6 +144,29 @@ fn stalled_server_trips_the_client_read_timeout() {
     drop(stall); // detach: the stalling thread exits on its own timer
 }
 
+/// `connect` and `connect_resuming` open their socket like `connect_with`
+/// under the default [`ClientConfig`], so a stalled server cannot hang them.
+#[test]
+fn connect_and_connect_resuming_carry_the_default_timeouts() {
+    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap();
+    let server = square_server(ServerConfig::default());
+    let server_thread = std::thread::spawn(move || server.serve_sessions(&listener, 2));
+
+    let client = EvaClient::connect(addr, Some(4)).unwrap();
+    let ticket = client.resumption_ticket().unwrap();
+    let first = client.finish().unwrap();
+    let resumed = EvaClient::connect_resuming(addr, ticket).unwrap();
+    assert!(resumed.resumed());
+    let defaults = ClientConfig::default();
+    for stream in [first, resumed.finish().unwrap()] {
+        assert_eq!(stream.read_timeout().unwrap(), defaults.read_timeout);
+        assert_eq!(stream.write_timeout().unwrap(), defaults.write_timeout);
+    }
+    let reports = server_thread.join().unwrap().unwrap();
+    assert!(reports.iter().all(Result::is_ok), "{reports:?}");
+}
+
 /// Tentpole: at the concurrent-session limit, further connections get a
 /// polite `busy:` Error frame (so a retrying client backs off) and are
 /// counted in the server stats.

@@ -527,6 +527,102 @@ fn evaluating_with_wrong_input_names_is_a_clean_remote_error() {
     let _ = server_thread.join().unwrap();
 }
 
+/// One input gate on every path: a missing input, an over-long one and a
+/// NaN in a plain or a cipher input are refused in-process, by the client
+/// before it sends anything, and by the server's binding gate when a raw
+/// `Inputs` frame skips the client — each time with the same text naming
+/// the input. (A NaN cannot reach the server inside a ciphertext, so the
+/// cipher case has no raw frame.)
+#[test]
+fn bad_inputs_are_refused_alike_in_process_by_the_client_and_by_the_server() {
+    use eva_core::EvaError;
+    use eva_service::protocol::{expect_message, write_message};
+    use eva_service::{InputValue, Message, ServiceError, PROTOCOL_VERSION};
+
+    // Keyless, with the plain input first, so a raw frame carrying only
+    // `w` reaches the gate's check of `w`.
+    let mut p = Program::new("gate", 8);
+    let w = p.input_vector("w", 20);
+    let x = p.input_cipher("x", 30);
+    let prod = p.instruction(Opcode::Multiply, &[x, w]);
+    p.output("out", prod, 30);
+    let compiled = compile(&p, &CompilerOptions::default()).unwrap();
+    assert!(!compiled.needs_relinearization() && compiled.rotation_steps.is_empty());
+
+    let with = |name: &str, values: Option<Vec<f64>>| {
+        let mut inputs: HashMap<String, Vec<f64>> = [
+            ("w".to_string(), vec![0.5]),
+            ("x".to_string(), vec![1.0; 8]),
+        ]
+        .into();
+        match values {
+            Some(values) => inputs.insert(name.to_string(), values),
+            None => inputs.remove(name),
+        };
+        inputs
+    };
+    let cases = [
+        ("w", with("w", None)),
+        ("w", with("w", Some(vec![1.0; 9]))),
+        ("w", with("w", Some(vec![0.5, f64::NAN]))),
+        ("x", with("x", Some(vec![1.0, f64::NAN]))),
+    ];
+
+    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap();
+    let server = EvaServer::new(compiled.clone()).unwrap();
+    let server_thread = std::thread::spawn(move || server.serve_sessions(&listener, 4));
+    let mut in_process = EncryptedContext::setup(&compiled, Some(3)).unwrap();
+    let mut client = EvaClient::connect(addr, Some(3)).unwrap();
+
+    for (name, inputs) in &cases {
+        let err = in_process.encrypt_inputs(&compiled, inputs).unwrap_err();
+        let EvaError::Execution(text) = &err else {
+            panic!("expected an execution error, got {err:?}");
+        };
+        assert!(text.contains(&format!("{name:?}")), "{text}");
+        match client.evaluate(inputs).unwrap_err() {
+            ServiceError::Execution(message) => assert_eq!(message, err.to_string()),
+            other => panic!("expected a local execution error, got {other:?}"),
+        }
+        if *name == "x" {
+            continue;
+        }
+        let mut stream = TcpStream::connect(addr).unwrap();
+        let hello = Message::Hello {
+            protocol: PROTOCOL_VERSION,
+            resume: None,
+        };
+        write_message(&mut stream, &hello).unwrap();
+        assert!(matches!(
+            expect_message(&mut stream).unwrap(),
+            Message::Manifest { .. }
+        ));
+        let keys = Message::EvalKeys {
+            relin: None,
+            galois: Box::new(eva_ckks::GaloisKeys::default()),
+        };
+        write_message(&mut stream, &keys).unwrap();
+        let raw: Vec<(String, InputValue)> = inputs
+            .get("w")
+            .map(|values| ("w".to_string(), InputValue::Plain(values.clone())))
+            .into_iter()
+            .collect();
+        write_message(&mut stream, &Message::Inputs(raw)).unwrap();
+        match expect_message(&mut stream).unwrap() {
+            Message::Error(message) => assert!(message.contains(text.as_str()), "{message}"),
+            other => panic!("expected Error, got {other:?}"),
+        }
+    }
+
+    // The refused rounds sent nothing: the session still evaluates.
+    let outputs = client.evaluate(&with("w", Some(vec![0.5]))).unwrap();
+    assert!((outputs["out"][0] - 0.5).abs() < 1e-3);
+    client.finish().unwrap();
+    let reports = server_thread.join().unwrap().unwrap();
+    assert_eq!(reports.iter().filter(|r| r.is_ok()).count(), 1);
+}
+
 /// Hoisted key switching over the wire: Sobel's rotation fan-outs execute
 /// hoisted on a two-thread server (shared RNS decomposition, one Galois-key
 /// apply per member), and under the same deterministic handshake the
