@@ -7,6 +7,26 @@
 //! encoding the vector replicated `N/2 / slots` times — exactly the input
 //! replication the EVA language specifies for undersized vectors (Section 3).
 //!
+//! # Sparse slots are short transforms
+//!
+//! With `slots < N/2` values the interpolant is a polynomial in `X^gap`,
+//! `gap = N / (2·slots)`: `a(X) = b(X^gap)` for a `b` of `n' = 2·slots`
+//! coefficients. Neither end of the encoder pays for the `N`-point transform
+//! that the replication suggests; both run the `n'`-point transform on the
+//! `N`-point tables (see [`eva_math::ntt`]'s notes on short transforms):
+//!
+//! * [`CkksEncoder::encode`] lifts only `b`'s `n'` coefficients, runs the
+//!   forward transform on the row's first `n'` entries and widens the row in
+//!   place: output `k` fills evaluation points `k·gap … k·gap + gap − 1`.
+//! * [`CkksEncoder::decode`], and with it every decryption, sums each block
+//!   of `gap` consecutive evaluation values and runs the inverse on the `n'`
+//!   sums. The tables' `N^{-1}` scaling is the fold's `1/gap` times the
+//!   short transform's `1/n'`, so the result is exactly the coefficient at
+//!   each multiple of `gap`, the only ones decoding reads.
+//!
+//! Both are the full-length route bit for bit: the transforms land on the
+//! same canonical residues.
+//!
 //! A vector whose slots all hold one value `c` — every scalar constant of an
 //! EVA program, once broadcast — needs none of that. Its interpolant is the
 //! constant polynomial `round(c·2^scale)`, and the NTT of a constant
@@ -83,7 +103,7 @@ impl CkksEncoder {
             let constant = round_to_i128(values[0] * scale);
             let mut poly = RnsPoly::zero(n, level, PolyForm::Ntt);
             for (row, modulus) in poly.rows_mut().zip(basis.moduli()) {
-                row.fill(constant.rem_euclid(i128::from(modulus.value())) as u64);
+                row.fill(modulus.reduce_i128(constant));
             }
             return Plaintext {
                 poly,
@@ -93,14 +113,31 @@ impl CkksEncoder {
         }
         let mut work: Vec<Complex> = values.iter().map(|&v| Complex::from_real(v)).collect();
         self.context.fft().embed_inverse(&mut work);
+        // The compressed polynomial b with a(X) = b(X^gap): coefficient
+        // i·gap of a is b's i, and N/2 + i·gap is b's slots + i.
         let gap = nh / slots;
-        let mut coeffs = vec![0i128; n];
+        let short = 2 * slots;
+        let mut coeffs = vec![0i128; short];
         for (i, v) in work.iter().enumerate() {
-            coeffs[i * gap] = round_to_i128(v.re * scale);
-            coeffs[nh + i * gap] = round_to_i128(v.im * scale);
+            coeffs[i] = round_to_i128(v.re * scale);
+            coeffs[slots + i] = round_to_i128(v.im * scale);
         }
-        let mut poly = basis.poly_from_i128(&coeffs, level);
-        poly.to_ntt(basis);
+        let mut poly = RnsPoly::zero(n, level, PolyForm::Ntt);
+        for ((row, modulus), tables) in poly.rows_mut().zip(basis.moduli()).zip(basis.ntt_tables())
+        {
+            let prefix = &mut row[..short];
+            for (dst, &c) in prefix.iter_mut().zip(&coeffs) {
+                *dst = modulus.reduce_i128(c);
+            }
+            tables.forward(prefix);
+            // Output k of the short transform is outputs k·gap … k·gap +
+            // gap − 1 of the full one; widening from the back never
+            // overwrites an output before it is read.
+            for k in (0..short).rev() {
+                let value = row[k];
+                row[k * gap..(k + 1) * gap].fill(value);
+            }
+        }
         Plaintext {
             poly,
             scale_log2,
@@ -110,49 +147,61 @@ impl CkksEncoder {
 
     /// Decodes a plaintext back into `slots` real values.
     ///
+    /// Only the `2·slots` coefficients at multiples of the gap are read,
+    /// and they come from a fold and a short inverse transform per prime
+    /// (see the module docs); the plaintext is neither copied nor
+    /// transformed at full length.
+    ///
     /// # Panics
     ///
-    /// Panics if `slots` is not a power of two or exceeds the slot count.
+    /// Panics if `slots` is not a power of two or exceeds the slot count,
+    /// or if the plaintext's polynomial is not in NTT form or spans fewer
+    /// primes than its level.
     pub fn decode(&self, plaintext: &Plaintext, slots: usize) -> Vec<f64> {
         let nh = self.context.degree() / 2;
         assert!(
             slots.is_power_of_two() && slots <= nh,
             "slot count {slots} must be a power of two at most {nh}"
         );
-        let mut poly = plaintext.poly.clone();
-        poly.to_coeff(self.context.key_basis());
-        self.decode_poly(&poly, plaintext.scale_log2, plaintext.level, slots)
-    }
-
-    /// Decodes a coefficient-form polynomial with explicit `log2` scale and
-    /// level. Used directly by the decryptor to avoid an extra copy.
-    pub(crate) fn decode_poly(
-        &self,
-        poly: &RnsPoly,
-        scale_log2: f64,
-        level: usize,
-        slots: usize,
-    ) -> Vec<f64> {
-        assert_eq!(poly.form(), PolyForm::Coeff);
-        let scale = scale_log2.exp2();
-        let nh = self.context.degree() / 2;
+        let basis = self.context.key_basis();
+        let level = plaintext.level;
+        assert_eq!(
+            plaintext.poly.form(),
+            PolyForm::Ntt,
+            "plaintexts are in NTT form"
+        );
+        assert!(
+            level <= plaintext.poly.level(),
+            "plaintext level {level} exceeds its polynomial's {}",
+            plaintext.poly.level()
+        );
         let gap = nh / slots;
+        let short = 2 * slots;
+        // Row j holds coefficients 0, gap, 2·gap, … modulo q_j.
+        let mut coeffs = vec![0u64; level * short];
+        for (((dst, row), modulus), tables) in coeffs
+            .chunks_exact_mut(short)
+            .zip(plaintext.poly.rows())
+            .zip(basis.moduli())
+            .zip(basis.ntt_tables())
+        {
+            for (sum, block) in dst.iter_mut().zip(row.chunks_exact(gap)) {
+                *sum = block.iter().fold(0, |acc, &v| modulus.add(acc, v));
+            }
+            tables.inverse(dst);
+        }
+        let scale = plaintext.scale_log2.exp2();
         let composer = self.context.composer(level);
         let mut residue_buf = vec![0u64; level];
-        let mut values: Vec<Complex> = Vec::with_capacity(slots);
-        for i in 0..slots {
-            let re_idx = i * gap;
-            let im_idx = nh + i * gap;
-            for j in 0..level {
-                residue_buf[j] = poly.residue(j)[re_idx];
+        let mut coefficient = |i: usize| {
+            for (r, row) in residue_buf.iter_mut().zip(coeffs.chunks_exact(short)) {
+                *r = row[i];
             }
-            let re = composer.compose_centered_f64(&residue_buf) / scale;
-            for j in 0..level {
-                residue_buf[j] = poly.residue(j)[im_idx];
-            }
-            let im = composer.compose_centered_f64(&residue_buf) / scale;
-            values.push(Complex::new(re, im));
-        }
+            composer.compose_centered_f64(&residue_buf) / scale
+        };
+        let mut values: Vec<Complex> = (0..slots)
+            .map(|i| Complex::new(coefficient(i), coefficient(slots + i)))
+            .collect();
         self.context.fft().embed(&mut values);
         values.into_iter().map(|v| v.re).collect()
     }
@@ -228,6 +277,105 @@ mod tests {
         };
         assert!(err(&fine) < err(&coarse));
         assert!(err(&fine) < 1e-9);
+    }
+
+    /// The full-transform encoder the short transforms replace: an `N`-long
+    /// coefficient vector with `2·slots` non-zeros, lifted whole and taken
+    /// through the `N`-point forward NTT.
+    fn reference_encode(
+        encoder: &CkksEncoder,
+        values: &[f64],
+        scale_log2: f64,
+        level: usize,
+    ) -> Plaintext {
+        let ctx = &encoder.context;
+        let (n, nh) = (ctx.degree(), ctx.degree() / 2);
+        let scale = scale_log2.exp2();
+        let mut work: Vec<Complex> = values.iter().map(|&v| Complex::from_real(v)).collect();
+        ctx.fft().embed_inverse(&mut work);
+        let gap = nh / values.len();
+        let mut coeffs = vec![0i128; n];
+        for (i, v) in work.iter().enumerate() {
+            coeffs[i * gap] = round_to_i128(v.re * scale);
+            coeffs[nh + i * gap] = round_to_i128(v.im * scale);
+        }
+        let mut poly = ctx.key_basis().poly_from_i128(&coeffs, level);
+        poly.to_ntt(ctx.key_basis());
+        Plaintext {
+            poly,
+            scale_log2,
+            level,
+        }
+    }
+
+    /// The full-transform decoder: a copy of the plaintext through the
+    /// `N`-point inverse NTT, read at the multiples of the gap.
+    fn reference_decode(encoder: &CkksEncoder, plaintext: &Plaintext, slots: usize) -> Vec<f64> {
+        let ctx = &encoder.context;
+        let nh = ctx.degree() / 2;
+        let gap = nh / slots;
+        let mut poly = plaintext.poly.clone();
+        poly.to_coeff(ctx.key_basis());
+        let scale = plaintext.scale_log2.exp2();
+        let composer = ctx.composer(plaintext.level);
+        let coefficient = |idx: usize| {
+            let residues: Vec<u64> = (0..plaintext.level).map(|j| poly.residue(j)[idx]).collect();
+            composer.compose_centered_f64(&residues) / scale
+        };
+        let mut values: Vec<Complex> = (0..slots)
+            .map(|i| Complex::new(coefficient(i * gap), coefficient(nh + i * gap)))
+            .collect();
+        ctx.fft().embed(&mut values);
+        values.into_iter().map(|v| v.re).collect()
+    }
+
+    fn assert_same_bits(got: &[f64], want: &[f64], what: &str) {
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(got), bits(want), "{what}");
+    }
+
+    #[test]
+    fn short_transforms_reproduce_the_full_transform_route_bit_for_bit() {
+        use rand::{Rng, SeedableRng};
+        let params = CkksParameters::new_insecure(4096, &[60, 40, 40], 60).unwrap();
+        let ctx = CkksContext::new(params).unwrap();
+        let encoder = CkksEncoder::new(ctx.clone());
+        let basis = ctx.key_basis();
+        let mut rng = rand::rngs::StdRng::seed_from_u64(5);
+        let mut slots = 1;
+        while slots <= ctx.slot_count() {
+            let values: Vec<f64> = (0..slots).map(|_| rng.gen_range(-4.0..4.0)).collect();
+            for level in [1, 3] {
+                let what = format!("{slots} slots, level {level}");
+                let pt = encoder.encode(&values, 38.0, level);
+                let want = reference_encode(&encoder, &values, 38.0, level);
+                assert_eq!(pt.poly, want.poly, "encode: {what}");
+                for read in [slots, ctx.slot_count()] {
+                    assert_same_bits(
+                        &encoder.decode(&pt, read),
+                        &reference_decode(&encoder, &want, read),
+                        &format!("decode of an encoding at {read} slots: {what}"),
+                    );
+                }
+                // Decryption leaves a dense polynomial, not a sparse one.
+                let mut dense = RnsPoly::zero(ctx.degree(), level, PolyForm::Ntt);
+                for (row, modulus) in dense.rows_mut().zip(basis.moduli()) {
+                    row.iter_mut()
+                        .for_each(|v| *v = rng.gen_range(0..modulus.value()));
+                }
+                let dense = Plaintext {
+                    poly: dense,
+                    scale_log2: 38.0,
+                    level,
+                };
+                assert_same_bits(
+                    &encoder.decode(&dense, slots),
+                    &reference_decode(&encoder, &dense, slots),
+                    &format!("decode of a dense polynomial: {what}"),
+                );
+            }
+            slots *= 2;
+        }
     }
 
     #[test]

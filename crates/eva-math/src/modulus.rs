@@ -150,6 +150,21 @@ impl Modulus {
         r
     }
 
+    /// Reduces a signed 128-bit value to its canonical residue in `[0, q)`
+    /// (the Euclidean remainder).
+    ///
+    /// A magnitude that fits one word takes the Barrett reduction and a sign
+    /// fix; only wider values (CKKS scales beyond `2^64`) pay for the
+    /// software 128-bit remainder.
+    #[inline]
+    pub fn reduce_i128(&self, c: i128) -> u64 {
+        match u64::try_from(c.unsigned_abs()) {
+            Ok(magnitude) if c < 0 => self.neg(self.reduce(magnitude)),
+            Ok(magnitude) => self.reduce(magnitude),
+            Err(_) => c.rem_euclid(i128::from(self.value)) as u64,
+        }
+    }
+
     /// The uncorrected Barrett step: a representative of `z mod q` in
     /// `[0, 4q)` (the quotient estimate undershoots by at most a couple).
     #[inline]
@@ -446,6 +461,27 @@ mod tests {
         ];
         for &z in &samples {
             assert_eq!(q.reduce_u128(z) as u128, z % qv, "z={z}");
+        }
+    }
+
+    #[test]
+    fn reduce_i128_is_the_euclidean_remainder_around_the_word_boundary() {
+        for q in [
+            Modulus::new(97).unwrap(),
+            Modulus::new((1 << 61) + 1).unwrap(),
+        ] {
+            let wide = i128::from(q.value());
+            for boundary in [0i128, wide, 1 << 63, 1 << 64, 1 << 100, i128::MAX] {
+                for offset in -2i128..=2 {
+                    for c in [
+                        boundary.saturating_add(offset),
+                        (-boundary).saturating_add(offset),
+                    ] {
+                        assert_eq!(q.reduce_i128(c), c.rem_euclid(wide) as u64, "{c} mod {q}");
+                    }
+                }
+            }
+            assert_eq!(q.reduce_i128(i128::MIN), i128::MIN.rem_euclid(wide) as u64);
         }
     }
 

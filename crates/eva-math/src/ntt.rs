@@ -27,6 +27,24 @@
 //! [`ShoupPrecomputed`] structs, so the
 //! strided butterfly loops stream two dense `u64` arrays instead of
 //! interleaved pairs.
+//!
+//! # Short transforms
+//!
+//! Every transform method also accepts a power-of-two length `n < N`. For
+//! `i < n`, `bitrev_N(i) = (N/n)·bitrev_n(i)`, so the first `n` entries of
+//! the bit-reversed tables are the twiddles of the `n`-point negacyclic
+//! transform with root `ψ^{N/n}`, and the same loops run it on the same
+//! tables. That is what a polynomial in `X^{N/n}` needs:
+//!
+//! * **Forward.** If `a(X) = b(X^{N/n})`, the `N`-point forward transform of
+//!   `a` holds the `n`-point forward transform of `b`, each value repeated
+//!   `N/n` times in a row: output `k` of the short transform is outputs
+//!   `k·N/n … (k+1)·N/n − 1` of the full one.
+//! * **Inverse.** The fused scaling stays `N^{-1}`, so a short inverse is the
+//!   `n`-point inverse times `n/N`. Summing each block of `N/n` consecutive
+//!   values of a full evaluation vector and running the short inverse on the
+//!   `n` sums yields exactly the full inverse's coefficients at the multiples
+//!   of `N/n`, which is all a sparse CKKS decoder reads.
 
 use std::hint::select_unpredictable;
 
@@ -166,6 +184,14 @@ impl NttTables {
         self.degree
     }
 
+    fn check_length(&self, n: usize) {
+        assert!(
+            n >= 2 && n.is_power_of_two() && n <= self.degree,
+            "NTT length {n} is not a power of two in 2..={}",
+            self.degree
+        );
+    }
+
     /// The coefficient modulus these tables were built for.
     #[inline]
     pub fn modulus(&self) -> &Modulus {
@@ -173,11 +199,12 @@ impl NttTables {
     }
 
     /// In-place forward negacyclic NTT (coefficient → evaluation domain),
-    /// producing canonical `[0, q)` outputs.
+    /// producing canonical `[0, q)` outputs. A length `n < N` runs the
+    /// `n`-point transform (see the module docs on short transforms).
     ///
     /// # Panics
     ///
-    /// Panics if `values.len()` differs from the table degree.
+    /// Panics if `values.len()` is not a power of two in `2..=N`.
     pub fn forward(&self, values: &mut [u64]) {
         self.forward_lazy(values);
         let q = &self.modulus;
@@ -191,13 +218,14 @@ impl NttTables {
     ///
     /// The Harvey butterfly keeps every intermediate below `4q < 2^64`; run
     /// [`Modulus::reduce_twice`] over the values (or call
-    /// [`NttTables::forward`]) for canonical outputs.
+    /// [`NttTables::forward`]) for canonical outputs. A length `n < N` runs
+    /// the `n`-point transform (see the module docs on short transforms).
     ///
     /// # Panics
     ///
-    /// Panics if `values.len()` differs from the table degree.
+    /// Panics if `values.len()` is not a power of two in `2..=N`.
     pub fn forward_lazy(&self, values: &mut [u64]) {
-        assert_eq!(values.len(), self.degree, "NTT input length mismatch");
+        self.check_length(values.len());
         debug_assert!(
             values
                 .iter()
@@ -222,7 +250,7 @@ impl NttTables {
                 .zip(self.root_quotients[m..2 * m].iter().copied())
         };
         let mut m = 1usize;
-        let mut t = self.degree >> 1;
+        let mut t = values.len() >> 1;
         while t >= 4 {
             for (block, (w, w_quot)) in values.chunks_exact_mut(2 * t).zip(twiddles(m)) {
                 let (lower, upper) = block.split_at_mut(t);
@@ -249,11 +277,13 @@ impl NttTables {
     }
 
     /// In-place inverse negacyclic NTT (evaluation → coefficient domain),
-    /// producing canonical `[0, q)` outputs.
+    /// producing canonical `[0, q)` outputs. A length `n < N` runs the
+    /// `n`-point inverse scaled by `N^{-1}`, not `n^{-1}` (see the module
+    /// docs on short transforms).
     ///
     /// # Panics
     ///
-    /// Panics if `values.len()` differs from the table degree.
+    /// Panics if `values.len()` is not a power of two in `2..=N`.
     pub fn inverse(&self, values: &mut [u64]) {
         self.inverse_lazy(values);
         let q = &self.modulus;
@@ -270,13 +300,15 @@ impl NttTables {
     /// separate scaling pass over the array is needed.
     ///
     /// Run [`Modulus::reduce_once`] over the values (or call
-    /// [`NttTables::inverse`]) for canonical outputs.
+    /// [`NttTables::inverse`]) for canonical outputs. A length `n < N` runs
+    /// the `n`-point inverse, still scaled by `N^{-1}` (see the module docs
+    /// on short transforms).
     ///
     /// # Panics
     ///
-    /// Panics if `values.len()` differs from the table degree.
+    /// Panics if `values.len()` is not a power of two in `2..=N`.
     pub fn inverse_lazy(&self, values: &mut [u64]) {
-        assert_eq!(values.len(), self.degree, "NTT input length mismatch");
+        self.check_length(values.len());
         debug_assert!(
             values
                 .iter()
@@ -285,9 +317,8 @@ impl NttTables {
         );
         let q = self.modulus.value();
         let two_q = q << 1;
-        let n = self.degree;
         let mut t = 1usize;
-        let mut m = n;
+        let mut m = values.len();
         while m > 2 {
             let h = m >> 1;
             let mut j1 = 0usize;
@@ -310,7 +341,7 @@ impl NttTables {
             t <<= 1;
             m = h;
         }
-        // Fused final stage (m == 2, one twiddle, halves at distance N/2):
+        // Fused final stage (m == 2, one twiddle, halves at distance n/2):
         // both butterfly outputs absorb the N^{-1} scaling. The Shoup product
         // accepts the unreduced [0, 4q) sums directly and emits [0, 2q).
         let modulus = &self.modulus;
@@ -498,6 +529,72 @@ mod tests {
         assert!(canonical.iter().all(|&v| v < q));
         let corrected: Vec<u64> = lazy.iter().map(|&v| ntt.modulus().reduce_once(v)).collect();
         assert_eq!(corrected, canonical);
+    }
+
+    /// Runs `check` for every gap `N/n` at N = 2^12 … 2^15, on a 60-bit
+    /// prime (the size CKKS chains use most) and a 36-bit one.
+    fn for_every_gap(mut check: impl FnMut(&NttTables, usize, &mut rand::rngs::StdRng)) {
+        let mut rng = rand::rngs::StdRng::seed_from_u64(29);
+        for log_n in 12..=15 {
+            for bits in [60, 36] {
+                let ntt = tables(1 << log_n, bits);
+                for log_gap in 0..log_n {
+                    check(&ntt, 1 << log_gap, &mut rng);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn short_forward_widened_is_the_full_forward_of_a_sparse_polynomial() {
+        for_every_gap(|ntt, gap, rng| {
+            let degree = ntt.degree();
+            let q = ntt.modulus().value();
+            let short: Vec<u64> = (0..degree / gap).map(|_| rng.gen_range(0..q)).collect();
+            // a(X) = b(X^gap): coefficient i of b sits at i·gap.
+            let mut full = vec![0u64; degree];
+            for (i, &c) in short.iter().enumerate() {
+                full[i * gap] = c;
+            }
+            ntt.forward(&mut full);
+            let mut transformed = short;
+            ntt.forward(&mut transformed);
+            let widened: Vec<u64> = transformed
+                .iter()
+                .flat_map(|&v| std::iter::repeat_n(v, gap))
+                .collect();
+            assert_eq!(widened, full, "N = {degree}, gap {gap}, q = {q}");
+        });
+    }
+
+    #[test]
+    fn folded_short_inverse_is_the_full_inverse_at_every_multiple_of_the_gap() {
+        for_every_gap(|ntt, gap, rng| {
+            let degree = ntt.degree();
+            let q = *ntt.modulus();
+            // A dense evaluation vector, as decryption leaves one.
+            let eval: Vec<u64> = (0..degree).map(|_| rng.gen_range(0..q.value())).collect();
+            let mut full = eval.clone();
+            ntt.inverse(&mut full);
+            let mut folded: Vec<u64> = eval
+                .chunks_exact(gap)
+                .map(|block| block.iter().fold(0, |acc, &v| q.add(acc, v)))
+                .collect();
+            ntt.inverse(&mut folded);
+            let sampled: Vec<u64> = full.iter().copied().step_by(gap).collect();
+            assert_eq!(folded, sampled, "N = {degree}, gap {gap}, q = {q}");
+        });
+    }
+
+    #[test]
+    fn short_lengths_outside_the_table_are_refused() {
+        let ntt = tables(16, 30);
+        for n in [0, 1, 3, 12, 32] {
+            let outcome = std::panic::catch_unwind(|| ntt.forward(&mut vec![0; n]));
+            assert!(outcome.is_err(), "forward accepted length {n}");
+            let outcome = std::panic::catch_unwind(|| ntt.inverse(&mut vec![0; n]));
+            assert!(outcome.is_err(), "inverse accepted length {n}");
+        }
     }
 
     #[test]

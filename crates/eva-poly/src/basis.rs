@@ -193,16 +193,8 @@ impl RnsBasis {
         assert!(level >= 1 && level <= self.len(), "invalid level {level}");
         let mut poly = RnsPoly::zero(self.degree, level, PolyForm::Coeff);
         for (modulus, row) in self.moduli[..level].iter().zip(poly.rows_mut()) {
-            let q = modulus.value() as i128;
             for (dst, &c) in row.iter_mut().zip(coeffs) {
-                // A magnitude that fits one word takes the Barrett reduction
-                // and a sign fix; only wider coefficients (scales beyond
-                // 2^64) pay for the software 128-bit remainder.
-                *dst = match u64::try_from(c.unsigned_abs()) {
-                    Ok(magnitude) if c < 0 => modulus.neg(modulus.reduce(magnitude)),
-                    Ok(magnitude) => modulus.reduce(magnitude),
-                    Err(_) => c.rem_euclid(q) as u64,
-                };
+                *dst = modulus.reduce_i128(c);
             }
         }
         poly

@@ -137,7 +137,12 @@ impl From<WireError> for ServiceError {
 }
 
 impl From<eva_core::EvaError> for ServiceError {
+    /// An execution error keeps its bare message, so it reads with one
+    /// prefix (`execution failed: …`); any other kind keeps its own.
     fn from(err: eva_core::EvaError) -> Self {
-        ServiceError::Execution(err.to_string())
+        match err {
+            eva_core::EvaError::Execution(msg) => ServiceError::Execution(msg),
+            other => ServiceError::Execution(other.to_string()),
+        }
     }
 }

@@ -88,7 +88,7 @@ pub use protocol::{
     OutputValue, ProgramManifest, ValuePayload, MAX_FRAME_BYTES, PROTOCOL_VERSION, TAG_BYE,
     TAG_ERROR, TAG_EVAL_KEYS, TAG_HELLO, TAG_INPUTS, TAG_MANIFEST, TAG_OUTPUTS,
 };
-pub use record::{contains_bytes, RecordingStream};
+pub use record::{contains_any_chunk, contains_bytes, RecordingStream};
 pub use retry::{ReliableClient, RetryPolicy, RetryStats};
 pub use server::{
     EvaServer, ServerStats, SessionReport, KEY_CACHE_BUDGET_BYTES, KEY_CACHE_CAPACITY,

@@ -1,5 +1,6 @@
 //! A recording transport wrapper for audits and measurements.
 
+use std::collections::HashSet;
 use std::io::{Read, Result, Write};
 
 /// Wraps any byte stream and records every byte sent and received, so tests
@@ -45,6 +46,24 @@ pub fn contains_bytes(haystack: &[u8], needle: &[u8]) -> bool {
     !needle.is_empty() && haystack.windows(needle.len()).any(|w| w == needle)
 }
 
+/// Returns true iff any chunk of `probe` — `probe.chunks(chunk_len)`, the
+/// last one possibly shorter — occurs contiguously anywhere in `haystack`.
+///
+/// The same answer as asking [`contains_bytes`] once per chunk, in one pass:
+/// the full chunks go into a hash set and a single `chunk_len`-byte window
+/// slides over the haystack, so a key-sized probe over megabytes of traffic
+/// costs one lookup per byte, not one scan per chunk.
+///
+/// # Panics
+///
+/// Panics if `chunk_len` is zero.
+pub fn contains_any_chunk(haystack: &[u8], probe: &[u8], chunk_len: usize) -> bool {
+    let chunks = probe.chunks_exact(chunk_len);
+    let tail = chunks.remainder();
+    let set: HashSet<&[u8]> = chunks.collect();
+    haystack.windows(chunk_len).any(|w| set.contains(w)) || contains_bytes(haystack, tail)
+}
+
 impl<S: Read> Read for RecordingStream<S> {
     fn read(&mut self, buf: &mut [u8]) -> Result<usize> {
         let n = self.inner.read(buf)?;
@@ -84,5 +103,41 @@ mod tests {
         assert!(contains_bytes(&[1, 2, 3, 4], &[2, 3]));
         assert!(!contains_bytes(&[1, 2, 3, 4], &[3, 2]));
         assert!(!contains_bytes(&[1, 2], &[]));
+    }
+
+    #[test]
+    fn chunk_scan_finds_a_planted_chunk_anywhere_and_nothing_in_clean_traffic() {
+        // xorshift64: bytes that repeat no 32-byte window by chance.
+        let mut state = 0x9e37_79b9_7f4a_7c15u64;
+        let mut bytes = |len: usize| -> Vec<u8> {
+            (0..len)
+                .map(|_| {
+                    state ^= state << 13;
+                    state ^= state >> 7;
+                    state ^= state << 17;
+                    state as u8
+                })
+                .collect()
+        };
+        let probe = bytes(32 * 64);
+        let traffic = bytes(1 << 16);
+        assert!(!contains_any_chunk(&traffic, &probe, 32), "clean traffic");
+        let chunk = &probe[32 * 17..32 * 18];
+        for at in [0, 1001, traffic.len() - 32] {
+            let mut planted = traffic.clone();
+            planted[at..at + 32].copy_from_slice(chunk);
+            assert!(contains_any_chunk(&planted, &probe, 32), "chunk at {at}");
+        }
+        // A probe whose length is not a multiple of the chunk: its short
+        // tail counts, as in `probe.chunks(32)`.
+        let tail = &probe[..40];
+        let mut planted = traffic.clone();
+        planted[555..563].copy_from_slice(&tail[32..]);
+        assert!(contains_any_chunk(&planted, tail, 32), "tail chunk");
+        assert!(
+            !contains_any_chunk(&traffic[..16], &probe, 32),
+            "short haystack"
+        );
+        assert!(!contains_any_chunk(&traffic, &[], 32), "empty probe");
     }
 }

@@ -27,7 +27,7 @@ use std::time::Instant;
 use eva::backend::{execute_parallel, run_reference, EncryptedContext};
 use eva::ir::{compile, CompilerOptions};
 use eva::service::{
-    bytes_with_tag, contains_bytes, EvaClient, EvaServer, RecordingStream, TAG_EVAL_KEYS,
+    bytes_with_tag, contains_any_chunk, EvaClient, EvaServer, RecordingStream, TAG_EVAL_KEYS,
     TAG_INPUTS,
 };
 
@@ -142,9 +142,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         bytes_with_tag(&sent, TAG_EVAL_KEYS)?,
         bytes_with_tag(&sent, TAG_INPUTS)?,
     );
-    let leaked = probe
-        .chunks(32)
-        .any(|chunk| contains_bytes(&sent, chunk) || contains_bytes(&received, chunk));
+    let leaked = contains_any_chunk(&sent, &probe, 32) || contains_any_chunk(&received, &probe, 32);
     if leaked {
         println!("secret-key-on-wire: LEAKED");
         return Err("secret key bytes found in captured socket traffic".into());
