@@ -615,6 +615,8 @@ pub struct CostMeasurement {
     pub unoptimized: eva_core::CostReport,
     /// Static cost report of the optimized compile.
     pub optimized: eva_core::CostReport,
+    /// Encryption parameters selected for the optimized compile.
+    pub parameters: eva_core::ParameterSpec,
     /// Referenced duplicate nodes the optimizer's CSE pass merged.
     pub cse_merged: usize,
     /// Dead nodes removed across all DCE runs.
@@ -698,6 +700,7 @@ pub fn measure_cost() -> Vec<CostMeasurement> {
             name,
             unoptimized,
             optimized,
+            parameters: opt.parameters.clone(),
             cse_merged: opt.stats.cse_merged,
             dce_removed: opt.stats.dce_removed,
             rotations_canonicalized: opt.stats.rotations_canonicalized,
@@ -737,9 +740,10 @@ fn cost_report_json(report: &eva_core::CostReport, indent: &str) -> String {
 }
 
 /// Renders cost measurements as the `BENCH_cost.json` document. The flat
-/// `ci` section repeats the deterministic static counts under
-/// `<workload>_<metric>` keys so CI can compare the whole section with the
-/// checked-in one, line for line, without a JSON parser.
+/// `ci` section repeats the deterministic static counts, and the optimized
+/// compile's ring (`log2n`) and data primes, under `<workload>_<metric>`
+/// keys so CI can compare the whole section with the checked-in one, line
+/// for line, without a JSON parser.
 pub fn cost_json(measurements: &[CostMeasurement]) -> String {
     let mut s = String::from("{\n  \"schema\": \"eva-bench-cost-v1\",\n");
     s.push_str(
@@ -784,15 +788,21 @@ pub fn cost_json(measurements: &[CostMeasurement]) -> String {
         s.push_str(&format!(
             "    \"{0}_nodes\": {1},\n    \"{0}_distinct_rotation_steps\": {2},\n    \
              \"{0}_key_switches\": {3},\n    \"{0}_hoisted_groups\": {4},\n    \
-             \"{0}_hoisted_rotations\": {5},\n    \"{0}_unoptimized_nodes\": {6},\n    \
-             \"{0}_unoptimized_distinct_rotation_steps\": {7},\n    \
-             \"{0}_unoptimized_key_switches\": {8}{comma}\n",
+             \"{0}_hoisted_rotations\": {5},\n    \"{0}_rescales\": {6},\n    \
+             \"{0}_ntts\": {7},\n    \"{0}_log2n\": {8},\n    \
+             \"{0}_data_prime_bits\": {9:?},\n    \"{0}_unoptimized_nodes\": {10},\n    \
+             \"{0}_unoptimized_distinct_rotation_steps\": {11},\n    \
+             \"{0}_unoptimized_key_switches\": {12}{comma}\n",
             m.name,
             m.optimized.nodes,
             m.optimized.distinct_rotation_steps,
             m.optimized.key_switches,
             m.optimized.hoisted_groups,
             m.optimized.hoisted_rotations,
+            m.optimized.rescales,
+            m.optimized.ntts,
+            m.parameters.degree.trailing_zeros(),
+            m.parameters.data_prime_bits,
             m.unoptimized.nodes,
             m.unoptimized.distinct_rotation_steps,
             m.unoptimized.key_switches,

@@ -78,7 +78,8 @@ pub struct ScaleConfig {
     pub cipher: u32,
     /// Scale of plaintext weight vectors (bits).
     pub vector: u32,
-    /// Scale of plaintext scalars (bits).
+    /// Scale of plaintext scalars (bits): the scale at which the
+    /// activation polynomial's coefficients `a`, `b`, `c` are encoded.
     pub scalar: u32,
     /// Desired scale of the output (bits).
     pub output: u32,
@@ -259,7 +260,7 @@ pub fn lower_network_with_scales(
                 layout = new_layout;
             }
             Layer::Activation { a, b, c } => {
-                current = lower_activation(&mut builder, &current, *a, *b, *c, scales.vector);
+                current = lower_activation(&mut builder, &current, *a, *b, *c, scales.scalar);
             }
             Layer::FullyConnected(fc) => {
                 let (expr, new_layout) =
@@ -421,15 +422,15 @@ fn lower_activation(
     a: f64,
     b: f64,
     c: f64,
-    weight_scale: u32,
+    scalar_scale: u32,
 ) -> Expr {
     let squared = input * input;
-    let mut result = &squared * &builder.constant_scalar(a, weight_scale);
+    let mut result = &squared * &builder.constant_scalar(a, scalar_scale);
     if b != 0.0 {
-        result = result + input * &builder.constant_scalar(b, weight_scale);
+        result = result + input * &builder.constant_scalar(b, scalar_scale);
     }
     if c != 0.0 {
-        result = result + builder.constant_scalar(c, weight_scale);
+        result = result + builder.constant_scalar(c, scalar_scale);
     }
     result
 }
@@ -546,9 +547,10 @@ fn rotate_sum(terms: Vec<Option<Expr>>, step: usize) -> Option<Expr> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::networks::{lenet5_small, Layer, Network};
+    use crate::networks::{all_networks, lenet5_small, Layer, Network};
     use crate::tensor::{ConvWeights, FcWeights, Tensor};
     use eva_backend::run_reference;
+    use eva_core::{ConstantValue, NodeKind};
     use rand::{Rng, SeedableRng};
     use std::collections::HashMap;
 
@@ -784,6 +786,58 @@ mod tests {
         assert_eq!(eva.program.len(), chet.program.len());
         assert_eq!(eva.scales, ScaleConfig::eva_default());
         assert_eq!(chet.scales, ScaleConfig::chet_default());
+    }
+
+    /// The scales of every constant in a lowered program, split into
+    /// (scalars, vectors).
+    fn constant_scales(program: &Program) -> (Vec<f64>, Vec<f64>) {
+        let (mut scalars, mut vectors) = (Vec::new(), Vec::new());
+        for node in program.nodes() {
+            match &node.kind {
+                NodeKind::Constant {
+                    value: ConstantValue::Scalar(_),
+                } => scalars.push(node.scale_log2),
+                NodeKind::Constant {
+                    value: ConstantValue::Vector(_),
+                } => vectors.push(node.scale_log2),
+                _ => {}
+            }
+        }
+        (scalars, vectors)
+    }
+
+    #[test]
+    fn lowering_encodes_constants_at_the_configured_scales() {
+        // The activation coefficients are the only scalars (a and b per
+        // activation); every weight, bias and mask is a vector. Lowering the
+        // coefficients at the vector scale instead cost LeNet-5-small 42
+        // rescales under the waterline pass.
+        let scalar_counts = [8, 8, 8, 12, 18];
+        for (network, scalars_expected) in all_networks(42).iter().zip(scalar_counts) {
+            let eva = lower_network(network, LoweringMode::Eva);
+            let (scalars, vectors) = constant_scales(&eva.program);
+            assert_eq!(scalars.len(), scalars_expected, "{}", network.name);
+            assert!(!vectors.is_empty(), "{}", network.name);
+            assert!(
+                scalars.iter().all(|&s| s == f64::from(eva.scales.scalar)),
+                "{}: scalar scales {scalars:?}",
+                network.name
+            );
+            assert!(
+                vectors.iter().all(|&s| s == f64::from(eva.scales.vector)),
+                "{}",
+                network.name
+            );
+
+            let chet = lower_network(network, LoweringMode::ChetBaseline);
+            let (scalars, vectors) = constant_scales(&chet.program);
+            assert_eq!(scalars.len(), scalars_expected, "{}", network.name);
+            assert!(
+                scalars.iter().chain(&vectors).all(|&s| s == 40.0),
+                "{}: CHET constants leave the uniform 40 bits",
+                network.name
+            );
+        }
     }
 
     #[test]

@@ -2,11 +2,15 @@
 //! relinearized only when its value reaches a cipher-cipher multiply, a
 //! rotation or a rescale. Where every product has such a consumer, programs
 //! compile byte for byte as under the paper's eager rule; the pins below
-//! are BLAKE2b-256 digests of `compiled_to_bytes` taken under that rule.
+//! are BLAKE2b-256 digests of `compiled_to_bytes` taken under that rule,
+//! except the default-scale LeNet's, captured when the lowering began to
+//! encode the activations at Table 4's scalar scale (10 bits, was 15).
 
 use eva::ir::serialize::compiled_to_bytes;
 use eva::ir::{compile, CompiledProgram, CompilerOptions, Opcode, Program};
-use eva::tensor::{lower_network, networks::lenet5_small, LoweringMode};
+use eva::tensor::{
+    lower_network, lower_network_with_scales, networks::lenet5_small, LoweringMode, ScaleConfig,
+};
 use eva::wire::fingerprint::Blake2b256;
 
 fn digest(compiled: &CompiledProgram) -> String {
@@ -52,12 +56,27 @@ fn programs_whose_every_product_needs_relinearizing_compile_as_before() {
             "eabd143b27f95045a437d0935f0509e72fcc65357543d16caad605fff524f9b1",
         ),
         (
+            "lenet5_small, activations at the vector scale",
+            lower_network_with_scales(
+                &lenet5_small(42),
+                LoweringMode::Eva,
+                ScaleConfig {
+                    scalar: 15,
+                    ..ScaleConfig::eva_default()
+                },
+            )
+            .compile()
+            .unwrap(),
+            4,
+            "a2661a741c83858fda1e605890bdbd11bc91fd3c45ac1e58053eb263b066652b",
+        ),
+        (
             "lenet5_small",
             lower_network(&lenet5_small(42), LoweringMode::Eva)
                 .compile()
                 .unwrap(),
             4,
-            "a2661a741c83858fda1e605890bdbd11bc91fd3c45ac1e58053eb263b066652b",
+            "33c3c1a1ef123a69ade0e30b7dfec76b852d98f16bad210d9a9105e554cfc1cb",
         ),
     ];
     for (name, compiled, relinearizations, pinned) in cases {

@@ -158,8 +158,10 @@ fn cost_report_and_forecast_match_the_pre_schedule_goldens() {
     // re-captured from PR 18, which changed the *program* (`lower_fc` became
     // one shared reduction per layer; before it: 1141 nodes, 293 key
     // switches, 17702 NTTs, 22 Galois keys). The analyses are unchanged.
+    // It is LeNet with the activations at the vector scale, as every
+    // network was lowered before the activations moved to `scales.scalar`.
     let network = eva::tensor::networks::lenet5_small(42);
-    let lowered = eva::tensor::lower_network(&network, eva::tensor::LoweringMode::Eva);
+    let lowered = lenet_with_activations_at_the_vector_scale(&network);
     assert_golden(
         &lowered.program,
         &Golden {
@@ -178,6 +180,43 @@ fn cost_report_and_forecast_match_the_pre_schedule_goldens() {
             },
         },
     );
+    // The default lowering, activations at Table 4's 10-bit scalar scale:
+    // the waterline pass drops 42 rescales, the key switches stay put.
+    let lowered = eva::tensor::lower_network(&network, eva::tensor::LoweringMode::Eva);
+    assert_golden(
+        &lowered.program,
+        &Golden {
+            nodes: 484,
+            key_switches: 63,
+            hoisted_groups: 4,
+            hoisted_rotations: 17,
+            ntts: 3738,
+            predicted_us_bits: 0x4123_fa9a_f46b_46bd, // 654669.4773809534
+            forecast: MemoryForecast {
+                peak_live_values: 143,
+                peak_live_ciphertexts: 45,
+                peak_bytes: 165_519_360,
+                at_node: Some(267),
+                key_bytes: 792_723_456, // 1 relin + 20 Galois keys
+            },
+        },
+    );
+}
+
+/// LeNet-5-small lowered with its activation coefficients at the vector
+/// scale (15 bits), the input the LeNet pins below were captured on.
+fn lenet_with_activations_at_the_vector_scale(
+    network: &eva::tensor::Network,
+) -> eva::tensor::LoweredNetwork {
+    use eva::tensor::{lower_network_with_scales, LoweringMode, ScaleConfig};
+    lower_network_with_scales(
+        network,
+        LoweringMode::Eva,
+        ScaleConfig {
+            scalar: 15,
+            ..ScaleConfig::eva_default()
+        },
+    )
 }
 
 fn rotation_steps(program: &Program) -> Vec<i64> {
@@ -193,10 +232,9 @@ fn rotation_steps(program: &Program) -> Vec<i64> {
 #[test]
 fn lenet_census_one_reduction_tree_per_fully_connected_layer() {
     use eva::tensor::networks::{lenet5_small, Layer};
-    use eva::tensor::{lower_network, LoweringMode};
 
     let network = lenet5_small(42);
-    let lowered = lower_network(&network, LoweringMode::Eva);
+    let lowered = lenet_with_activations_at_the_vector_scale(&network);
     let compiled = lowered.compile().unwrap();
     let report = estimate_cost(&compiled, &CostModel::default()).unwrap();
     assert!(report.key_switches <= 65, "{}", report.key_switches);
@@ -211,7 +249,8 @@ fn lenet_census_one_reduction_tree_per_fully_connected_layer() {
         .position(|layer| matches!(layer, Layer::FullyConnected(_)))
         .unwrap();
     prefix.layers.truncate(first_fc);
-    let before_fc = rotation_steps(&lower_network(&prefix, LoweringMode::Eva).program).len();
+    let before_fc =
+        rotation_steps(&lenet_with_activations_at_the_vector_scale(&prefix).program).len();
     let steps = rotation_steps(&lowered.program);
     let fc_steps = &steps[before_fc..];
     assert_eq!(fc_steps.len(), 15 + 15);
