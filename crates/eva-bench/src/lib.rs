@@ -397,7 +397,7 @@ pub fn measure_wire_sizes() -> Vec<WireSize> {
             (format!("relin_key_n{degree}"), encoded_relin_key_len(key)),
             (
                 format!("galois_key_per_step_n{degree}"),
-                encoded_galois_keys_len(1, 1, key),
+                encoded_galois_keys_len(1, key),
             ),
         ] {
             out.push(WireSize {

@@ -534,7 +534,8 @@ impl Evaluator {
         scratch: &mut KeySwitchScratch,
     ) -> Result<Ciphertext, CkksError> {
         check_size(ct, 2)?;
-        let key = keys.key_for_step(step)?;
+        let elt = self.context.galois().galois_elt_from_step(step);
+        let key = keys.key(elt).ok_or(CkksError::MissingGaloisKey { step })?;
         let (c0_rot, d1) = self.finish_key_switch(ct, decomp, key, scratch);
         Ok(Ciphertext::from_parts(
             vec![c0_rot, d1],

@@ -7,10 +7,12 @@
 //! flooring away the special prime `P` yields an encryption of
 //! `target · s_src` under the target secret `s`.
 //!
-//! Evaluation keys are the largest object a deployment holds (the paper's
-//! rotation-key selection pass exists because "each rotation step count
-//! needs a distinct public key"), so each is held **once**, in the order the
-//! evaluator reads it — see [`KeySwitchKey`].
+//! Evaluation keys are the largest object a deployment holds, so each is
+//! held **once**, in the order the evaluator reads it — see
+//! [`KeySwitchKey`]. A rotation key is one per Galois element, not one per
+//! rotation step: steps congruent modulo the slot count rotate by the same
+//! automorphism, and the evaluator derives a step's element from the
+//! context (see [`GaloisKeys`]).
 
 use std::borrow::Cow;
 use std::collections::HashMap;
@@ -22,7 +24,6 @@ use rand::rngs::{ChaCha20Rng, StdRng};
 use rand::{RngCore, SeedableRng};
 
 use crate::context::CkksContext;
-use crate::error::CkksError;
 
 /// The secret key: a uniformly random ternary polynomial.
 ///
@@ -170,27 +171,24 @@ impl RelinearizationKey {
     }
 }
 
-/// Rotation (Galois) keys for a chosen set of rotation steps.
+/// Rotation (Galois) keys: one key-switching key per Galois element.
 ///
-/// As the paper notes (Section 2.1), *each rotation step count needs a
-/// distinct public key*; the EVA compiler's rotation-selection pass determines
-/// which steps to generate keys for.
+/// The EVA compiler's rotation-selection pass (paper Section 6.2) picks the
+/// steps a program rotates by. A step rotates by the automorphism of the
+/// element `5^step mod 2N`, which the evaluator derives from the context on
+/// every rotation, so steps congruent modulo the slot count share one key
+/// and the keys are stored by element alone, as SEAL stores them.
 #[derive(Debug, Clone, Default)]
 pub struct GaloisKeys {
     /// Galois element → switching key (from the rotated secret to `s`).
     pub(crate) keys: HashMap<u64, KeySwitchKey>,
-    /// Rotation step → Galois element, for convenient lookup.
-    pub(crate) steps: HashMap<i64, u64>,
 }
 
 impl GaloisKeys {
-    /// Assembles Galois keys from `(step, element)` pairs and
-    /// `(element, canonical-order key)` pairs (wire codec constructor),
-    /// bringing every key into evaluation order. The gather table depends
-    /// only on the ring degree and the element, so no context is needed.
-    /// The caller is responsible for the referential integrity the codec
-    /// validates (every step's element has a key); a dangling element
-    /// surfaces later as [`CkksError::MissingGaloisKey`].
+    /// Assembles Galois keys from `(element, canonical-order key)` pairs
+    /// (wire codec constructor), bringing every key into evaluation order.
+    /// The gather table depends only on the ring degree and the element, so
+    /// no context is needed.
     ///
     /// # Panics
     ///
@@ -199,7 +197,7 @@ impl GaloisKeys {
     /// modulo `2N` (the codec rejects all three before calling this), or if
     /// a key is already in evaluation order (taken from another `GaloisKeys`
     /// rather than built by [`KeySwitchKey::from_digits`]).
-    pub fn from_parts(steps: Vec<(i64, u64)>, keys: Vec<(u64, KeySwitchKey)>) -> Self {
+    pub fn from_parts(keys: Vec<(u64, KeySwitchKey)>) -> Self {
         let keys = keys
             .into_iter()
             .map(|(elt, key)| {
@@ -207,18 +205,7 @@ impl GaloisKeys {
                 (elt, key.permuted(table))
             })
             .collect();
-        Self {
-            steps: steps.into_iter().collect(),
-            keys,
-        }
-    }
-
-    /// The `(step, Galois element)` pairs, sorted by step (deterministic
-    /// iteration order for serialization).
-    pub fn step_elements(&self) -> Vec<(i64, u64)> {
-        let mut pairs: Vec<(i64, u64)> = self.steps.iter().map(|(&s, &e)| (s, e)).collect();
-        pairs.sort_unstable_by_key(|&(s, _)| s);
-        pairs
+        Self { keys }
     }
 
     /// The `(Galois element, key)` pairs, sorted by element (deterministic
@@ -229,19 +216,9 @@ impl GaloisKeys {
         pairs
     }
 
-    /// The rotation steps for which keys are present.
-    pub fn step_count(&self) -> usize {
-        self.steps.len()
-    }
-
-    /// Whether a key for the given rotation step exists.
-    pub fn supports_step(&self, step: i64) -> bool {
-        self.steps.contains_key(&step)
-    }
-
-    pub(crate) fn key_for_step(&self, step: i64) -> Result<&KeySwitchKey, CkksError> {
-        let key = self.steps.get(&step).and_then(|elt| self.keys.get(elt));
-        key.ok_or(CkksError::MissingGaloisKey { step })
+    /// The key for the Galois element `element`, if present.
+    pub(crate) fn key(&self, element: u64) -> Option<&KeySwitchKey> {
+        self.keys.get(&element)
     }
 
     /// Bytes these keys hold in memory.
@@ -356,11 +333,9 @@ impl KeyGenerator {
         workers: usize,
     ) -> (Option<RelinearizationKey>, GaloisKeys) {
         let galois = self.context.galois();
-        let mut step_elements = HashMap::new();
         let mut elements = Vec::new();
         for &step in steps.iter().filter(|&&step| step != 0) {
             let elt = galois.galois_elt_from_step(step);
-            step_elements.insert(step, elt);
             if !elements.contains(&elt) {
                 elements.push(elt);
             }
@@ -431,7 +406,6 @@ impl KeyGenerator {
         });
         let galois = GaloisKeys {
             keys: elements.into_iter().zip(built).collect(),
-            steps: step_elements,
         };
         (relin, galois)
     }
@@ -577,32 +551,40 @@ mod tests {
         assert_eq!(a.secret_key().coeff, b.secret_key().coeff);
     }
 
+    /// The sorted Galois elements a key set holds.
+    fn elements(gk: &GaloisKeys) -> Vec<u64> {
+        gk.element_keys().into_iter().map(|(elt, _)| elt).collect()
+    }
+
     #[test]
     fn galois_keys_track_requested_steps() {
         let ctx = context();
+        let tool = ctx.galois().clone();
         let mut keygen = KeyGenerator::from_seed(ctx, 4);
         let gk = keygen.create_galois_keys(&[1, 2, -1, 2]);
-        assert!(gk.supports_step(1));
-        assert!(gk.supports_step(-1));
-        assert!(gk.supports_step(2));
-        assert!(!gk.supports_step(5));
-        assert_eq!(gk.step_count(), 3);
-        assert!(gk.key_for_step(5).is_err());
+        let mut want: Vec<u64> = [1, 2, -1].map(|s| tool.galois_elt_from_step(s)).to_vec();
+        want.sort_unstable();
+        assert_eq!(elements(&gk), want);
+        for step in [1, 2, -1] {
+            assert!(
+                gk.key(tool.galois_elt_from_step(step)).is_some(),
+                "step {step}"
+            );
+        }
+        assert!(gk.key(tool.galois_elt_from_step(5)).is_none());
     }
 
     #[test]
     fn step_zero_generates_no_key_material() {
         let ctx = context();
+        let tool = ctx.galois().clone();
         let mut keygen = KeyGenerator::from_seed(ctx, 11);
         let gk = keygen.create_galois_keys(&[0, 1, 0]);
         // Rotation by zero is a no-op clone in the evaluator, so requesting
         // it must not cost any key material (elt = 1 would otherwise be a
-        // full useless key-switch key) nor a steps entry.
-        assert_eq!(gk.step_count(), 1);
-        assert!(gk.supports_step(1));
-        assert!(!gk.supports_step(0));
-        assert_eq!(gk.keys.len(), 1);
-        assert!(!gk.keys.contains_key(&1));
+        // full useless key-switch key).
+        assert_eq!(elements(&gk), vec![tool.galois_elt_from_step(1)]);
+        assert!(gk.key(1).is_none());
     }
 
     /// Pins the canonicalization contract documented in
@@ -614,7 +596,7 @@ mod tests {
     fn galois_element_of_negative_step_matches_canonical_left_form() {
         let ctx = context();
         let nh = ctx.slot_count() as i64;
-        let tool = ctx.galois();
+        let tool = ctx.galois().clone();
         for s in 1..nh {
             assert_eq!(
                 tool.galois_elt_from_step(-s),
@@ -623,13 +605,12 @@ mod tests {
             );
         }
         // The shared element means the generated key material is shared too:
-        // requesting both spellings yields two step entries, one key.
+        // requesting both spellings yields one key, found from either.
         let mut keygen = KeyGenerator::from_seed(ctx, 9);
         let gk = keygen.create_galois_keys(&[-3, nh - 3]);
-        assert_eq!(gk.step_count(), 2);
-        assert_eq!(gk.steps[&-3], gk.steps[&(nh - 3)]);
-        assert!(gk.key_for_step(-3).is_ok() && gk.key_for_step(nh - 3).is_ok());
         assert_eq!(gk.keys.len(), 1, "one automorphism, one key");
+        assert_eq!(elements(&gk), vec![tool.galois_elt_from_step(-3)]);
+        assert!(gk.key(tool.galois_elt_from_step(nh - 3)).is_some());
     }
 
     #[test]
@@ -694,7 +675,6 @@ mod tests {
         let mut galois = GaloisKeys::default();
         for &step in steps.iter().filter(|&&step| step != 0) {
             let elt = context.galois().galois_elt_from_step(step);
-            galois.steps.insert(step, elt);
             if galois.keys.contains_key(&elt) {
                 continue;
             }
@@ -733,11 +713,6 @@ mod tests {
                 if let (Some(got), Some(want)) = (&got_relin, &want_relin) {
                     assert_same_key(&got.key, want, &what);
                 }
-                assert_eq!(
-                    got_galois.step_elements(),
-                    want_galois.step_elements(),
-                    "{what}"
-                );
                 let (got_keys, want_keys) = (got_galois.element_keys(), want_galois.element_keys());
                 assert_eq!(got_keys.len(), want_keys.len(), "{what}");
                 for ((elt, got), (want_elt, want)) in got_keys.into_iter().zip(want_keys) {

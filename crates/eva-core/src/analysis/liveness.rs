@@ -40,8 +40,7 @@
 //! finding, and an admitted one runs at most `max(1, budget / peak_bytes)`
 //! evaluations at once.
 
-use std::collections::BTreeSet;
-
+use crate::analysis::rotations::galois_key_count;
 use crate::analysis::scale::{analyze_num_polys, remaining_levels};
 use crate::compiler::CompiledProgram;
 use crate::error::EvaError;
@@ -132,16 +131,8 @@ pub fn predict_peak_memory(compiled: &CompiledProgram) -> Result<MemoryForecast,
 fn key_bytes(compiled: &CompiledProgram) -> usize {
     let degree = compiled.parameters.degree;
     let l = compiled.parameters.data_primes.len();
-    // The Galois element of a step is `5^step mod 2N` and 5 has order `N/2`
-    // there, so steps share an automorphism — hence a key — exactly when
-    // they are congruent modulo the slot count.
-    let slots = (degree / 2).max(1) as i64;
-    let elements: BTreeSet<i64> = compiled
-        .rotation_steps
-        .iter()
-        .map(|&step| step.rem_euclid(slots))
-        .collect();
-    (usize::from(compiled.needs_relinearization()) + elements.len())
+    let keys = galois_key_count(&compiled.rotation_steps, degree);
+    (usize::from(compiled.needs_relinearization()) + keys)
         * l
         * 2
         * (l + 1)

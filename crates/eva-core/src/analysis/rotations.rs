@@ -1,6 +1,7 @@
 //! Rotation-key selection (paper Section 6.2): collect the set of distinct
-//! rotation step counts used by the program, because each step count needs its
-//! own Galois key.
+//! rotation step counts used by the program, because each step count needs a
+//! Galois key (steps that share a Galois element share one key; see
+//! [`galois_key_count`]).
 //!
 //! # Canonicalization contract
 //!
@@ -61,6 +62,21 @@ pub fn select_rotation_steps(program: &Program) -> Vec<i64> {
         .filter(|&step| step != 0)
         .collect();
     steps.into_iter().collect()
+}
+
+/// The number of distinct Galois keys the rotation `steps` need on a ring of
+/// degree `degree`, counted as key generation draws them: step 0 needs none,
+/// and since the Galois element of a step is `5^step mod 2N` and 5 has order
+/// `N/2` there, steps share an automorphism — hence a key — exactly when
+/// they are congruent modulo the slot count.
+pub fn galois_key_count(steps: &[i64], degree: usize) -> usize {
+    let slots = (degree / 2).max(1) as i64;
+    let elements: BTreeSet<i64> = steps
+        .iter()
+        .filter(|&&step| step != 0)
+        .map(|step| step.rem_euclid(slots))
+        .collect();
+    elements.len()
 }
 
 #[cfg(test)]

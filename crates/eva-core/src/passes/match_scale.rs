@@ -45,19 +45,12 @@ pub fn insert_match_scale(program: &mut Program) -> usize {
             if args.len() == 2 {
                 let (a, b) = (args[0], args[1]);
                 if scales[a] != scales[b] {
-                    let (low_idx, low_node, diff) = if scales[a] < scales[b] {
-                        (0usize, a, scales[b] - scales[a])
+                    let (low_idx, diff) = if scales[a] < scales[b] {
+                        (0usize, scales[b] - scales[a])
                     } else {
-                        (1usize, b, scales[a] - scales[b])
+                        (1usize, scales[a] - scales[b])
                     };
-                    let one = editor.add_constant(ConstantValue::Scalar(1.0), diff);
-                    scales.resize(editor.len(), 0.0);
-                    scales[one] = diff;
-                    let ty = editor.program().node(low_node).ty;
-                    let fixed = editor.add_instruction(Opcode::Multiply, vec![low_node, one], ty);
-                    scales.resize(editor.len(), 0.0);
-                    scales[fixed] = scales[low_node] + diff;
-                    editor.replace_arg_at(id, low_idx, fixed);
+                    multiply_by_one(&mut editor, &mut scales, id, low_idx, diff);
                     inserted += 1;
                 }
             }
@@ -115,29 +108,21 @@ pub fn apply_exact_scales(program: &mut Program, spec: &ParameterSpec) -> Result
             let both_cipher = editor.program().cipher_args(id).count() == 2;
             if both_cipher && scales[args[0]] != scales[args[1]] {
                 let (a, b) = (args[0], args[1]);
-                let (low_idx, low_node, target) = if scales[a] < scales[b] {
-                    (0usize, a, scales[b])
+                let (low_idx, source, target) = if scales[a] < scales[b] {
+                    (0usize, scales[a], scales[b])
                 } else {
-                    (1usize, b, scales[a])
+                    (1usize, scales[b], scales[a])
                 };
-                let source = scales[low_node];
                 let delta = match_scale_delta(source, target).ok_or_else(|| {
                     EvaError::Validation(format!(
                         "node {id}: no representable match-scale delta from \
                          2^{source:.10e} to 2^{target:.10e}"
                     ))
                 })?;
-                let one = editor.add_constant(ConstantValue::Scalar(1.0), delta);
-                scales.resize(editor.len(), 0.0);
-                scales[one] = delta;
-                let ty = editor.program().node(low_node).ty;
-                let fixed = editor.add_instruction(Opcode::Multiply, vec![low_node, one], ty);
-                scales.resize(editor.len(), 0.0);
-                // Mirrors the evaluator: multiply adds log2 scales, and the
-                // delta was solved so the sum is bit-identical to the target.
-                scales[fixed] = source + delta;
+                // The delta was solved so the product's scale is
+                // bit-identical to the target.
+                let fixed = multiply_by_one(&mut editor, &mut scales, id, low_idx, delta);
                 debug_assert_eq!(scales[fixed].to_bits(), target.to_bits());
-                editor.replace_arg_at(id, low_idx, fixed);
                 inserted += 1;
             }
         }
@@ -163,6 +148,28 @@ pub fn apply_exact_scales(program: &mut Program, spec: &ParameterSpec) -> Result
         program.set_scale_log2(id, exact);
     }
     Ok(inserted)
+}
+
+/// The one fix both passes insert: multiplies argument `low_idx` of `id`
+/// by the constant `1` at scale `delta`, rewires `id` onto the product and
+/// records both new nodes' scales. Returns the product's id.
+fn multiply_by_one(
+    editor: &mut GraphEditor<'_>,
+    scales: &mut Vec<f64>,
+    id: NodeId,
+    low_idx: usize,
+    delta: f64,
+) -> NodeId {
+    let low_node = editor.program().args(id)[low_idx];
+    let one = editor.add_constant(ConstantValue::Scalar(1.0), delta);
+    let ty = editor.program().node(low_node).ty;
+    let fixed = editor.add_instruction(Opcode::Multiply, vec![low_node, one], ty);
+    scales.resize(editor.len(), 0.0);
+    scales[one] = delta;
+    // Mirrors the evaluator: multiply adds log2 scales.
+    scales[fixed] = scales[low_node] + delta;
+    editor.replace_arg_at(id, low_idx, fixed);
+    fixed
 }
 
 #[cfg(test)]

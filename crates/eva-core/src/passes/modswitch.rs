@@ -17,13 +17,6 @@ use crate::passes::GraphEditor;
 use crate::program::{NodeId, Program};
 use crate::types::Opcode;
 
-fn consumes_modulus(program: &Program, id: NodeId) -> bool {
-    matches!(
-        program.opcode(id),
-        Some(Opcode::Rescale(_)) | Some(Opcode::ModSwitch)
-    )
-}
-
 /// Inserts EAGER-MODSWITCH nodes (Figure 4) plus the paper's auxiliary rule
 /// that equalizes the reverse levels of all ciphertext roots. Returns the
 /// number of MODSWITCH nodes inserted.
@@ -51,7 +44,11 @@ pub fn insert_eager_modswitch(program: &mut Program) -> usize {
         // one if the child itself consumes a modulus prime.
         let mut groups: BTreeMap<usize, Vec<NodeId>> = BTreeMap::new();
         for &child in &children {
-            let demand = rlevel[child] + usize::from(consumes_modulus(editor.program(), child));
+            let consumes = editor
+                .program()
+                .opcode(child)
+                .is_some_and(|op| op.consumes_modulus());
+            let demand = rlevel[child] + usize::from(consumes);
             groups.entry(demand).or_default().push(child);
         }
         let max_demand = *groups.keys().next_back().expect("children is non-empty");
@@ -152,8 +149,11 @@ pub fn insert_lazy_modswitch(program: &mut Program) -> usize {
             .map(|a| level[a])
             .max()
             .unwrap_or(0);
-        level[id] = parent_max
-            + usize::from(consumes_modulus(editor.program(), id)) * usize::from(node_is_cipher);
+        let consumes = editor
+            .program()
+            .opcode(id)
+            .is_some_and(|op| op.consumes_modulus());
+        level[id] = parent_max + usize::from(consumes && node_is_cipher);
     }
     inserted
 }

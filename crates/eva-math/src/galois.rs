@@ -39,15 +39,20 @@ impl GaloisTool {
     }
 
     /// The Galois element `5^steps mod 2N` implementing a left rotation of the
-    /// slot vector by `steps` positions. Negative steps rotate right.
+    /// slot vector by `steps` positions. Negative steps rotate right. The
+    /// power is taken by square-and-multiply, `O(log N)` per call.
     pub fn galois_elt_from_step(&self, steps: i64) -> u64 {
         let slots = (self.degree / 2) as i64;
-        let steps = steps.rem_euclid(slots) as u64;
-        let mut elt = 1u64;
-        for _ in 0..steps {
-            elt = elt * 5 % self.m as u64;
+        let m = self.m as u128;
+        let (mut exp, mut base, mut elt) = (steps.rem_euclid(slots), 5u128, 1u128);
+        while exp > 0 {
+            if exp & 1 == 1 {
+                elt = elt * base % m;
+            }
+            base = base * base % m;
+            exp >>= 1;
         }
-        elt
+        elt as u64
     }
 
     /// The Galois element `2N - 1` implementing complex conjugation of slots.
@@ -145,6 +150,41 @@ mod tests {
         }
         assert_eq!(tool.galois_elt_from_step(0), 1);
         assert_eq!(tool.galois_elt_conjugate(), 127);
+    }
+
+    /// The element as `5` multiplied in `step mod N/2` times.
+    fn iterated_elt(tool: &GaloisTool, step: i64) -> u64 {
+        let m = 2 * tool.degree() as u64;
+        let exp = step.rem_euclid(tool.degree() as i64 / 2);
+        (0..exp).fold(1, |elt, _| elt * 5 % m)
+    }
+
+    #[test]
+    fn square_and_multiply_matches_the_iterated_product() {
+        for degree in [1usize << 6, 1 << 10] {
+            let tool = GaloisTool::new(degree);
+            let half = degree as i64 / 2;
+            for step in -half..=half {
+                assert_eq!(
+                    tool.galois_elt_from_step(step),
+                    iterated_elt(&tool, step),
+                    "N = {degree}, step {step}"
+                );
+            }
+        }
+        let degree = 1usize << 15;
+        let tool = GaloisTool::new(degree);
+        let span = degree as u64 + 1;
+        for i in 0..1000u64 {
+            // Spread over [−N/2, N/2] by a multiplicative hash of `i`.
+            let step = (i.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 17) % span;
+            let step = step as i64 - degree as i64 / 2;
+            assert_eq!(
+                tool.galois_elt_from_step(step),
+                iterated_elt(&tool, step),
+                "N = {degree}, step {step}"
+            );
+        }
     }
 
     #[test]

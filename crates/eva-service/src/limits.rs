@@ -128,10 +128,10 @@ mod tests {
     #[test]
     fn a_keyless_programs_key_frame_is_bounded_to_the_empty_upload() {
         // At 30 bits the square reaches the output unrescaled and
-        // unrelinearized: has_relin · an EVAG without steps.
+        // unrelinearized: has_relin · an EVAG without keys.
         let machine = SessionMachine::new(square_server(30));
-        machine.admit(TAG_EVAL_KEYS, 1 + (16 + 4 + 4)).unwrap();
-        assert!(machine.admit(TAG_EVAL_KEYS, 1 + (16 + 4 + 4) + 1).is_err());
+        machine.admit(TAG_EVAL_KEYS, 1 + (16 + 4)).unwrap();
+        assert!(machine.admit(TAG_EVAL_KEYS, 1 + (16 + 4) + 1).is_err());
     }
 
     #[test]
@@ -147,12 +147,8 @@ mod tests {
         let key = eva_wire::encoded_key_switch_key_len(primes, degree, primes + 1);
         let machine = SessionMachine::new(server);
         let cases = [
-            // has_relin · EVAL · an EVAG without steps.
-            (
-                TAG_EVAL_KEYS,
-                1 + (16 + key) + (16 + 4 + 4),
-                "evaluation-key",
-            ),
+            // has_relin · EVAL · an EVAG without keys.
+            (TAG_EVAL_KEYS, 1 + (16 + key) + (16 + 4), "evaluation-key"),
             // One input named "x", a full top-level ciphertext.
             (
                 TAG_INPUTS,

@@ -32,11 +32,11 @@
 //! the session state machine and the security argument — is
 //! [`docs/PROTOCOL.md`](https://github.com/eva-reproduction/eva/blob/main/docs/PROTOCOL.md).
 
-use std::collections::BTreeSet;
 use std::io::{Read, Write};
 
 pub use eva_backend::{InputSpec, ValuePayload};
 use eva_ckks::{Ciphertext, GaloisKeys, RelinearizationKey, SeededCiphertext};
+use eva_core::analysis::galois_key_count;
 use eva_core::{CompiledProgram, ValueType};
 use eva_wire::{
     encoded_ciphertext_len, encoded_galois_keys_len, encoded_key_switch_key_len,
@@ -50,8 +50,10 @@ use crate::session::FrameAssembler;
 ///
 /// Version history: 1 — PR 4's original protocol (bare Hello, full `EVAC`
 /// ciphertext uploads, unconditional key upload); 2 — seeded-ciphertext
-/// transport, evaluation-key fingerprints and session resumption.
-pub const PROTOCOL_VERSION: u32 = 2;
+/// transport, evaluation-key fingerprints and session resumption; 3 —
+/// Galois keys travel by element alone (`EVAG` v2, no step table) and the
+/// fingerprint domain is `EVA-eval-keys-v3`.
+pub const PROTOCOL_VERSION: u32 = 3;
 
 /// Upper bound on a single frame's payload (1 GiB), so a corrupt or hostile
 /// length prefix cannot demand an unbounded buffer. Frames are additionally
@@ -238,15 +240,7 @@ pub(crate) struct ClientFrameBounds {
 impl ClientFrameBounds {
     pub(crate) fn new(manifest: &ProgramManifest) -> Self {
         let (degree, primes) = (manifest.degree, manifest.data_primes.len());
-        let steps: BTreeSet<i64> = manifest
-            .rotation_steps
-            .iter()
-            .copied()
-            .filter(|&step| step != 0)
-            .collect();
-        // Steps congruent modulo the slot count share a Galois element.
-        let slots = (degree / 2).max(1) as i64;
-        let elements: BTreeSet<i64> = steps.iter().map(|step| step.rem_euclid(slots)).collect();
+        let galois_keys = galois_key_count(&manifest.rotation_steps, degree);
         let key = encoded_key_switch_key_len(primes, degree, primes + 1);
         let relin = u64::from(manifest.needs_relin) * encoded_relin_key_len(key);
         let cipher = encoded_ciphertext_len(2, degree, primes);
@@ -259,7 +253,7 @@ impl ClientFrameBounds {
             })
             .sum();
         Self {
-            eval_keys: 1 + relin + encoded_galois_keys_len(steps.len(), elements.len(), key),
+            eval_keys: 1 + relin + encoded_galois_keys_len(galois_keys, key),
             inputs: 4 + inputs,
         }
     }
@@ -843,7 +837,7 @@ mod tests {
             outputs: Vec::new(),
         };
         let bounds = ClientFrameBounds::new(&manifest);
-        assert_eq!(bounds.bound(TAG_EVAL_KEYS).0, 792_727_085);
+        assert_eq!(bounds.bound(TAG_EVAL_KEYS).0, 792_726_761);
         assert!(bounds.bound(TAG_EVAL_KEYS).0 > 1 << 28);
         assert!(bounds.bound(TAG_EVAL_KEYS).0 < MAX_FRAME_BYTES);
     }

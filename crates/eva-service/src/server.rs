@@ -698,23 +698,21 @@ impl EvaServer {
             })?;
             check_ksk("relinearization key", relin.key_switch_key())?;
         }
-        for step in &inner.manifest.rotation_steps {
-            if !galois.supports_step(*step) {
+        let steps = &inner.manifest.rotation_steps;
+        let uploaded = galois.element_keys();
+        let mut requested = Vec::new();
+        for &step in steps.iter().filter(|&&step| step != 0) {
+            let elt = inner.context.galois().galois_elt_from_step(step);
+            if !uploaded.iter().any(|&(e, _)| e == elt) {
                 return Err(ServiceError::InvalidParameters(format!(
                     "no Galois key for rotation step {step}"
                 )));
             }
+            requested.push(elt);
         }
         // Only the automorphisms the program rotates by: a key no step needs
         // would be cached, persisted and charged to the budget for nothing.
-        let requested: Vec<u64> = inner
-            .manifest
-            .rotation_steps
-            .iter()
-            .filter(|&&step| step != 0)
-            .map(|&step| inner.context.galois().galois_elt_from_step(step))
-            .collect();
-        for (elt, key) in galois.element_keys() {
+        for (elt, key) in uploaded {
             if !requested.contains(&elt) {
                 return Err(ServiceError::InvalidParameters(format!(
                     "Galois element {elt} is not requested by any rotation step of the program"

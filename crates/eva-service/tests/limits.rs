@@ -9,7 +9,8 @@ use std::net::{TcpListener, TcpStream};
 use std::time::{Duration, Instant};
 
 use eva_ckks::{
-    CkksContext, CkksEncoder, CkksParameters, Decryptor, KeyGenerator, SymmetricEncryptor,
+    CkksContext, CkksEncoder, CkksParameters, Decryptor, GaloisKeys, KeyGenerator,
+    SymmetricEncryptor,
 };
 use eva_core::{compile, CompilerOptions, Opcode, Program};
 use eva_service::protocol::{expect_message, write_message};
@@ -17,6 +18,7 @@ use eva_service::{
     ClientConfig, EvaClient, EvaServer, InputValue, Message, OutputValue, ServerConfig,
     ServiceError, MAX_FRAME_BYTES, PROTOCOL_VERSION, TAG_EVAL_KEYS, TAG_HELLO,
 };
+use eva_wire::{WireObject, Writer};
 
 /// `x²` on a 60-bit input: the waterline rescales the square, so it is
 /// relinearized first and the client uploads a relinearization key (and no
@@ -443,6 +445,100 @@ fn an_upload_with_an_unrequested_galois_key_is_refused() {
     }
     let reports = server_thread.join().unwrap().unwrap();
     assert!(reports[0].is_err());
+    assert_eq!(probe.cached_key_sets(), 0);
+}
+
+/// Galois keys as the `EVAG` v1 format encoded them, before protocol 3:
+/// the keys behind a `(step, element)` table.
+fn evag_v1(galois: &GaloisKeys, steps: &[i64], context: &CkksContext) -> Vec<u8> {
+    let mut w = Writer::new();
+    w.object(*b"EVAG", 1, |w| {
+        w.u32(steps.len() as u32);
+        for &step in steps {
+            w.i64(step);
+            w.u64(context.galois().galois_elt_from_step(step));
+        }
+        w.raw(&galois.to_wire_bytes()[16..]);
+    });
+    w.into_bytes()
+}
+
+/// Keys in the format before protocol 3 are refused with an `Error` frame
+/// and a failed session. The whole upload such a client sends is over the
+/// program's exact bound, so its header alone is refused; an `EVAG` v1
+/// small enough to pass the bound is refused by its envelope version.
+#[test]
+fn an_upload_in_the_old_galois_key_format_is_refused() {
+    // At 60 bits the square is rescaled, so it is relinearized first.
+    let mut p = Program::new("rotate", 8);
+    let x = p.input_cipher("x", 60);
+    let r = p.instruction(Opcode::RotateLeft(1), &[x]);
+    let sq = p.instruction(Opcode::Multiply, &[r, r]);
+    p.output("out", sq, 30);
+    let compiled = compile(&p, &CompilerOptions::default()).unwrap();
+    let server = EvaServer::new(compiled).unwrap();
+    let probe = server.clone();
+    let manifest = server.manifest().clone();
+    assert!(manifest.needs_relin && !manifest.rotation_steps.is_empty());
+    let context = CkksContext::new(
+        CkksParameters::from_primes(
+            manifest.degree,
+            &manifest.data_primes,
+            manifest.special_prime,
+            manifest.secure,
+        )
+        .unwrap(),
+    )
+    .unwrap();
+    let (relin, galois) = KeyGenerator::from_seed(context.clone(), 9)
+        .create_evaluation_keys(true, &manifest.rotation_steps);
+    let old_galois = evag_v1(&galois, &manifest.rotation_steps, &context);
+    let mut full_upload = vec![1];
+    full_upload.extend(relin.unwrap().to_wire_bytes());
+    full_upload.extend(&old_galois);
+    let mut galois_only = vec![0];
+    galois_only.extend(&old_galois);
+
+    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap();
+    let server_thread = std::thread::spawn(move || server.serve_sessions(&listener, 2));
+    // The full upload is announced, not sent: the bound refuses its header.
+    for (payload, sent, refusal) in [
+        (&full_upload, 0, "quota:"),
+        (
+            &galois_only,
+            galois_only.len(),
+            "unsupported \"EVAG\" format version 1",
+        ),
+    ] {
+        let mut stream = TcpStream::connect(addr).unwrap();
+        write_message(
+            &mut stream,
+            &Message::Hello {
+                protocol: PROTOCOL_VERSION,
+                resume: None,
+            },
+        )
+        .unwrap();
+        match expect_message(&mut stream).unwrap() {
+            Message::Manifest { .. } => {}
+            other => panic!("expected Manifest, got {other:?}"),
+        }
+        stream.write_all(&[TAG_EVAL_KEYS]).unwrap();
+        stream
+            .write_all(&(payload.len() as u64).to_le_bytes())
+            .unwrap();
+        stream.write_all(&payload[..sent]).unwrap();
+        stream.flush().unwrap();
+        match expect_message(&mut stream).unwrap() {
+            Message::Error(msg) => assert!(msg.contains(refusal), "unexpected error: {msg}"),
+            other => panic!("expected Error, got {other:?}"),
+        }
+    }
+    let reports = server_thread.join().unwrap().unwrap();
+    assert!(reports.iter().all(|r| r.is_err()));
+    let stats = probe.stats();
+    assert_eq!((stats.sessions_failed, stats.session_panics), (2, 0));
     assert_eq!(probe.cached_key_sets(), 0);
 }
 

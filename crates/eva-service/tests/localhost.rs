@@ -147,10 +147,7 @@ fn square_plus_x_runs_keyless_with_a_three_polynomial_output() {
         }
     }
     assert_eq!(key_uploads, 1);
-    assert_eq!(
-        bytes_with_tag(&sent, TAG_EVAL_KEYS).unwrap(),
-        1 + 16 + 4 + 4
-    );
+    assert_eq!(bytes_with_tag(&sent, TAG_EVAL_KEYS).unwrap(), 1 + 16 + 4);
 
     // The output EVAC carries three polynomials.
     let mut frames: &[u8] = &received;
@@ -466,7 +463,7 @@ fn server_rejects_missing_relin_key_and_bad_protocol() {
             &mut stream,
             &Message::EvalKeys {
                 relin: Some(Box::new(relin)),
-                galois: Box::new(GaloisKeys::from_parts(galois.step_elements(), hostile)),
+                galois: Box::new(GaloisKeys::from_parts(hostile)),
             },
         )
         .unwrap();

@@ -15,7 +15,7 @@ use eva_service::{
     bytes_with_tag, frame_index, EvaClient, EvaServer, Message, RecordingStream, ServerConfig,
     PROTOCOL_VERSION, TAG_EVAL_KEYS,
 };
-use eva_wire::fingerprint_eval_key_payload;
+use eva_wire::{fingerprint_eval_key_payload, Blake2b256, KeyFingerprint, WireObject, Writer};
 
 /// Rotation + relinearization, so the key set is non-trivial: the square
 /// is rotated again, so it is relinearized (an unrotated square would leave
@@ -256,6 +256,78 @@ fn stored_keys_with_an_unrequested_galois_key_are_not_served() {
     drop(stream);
     thread.join().unwrap().unwrap();
     assert_eq!(handle.cached_key_sets(), 0);
+    assert_eq!(handle.stats().disk_resumptions, 0);
+
+    let _ = fs::remove_dir_all(&dir);
+}
+
+/// An entry stored by a build that fingerprinted under the `-v2` domain
+/// (its Galois keys in `EVAG` v1, behind a step table) names a fingerprint
+/// nobody computes any more: its bytes no longer hash to its name, so the
+/// first load deletes it and the resuming Hello gets `keys_cached = false`.
+#[test]
+fn an_entry_fingerprinted_under_the_v2_domain_is_deleted_on_first_load() {
+    let compiled = compile(&rotating_program(), &CompilerOptions::default()).unwrap();
+    let dir = temp_dir("v2-domain");
+    let server = EvaServer::with_config(compiled, store_config(&dir)).unwrap();
+    let handle = server.clone();
+
+    let manifest = server.manifest().clone();
+    let params = CkksParameters::from_primes(
+        manifest.degree,
+        &manifest.data_primes,
+        manifest.special_prime,
+        manifest.secure,
+    )
+    .unwrap();
+    let context = CkksContext::new(params).unwrap();
+    let steps = &manifest.rotation_steps;
+    let (relin, galois) = KeyGenerator::from_seed(context.clone(), 5)
+        .create_evaluation_keys(manifest.needs_relin, steps);
+    // The payload as the old build framed it: has_relin · EVAL · EVAG v1.
+    let mut w = Writer::new();
+    w.u8(1);
+    w.raw(&relin.unwrap().to_wire_bytes());
+    w.object(*b"EVAG", 1, |w| {
+        w.u32(steps.len() as u32);
+        for &step in steps {
+            w.i64(step);
+            w.u64(context.galois().galois_elt_from_step(step));
+        }
+        w.raw(&galois.to_wire_bytes()[16..]);
+    });
+    let payload = w.into_bytes();
+    let mut hasher = Blake2b256::new();
+    hasher.update(b"EVA-eval-keys-v2");
+    hasher.update(&payload);
+    let fingerprint = KeyFingerprint(hasher.finalize());
+    let entry = server.key_store().unwrap().entry_path(&fingerprint);
+    fs::create_dir_all(entry.parent().unwrap()).unwrap();
+    fs::write(&entry, &payload).unwrap();
+
+    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap();
+    let thread = std::thread::spawn(move || server.serve_sessions(&listener, 1));
+    let mut stream = TcpStream::connect(addr).unwrap();
+    write_message(
+        &mut stream,
+        &Message::Hello {
+            protocol: PROTOCOL_VERSION,
+            resume: Some(fingerprint),
+        },
+    )
+    .unwrap();
+    match expect_message(&mut stream).unwrap() {
+        Message::Manifest { keys_cached, .. } => assert!(!keys_cached),
+        other => panic!("expected Manifest, got {other:?}"),
+    }
+    drop(stream);
+    thread.join().unwrap().unwrap();
+    assert!(
+        !entry.exists(),
+        "the stale entry is deleted on its first load"
+    );
+    assert_eq!(handle.key_store().unwrap().len(), 0);
     assert_eq!(handle.stats().disk_resumptions, 0);
 
     let _ = fs::remove_dir_all(&dir);

@@ -215,12 +215,12 @@ impl fmt::Display for KeyFingerprint {
 
 /// Domain-separation prefix of the evaluation-key fingerprint (so the digest
 /// can never be confused with a hash of the same bytes in another role).
-const FINGERPRINT_DOMAIN: &[u8] = b"EVA-eval-keys-v2";
+const FINGERPRINT_DOMAIN: &[u8] = b"EVA-eval-keys-v3";
 
 /// Computes the content fingerprint of one client's evaluation keys:
 ///
 /// ```text
-/// BLAKE2b-256( "EVA-eval-keys-v2" · has_relin(u8) · relin_wire_bytes? · galois_wire_bytes )
+/// BLAKE2b-256( "EVA-eval-keys-v3" · has_relin(u8) · relin_wire_bytes? · galois_wire_bytes )
 /// ```
 ///
 /// where the key bytes are the canonical `eva-wire` encodings (`EVAL` and
@@ -319,8 +319,8 @@ mod tests {
             KeyFingerprint(Blake2b256::digest(b"abc")).to_string(),
             "bddd813c634239723171ef3fee98579b94964e3bb1cb3e427262c8c068d52319"
         );
-        // `<length> <digest>` of the `pattern`; 786 512 bytes is the size of
-        // a seeded `service_cold` key upload.
+        // `<length> <digest>` of the `pattern`; 786 512 bytes is about the
+        // size of a seeded `service_cold` key upload.
         let cases = "
             0 0e5751c026e543b2e8ab2eb06099daa1d1e5df47778f7787faab45cdf12fe3a8
             127 f2fe67ff342e21b8f45e8f2e0bcd1d9243245d50ee6c78042e9c491388791c72

@@ -38,7 +38,7 @@
 //! | ciphertext | `EVAC` | 1 |
 //! | seeded ciphertext | `EVAD` | 1 |
 //! | relinearization key | `EVAL` | 1 |
-//! | Galois keys | `EVAG` | 1 |
+//! | Galois keys | `EVAG` | 2 |
 //! | program manifest (`eva-service`) | `EVAM` | 1 |
 //!
 //! Every object is `magic(4) · version(u32) · body_len(u64) · body`, all

@@ -240,23 +240,17 @@ pub fn encoded_relin_key_len(key_switch_key_len: u64) -> u64 {
     ENVELOPE_BYTES + key_switch_key_len
 }
 
-/// Encoded length of an `EVAG` object with `steps` step-table entries and
-/// `elements` keys of `key_switch_key_len` bytes each.
-pub fn encoded_galois_keys_len(steps: usize, elements: usize, key_switch_key_len: u64) -> u64 {
-    ENVELOPE_BYTES + 4 + 16 * steps as u64 + 4 + elements as u64 * (8 + key_switch_key_len)
+/// Encoded length of an `EVAG` object with `elements` keys of
+/// `key_switch_key_len` bytes each.
+pub fn encoded_galois_keys_len(elements: usize, key_switch_key_len: u64) -> u64 {
+    ENVELOPE_BYTES + 4 + elements as u64 * (8 + key_switch_key_len)
 }
 
 impl WireObject for GaloisKeys {
     const MAGIC: [u8; 4] = *b"EVAG";
-    const VERSION: u32 = 1;
+    const VERSION: u32 = 2;
 
     fn encode_body(&self, w: &mut Writer) {
-        let steps = self.step_elements();
-        w.u32(steps.len() as u32);
-        for (step, elt) in steps {
-            w.i64(step);
-            w.u64(elt);
-        }
         let keys = self.element_keys();
         w.u32(keys.len() as u32);
         for (elt, key) in keys {
@@ -266,25 +260,6 @@ impl WireObject for GaloisKeys {
     }
 
     fn decode_body(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        let step_count = r.u32()? as usize;
-        if step_count > 4 * MAX_WIRE_DEGREE {
-            return Err(WireError::Invalid(format!(
-                "Galois step count {step_count} out of range"
-            )));
-        }
-        let mut steps = Vec::with_capacity(step_count.min(1 << 16));
-        let mut prev_step: Option<i64> = None;
-        for _ in 0..step_count {
-            let step = r.i64()?;
-            let elt = r.u64()?;
-            if prev_step.is_some_and(|p| p >= step) {
-                return Err(WireError::Invalid(
-                    "Galois steps are not strictly increasing".into(),
-                ));
-            }
-            prev_step = Some(step);
-            steps.push((step, elt));
-        }
         let key_count = r.u32()? as usize;
         let mut keys: Vec<(u64, KeySwitchKey)> = Vec::with_capacity(key_count.min(1 << 16));
         let mut degree: Option<usize> = None;
@@ -324,21 +299,7 @@ impl WireObject for GaloisKeys {
             }
             keys.push((elt, key));
         }
-        for (step, elt) in &steps {
-            if !keys.iter().any(|(e, _)| e == elt) {
-                return Err(WireError::Invalid(format!(
-                    "rotation step {step} references Galois element {elt} with no key"
-                )));
-            }
-        }
-        for (elt, _) in &keys {
-            if !steps.iter().any(|(_, e)| e == elt) {
-                return Err(WireError::Invalid(format!(
-                    "Galois element {elt} is not referenced by any rotation step"
-                )));
-            }
-        }
-        Ok(GaloisKeys::from_parts(steps, keys))
+        Ok(GaloisKeys::from_parts(keys))
     }
 }
 
@@ -419,13 +380,19 @@ mod tests {
         let gk = keygen.create_galois_keys(&[1, -2, 5]);
         let bytes = gk.to_wire_bytes();
         let restored = GaloisKeys::from_wire_bytes(&bytes).unwrap();
-        assert_eq!(restored.step_elements(), gk.step_elements());
+        let elements = |keys: &GaloisKeys| -> Vec<u64> {
+            keys.element_keys()
+                .into_iter()
+                .map(|(elt, _)| elt)
+                .collect()
+        };
+        assert_eq!(elements(&restored), elements(&gk));
         assert_eq!(
             restored.to_wire_bytes(),
             bytes,
             "re-encode must be byte-identical"
         );
-        assert!(restored.supports_step(-2));
+        assert!(elements(&restored).contains(&ctx.galois().galois_elt_from_step(-2)));
     }
 
     #[test]
@@ -456,40 +423,40 @@ mod tests {
         assert_eq!(relin.len() as u64, encoded_relin_key_len(key));
         assert_eq!(
             galois.to_wire_bytes().len() as u64,
-            encoded_galois_keys_len(3, 3, key)
+            encoded_galois_keys_len(3, key)
         );
         // Steps congruent modulo the slot count share one key.
         let aliasing = keygen.create_galois_keys(&[1, 1 + degree as i64 / 2]);
         assert_eq!(
             aliasing.to_wire_bytes().len() as u64,
-            encoded_galois_keys_len(2, 1, key)
+            encoded_galois_keys_len(1, key)
         );
         assert_eq!(
             GaloisKeys::default().to_wire_bytes().len() as u64,
-            encoded_galois_keys_len(0, 0, key)
+            encoded_galois_keys_len(0, key)
         );
     }
 
     #[test]
     fn encoded_lengths_reproduce_measured_key_uploads() {
-        // `EVAL` plus `EVAG` bytes, with as many steps as keys.
+        // `EVAL` plus `EVAG` bytes.
         let keys = |degree: usize, primes: usize, elements: usize| {
             let key = encoded_key_switch_key_len(primes, degree, primes + 1);
-            encoded_relin_key_len(key) + encoded_galois_keys_len(elements, elements, key)
+            encoded_relin_key_len(key) + encoded_galois_keys_len(elements, key)
         };
         // LeNet-5-small's kernel replay: N = 2^15, 8 data primes, 8 keys.
-        assert_eq!(keys(1 << 15, 8, 8), 339_740_188);
+        assert_eq!(keys(1 << 15, 8, 8), 339_740_056);
         // Sobel 64×64: N = 2^14, 4 data primes, 8 keys.
-        assert_eq!(keys(1 << 14, 4, 8), 47_186_836);
+        assert_eq!(keys(1 << 14, 4, 8), 47_186_704);
         // x² + x, the service workloads: N = 2^13, 2 data primes, no rotation.
-        assert_eq!(keys(1 << 13, 2, 0), 786_512);
+        assert_eq!(keys(1 << 13, 2, 0), 786_508);
     }
 
     #[test]
     fn empty_galois_keys_roundtrip() {
         let gk = GaloisKeys::default();
         let restored = GaloisKeys::from_wire_bytes(&gk.to_wire_bytes()).unwrap();
-        assert_eq!(restored.step_count(), 0);
+        assert!(restored.element_keys().is_empty());
     }
 
     #[test]

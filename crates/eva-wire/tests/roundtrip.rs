@@ -6,7 +6,7 @@
 
 use eva_ckks::{Ciphertext, GaloisKeys, KeySwitchKey, RelinearizationKey, SeededCiphertext};
 use eva_poly::{PolyForm, RnsPoly};
-use eva_wire::{fingerprint_eval_keys, WireError, WireObject};
+use eva_wire::{fingerprint_eval_keys, WireError, WireObject, Writer};
 use proptest::prelude::*;
 use rand::{Rng, SeedableRng};
 
@@ -191,14 +191,12 @@ proptest! {
         seed in any::<u64>(),
     ) {
         let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
-        // Distinct odd elements < 2N, one shared by two steps.
-        let elts = [1u64, 3, 5];
-        let steps: Vec<(i64, u64)> = vec![(-2, elts[0]), (1, elts[1]), (4, elts[2]), (7, elts[1])];
-        let keys: Vec<(u64, KeySwitchKey)> = elts
+        // Distinct odd elements < 2N.
+        let keys: Vec<(u64, KeySwitchKey)> = [1u64, 3, 5]
             .iter()
             .map(|&e| (e, random_key_switch_key(degree, level, &mut rng)))
             .collect();
-        assert_roundtrip(&GaloisKeys::from_parts(steps, keys));
+        assert_roundtrip(&GaloisKeys::from_parts(keys));
     }
 }
 
@@ -212,10 +210,7 @@ fn corruption_never_panics_and_always_surfaces() {
     assert_corruption_total(&RelinearizationKey::from_key_switch_key(
         random_key_switch_key(8, 2, &mut rng),
     ));
-    let gk = GaloisKeys::from_parts(
-        vec![(1, 5)],
-        vec![(5, random_key_switch_key(8, 2, &mut rng))],
-    );
+    let gk = GaloisKeys::from_parts(vec![(5, random_key_switch_key(8, 2, &mut rng))]);
     assert_corruption_total(&gk);
 }
 
@@ -232,14 +227,34 @@ fn wrong_magic_is_a_typed_error() {
     assert!(matches!(err, WireError::BadMagic { .. }));
 }
 
+/// An `EVAG` v1 object — the v2 body behind a `(step, element)` table —
+/// is refused by its envelope version, before its body is read.
+#[test]
+fn a_galois_key_set_with_the_old_step_table_is_an_unsupported_version() {
+    let mut rng = rand::rngs::StdRng::seed_from_u64(5);
+    let gk = GaloisKeys::from_parts(vec![(5, random_key_switch_key(8, 2, &mut rng))]);
+    let body = &gk.to_wire_bytes()[16..];
+    let mut w = Writer::new();
+    w.object(*b"EVAG", 1, |w| {
+        w.u32(2);
+        for step in [1i64, 5] {
+            w.i64(step);
+            w.u64(5);
+        }
+        w.raw(body);
+    });
+    let err = GaloisKeys::from_wire_bytes(&w.into_bytes()).unwrap_err();
+    assert!(
+        matches!(err, WireError::UnsupportedVersion { magic, version: 1 } if &magic == b"EVAG"),
+        "{err}"
+    );
+}
+
 #[test]
 fn eval_key_fingerprints_are_stable_and_content_sensitive() {
     let mut rng = rand::rngs::StdRng::seed_from_u64(31);
     let relin = RelinearizationKey::from_key_switch_key(random_key_switch_key(8, 2, &mut rng));
-    let galois = GaloisKeys::from_parts(
-        vec![(1, 5)],
-        vec![(5, random_key_switch_key(8, 2, &mut rng))],
-    );
+    let galois = GaloisKeys::from_parts(vec![(5, random_key_switch_key(8, 2, &mut rng))]);
 
     // Deterministic: the same keys always hash to the same fingerprint, and
     // a wire round trip (canonical re-encoding) preserves it.
@@ -255,10 +270,7 @@ fn eval_key_fingerprints_are_stable_and_content_sensitive() {
     let other_relin =
         RelinearizationKey::from_key_switch_key(random_key_switch_key(8, 2, &mut rng));
     assert_ne!(fp, fingerprint_eval_keys(Some(&other_relin), &galois));
-    let other_galois = GaloisKeys::from_parts(
-        vec![(2, 5)],
-        vec![(5, random_key_switch_key(8, 2, &mut rng))],
-    );
+    let other_galois = GaloisKeys::from_parts(vec![(5, random_key_switch_key(8, 2, &mut rng))]);
     assert_ne!(fp, fingerprint_eval_keys(Some(&relin), &other_galois));
 }
 
@@ -267,7 +279,10 @@ fn eval_key_fingerprints_are_stable_and_content_sensitive() {
 /// `EVAL` / `EVAG` bytes and fingerprint, decoding and re-encoding is byte
 /// identical, and a decoded Galois key rotates exactly as the generated one.
 /// The byte pins are BLAKE2b-256 digests (`b2sum -l 256`) of the same
-/// `EVAL` / `EVAG` bytes the original SHA-256 pins were taken over.
+/// `EVAL` bytes the original SHA-256 pins were taken over, and of the
+/// `EVAG` v2 bytes: the v1 bytes with the envelope's version set to 2 and
+/// the step table left out, the key rows unchanged. The fingerprint is
+/// taken under the `-v3` domain.
 #[test]
 fn seeded_eval_keys_keep_their_wire_bytes_fingerprint_and_rotations() {
     use eva_ckks::{
@@ -292,11 +307,11 @@ fn seeded_eval_keys_keep_their_wire_bytes_fingerprint_and_rotations() {
     );
     assert_eq!(
         hex(Blake2b256::digest(&galois_bytes)),
-        "e9e92f3eff68a838f9cb2ce6680993fbfd791abc7c2d8934100b5f15be398f54"
+        "50cfbe2953d13e4fd497b3aef6ecdfd5e8a13385b4ed3477c67c789a44cb049e"
     );
     assert_eq!(
         fingerprint_eval_keys(Some(&relin), &galois).to_string(),
-        "1df88999eddfe43c453cdb27789c86a9907a421b371cbf1082f5eaaa71ab73e9"
+        "40da10d0490ba20db28ff981965073c0e977f28dcff0fef23c3eb5a2d9b0e5f7"
     );
 
     let decoded = GaloisKeys::from_wire_bytes(&galois_bytes).unwrap();
