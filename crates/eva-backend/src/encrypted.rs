@@ -16,6 +16,7 @@ use eva_ckks::{
     GaloisKeys, KeyGenerator, KeySwitchDecomposition, KeySwitchScratch, RelinearizationKey,
     SeededCiphertext, SymmetricEncryptor,
 };
+use eva_core::analysis::{key_levels, KeyLevels};
 use eva_core::{CompiledProgram, EvaError, NodeId, NodeKind, Opcode, Program, ValueType};
 
 use crate::reference::{apply_op, check_input, replicate};
@@ -575,8 +576,8 @@ pub struct MemoryAudit {
 
 impl SecretContext {
     /// Derives the secret key — from `key_seed`, or from OS entropy — and
-    /// then, if `eval_keys` asks for them as `(relinearize, rotation
-    /// steps)`, the evaluation keys, in
+    /// then, if `eval_keys` asks for them, the evaluation keys, each at its
+    /// level (see `eva_core::analysis::key_levels`), in
     /// [`KeyGenerator::create_evaluation_keys`]' draw order. A resumed
     /// session passes `None`: only the secret key is derived.
     ///
@@ -590,13 +591,13 @@ impl SecretContext {
         context: CkksContext,
         key_seed: Option<u64>,
         deterministic_encryption: bool,
-        eval_keys: Option<(bool, &[i64])>,
+        eval_keys: Option<&KeyLevels>,
     ) -> (Self, Option<(Option<RelinearizationKey>, GaloisKeys)>) {
         let mut keygen = match key_seed {
             Some(seed) => KeyGenerator::from_seed(context.clone(), seed),
             None => KeyGenerator::new(context.clone()),
         };
-        let keys = eval_keys.map(|(relin, steps)| keygen.create_evaluation_keys(relin, steps));
+        let keys = eval_keys.map(|keys| keygen.create_evaluation_keys(keys.relin, &keys.galois));
         let secret_key = keygen.secret_key();
         let encryptor = match key_seed {
             Some(seed) if deterministic_encryption => SymmetricEncryptor::from_seed(
@@ -711,23 +712,20 @@ impl EncryptedContext {
     /// Generates the encryption context and all keys the compiled program
     /// needs: the secret key, a relinearization key if the program
     /// relinearizes and Galois keys for exactly the rotation steps its
-    /// ROTATE nodes use. A seed fixes the keys and the encryption
-    /// randomness (see [`SecretContext::generate`]).
+    /// ROTATE nodes use, each at the highest level the program uses it at.
+    /// A seed fixes the keys and the encryption randomness (see
+    /// [`SecretContext::generate`]).
     ///
     /// # Errors
     ///
     /// Returns [`EvaError::Execution`] if the parameter specification cannot be
-    /// instantiated.
+    /// instantiated, and propagates level-analysis failures.
     pub fn setup(compiled: &CompiledProgram, seed: Option<u64>) -> Result<Self, EvaError> {
         let params = parameters_from_spec(&compiled.parameters)?;
         let context = CkksContext::new(params)
             .map_err(|e| EvaError::Execution(format!("context creation failed: {e}")))?;
-        let (secret, keys) = SecretContext::generate(
-            context.clone(),
-            seed,
-            true,
-            Some((compiled.needs_relinearization(), &compiled.rotation_steps)),
-        );
+        let levels = key_levels(compiled)?;
+        let (secret, keys) = SecretContext::generate(context.clone(), seed, true, Some(&levels));
         let (relin_key, galois_keys) = keys.expect("evaluation keys were requested");
         Ok(Self {
             eval: EvaluationContext::from_parts(context, relin_key, galois_keys),
@@ -890,7 +888,11 @@ mod tests {
     fn the_secret_half_rederives_its_secret_and_keys_from_a_seed() {
         let params = CkksParameters::new_insecure(64, &[40, 40], 45).unwrap();
         let context = CkksContext::new(params).unwrap();
-        let request = Some((true, &[1i64, -2][..]));
+        let levels = KeyLevels {
+            relin: Some(2),
+            galois: vec![(1, 2), (-2, 1)],
+        };
+        let request = Some(&levels);
         let fingerprint = |keys: Option<(Option<RelinearizationKey>, GaloisKeys)>| {
             let (relin, galois) = keys.expect("keys were requested");
             eva_wire::fingerprint_eval_keys(relin.as_ref(), &galois)

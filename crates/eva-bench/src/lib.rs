@@ -397,7 +397,7 @@ pub fn measure_wire_sizes() -> Vec<WireSize> {
             (format!("relin_key_n{degree}"), encoded_relin_key_len(key)),
             (
                 format!("galois_key_per_step_n{degree}"),
-                encoded_galois_keys_len(1, key),
+                encoded_galois_keys_len([key]),
             ),
         ] {
             out.push(WireSize {
@@ -792,7 +792,8 @@ pub fn cost_json(measurements: &[CostMeasurement]) -> String {
              \"{0}_ntts\": {7},\n    \"{0}_log2n\": {8},\n    \
              \"{0}_data_prime_bits\": {9:?},\n    \"{0}_unoptimized_nodes\": {10},\n    \
              \"{0}_unoptimized_distinct_rotation_steps\": {11},\n    \
-             \"{0}_unoptimized_key_switches\": {12}{comma}\n",
+             \"{0}_unoptimized_key_switches\": {12},\n    \
+             \"{0}_key_bytes\": {13}{comma}\n",
             m.name,
             m.optimized.nodes,
             m.optimized.distinct_rotation_steps,
@@ -806,6 +807,7 @@ pub fn cost_json(measurements: &[CostMeasurement]) -> String {
             m.unoptimized.nodes,
             m.unoptimized.distinct_rotation_steps,
             m.unoptimized.key_switches,
+            m.forecast.key_bytes,
         ));
     }
     s.push_str("  }\n}\n");

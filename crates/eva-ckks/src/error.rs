@@ -39,6 +39,14 @@ pub enum CkksError {
         /// The requested rotation step.
         step: i64,
     },
+    /// An evaluation key built for a lower level than the ciphertext it
+    /// would switch: it lacks the digits of the primes above its level.
+    KeyBelowCiphertext {
+        /// The key's level (its digit count).
+        key: usize,
+        /// The ciphertext's level.
+        ciphertext: usize,
+    },
     /// The ciphertext has an unexpected number of polynomials for the
     /// requested operation.
     InvalidCiphertextSize {
@@ -85,6 +93,12 @@ impl fmt::Display for CkksError {
             }
             CkksError::MissingGaloisKey { step } => {
                 write!(f, "no Galois key was generated for rotation step {step}")
+            }
+            CkksError::KeyBelowCiphertext { key, ciphertext } => {
+                write!(
+                    f,
+                    "evaluation key at level {key} cannot switch a ciphertext at level {ciphertext}"
+                )
             }
             CkksError::InvalidCiphertextSize { found, expected } => {
                 write!(f, "ciphertext has {found} polynomials, expected {expected}")

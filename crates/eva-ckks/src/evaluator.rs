@@ -143,6 +143,18 @@ impl KeySwitchScratch {
     }
 }
 
+/// Refuses a key with fewer digits than `ct`'s level: the digits it lacks
+/// would silently drop out of the switch.
+fn check_key_level(key: &KeySwitchKey, ct: &Ciphertext) -> Result<(), CkksError> {
+    if key.level() < ct.level() {
+        return Err(CkksError::KeyBelowCiphertext {
+            key: key.level(),
+            ciphertext: ct.level(),
+        });
+    }
+    Ok(())
+}
+
 fn check_size(ct: &Ciphertext, expected: usize) -> Result<(), CkksError> {
     if ct.size() != expected {
         return Err(CkksError::InvalidCiphertextSize {
@@ -371,7 +383,8 @@ impl Evaluator {
     ///
     /// # Errors
     ///
-    /// Fails if the ciphertext does not have exactly three polynomials.
+    /// Fails if the ciphertext does not have exactly three polynomials or
+    /// the key is below the ciphertext's level.
     ///
     /// # Panics
     ///
@@ -384,6 +397,7 @@ impl Evaluator {
         scratch: &mut KeySwitchScratch,
     ) -> Result<Ciphertext, CkksError> {
         check_size(ct, 3)?;
+        check_key_level(&key.key, ct)?;
         // Switch `c2` from `s²` to `s`: `c0` is folded into the mod-down,
         // `c1` accumulated into the owned output — no cloned temporaries.
         let (d0, mut d1) = self.finish_key_switch(ct, decomp, &key.key, scratch);
@@ -519,8 +533,9 @@ impl Evaluator {
     ///
     /// # Errors
     ///
-    /// Fails if the ciphertext does not have exactly two polynomials or no
-    /// Galois key for `step` exists.
+    /// Fails if the ciphertext does not have exactly two polynomials, no
+    /// Galois key for `step` exists or the key is below the ciphertext's
+    /// level.
     ///
     /// # Panics
     ///
@@ -536,6 +551,7 @@ impl Evaluator {
         check_size(ct, 2)?;
         let elt = self.context.galois().galois_elt_from_step(step);
         let key = keys.key(elt).ok_or(CkksError::MissingGaloisKey { step })?;
+        check_key_level(key, ct)?;
         let (c0_rot, d1) = self.finish_key_switch(ct, decomp, key, scratch);
         Ok(Ciphertext::from_parts(
             vec![c0_rot, d1],
@@ -602,6 +618,10 @@ impl Evaluator {
     /// `acc1` (both `(level + 1) · degree` long, fully overwritten) in
     /// `[0, 2q)`.
     ///
+    /// The key may sit at any level from the decomposition's up: digit `j`
+    /// of the decomposition meets digit `j` of the key, data-prime row `i`
+    /// meets key row `i`, and the special prime's row meets the key's last.
+    ///
     /// The key's rows are read as stored. For a Galois key that is
     /// `σ⁻¹`-permuted, so the result is the **pre-automorphism** pair
     /// `b = Σ dⱼ·σ⁻¹(kⱼ)`, and `σ(b)` — what the switch needs — is `b` read
@@ -609,8 +629,9 @@ impl Evaluator {
     ///
     /// # Panics
     ///
-    /// Panics if an accumulator has the wrong length or the key does not
-    /// span the context's key basis.
+    /// Panics if an accumulator has the wrong length or the key has fewer
+    /// digits than the decomposition (the callers that return a `Result`
+    /// refuse such a key first, with [`CkksError::KeyBelowCiphertext`]).
     pub fn apply_key_switch(
         &self,
         decomp: &KeySwitchDecomposition,
@@ -626,11 +647,21 @@ impl Evaluator {
         let n = self.context.degree();
         let special = self.context.special_index();
         let level = decomp.level;
+        let key_special = key.level();
         assert_eq!(acc0.len(), (level + 1) * n, "accumulator length mismatch");
         assert_eq!(acc1.len(), (level + 1) * n, "accumulator length mismatch");
+        assert!(
+            key.level() >= level,
+            "a level-{} key cannot switch at level {level}",
+            key.level()
+        );
 
         for (pos, (row0, row1)) in acc0.chunks_mut(n).zip(acc1.chunks_mut(n)).enumerate() {
-            let m_idx = if pos == level { special } else { pos };
+            let (m_idx, key_row) = if pos == level {
+                (special, key_special)
+            } else {
+                (pos, pos)
+            };
             let modulus = &basis.moduli()[m_idx];
             for (c, (a0, a1)) in row0
                 .chunks_mut(CHUNK)
@@ -642,8 +673,8 @@ impl Evaluator {
                 let mut sum1 = [0u128; CHUNK];
                 for (digit, (k0, k1)) in decomp.digits.iter().zip(&key.digits) {
                     let d = &digit.residue(pos)[span.clone()];
-                    let k0 = &k0.residue(m_idx)[span.clone()];
-                    let k1 = &k1.residue(m_idx)[span.clone()];
+                    let k0 = &k0.residue(key_row)[span.clone()];
+                    let k1 = &k1.residue(key_row)[span.clone()];
                     for (((s0, s1), &d), (&k0, &k1)) in
                         sum0.iter_mut().zip(&mut sum1).zip(d).zip(k0.iter().zip(k1))
                     {
@@ -1022,6 +1053,52 @@ mod tests {
                 .map(|i| xs[(i as i64 + step).rem_euclid(f.slots as i64) as usize])
                 .collect();
             assert_close(&f.decryptor.decrypt_to_values(h, f.slots), &expected, 1e-3);
+        }
+    }
+
+    #[test]
+    fn a_key_at_its_level_switches_as_the_full_key_and_is_refused_above_it() {
+        let mut f = fixture();
+        let context = f.evaluator.context().clone();
+        let top = context.max_level();
+        let steps = [1i64, 3];
+        let at = |level: usize| steps.map(|step| (step, level));
+        // Two generators from the fixture's seed: the same secret, the same
+        // draws, keys at the top and at level 2.
+        let (full_relin, full_galois) = f.keygen.create_evaluation_keys(Some(top), &at(top));
+        let mut trimmed_keygen = KeyGenerator::from_seed(context, 21);
+        let (relin, galois) = trimmed_keygen.create_evaluation_keys(Some(2), &at(2));
+        let (full_relin, relin) = (full_relin.unwrap(), relin.unwrap());
+        assert!(relin.resident_bytes() < full_relin.resident_bytes());
+
+        let xs: Vec<f64> = (0..f.slots).map(|i| (i as f64 * 0.1).cos()).collect();
+        for level in 1..=top {
+            let ct = f.encryptor.encrypt(&f.encoder.encode(&xs, 30.0, level));
+            let product = f.evaluator.multiply(&ct, &ct).unwrap();
+            let relinearized = f.evaluator.relinearize(&product, &relin);
+            let rotated = f.evaluator.rotate(&ct, 3, &galois);
+            let hoisted = f.evaluator.rotate_hoisted(&ct, &steps, &galois);
+            if level > 2 {
+                let refusal = CkksError::KeyBelowCiphertext {
+                    key: 2,
+                    ciphertext: level,
+                };
+                assert_eq!(relinearized.unwrap_err(), refusal);
+                assert_eq!(rotated.unwrap_err(), refusal);
+                assert_eq!(hoisted.unwrap_err(), refusal);
+                continue;
+            }
+            let want = f.evaluator.relinearize(&product, &full_relin).unwrap();
+            assert_eq!(relinearized.unwrap().polys(), want.polys(), "level {level}");
+            let want = f.evaluator.rotate(&ct, 3, &full_galois).unwrap();
+            assert_eq!(rotated.unwrap().polys(), want.polys(), "level {level}");
+            let want = f
+                .evaluator
+                .rotate_hoisted(&ct, &steps, &full_galois)
+                .unwrap();
+            for (got, want) in hoisted.unwrap().iter().zip(&want) {
+                assert_eq!(got.polys(), want.polys(), "level {level}");
+            }
         }
     }
 

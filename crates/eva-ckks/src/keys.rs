@@ -7,6 +7,13 @@
 //! flooring away the special prime `P` yields an encryption of
 //! `target · s_src` under the target secret `s`.
 //!
+//! A key is built at the highest level `ℓ` its program switches at: `ℓ`
+//! digits, one per data prime `q_0 … q_{ℓ−1}`, each over the rows
+//! `q_0 … q_{ℓ−1}, P`. Digit `j` touches residue `j` only and every RNS row
+//! is independent, so such a key is exactly the matching sub-block of the
+//! top-level key drawn from the same randomness, and it switches a
+//! ciphertext at level `ℓ` or below bit for bit as that key would.
+//!
 //! Evaluation keys are the largest object a deployment holds, so each is
 //! held **once**, in the order the evaluator reads it — see
 //! [`KeySwitchKey`]. A rotation key is one per Galois element, not one per
@@ -19,7 +26,7 @@ use std::collections::HashMap;
 use std::sync::{mpsc, Mutex};
 
 use eva_math::galois::GaloisTool;
-use eva_poly::{PolyForm, RnsBasis, RnsPoly};
+use eva_poly::{PolyForm, RnsPoly};
 use rand::rngs::{ChaCha20Rng, StdRng};
 use rand::{RngCore, SeedableRng};
 
@@ -53,7 +60,10 @@ impl SecretKey {
     }
 }
 
-/// A generic key-switching key: one `(k0_j, k1_j)` pair per data prime digit.
+/// A generic key-switching key: one `(k0_j, k1_j)` pair per digit, for the
+/// data primes `q_0 … q_{d−1}` of the `d` digits it has, each polynomial over
+/// the rows `q_0 … q_{d−1}, P` — the special prime always last. A key of `d`
+/// digits switches ciphertexts at level `d` and below.
 ///
 /// The digit rows are the only form of the key the process holds — no Shoup
 /// quotients, no second layout, nothing built on first use. A
@@ -101,7 +111,12 @@ impl KeySwitchKey {
         self
     }
 
-    /// The `(k0_j, k1_j)` pair for every data prime digit `j`, **as stored**
+    /// The highest ciphertext level the key switches at: its digit count.
+    pub fn level(&self) -> usize {
+        self.digits.len()
+    }
+
+    /// The `(k0_j, k1_j)` pair for every digit `j`, **as stored**
     /// (see the type docs; [`KeySwitchKey::canonical_digits`] undoes the
     /// permutation of a Galois key).
     pub fn digits(&self) -> &[(RnsPoly, RnsPoly)] {
@@ -133,7 +148,7 @@ impl KeySwitchKey {
     }
 
     /// Bytes this key holds in memory: its digit rows plus, for a Galois
-    /// key, the gather table (`1 / 4l(l+1)` of the rows at `l` data primes:
+    /// key, the gather table (`1 / 4l(l+1)` of the rows at level `l`:
     /// 1.25 % at `l = 4`, 0.35 % at `l = 8`).
     pub fn resident_bytes(&self) -> usize {
         let rows: usize = self
@@ -286,69 +301,90 @@ impl KeyGenerator {
         &self.secret
     }
 
-    /// Generates a relinearization key (switching from `s²` to `s`).
+    /// Generates a relinearization key (switching from `s²` to `s`) at the
+    /// top level.
     pub fn create_relinearization_key(&mut self) -> RelinearizationKey {
-        let (relin, _) = self.create_evaluation_keys(true, &[]);
+        let (relin, _) = self.create_evaluation_keys(Some(self.context.max_level()), &[]);
         relin.expect("a relinearization key was requested")
     }
 
-    /// Generates Galois keys for the given rotation steps (see
+    /// Generates top-level Galois keys for the given rotation steps (see
     /// [`KeyGenerator::create_evaluation_keys`]).
     pub fn create_galois_keys(&mut self, steps: &[i64]) -> GaloisKeys {
-        self.create_evaluation_keys(false, steps).1
+        let top = self.context.max_level();
+        let galois: Vec<(i64, usize)> = steps.iter().map(|&step| (step, top)).collect();
+        self.create_evaluation_keys(None, &galois).1
     }
 
-    /// Generates the evaluation keys a program needs: a relinearization key
-    /// if `relin`, and Galois keys for the rotation `steps`.
+    /// Generates the evaluation keys a program needs, each at the level it
+    /// is used at: a relinearization key at level `relin` if given, and a
+    /// Galois key for every rotation step of the `(step, level)` pairs in
+    /// `galois`. A key at level `ℓ` holds `ℓ` digits over the rows
+    /// `q_0 … q_{ℓ−1}, P` (see the module docs).
     ///
     /// Duplicate steps, and steps that alias one Galois element, share one
-    /// key; step 0 is skipped entirely — a rotation by zero is a no-op clone
-    /// in the evaluator, so no key material is generated (and none needs to
-    /// be uploaded) for it.
+    /// key, at the highest of their levels; step 0 is skipped entirely — a
+    /// rotation by zero is a no-op clone in the evaluator, so no key
+    /// material is generated (and none needs to be uploaded) for it.
     ///
     /// Generation runs in two phases. The calling thread draws every random
     /// value and allocates every key row, key by key (relinearization first,
     /// then Galois keys in step order) and, within a key, digit by digit
-    /// (the uniform `a` over the full basis, then the error). It hands each
-    /// key to a pool of scoped workers as soon as it is drawn; a worker
-    /// computes the key in the rows it was handed. The draw order is the
-    /// contract every caller relies on: drawn right after the secret key, as
-    /// `eva-backend`'s one client key path does, a seeded generator yields
-    /// the same keys — and so the same wire bytes and fingerprint — on any
-    /// number of cores. One key is built inline, with no thread.
+    /// (the uniform `a` over the full basis, then the error). It draws the
+    /// randomness of the top-level key whatever a key's level, sampling the
+    /// rows and digits a lower key does not keep into a scratch row, so the
+    /// kept rows and every later draw are what they are at the top level. It
+    /// hands each key to a pool of scoped workers as soon as it is drawn; a
+    /// worker computes the key in the rows it was handed. The draw order is
+    /// the contract every caller relies on: drawn right after the secret
+    /// key, as `eva-backend`'s one client key path does, a seeded generator
+    /// yields the same keys — and so the same wire bytes and fingerprint —
+    /// on any number of cores. One key is built inline, with no thread.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a level is 0 or above the context's top level.
     pub fn create_evaluation_keys(
         &mut self,
-        relin: bool,
-        steps: &[i64],
+        relin: Option<usize>,
+        galois: &[(i64, usize)],
     ) -> (Option<RelinearizationKey>, GaloisKeys) {
         let workers = std::thread::available_parallelism().map_or(1, |n| n.get());
-        self.create_evaluation_keys_on(relin, steps, workers)
+        self.create_evaluation_keys_on(relin, galois, workers)
     }
 
     /// [`KeyGenerator::create_evaluation_keys`] on at most `workers` threads.
     fn create_evaluation_keys_on(
         &mut self,
-        relin: bool,
-        steps: &[i64],
+        relin: Option<usize>,
+        galois: &[(i64, usize)],
         workers: usize,
     ) -> (Option<RelinearizationKey>, GaloisKeys) {
-        let galois = self.context.galois();
-        let mut elements = Vec::new();
-        for &step in steps.iter().filter(|&&step| step != 0) {
-            let elt = galois.galois_elt_from_step(step);
-            if !elements.contains(&elt) {
-                elements.push(elt);
+        let tool = self.context.galois();
+        let mut elements: Vec<(u64, usize)> = Vec::new();
+        for &(step, level) in galois.iter().filter(|&&(step, _)| step != 0) {
+            let elt = tool.galois_elt_from_step(step);
+            match elements.iter_mut().find(|(e, _)| *e == elt) {
+                Some((_, kept)) => *kept = (*kept).max(level),
+                None => elements.push((elt, level)),
             }
         }
-        let sources: Vec<KeySource> = relin
-            .then_some(KeySource::Square)
+        let sources: Vec<(KeySource, usize)> = relin
+            .map(|level| (KeySource::Square, level))
             .into_iter()
             .chain(
                 elements
                     .iter()
-                    .map(|&elt| KeySource::Galois(galois.ntt_permutation(elt))),
+                    .map(|&(elt, level)| (KeySource::Galois(tool.ntt_permutation(elt)), level)),
             )
             .collect();
+        let top = self.context.max_level();
+        for &(_, level) in &sources {
+            assert!(
+                (1..=top).contains(&level),
+                "key level {level} outside 1..={top}"
+            );
+        }
 
         let Self {
             context,
@@ -359,7 +395,13 @@ impl KeyGenerator {
         let built: Vec<KeySwitchKey> = if workers <= 1 {
             sources
                 .into_iter()
-                .map(|source| build_key(context, secret, draw_key(context, &mut **rng, source)))
+                .map(|(source, level)| {
+                    build_key(
+                        context,
+                        secret,
+                        draw_key(context, &mut **rng, source, level),
+                    )
+                })
                 .collect()
         } else {
             let (jobs, queue) = mpsc::channel();
@@ -384,8 +426,8 @@ impl KeyGenerator {
                         })
                     })
                     .collect();
-                for (index, source) in sources.into_iter().enumerate() {
-                    let drawn = draw_key(context, &mut **rng, source);
+                for (index, (source, level)) in sources.into_iter().enumerate() {
+                    let drawn = draw_key(context, &mut **rng, source, level);
                     jobs.send((index, drawn))
                         .expect("the queue outlives the draws");
                 }
@@ -399,26 +441,20 @@ impl KeyGenerator {
         };
 
         let mut built = built.into_iter();
-        let relin = relin.then(|| RelinearizationKey {
+        let relin = relin.map(|_| RelinearizationKey {
             key: built
                 .next()
                 .expect("the relinearization key is built first"),
         });
         let galois = GaloisKeys {
-            keys: elements.into_iter().zip(built).collect(),
+            keys: elements
+                .into_iter()
+                .map(|(elt, _)| elt)
+                .zip(built)
+                .collect(),
         };
         (relin, galois)
     }
-}
-
-/// Samples a uniformly random polynomial directly in NTT form over every
-/// prime of `basis`.
-fn sample_uniform_ntt(basis: &RnsBasis, rng: &mut (dyn RngCore + Send + Sync)) -> RnsPoly {
-    let mut poly = RnsPoly::zero(basis.degree(), basis.len(), PolyForm::Ntt);
-    for (row, modulus) in poly.rows_mut().zip(basis.moduli()) {
-        eva_math::sample_uniform_into(rng, row, modulus);
-    }
-    poly
 }
 
 /// What a key-switching key switches from; the target is always `s`.
@@ -434,58 +470,90 @@ enum KeySource {
 /// randomness drawn and every row it will own allocated, nothing computed.
 struct DrawnKey {
     source: KeySource,
-    /// Per data-prime digit: the `k0` rows (zero, in coefficient form), the
-    /// uniform `a` (which is `k1`), and the error coefficients.
+    /// Per kept digit: the `k0` rows (zero), the uniform `a` (which is
+    /// `k1`), and the error coefficients; rows `q_0 … q_{ℓ−1}, P` for a key
+    /// of `ℓ` digits.
     digits: Vec<(RnsPoly, RnsPoly, Vec<i8>)>,
 }
 
-/// Draws one key's randomness in the order keys have always drawn it.
-/// Every row the key will own is allocated here, on the drawing thread, so
-/// the long-lived key rows come from one allocator arena rather than
-/// scattering across the workers'.
+/// Index in the key basis of row `row` of a key at level `level`: the data
+/// prime of that index, and the special prime for the last row.
+fn key_row_modulus(row: usize, level: usize, special: usize) -> usize {
+    if row < level {
+        row
+    } else {
+        special
+    }
+}
+
+/// Draws one key's randomness in the order keys have always drawn it: for
+/// every digit of the top-level key, the uniform `a` over every prime of the
+/// key basis, then the error. A key at `level` keeps the first `level`
+/// digits and, of each, the rows of `q_0 … q_{level−1}` and `P`; the rest is
+/// drawn into a scratch row and dropped. Every row the key will own is
+/// allocated here, on the drawing thread, so the long-lived key rows come
+/// from one allocator arena rather than scattering across the workers'.
 fn draw_key(
     context: &CkksContext,
     rng: &mut (dyn RngCore + Send + Sync),
     source: KeySource,
+    level: usize,
 ) -> DrawnKey {
     let basis = context.key_basis();
-    let digits = (0..context.max_level())
-        .map(|_| {
-            let a = sample_uniform_ntt(basis, rng);
-            let error = eva_math::sample_cbd(rng, basis.degree());
-            let k0 = RnsPoly::zero(basis.degree(), basis.len(), PolyForm::Coeff);
-            (k0, a, error)
-        })
-        .collect();
+    let n = basis.degree();
+    let special = context.special_index();
+    let mut scratch = vec![0u64; n];
+    let mut digits = Vec::with_capacity(level);
+    for j in 0..context.max_level() {
+        let mut kept = (j < level).then(|| RnsPoly::zero(n, level + 1, PolyForm::Ntt));
+        for (m, modulus) in basis.moduli().iter().enumerate() {
+            let row = match &mut kept {
+                Some(a) if m < level => a.residue_mut(m),
+                Some(a) if m == special => a.residue_mut(level),
+                _ => &mut scratch[..],
+            };
+            eva_math::sample_uniform_into(rng, row, modulus);
+        }
+        let error = eva_math::sample_cbd(rng, n);
+        if let Some(a) = kept {
+            digits.push((RnsPoly::zero(n, level + 1, PolyForm::Ntt), a, error));
+        }
+    }
     DrawnKey { source, digits }
 }
 
 /// Computes a drawn key in place: for digit `j`,
 /// `k0 = −(a·s + e) + (P mod q_j)·src` with `src` added into residue `j`
 /// only, so that accumulating `d_j · key` over the digits and flooring away
-/// `P` switches `src` to `s`. Only residue `j` of `src` is needed, so it is
-/// read off `s` element by element (`s²`, or the gather `σ(s)[i] = s[table[i]]`)
+/// `P` switches `src` to `s`. Every row is computed over its own prime (see
+/// [`key_row_modulus`]). Only residue `j` of `src` is needed, so it is read
+/// off `s` element by element (`s²`, or the gather `σ(s)[i] = s[table[i]]`)
 /// and never materialized: a worker allocates nothing that outlives a key.
 fn build_key(context: &CkksContext, secret: &SecretKey, drawn: DrawnKey) -> KeySwitchKey {
     let basis = context.key_basis();
+    let special = context.special_index();
     let p_value = context.params().special_prime();
     let DrawnKey { source, digits } = drawn;
+    let level = digits.len();
     let digits = digits
         .into_iter()
         .enumerate()
         .map(|(j, (mut k0, a, error))| {
-            for (row, q) in k0.rows_mut().zip(basis.moduli()) {
-                for (dst, &e) in row.iter_mut().zip(&error) {
+            for (row, (k, a_row)) in k0.rows_mut().zip(a.rows()).enumerate() {
+                let m = key_row_modulus(row, level, special);
+                let q = &basis.moduli()[m];
+                for (dst, &e) in k.iter_mut().zip(&error) {
                     *dst = if e < 0 {
                         q.neg(u64::from(e.unsigned_abs()))
                     } else {
                         e as u64
                     };
                 }
+                basis.ntt_tables()[m].forward(k);
+                for ((dst, &a), &s) in k.iter_mut().zip(a_row).zip(secret.ntt.residue(m)) {
+                    *dst = q.neg(q.add(*dst, q.mul(a, s)));
+                }
             }
-            k0.to_ntt(basis);
-            a.dyadic_mul_acc(&secret.ntt, &mut k0, basis);
-            k0.negate(basis);
             let q_j = &basis.moduli()[j];
             let pre = q_j.shoup(q_j.reduce(p_value));
             let s_j = secret.ntt.residue(j);
@@ -510,6 +578,7 @@ fn build_key(context: &CkksContext, secret: &SecretKey, drawn: DrawnKey) -> KeyS
 mod tests {
     use super::*;
     use crate::params::CkksParameters;
+    use eva_poly::RnsBasis;
 
     fn context() -> CkksContext {
         let params = CkksParameters::new_insecure(64, &[40, 40], 45).unwrap();
@@ -625,6 +694,16 @@ mod tests {
         }
     }
 
+    /// Samples a uniformly random polynomial directly in NTT form over every
+    /// prime of `basis`.
+    fn sample_uniform_ntt(basis: &RnsBasis, rng: &mut (dyn RngCore + Send + Sync)) -> RnsPoly {
+        let mut poly = RnsPoly::zero(basis.degree(), basis.len(), PolyForm::Ntt);
+        for (row, modulus) in poly.rows_mut().zip(basis.moduli()) {
+            eva_math::sample_uniform_into(rng, row, modulus);
+        }
+        poly
+    }
+
     /// Samples a small error polynomial over the first `level` primes, NTT form.
     fn sample_error_ntt(keygen: &mut KeyGenerator, level: usize) -> RnsPoly {
         let basis = keygen.context.key_basis();
@@ -692,32 +771,80 @@ mod tests {
         assert_eq!(got.table, want.table, "{what}: gather table differs");
     }
 
+    /// The sub-block of `full` a key at `level` is: its first `level`
+    /// digits, each over the rows of `q_0 … q_{level−1}` and the special
+    /// prime.
+    fn trimmed(full: &KeySwitchKey, level: usize) -> KeySwitchKey {
+        let keep = |poly: &RnsPoly| {
+            let rows = poly.rows().take(level).chain(poly.rows().last());
+            let data = rows.flatten().copied().collect();
+            RnsPoly::from_flat(poly.degree(), data, poly.form())
+        };
+        KeySwitchKey {
+            digits: full.digits[..level]
+                .iter()
+                .map(|(k0, k1)| (keep(k0), keep(k1)))
+                .collect(),
+            table: full.table.clone(),
+        }
+    }
+
     #[test]
     fn evaluation_keys_match_the_sequential_reference_on_any_worker_count() {
-        let ctx = context();
-        // Step 0 (no key), a negative step and its alias 29 ≡ −3 (32
-        // slots), with and without relinearization; then one key alone.
-        let steps = [0, 1, -3, 29, 5];
-        let cases: [(bool, &[i64]); 4] =
-            [(true, &steps), (false, &steps), (true, &[]), (false, &[5])];
+        // Four data primes, so keys sit at the top level, one below it and
+        // at the bottom.
+        let params = CkksParameters::new_insecure(64, &[40, 40, 40, 40], 45).unwrap();
+        let ctx = CkksContext::new(params).unwrap();
+        let top = ctx.max_level();
+        // Step 0 (no key), a negative step and its alias 29 ≡ −3 (32 slots)
+        // at different levels (one key, at the higher), and keys at the
+        // top, one below and at level 1, with and without
+        // relinearization; then one key alone, and a relinearization key
+        // below the top.
+        let steps = [(0, top), (1, top), (-3, top - 1), (29, 1), (5, 1)];
+        let none: &[(i64, usize)] = &[];
+        let cases = [
+            (Some(top), &steps[..]),
+            (None, &steps[..]),
+            (Some(top), none),
+            (Some(top - 1), none),
+            (None, &[(5, 1)][..]),
+        ];
+        let tool = ctx.galois().clone();
         for (relin, steps) in cases {
             let mut reference = KeyGenerator::from_seed(ctx.clone(), 23);
-            let (want_relin, want_galois) = reference_keys(&mut reference, relin, steps);
+            let plain: Vec<i64> = steps.iter().map(|&(step, _)| step).collect();
+            let (want_relin, want_galois) = reference_keys(&mut reference, relin.is_some(), &plain);
             let want_next = reference.rng.next_u64();
+            let want_level = |elt: u64| {
+                steps
+                    .iter()
+                    .filter(|&&(step, _)| step != 0 && tool.galois_elt_from_step(step) == elt)
+                    .map(|&(_, level)| level)
+                    .max()
+                    .unwrap()
+            };
             for workers in [1, 2, 3, 8] {
-                let what = format!("relin {relin}, steps {steps:?}, {workers} workers");
+                let what = format!("relin {relin:?}, steps {steps:?}, {workers} workers");
                 let mut keygen = KeyGenerator::from_seed(ctx.clone(), 23);
                 let (got_relin, got_galois) =
                     keygen.create_evaluation_keys_on(relin, steps, workers);
-                assert_eq!(got_relin.is_some(), relin, "{what}");
-                if let (Some(got), Some(want)) = (&got_relin, &want_relin) {
-                    assert_same_key(&got.key, want, &what);
+                assert_eq!(got_relin.is_some(), relin.is_some(), "{what}");
+                if let (Some(got), Some(want), Some(level)) = (&got_relin, &want_relin, relin) {
+                    assert_eq!(got.key.level(), level, "{what}");
+                    assert_same_key(&got.key, &trimmed(want, level), &what);
                 }
                 let (got_keys, want_keys) = (got_galois.element_keys(), want_galois.element_keys());
                 assert_eq!(got_keys.len(), want_keys.len(), "{what}");
                 for ((elt, got), (want_elt, want)) in got_keys.into_iter().zip(want_keys) {
                     assert_eq!(elt, want_elt, "{what}");
-                    assert_same_key(got, want, &format!("{what}, element {elt}"));
+                    let level = want_level(elt);
+                    assert_eq!(got.level(), level, "{what}, element {elt}");
+                    assert_same_key(
+                        got,
+                        &trimmed(want, level),
+                        &format!("{what}, element {elt}"),
+                    );
                 }
                 // Both generators consumed the same draws: what comes next matches too.
                 assert_eq!(keygen.rng.next_u64(), want_next, "{what}");

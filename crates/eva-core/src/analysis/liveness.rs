@@ -29,8 +29,9 @@
 //! Beside the values stand the evaluation keys, resident for the whole
 //! execution: one key-switching key for relinearization if the program
 //! relinearizes, one per distinct Galois element of its rotation steps,
-//! each `l` digits × 2 polynomials × `(l + 1) · degree` residues over the
-//! `l` data primes plus the special prime ([`MemoryForecast::key_bytes`];
+//! each at the highest level `ℓ` the program uses it at ([`key_levels`]):
+//! `ℓ` digits × 2 polynomials × `(ℓ + 1) · degree` residues over the first
+//! `ℓ` data primes plus the special prime ([`MemoryForecast::key_bytes`];
 //! the backend holds exactly these rows — `resident_bytes()` on its key
 //! types — plus one `degree`-entry gather table per Galois key).
 //!
@@ -40,7 +41,7 @@
 //! finding, and an admitted one runs at most `max(1, budget / peak_bytes)`
 //! evaluations at once.
 
-use crate::analysis::rotations::galois_key_count;
+use crate::analysis::rotations::key_levels;
 use crate::analysis::scale::{analyze_num_polys, remaining_levels};
 use crate::compiler::CompiledProgram;
 use crate::error::EvaError;
@@ -102,7 +103,7 @@ pub fn predict_peak_memory(compiled: &CompiledProgram) -> Result<MemoryForecast,
         peak_live_ciphertexts: ciphers,
         peak_bytes: bytes,
         at_node: None,
-        key_bytes: key_bytes(compiled),
+        key_bytes: key_levels(compiled)?.rows() * degree * std::mem::size_of::<u64>(),
     };
     for step in &schedule.steps {
         for &id in &step.materializes {
@@ -125,19 +126,6 @@ pub fn predict_peak_memory(compiled: &CompiledProgram) -> Result<MemoryForecast,
         }
     }
     Ok(forecast)
-}
-
-/// `(needs_relin + distinct Galois elements) · l · 2 · (l + 1) · N · 8`.
-fn key_bytes(compiled: &CompiledProgram) -> usize {
-    let degree = compiled.parameters.degree;
-    let l = compiled.parameters.data_primes.len();
-    let keys = galois_key_count(&compiled.rotation_steps, degree);
-    (usize::from(compiled.needs_relinearization()) + keys)
-        * l
-        * 2
-        * (l + 1)
-        * degree
-        * std::mem::size_of::<u64>()
 }
 
 #[cfg(test)]

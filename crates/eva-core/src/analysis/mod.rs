@@ -26,7 +26,7 @@ pub use noise::{
     check_noise, estimate_noise, NoiseModel, NoiseReport, OutputBudget, DEFAULT_SAFETY_MARGIN_BITS,
 };
 pub use parameters::{select_parameters, ParameterSpec};
-pub use rotations::{canonical_left_step, galois_key_count, select_rotation_steps};
+pub use rotations::{canonical_left_step, key_levels, select_rotation_steps, KeyLevels};
 pub use scale::{
     analyze_exact_scales, analyze_levels, analyze_num_polys, analyze_scales, match_scale_delta,
     prime_log2s, remaining_levels, ChainEntry,

@@ -1,7 +1,7 @@
 //! Rotation-key selection (paper Section 6.2): collect the set of distinct
 //! rotation step counts used by the program, because each step count needs a
-//! Galois key (steps that share a Galois element share one key; see
-//! [`galois_key_count`]).
+//! Galois key (steps that share a Galois element share one key), and the
+//! level at which each evaluation key is used ([`key_levels`]).
 //!
 //! # Canonicalization contract
 //!
@@ -30,9 +30,13 @@
 //! understands signed steps, and preserving the spelling keeps the step list
 //! bit-stable for programs the optimizer has not touched.
 
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet};
 
+use crate::analysis::scale::remaining_levels;
+use crate::compiler::CompiledProgram;
+use crate::error::EvaError;
 use crate::program::Program;
+use crate::types::Opcode;
 
 /// Maps a signed rotation step (positive = left, negative = right) to its
 /// canonical left step in `[0, vec_size)`.
@@ -64,19 +68,77 @@ pub fn select_rotation_steps(program: &Program) -> Vec<i64> {
     steps.into_iter().collect()
 }
 
-/// The number of distinct Galois keys the rotation `steps` need on a ring of
-/// degree `degree`, counted as key generation draws them: step 0 needs none,
-/// and since the Galois element of a step is `5^step mod 2N` and 5 has order
-/// `N/2` there, steps share an automorphism — hence a key — exactly when
-/// they are congruent modulo the slot count.
-pub fn galois_key_count(steps: &[i64], degree: usize) -> usize {
-    let slots = (degree / 2).max(1) as i64;
-    let elements: BTreeSet<i64> = steps
-        .iter()
-        .filter(|&&step| step != 0)
-        .map(|step| step.rem_euclid(slots))
-        .collect();
-    elements.len()
+/// The evaluation keys a compiled program needs, each at the highest level
+/// — number of remaining data primes — at which the program switches with
+/// it. A key at level `ℓ` holds `ℓ` digits over the rows `q_0 … q_{ℓ−1}, P`,
+/// which is all a key switch at level `ℓ` or below reads.
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
+pub struct KeyLevels {
+    /// The relinearization key's level, if the program relinearizes.
+    pub relin: Option<usize>,
+    /// One `(step, level)` pair per Galois element, in the order key
+    /// generation draws the keys: by the first of the program's sorted
+    /// rotation steps that rotates by that element.
+    pub galois: Vec<(i64, usize)>,
+}
+
+impl KeyLevels {
+    /// Residue rows of `N` words the keys hold: `ℓ · 2 · (ℓ + 1)` for a key
+    /// at level `ℓ` (`ℓ` digits, two polynomials each, over `ℓ` data primes
+    /// and the special prime).
+    pub fn rows(&self) -> usize {
+        self.relin
+            .iter()
+            .chain(self.galois.iter().map(|(_, level)| level))
+            .map(|&level| level * 2 * (level + 1))
+            .sum()
+    }
+}
+
+/// The level each evaluation key of `compiled` is used at: the
+/// relinearization key's, and one per Galois element of its rotation steps,
+/// each the highest `remaining_levels` of an operand it switches. Steps share
+/// an element exactly when they are congruent modulo the slot count `N/2`
+/// (the element of a step is `5^step mod 2N`, and 5 has order `N/2` there),
+/// so their uses merge; step 0 needs no key. A listed step no instruction
+/// uses keeps the top level.
+///
+/// # Errors
+///
+/// Returns [`EvaError`] if level analysis fails (impossible for programs
+/// `compile()` has verified).
+pub fn key_levels(compiled: &CompiledProgram) -> Result<KeyLevels, EvaError> {
+    let program = &compiled.program;
+    let top = compiled.parameters.data_primes.len();
+    let slots = (compiled.parameters.degree / 2).max(1) as i64;
+    let levels = remaining_levels(program, top)?;
+    let mut relin = None;
+    let mut used: BTreeMap<i64, usize> = BTreeMap::new();
+    for id in 0..program.len() {
+        let Some(op) = program.opcode(id) else {
+            continue;
+        };
+        let level = program
+            .args(id)
+            .iter()
+            .map(|&a| levels[a])
+            .max()
+            .unwrap_or(top);
+        if op == Opcode::Relinearize {
+            relin = relin.max(Some(level));
+        } else if let Some(step) = op.rotation_step().filter(|&s| s != 0) {
+            let class = used.entry(step.rem_euclid(slots)).or_insert(0);
+            *class = (*class).max(level);
+        }
+    }
+    let mut galois: Vec<(i64, usize)> = Vec::new();
+    for &step in compiled.rotation_steps.iter().filter(|&&s| s != 0) {
+        let class = step.rem_euclid(slots);
+        if !galois.iter().any(|&(s, _)| s.rem_euclid(slots) == class) {
+            galois.push((step, used.get(&class).copied().unwrap_or(top)));
+        }
+    }
+    Ok(KeyLevels { relin, galois })
 }
 
 #[cfg(test)]

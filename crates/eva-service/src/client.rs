@@ -346,8 +346,7 @@ impl<S: Read + Write> EvaClient<S> {
         let context =
             CkksContext::new(params).map_err(|e| ServiceError::InvalidParameters(e.to_string()))?;
 
-        let eval_keys =
-            (!keys_cached).then_some((manifest.needs_relin, &manifest.rotation_steps[..]));
+        let eval_keys = (!keys_cached).then_some(&manifest.keys);
         let (secret, keys) =
             SecretContext::generate(context, key_seed, deterministic_encryption, eval_keys);
         let fingerprint = match keys {

@@ -139,11 +139,12 @@ mod tests {
         // At 60 bits the waterline rescales the square, so it is
         // relinearized first and the client sends a relinearization key.
         let server = square_server(60);
-        assert!(server.manifest().needs_relin);
         let (degree, primes) = (
             server.manifest().degree,
             server.manifest().data_primes.len(),
         );
+        // The square is relinearized on the fresh input, at the top level.
+        assert_eq!(server.manifest().keys.relin, Some(primes));
         let key = eva_wire::encoded_key_switch_key_len(primes, degree, primes + 1);
         let machine = SessionMachine::new(server);
         let cases = [

@@ -15,7 +15,7 @@
 //! client                                server
 //!   | -- Hello { protocol, resume? } ---> |   resume = eval-key fingerprint
 //!   | <-- Manifest (EVAM, keys_cached) -- |   program name, shape, primes,
-//!   |                                     |   rotation steps, input scales
+//!   |                                     |   key levels, input scales
 //!   | -- EvalKeys { relin?, galois } ---> |   skipped iff keys_cached
 //!   | -- Inputs [name -> ct | values] --> |   fresh ciphertexts travel
 //!   | <-- Outputs [name -> ct | values] - |   seeded (EVAD, half the bytes);
@@ -36,8 +36,8 @@ use std::io::{Read, Write};
 
 pub use eva_backend::{InputSpec, ValuePayload};
 use eva_ckks::{Ciphertext, GaloisKeys, RelinearizationKey, SeededCiphertext};
-use eva_core::analysis::galois_key_count;
-use eva_core::{CompiledProgram, ValueType};
+use eva_core::analysis::{key_levels, KeyLevels};
+use eva_core::{CompiledProgram, EvaError, ValueType};
 use eva_wire::{
     encoded_ciphertext_len, encoded_galois_keys_len, encoded_key_switch_key_len,
     encoded_relin_key_len, KeyFingerprint, Reader, WireError, WireObject, Writer,
@@ -52,8 +52,9 @@ use crate::session::FrameAssembler;
 /// ciphertext uploads, unconditional key upload); 2 — seeded-ciphertext
 /// transport, evaluation-key fingerprints and session resumption; 3 —
 /// Galois keys travel by element alone (`EVAG` v2, no step table) and the
-/// fingerprint domain is `EVA-eval-keys-v3`.
-pub const PROTOCOL_VERSION: u32 = 3;
+/// fingerprint domain is `EVA-eval-keys-v3`; 4 — every evaluation key at
+/// the level the program uses it at (`EVAM` v2 publishes the levels).
+pub const PROTOCOL_VERSION: u32 = 4;
 
 /// Upper bound on a single frame's payload (1 GiB), so a corrupt or hostile
 /// length prefix cannot demand an unbounded buffer. Frames are additionally
@@ -76,8 +77,8 @@ pub struct OutputSpec {
 
 /// Everything a client needs to participate in a session: the program's
 /// shape, the exact encryption parameters (actual primes, so client and
-/// server scales agree bit-for-bit), the evaluation keys to generate and the
-/// input/output interface.
+/// server scales agree bit-for-bit), the evaluation keys to generate, each
+/// at its level, and the input/output interface.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ProgramManifest {
     /// Program name.
@@ -92,11 +93,11 @@ pub struct ProgramManifest {
     pub special_prime: u64,
     /// Whether the parameters satisfy the 128-bit security bound.
     pub secure: bool,
-    /// Whether the program relinearizes (client must upload a relin key).
-    pub needs_relin: bool,
-    /// Rotation steps needing Galois keys — exactly the program's ROTATE
-    /// step set, so the client uploads only the keys the circuit needs.
-    pub rotation_steps: Vec<i64>,
+    /// The evaluation keys to upload and the level of each: the
+    /// relinearization key if the program relinearizes, and one Galois key
+    /// per element of the program's ROTATE steps, so the client uploads
+    /// only the keys — and only the rows — the circuit reads.
+    pub keys: KeyLevels,
     /// Live program inputs, in node order.
     pub inputs: Vec<InputSpec>,
     /// Program outputs, in declaration order.
@@ -106,7 +107,12 @@ pub struct ProgramManifest {
 impl ProgramManifest {
     /// Builds the manifest a server publishes for a compiled program. Only
     /// live (output-reachable) inputs are listed; dead inputs need no value.
-    pub fn from_compiled(compiled: &CompiledProgram) -> Self {
+    ///
+    /// # Errors
+    ///
+    /// Propagates level-analysis failures ([`key_levels`]; impossible for
+    /// programs `compile()` has verified).
+    pub fn from_compiled(compiled: &CompiledProgram) -> Result<Self, EvaError> {
         let program = &compiled.program;
         let inputs = eva_backend::live_inputs(program)
             .map(|(_, spec)| spec)
@@ -119,24 +125,23 @@ impl ProgramManifest {
                 cipher: program.node(output.node).ty == ValueType::Cipher,
             })
             .collect();
-        Self {
+        Ok(Self {
             name: program.name().to_string(),
             vec_size: program.vec_size(),
             degree: compiled.parameters.degree,
             data_primes: compiled.parameters.data_primes.clone(),
             special_prime: compiled.parameters.special_prime,
             secure: compiled.parameters.secure,
-            needs_relin: compiled.needs_relinearization(),
-            rotation_steps: compiled.rotation_steps.clone(),
+            keys: key_levels(compiled)?,
             inputs,
             outputs,
-        }
+        })
     }
 }
 
 impl WireObject for ProgramManifest {
     const MAGIC: [u8; 4] = *b"EVAM";
-    const VERSION: u32 = 1;
+    const VERSION: u32 = 2;
 
     fn encode_body(&self, w: &mut Writer) {
         w.str(&self.name);
@@ -145,10 +150,14 @@ impl WireObject for ProgramManifest {
         w.u64_slice(&self.data_primes);
         w.u64(self.special_prime);
         w.bool(self.secure);
-        w.bool(self.needs_relin);
-        w.u32(self.rotation_steps.len() as u32);
-        for &step in &self.rotation_steps {
+        w.bool(self.keys.relin.is_some());
+        if let Some(level) = self.keys.relin {
+            w.u32(level as u32);
+        }
+        w.u32(self.keys.galois.len() as u32);
+        for &(step, level) in &self.keys.galois {
             w.i64(step);
+            w.u32(level as u32);
         }
         w.u32(self.inputs.len() as u32);
         for input in &self.inputs {
@@ -180,11 +189,26 @@ impl WireObject for ProgramManifest {
         let data_primes = r.u64_slice()?;
         let special_prime = r.u64()?;
         let secure = r.bool()?;
-        let needs_relin = r.bool()?;
-        let step_count = r.u32()? as usize;
-        let mut rotation_steps = Vec::with_capacity(step_count.min(1 << 16));
-        for _ in 0..step_count {
-            rotation_steps.push(r.i64()?);
+        // A key's level is a count of data primes: 1 up to all of them.
+        let key_level = |r: &mut Reader<'_>, what: &str| {
+            let level = r.u32()? as usize;
+            if level == 0 || level > data_primes.len() {
+                return Err(WireError::Invalid(format!(
+                    "{what} level {level} outside 1..={}",
+                    data_primes.len()
+                )));
+            }
+            Ok(level)
+        };
+        let relin = match r.bool()? {
+            true => Some(key_level(r, "relinearization key")?),
+            false => None,
+        };
+        let key_count = r.u32()? as usize;
+        let mut galois = Vec::with_capacity(key_count.min(1 << 16));
+        for _ in 0..key_count {
+            let step = r.i64()?;
+            galois.push((step, key_level(r, "Galois key")?));
         }
         let input_count = r.u32()? as usize;
         let mut inputs = Vec::with_capacity(input_count.min(1 << 16));
@@ -218,8 +242,7 @@ impl WireObject for ProgramManifest {
             data_primes,
             special_prime,
             secure,
-            needs_relin,
-            rotation_steps,
+            keys: KeyLevels { relin, galois },
             inputs,
             outputs,
         })
@@ -228,7 +251,7 @@ impl WireObject for ProgramManifest {
 
 /// The largest payload a conforming client of one program sends under each
 /// frame tag, derived once from the program's manifest: its evaluation keys
-/// as keygen builds them, one round of inputs with every cipher as a full
+/// as keygen builds them, summed key by key at each key's level, one round of inputs with every cipher as a full
 /// top-level `EVAC` (larger than the seeded `EVAD` clients send), and a
 /// `Hello` for every other tag.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -240,9 +263,12 @@ pub(crate) struct ClientFrameBounds {
 impl ClientFrameBounds {
     pub(crate) fn new(manifest: &ProgramManifest) -> Self {
         let (degree, primes) = (manifest.degree, manifest.data_primes.len());
-        let galois_keys = galois_key_count(&manifest.rotation_steps, degree);
-        let key = encoded_key_switch_key_len(primes, degree, primes + 1);
-        let relin = u64::from(manifest.needs_relin) * encoded_relin_key_len(key);
+        let key = |level: usize| encoded_key_switch_key_len(level, degree, level + 1);
+        let relin = manifest
+            .keys
+            .relin
+            .map_or(0, |level| encoded_relin_key_len(key(level)));
+        let galois = manifest.keys.galois.iter().map(|&(_, level)| key(level));
         let cipher = encoded_ciphertext_len(2, degree, primes);
         let plain = 8 + 8 * manifest.vec_size as u64;
         let inputs: u64 = manifest
@@ -253,7 +279,7 @@ impl ClientFrameBounds {
             })
             .sum();
         Self {
-            eval_keys: 1 + relin + encoded_galois_keys_len(galois_keys, key),
+            eval_keys: 1 + relin + encoded_galois_keys_len(galois),
             inputs: 4 + inputs,
         }
     }
@@ -659,13 +685,15 @@ mod tests {
     #[test]
     fn manifest_reflects_the_compiled_program() {
         let compiled = compiled_fixture();
-        let manifest = ProgramManifest::from_compiled(&compiled);
+        let manifest = ProgramManifest::from_compiled(&compiled).unwrap();
         assert_eq!(manifest.name, "fixture");
         assert_eq!(manifest.vec_size, 8);
         assert_eq!(manifest.degree, compiled.parameters.degree);
         assert_eq!(manifest.data_primes, compiled.parameters.data_primes);
-        assert!(manifest.needs_relin);
-        assert_eq!(manifest.rotation_steps, vec![2]);
+        // The rotation runs on the fresh input, at the top level.
+        let top = compiled.parameters.data_primes.len();
+        assert!(manifest.keys.relin.is_some());
+        assert_eq!(manifest.keys.galois, vec![(2, top)]);
         assert_eq!(manifest.inputs.len(), 2);
         assert!(manifest.inputs[0].cipher);
         assert!(!manifest.inputs[1].cipher);
@@ -674,8 +702,29 @@ mod tests {
     }
 
     #[test]
+    fn a_manifest_key_level_outside_the_chain_is_refused() {
+        let manifest = ProgramManifest::from_compiled(&compiled_fixture()).unwrap();
+        let top = manifest.data_primes.len();
+        for level in [0, top + 1] {
+            for relin in [true, false] {
+                let mut bad = manifest.clone();
+                match relin {
+                    true => bad.keys.relin = Some(level),
+                    false => bad.keys.galois[0].1 = level,
+                }
+                let err = ProgramManifest::from_wire_bytes(&bad.to_wire_bytes()).unwrap_err();
+                let message = err.to_string();
+                assert!(
+                    message.contains(&format!("level {level} outside 1..={top}")),
+                    "{message}"
+                );
+            }
+        }
+    }
+
+    #[test]
     fn manifest_roundtrips_bit_exactly() {
-        let manifest = ProgramManifest::from_compiled(&compiled_fixture());
+        let manifest = ProgramManifest::from_compiled(&compiled_fixture()).unwrap();
         let bytes = manifest.to_wire_bytes();
         let restored = ProgramManifest::from_wire_bytes(&bytes).unwrap();
         assert_eq!(restored, manifest);
@@ -684,7 +733,7 @@ mod tests {
 
     #[test]
     fn messages_roundtrip_over_a_byte_stream() {
-        let manifest = ProgramManifest::from_compiled(&compiled_fixture());
+        let manifest = ProgramManifest::from_compiled(&compiled_fixture()).unwrap();
         let fingerprint = KeyFingerprint([7u8; 32]);
         let mut buf: Vec<u8> = Vec::new();
         write_message(
@@ -822,8 +871,10 @@ mod tests {
 
     #[test]
     fn a_lenet_shaped_key_upload_is_bounded_above_the_old_quota() {
-        // LeNet-5-small: N = 2^15, 8 data primes, relinearization and 20
-        // distinct rotation steps, one Galois element each.
+        // LeNet-5-small: N = 2^15, 8 data primes, relinearization at the
+        // top and 20 distinct rotation steps, one Galois element each: 11
+        // used at level 8, 8 at level 7 and 1 at level 5.
+        let levels = [8; 11].into_iter().chain([7; 8]).chain([5]);
         let manifest = ProgramManifest {
             name: "lenet".into(),
             vec_size: 1024,
@@ -831,13 +882,15 @@ mod tests {
             data_primes: vec![0; 8],
             special_prime: 0,
             secure: true,
-            needs_relin: true,
-            rotation_steps: (1..=20).collect(),
+            keys: KeyLevels {
+                relin: Some(8),
+                galois: (1..=20).zip(levels).collect(),
+            },
             inputs: Vec::new(),
             outputs: Vec::new(),
         };
         let bounds = ClientFrameBounds::new(&manifest);
-        assert_eq!(bounds.bound(TAG_EVAL_KEYS).0, 792_726_761);
+        assert_eq!(bounds.bound(TAG_EVAL_KEYS).0, 703_597_603);
         assert!(bounds.bound(TAG_EVAL_KEYS).0 > 1 << 28);
         assert!(bounds.bound(TAG_EVAL_KEYS).0 < MAX_FRAME_BYTES);
     }
@@ -880,8 +933,8 @@ mod tests {
         assert_eq!(tagged(&sent, TAG_EVAL_KEYS), bounds.bound(TAG_EVAL_KEYS).0);
         assert!(tagged(&sent, TAG_INPUTS) <= bounds.bound(TAG_INPUTS).0);
 
-        // Aliasing steps: congruent modulo every slot count, so two
-        // step-table entries share one key.
+        // Aliasing steps: congruent modulo every slot count, so the two
+        // steps share one key, listed once.
         let mut p = Program::new("aliasing", 8);
         let x = p.input_cipher("x", 30);
         let a = p.instruction(Opcode::RotateLeft(1), &[x]);
@@ -889,7 +942,8 @@ mod tests {
         let sum = p.instruction(Opcode::Add, &[a, b]);
         p.output("out", sum, 30);
         let (manifest, bounds, sent) = real_session(&p, &CompilerOptions::unoptimized());
-        assert_eq!(manifest.rotation_steps, vec![1, 1 + (1 << 17)]);
+        assert_eq!(manifest.keys.galois.len(), 1);
+        assert_eq!(manifest.keys.galois[0].0, 1);
         assert_eq!(tagged(&sent, TAG_EVAL_KEYS), bounds.bound(TAG_EVAL_KEYS).0);
     }
 
@@ -898,7 +952,7 @@ mod tests {
         use eva_ckks::{CkksEncoder, KeyGenerator, SymmetricEncryptor};
 
         let compiled = compiled_fixture();
-        let manifest = ProgramManifest::from_compiled(&compiled);
+        let manifest = ProgramManifest::from_compiled(&compiled).unwrap();
         let server = crate::EvaServer::new(compiled).unwrap();
         let context = server.context().clone();
         let keygen = KeyGenerator::from_seed(context.clone(), 2);

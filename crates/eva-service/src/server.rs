@@ -378,7 +378,7 @@ impl EvaServer {
             .as_ref()
             .map(DiskKeyStore::open)
             .transpose()?;
-        let manifest = ProgramManifest::from_compiled(&compiled);
+        let manifest = ProgramManifest::from_compiled(&compiled)?;
         Ok(Self {
             inner: Arc::new(ServerInner {
                 compiled,
@@ -650,7 +650,10 @@ impl EvaServer {
     }
 
     /// Validates uploaded evaluation keys against the server context and the
-    /// published manifest before any of them touches the evaluator.
+    /// published manifest before any of them touches the evaluator: exactly
+    /// the keys the manifest lists, each at exactly its published level `ℓ`
+    /// — `ℓ` digits over the rows `q_0 … q_{ℓ−1}, P`, every residue
+    /// canonical.
     fn validate_eval_keys(
         &self,
         relin: Option<&RelinearizationKey>,
@@ -658,28 +661,29 @@ impl EvaServer {
     ) -> Result<(), ServiceError> {
         let inner = &*self.inner;
         let degree = inner.context.degree();
-        let key_level = inner.context.key_basis().len();
-        let digit_count = inner.context.max_level();
         let moduli = inner.context.key_basis().moduli();
-        let check_ksk = |what: &str, key: &eva_ckks::KeySwitchKey| {
-            if key.digits().len() != digit_count {
+        let special = inner.context.special_index();
+        let check_ksk = |what: &str, key: &eva_ckks::KeySwitchKey, level: usize| {
+            if key.level() != level {
                 return Err(ServiceError::InvalidParameters(format!(
-                    "{what} has {} digits, expected {digit_count}",
-                    key.digits().len()
+                    "{what} is at level {} (its digit count), the manifest publishes level {level}",
+                    key.level()
                 )));
             }
+            let rows = (0..level).chain([special]).map(|m| &moduli[m]);
             for (k0, k1) in key.digits() {
                 for poly in [k0, k1] {
-                    if poly.degree() != degree || poly.level() != key_level {
+                    if poly.degree() != degree || poly.level() != level + 1 {
                         return Err(ServiceError::InvalidParameters(format!(
-                            "{what} polynomial has shape ({}, {}), expected ({degree}, {key_level})",
+                            "{what} polynomial has shape ({}, {}), expected ({degree}, {})",
                             poly.degree(),
-                            poly.level()
+                            poly.level(),
+                            level + 1
                         )));
                     }
                     // The evaluator sums digit × key products unreduced; that
                     // is exact only for canonical residues.
-                    for (row, q) in poly.rows().zip(moduli) {
+                    for (row, q) in poly.rows().zip(rows.clone()) {
                         if row.iter().any(|&k| k >= q.value()) {
                             return Err(ServiceError::InvalidParameters(format!(
                                 "{what} holds a residue outside [0, {q})"
@@ -690,35 +694,43 @@ impl EvaServer {
             }
             Ok(())
         };
-        if inner.manifest.needs_relin {
-            let relin = relin.ok_or_else(|| {
-                ServiceError::InvalidParameters(
+        match (inner.manifest.keys.relin, relin) {
+            (Some(level), Some(relin)) => {
+                check_ksk("relinearization key", relin.key_switch_key(), level)?
+            }
+            (Some(_), None) => {
+                return Err(ServiceError::InvalidParameters(
                     "the program relinearizes but no relinearization key was uploaded".into(),
-                )
-            })?;
-            check_ksk("relinearization key", relin.key_switch_key())?;
+                ))
+            }
+            (None, Some(_)) => {
+                return Err(ServiceError::InvalidParameters(
+                    "the program does not relinearize but a relinearization key was uploaded"
+                        .into(),
+                ))
+            }
+            (None, None) => {}
         }
-        let steps = &inner.manifest.rotation_steps;
         let uploaded = galois.element_keys();
         let mut requested = Vec::new();
-        for &step in steps.iter().filter(|&&step| step != 0) {
+        for &(step, level) in &inner.manifest.keys.galois {
             let elt = inner.context.galois().galois_elt_from_step(step);
             if !uploaded.iter().any(|&(e, _)| e == elt) {
                 return Err(ServiceError::InvalidParameters(format!(
                     "no Galois key for rotation step {step}"
                 )));
             }
-            requested.push(elt);
+            requested.push((elt, step, level));
         }
         // Only the automorphisms the program rotates by: a key no step needs
         // would be cached, persisted and charged to the budget for nothing.
         for (elt, key) in uploaded {
-            if !requested.contains(&elt) {
+            let Some(&(_, step, level)) = requested.iter().find(|&&(e, _, _)| e == elt) else {
                 return Err(ServiceError::InvalidParameters(format!(
                     "Galois element {elt} is not requested by any rotation step of the program"
                 )));
-            }
-            check_ksk("Galois key", key)?;
+            };
+            check_ksk(&format!("Galois key for rotation step {step}"), key, level)?;
         }
         Ok(())
     }
@@ -810,9 +822,10 @@ mod tests {
         let server = EvaServer::new(compile(&p, &CompilerOptions::default()).unwrap()).unwrap();
 
         let mut keygen = KeyGenerator::from_seed(server.inner.context.clone(), 1);
-        let mut steps = server.inner.manifest.rotation_steps.clone();
-        steps.extend_from_slice(extra_steps);
-        let (relin, galois) = keygen.create_evaluation_keys(true, &steps);
+        let keys = &server.inner.manifest.keys;
+        let mut galois = keys.galois.clone();
+        galois.extend(extra_steps.iter().map(|&step| (step, keys.galois[0].1)));
+        let (relin, galois) = keygen.create_evaluation_keys(keys.relin, &galois);
         let (_, payload) = encode_payload(&Message::EvalKeys {
             relin: relin.map(Box::new),
             galois: Box::new(galois),
@@ -846,6 +859,64 @@ mod tests {
             matches!(&err, ServiceError::InvalidParameters(m) if m.contains("not requested")),
             "{err}"
         );
+        assert_eq!(server.cached_key_sets(), 0);
+    }
+
+    #[test]
+    fn a_key_one_level_off_its_manifest_level_is_refused() {
+        use crate::protocol::{encode_payload, Message};
+        use eva_ckks::KeyGenerator;
+        use eva_core::{compile, CompilerOptions, Opcode, Program};
+
+        // x⁴ rotated by one: the relinearization key is used at the top,
+        // the Galois key two rescales below it.
+        let mut p = Program::new("rot4", 8);
+        let x = p.input_cipher("x", 30);
+        let sq = p.instruction(Opcode::Multiply, &[x, x]);
+        let fourth = p.instruction(Opcode::Multiply, &[sq, sq]);
+        let r = p.instruction(Opcode::RotateLeft(1), &[fourth]);
+        p.output("out", r, 30);
+        let server = EvaServer::new(compile(&p, &CompilerOptions::default()).unwrap()).unwrap();
+        let keys = server.inner.manifest.keys.clone();
+        let top = server.context().max_level();
+        let (step, level) = keys.galois[0];
+        assert!(level >= 2 && level < top, "{keys:?}");
+
+        let cases = [
+            (
+                Some(top),
+                level - 1,
+                "Galois key for rotation step 1",
+                level - 1,
+                level,
+            ),
+            (
+                Some(top),
+                level + 1,
+                "Galois key for rotation step 1",
+                level + 1,
+                level,
+            ),
+            (Some(top - 1), level, "relinearization key", top - 1, top),
+        ];
+        for (relin, galois, what, got, published) in cases {
+            let mut keygen = KeyGenerator::from_seed(server.context().clone(), 1);
+            let (relin, galois) = keygen.create_evaluation_keys(relin, &[(step, galois)]);
+            let (_, payload) = encode_payload(&Message::EvalKeys {
+                relin: relin.map(Box::new),
+                galois: Box::new(galois),
+            });
+            let err = server
+                .accept_key_upload(&payload, fingerprint_eval_key_payload(&payload))
+                .unwrap_err();
+            let want = format!(
+                "{what} is at level {got} (its digit count), the manifest publishes level {published}"
+            );
+            assert!(
+                matches!(&err, ServiceError::InvalidParameters(m) if m.contains(&want)),
+                "{err}"
+            );
+        }
         assert_eq!(server.cached_key_sets(), 0);
     }
 

@@ -347,8 +347,7 @@ fn pipelined_rounds_are_answered_in_order() {
     .unwrap();
     let context = CkksContext::new(params).unwrap();
     let mut keygen = KeyGenerator::from_seed(context.clone(), 7);
-    let (relin, galois) =
-        keygen.create_evaluation_keys(manifest.needs_relin, &manifest.rotation_steps);
+    let (relin, galois) = keygen.create_evaluation_keys(manifest.keys.relin, &manifest.keys.galois);
     let encoder = CkksEncoder::new(context.clone());
     let mut encryptor =
         SymmetricEncryptor::from_seed(context.clone(), keygen.secret_key().clone(), 8);
@@ -427,10 +426,10 @@ fn an_upload_with_an_unrequested_galois_key_is_refused() {
         .unwrap(),
     )
     .unwrap();
-    let mut steps = manifest.rotation_steps.clone();
-    steps.push(3);
+    let mut galois = manifest.keys.galois.clone();
+    galois.push((3, manifest.data_primes.len()));
     let (relin, galois) =
-        KeyGenerator::from_seed(context, 9).create_evaluation_keys(manifest.needs_relin, &steps);
+        KeyGenerator::from_seed(context, 9).create_evaluation_keys(manifest.keys.relin, &galois);
     write_message(
         &mut stream,
         &Message::EvalKeys {
@@ -479,7 +478,7 @@ fn an_upload_in_the_old_galois_key_format_is_refused() {
     let server = EvaServer::new(compiled).unwrap();
     let probe = server.clone();
     let manifest = server.manifest().clone();
-    assert!(manifest.needs_relin && !manifest.rotation_steps.is_empty());
+    assert!(manifest.keys.relin.is_some() && !manifest.keys.galois.is_empty());
     let context = CkksContext::new(
         CkksParameters::from_primes(
             manifest.degree,
@@ -491,8 +490,9 @@ fn an_upload_in_the_old_galois_key_format_is_refused() {
     )
     .unwrap();
     let (relin, galois) = KeyGenerator::from_seed(context.clone(), 9)
-        .create_evaluation_keys(true, &manifest.rotation_steps);
-    let old_galois = evag_v1(&galois, &manifest.rotation_steps, &context);
+        .create_evaluation_keys(manifest.keys.relin, &manifest.keys.galois);
+    let steps: Vec<i64> = manifest.keys.galois.iter().map(|&(step, _)| step).collect();
+    let old_galois = evag_v1(&galois, &steps, &context);
     let mut full_upload = vec![1];
     full_upload.extend(relin.unwrap().to_wire_bytes());
     full_upload.extend(&old_galois);

@@ -105,6 +105,62 @@ fn client_server_roundtrip_matches_in_process_executor_bit_for_bit() {
     assert_eq!(reports[0].as_ref().unwrap().evaluations, 1);
 }
 
+/// Keys at the level they are used: a rotation at the top level and one
+/// after two rescales give Galois keys of two sizes, and the client/server
+/// run still matches the in-process executor bit for bit.
+#[test]
+fn keys_below_the_top_level_keep_client_server_bit_identical_to_in_process() {
+    let mut p = Program::new("two-levels", 16);
+    let x = p.input_cipher("x", 30);
+    let shifted = p.instruction(Opcode::RotateLeft(3), &[x]);
+    let sum = p.instruction(Opcode::Add, &[x, shifted]);
+    let sq = p.instruction(Opcode::Multiply, &[sum, sum]);
+    let fourth = p.instruction(Opcode::Multiply, &[sq, sq]);
+    let out = p.instruction(Opcode::RotateLeft(1), &[fourth]);
+    p.output("out", out, 30);
+    let compiled = compile(&p, &CompilerOptions::default()).unwrap();
+    let inputs: HashMap<String, Vec<f64>> = [(
+        "x".to_string(),
+        (0..16).map(|i| (i as f64) / 32.0).collect(),
+    )]
+    .into();
+    let seed = 9u64;
+
+    let mut in_process = EncryptedContext::setup(&compiled, Some(seed)).unwrap();
+    let bindings = in_process.encrypt_inputs(&compiled, &inputs).unwrap();
+    let values = execute_parallel(in_process.evaluation(), &compiled, bindings, 2).unwrap();
+    let expected = in_process.decrypt_outputs(&compiled, &values).unwrap();
+
+    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap();
+    let server = EvaServer::new(compiled.clone()).unwrap().with_threads(2);
+    let top = server.manifest().data_primes.len();
+    let levels: Vec<usize> = server.manifest().keys.galois.iter().map(|k| k.1).collect();
+    assert!(
+        levels.contains(&top) && levels.iter().any(|&l| l < top),
+        "{levels:?}"
+    );
+    let server_thread = std::thread::spawn(move || server.serve_sessions(&listener, 1));
+
+    let stream = RecordingStream::new(TcpStream::connect(addr).unwrap());
+    let mut client = EvaClient::handshake_deterministic(stream, seed).unwrap();
+    let outputs = client.evaluate(&inputs).unwrap();
+    for (a, b) in outputs["out"].iter().zip(&expected["out"]) {
+        assert_eq!(
+            a.to_bits(),
+            b.to_bits(),
+            "client/server deviates from in-process"
+        );
+    }
+    let reference = run_reference(&compiled.program, &inputs).unwrap();
+    for (a, b) in outputs["out"].iter().zip(&reference["out"]) {
+        assert!((a - b).abs() <= 1e-4, "encrypted {a} vs reference {b}");
+    }
+    client.finish().unwrap();
+    let reports = server_thread.join().unwrap().unwrap();
+    assert_eq!(reports[0].as_ref().unwrap().evaluations, 1);
+}
+
 /// Paper Figure 3's x² + x needs no evaluation key: the square reaches the
 /// output through an ADD, so it is never relinearized. The client uploads
 /// an empty key set, and the output crosses the wire with three
@@ -131,7 +187,7 @@ fn square_plus_x_runs_keyless_with_a_three_polynomial_output() {
     let inputs: HashMap<String, Vec<f64>> = [("x".to_string(), xs.clone())].into();
     let stream = RecordingStream::new(TcpStream::connect(addr).unwrap());
     let mut client = EvaClient::handshake_deterministic(stream, 17).unwrap();
-    assert!(!client.manifest().needs_relin);
+    assert_eq!(client.manifest().keys.relin, None);
     let outputs = client.evaluate(&inputs).unwrap();
     let (_, sent, received) = client.finish().unwrap().into_parts();
     server_thread.join().unwrap().unwrap();
@@ -369,26 +425,30 @@ fn server_rejects_missing_relin_key_and_bad_protocol() {
     let addr = listener.local_addr().unwrap();
     let server = EvaServer::new(compiled).unwrap();
     let serving = server.clone();
-    let server_thread = std::thread::spawn(move || serving.serve_sessions(&listener, 3));
+    let server_thread = std::thread::spawn(move || serving.serve_sessions(&listener, 4));
 
-    // Session 1: wrong protocol version (e.g. a PR-4 v1 client) is refused
-    // with an Error message, not a framing failure.
-    {
+    // Sessions 1 and 2: a wrong protocol version is refused with an Error
+    // message, not a framing failure — a future one, and protocol 3, whose
+    // clients build every key at the top level.
+    for protocol in [PROTOCOL_VERSION + 1, 3] {
         let mut stream = TcpStream::connect(addr).unwrap();
         eva_service::protocol::write_message(
             &mut stream,
             &Message::Hello {
-                protocol: PROTOCOL_VERSION + 1,
+                protocol,
                 resume: None,
             },
         )
         .unwrap();
         match eva_service::protocol::expect_message(&mut stream).unwrap() {
-            Message::Error(msg) => assert!(msg.contains("protocol")),
+            Message::Error(msg) => assert!(
+                msg.contains(&format!("client speaks protocol {protocol}")),
+                "{msg}"
+            ),
             other => panic!("expected Error, got {other:?}"),
         }
     }
-    // Session 2: withholding the relinearization key is refused.
+    // Session 3: withholding the relinearization key is refused.
     {
         let mut stream = TcpStream::connect(addr).unwrap();
         eva_service::protocol::write_message(
@@ -403,7 +463,7 @@ fn server_rejects_missing_relin_key_and_bad_protocol() {
             Message::Manifest { manifest, .. } => *manifest,
             other => panic!("expected Manifest, got {other:?}"),
         };
-        assert!(manifest.needs_relin);
+        assert!(manifest.keys.relin.is_some());
         eva_service::protocol::write_message(
             &mut stream,
             &Message::EvalKeys {
@@ -417,7 +477,7 @@ fn server_rejects_missing_relin_key_and_bad_protocol() {
             other => panic!("expected Error, got {other:?}"),
         }
     }
-    // Session 3: well-formed keys with one Galois-key residue outside
+    // Session 4: well-formed keys with one Galois-key residue outside
     // [0, q) are refused at validation — the evaluator's unreduced 128-bit
     // key-switch sum is only exact for canonical residues — instead of
     // reaching a worker.
@@ -445,8 +505,9 @@ fn server_rejects_missing_relin_key_and_bad_protocol() {
         )
         .unwrap();
         let mut keygen = KeyGenerator::from_seed(CkksContext::new(params).unwrap(), 3);
-        let relin = keygen.create_relinearization_key();
-        let galois = keygen.create_galois_keys(&manifest.rotation_steps);
+        let (relin, galois) =
+            keygen.create_evaluation_keys(manifest.keys.relin, &manifest.keys.galois);
+        let relin = relin.unwrap();
         let hostile = galois
             .element_keys()
             .into_iter()

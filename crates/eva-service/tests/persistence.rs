@@ -13,7 +13,7 @@ use eva_core::{compile, CompilerOptions, Opcode, Program};
 use eva_service::protocol::{expect_message, write_message};
 use eva_service::{
     bytes_with_tag, frame_index, EvaClient, EvaServer, Message, RecordingStream, ServerConfig,
-    PROTOCOL_VERSION, TAG_EVAL_KEYS,
+    SessionTicket, PROTOCOL_VERSION, TAG_EVAL_KEYS,
 };
 use eva_wire::{fingerprint_eval_key_payload, Blake2b256, KeyFingerprint, WireObject, Writer};
 
@@ -216,10 +216,10 @@ fn stored_keys_with_an_unrequested_galois_key_are_not_served() {
         manifest.secure,
     )
     .unwrap();
-    let mut steps = manifest.rotation_steps.clone();
-    steps.push(3);
+    let mut galois = manifest.keys.galois.clone();
+    galois.push((3, manifest.data_primes.len()));
     let (relin, galois) = KeyGenerator::from_seed(CkksContext::new(params).unwrap(), 5)
-        .create_evaluation_keys(manifest.needs_relin, &steps);
+        .create_evaluation_keys(manifest.keys.relin, &galois);
     let mut frame = Vec::new();
     write_message(
         &mut frame,
@@ -281,16 +281,16 @@ fn an_entry_fingerprinted_under_the_v2_domain_is_deleted_on_first_load() {
     )
     .unwrap();
     let context = CkksContext::new(params).unwrap();
-    let steps = &manifest.rotation_steps;
+    let steps: Vec<i64> = manifest.keys.galois.iter().map(|&(step, _)| step).collect();
     let (relin, galois) = KeyGenerator::from_seed(context.clone(), 5)
-        .create_evaluation_keys(manifest.needs_relin, steps);
+        .create_evaluation_keys(manifest.keys.relin, &manifest.keys.galois);
     // The payload as the old build framed it: has_relin · EVAL · EVAG v1.
     let mut w = Writer::new();
     w.u8(1);
     w.raw(&relin.unwrap().to_wire_bytes());
     w.object(*b"EVAG", 1, |w| {
         w.u32(steps.len() as u32);
-        for &step in steps {
+        for &step in &steps {
             w.i64(step);
             w.u64(context.galois().galois_elt_from_step(step));
         }
@@ -329,6 +329,99 @@ fn an_entry_fingerprinted_under_the_v2_domain_is_deleted_on_first_load() {
     );
     assert_eq!(handle.key_store().unwrap().len(), 0);
     assert_eq!(handle.stats().disk_resumptions, 0);
+
+    let _ = fs::remove_dir_all(&dir);
+}
+
+/// A key set stored by a build that generated every key at the top level
+/// (protocol 3) holds more digits than the manifest now publishes for a key
+/// used below the top: re-validation refuses the entry at resume, and the
+/// resuming client falls back to uploading keys at their levels.
+#[test]
+fn stored_full_level_keys_fail_revalidation_and_the_session_uploads() {
+    // x⁴ rotated: the waterline rescales each square, so the rotation and
+    // its Galois key sit below the top level.
+    let mut p = Program::new("rotate-fourth-power", 16);
+    let x = p.input_cipher("x", 30);
+    let sq = p.instruction(Opcode::Multiply, &[x, x]);
+    let fourth = p.instruction(Opcode::Multiply, &[sq, sq]);
+    let out = p.instruction(Opcode::RotateLeft(1), &[fourth]);
+    p.output("out", out, 30);
+    let compiled = compile(&p, &CompilerOptions::default()).unwrap();
+    let dir = temp_dir("full-level");
+    let server = EvaServer::with_config(compiled, store_config(&dir)).unwrap();
+    let handle = server.clone();
+
+    let manifest = server.manifest().clone();
+    let top = manifest.data_primes.len();
+    assert_eq!(manifest.keys.relin, Some(top));
+    assert!(manifest.keys.galois.iter().all(|&(_, level)| level < top));
+    let params = CkksParameters::from_primes(
+        manifest.degree,
+        &manifest.data_primes,
+        manifest.special_prime,
+        manifest.secure,
+    )
+    .unwrap();
+    // The seed's keys as the older build drew them: the same draws, every
+    // key at the top level.
+    let seed = 44;
+    let everything_at_the_top: Vec<(i64, usize)> = manifest
+        .keys
+        .galois
+        .iter()
+        .map(|&(step, _)| (step, top))
+        .collect();
+    let (relin, galois) = KeyGenerator::from_seed(CkksContext::new(params).unwrap(), seed)
+        .create_evaluation_keys(Some(top), &everything_at_the_top);
+    let mut frame = Vec::new();
+    write_message(
+        &mut frame,
+        &Message::EvalKeys {
+            relin: relin.map(Box::new),
+            galois: Box::new(galois),
+        },
+    )
+    .unwrap();
+    let payload = &frame[9..];
+    let stale = fingerprint_eval_key_payload(payload);
+    let store = handle.key_store().unwrap();
+    store.store(&stale, payload).unwrap();
+
+    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap();
+    let thread = std::thread::spawn(move || server.serve_sessions(&listener, 1));
+    let stream = RecordingStream::new(TcpStream::connect(addr).unwrap());
+    let ticket = SessionTicket {
+        key_seed: seed,
+        fingerprint: stale,
+    };
+    let mut client = EvaClient::handshake_resuming(stream, ticket).unwrap();
+    assert!(!client.resumed(), "full-level keys must not resume");
+    let fresh = client.resumption_ticket().unwrap();
+    assert_ne!(fresh.fingerprint, stale);
+    let inputs = HashMap::from([("x".to_string(), vec![0.5; 16])]);
+    let outputs = client.evaluate(&inputs).unwrap();
+    assert!(
+        (outputs["out"][0] - 0.0625).abs() < 1e-3,
+        "{:?}",
+        outputs["out"]
+    );
+    let stream = client.finish().unwrap();
+    let uploaded = bytes_with_tag(stream.sent(), TAG_EVAL_KEYS).unwrap();
+    thread.join().unwrap().unwrap();
+
+    // The upload is the keys at their levels, smaller than the stale entry;
+    // the stale entry stays on disk, never served.
+    assert!(
+        uploaded < payload.len() as u64,
+        "{uploaded} ≥ {}",
+        payload.len()
+    );
+    assert!(store.entry_path(&fresh.fingerprint).exists());
+    let stats = handle.stats();
+    assert_eq!(stats.disk_resumptions, 0);
+    assert_eq!(stats.resumed_sessions, 0);
 
     let _ = fs::remove_dir_all(&dir);
 }

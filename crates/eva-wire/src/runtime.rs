@@ -197,8 +197,10 @@ fn encode_key_switch_key(w: &mut Writer, key: &KeySwitchKey) {
     }
 }
 
-/// Encoded length of a key-switching key of `digits` digit pairs over the
-/// `level` primes of the key basis (the field nested in `EVAL` and `EVAG`).
+/// Encoded length of a key-switching key of `digits` digit pairs over
+/// `level` primes (the field nested in `EVAL` and `EVAG`). A key built at
+/// its level of use has `level = digits + 1`: the first `digits` data
+/// primes and the special prime.
 pub fn encoded_key_switch_key_len(digits: usize, degree: usize, level: usize) -> u64 {
     4 + 2 * digits as u64 * encoded_poly_len(degree, level)
 }
@@ -240,10 +242,11 @@ pub fn encoded_relin_key_len(key_switch_key_len: u64) -> u64 {
     ENVELOPE_BYTES + key_switch_key_len
 }
 
-/// Encoded length of an `EVAG` object with `elements` keys of
-/// `key_switch_key_len` bytes each.
-pub fn encoded_galois_keys_len(elements: usize, key_switch_key_len: u64) -> u64 {
-    ENVELOPE_BYTES + 4 + elements as u64 * (8 + key_switch_key_len)
+/// Encoded length of an `EVAG` object holding one key of each of the
+/// `key_switch_key_lens` (bytes, see [`encoded_key_switch_key_len`]).
+pub fn encoded_galois_keys_len(key_switch_key_lens: impl IntoIterator<Item = u64>) -> u64 {
+    let keys: u64 = key_switch_key_lens.into_iter().map(|len| 8 + len).sum();
+    ENVELOPE_BYTES + 4 + keys
 }
 
 impl WireObject for GaloisKeys {
@@ -418,22 +421,46 @@ mod tests {
 
         // One digit per data prime, each over the key basis (one more prime).
         let key = encoded_key_switch_key_len(level, degree, level + 1);
-        let (relin, galois) = keygen.create_evaluation_keys(true, &[1, -2, 5]);
+        let top = [(1, level), (-2, level), (5, level)];
+        let (relin, galois) = keygen.create_evaluation_keys(Some(level), &top);
         let relin = relin.unwrap().to_wire_bytes();
         assert_eq!(relin.len() as u64, encoded_relin_key_len(key));
         assert_eq!(
             galois.to_wire_bytes().len() as u64,
-            encoded_galois_keys_len(3, key)
+            encoded_galois_keys_len([key; 3])
         );
         // Steps congruent modulo the slot count share one key.
         let aliasing = keygen.create_galois_keys(&[1, 1 + degree as i64 / 2]);
         assert_eq!(
             aliasing.to_wire_bytes().len() as u64,
-            encoded_galois_keys_len(1, key)
+            encoded_galois_keys_len([key])
         );
         assert_eq!(
             GaloisKeys::default().to_wire_bytes().len() as u64,
-            encoded_galois_keys_len(0, key)
+            encoded_galois_keys_len([])
+        );
+        // Keys below the top level: `l` digits over `l + 1` primes each,
+        // and the same bytes back from their decoding.
+        let below = |l: usize| encoded_key_switch_key_len(l, degree, l + 1);
+        let (relin, galois) = keygen.create_evaluation_keys(Some(2), &[(1, 1), (-2, 2), (5, 3)]);
+        let relin = relin.unwrap().to_wire_bytes();
+        assert_eq!(relin.len() as u64, encoded_relin_key_len(below(2)));
+        assert_eq!(
+            RelinearizationKey::from_wire_bytes(&relin)
+                .unwrap()
+                .to_wire_bytes(),
+            relin
+        );
+        let galois = galois.to_wire_bytes();
+        assert_eq!(
+            galois.len() as u64,
+            encoded_galois_keys_len([below(1), below(2), below(3)])
+        );
+        assert_eq!(
+            GaloisKeys::from_wire_bytes(&galois)
+                .unwrap()
+                .to_wire_bytes(),
+            galois
         );
     }
 
@@ -442,7 +469,7 @@ mod tests {
         // `EVAL` plus `EVAG` bytes.
         let keys = |degree: usize, primes: usize, elements: usize| {
             let key = encoded_key_switch_key_len(primes, degree, primes + 1);
-            encoded_relin_key_len(key) + encoded_galois_keys_len(elements, key)
+            encoded_relin_key_len(key) + encoded_galois_keys_len(vec![key; elements])
         };
         // LeNet-5-small's kernel replay: N = 2^15, 8 data primes, 8 keys.
         assert_eq!(keys(1 << 15, 8, 8), 339_740_056);

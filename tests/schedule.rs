@@ -160,6 +160,8 @@ fn cost_report_and_forecast_match_the_pre_schedule_goldens() {
     // switches, 17702 NTTs, 22 Galois keys). The analyses are unchanged.
     // It is LeNet with the activations at the vector scale, as every
     // network was lowered before the activations moved to `scales.scalar`.
+    // Both LeNet `key_bytes` count each key at the level the program uses
+    // it at; with every key at the top level they read 792 723 456.
     let network = eva::tensor::networks::lenet5_small(42);
     let lowered = lenet_with_activations_at_the_vector_scale(&network);
     assert_golden(
@@ -176,7 +178,7 @@ fn cost_report_and_forecast_match_the_pre_schedule_goldens() {
                 peak_live_ciphertexts: 45,
                 peak_bytes: 165_003_264,
                 at_node: Some(267),
-                key_bytes: 792_723_456, // 1 relin + 20 Galois keys
+                key_bytes: 674_234_368, // 1 relin + 20 Galois keys, at their levels
             },
         },
     );
@@ -197,7 +199,7 @@ fn cost_report_and_forecast_match_the_pre_schedule_goldens() {
                 peak_live_ciphertexts: 45,
                 peak_bytes: 165_519_360,
                 at_node: Some(267),
-                key_bytes: 792_723_456, // 1 relin + 20 Galois keys
+                key_bytes: 703_594_496, // 1 relin + 20 Galois keys, at their levels
             },
         },
     );
@@ -265,13 +267,15 @@ fn lenet_census_one_reduction_tree_per_fully_connected_layer() {
 }
 
 /// The forecast's `key_bytes` is the formula
-/// `(needs_relin + distinct Galois elements) · l · 2 · (l+1) · N · 8`; the
-/// keys a session really holds are exactly those rows plus one `N`-entry
-/// `u32` gather table per Galois key — there is no second resident form.
+/// `Σ ℓ · 2 · (ℓ+1) · N · 8` over the keys, each at the level `ℓ` the
+/// program uses it at; the keys a session really holds are exactly those
+/// rows plus one `N`-entry `u32` gather table per Galois key — there is no
+/// second resident form.
 #[test]
 fn forecast_key_bytes_equal_the_resident_key_rows() {
     use eva::backend::parameters_from_spec;
     use eva::ckks::{CkksContext, KeyGenerator};
+    use eva::ir::analysis::key_levels;
 
     // x² + x, and the same sum rotated by one slot: the rotation needs the
     // square relinearized, so only the rotated program holds keys.
@@ -291,22 +295,43 @@ fn forecast_key_bytes_equal_the_resident_key_rows() {
     assert_eq!(predict_peak_memory(&keyless).unwrap().key_bytes, 0);
     let rotated = x2_plus_x(true);
     assert!(rotated.needs_relinearization());
+    // x⁴ rotated by one slot: the waterline rescales each 60-bit square,
+    // so the rotation runs below the top level and so does its key, while
+    // the relinearization key stays at the top.
+    let below = {
+        let mut p = Program::new("x4_rotated", 8);
+        let x = p.input_cipher("x", 30);
+        let sq = p.instruction(Opcode::Multiply, &[x, x]);
+        let fourth = p.instruction(Opcode::Multiply, &[sq, sq]);
+        let out = p.instruction(Opcode::RotateLeft(1), &[fourth]);
+        p.output("out", out, 30);
+        compile(&p, &CompilerOptions::default()).unwrap()
+    };
+    let levels = key_levels(&below).unwrap();
+    let top = below.parameters.data_primes.len();
+    assert_eq!(levels.relin, Some(top));
+    assert_eq!(levels.galois.len(), 1);
+    assert!(levels.galois[0].1 < top, "{levels:?} at top level {top}");
 
-    for compiled in [sobel_16().0, rotated] {
+    for compiled in [sobel_16().0, rotated, below] {
         let context =
             CkksContext::new(parameters_from_spec(&compiled.parameters).unwrap()).unwrap();
         let mut keygen = KeyGenerator::from_seed(context.clone(), 5);
-        let (relin, galois) = keygen
-            .create_evaluation_keys(compiled.needs_relinearization(), &compiled.rotation_steps);
+        let levels = key_levels(&compiled).unwrap();
+        let (relin, galois) = keygen.create_evaluation_keys(levels.relin, &levels.galois);
         let resident = relin.map_or(0, |k| k.resident_bytes()) + galois.resident_bytes();
         let tables = galois.element_keys().len() * context.degree() * std::mem::size_of::<u32>();
 
         let forecast = predict_peak_memory(&compiled).unwrap();
         assert!(forecast.key_bytes > 0);
         assert_eq!(forecast.key_bytes, resident - tables);
+        assert_eq!(forecast.key_bytes, levels.rows() * context.degree() * 8);
         // A table is 4 bytes per ring index beside a Galois key's
         // 16·l·(l+1): 1.25 % at l = 4, 0.35 % at l = 8.
-        let l = context.max_level();
-        assert_eq!(tables * 4 * l * (l + 1), galois.resident_bytes() - tables);
+        for (_, key) in galois.element_keys() {
+            let l = key.level();
+            let table = context.degree() * std::mem::size_of::<u32>();
+            assert_eq!(table * 4 * l * (l + 1), key.resident_bytes() - table);
+        }
     }
 }
