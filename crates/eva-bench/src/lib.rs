@@ -803,7 +803,7 @@ pub fn cost_json(measurements: &[CostMeasurement]) -> String {
             m.optimized.rescales,
             m.optimized.ntts,
             m.parameters.degree.trailing_zeros(),
-            m.parameters.data_prime_bits,
+            m.parameters.data_prime_bits(),
             m.unoptimized.nodes,
             m.unoptimized.distinct_rotation_steps,
             m.unoptimized.key_switches,

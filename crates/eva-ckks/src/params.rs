@@ -1,12 +1,14 @@
 //! Encryption parameters and the security-standard validation table.
 //!
-//! The EVA compiler emits a vector of prime bit sizes (Section 6.2 of the
-//! paper); [`CkksParameters`] turns that into an actual prime chain and checks
-//! it against the homomorphic encryption security standard's bound on
-//! `log2 Q` for each ring degree at 128-bit security, exactly as SEAL does
-//! when it validates parameters.
+//! The EVA compiler resolves its vector of prime bit sizes (Section 6.2 of
+//! the paper) to an actual prime chain; [`CkksParameters::from_primes`] is
+//! the one validator of such a chain — wherever it arrives from, the
+//! compiler's verifier, a server's program file or a client's manifest —
+//! and checks it against the homomorphic encryption security standard's
+//! bound on `log2 Q` for each ring degree at 128-bit security, exactly as
+//! SEAL does when it validates parameters.
 
-use eva_math::primes::{generate_ntt_primes, PrimeGenError};
+use eva_math::primes::{generate_ntt_primes, is_prime, PrimeGenError};
 pub use eva_math::primes::{max_coeff_modulus_bits, MAX_PRIME_BITS};
 
 /// The standard security level targeted by every context in this crate.
@@ -23,8 +25,6 @@ pub struct CkksParameters {
     degree: usize,
     data_primes: Vec<u64>,
     special_prime: u64,
-    data_prime_bits: Vec<u32>,
-    special_prime_bits: u32,
 }
 
 /// Errors from building or validating [`CkksParameters`].
@@ -118,10 +118,10 @@ impl CkksParameters {
     ///
     /// # Errors
     ///
-    /// Returns [`ParameterError`] if the degree is unsupported, a prime is
+    /// Returns [`ParameterError`] if the degree is unsupported, a modulus is
     /// out of the supported bit range, not NTT-friendly for the degree
-    /// (`q ≢ 1 mod 2N`), duplicated, or the modulus violates the requested
-    /// security bound.
+    /// (`q ≢ 1 mod 2N`), not prime, duplicated, or the modulus violates the
+    /// requested security bound.
     pub fn from_primes(
         degree: usize,
         data_primes: &[u64],
@@ -153,6 +153,14 @@ impl CkksParameters {
                     "prime {q} is not NTT-friendly for degree {degree}"
                 )));
             }
+            // The RNS basis refuses a composite modulus as well; checking
+            // it here too means a chain that validates always builds a
+            // context.
+            if !is_prime(q) {
+                return Err(ParameterError::PrimeGeneration(format!(
+                    "modulus {q} is not prime"
+                )));
+            }
         }
         let mut sorted = chain.clone();
         sorted.sort_unstable();
@@ -162,8 +170,6 @@ impl CkksParameters {
                 "duplicate primes in the modulus chain".into(),
             ));
         }
-        let data_prime_bits: Vec<u32> = data_primes.iter().map(|&q| bits_of(q)).collect();
-        let special_prime_bits = bits_of(special_prime);
         if enforce_security {
             let allowed =
                 max_coeff_modulus_bits(degree).ok_or(ParameterError::UnsupportedDegree(degree))?;
@@ -183,8 +189,6 @@ impl CkksParameters {
             degree,
             data_primes: data_primes.to_vec(),
             special_prime,
-            data_prime_bits,
-            special_prime_bits,
         })
     }
 
@@ -209,8 +213,6 @@ impl CkksParameters {
         if let Some(&bad) = bits.iter().find(|b| !(2..=MAX_PRIME_BITS).contains(b)) {
             return Err(ParameterError::InvalidPrimeBits(bad));
         }
-        // Generated primes round to exactly the requested sizes, which
-        // `from_primes` records as the chain's nominal bit sizes.
         let primes = generate_ntt_primes(degree, &bits)?;
         let (special_prime, data_primes) =
             primes.split_last().expect("the chain has a special prime");
@@ -235,17 +237,6 @@ impl CkksParameters {
     /// The special key-switching prime.
     pub fn special_prime(&self) -> u64 {
         self.special_prime
-    }
-
-    /// Nominal bit sizes of the data primes (for a generated chain, the
-    /// requested sizes).
-    pub fn data_prime_bits(&self) -> &[u32] {
-        &self.data_prime_bits
-    }
-
-    /// Nominal bit size of the special prime.
-    pub fn special_prime_bits(&self) -> u32 {
-        self.special_prime_bits
     }
 
     /// Number of data primes (the paper's modulus-chain length `r` counts these
@@ -289,7 +280,7 @@ mod tests {
         assert_eq!(params.chain_length(), 4);
         assert_eq!(params.data_primes().len(), 3);
         assert!((params.total_modulus_bits() - 160.0).abs() < 1.0);
-        for (&p, &bits) in params.data_primes().iter().zip(params.data_prime_bits()) {
+        for (&p, bits) in params.data_primes().iter().zip([40, 30, 30]) {
             assert_eq!(eva_math::nominal_prime_bits(p), bits);
             assert_eq!(p % (2 * 8192), 1);
         }

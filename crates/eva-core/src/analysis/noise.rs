@@ -290,7 +290,7 @@ pub fn estimate_noise(compiled: &CompiledProgram) -> NoiseReport {
     // adds a single CBD error polynomial: √N·σ slot-domain spread.
     // (Public-key encryption would add the u·e products, ≈ √N·σ larger.)
     let fresh_err = log2_add_rms(0.5 * log_n + FRESH_HP_BITS, encode_err);
-    let special_bits = f64::from(spec.special_prime_bits);
+    let special_bits = f64::from(spec.special_prime_bits());
     // Division rounding: ⌊·⌉ leaves r + r'·s with dense-CBD s — slot spread
     // ≈ N·σ/√12, bounded high-probability by N · 2^RESCALE_HP.
     let rescale_round = log_n + RESCALE_HP_BITS;
@@ -301,7 +301,7 @@ pub fn estimate_noise(compiled: &CompiledProgram) -> NoiseReport {
     // tracks the *widest live digit* — `N^1.5 · 2^(b_max − special)` — with
     // no visible dependence on the digit count (narrower digits are
     // exponentially suppressed by their own width). Rescale consumes primes
-    // from the back of `data_prime_bits`, so the live primes at level `l`
+    // from the back of `data_primes`, so the live primes at level `l`
     // are the first `l` entries.
     let ks_err_at: Vec<f64> = (0..=max_level)
         .map(|l| {

@@ -10,27 +10,26 @@
 use crate::analysis::scale::{analyze_levels, analyze_scales, ChainEntry};
 use crate::error::EvaError;
 use crate::program::Program;
-use eva_math::primes::{generate_ntt_primes, max_coeff_modulus_bits, MAX_PRIME_BITS};
+use eva_math::primes::{
+    generate_ntt_primes, max_coeff_modulus_bits, nominal_prime_bits, MAX_PRIME_BITS,
+};
 
-/// The encryption parameters the compiler hands to the backend.
-///
-/// Besides the requested prime *bit sizes*, the spec carries the **actual**
-/// NTT-friendly primes the compiler resolved them to: the exact-scale pass
-/// re-annotates the program against these values, so the backend must build
-/// its context from the very same primes (not regenerate its own) for the
-/// compiler's scale predictions to hold bit-exactly.
+/// The encryption parameters the compiler hands to the backend: the ring
+/// degree and the **actual** NTT-friendly primes the compiler resolved its
+/// bit sizes to. The exact-scale pass re-annotates the program against these
+/// values, so the backend must build its context from the very same primes
+/// (not regenerate its own) for the compiler's scale predictions to hold
+/// bit-exactly. The primes are the chain's only description: bit sizes are
+/// derived from them ([`nominal_prime_bits`]), and one validator,
+/// `eva_ckks::CkksParameters::from_primes`, checks them.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ParameterSpec {
     /// Ring degree `N`.
     pub degree: usize,
-    /// Data prime bit sizes, ordered bottom-of-the-chain first: RESCALE and
+    /// The data primes, ordered bottom-of-the-chain first: RESCALE and
     /// MODSWITCH consume primes from the **back** of this list.
-    pub data_prime_bits: Vec<u32>,
-    /// Bit size of the special key-switching prime.
-    pub special_prime_bits: u32,
-    /// The actual data primes (same order as `data_prime_bits`).
     pub data_primes: Vec<u64>,
-    /// The actual special key-switching prime.
+    /// The special key-switching prime.
     pub special_prime: u64,
     /// Whether the chosen degree satisfies the 128-bit security bound for the
     /// total modulus (always true for specs produced by [`select_parameters`]).
@@ -38,24 +37,39 @@ pub struct ParameterSpec {
 }
 
 impl ParameterSpec {
+    /// Nominal bit sizes of the data primes, in chain order. Only meaningful
+    /// for a validated chain (every prime at least 2).
+    pub fn data_prime_bits(&self) -> Vec<u32> {
+        self.data_primes
+            .iter()
+            .map(|&q| nominal_prime_bits(q))
+            .collect()
+    }
+
+    /// Nominal bit size of the special prime.
+    pub fn special_prime_bits(&self) -> u32 {
+        nominal_prime_bits(self.special_prime)
+    }
+
     /// The paper's bit-size vector in application order: special prime first,
     /// then the rescale chain of the critical output, then the leftover primes
     /// covering the output scale (Table 6's `r` is this vector's length).
     pub fn bit_vector_paper_order(&self) -> Vec<u32> {
-        let mut bits = vec![self.special_prime_bits];
-        bits.extend(self.data_prime_bits.iter().rev());
+        let mut bits = vec![self.special_prime_bits()];
+        bits.extend(self.data_prime_bits().iter().rev());
         bits
     }
 
     /// The modulus chain length `r` reported in the paper's Table 6 (data
     /// primes plus the special prime).
     pub fn chain_length(&self) -> usize {
-        self.data_prime_bits.len() + 1
+        self.data_primes.len() + 1
     }
 
-    /// Total `log2 Q` (sum of all prime bit sizes, including the special one).
+    /// Total `log2 Q` (sum of all nominal prime bit sizes, including the
+    /// special one).
     pub fn total_bits(&self) -> u32 {
-        self.data_prime_bits.iter().sum::<u32>() + self.special_prime_bits
+        self.bit_vector_paper_order().iter().sum()
     }
 }
 
@@ -122,12 +136,12 @@ pub fn select_parameters(program: &mut Program) -> Result<ParameterSpec, EvaErro
         .ok_or_else(|| EvaError::ParameterSelection("program has no Cipher-typed output".into()))?;
 
     // Bottom of the chain first: the leftover primes, then the rescale chain in
-    // reverse application order (the first rescale consumes the last prime).
-    let mut data_prime_bits = tail_bits;
-    data_prime_bits.extend(rescale_bits.iter().rev());
-
-    let special_prime_bits = MAX_PRIME_BITS;
-    let total: u32 = data_prime_bits.iter().sum::<u32>() + special_prime_bits;
+    // reverse application order (the first rescale consumes the last prime),
+    // then the special prime.
+    let mut all_bits = tail_bits;
+    all_bits.extend(rescale_bits.iter().rev());
+    all_bits.push(MAX_PRIME_BITS);
+    let total: u32 = all_bits.iter().sum();
 
     // Smallest degree that is secure for `total` bits and can pack the
     // vector. Primes are resolved per candidate degree (NTT-friendliness
@@ -137,8 +151,6 @@ pub fn select_parameters(program: &mut Program) -> Result<ParameterSpec, EvaErro
     // budget exactly could otherwise overshoot the standard's table by a
     // fraction of a bit.
     let min_degree_for_slots = (2 * program.vec_size()).max(1024);
-    let mut all_bits = data_prime_bits.clone();
-    all_bits.push(special_prime_bits);
     let mut selected = None;
     for candidate in [1024usize, 2048, 4096, 8192, 16384, 32768, 65536] {
         if candidate < min_degree_for_slots {
@@ -176,8 +188,6 @@ pub fn select_parameters(program: &mut Program) -> Result<ParameterSpec, EvaErro
 
     Ok(ParameterSpec {
         degree,
-        data_prime_bits,
-        special_prime_bits,
         data_primes,
         special_prime,
         secure: true,
@@ -214,20 +224,17 @@ mod tests {
         p.output("out", rescaled, 30);
         // Output scale after rescale: 0 bits; desired 30 -> one 30-bit tail prime.
         let spec = select_parameters(&mut p).unwrap();
-        assert_eq!(spec.data_prime_bits, vec![30, 60]);
-        assert_eq!(spec.special_prime_bits, 60);
+        assert_eq!(spec.data_prime_bits(), vec![30, 60]);
+        assert_eq!(spec.special_prime_bits(), 60);
         assert_eq!(spec.chain_length(), 3);
         assert_eq!(spec.total_bits(), 150);
         assert_eq!(spec.degree, 8192, "150 bits fit degree 8192 but not 4096");
         assert_eq!(spec.bit_vector_paper_order(), vec![60, 60, 30]);
-        // The actual primes are resolved alongside the bit sizes (nominal
-        // sizes: the closest-prime search may land just above 2^s).
-        assert_eq!(spec.data_primes.len(), 2);
-        for (&q, &bits) in spec.data_primes.iter().zip(&spec.data_prime_bits) {
-            assert_eq!(eva_math::nominal_prime_bits(q), bits);
+        // The bit sizes are the primes' nominal sizes: the closest-prime
+        // search may land just above 2^s.
+        for &q in &spec.data_primes {
             assert_eq!(q % (2 * 8192), 1, "prime must be NTT-friendly");
         }
-        assert_eq!(eva_math::nominal_prime_bits(spec.special_prime), 60);
     }
 
     #[test]

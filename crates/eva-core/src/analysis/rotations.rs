@@ -100,8 +100,9 @@ impl KeyLevels {
 /// each the highest `remaining_levels` of an operand it switches. Steps share
 /// an element exactly when they are congruent modulo the slot count `N/2`
 /// (the element of a step is `5^step mod 2N`, and 5 has order `N/2` there),
-/// so their uses merge; step 0 needs no key. A listed step no instruction
-/// uses keeps the top level.
+/// so their uses merge; step 0 needs no key. The steps are the program's own
+/// ([`select_rotation_steps`]), which the verifier requires
+/// [`CompiledProgram::rotation_steps`] to equal.
 ///
 /// # Errors
 ///
@@ -127,15 +128,20 @@ pub fn key_levels(compiled: &CompiledProgram) -> Result<KeyLevels, EvaError> {
         if op == Opcode::Relinearize {
             relin = relin.max(Some(level));
         } else if let Some(step) = op.rotation_step().filter(|&s| s != 0) {
-            let class = used.entry(step.rem_euclid(slots)).or_insert(0);
-            *class = (*class).max(level);
+            let highest = used.entry(step).or_insert(0);
+            *highest = (*highest).max(level);
         }
     }
+    // Sorted steps: each element is listed at the first step of its class.
     let mut galois: Vec<(i64, usize)> = Vec::new();
-    for &step in compiled.rotation_steps.iter().filter(|&&s| s != 0) {
+    for (step, level) in used {
         let class = step.rem_euclid(slots);
-        if !galois.iter().any(|&(s, _)| s.rem_euclid(slots) == class) {
-            galois.push((step, used.get(&class).copied().unwrap_or(top)));
+        match galois
+            .iter_mut()
+            .find(|(s, _)| s.rem_euclid(slots) == class)
+        {
+            Some((_, highest)) => *highest = (*highest).max(level),
+            None => galois.push((step, level)),
         }
     }
     Ok(KeyLevels { relin, galois })

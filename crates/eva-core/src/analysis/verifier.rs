@@ -18,10 +18,13 @@
 //! * [`verify_compiled`] additionally checks a [`CompiledProgram`] against
 //!   its shipped [`ParameterSpec`](crate::ParameterSpec): level underflow of
 //!   rescale/modswitch chains vs. the actual prime chain, exact-scale
-//!   annotations bit-identical to what the executor will observe, full
-//!   rotation-step coverage by the requested Galois keys, and internal
-//!   consistency of the parameter spec itself (including the 128-bit
-//!   security bound).
+//!   annotations bit-identical to what the executor will observe, a
+//!   Galois-key request equal to the program's rotation steps, and the
+//!   prime chain itself. The chain has one validator, the backend's
+//!   `CkksParameters::from_primes` at 128-bit security (degree, prime
+//!   sizes, NTT-friendliness, primality, distinctness, the security
+//!   bound), so a spec that verifies always builds a context; the verifier
+//!   adds only that the ring packs the program's slots.
 //!
 //! Each finding is a [`Diagnostic`] naming the [`Check`] that failed, so
 //! callers (and tests) can match failures to checks by name. Dead nodes are
@@ -45,7 +48,7 @@
 //!
 //! // Tampering with the shipped parameters is caught by a named check.
 //! let mut tampered = compiled.clone();
-//! tampered.parameters.data_primes.pop();
+//! tampered.parameters.special_prime = tampered.parameters.data_primes[0];
 //! let report = verify_compiled(&tampered);
 //! assert!(!report.is_clean());
 //! assert!(report.has_error(Check::Parameters));
@@ -53,6 +56,7 @@
 
 use std::collections::HashSet;
 
+use eva_ckks::CkksParameters;
 use eva_math::MAX_PRIME_BITS;
 
 use crate::analysis::rotations::select_rotation_steps;
@@ -100,14 +104,14 @@ pub enum Check {
     /// Rescale/modswitch chains never consume more primes than the shipped
     /// parameter spec provides (level underflow).
     LevelBudget,
-    /// Every rotation step in the program is covered by the Galois-key
-    /// request of the compiled program.
+    /// The Galois-key request of the compiled program is exactly the
+    /// program's rotation steps.
     RotationKeys,
     /// Stamped exact-scale annotations are bit-identical to a replay of the
     /// evaluator's scale arithmetic against the shipped primes.
     ExactScales,
-    /// The parameter spec is internally consistent and within the 128-bit
-    /// security budget for its ring degree.
+    /// The prime chain passes the backend's validator at 128-bit security,
+    /// and the ring degree packs the program's slots.
     Parameters,
 }
 
@@ -254,18 +258,39 @@ pub fn verify_program(program: &Program) -> VerifierReport {
 
 /// Verifies a compiled program against its own parameter spec and rotation
 /// keys: everything [`verify_program`] checks, plus level budget, exact-scale
-/// bit-identity, rotation-key coverage and parameter-spec consistency.
+/// bit-identity, the exact rotation-key request and the prime chain.
 ///
 /// This is the gate `eva-service` runs on every `.evaprog` load and the
 /// compiler runs on its own output: a program passing it can never throw
 /// inside the FHE runtime.
 pub fn verify_compiled(compiled: &CompiledProgram) -> VerifierReport {
-    let mut verifier = Verifier::new(
-        &compiled.program,
-        compiled.parameters.special_prime_bits,
-        Some(compiled),
-    );
+    let spec = &compiled.parameters;
+    // The chain's one validator is the backend's own, so the verifier
+    // refuses exactly the chains no context could be built from.
+    let chain =
+        CkksParameters::from_primes(spec.degree, &spec.data_primes, spec.special_prime, true);
+    // Constraint 4 bounds a rescale by the special prime. A chain that
+    // failed validation has no trustworthy special prime to size, so the
+    // bound falls back to the largest prime size.
+    let max_rescale_bits = match chain {
+        Ok(_) => spec.special_prime_bits(),
+        Err(_) => MAX_PRIME_BITS,
+    };
+    let mut verifier = Verifier::new(&compiled.program, max_rescale_bits, Some(compiled));
     verifier.run();
+    if let Err(err) = chain {
+        let message = format!("invalid prime chain: {err}");
+        verifier.error(Check::Parameters, None, message);
+    }
+    if spec.degree < 2 * compiled.vec_size() {
+        let message = format!(
+            "ring degree {} cannot pack {} slots (needs at least {})",
+            spec.degree,
+            compiled.vec_size(),
+            2 * compiled.vec_size()
+        );
+        verifier.error(Check::Parameters, None, message);
+    }
     verifier.report
 }
 
@@ -333,7 +358,6 @@ impl<'a> Verifier<'a> {
         }
         self.semantic();
         if let Some(compiled) = self.compiled {
-            self.parameters(compiled);
             self.rotations(compiled);
         }
     }
@@ -612,90 +636,21 @@ impl<'a> Verifier<'a> {
         // without a key-switch term, because none ran.
     }
 
-    /// Parameter-spec consistency (compiled programs only).
-    fn parameters(&mut self, compiled: &CompiledProgram) {
-        let spec = &compiled.parameters;
-        if spec.data_primes.len() != spec.data_prime_bits.len() {
-            self.error(
-                Check::Parameters,
-                None,
-                format!(
-                    "parameter spec carries {} data primes but {} bit sizes",
-                    spec.data_primes.len(),
-                    spec.data_prime_bits.len()
-                ),
-            );
-        }
-        if spec.data_primes.is_empty() {
-            self.error(
-                Check::Parameters,
-                None,
-                "parameter spec has an empty data prime chain".into(),
-            );
-        }
-        if spec.data_primes.iter().any(|&q| q < 2) || spec.special_prime < 2 {
-            self.error(
-                Check::Parameters,
-                None,
-                "parameter spec contains a prime smaller than 2".into(),
-            );
-            return;
-        }
-        let Some(max_bits) = eva_math::primes::max_coeff_modulus_bits(spec.degree) else {
-            self.error(
-                Check::Parameters,
-                None,
-                format!("ring degree {} is not supported", spec.degree),
-            );
-            return;
-        };
-        if spec.degree < 2 * self.program.vec_size() {
-            self.error(
-                Check::Parameters,
-                None,
-                format!(
-                    "ring degree {} cannot pack {} slots (needs at least {})",
-                    spec.degree,
-                    self.program.vec_size(),
-                    2 * self.program.vec_size()
-                ),
-            );
-        }
-        let exact_bits: f64 = spec
-            .data_primes
-            .iter()
-            .chain(std::iter::once(&spec.special_prime))
-            .map(|&q| (q as f64).log2())
-            .sum();
-        if exact_bits > f64::from(max_bits) {
-            self.error(
-                Check::Parameters,
-                None,
-                format!(
-                    "coefficient modulus has {exact_bits:.2} bits, above the {max_bits}-bit \
-                     128-bit-security budget for degree {}",
-                    spec.degree
-                ),
-            );
-        }
-    }
-
-    /// Rotation-step coverage (compiled programs only).
+    /// Rotation-key coverage (compiled programs only): the Galois-key
+    /// request is exactly the program's rotation steps. A missing step would
+    /// fail at run time; an extra one would make every client generate and
+    /// upload a key no instruction reads.
     fn rotations(&mut self, compiled: &CompiledProgram) {
         let required = select_rotation_steps(self.program);
-        let provided: HashSet<i64> = compiled.rotation_steps.iter().copied().collect();
-        for step in required {
-            if !provided.contains(&step) {
-                self.error(
-                    Check::RotationKeys,
-                    None,
-                    format!(
-                        "rotation step {step} is used by the program but missing from the \
-                         Galois-key request {:?}",
-                        compiled.rotation_steps
-                    ),
-                );
-            }
+        if compiled.rotation_steps != required {
+            self.error(
+                Check::RotationKeys,
+                None,
+                format!(
+                    "the Galois-key request {:?} is not the program's rotation steps {required:?}",
+                    compiled.rotation_steps
+                ),
+            );
         }
     }
 }
@@ -703,6 +658,7 @@ impl<'a> Verifier<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::analysis::ParameterSpec;
     use crate::compiler::{compile, CompilerOptions};
     use crate::program::Program;
     use crate::types::{ConstantValue, ValueType};
@@ -898,10 +854,50 @@ mod tests {
 
     #[test]
     fn tampered_parameters_are_caught() {
+        type Tamper = fn(&mut ParameterSpec);
+        let cases: [(&str, Tamper); 7] = [
+            ("non-NTT-friendly prime", |spec| spec.special_prime += 2),
+            ("repeated prime", |spec| {
+                spec.special_prime = spec.data_primes[0]
+            }),
+            ("zero special prime", |spec| spec.special_prime = 0),
+            ("zero data prime", |spec| spec.data_primes[0] = 0),
+            ("over-budget chain", |spec| spec.degree /= 2),
+            ("unsupported degree", |spec| spec.degree = 512),
+            ("composite modulus", |spec| {
+                let step = 2 * spec.degree as u64;
+                spec.special_prime = (1..)
+                    .map(|j| spec.special_prime - j * step)
+                    .find(|q| q % 3 == 0)
+                    .unwrap();
+            }),
+        ];
+        for (name, tamper) in cases {
+            let mut compiled = compiled_rotsum();
+            tamper(&mut compiled.parameters);
+            let spec = &compiled.parameters;
+            assert!(
+                CkksParameters::from_primes(
+                    spec.degree,
+                    &spec.data_primes,
+                    spec.special_prime,
+                    true
+                )
+                .is_err(),
+                "{name}: the backend accepts it"
+            );
+            let report = verify_compiled(&compiled);
+            assert!(report.has_error(Check::Parameters), "{name}: {report}");
+        }
+    }
+
+    #[test]
+    fn an_unused_rotation_step_is_caught() {
         let mut compiled = compiled_rotsum();
-        compiled.parameters.degree = 512;
+        compiled.rotation_steps.push(5);
+        compiled.rotation_steps.sort_unstable();
         let report = verify_compiled(&compiled);
-        assert!(report.has_error(Check::Parameters), "{report}");
+        assert!(report.has_error(Check::RotationKeys), "{report}");
     }
 
     #[test]

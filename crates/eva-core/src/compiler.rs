@@ -107,7 +107,7 @@ pub struct CompilationStats {
 pub struct CompiledProgram {
     /// The transformed program (contains RESCALE/MODSWITCH/RELINEARIZE).
     pub program: Program,
-    /// Prime bit sizes and ring degree for key generation.
+    /// The ring degree and the prime chain for key generation.
     pub parameters: ParameterSpec,
     /// Rotation steps that need Galois keys.
     pub rotation_steps: Vec<i64>,

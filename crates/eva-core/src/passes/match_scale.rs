@@ -231,8 +231,6 @@ mod tests {
 
         let spec = ParameterSpec {
             degree: 8192,
-            data_prime_bits: vec![40, 40],
-            special_prime_bits: 60,
             data_primes: vec![1099511590913, 1099511680897],
             special_prime: 1152921504606830593,
             secure: false,

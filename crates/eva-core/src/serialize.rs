@@ -13,13 +13,17 @@
 //! | object | magic | version |
 //! |---|---|---|
 //! | [`Program`] | `EVAP` | 3 |
-//! | [`ParameterSpec`] | `EVAS` | 1 |
+//! | [`ParameterSpec`] | `EVAS` | 2 |
 //! | [`CompiledProgram`] (the `.evaprog` bundle) | `EVAB` | 3 |
 //!
 //! Version history of `EVAP`: v2 switched scales to exact `f64` log2 values;
-//! v3 adopted the shared length-prefixed envelope. `EVAB` v2 extended the
-//! statistics block from 6 to 11 `u64` counts (optimizer pass counters); v3
-//! dropped the rotation-chaining count, leaving 10.
+//! v3 adopted the shared length-prefixed envelope. `EVAS` v2 dropped the
+//! prime bit sizes, which are derived from the primes, so a spec is the
+//! degree, the data primes, the special prime and the security flag. `EVAB`
+//! v2 extended the statistics block from 6 to 11 `u64` counts (optimizer
+//! pass counters); v3 dropped the rotation-chaining count, leaving 10. A v3
+//! bundle nests its spec, so one written with `EVAS` v1 is refused by the
+//! spec's version check.
 
 use crate::analysis::ParameterSpec;
 use crate::compiler::{CompilationStats, CompiledProgram};
@@ -247,15 +251,11 @@ impl WireObject for Program {
 
 impl WireObject for ParameterSpec {
     const MAGIC: [u8; 4] = *b"EVAS";
-    const VERSION: u32 = 1;
+    // See the module docs for the version history.
+    const VERSION: u32 = 2;
 
     fn encode_body(&self, w: &mut Writer) {
         w.u64(self.degree as u64);
-        w.u32(self.data_prime_bits.len() as u32);
-        for &bits in &self.data_prime_bits {
-            w.u32(bits);
-        }
-        w.u32(self.special_prime_bits);
         w.u64_slice(&self.data_primes);
         w.u64(self.special_prime);
         w.bool(self.secure);
@@ -268,35 +268,20 @@ impl WireObject for ParameterSpec {
                 "ring degree {degree} out of range"
             )));
         }
-        let bit_count = r.u32()? as usize;
-        if bit_count == 0 || bit_count > eva_wire::MAX_WIRE_LEVEL {
-            return Err(WireError::Invalid(format!(
-                "data prime count {bit_count} out of range"
-            )));
-        }
-        let mut data_prime_bits = Vec::with_capacity(bit_count);
-        for _ in 0..bit_count {
-            data_prime_bits.push(r.u32()?);
-        }
-        let special_prime_bits = r.u32()?;
+        // Only the shape is checked here; the primes themselves are the
+        // verifier's `parameters` check.
         let data_primes = r.u64_slice()?;
-        // Specs produced by the compiler carry the resolved primes; hand-built
-        // bit-size-only specs carry an empty prime list.
-        if !data_primes.is_empty() && data_primes.len() != bit_count {
+        if data_primes.is_empty() || data_primes.len() > eva_wire::MAX_WIRE_LEVEL {
             return Err(WireError::Invalid(format!(
-                "{} data primes but {bit_count} bit sizes",
+                "data prime count {} out of range",
                 data_primes.len()
             )));
         }
-        let special_prime = r.u64()?;
-        let secure = r.bool()?;
         Ok(ParameterSpec {
             degree,
-            data_prime_bits,
-            special_prime_bits,
             data_primes,
-            special_prime,
-            secure,
+            special_prime: r.u64()?,
+            secure: r.bool()?,
         })
     }
 }
@@ -531,8 +516,6 @@ mod tests {
                 let data_primes: Vec<u64> = (0..levels).map(|_| next() >> 4 | 1).collect();
                 let spec = ParameterSpec {
                     degree: 1usize << degree_log2,
-                    data_prime_bits: (0..levels).map(|i| 20 + (i as u32 % 41)).collect(),
-                    special_prime_bits: 60,
                     data_primes,
                     special_prime: next() >> 4 | 1,
                     secure: secure % 2 == 0,

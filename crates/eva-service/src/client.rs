@@ -39,8 +39,8 @@ use eva_wire::{fingerprint_eval_key_payload, KeyFingerprint};
 use crate::error::ServiceError;
 use crate::limits::ClientConfig;
 use crate::protocol::{
-    encode_payload, expect_message, write_frame, write_message, Message, OutputValue,
-    ProgramManifest, PROTOCOL_VERSION,
+    encode_payload, expect_message, write_frame, write_message, Message, ProgramManifest,
+    ValuePayload, PROTOCOL_VERSION,
 };
 
 /// Establishes a TCP connection under a [`ClientConfig`]: connect deadline
@@ -324,15 +324,15 @@ impl<S: Read + Write> EvaClient<S> {
                 "server claims cached keys but this session offered none to resume".into(),
             ));
         }
-        // Handshake validation: never build a context from unvalidated wire
-        // data. `from_primes` re-checks the chain (NTT-friendliness,
-        // distinctness, prime sizes) and — iff the server claims security —
-        // the 128-bit bound on log2 Q.
+        // Handshake validation: never build a context, or draw a key, from
+        // unvalidated wire data. `from_primes` checks the chain (degree,
+        // prime sizes, NTT-friendliness, primality, distinctness) and the
+        // 128-bit bound on log2 Q, whatever the server's program claims.
         let params = CkksParameters::from_primes(
             manifest.degree,
             &manifest.data_primes,
             manifest.special_prime,
-            manifest.secure,
+            true,
         )
         .map_err(|e| ServiceError::InvalidParameters(e.to_string()))?;
         if manifest.vec_size > params.slot_count() {
@@ -453,7 +453,7 @@ impl<S: Read + Write> EvaClient<S> {
                     // Validate the shape before decrypting so a hostile
                     // server cannot push the decryptor out of its domain
                     // (which would panic, e.g. on a coefficient-form poly).
-                    OutputValue::Cipher(ct)
+                    ValuePayload::Cipher(ct)
                         if ct.polys()[0].degree() == context.degree()
                             && ct.level() <= context.max_level()
                             && ct.size() <= 3
@@ -464,19 +464,19 @@ impl<S: Read + Write> EvaClient<S> {
                     {
                         NodeValue::Cipher(*ct)
                     }
-                    OutputValue::Cipher(_) => {
+                    ValuePayload::Cipher(_) => {
                         return Err(ServiceError::Protocol(format!(
                             "output {name:?} has an invalid ciphertext shape"
                         )))
                     }
                     // Computed values cannot be seed-compressed; a server
                     // sending one is talking nonsense.
-                    OutputValue::Seeded(_) => {
+                    ValuePayload::Seeded(_) => {
                         return Err(ServiceError::Protocol(format!(
                             "output {name:?} arrived in seeded form, which only encryptors produce"
                         )))
                     }
-                    OutputValue::Plain(values) => NodeValue::Plain(values),
+                    ValuePayload::Plain(values) => NodeValue::Plain(values),
                 };
                 Ok((name, value))
             })

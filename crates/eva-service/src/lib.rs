@@ -84,9 +84,9 @@ pub use eva_wire::KeyFingerprint;
 pub use keystore::DiskKeyStore;
 pub use limits::{ClientConfig, ServerConfig};
 pub use protocol::{
-    bytes_with_tag, frame_index, FrameSummary, InputSpec, InputValue, Message, OutputSpec,
-    OutputValue, ProgramManifest, ValuePayload, MAX_FRAME_BYTES, PROTOCOL_VERSION, TAG_BYE,
-    TAG_ERROR, TAG_EVAL_KEYS, TAG_HELLO, TAG_INPUTS, TAG_MANIFEST, TAG_OUTPUTS,
+    bytes_with_tag, frame_index, FrameSummary, InputSpec, Message, OutputSpec, ProgramManifest,
+    ValuePayload, MAX_FRAME_BYTES, PROTOCOL_VERSION, TAG_BYE, TAG_ERROR, TAG_EVAL_KEYS, TAG_HELLO,
+    TAG_INPUTS, TAG_MANIFEST, TAG_OUTPUTS,
 };
 pub use record::{contains_any_chunk, contains_bytes, RecordingStream};
 pub use retry::{ReliableClient, RetryPolicy, RetryStats};

@@ -53,8 +53,10 @@ use crate::session::FrameAssembler;
 /// transport, evaluation-key fingerprints and session resumption; 3 —
 /// Galois keys travel by element alone (`EVAG` v2, no step table) and the
 /// fingerprint domain is `EVA-eval-keys-v3`; 4 — every evaluation key at
-/// the level the program uses it at (`EVAM` v2 publishes the levels).
-pub const PROTOCOL_VERSION: u32 = 4;
+/// the level the program uses it at (`EVAM` v2 publishes the levels); 5 —
+/// `EVAM` v3 drops the security flag: a client always holds the chain to
+/// the 128-bit bound.
+pub const PROTOCOL_VERSION: u32 = 5;
 
 /// Upper bound on a single frame's payload (1 GiB), so a corrupt or hostile
 /// length prefix cannot demand an unbounded buffer. Frames are additionally
@@ -91,8 +93,6 @@ pub struct ProgramManifest {
     pub data_primes: Vec<u64>,
     /// Actual special key-switching prime.
     pub special_prime: u64,
-    /// Whether the parameters satisfy the 128-bit security bound.
-    pub secure: bool,
     /// The evaluation keys to upload and the level of each: the
     /// relinearization key if the program relinearizes, and one Galois key
     /// per element of the program's ROTATE steps, so the client uploads
@@ -131,7 +131,6 @@ impl ProgramManifest {
             degree: compiled.parameters.degree,
             data_primes: compiled.parameters.data_primes.clone(),
             special_prime: compiled.parameters.special_prime,
-            secure: compiled.parameters.secure,
             keys: key_levels(compiled)?,
             inputs,
             outputs,
@@ -141,7 +140,7 @@ impl ProgramManifest {
 
 impl WireObject for ProgramManifest {
     const MAGIC: [u8; 4] = *b"EVAM";
-    const VERSION: u32 = 2;
+    const VERSION: u32 = 3;
 
     fn encode_body(&self, w: &mut Writer) {
         w.str(&self.name);
@@ -149,7 +148,6 @@ impl WireObject for ProgramManifest {
         w.u64(self.degree as u64);
         w.u64_slice(&self.data_primes);
         w.u64(self.special_prime);
-        w.bool(self.secure);
         w.bool(self.keys.relin.is_some());
         if let Some(level) = self.keys.relin {
             w.u32(level as u32);
@@ -188,7 +186,6 @@ impl WireObject for ProgramManifest {
         }
         let data_primes = r.u64_slice()?;
         let special_prime = r.u64()?;
-        let secure = r.bool()?;
         // A key's level is a count of data primes: 1 up to all of them.
         let key_level = |r: &mut Reader<'_>, what: &str| {
             let level = r.u32()? as usize;
@@ -241,7 +238,6 @@ impl WireObject for ProgramManifest {
             degree,
             data_primes,
             special_prime,
-            secure,
             keys: KeyLevels { relin, galois },
             inputs,
             outputs,
@@ -294,14 +290,6 @@ impl ClientFrameBounds {
         }
     }
 }
-
-/// One named input travelling client → server. A [`ValuePayload`] crosses
-/// the wire in either direction with one codec: `Cipher` as `EVAC`,
-/// `Seeded` as `EVAD` (client → server only) and `Plain` as raw reals.
-pub type InputValue = ValuePayload;
-
-/// One named output travelling server → client.
-pub type OutputValue = ValuePayload;
 
 fn encode_named_values(w: &mut Writer, values: &[(String, ValuePayload)]) {
     w.u32(values.len() as u32);
@@ -372,9 +360,9 @@ pub enum Message {
         galois: Box<GaloisKeys>,
     },
     /// Client → server named inputs for one evaluation.
-    Inputs(Vec<(String, InputValue)>),
+    Inputs(Vec<(String, ValuePayload)>),
     /// Server → client named outputs of one evaluation.
-    Outputs(Vec<(String, OutputValue)>),
+    Outputs(Vec<(String, ValuePayload)>),
     /// Either direction: the current request failed.
     Error(String),
     /// Client → server: end of session.
@@ -762,7 +750,7 @@ mod tests {
         .unwrap();
         write_message(
             &mut buf,
-            &Message::Inputs(vec![("w".into(), InputValue::Plain(vec![1.0, -2.5]))]),
+            &Message::Inputs(vec![("w".into(), ValuePayload::Plain(vec![1.0, -2.5]))]),
         )
         .unwrap();
         write_message(&mut buf, &Message::Error("boom".into())).unwrap();
@@ -813,7 +801,7 @@ mod tests {
             Message::Inputs(inputs) => {
                 assert_eq!(inputs.len(), 1);
                 assert_eq!(inputs[0].0, "w");
-                assert!(matches!(&inputs[0].1, InputValue::Plain(v) if v == &vec![1.0, -2.5]));
+                assert!(matches!(&inputs[0].1, ValuePayload::Plain(v) if v == &vec![1.0, -2.5]));
             }
             other => panic!("expected inputs, got {other:?}"),
         }
@@ -881,7 +869,6 @@ mod tests {
             degree: 1 << 15,
             data_primes: vec![0; 8],
             special_prime: 0,
-            secure: true,
             keys: KeyLevels {
                 relin: Some(8),
                 galois: (1..=20).zip(levels).collect(),
@@ -966,9 +953,9 @@ mod tests {
                 let values = vec![0.5; manifest.vec_size];
                 let value = if input.cipher {
                     let pt = encoder.encode(&values, input.scale_log2, context.max_level());
-                    InputValue::Cipher(Box::new(encryptor.encrypt(&pt)))
+                    ValuePayload::Cipher(Box::new(encryptor.encrypt(&pt)))
                 } else {
-                    InputValue::Plain(values)
+                    ValuePayload::Plain(values)
                 };
                 (input.name.clone(), value)
             })

@@ -20,12 +20,12 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 
 use crate::error::ServiceError;
-use crate::protocol::OutputValue;
+use crate::protocol::ValuePayload;
 
 /// The boxed evaluation closure a session hands to the scheduler: it runs
 /// on a worker thread and yields the session's named output values.
 pub(crate) type EvalRun =
-    Box<dyn FnOnce() -> Result<Vec<(String, OutputValue)>, ServiceError> + Send>;
+    Box<dyn FnOnce() -> Result<Vec<(String, ValuePayload)>, ServiceError> + Send>;
 
 /// How many evaluations of one program the memory budget admits at once:
 /// `n` jobs fit iff `n · peak_bytes ≤ budget`, and at least one always runs
@@ -55,7 +55,7 @@ pub(crate) struct SchedGauges {
 #[derive(Debug)]
 pub(crate) enum JobOutcome {
     /// The evaluation ran to completion (successfully or with an error).
-    Done(Result<Vec<(String, OutputValue)>, ServiceError>),
+    Done(Result<Vec<(String, ValuePayload)>, ServiceError>),
     /// The evaluation panicked; the payload is the rendered panic message.
     Panicked(String),
 }

@@ -360,8 +360,10 @@ impl EvaServer {
     /// # Errors
     ///
     /// Returns [`ServiceError::InvalidProgram`] if verification, the noise
-    /// gate or the memory budget refuses the program,
-    /// [`ServiceError::InvalidParameters`] if the spec cannot be
+    /// gate or the memory budget refuses the program — the verifier's
+    /// `parameters` check is the validator the context is built with, so a
+    /// bad prime chain is refused here too —
+    /// [`ServiceError::InvalidParameters`] if a verified spec still cannot be
     /// instantiated, and [`ServiceError::Io`] if the
     /// [`ServerConfig::key_store`] directory cannot be created.
     pub fn with_config(
@@ -962,6 +964,37 @@ mod tests {
         }
         // `None` disables admission entirely.
         assert!(EvaServer::with_config(compiled, budget(None)).is_ok());
+    }
+
+    #[test]
+    fn a_chain_short_of_a_prime_is_refused_at_load() {
+        use eva_core::{compile, CompilerOptions, Opcode, Program};
+
+        // x⁴: two multiplies, so the chain holds a prime per rescale.
+        let mut p = Program::new("fourth", 8);
+        let x = p.input_cipher("x", 30);
+        let sq = p.instruction(Opcode::Multiply, &[x, x]);
+        let fourth = p.instruction(Opcode::Multiply, &[sq, sq]);
+        p.output("out", fourth, 30);
+        let mut compiled = compile(&p, &CompilerOptions::default()).unwrap();
+        // The rest of the chain is still valid primes, so the chain check
+        // passes; the shorter chain shows up in the program's arithmetic.
+        compiled.parameters.data_primes.pop();
+        match EvaServer::new(compiled) {
+            Err(ServiceError::InvalidProgram(payload)) => {
+                assert!(!payload.diagnostics.is_empty());
+                for d in &payload.diagnostics {
+                    assert!(
+                        ["exact-scales", "noise-budget"].contains(&d.check.as_str()),
+                        "{}: {}",
+                        d.check,
+                        d.message
+                    );
+                }
+            }
+            Err(other) => panic!("expected InvalidProgram, got {other}"),
+            Ok(_) => panic!("a chain short of a prime was accepted"),
+        }
     }
 
     #[test]

@@ -17,7 +17,7 @@ use eva_wire::{EvalKeyPayloadHasher, KeyFingerprint};
 
 use crate::error::ServiceError;
 use crate::protocol::{
-    decode_payload, encode_payload, message_name, Message, OutputValue, MAX_FRAME_BYTES,
+    decode_payload, encode_payload, message_name, Message, ValuePayload, MAX_FRAME_BYTES,
     PROTOCOL_VERSION, TAG_EVAL_KEYS,
 };
 use crate::sched::EvalRun;
@@ -233,7 +233,7 @@ impl SessionMachine {
     /// Resumes the session with the outcome of its in-flight evaluation.
     pub(crate) fn on_job_done(
         &mut self,
-        outcome: Result<Vec<(String, OutputValue)>, ServiceError>,
+        outcome: Result<Vec<(String, ValuePayload)>, ServiceError>,
     ) -> Result<Step, ServiceError> {
         debug_assert_eq!(self.phase, Phase::Evaluating);
         let outputs = outcome?;
@@ -326,7 +326,7 @@ impl SessionMachine {
             let values = execute_parallel(&eval, server.compiled(), bindings, threads)?;
             let outputs = EvaluationContext::named_outputs(server.compiled(), &values)?
                 .into_iter()
-                .map(|(name, value)| (name, OutputValue::from(value)))
+                .map(|(name, value)| (name, ValuePayload::from(value)))
                 .collect();
             Ok(outputs)
         })))

@@ -118,13 +118,71 @@ const CORRUPTIONS: &[Corruption] = &[
         },
     },
     Corruption {
-        // The primes themselves are cross-checked by the wire codec at decode
-        // time, so this class tampers with the ring degree: it decodes fine
-        // but the verifier refuses the unsupported/unpackable ring.
+        // A Galois key no instruction reads: every client would generate
+        // and upload it.
+        name: "unused-rotation-step",
+        expected_checks: &["rotation-keys"],
+        mutate: |compiled| {
+            assert!(!compiled.rotation_steps.contains(&5));
+            compiled.rotation_steps.push(5);
+            compiled.rotation_steps.sort_unstable();
+        },
+    },
+    // The `EVAS` decoder checks only the degree's range and the prime
+    // count, so each tampered spec below decodes and reaches the verifier,
+    // whose `parameters` check runs the backend's own chain validator.
+    Corruption {
+        // An unsupported (and unpackable) ring.
         name: "tampered-parameters",
         expected_checks: &["parameters"],
         mutate: |compiled| {
             compiled.parameters.degree = 512;
+        },
+    },
+    Corruption {
+        // Half the degree: the primes stay NTT-friendly, but the chain is
+        // over the smaller ring's 128-bit budget.
+        name: "over-budget-chain",
+        expected_checks: &["parameters"],
+        mutate: |compiled| {
+            compiled.parameters.degree /= 2;
+        },
+    },
+    Corruption {
+        name: "non-ntt-friendly-special-prime",
+        expected_checks: &["parameters"],
+        mutate: |compiled| {
+            compiled.parameters.special_prime += 2;
+        },
+    },
+    Corruption {
+        name: "repeated-prime",
+        expected_checks: &["parameters"],
+        mutate: |compiled| {
+            compiled.parameters.special_prime = compiled.parameters.data_primes[0];
+        },
+    },
+    Corruption {
+        // Below the range every derived bit size assumes.
+        name: "zero-special-prime",
+        expected_checks: &["parameters"],
+        mutate: |compiled| {
+            compiled.parameters.special_prime = 0;
+        },
+    },
+    Corruption {
+        // A multiple of 3 that is ≡ 1 mod 2N like every prime of the chain.
+        // The server's RNS basis would refuse it only when building the
+        // context, as `InvalidParameters`.
+        name: "composite-special-prime",
+        expected_checks: &["parameters"],
+        mutate: |compiled| {
+            let spec = &mut compiled.parameters;
+            let step = 2 * spec.degree as u64;
+            spec.special_prime = (1..)
+                .map(|j| spec.special_prime - j * step)
+                .find(|q| q % 3 == 0)
+                .unwrap();
         },
     },
     Corruption {

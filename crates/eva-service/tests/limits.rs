@@ -15,8 +15,8 @@ use eva_ckks::{
 use eva_core::{compile, CompilerOptions, Opcode, Program};
 use eva_service::protocol::{expect_message, write_message};
 use eva_service::{
-    ClientConfig, EvaClient, EvaServer, InputValue, Message, OutputValue, ServerConfig,
-    ServiceError, MAX_FRAME_BYTES, PROTOCOL_VERSION, TAG_EVAL_KEYS, TAG_HELLO,
+    ClientConfig, EvaClient, EvaServer, Message, ServerConfig, ServiceError, ValuePayload,
+    MAX_FRAME_BYTES, PROTOCOL_VERSION, TAG_EVAL_KEYS, TAG_HELLO,
 };
 use eva_wire::{WireObject, Writer};
 
@@ -342,7 +342,7 @@ fn pipelined_rounds_are_answered_in_order() {
         manifest.degree,
         &manifest.data_primes,
         manifest.special_prime,
-        manifest.secure,
+        true,
     )
     .unwrap();
     let context = CkksContext::new(params).unwrap();
@@ -364,7 +364,7 @@ fn pipelined_rounds_are_answered_in_order() {
     .unwrap();
     for x in rounds {
         let plaintext = encoder.encode(&[x; 8], manifest.inputs[0].scale_log2, context.max_level());
-        let input = InputValue::Seeded(Box::new(encryptor.encrypt_seeded(&plaintext)));
+        let input = ValuePayload::Seeded(Box::new(encryptor.encrypt_seeded(&plaintext)));
         write_message(&mut pipelined, &Message::Inputs(vec![("x".into(), input)])).unwrap();
     }
     write_message(&mut pipelined, &Message::Bye).unwrap();
@@ -376,7 +376,7 @@ fn pipelined_rounds_are_answered_in_order() {
             Message::Outputs(outputs) => outputs,
             other => panic!("expected Outputs, got {other:?}"),
         };
-        let OutputValue::Cipher(ct) = &outputs[0].1 else {
+        let ValuePayload::Cipher(ct) = &outputs[0].1 else {
             panic!("expected a ciphertext output");
         };
         let out = decryptor.decrypt_to_values(ct, 8)[0];
@@ -421,7 +421,7 @@ fn an_upload_with_an_unrequested_galois_key_is_refused() {
             manifest.degree,
             &manifest.data_primes,
             manifest.special_prime,
-            manifest.secure,
+            true,
         )
         .unwrap(),
     )
@@ -484,7 +484,7 @@ fn an_upload_in_the_old_galois_key_format_is_refused() {
             manifest.degree,
             &manifest.data_primes,
             manifest.special_prime,
-            manifest.secure,
+            true,
         )
         .unwrap(),
     )

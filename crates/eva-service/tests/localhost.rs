@@ -168,7 +168,7 @@ fn keys_below_the_top_level_keep_client_server_bit_identical_to_in_process() {
 #[test]
 fn square_plus_x_runs_keyless_with_a_three_polynomial_output() {
     use eva_service::protocol::read_message;
-    use eva_service::{Message, OutputValue};
+    use eva_service::{Message, ValuePayload};
 
     let mut p = Program::new("x2_plus_x", 8);
     let x = p.input_cipher("x", 30);
@@ -211,7 +211,7 @@ fn square_plus_x_runs_keyless_with_a_three_polynomial_output() {
     while let Some(message) = read_message(&mut frames).unwrap() {
         if let Message::Outputs(values) = message {
             for (_, value) in values {
-                let OutputValue::Cipher(ct) = value else {
+                let ValuePayload::Cipher(ct) = value else {
                     panic!("expected a ciphertext output");
                 };
                 polys.push(ct.size());
@@ -501,7 +501,7 @@ fn server_rejects_missing_relin_key_and_bad_protocol() {
             manifest.degree,
             &manifest.data_primes,
             manifest.special_prime,
-            manifest.secure,
+            true,
         )
         .unwrap();
         let mut keygen = KeyGenerator::from_seed(CkksContext::new(params).unwrap(), 3);
@@ -593,7 +593,7 @@ fn evaluating_with_wrong_input_names_is_a_clean_remote_error() {
 fn bad_inputs_are_refused_alike_in_process_by_the_client_and_by_the_server() {
     use eva_core::EvaError;
     use eva_service::protocol::{expect_message, write_message};
-    use eva_service::{InputValue, Message, ServiceError, PROTOCOL_VERSION};
+    use eva_service::{Message, ServiceError, ValuePayload, PROTOCOL_VERSION};
 
     // Keyless, with the plain input first, so a raw frame carrying only
     // `w` reaches the gate's check of `w`.
@@ -661,9 +661,9 @@ fn bad_inputs_are_refused_alike_in_process_by_the_client_and_by_the_server() {
             galois: Box::new(eva_ckks::GaloisKeys::default()),
         };
         write_message(&mut stream, &keys).unwrap();
-        let raw: Vec<(String, InputValue)> = inputs
+        let raw: Vec<(String, ValuePayload)> = inputs
             .get("w")
-            .map(|values| ("w".to_string(), InputValue::Plain(values.clone())))
+            .map(|values| ("w".to_string(), ValuePayload::Plain(values.clone())))
             .into_iter()
             .collect();
         write_message(&mut stream, &Message::Inputs(raw)).unwrap();

@@ -213,7 +213,7 @@ fn stored_keys_with_an_unrequested_galois_key_are_not_served() {
         manifest.degree,
         &manifest.data_primes,
         manifest.special_prime,
-        manifest.secure,
+        true,
     )
     .unwrap();
     let mut galois = manifest.keys.galois.clone();
@@ -277,7 +277,7 @@ fn an_entry_fingerprinted_under_the_v2_domain_is_deleted_on_first_load() {
         manifest.degree,
         &manifest.data_primes,
         manifest.special_prime,
-        manifest.secure,
+        true,
     )
     .unwrap();
     let context = CkksContext::new(params).unwrap();
@@ -360,7 +360,7 @@ fn stored_full_level_keys_fail_revalidation_and_the_session_uploads() {
         manifest.degree,
         &manifest.data_primes,
         manifest.special_prime,
-        manifest.secure,
+        true,
     )
     .unwrap();
     // The seed's keys as the older build drew them: the same draws, every

@@ -34,12 +34,12 @@
 //! |---|---|---|
 //! | EVA program (`eva-core::serialize`) | `EVAP` | 3 |
 //! | compiled program bundle (`eva-core::serialize`) | `EVAB` | 3 |
-//! | encryption parameter spec (`eva-core::serialize`) | `EVAS` | 1 |
+//! | encryption parameter spec (`eva-core::serialize`) | `EVAS` | 2 |
 //! | ciphertext | `EVAC` | 1 |
 //! | seeded ciphertext | `EVAD` | 1 |
 //! | relinearization key | `EVAL` | 1 |
 //! | Galois keys | `EVAG` | 2 |
-//! | program manifest (`eva-service`) | `EVAM` | 1 |
+//! | program manifest (`eva-service`) | `EVAM` | 3 |
 //!
 //! Every object is `magic(4) · version(u32) · body_len(u64) · body`, all
 //! integers little-endian. The full byte-level specification, including the

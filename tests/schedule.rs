@@ -262,8 +262,8 @@ fn lenet_census_one_reduction_tree_per_fully_connected_layer() {
 
     let spec = &compiled.parameters;
     assert_eq!(spec.degree, 32768);
-    assert_eq!(spec.data_prime_bits, [40, 40, 60, 60, 60, 60, 60, 60]);
-    assert_eq!(spec.special_prime_bits, 60);
+    assert_eq!(spec.data_prime_bits(), [40, 40, 60, 60, 60, 60, 60, 60]);
+    assert_eq!(spec.special_prime_bits(), 60);
 }
 
 /// The forecast's `key_bytes` is the formula
