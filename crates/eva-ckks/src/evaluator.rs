@@ -470,8 +470,9 @@ impl Evaluator {
     /// Rotates the encrypted slot vector left by `steps` positions (negative
     /// steps rotate right), using the corresponding Galois key.
     ///
-    /// Rotation by step 0 is a scale-preserving no-op clone and requires no
-    /// Galois key.
+    /// A rotation by a multiple of the slot count (Galois element 1, step 0
+    /// among them) is a scale-preserving no-op clone and requires no Galois
+    /// key.
     ///
     /// # Errors
     ///
@@ -495,13 +496,13 @@ impl Evaluator {
     ///
     /// Results are **bit-identical** to calling [`Evaluator::rotate`] once
     /// per step (which is this with a fan-out of one: no member's result
-    /// depends on what else shares the decomposition or the scratch). Step 0
-    /// entries yield a no-op clone and require no Galois key.
+    /// depends on what else shares the decomposition or the scratch). Steps
+    /// of element 1 yield a no-op clone and require no Galois key.
     ///
     /// # Errors
     ///
     /// Fails if the ciphertext does not have exactly two polynomials or a
-    /// Galois key for any non-zero step is missing.
+    /// Galois key for any step of another element is missing.
     pub fn rotate_hoisted(
         &self,
         ct: &Ciphertext,
@@ -514,7 +515,7 @@ impl Evaluator {
         steps
             .iter()
             .map(|&step| {
-                if step == 0 {
+                if self.context.galois().galois_elt_from_step(step) == 1 {
                     return Ok(ct.clone());
                 }
                 let decomp = decomp.get_or_insert_with(|| {
@@ -525,11 +526,12 @@ impl Evaluator {
             .collect()
     }
 
-    /// One member of a hoisted fan-out: applies the Galois key for the
-    /// non-zero `step` to `decomp`, the decomposition of `ct`'s second
-    /// polynomial (however its digits were computed), using the caller's
-    /// work buffers. Members of one fan-out may run in any order and on
-    /// different threads, each with a scratch of its own.
+    /// One member of a hoisted fan-out: applies the Galois key for `step`
+    /// to `decomp`, the decomposition of `ct`'s second polynomial (however
+    /// its digits were computed), using the caller's work buffers; a step
+    /// of element 1 is the identity and returns a clone. Members of one
+    /// fan-out may run in any order and on different threads, each with a
+    /// scratch of its own.
     ///
     /// # Errors
     ///
@@ -550,6 +552,9 @@ impl Evaluator {
     ) -> Result<Ciphertext, CkksError> {
         check_size(ct, 2)?;
         let elt = self.context.galois().galois_elt_from_step(step);
+        if elt == 1 {
+            return Ok(ct.clone());
+        }
         let key = keys.key(elt).ok_or(CkksError::MissingGaloisKey { step })?;
         check_key_level(key, ct)?;
         let (c0_rot, d1) = self.finish_key_switch(ct, decomp, key, scratch);
@@ -1021,17 +1026,19 @@ mod tests {
         let mut f = fixture();
         let xs = vec![1.25; 128];
         let ct = f.encryptor.encrypt(&f.encoder.encode(&xs, 40.0, 2));
-        // Step 0 must require no Galois key at all — neither at keygen (no
-        // key material is generated for it) nor at rotate time (no lookup).
+        // Element 1 needs no Galois key — neither at keygen (no key material
+        // is generated for it) nor at rotate time (no lookup).
         let gk = f.keygen.create_galois_keys(&[]);
-        let out = f.evaluator.rotate(&ct, 0, &gk).unwrap();
-        assert_eq!(out.polys(), ct.polys(), "step 0 is a bit-exact clone");
-        assert_eq!(out.scale_log2(), ct.scale_log2(), "scale is preserved");
-        assert_close(&f.decryptor.decrypt_to_values(&out, 128), &xs, 1e-4);
+        let slots = f.slots as i64;
+        for step in [0, slots, -slots, 3 * slots] {
+            let out = f.evaluator.rotate(&ct, step, &gk).unwrap();
+            assert_eq!(out.polys(), ct.polys(), "step {step} is a bit-exact clone");
+            assert_eq!(out.scale_log2(), ct.scale_log2(), "scale is preserved");
+        }
         // Same through the hoisted path.
-        let hoisted = f.evaluator.rotate_hoisted(&ct, &[0], &gk).unwrap();
-        assert_eq!(hoisted.len(), 1);
-        assert_eq!(hoisted[0].polys(), ct.polys());
+        let hoisted = f.evaluator.rotate_hoisted(&ct, &[0, slots], &gk).unwrap();
+        assert_eq!(hoisted.len(), 2);
+        assert!(hoisted.iter().all(|h| h.polys() == ct.polys()));
     }
 
     #[test]

@@ -323,9 +323,10 @@ impl KeyGenerator {
     /// `q_0 … q_{ℓ−1}, P` (see the module docs).
     ///
     /// Duplicate steps, and steps that alias one Galois element, share one
-    /// key, at the highest of their levels; step 0 is skipped entirely — a
-    /// rotation by zero is a no-op clone in the evaluator, so no key
-    /// material is generated (and none needs to be uploaded) for it.
+    /// key, at the highest of their levels; a step of element 1 (0 modulo
+    /// the slot count) is skipped entirely — that rotation is a no-op clone
+    /// in the evaluator, so no key material is generated (and none needs to
+    /// be uploaded) for it.
     ///
     /// Generation runs in two phases. The calling thread draws every random
     /// value and allocates every key row, key by key (relinearization first,
@@ -362,8 +363,11 @@ impl KeyGenerator {
     ) -> (Option<RelinearizationKey>, GaloisKeys) {
         let tool = self.context.galois();
         let mut elements: Vec<(u64, usize)> = Vec::new();
-        for &(step, level) in galois.iter().filter(|&&(step, _)| step != 0) {
+        for &(step, level) in galois {
             let elt = tool.galois_elt_from_step(step);
+            if elt == 1 {
+                continue;
+            }
             match elements.iter_mut().find(|(e, _)| *e == elt) {
                 Some((_, kept)) => *kept = (*kept).max(level),
                 None => elements.push((elt, level)),
@@ -647,11 +651,12 @@ mod tests {
     fn step_zero_generates_no_key_material() {
         let ctx = context();
         let tool = ctx.galois().clone();
+        let nh = ctx.slot_count() as i64;
         let mut keygen = KeyGenerator::from_seed(ctx, 11);
-        let gk = keygen.create_galois_keys(&[0, 1, 0]);
-        // Rotation by zero is a no-op clone in the evaluator, so requesting
-        // it must not cost any key material (elt = 1 would otherwise be a
-        // full useless key-switch key).
+        let gk = keygen.create_galois_keys(&[0, 1, nh, 0, -2 * nh]);
+        // A rotation by a multiple of the slot count is a no-op clone in the
+        // evaluator, so requesting it must not cost any key material (elt = 1
+        // would otherwise be a full useless key-switch key).
         assert_eq!(elements(&gk), vec![tool.galois_elt_from_step(1)]);
         assert!(gk.key(1).is_none());
     }
@@ -752,9 +757,9 @@ mod tests {
             reference_key_switch_key(keygen, &s_squared)
         });
         let mut galois = GaloisKeys::default();
-        for &step in steps.iter().filter(|&&step| step != 0) {
+        for &step in steps {
             let elt = context.galois().galois_elt_from_step(step);
-            if galois.keys.contains_key(&elt) {
+            if elt == 1 || galois.keys.contains_key(&elt) {
                 continue;
             }
             let mut rotated = keygen.secret.coeff.apply_galois(elt, basis);
@@ -819,7 +824,7 @@ mod tests {
             let want_level = |elt: u64| {
                 steps
                     .iter()
-                    .filter(|&&(step, _)| step != 0 && tool.galois_elt_from_step(step) == elt)
+                    .filter(|&&(step, _)| tool.galois_elt_from_step(step) == elt)
                     .map(|&(_, level)| level)
                     .max()
                     .unwrap()

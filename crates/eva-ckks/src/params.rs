@@ -51,6 +51,9 @@ pub enum ParameterError {
         /// Number of data primes requested.
         levels: usize,
     },
+    /// A modulus of a given chain is below 2, not prime, not NTT-friendly
+    /// for the degree, or repeated.
+    InvalidChain(String),
     /// Prime generation failed.
     PrimeGeneration(String),
 }
@@ -74,6 +77,7 @@ impl std::fmt::Display for ParameterError {
                 f,
                 "a chain of {levels} data primes could overflow the 128-bit key-switch sum"
             ),
+            ParameterError::InvalidChain(msg) => write!(f, "{msg}"),
             ParameterError::PrimeGeneration(msg) => write!(f, "prime generation failed: {msg}"),
         }
     }
@@ -142,14 +146,16 @@ impl CkksParameters {
         chain.push(special_prime);
         for &q in &chain {
             if q < 2 {
-                return Err(ParameterError::InvalidPrimeBits(0));
+                return Err(ParameterError::InvalidChain(format!(
+                    "modulus {q} is below 2"
+                )));
             }
             let bits = bits_of(q);
             if !(2..=MAX_PRIME_BITS).contains(&bits) {
                 return Err(ParameterError::InvalidPrimeBits(bits));
             }
             if q % (2 * degree as u64) != 1 {
-                return Err(ParameterError::PrimeGeneration(format!(
+                return Err(ParameterError::InvalidChain(format!(
                     "prime {q} is not NTT-friendly for degree {degree}"
                 )));
             }
@@ -157,18 +163,18 @@ impl CkksParameters {
             // it here too means a chain that validates always builds a
             // context.
             if !is_prime(q) {
-                return Err(ParameterError::PrimeGeneration(format!(
+                return Err(ParameterError::InvalidChain(format!(
                     "modulus {q} is not prime"
                 )));
             }
         }
         let mut sorted = chain.clone();
         sorted.sort_unstable();
-        sorted.dedup();
-        if sorted.len() != chain.len() {
-            return Err(ParameterError::PrimeGeneration(
-                "duplicate primes in the modulus chain".into(),
-            ));
+        if let Some(pair) = sorted.windows(2).find(|pair| pair[0] == pair[1]) {
+            return Err(ParameterError::InvalidChain(format!(
+                "prime {} appears twice in the chain",
+                pair[0]
+            )));
         }
         if enforce_security {
             let allowed =
@@ -291,6 +297,17 @@ mod tests {
         let err = CkksParameters::new(4096, &[60, 60]).unwrap_err();
         assert!(matches!(err, ParameterError::InsecureModulus { .. }));
         // 60 + 60 data bits + 60 special = 180 > 109.
+    }
+
+    #[test]
+    fn chain_defects_are_named_as_such() {
+        let good = CkksParameters::new(8192, &[40, 30]).unwrap();
+        let (q, special) = (good.data_primes()[0], good.special_prime());
+        for (data, defect) in [([q, q], "appears twice"), ([q, 1], "is below 2")] {
+            let err = CkksParameters::from_primes(8192, &data, special, true).unwrap_err();
+            assert!(matches!(err, ParameterError::InvalidChain(_)), "{err:?}");
+            assert!(err.to_string().contains(defect), "{err}");
+        }
     }
 
     #[test]

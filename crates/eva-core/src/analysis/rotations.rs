@@ -100,7 +100,8 @@ impl KeyLevels {
 /// each the highest `remaining_levels` of an operand it switches. Steps share
 /// an element exactly when they are congruent modulo the slot count `N/2`
 /// (the element of a step is `5^step mod 2N`, and 5 has order `N/2` there),
-/// so their uses merge; step 0 needs no key. The steps are the program's own
+/// so their uses merge; the class of step 0 is the identity and needs no
+/// key. The steps are the program's own
 /// ([`select_rotation_steps`]), which the verifier requires
 /// [`CompiledProgram::rotation_steps`] to equal.
 ///
@@ -127,7 +128,7 @@ pub fn key_levels(compiled: &CompiledProgram) -> Result<KeyLevels, EvaError> {
             .unwrap_or(top);
         if op == Opcode::Relinearize {
             relin = relin.max(Some(level));
-        } else if let Some(step) = op.rotation_step().filter(|&s| s != 0) {
+        } else if let Some(step) = op.rotation_step().filter(|&s| s.rem_euclid(slots) != 0) {
             let highest = used.entry(step).or_insert(0);
             *highest = (*highest).max(level);
         }

@@ -888,6 +888,9 @@ mod tests {
             );
             let report = verify_compiled(&compiled);
             assert!(report.has_error(Check::Parameters), "{name}: {report}");
+            // Nothing was generated: the finding names the defect.
+            let finding = report.to_string();
+            assert!(!finding.contains("generation"), "{name}: {finding}");
         }
     }
 

@@ -17,8 +17,8 @@ pub struct ProgramDiagnostics {
 }
 
 /// One finding: the check that fired (the verifier's stable kebab-case
-/// name, e.g. `"scale-match"`, or `"noise-budget"` / `"peak-memory"`), the
-/// node it anchors to (if any) and the message.
+/// name, e.g. `"scale-match"`, or `"noise-budget"` / `"peak-memory"` /
+/// `"key-frame"`), the node it anchors to (if any) and the message.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Finding {
     /// Stable name of the check that fired.

@@ -47,7 +47,9 @@ use eva_wire::{fingerprint_eval_key_payload, KeyFingerprint};
 use crate::error::{Finding, ProgramDiagnostics, ServiceError};
 use crate::keystore::DiskKeyStore;
 use crate::limits::ServerConfig;
-use crate::protocol::{decode_payload, ClientFrameBounds, Message, ProgramManifest, TAG_EVAL_KEYS};
+use crate::protocol::{
+    decode_payload, ClientFrameBounds, Message, ProgramManifest, MAX_FRAME_BYTES, TAG_EVAL_KEYS,
+};
 use crate::sched::{eval_slots, SchedGauges};
 
 /// Converts a verifier report into the findings a refused load carries:
@@ -81,9 +83,13 @@ fn refusal(program: &str, check: &str, node: Option<usize>, message: String) -> 
 
 /// The load gate for an untrusted program: the full static verifier, then
 /// the worst-case noise gate, then the peak-memory forecast, then the
-/// budget — refusing on the first finding, before any FHE state exists.
-/// Returns how many evaluations the budget admits at once ([`eval_slots`]).
-fn admit_program(compiled: &CompiledProgram, budget: Option<u64>) -> Result<usize, ServiceError> {
+/// budget, then the size of the key upload — refusing on the first finding,
+/// before any FHE state exists. Returns how many evaluations the budget
+/// admits at once ([`eval_slots`]) and the program's manifest.
+fn admit_program(
+    compiled: &CompiledProgram,
+    budget: Option<u64>,
+) -> Result<(usize, ProgramManifest), ServiceError> {
     let program = compiled.name();
     let report = verify_compiled(compiled);
     if !report.is_clean() {
@@ -111,7 +117,22 @@ fn admit_program(compiled: &CompiledProgram, budget: Option<u64>) -> Result<usiz
             ));
         }
     }
-    Ok(eval_slots(budget, forecast.peak_bytes as u64))
+    // The keys travel as one frame, and no frame may exceed the cap: such a
+    // program could be loaded but never evaluated.
+    let manifest = ProgramManifest::from_compiled(compiled)?;
+    let (key_frame, _) = ClientFrameBounds::new(&manifest).bound(TAG_EVAL_KEYS);
+    if key_frame > MAX_FRAME_BYTES {
+        return Err(refusal(
+            program,
+            "key-frame",
+            None,
+            format!(
+                "its evaluation keys are a {key_frame}-byte frame, above the \
+                 {MAX_FRAME_BYTES}-byte limit on any frame, so no client could upload them"
+            ),
+        ));
+    }
+    Ok((eval_slots(budget, forecast.peak_bytes as u64), manifest))
 }
 
 /// Statistics for one completed session.
@@ -360,7 +381,9 @@ impl EvaServer {
     /// # Errors
     ///
     /// Returns [`ServiceError::InvalidProgram`] if verification, the noise
-    /// gate or the memory budget refuses the program — the verifier's
+    /// gate, the memory budget or the key-frame bound (the exact size of its
+    /// evaluation keys' upload against [`MAX_FRAME_BYTES`]) refuses the
+    /// program — the verifier's
     /// `parameters` check is the validator the context is built with, so a
     /// bad prime chain is refused here too —
     /// [`ServiceError::InvalidParameters`] if a verified spec still cannot be
@@ -370,7 +393,7 @@ impl EvaServer {
         compiled: CompiledProgram,
         config: ServerConfig,
     ) -> Result<Self, ServiceError> {
-        let eval_slots = admit_program(&compiled, config.memory_budget)?;
+        let (eval_slots, manifest) = admit_program(&compiled, config.memory_budget)?;
         let params = parameters_from_spec(&compiled.parameters)
             .map_err(|e| ServiceError::InvalidParameters(e.to_string()))?;
         let context =
@@ -380,7 +403,6 @@ impl EvaServer {
             .as_ref()
             .map(DiskKeyStore::open)
             .transpose()?;
-        let manifest = ProgramManifest::from_compiled(&compiled)?;
         Ok(Self {
             inner: Arc::new(ServerInner {
                 compiled,

@@ -42,7 +42,8 @@ fn mixed_program() -> Program {
 
 /// One corruption class: a name for the corpus file, the mutation, and the
 /// verifier checks allowed to catch it (several can legitimately fire — see
-/// `tests/verifier_props.rs` — but at least one of these must).
+/// the umbrella crate's `tests/differential.rs` — but at least one of these
+/// must).
 struct Corruption {
     name: &'static str,
     expected_checks: &'static [&'static str],

@@ -1,17 +1,16 @@
 //! End-to-end tests over a real localhost TCP socket: the client keeps every
 //! key, the server executes over ciphertexts, and the decrypted results
 //! match the in-process encrypted executor bit-for-bit under seeded
-//! randomness.
+//! randomness. The umbrella crate's `tests/differential.rs` serves its
+//! named workloads through one such session each.
 
 use std::collections::HashMap;
 use std::net::{TcpListener, TcpStream};
 
-use eva_backend::{execute_parallel, run_reference, EncryptedContext};
-use eva_core::passes::{eliminate_common_subexpressions, eliminate_dead_code};
+use eva_backend::{run_reference, EncryptedContext};
 use eva_core::{compile, CompilerOptions, Opcode, Program};
 use eva_service::{
-    bytes_with_tag, contains_any_chunk, frame_index, EvaClient, EvaServer, RecordingStream,
-    TAG_EVAL_KEYS, TAG_INPUTS,
+    bytes_with_tag, frame_index, EvaClient, EvaServer, RecordingStream, TAG_EVAL_KEYS, TAG_INPUTS,
 };
 
 /// A rotation + plaintext-operand program: exercises Galois keys,
@@ -43,122 +42,6 @@ fn mixed_inputs() -> HashMap<String, Vec<f64>> {
     ]
     .into_iter()
     .collect()
-}
-
-#[test]
-fn client_server_roundtrip_matches_in_process_executor_bit_for_bit() {
-    let compiled = compile(&mixed_program(), &CompilerOptions::default()).unwrap();
-    let inputs = mixed_inputs();
-    let seed = 7u64;
-
-    // In-process encrypted execution with the same seed the client will use.
-    let mut in_process = EncryptedContext::setup(&compiled, Some(seed)).unwrap();
-    let bindings = in_process.encrypt_inputs(&compiled, &inputs).unwrap();
-    let values = execute_parallel(in_process.evaluation(), &compiled, bindings, 2).unwrap();
-    let expected = in_process.decrypt_outputs(&compiled, &values).unwrap();
-
-    // Client → server → client over a real socket.
-    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-    let addr = listener.local_addr().unwrap();
-    let server = EvaServer::new(compiled.clone()).unwrap().with_threads(2);
-    let server_thread = std::thread::spawn(move || server.serve_sessions(&listener, 1));
-
-    let stream = RecordingStream::new(TcpStream::connect(addr).unwrap());
-    let mut client = EvaClient::handshake_deterministic(stream, seed).unwrap();
-    let outputs = client.evaluate(&inputs).unwrap();
-
-    // Identical seeds + identical draw order ⇒ identical keys, identical
-    // encryption randomness, identical circuit ⇒ bit-identical results.
-    // (handshake_deterministic is the explicit test-only mode; plain
-    // seeded handshakes draw fresh encryption randomness.)
-    for (name, expected_values) in &expected {
-        let got = &outputs[name];
-        for (a, b) in got.iter().zip(expected_values) {
-            assert_eq!(
-                a.to_bits(),
-                b.to_bits(),
-                "output {name:?} deviates from the in-process executor"
-            );
-        }
-    }
-    // And well within the ≤ 1e-4 regression bound against the plaintext
-    // reference semantics.
-    let reference = run_reference(&compiled.program, &inputs).unwrap();
-    for (a, b) in outputs["out"].iter().zip(&reference["out"]) {
-        assert!((a - b).abs() <= 1e-4, "encrypted {a} vs reference {b}");
-    }
-
-    // The secret key never appeared in either direction of the traffic.
-    let probe = client.secret_key_probe();
-    let stream = client.finish().unwrap();
-    assert!(probe.len() >= 64);
-    for window in [64, 32] {
-        assert!(
-            !contains_any_chunk(stream.sent(), &probe, window),
-            "secret key bytes on the wire"
-        );
-        assert!(!contains_any_chunk(stream.received(), &probe, window));
-    }
-
-    let reports = server_thread.join().unwrap().unwrap();
-    assert_eq!(reports.len(), 1);
-    assert_eq!(reports[0].as_ref().unwrap().evaluations, 1);
-}
-
-/// Keys at the level they are used: a rotation at the top level and one
-/// after two rescales give Galois keys of two sizes, and the client/server
-/// run still matches the in-process executor bit for bit.
-#[test]
-fn keys_below_the_top_level_keep_client_server_bit_identical_to_in_process() {
-    let mut p = Program::new("two-levels", 16);
-    let x = p.input_cipher("x", 30);
-    let shifted = p.instruction(Opcode::RotateLeft(3), &[x]);
-    let sum = p.instruction(Opcode::Add, &[x, shifted]);
-    let sq = p.instruction(Opcode::Multiply, &[sum, sum]);
-    let fourth = p.instruction(Opcode::Multiply, &[sq, sq]);
-    let out = p.instruction(Opcode::RotateLeft(1), &[fourth]);
-    p.output("out", out, 30);
-    let compiled = compile(&p, &CompilerOptions::default()).unwrap();
-    let inputs: HashMap<String, Vec<f64>> = [(
-        "x".to_string(),
-        (0..16).map(|i| (i as f64) / 32.0).collect(),
-    )]
-    .into();
-    let seed = 9u64;
-
-    let mut in_process = EncryptedContext::setup(&compiled, Some(seed)).unwrap();
-    let bindings = in_process.encrypt_inputs(&compiled, &inputs).unwrap();
-    let values = execute_parallel(in_process.evaluation(), &compiled, bindings, 2).unwrap();
-    let expected = in_process.decrypt_outputs(&compiled, &values).unwrap();
-
-    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-    let addr = listener.local_addr().unwrap();
-    let server = EvaServer::new(compiled.clone()).unwrap().with_threads(2);
-    let top = server.manifest().data_primes.len();
-    let levels: Vec<usize> = server.manifest().keys.galois.iter().map(|k| k.1).collect();
-    assert!(
-        levels.contains(&top) && levels.iter().any(|&l| l < top),
-        "{levels:?}"
-    );
-    let server_thread = std::thread::spawn(move || server.serve_sessions(&listener, 1));
-
-    let stream = RecordingStream::new(TcpStream::connect(addr).unwrap());
-    let mut client = EvaClient::handshake_deterministic(stream, seed).unwrap();
-    let outputs = client.evaluate(&inputs).unwrap();
-    for (a, b) in outputs["out"].iter().zip(&expected["out"]) {
-        assert_eq!(
-            a.to_bits(),
-            b.to_bits(),
-            "client/server deviates from in-process"
-        );
-    }
-    let reference = run_reference(&compiled.program, &inputs).unwrap();
-    for (a, b) in outputs["out"].iter().zip(&reference["out"]) {
-        assert!((a - b).abs() <= 1e-4, "encrypted {a} vs reference {b}");
-    }
-    client.finish().unwrap();
-    let reports = server_thread.join().unwrap().unwrap();
-    assert_eq!(reports[0].as_ref().unwrap().evaluations, 1);
 }
 
 /// Paper Figure 3's x² + x needs no evaluation key: the square reaches the
@@ -679,100 +562,4 @@ fn bad_inputs_are_refused_alike_in_process_by_the_client_and_by_the_server() {
     client.finish().unwrap();
     let reports = server_thread.join().unwrap().unwrap();
     assert_eq!(reports.iter().filter(|r| r.is_ok()).count(), 1);
-}
-
-/// Hoisted key switching over the wire: Sobel's rotation fan-outs execute
-/// hoisted on a two-thread server (shared RNS decomposition, one Galois-key
-/// apply per member), and under the same deterministic handshake the
-/// decrypted outputs are bit-identical to in-process serial execution —
-/// neither the thread count nor the client/server boundary may move a bit.
-#[test]
-fn hoisted_sobel_over_the_service_matches_in_process_serial_bit_for_bit() {
-    let program = eva_apps::image::sobel_program(16);
-    let compiled = compile(&program, &CompilerOptions::default()).unwrap();
-    let image: Vec<f64> = (0..256).map(|i| ((i % 17) as f64) / 17.0).collect();
-    let inputs: HashMap<String, Vec<f64>> = [("image".to_string(), image)].into_iter().collect();
-    let seed = 42u64;
-
-    let mut in_process = EncryptedContext::setup(&compiled, Some(seed)).unwrap();
-    let bindings = in_process.encrypt_inputs(&compiled, &inputs).unwrap();
-    let values = in_process.execute_serial(&compiled, bindings).unwrap();
-    let expected = in_process.decrypt_outputs(&compiled, &values).unwrap();
-
-    // Client → two-thread server → client over a real socket, same seed.
-    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-    let addr = listener.local_addr().unwrap();
-    let server = EvaServer::new(compiled.clone()).unwrap().with_threads(2);
-    let server_thread = std::thread::spawn(move || server.serve_sessions(&listener, 1));
-    let stream = TcpStream::connect(addr).unwrap();
-    let mut client = EvaClient::handshake_deterministic(stream, seed).unwrap();
-    let outputs = client.evaluate(&inputs).unwrap();
-    client.finish().unwrap();
-    server_thread.join().unwrap().unwrap();
-
-    for (name, expected_values) in &expected {
-        let got = &outputs[name];
-        for (i, (a, b)) in got.iter().zip(expected_values).enumerate() {
-            assert_eq!(
-                a.to_bits(),
-                b.to_bits(),
-                "output {name:?}[{i}]: the service deviates from in-process \
-                 serial execution"
-            );
-        }
-    }
-}
-
-/// The optimizer acceptance contract, end-to-end over the service: the
-/// structurally optimized (CSE + DCE) Sobel twin returns bit-identical
-/// outputs to the unoptimized twin through real client/server evaluations
-/// with the same deterministic handshake, and the fully optimized twin
-/// (rotation factoring re-associates sums) agrees to working precision.
-#[test]
-fn optimized_sobel_twin_matches_unoptimized_over_the_service() {
-    let program = eva_apps::image::sobel_program(16);
-    // The structural subset by hand, then the maintenance pipeline alone.
-    let mut structural_program = program.clone();
-    eliminate_common_subexpressions(&mut structural_program);
-    eliminate_dead_code(&mut structural_program);
-
-    let image: Vec<f64> = (0..256).map(|i| ((i % 17) as f64) / 17.0).collect();
-    let inputs: HashMap<String, Vec<f64>> = [("image".to_string(), image)].into_iter().collect();
-    let seed = 42u64;
-
-    let serve = |compiled: eva_core::CompiledProgram| {
-        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let addr = listener.local_addr().unwrap();
-        let server = EvaServer::new(compiled).unwrap();
-        let server_thread = std::thread::spawn(move || server.serve_sessions(&listener, 1));
-        let stream = TcpStream::connect(addr).unwrap();
-        let mut client = EvaClient::handshake_deterministic(stream, seed).unwrap();
-        let outputs = client.evaluate(&inputs).unwrap();
-        client.finish().unwrap();
-        server_thread.join().unwrap().unwrap();
-        outputs
-    };
-
-    let unopt = compile(&program, &CompilerOptions::unoptimized()).unwrap();
-    let baseline = serve(unopt);
-    let structural = compile(&structural_program, &CompilerOptions::unoptimized()).unwrap();
-    let structural_outputs = serve(structural);
-    let full = compile(&program, &CompilerOptions::default()).unwrap();
-    let full_outputs = serve(full);
-
-    for (name, expected) in &baseline {
-        for (i, (a, b)) in structural_outputs[name].iter().zip(expected).enumerate() {
-            assert_eq!(
-                a.to_bits(),
-                b.to_bits(),
-                "structural twin {name}[{i}]: {a} != {b}"
-            );
-        }
-        for (a, b) in full_outputs[name].iter().zip(expected) {
-            assert!(
-                (a - b).abs() < 1e-2 * b.abs().max(1.0),
-                "full twin {name}: {a} vs {b}"
-            );
-        }
-    }
 }

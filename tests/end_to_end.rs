@@ -3,7 +3,7 @@
 
 use std::collections::HashMap;
 
-use eva::backend::{execute_parallel, run_encrypted, run_reference, EncryptedContext};
+use eva::backend::{run_encrypted, run_reference};
 use eva::frontend::ProgramBuilder;
 use eva::ir::{compile, CompilerOptions};
 
@@ -56,29 +56,6 @@ fn statistics_kernel_with_rotations_end_to_end() {
 }
 
 #[test]
-fn serial_and_parallel_executors_agree_on_an_application() {
-    // Sobel on a small image, executed with both executors.
-    let app = eva::apps::image::sobel(16, 9);
-    let compiled = compile(&app.program, &CompilerOptions::default()).unwrap();
-
-    let mut context = EncryptedContext::setup(&compiled, Some(123)).unwrap();
-    let bindings = context.encrypt_inputs(&compiled, &app.inputs).unwrap();
-    let serial_values = context.execute_serial(&compiled, bindings).unwrap();
-    let serial = context.decrypt_outputs(&compiled, &serial_values).unwrap();
-
-    let bindings = context.encrypt_inputs(&compiled, &app.inputs).unwrap();
-    let parallel_values = execute_parallel(context.evaluation(), &compiled, bindings, 2).unwrap();
-    let parallel = context
-        .decrypt_outputs(&compiled, &parallel_values)
-        .unwrap();
-
-    // The two runs encrypt the inputs with fresh randomness, so they agree up
-    // to CKKS noise rather than exactly.
-    close(&serial["edges"], &parallel["edges"], 1e-3);
-    close(&serial["edges"], &app.expected["edges"], 1e-2);
-}
-
-#[test]
 fn regression_applications_run_encrypted() {
     for app in [
         eva::apps::regression::linear(64, 5),
@@ -88,6 +65,28 @@ fn regression_applications_run_encrypted() {
         let outputs = run_encrypted(&compiled, &app.inputs).unwrap();
         for (name, expected) in &app.expected {
             close(&outputs[name], expected, app.tolerance);
+        }
+    }
+}
+
+/// Every Table-6 network loads on the service, except the two whose
+/// evaluation keys would be one frame over the 1 GiB cap: those are refused
+/// at load with a `key-frame` finding, without generating a key.
+#[test]
+fn networks_whose_keys_no_client_could_upload_are_refused_at_load() {
+    use eva::service::{EvaServer, ServiceError};
+    use eva::tensor::{all_networks, lower_network, LoweringMode};
+    for network in all_networks(1) {
+        let lowered = lower_network(&network, LoweringMode::Eva);
+        let compiled = compile(&lowered.program, &CompilerOptions::default()).unwrap();
+        let refused = ["LeNet-5-large", "SqueezeNet-CIFAR"].contains(&network.name.as_str());
+        match EvaServer::new(compiled) {
+            Ok(_) => assert!(!refused, "{} loads", network.name),
+            Err(ServiceError::InvalidProgram(findings)) => {
+                assert!(refused, "{}: {findings:?}", network.name);
+                assert_eq!(findings.diagnostics[0].check, "key-frame", "{findings:?}");
+            }
+            Err(err) => panic!("{}: {err}", network.name),
         }
     }
 }
