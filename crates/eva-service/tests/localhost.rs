@@ -1,14 +1,15 @@
 //! End-to-end tests over a real localhost TCP socket: the client keeps every
 //! key, the server executes over ciphertexts, and the decrypted results
 //! match the in-process encrypted executor bit-for-bit under seeded
-//! randomness. The umbrella crate's `tests/differential.rs` serves its
-//! named workloads through one such session each.
+//! randomness. The umbrella crate's differential harness serves its named
+//! workloads through one such session each.
 
 use std::collections::HashMap;
 use std::net::{TcpListener, TcpStream};
 
 use eva_backend::{run_reference, EncryptedContext};
-use eva_core::{compile, CompilerOptions, Opcode, Program};
+use eva_core::passes::{eliminate_common_subexpressions, eliminate_dead_code};
+use eva_core::{compile, CompiledProgram, CompilerOptions, Opcode, Program};
 use eva_service::{
     bytes_with_tag, frame_index, EvaClient, EvaServer, RecordingStream, TAG_EVAL_KEYS, TAG_INPUTS,
 };
@@ -562,4 +563,83 @@ fn bad_inputs_are_refused_alike_in_process_by_the_client_and_by_the_server() {
     client.finish().unwrap();
     let reports = server_thread.join().unwrap().unwrap();
     assert_eq!(reports.iter().filter(|r| r.is_ok()).count(), 1);
+}
+
+/// Sobel 16×16 and an image for it.
+fn sobel() -> (Program, HashMap<String, Vec<f64>>) {
+    let image = (0..256).map(|i| f64::from(i % 17) / 17.0).collect();
+    let inputs = HashMap::from([("image".to_string(), image)]);
+    (eva_apps::image::sobel_program(16), inputs)
+}
+
+/// The decrypted outputs of one session of `compiled` on a two-thread
+/// server, under the deterministic handshake from `seed`.
+fn served(
+    compiled: CompiledProgram,
+    inputs: &HashMap<String, Vec<f64>>,
+    seed: u64,
+) -> HashMap<String, Vec<f64>> {
+    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap();
+    let server = EvaServer::new(compiled).unwrap().with_threads(2);
+    let server_thread = std::thread::spawn(move || server.serve_sessions(&listener, 1));
+    let stream = TcpStream::connect(addr).unwrap();
+    let mut client = EvaClient::handshake_deterministic(stream, seed).unwrap();
+    let outputs = client.evaluate(inputs).unwrap();
+    client.finish().unwrap();
+    server_thread.join().unwrap().unwrap();
+    outputs
+}
+
+fn assert_bit_identical(
+    got: &HashMap<String, Vec<f64>>,
+    want: &HashMap<String, Vec<f64>>,
+    label: &str,
+) {
+    assert_eq!(got.len(), want.len(), "{label}: output count");
+    for (name, want) in want {
+        for (i, (a, b)) in got[name].iter().zip(want).enumerate() {
+            assert_eq!(a.to_bits(), b.to_bits(), "{label}: {name}[{i}] {a} vs {b}");
+        }
+    }
+}
+
+/// Hoisted key switching over the wire: Sobel's rotation fan-outs execute
+/// hoisted on a two-thread server, and under the same deterministic
+/// handshake the decrypted outputs are bit-identical to in-process serial
+/// execution — neither the thread count nor the client/server boundary may
+/// move a bit.
+#[test]
+fn hoisted_sobel_over_the_service_matches_in_process_serial_bit_for_bit() {
+    let (program, inputs) = sobel();
+    let compiled = compile(&program, &CompilerOptions::default()).unwrap();
+    let mut in_process = EncryptedContext::setup(&compiled, Some(42)).unwrap();
+    let bindings = in_process.encrypt_inputs(&compiled, &inputs).unwrap();
+    let values = in_process.execute_serial(&compiled, bindings).unwrap();
+    let expected = in_process.decrypt_outputs(&compiled, &values).unwrap();
+    let outputs = served(compiled, &inputs, 42);
+    assert_bit_identical(&outputs, &expected, "served vs in-process serial");
+}
+
+/// The optimizer's contract over the service: the structurally optimized
+/// (CSE + DCE) Sobel twin returns the unoptimized twin's bits, and the fully
+/// optimized one (rotation factoring re-associates sums) agrees to 1e-2.
+#[test]
+fn optimized_sobel_twin_matches_unoptimized_over_the_service() {
+    let (program, inputs) = sobel();
+    let mut structural = program.clone();
+    eliminate_common_subexpressions(&mut structural);
+    eliminate_dead_code(&mut structural);
+    let unoptimized = CompilerOptions::unoptimized();
+    let baseline = served(compile(&program, &unoptimized).unwrap(), &inputs, 42);
+    let twin = served(compile(&structural, &unoptimized).unwrap(), &inputs, 42);
+    assert_bit_identical(&twin, &baseline, "CSE + DCE twin vs unoptimized");
+    let full = compile(&program, &CompilerOptions::default()).unwrap();
+    let full = served(full, &inputs, 42);
+    for (name, want) in &baseline {
+        for (a, b) in full[name].iter().zip(want) {
+            let close = (a - b).abs() < 1e-2 * b.abs().max(1.0);
+            assert!(close, "optimized {name}: {a} vs {b}");
+        }
+    }
 }

@@ -1,11 +1,14 @@
 //! End-to-end integration tests: author → compile → encrypt → execute →
 //! decrypt, compared against the reference semantics.
 
+mod harness;
+
 use std::collections::HashMap;
 
 use eva::backend::{run_encrypted, run_reference};
 use eva::frontend::ProgramBuilder;
 use eva::ir::{compile, CompilerOptions};
+use harness::{application, Encrypt, DEFAULT};
 
 fn close(a: &[f64], b: &[f64], tolerance: f64) {
     for (i, (x, y)) in a.iter().zip(b).enumerate() {
@@ -53,6 +56,16 @@ fn statistics_kernel_with_rotations_end_to_end() {
 
     let encrypted = run_encrypted(&compiled, &inputs).unwrap();
     close(&encrypted["mean"], &reference["mean"], 1e-3);
+}
+
+/// An application, Harris 16×16 (`harris(16, 9)`), through the
+/// differential harness: its default leg runs serially and at 2, 3 and 8
+/// threads bit for bit, within 1e-2 of the detector computed apart from the
+/// program. Sobel's legs run so in `optimizer_props.rs`.
+#[test]
+fn serial_and_parallel_executors_agree_on_an_application() {
+    let harris = eva::apps::image::harris(16, 9);
+    application(harris, Encrypt::Legs(&[DEFAULT]), None);
 }
 
 #[test]

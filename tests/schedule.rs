@@ -1,9 +1,10 @@
 //! Integration tests for the shared execution schedule
 //! (`eva_core::analysis::Schedule`): the memory forecast and the serial
-//! executor's audit agree, and the cost model and forecast print exactly
-//! what they printed before they were rewritten as schedule walks. That the
-//! parallel executor is bit-identical to the serial one is
-//! `tests/differential.rs`'s to check.
+//! executor's audit agree, the parallel executor is bit-identical to the
+//! serial one, and the cost model and forecast print exactly what they
+//! printed before they were rewritten as schedule walks.
+
+mod harness;
 
 use std::collections::HashMap;
 
@@ -12,13 +13,14 @@ use eva::ir::{
     compile, estimate_cost, predict_peak_memory, CompiledProgram, CompilerOptions, CostModel,
     MemoryForecast, Opcode, Program,
 };
+use harness::{check, cost, Case, DEFAULT, LAZY};
 
 type Inputs = HashMap<String, Vec<f64>>;
 
 /// A 3-way rotation fan-out whose source also feeds an ADD, a
 /// duplicate-argument node, a dead branch and two outputs sharing a node
-/// (the program `schedule.rs`'s unit tests pin step by step), compiled.
-fn mixed() -> (CompiledProgram, Inputs) {
+/// (the program `schedule.rs`'s unit tests pin step by step).
+fn mixed_program() -> Program {
     let mut p = Program::new("mixed", 16);
     let x = p.input_cipher("x", 30);
     let sq = p.instruction(Opcode::Multiply, &[x, x]);
@@ -32,9 +34,17 @@ fn mixed() -> (CompiledProgram, Inputs) {
     let _dead = p.instruction(Opcode::Negate, &[dead]);
     p.output("first", c, 30);
     p.output("second", c, 30);
-    let compiled = compile(&p, &CompilerOptions::default()).unwrap();
+    p
+}
+
+fn mixed_inputs() -> Inputs {
     let x: Vec<f64> = (0..16).map(|i| (i as f64) / 16.0 - 0.5).collect();
-    (compiled, HashMap::from([("x".to_string(), x)]))
+    HashMap::from([("x".to_string(), x)])
+}
+
+fn mixed() -> (CompiledProgram, Inputs) {
+    let compiled = compile(&mixed_program(), &CompilerOptions::default()).unwrap();
+    (compiled, mixed_inputs())
 }
 
 fn sobel_16() -> (CompiledProgram, Inputs) {
@@ -73,6 +83,23 @@ fn forecast_equals_the_audit_on_sobel_and_bounds_it_on_the_mixed_program() {
             && forecast.peak_bytes >= audit.peak_bytes,
         "forecast {forecast:?} must upper-bound audit {audit:?}"
     );
+}
+
+/// The mixed program's fan-out runs hoisted in the optimized legs, and every
+/// leg of the differential harness runs serially and at 2, 3 and 8 threads
+/// bit for bit (the thread counts grew after the test was named). Sobel's
+/// fan-outs are `optimizer_props.rs`'s `sobel_hoisted_twins_are_bit_identical`.
+#[test]
+fn parallel_is_bit_identical_to_serial_at_one_two_and_four_threads() {
+    let case = Case::new("rotation fan-out", mixed_program(), mixed_inputs());
+    let legs = check(&Case {
+        tolerance: Some(1e-4),
+        ..case
+    });
+    for name in [DEFAULT, LAZY] {
+        let groups = cost(&legs, name).hoisted_groups;
+        assert!(groups >= 1, "{name}: {groups} hoisted groups");
+    }
 }
 
 /// What `estimate_cost` and `predict_peak_memory` printed at the commit
