@@ -55,6 +55,127 @@ pub struct InputSpec {
     pub scale_log2: f64,
 }
 
+/// One program output as the deployment manifest describes it.
+#[derive(Debug, Clone, PartialEq)]
+pub struct OutputSpec {
+    /// Output name.
+    pub name: String,
+    /// Whether the output comes back encrypted.
+    pub cipher: bool,
+}
+
+/// A named value one half of a session expects from the other, as
+/// [`admit_values`] reads it: a program input or a program output.
+pub trait ValueSpec {
+    /// What a refusal calls the value: `"input"` or `"output"`.
+    const ROLE: &'static str;
+    /// The value's name, whether it is encrypted and, for an input, the
+    /// exact `log2` scale its ciphertext carries.
+    fn spec(&self) -> (&str, bool, Option<f64>);
+}
+
+impl ValueSpec for InputSpec {
+    const ROLE: &'static str = "input";
+    fn spec(&self) -> (&str, bool, Option<f64>) {
+        (&self.name, self.cipher, Some(self.scale_log2))
+    }
+}
+
+impl ValueSpec for OutputSpec {
+    const ROLE: &'static str = "output";
+    fn spec(&self) -> (&str, bool, Option<f64>) {
+        (&self.name, self.cipher, None)
+    }
+}
+
+/// The one gate for the named values a peer sends, in either direction:
+/// [`EvaluationContext::bind_inputs`] runs it on a round's inputs against
+/// [`live_inputs`], the deployment client on the outputs against the
+/// manifest's [`OutputSpec`]s. Each name may appear once and must be one of
+/// `specs`, each spec needs a value of its kind, and each ciphertext must
+/// meet its direction's rule and be an element of `context`'s ring
+/// ([`CkksContext::check_ring_elements`], which a seeded input's `b` passes
+/// as it expands; the fresh `a` is not scanned again). A plain input holds
+/// 1 to `vec_size` finite values and is replicated to `vec_size`. Returns
+/// one value per spec, in order.
+///
+/// # Errors
+///
+/// Returns [`EvaError::Execution`] naming the first value refused.
+pub fn admit_values<S: ValueSpec>(
+    context: &CkksContext,
+    specs: &[S],
+    vec_size: usize,
+    values: Vec<(String, ValuePayload)>,
+) -> Result<Vec<NodeValue>, EvaError> {
+    let (role, top) = (S::ROLE, context.max_level());
+    let mut named = HashMap::with_capacity(values.len());
+    for (name, value) in values {
+        if named.insert(name.clone(), value).is_some() {
+            return Err(EvaError::Execution(format!(
+                "duplicate {role} {name:?} in one evaluation request"
+            )));
+        }
+    }
+    let mut admitted = Vec::with_capacity(specs.len());
+    for (name, cipher, want) in specs.iter().map(ValueSpec::spec) {
+        let value = named
+            .remove(name)
+            .ok_or_else(|| EvaError::Execution(format!("missing {role} value for {name:?}")))?;
+        // The rules of each direction for a ciphertext of `polys`
+        // polynomials at `level` and scale `2^scale`, one line each: an
+        // input (`want` is its scale) is a fresh encryption, an output is
+        // computed; the ring check bounds either's level by the top.
+        let rule = |polys: usize, level: usize, scale: f64, seeded: bool| match want {
+            Some(_) if polys != 2 => Err(format!("expected 2 polynomials, found {polys}")),
+            Some(_) if level != top => Err(format!(
+                "expected a top-level ciphertext (level {top}), found level {level}"
+            )),
+            Some(want) if scale.to_bits() != want.to_bits() => Err(format!(
+                "scale 2^{scale} is not bit-identical to the program's input scale 2^{want}"
+            )),
+            None if seeded => Err("arrived in seeded form, which only encryptors produce".into()),
+            None if !(2..=3).contains(&polys) => {
+                Err(format!("expected 2 or 3 polynomials, found {polys}"))
+            }
+            _ => Ok(()),
+        };
+        let refused = |form: &str, why: String| {
+            EvaError::Execution(format!("{form} {role} {name:?} rejected: {why}"))
+        };
+        admitted.push(match (cipher, value) {
+            (true, ValuePayload::Cipher(ct)) => {
+                let ring = || context.check_ring_elements(ct.polys(), ct.level(), false);
+                rule(ct.size(), ct.level(), ct.scale_log2(), false)
+                    .and_then(|()| ring().map_err(|err| err.to_string()))
+                    .map_err(|why| refused("encrypted", why))?;
+                NodeValue::Cipher(*ct)
+            }
+            (true, ValuePayload::Seeded(ct)) => NodeValue::Cipher(
+                rule(2, ct.level(), ct.scale_log2(), true)
+                    .and_then(|()| ct.expand(context).map_err(|err| err.to_string()))
+                    .map_err(|why| refused("seeded", why))?,
+            ),
+            (false, ValuePayload::Plain(raw)) if want.is_some() => {
+                NodeValue::Plain(replicate(&raw, vec_size, name)?)
+            }
+            (false, ValuePayload::Plain(raw)) => NodeValue::Plain(raw),
+            (cipher, _) => {
+                let kind = if cipher { "encrypted" } else { "plain" };
+                return Err(EvaError::Execution(format!(
+                    "{role} {name:?} must be {kind}"
+                )));
+            }
+        });
+    }
+    if let Some(name) = named.keys().next() {
+        return Err(EvaError::Execution(format!(
+            "{role} {name:?} does not match any live program {role}"
+        )));
+    }
+    Ok(admitted)
+}
+
 /// The live (output-reachable) inputs of `program` in ascending node order,
 /// with their node ids: the one list the deployment manifest publishes, the
 /// client half encrypts and [`EvaluationContext::bind_inputs`] binds. Dead
@@ -247,123 +368,24 @@ impl EvaluationContext {
         &self.encoder
     }
 
-    /// The one binding gate: binds named inputs to the program's live input
-    /// nodes, whether they arrived over the wire or from the in-process
-    /// client half ([`EncryptedContext::encrypt_inputs`]). Every value is
-    /// validated against the program's annotations before it is accepted:
-    ///
-    /// * a name may appear once;
-    /// * seeded ciphertexts are expanded against this context;
-    /// * ciphertexts must match the context's ring degree, sit at the top
-    ///   level with exactly two polynomials in NTT form, carry the node's
-    ///   exact `log2` scale bit-for-bit, and have every limb canonical
-    ///   (`< q_i`);
-    /// * plaintext vectors must hold between 1 and `vec_size` finite values,
-    ///   and are replicated to the program vector size.
+    /// The binding gate: [`admit_values`] over the program's
+    /// [`live_inputs`], whether the inputs arrived over the wire or from the
+    /// in-process client half ([`EncryptedContext::encrypt_inputs`]), bound
+    /// to their input nodes.
     ///
     /// # Errors
     ///
     /// Returns [`EvaError::Execution`] if an input is duplicated, missing,
-    /// unknown or fails validation.
+    /// unknown or refused.
     pub fn bind_inputs(
         &self,
         compiled: &CompiledProgram,
         inputs: Vec<(String, ValuePayload)>,
     ) -> Result<HashMap<NodeId, NodeValue>, EvaError> {
         let program = &compiled.program;
-        let mut named = HashMap::with_capacity(inputs.len());
-        for (name, value) in inputs {
-            if named.insert(name.clone(), value).is_some() {
-                return Err(EvaError::Execution(format!(
-                    "duplicate input {name:?} in one evaluation request"
-                )));
-            }
-        }
-        let mut bindings = HashMap::new();
-        for (id, spec) in live_inputs(program) {
-            let name = &spec.name;
-            let value = named
-                .remove(name)
-                .ok_or_else(|| EvaError::Execution(format!("missing input value for {name:?}")))?;
-            let value = match (spec.cipher, value) {
-                (true, ValuePayload::Seeded(seeded)) => {
-                    NodeValue::Cipher(seeded.expand(&self.context).map_err(|err| {
-                        EvaError::Execution(format!("seeded input {name:?} rejected: {err}"))
-                    })?)
-                }
-                (true, ValuePayload::Cipher(ct)) => NodeValue::Cipher(*ct),
-                (false, ValuePayload::Plain(raw)) => {
-                    NodeValue::Plain(replicate(&raw, program.vec_size(), name)?)
-                }
-                (cipher, _) => {
-                    let kind = if cipher { "encrypted" } else { "plain" };
-                    return Err(EvaError::Execution(format!(
-                        "input {name:?} must be {kind}"
-                    )));
-                }
-            };
-            if let NodeValue::Cipher(ct) = &value {
-                self.validate_input_ciphertext(name, ct, spec.scale_log2)?;
-            }
-            bindings.insert(id, value);
-        }
-        if let Some(name) = named.keys().next() {
-            return Err(EvaError::Execution(format!(
-                "input {name:?} does not match any live program input"
-            )));
-        }
-        Ok(bindings)
-    }
-
-    fn validate_input_ciphertext(
-        &self,
-        name: &str,
-        ct: &Ciphertext,
-        expected_scale_log2: f64,
-    ) -> Result<(), EvaError> {
-        let context = &self.context;
-        let fail = |why: String| {
-            Err(EvaError::Execution(format!(
-                "encrypted input {name:?} rejected: {why}"
-            )))
-        };
-        if ct.size() != 2 {
-            return fail(format!("expected 2 polynomials, found {}", ct.size()));
-        }
-        if ct.level() != context.max_level() {
-            return fail(format!(
-                "expected a top-level ciphertext (level {}), found level {}",
-                context.max_level(),
-                ct.level()
-            ));
-        }
-        if ct.scale_log2().to_bits() != expected_scale_log2.to_bits() {
-            return fail(format!(
-                "scale 2^{} is not bit-identical to the program's input scale 2^{}",
-                ct.scale_log2(),
-                expected_scale_log2
-            ));
-        }
-        let moduli = context.key_basis().moduli();
-        for poly in ct.polys() {
-            if poly.degree() != context.degree() {
-                return fail(format!(
-                    "ring degree {} does not match the context degree {}",
-                    poly.degree(),
-                    context.degree()
-                ));
-            }
-            if poly.form() != eva_poly::PolyForm::Ntt {
-                return fail("polynomials must be in NTT form".into());
-            }
-            for (i, row) in poly.rows().enumerate() {
-                let q = moduli[i].value();
-                if row.iter().any(|&limb| limb >= q) {
-                    return fail(format!("non-canonical limb in residue row {i}"));
-                }
-            }
-        }
-        Ok(())
+        let (ids, specs): (Vec<NodeId>, Vec<InputSpec>) = live_inputs(program).unzip();
+        let values = admit_values(&self.context, &specs, program.vec_size(), inputs)?;
+        Ok(ids.into_iter().zip(values).collect())
     }
 
     /// Collects a program's outputs from computed node values by name,
@@ -467,9 +489,16 @@ impl EvaluationContext {
                     }
                 }
             }
-            Opcode::RotateLeft(0) | Opcode::RotateRight(0) => expect_cipher(args[0])?.clone(),
-            // Every other encrypted key switch is a switch-site member.
-            Opcode::RotateLeft(_) | Opcode::RotateRight(_) | Opcode::Relinearize => {
+            // A rotation outside a switch site is by Galois element 1,
+            // which the evaluator clones.
+            Opcode::RotateLeft(_) | Opcode::RotateRight(_) => {
+                let step = op.rotation_step().expect("a rotation has a step");
+                let ct = expect_cipher(args[0])?;
+                ev.rotate(ct, step, &self.galois_keys)
+                    .map_err(to_eva_error)?
+            }
+            // Every relinearization is a switch-site member.
+            Opcode::Relinearize => {
                 return Err(EvaError::Execution(format!(
                     "node {id} switches a key outside a switch site"
                 )));
@@ -989,6 +1018,117 @@ mod tests {
             matches!(&err, EvaError::Execution(m) if m.contains("duplicate input \"w\"")),
             "{err}"
         );
+    }
+
+    /// One defect per case, each refused by the binding gate — its own
+    /// rules or the ring check in `eva-ckks` — with a message naming the
+    /// input; the same ring check refuses a key-switch key one digit short.
+    #[test]
+    fn every_defect_of_a_hostile_ciphertext_is_refused_naming_the_input() {
+        use eva_ckks::KeySwitchKey;
+        use eva_poly::{PolyForm, RnsPoly};
+
+        let mut p = Program::new("gate", 8);
+        let x = p.input_cipher("x", 30);
+        let sq = p.instruction(Op::Multiply, &[x, x]);
+        p.output("out", sq, 30);
+        let compiled = compile(&p, &CompilerOptions::default()).unwrap();
+        let scale = live_inputs(&compiled.program).next().unwrap().1.scale_log2;
+        let params = CkksParameters::new_insecure(32, &[30, 30, 40], 45).unwrap();
+        let ctx = CkksContext::new(params).unwrap();
+        let top = ctx.max_level();
+        let mut keygen = KeyGenerator::from_seed(ctx.clone(), 3);
+        let pt = CkksEncoder::new(ctx.clone()).encode(&[0.5; 8], scale, top);
+        let fresh =
+            SymmetricEncryptor::from_seed(ctx.clone(), keygen.secret_key().clone(), 4).encrypt(&pt);
+        let polys = fresh.polys().to_vec();
+        let with = |polys: Vec<RnsPoly>, scale: f64| {
+            let level = polys[0].level();
+            Ciphertext::from_parts(polys, scale, level)
+        };
+        let mut coeff = polys.clone();
+        coeff[1].to_coeff(ctx.key_basis());
+        let mut at_prime = polys.clone();
+        at_prime[1].residue_mut(1)[5] = ctx.key_basis().moduli()[1].value();
+        let half = vec![RnsPoly::zero(16, top, PolyForm::Ntt); 2];
+        let cases = [
+            (
+                with([&polys[..], &polys[1..]].concat(), scale),
+                "expected 2 polynomials",
+            ),
+            (
+                with(polys.iter().map(|p| p.truncated(top - 1)).collect(), scale),
+                "expected a top-level ciphertext",
+            ),
+            (
+                with(polys.clone(), f64::from_bits(scale.to_bits() + 1)),
+                "bit-identical to the program's input scale",
+            ),
+            (
+                with(half, scale),
+                "ring degree 16 does not match the context degree 32",
+            ),
+            (with(coeff, scale), "must be in NTT form"),
+            (with(at_prime, scale), "non-canonical limb in residue row 1"),
+        ];
+        let evaluation = EvaluationContext::from_parts(ctx.clone(), None, GaloisKeys::default());
+        let bound = evaluation.bind_inputs(
+            &compiled,
+            vec![("x".into(), NodeValue::Cipher(fresh).into())],
+        );
+        assert!(bound.is_ok(), "the untampered ciphertext binds");
+        for (ct, defect) in cases {
+            let err = evaluation
+                .bind_inputs(&compiled, vec![("x".into(), NodeValue::Cipher(ct).into())])
+                .unwrap_err();
+            let EvaError::Execution(text) = &err else {
+                panic!("expected an execution error, got {err:?}");
+            };
+            assert!(
+                text.starts_with("encrypted input \"x\" rejected: "),
+                "{text}"
+            );
+            assert!(text.contains(defect), "{defect}: {text}");
+        }
+
+        let (relin, _) = keygen.create_evaluation_keys(Some(top), &[]);
+        let key = relin.unwrap().key_switch_key().clone();
+        let ring = |key: &KeySwitchKey| {
+            let polys = key.digits().iter().flat_map(|(k0, k1)| [k0, k1]);
+            ctx.check_ring_elements(polys, key.level(), true)
+        };
+        assert!(ring(&key).is_ok());
+        let mut digits = key.digits().to_vec();
+        digits.pop();
+        let err = ring(&KeySwitchKey::from_digits(digits)).unwrap_err();
+        assert!(
+            err.to_string().contains("4 residue rows, expected 3"),
+            "{err}"
+        );
+    }
+
+    /// A rotation by the slot count (vec_size 4096 fills the 4096 slots of
+    /// N = 8192) is by Galois element 1: no key, no switch site, no key
+    /// switch priced, and the executor's clone returns the input.
+    #[test]
+    fn a_rotation_by_the_slot_count_switches_no_key() {
+        let mut p = Program::new("identity", 4096);
+        let x = p.input_cipher("x", 30);
+        let r = p.instruction(Op::RotateLeft(4096), &[x]);
+        p.output("out", r, 30);
+        let compiled = compile(&p, &CompilerOptions::unoptimized()).unwrap();
+        let slots = compiled.parameters.degree / 2;
+        assert_eq!(slots, 4096);
+        let cost = eva_core::estimate_cost(&compiled, &eva_core::CostModel::default()).unwrap();
+        assert_eq!(cost.key_switches, 0);
+        let schedule = eva_core::analysis::Schedule::new(&compiled.program, slots).unwrap();
+        assert!(schedule.sites.is_empty());
+        assert_eq!(key_levels(&compiled).unwrap(), KeyLevels::default());
+
+        let values: Vec<f64> = (0..4096).map(|i| f64::from(i % 31) / 31.0).collect();
+        let inputs = HashMap::from([("x".to_string(), values.clone())]);
+        let actual = run_encrypted(&compiled, &inputs).unwrap();
+        assert!(close(&actual["out"], &values, 1e-4));
     }
 
     #[test]

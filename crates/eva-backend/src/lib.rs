@@ -57,8 +57,9 @@ pub mod parallel;
 pub mod reference;
 
 pub use encrypted::{
-    live_inputs, parameters_from_spec, run_encrypted, EncryptedContext, EvaluationContext,
-    InputSpec, MemoryAudit, NodeValue, SecretContext, ValuePayload,
+    admit_values, live_inputs, parameters_from_spec, run_encrypted, EncryptedContext,
+    EvaluationContext, InputSpec, MemoryAudit, NodeValue, OutputSpec, SecretContext, ValuePayload,
+    ValueSpec,
 };
 pub use parallel::execute_parallel;
 pub use reference::run_reference;

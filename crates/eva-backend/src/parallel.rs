@@ -418,7 +418,7 @@ pub(crate) fn run(
     let program = &compiled.program;
     // Only nodes that reach an output participate: dead branches are not
     // covered by the compiler's prime budget or exact-scale annotations.
-    let schedule = Schedule::new(program)?;
+    let schedule = Schedule::new(program, context.context().slot_count())?;
     let mut board = Board::new(program, &schedule);
 
     // Bound inputs and materialized constants complete immediately (no
@@ -691,7 +691,7 @@ mod tests {
     /// it is between threads — checking after every event what must hold in
     /// every interleaving. `fail_at` makes that node's job fail.
     fn play(program: &Program, workers: usize, seed: u64, fail_at: Option<NodeId>) {
-        let schedule = Schedule::new(program).unwrap();
+        let schedule = Schedule::new(program, 1 << 14).unwrap();
         let mut board = seeded(program, &schedule);
         let mut state = seed;
         let mut draw = move |below: usize| {
@@ -801,7 +801,7 @@ mod tests {
     #[test]
     fn a_failure_stops_the_board_from_any_interleaving() {
         let two = two_sources();
-        let schedule = Schedule::new(&two).unwrap();
+        let schedule = Schedule::new(&two, 1 << 14).unwrap();
         let members: Vec<NodeId> = (0..two.len())
             .filter(|&id| schedule.site_of[id].is_some())
             .collect();
@@ -816,7 +816,7 @@ mod tests {
     #[test]
     fn digits_land_in_any_order_and_two_sites_interleave() {
         let two = two_sources();
-        let schedule = Schedule::new(&two).unwrap();
+        let schedule = Schedule::new(&two, 1 << 14).unwrap();
         let mut board = seeded(&two, &schedule);
         // x = 0, y = 1, x + y = 2; x's fan-out is site 0, y's site 1.
         let (x, y) = (0, 1);

@@ -140,25 +140,12 @@ impl SeededCiphertext {
     ///
     /// # Errors
     ///
-    /// Returns [`CkksError::InvalidParameters`] if the ciphertext's shape
-    /// does not fit `context` (wrong ring degree or more primes than the
-    /// context's chain), so hostile wire data cannot push the expansion out
-    /// of its domain.
+    /// Returns [`CkksError::InvalidParameters`] if `b` is not an element of
+    /// `context`'s ring ([`CkksContext::check_ring_elements`]), so hostile
+    /// wire data cannot push the expansion out of its domain. The expanded
+    /// `a` is one by construction.
     pub fn expand(&self, context: &CkksContext) -> Result<Ciphertext, CkksError> {
-        if self.b.degree() != context.degree() {
-            return Err(CkksError::InvalidParameters(format!(
-                "seeded ciphertext degree {} does not match the context degree {}",
-                self.b.degree(),
-                context.degree()
-            )));
-        }
-        if self.level == 0 || self.level > context.max_level() {
-            return Err(CkksError::InvalidParameters(format!(
-                "seeded ciphertext level {} outside the context's 1..={} chain",
-                self.level,
-                context.max_level()
-            )));
-        }
+        context.check_ring_elements([&self.b], self.level, false)?;
         let a = expand_seeded_a(context, &self.seed, self.level);
         Ok(Ciphertext::from_parts(
             vec![self.b.clone(), a],

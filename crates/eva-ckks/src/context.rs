@@ -6,8 +6,9 @@ use std::sync::Arc;
 use eva_math::fft::SpecialFft;
 use eva_math::galois::GaloisTool;
 use eva_poly::crt::CrtComposer;
-use eva_poly::RnsBasis;
+use eva_poly::{PolyForm, RnsBasis, RnsPoly};
 
+use crate::error::CkksError;
 use crate::params::{CkksParameters, ParameterError};
 
 /// Shared, immutable precomputed state for one set of [`CkksParameters`].
@@ -134,6 +135,50 @@ impl CkksContext {
     /// `i + 1` subtracts from the scale).
     pub fn data_prime_log2(&self, i: usize) -> f64 {
         self.inner.data_prime_log2s[i]
+    }
+
+    /// The one check that polynomials from a peer are elements of this
+    /// ring: degree `N`, NTT form, one row per prime of `q_0 … q_{level−1}`
+    /// (then `P` if `special`: a key-switch key's digits) and every limb
+    /// below its row's prime, with `level` in `1..=max_level()`. The
+    /// evaluator's unreduced sums are exact only for such polynomials.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`CkksError::InvalidParameters`] naming the first defect.
+    pub fn check_ring_elements<'a>(
+        &self,
+        polys: impl IntoIterator<Item = &'a RnsPoly>,
+        level: usize,
+        special: bool,
+    ) -> Result<(), CkksError> {
+        let (degree, top, moduli) = (self.degree(), self.max_level(), self.key_basis().moduli());
+        let rows = moduli[..level.min(top)]
+            .iter()
+            .chain(special.then(|| &moduli[top]));
+        let primes: Vec<u64> = rows.map(|q| q.value()).collect();
+        let defect = |poly: &RnsPoly| match poly.degree() {
+            found if found != degree => Some(format!(
+                "ring degree {found} does not match the context degree {degree}"
+            )),
+            _ if poly.level() != primes.len() => Some(format!(
+                "{} residue rows, expected {}",
+                poly.level(),
+                primes.len()
+            )),
+            _ if poly.form() != PolyForm::Ntt => Some("polynomials must be in NTT form".into()),
+            _ => (poly.rows().zip(&primes))
+                .position(|(row, &q)| row.iter().any(|&limb| limb >= q))
+                .map(|i| format!("non-canonical limb in residue row {i}")),
+        };
+        let why = if level == 0 || level > top {
+            Some(format!(
+                "level {level} outside the context's 1..={top} chain"
+            ))
+        } else {
+            polys.into_iter().find_map(defect)
+        };
+        why.map_or(Ok(()), |why| Err(CkksError::InvalidParameters(why)))
     }
 }
 

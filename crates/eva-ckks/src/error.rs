@@ -62,9 +62,9 @@ pub enum CkksError {
         /// Plaintext level.
         plaintext: usize,
     },
-    /// An externally supplied object (e.g. a wire-decoded seeded ciphertext)
-    /// does not fit the context it is being used with: wrong ring degree or
-    /// more primes than the context's modulus chain.
+    /// An externally supplied object (a wire-decoded ciphertext or key) is
+    /// not an element of the context's ring (see
+    /// [`CkksContext::check_ring_elements`](crate::CkksContext::check_ring_elements)).
     InvalidParameters(String),
 }
 

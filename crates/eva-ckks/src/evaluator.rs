@@ -528,16 +528,16 @@ impl Evaluator {
 
     /// One member of a hoisted fan-out: applies the Galois key for `step`
     /// to `decomp`, the decomposition of `ct`'s second polynomial (however
-    /// its digits were computed), using the caller's work buffers; a step
-    /// of element 1 is the identity and returns a clone. Members of one
-    /// fan-out may run in any order and on different threads, each with a
-    /// scratch of its own.
+    /// its digits were computed), using the caller's work buffers. Members
+    /// of one fan-out may run in any order and on different threads, each
+    /// with a scratch of its own. A step of element 1 switches no key: only
+    /// [`Evaluator::rotate_hoisted`] takes one, and clones the operand.
     ///
     /// # Errors
     ///
     /// Fails if the ciphertext does not have exactly two polynomials, no
-    /// Galois key for `step` exists or the key is below the ciphertext's
-    /// level.
+    /// Galois key for `step` exists (none does for element 1) or the key is
+    /// below the ciphertext's level.
     ///
     /// # Panics
     ///
@@ -552,9 +552,6 @@ impl Evaluator {
     ) -> Result<Ciphertext, CkksError> {
         check_size(ct, 2)?;
         let elt = self.context.galois().galois_elt_from_step(step);
-        if elt == 1 {
-            return Ok(ct.clone());
-        }
         let key = keys.key(elt).ok_or(CkksError::MissingGaloisKey { step })?;
         check_key_level(key, ct)?;
         let (c0_rot, d1) = self.finish_key_switch(ct, decomp, key, scratch);

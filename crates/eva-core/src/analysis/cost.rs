@@ -153,7 +153,7 @@ pub fn estimate_cost(
     model: &CostModel,
 ) -> Result<CostReport, EvaError> {
     let program = &compiled.program;
-    let schedule = Schedule::new(program)?;
+    let schedule = Schedule::new(program, compiled.parameters.degree / 2)?;
     let levels = remaining_levels(program, compiled.parameters.data_primes.len())?;
 
     let ref_ks_ntts = key_switch_ntts(model.reference_level) as f64;
@@ -206,7 +206,7 @@ pub fn estimate_cost(
             }
             // Identity rotations are cloned by the evaluator: no key switch.
             Opcode::RotateLeft(_) | Opcode::RotateRight(_) => {
-                report.rotations += usize::from(op.switches_key());
+                report.rotations += usize::from(schedule.site_of[id].is_some());
             }
             Opcode::Relinearize => report.relinearizations += 1,
             Opcode::Rescale(_) => {

@@ -75,7 +75,7 @@ pub struct MemoryForecast {
 /// fails (impossible for programs `compile()` has verified).
 pub fn predict_peak_memory(compiled: &CompiledProgram) -> Result<MemoryForecast, EvaError> {
     let program = &compiled.program;
-    let schedule = Schedule::new(program)?;
+    let schedule = Schedule::new(program, compiled.parameters.degree / 2)?;
     let degree = compiled.parameters.degree;
     let levels = remaining_levels(program, compiled.parameters.data_primes.len())?;
     let polys = analyze_num_polys(program);

@@ -36,7 +36,6 @@ use crate::analysis::scale::remaining_levels;
 use crate::compiler::CompiledProgram;
 use crate::error::EvaError;
 use crate::program::Program;
-use crate::types::Opcode;
 
 /// Maps a signed rotation step (positive = left, negative = right) to its
 /// canonical left step in `[0, vec_size)`.
@@ -112,35 +111,26 @@ impl KeyLevels {
 pub fn key_levels(compiled: &CompiledProgram) -> Result<KeyLevels, EvaError> {
     let program = &compiled.program;
     let top = compiled.parameters.data_primes.len();
-    let slots = (compiled.parameters.degree / 2).max(1) as i64;
+    let slots = compiled.parameters.degree / 2;
     let levels = remaining_levels(program, top)?;
     let mut relin = None;
     let mut used: BTreeMap<i64, usize> = BTreeMap::new();
     for id in 0..program.len() {
-        let Some(op) = program.opcode(id) else {
+        let Some(op) = program.opcode(id).filter(|op| op.switches_key(slots)) else {
             continue;
         };
-        let level = program
-            .args(id)
-            .iter()
-            .map(|&a| levels[a])
-            .max()
-            .unwrap_or(top);
-        if op == Opcode::Relinearize {
-            relin = relin.max(Some(level));
-        } else if let Some(step) = op.rotation_step().filter(|&s| s.rem_euclid(slots) != 0) {
-            let highest = used.entry(step).or_insert(0);
-            *highest = (*highest).max(level);
-        }
+        let level = program.args(id).iter().map(|&a| levels[a]).max();
+        let highest = match op.rotation_step() {
+            Some(step) => used.entry(step).or_insert(0),
+            None => relin.get_or_insert(0),
+        };
+        *highest = (*highest).max(level.unwrap_or(top));
     }
     // Sorted steps: each element is listed at the first step of its class.
     let mut galois: Vec<(i64, usize)> = Vec::new();
+    let class = |step: i64| step.rem_euclid(slots as i64);
     for (step, level) in used {
-        let class = step.rem_euclid(slots);
-        match galois
-            .iter_mut()
-            .find(|(s, _)| s.rem_euclid(slots) == class)
-        {
+        match galois.iter_mut().find(|(s, _)| class(*s) == class(step)) {
             Some((_, highest)) => *highest = (*highest).max(level),
             None => galois.push((step, level)),
         }

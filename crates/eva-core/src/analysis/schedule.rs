@@ -20,7 +20,8 @@
 //!   in topological order, not when the site executes.
 //!
 //! A **switch site** is every live encrypted key switch of one source
-//! value — its RELINEARIZEs and non-zero ROTATEs ([`Opcode::switches_key`])
+//! value — its RELINEARIZEs and its ROTATEs by a Galois element other than
+//! the identity ([`Opcode::switches_key`](crate::Opcode::switches_key))
 //! — grouped here once: the executor lifts the source's decomposition once
 //! per site and applies each member's key to it, and the cost model prices
 //! a site's members after the first as hoisted followers.
@@ -41,7 +42,6 @@ use std::collections::BTreeMap;
 
 use crate::error::EvaError;
 use crate::program::{NodeId, NodeKind, Program};
-use crate::types::Opcode;
 
 use super::scale::acyclic_order;
 
@@ -58,10 +58,14 @@ pub struct SwitchSite {
 /// Groups every live, cipher-typed key switch by its source node: the
 /// sites in ascending source order, and per node the index of the site it
 /// is a member of.
-fn switch_sites(program: &Program, live: &[bool]) -> (Vec<SwitchSite>, Vec<Option<usize>>) {
+fn switch_sites(
+    program: &Program,
+    live: &[bool],
+    slots: usize,
+) -> (Vec<SwitchSite>, Vec<Option<usize>>) {
     let mut by_source: BTreeMap<NodeId, Vec<NodeId>> = BTreeMap::new();
     for id in 0..program.len() {
-        let switches = program.opcode(id).is_some_and(Opcode::switches_key);
+        let switches = program.opcode(id).is_some_and(|op| op.switches_key(slots));
         if live[id] && switches && program.node(id).ty.is_cipher() {
             by_source.entry(program.args(id)[0]).or_default().push(id);
         }
@@ -121,12 +125,13 @@ pub struct Schedule {
 }
 
 impl Schedule {
-    /// Lowers `program` into its execution schedule.
+    /// Lowers `program` into its execution schedule in a ring of `slots`
+    /// slots, which decides the rotations that switch no key.
     ///
     /// # Errors
     ///
     /// Returns [`EvaError::InvalidProgram`] if the graph has a cycle.
-    pub fn new(program: &Program) -> Result<Self, EvaError> {
+    pub fn new(program: &Program, slots: usize) -> Result<Self, EvaError> {
         let order = acyclic_order(program)?;
         let live = program.live_mask();
         let consumers: Vec<Vec<NodeId>> = program
@@ -138,7 +143,7 @@ impl Schedule {
         for output in program.outputs() {
             use_counts[output.node] += 1;
         }
-        let (sites, site_of) = switch_sites(program, &live);
+        let (sites, site_of) = switch_sites(program, &live, slots);
 
         let mut parent_counts = vec![0usize; program.len()];
         let mut remaining = use_counts.clone();
@@ -196,6 +201,10 @@ impl Schedule {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::types::Opcode;
+
+    /// The slot count of every test ring: above every step the tests use.
+    const SLOTS: usize = 1 << 14;
 
     /// A 3-way rotation fan-out whose source also feeds an ADD, a
     /// duplicate-argument node, a dead branch and two outputs sharing a node.
@@ -227,7 +236,7 @@ mod tests {
 
     #[test]
     fn steps_materialize_groups_once_and_release_after_the_last_consumer() {
-        let s = Schedule::new(&mixed()).unwrap();
+        let s = Schedule::new(&mixed(), SLOTS).unwrap();
         assert_eq!(
             s.steps,
             vec![
@@ -252,7 +261,7 @@ mod tests {
 
     #[test]
     fn tables_count_live_consumers_distinct_parents_and_output_references() {
-        let s = Schedule::new(&mixed()).unwrap();
+        let s = Schedule::new(&mixed(), SLOTS).unwrap();
         assert_eq!(s.consumers[1], vec![2, 3, 4, 5], "dead node 8 is dropped");
         assert_eq!(s.use_counts[..8], [1, 4, 1, 1, 1, 1, 1, 2]);
         assert_eq!(s.use_counts[8..], [0, 0, 0]);
@@ -286,7 +295,7 @@ mod tests {
         let c = p.instruction(Opcode::Add, &[a, b]);
         let d = p.instruction(Opcode::Add, &[c, identity]);
         p.output("out", d, 30);
-        let s = Schedule::new(&p).unwrap();
+        let s = Schedule::new(&p, SLOTS).unwrap();
 
         let switches = [relin, lone, f1, f2, f3];
         for id in 0..p.len() {
@@ -316,7 +325,7 @@ mod tests {
         let c = p.constant(crate::types::ConstantValue::Scalar(2.0), 20);
         let m = p.instruction(Opcode::Multiply, &[x, c]);
         p.output("out", m, 30);
-        let s = Schedule::new(&p).unwrap();
+        let s = Schedule::new(&p, SLOTS).unwrap();
         assert_eq!(
             s.steps,
             vec![
@@ -333,7 +342,7 @@ mod tests {
         // sq's argument becomes its own descendant.
         p.replace_arg(1, 0, 7);
         assert!(matches!(
-            Schedule::new(&p),
+            Schedule::new(&p, SLOTS),
             Err(EvaError::InvalidProgram(_))
         ));
     }
@@ -355,7 +364,7 @@ mod tests {
     }
 
     fn sites(p: &Program) -> Vec<SwitchSite> {
-        Schedule::new(p).unwrap().sites
+        Schedule::new(p, SLOTS).unwrap().sites
     }
 
     /// The signed step of each of `site`'s members.
@@ -384,9 +393,12 @@ mod tests {
         let r = p.instruction(Opcode::RotateLeft(1), &[x]);
         let z = p.instruction(Opcode::RotateLeft(0), &[x]);
         let s = p.instruction(Opcode::Add, &[r, z]);
-        p.output("out", s, 30);
-        // The lone rotation is a site of one; the identity is a clone and
-        // joins none.
+        // Rotations by a multiple of the slot count are identities too.
+        let whole = p.instruction(Opcode::RotateRight(2 * SLOTS as i32), &[s]);
+        let back = p.instruction(Opcode::RotateLeft(SLOTS as i32), &[whole]);
+        p.output("out", back, 30);
+        // The lone rotation is a site of one; the identities are clones and
+        // join none.
         let site = SwitchSite {
             source: x,
             members: vec![r],

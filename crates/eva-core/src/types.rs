@@ -105,15 +105,17 @@ impl Opcode {
         }
     }
 
-    /// Whether this opcode, on an encrypted operand, switches keys: a
-    /// relinearization or a rotation by a non-zero step (a zero step is a
-    /// clone).
-    pub fn switches_key(self) -> bool {
-        match self {
-            Opcode::Relinearize => true,
-            Opcode::RotateLeft(s) | Opcode::RotateRight(s) => s != 0,
-            _ => false,
-        }
+    /// Whether this opcode, on an encrypted operand in a ring of `slots`
+    /// slots, switches keys: a relinearization, or a rotation by a step
+    /// that is not a multiple of `slots`. A multiple rotates by Galois
+    /// element 1, the identity: the evaluator clones the operand, and no key
+    /// is built, priced or applied for it.
+    pub fn switches_key(self, slots: usize) -> bool {
+        let slots = slots.max(1) as i64;
+        self == Opcode::Relinearize
+            || self
+                .rotation_step()
+                .is_some_and(|step| step.rem_euclid(slots) != 0)
     }
 
     /// A short mnemonic used by the textual program dump.

@@ -32,15 +32,16 @@ use std::collections::HashMap;
 use std::io::{Read, Write};
 use std::net::{TcpStream, ToSocketAddrs};
 
-use eva_backend::{NodeValue, SecretContext};
+use eva_backend::{admit_values, SecretContext};
 use eva_ckks::{CkksContext, CkksParameters};
+use eva_core::EvaError;
 use eva_wire::{fingerprint_eval_key_payload, KeyFingerprint};
 
 use crate::error::ServiceError;
 use crate::limits::ClientConfig;
 use crate::protocol::{
     encode_payload, expect_message, write_frame, write_message, Message, ProgramManifest,
-    ValuePayload, PROTOCOL_VERSION,
+    PROTOCOL_VERSION,
 };
 
 /// Establishes a TCP connection under a [`ClientConfig`]: connect deadline
@@ -418,8 +419,8 @@ impl<S: Read + Write> EvaClient<S> {
 
     /// Runs one evaluation round: encrypts the manifest's inputs with
     /// [`SecretContext::encrypt_inputs`] (ciphertexts in seeded transport
-    /// form — half the upload bytes of a full ciphertext), ships them, checks
-    /// the shape of every returned output and decrypts them with
+    /// form — half the upload bytes of a full ciphertext), ships them, holds
+    /// the outputs to the manifest with [`admit_values`] and decrypts them with
     /// [`SecretContext::decrypt_outputs`] — the loops the in-process
     /// `EncryptedContext` runs too.
     ///
@@ -445,43 +446,17 @@ impl<S: Read + Write> EvaClient<S> {
                 )))
             }
         };
-        let context = self.secret.context();
-        let outputs = outputs
-            .into_iter()
-            .map(|(name, value)| {
-                let value = match value {
-                    // Validate the shape before decrypting so a hostile
-                    // server cannot push the decryptor out of its domain
-                    // (which would panic, e.g. on a coefficient-form poly).
-                    ValuePayload::Cipher(ct)
-                        if ct.polys()[0].degree() == context.degree()
-                            && ct.level() <= context.max_level()
-                            && ct.size() <= 3
-                            && ct
-                                .polys()
-                                .iter()
-                                .all(|p| p.form() == eva_poly::PolyForm::Ntt) =>
-                    {
-                        NodeValue::Cipher(*ct)
-                    }
-                    ValuePayload::Cipher(_) => {
-                        return Err(ServiceError::Protocol(format!(
-                            "output {name:?} has an invalid ciphertext shape"
-                        )))
-                    }
-                    // Computed values cannot be seed-compressed; a server
-                    // sending one is talking nonsense.
-                    ValuePayload::Seeded(_) => {
-                        return Err(ServiceError::Protocol(format!(
-                            "output {name:?} arrived in seeded form, which only encryptors produce"
-                        )))
-                    }
-                    ValuePayload::Plain(values) => NodeValue::Plain(values),
-                };
-                Ok((name, value))
-            })
-            .collect::<Result<_, ServiceError>>()?;
-        Ok(self.secret.decrypt_outputs(outputs, vec_size))
+        // The gate the server's inputs pass, so a hostile server cannot push
+        // the decryptor out of its domain.
+        let specs = &self.manifest.outputs;
+        let values = admit_values(self.secret.context(), specs, vec_size, outputs).map_err(
+            |err| match err {
+                EvaError::Execution(msg) => ServiceError::Protocol(msg),
+                other => other.into(),
+            },
+        )?;
+        let outputs = specs.iter().map(|spec| spec.name.clone()).zip(values);
+        Ok(self.secret.decrypt_outputs(outputs.collect(), vec_size))
     }
 
     /// The secret key's leak-audit probe (see

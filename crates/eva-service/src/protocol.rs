@@ -34,7 +34,7 @@
 
 use std::io::{Read, Write};
 
-pub use eva_backend::{InputSpec, ValuePayload};
+pub use eva_backend::{InputSpec, OutputSpec, ValuePayload};
 use eva_ckks::{Ciphertext, GaloisKeys, RelinearizationKey, SeededCiphertext};
 use eva_core::analysis::{key_levels, KeyLevels};
 use eva_core::{CompiledProgram, EvaError, ValueType};
@@ -67,15 +67,6 @@ pub const MAX_FRAME_BYTES: u64 = 1 << 30;
 
 /// The largest `Hello` payload: version, resume flag and fingerprint.
 const MAX_HELLO_BYTES: u64 = 4 + 1 + 32;
-
-/// One program output as described by the manifest.
-#[derive(Debug, Clone, PartialEq)]
-pub struct OutputSpec {
-    /// Output name.
-    pub name: String,
-    /// Whether the output comes back encrypted.
-    pub cipher: bool,
-}
 
 /// Everything a client needs to participate in a session: the program's
 /// shape, the exact encryption parameters (actual primes, so client and

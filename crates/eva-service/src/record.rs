@@ -50,18 +50,26 @@ pub fn contains_bytes(haystack: &[u8], needle: &[u8]) -> bool {
 /// last one possibly shorter — occurs contiguously anywhere in `haystack`.
 ///
 /// The same answer as asking [`contains_bytes`] once per chunk, in one pass:
-/// the full chunks go into a hash set and a single `chunk_len`-byte window
-/// slides over the haystack, so a key-sized probe over megabytes of traffic
-/// costs one lookup per byte, not one scan per chunk.
+/// a single `chunk_len`-byte window slides over the haystack, and its first
+/// 8 bytes pick one slot of a 2^20-slot table marking the full chunks'
+/// heads; only a window whose slot is marked is hashed whole into the set
+/// of chunks.
 ///
 /// # Panics
 ///
 /// Panics if `chunk_len` is zero.
 pub fn contains_any_chunk(haystack: &[u8], probe: &[u8], chunk_len: usize) -> bool {
+    let head = |w: &[u8]| w.iter().take(8).fold(0u64, |h, &b| h << 8 | u64::from(b));
+    let slot = |w: &[u8]| (head(w).wrapping_mul(0x9e37_79b9_7f4a_7c15) >> 44) as usize;
     let chunks = probe.chunks_exact(chunk_len);
     let tail = chunks.remainder();
     let set: HashSet<&[u8]> = chunks.collect();
-    haystack.windows(chunk_len).any(|w| set.contains(w)) || contains_bytes(haystack, tail)
+    let mut marked = vec![false; 1 << 20];
+    for chunk in &set {
+        marked[slot(chunk)] = true;
+    }
+    let hit = |w: &[u8]| marked[slot(w)] && set.contains(w);
+    haystack.windows(chunk_len).any(hit) || contains_bytes(haystack, tail)
 }
 
 impl<S: Read> Read for RecordingStream<S> {
@@ -139,5 +147,38 @@ mod tests {
             "short haystack"
         );
         assert!(!contains_any_chunk(&traffic, &[], 32), "empty probe");
+    }
+
+    /// Over a two-letter alphabet most windows share a chunk's first 8
+    /// bytes, so the head lookup hits often and the full comparison decides.
+    #[test]
+    fn chunk_scan_agrees_with_one_substring_scan_per_chunk() {
+        let mut state = 0x2545_f491_4f6c_dd1du64;
+        let mut next = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        for round in 0..200 {
+            let chunk_len = [1, 5, 8, 9, 32][round % 5];
+            let mut bytes =
+                |len: usize| -> Vec<u8> { (0..len).map(|_| (next() & 1) as u8).collect() };
+            let probe = bytes(chunk_len * 6 + round % chunk_len);
+            let mut traffic = bytes(64 + round * 3);
+            // Plant a chunk, or a chunk with its last byte flipped.
+            let chunk = &probe[chunk_len * (round % 6)..][..chunk_len];
+            let at = round % (traffic.len() - chunk_len);
+            traffic[at..at + chunk_len].copy_from_slice(chunk);
+            if round % 3 == 0 {
+                traffic[at + chunk_len - 1] ^= 1;
+            }
+            let expected = probe.chunks(chunk_len).any(|c| contains_bytes(&traffic, c));
+            assert_eq!(
+                contains_any_chunk(&traffic, &probe, chunk_len),
+                expected,
+                "round {round}"
+            );
+        }
     }
 }

@@ -676,85 +676,59 @@ impl EvaServer {
     /// Validates uploaded evaluation keys against the server context and the
     /// published manifest before any of them touches the evaluator: exactly
     /// the keys the manifest lists, each at exactly its published level `ℓ`
-    /// — `ℓ` digits over the rows `q_0 … q_{ℓ−1}, P`, every residue
-    /// canonical.
+    /// (its digit count) and an element of the ring over `q_0 … q_{ℓ−1}, P`
+    /// ([`CkksContext::check_ring_elements`](eva_ckks::CkksContext::check_ring_elements)).
     fn validate_eval_keys(
         &self,
         relin: Option<&RelinearizationKey>,
         galois: &GaloisKeys,
     ) -> Result<(), ServiceError> {
         let inner = &*self.inner;
-        let degree = inner.context.degree();
-        let moduli = inner.context.key_basis().moduli();
-        let special = inner.context.special_index();
-        let check_ksk = |what: &str, key: &eva_ckks::KeySwitchKey, level: usize| {
+        let refuse = |why: String| Err(ServiceError::InvalidParameters(why));
+        let check_key = |what: &str, key: &eva_ckks::KeySwitchKey, level: usize| {
             if key.level() != level {
-                return Err(ServiceError::InvalidParameters(format!(
-                    "{what} is at level {} (its digit count), the manifest publishes level {level}",
-                    key.level()
-                )));
+                let found = key.level();
+                return refuse(format!(
+                    "{what} is at level {found} (its digit count), the manifest publishes level {level}"
+                ));
             }
-            let rows = (0..level).chain([special]).map(|m| &moduli[m]);
-            for (k0, k1) in key.digits() {
-                for poly in [k0, k1] {
-                    if poly.degree() != degree || poly.level() != level + 1 {
-                        return Err(ServiceError::InvalidParameters(format!(
-                            "{what} polynomial has shape ({}, {}), expected ({degree}, {})",
-                            poly.degree(),
-                            poly.level(),
-                            level + 1
-                        )));
-                    }
-                    // The evaluator sums digit × key products unreduced; that
-                    // is exact only for canonical residues.
-                    for (row, q) in poly.rows().zip(rows.clone()) {
-                        if row.iter().any(|&k| k >= q.value()) {
-                            return Err(ServiceError::InvalidParameters(format!(
-                                "{what} holds a residue outside [0, {q})"
-                            )));
-                        }
-                    }
-                }
-            }
-            Ok(())
+            let polys = key.digits().iter().flat_map(|(k0, k1)| [k0, k1]);
+            let ring = inner.context.check_ring_elements(polys, level, true);
+            ring.or_else(|err| refuse(format!("{what} rejected: {err}")))
         };
         match (inner.manifest.keys.relin, relin) {
             (Some(level), Some(relin)) => {
-                check_ksk("relinearization key", relin.key_switch_key(), level)?
-            }
-            (Some(_), None) => {
-                return Err(ServiceError::InvalidParameters(
-                    "the program relinearizes but no relinearization key was uploaded".into(),
-                ))
-            }
-            (None, Some(_)) => {
-                return Err(ServiceError::InvalidParameters(
-                    "the program does not relinearize but a relinearization key was uploaded"
-                        .into(),
-                ))
+                check_key("relinearization key", relin.key_switch_key(), level)?
             }
             (None, None) => {}
-        }
-        let uploaded = galois.element_keys();
-        let mut requested = Vec::new();
-        for &(step, level) in &inner.manifest.keys.galois {
-            let elt = inner.context.galois().galois_elt_from_step(step);
-            if !uploaded.iter().any(|&(e, _)| e == elt) {
-                return Err(ServiceError::InvalidParameters(format!(
-                    "no Galois key for rotation step {step}"
-                )));
+            (level, _) => {
+                let does = if level.is_some() {
+                    "relinearizes but no"
+                } else {
+                    "does not relinearize but a"
+                };
+                return refuse(format!(
+                    "the program {does} relinearization key was uploaded"
+                ));
             }
-            requested.push((elt, step, level));
+        }
+        let galois_elt = |step| inner.context.galois().galois_elt_from_step(step);
+        let (requested, uploaded) = (&inner.manifest.keys.galois, galois.element_keys());
+        for &(step, _) in requested {
+            if uploaded.iter().all(|&(elt, _)| elt != galois_elt(step)) {
+                return refuse(format!("no Galois key for rotation step {step}"));
+            }
         }
         // Only the automorphisms the program rotates by: a key no step needs
         // would be cached, persisted and charged to the budget for nothing.
         for (elt, key) in uploaded {
-            let Some(&(_, step, level)) = requested.iter().find(|&&(e, _, _)| e == elt) else {
-                return Err(ServiceError::InvalidParameters(format!(
+            let Some(&(step, level)) = requested.iter().find(|&&(step, _)| galois_elt(step) == elt)
+            else {
+                return refuse(format!(
                     "Galois element {elt} is not requested by any rotation step of the program"
-                )));
+                ));
             };
-            check_ksk(&format!("Galois key for rotation step {step}"), key, level)?;
+            check_key(&format!("Galois key for rotation step {step}"), key, level)?;
         }
         Ok(())
     }
@@ -881,6 +855,41 @@ mod tests {
             .unwrap_err();
         assert!(
             matches!(&err, ServiceError::InvalidParameters(m) if m.contains("not requested")),
+            "{err}"
+        );
+        assert_eq!(server.cached_key_sets(), 0);
+    }
+
+    /// A relinearization key at its manifest level, but in coefficient form:
+    /// not an element of the ring, so it is refused before it is cached.
+    #[test]
+    fn a_coefficient_form_relinearization_key_is_refused_and_not_cached() {
+        use crate::protocol::{decode_payload, encode_payload, Message};
+        use eva_ckks::KeySwitchKey;
+        use eva_poly::{PolyForm, RnsPoly};
+
+        let (server, payload) = rotating_upload(&[]);
+        let Message::EvalKeys { relin, galois } = decode_payload(TAG_EVAL_KEYS, &payload).unwrap()
+        else {
+            unreachable!("an EvalKeys payload");
+        };
+        let coeff =
+            |p: &RnsPoly| RnsPoly::from_flat(p.degree(), p.clone().into_flat(), PolyForm::Coeff);
+        let relin = relin.unwrap();
+        let digits = relin.key_switch_key().digits().iter();
+        let digits = digits.map(|(k0, k1)| (coeff(k0), coeff(k1))).collect();
+        let relin = RelinearizationKey::from_key_switch_key(KeySwitchKey::from_digits(digits));
+        let (_, payload) = encode_payload(&Message::EvalKeys {
+            relin: Some(Box::new(relin)),
+            galois,
+        });
+        let err = server
+            .accept_key_upload(&payload, fingerprint_eval_key_payload(&payload))
+            .unwrap_err();
+        let want = "relinearization key rejected: object does not fit the context: \
+                    polynomials must be in NTT form";
+        assert!(
+            matches!(&err, ServiceError::InvalidParameters(m) if m.contains(want)),
             "{err}"
         );
         assert_eq!(server.cached_key_sets(), 0);

@@ -1,13 +1,18 @@
-//! The client's handshake validation against a scripted server on a socket
-//! pair: a manifest whose prime chain fails `CkksParameters::from_primes`
+//! The client's validation of what a scripted server on a socket pair
+//! sends: a manifest whose prime chain fails `CkksParameters::from_primes`
 //! at 128-bit security is refused as [`ServiceError::InvalidParameters`]
-//! before any evaluation key is generated or sent.
+//! before any evaluation key is generated or sent, and `Outputs` that the
+//! manifest does not describe, or whose ciphertext is no element of the
+//! ring, are refused as a [`ServiceError`] before anything is decrypted.
 
+use std::collections::HashMap;
 use std::os::unix::net::UnixStream;
 
+use eva_ckks::{Ciphertext, CkksContext, CkksParameters};
 use eva_core::{compile, CompilerOptions, Opcode, Program};
+use eva_poly::{PolyForm, RnsPoly};
 use eva_service::protocol::{expect_message, read_message, write_message};
-use eva_service::{EvaClient, Message, ProgramManifest, ServiceError};
+use eva_service::{EvaClient, Message, ProgramManifest, ServiceError, ValuePayload};
 
 /// The manifest a server publishes for `x + x`: no evaluation key, so a
 /// client that accepts the chain goes straight to a (keyless) upload.
@@ -85,5 +90,84 @@ fn a_non_ntt_friendly_prime_is_refused_before_keygen() {
             assert!(msg.contains("not NTT-friendly"), "{msg}")
         }
         other => panic!("expected InvalidParameters, got {other:?}"),
+    }
+}
+
+/// Plays a server that answers the client's one round of inputs with
+/// `outputs`, and returns what the client's `evaluate` made of them.
+fn scripted_outputs(
+    outputs: Vec<(String, ValuePayload)>,
+) -> Result<HashMap<String, Vec<f64>>, ServiceError> {
+    let (client_end, mut server_end) = UnixStream::pair().unwrap();
+    let server = std::thread::spawn(move || {
+        let Message::Hello { .. } = expect_message(&mut server_end).unwrap() else {
+            panic!("expected Hello");
+        };
+        let manifest = Box::new(manifest());
+        let hello = Message::Manifest {
+            manifest,
+            keys_cached: false,
+        };
+        write_message(&mut server_end, &hello).unwrap();
+        let Message::EvalKeys { .. } = expect_message(&mut server_end).unwrap() else {
+            panic!("expected EvalKeys");
+        };
+        let Message::Inputs(_) = expect_message(&mut server_end).unwrap() else {
+            panic!("expected Inputs");
+        };
+        write_message(&mut server_end, &Message::Outputs(outputs)).unwrap();
+    });
+    let mut client = EvaClient::handshake(client_end, Some(7)).unwrap();
+    let outputs = client.evaluate(&HashMap::from([("x".to_string(), vec![0.5])]));
+    server.join().unwrap();
+    outputs
+}
+
+/// A two-polynomial ciphertext of zeros over the manifest's chain, with
+/// `limb` as its first residue word.
+fn zero_output(limb: u64) -> ValuePayload {
+    let m = manifest();
+    let params = CkksParameters::from_primes(m.degree, &m.data_primes, m.special_prime, true);
+    let context = CkksContext::new(params.unwrap()).unwrap();
+    let level = context.max_level();
+    let mut poly = RnsPoly::zero(context.degree(), level, PolyForm::Ntt);
+    poly.residue_mut(0)[0] = limb;
+    let ct = Ciphertext::from_parts(vec![poly.clone(), poly], 30.0, level);
+    ValuePayload::Cipher(Box::new(ct))
+}
+
+#[test]
+fn outputs_the_manifest_describes_are_decrypted() {
+    let outputs = scripted_outputs(vec![("out".into(), zero_output(0))]).unwrap();
+    assert_eq!(outputs["out"], vec![0.0; 8]);
+}
+
+#[test]
+fn hostile_outputs_are_refused_before_decryption() {
+    let out = |value| ("out".to_string(), value);
+    let cases = [
+        (
+            vec![out(zero_output(u64::MAX))],
+            "encrypted output \"out\" rejected: object does not fit the context: \
+             non-canonical limb in residue row 0",
+        ),
+        (
+            vec![out(zero_output(0)), ("bogus".into(), zero_output(0))],
+            "output \"bogus\" does not match any live program output",
+        ),
+        (
+            vec![("bogus".into(), zero_output(0))],
+            "missing output value for \"out\"",
+        ),
+        (
+            vec![out(ValuePayload::Plain(vec![1.0]))],
+            "output \"out\" must be encrypted",
+        ),
+    ];
+    for (outputs, want) in cases {
+        match scripted_outputs(outputs) {
+            Err(ServiceError::Protocol(msg)) => assert_eq!(msg, want),
+            other => panic!("expected a protocol error, got {other:?}"),
+        }
     }
 }

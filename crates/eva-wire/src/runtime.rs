@@ -265,30 +265,20 @@ impl WireObject for GaloisKeys {
     fn decode_body(r: &mut Reader<'_>) -> Result<Self, WireError> {
         let key_count = r.u32()? as usize;
         let mut keys: Vec<(u64, KeySwitchKey)> = Vec::with_capacity(key_count.min(1 << 16));
-        let mut degree: Option<usize> = None;
         for _ in 0..key_count {
             let elt = r.u64()?;
             let key = decode_key_switch_key(r)?;
             let key_degree = key.digits()[0].0.degree();
-            if degree.is_some_and(|d| d != key_degree) {
-                return Err(WireError::Invalid(
-                    "Galois keys disagree in ring degree".into(),
-                ));
-            }
-            degree = Some(key_degree);
             // Galois elements must be odd units modulo 2N over a
             // power-of-two ring; validating here keeps the preconditions of
             // the automorphism table `GaloisKeys::from_parts` builds out of
-            // reach of hostile input.
+            // reach of hostile input. Whether the key is an element of the
+            // receiver's ring (degree, form, rows, limbs) is the receiver's
+            // one check, `CkksContext::check_ring_elements`.
             if !key_degree.is_power_of_two() || key_degree < 4 {
                 return Err(WireError::Invalid(format!(
                     "Galois key ring degree {key_degree} is not a power of two >= 4"
                 )));
-            }
-            if key.digits()[0].0.form() != PolyForm::Ntt {
-                return Err(WireError::Invalid(
-                    "Galois key polynomials are not in NTT form".into(),
-                ));
             }
             if elt % 2 != 1 || elt >= 2 * key_degree as u64 {
                 return Err(WireError::Invalid(format!(
